@@ -7,13 +7,17 @@ Structure follows the paper's pseudocode:
 * ``_alloc`` (Alloc) — recursive: at a server, place the request; at a
   switch, run Colocate (when bandwidth saving is feasible and, with
   opportunistic HA, desirable) and then Balance on the remainder.
-* ``_colocate`` / ``_find_tiers_to_coloc`` — pick (tier or trunk-connected
+* ``_colocate`` / ``_coloc_option`` — pick (tier or trunk-connected
   tier pair, child) with the largest verified bandwidth saving, excluding
   low-bandwidth tiers so they can later be packed with high-bandwidth VMs.
-* ``_balance`` / ``_md_subset_sum`` — greedy multi-dimensional subset-sum
+* ``_balance`` / ``_greedy_fill`` — greedy multi-dimensional subset-sum
   driving each child's slot and up/down bandwidth utilization toward 100%
   together; in opportunistic-HA mode when saving is undesirable it places
   one VM at a time across children to spread tiers.
+* ``_walk`` / ``_scan`` — the child search both share: "try a child, on
+  overcommit deallocate and try the next" costs one scan of the children
+  per *ledger change*, not per try, and a failing server is asked first,
+  without side effects, whether its own uplink would overcommit.
 
 Bandwidth reservations are recomputed exactly (Eq. 1) on every touched
 uplink as placement proceeds, and capacity is checked at subtree-completion
@@ -26,10 +30,12 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 
 from repro.core.bandwidth import trunk_saving, uplink_requirement
 from repro.core.tag import Tag
+from repro.obs import core as _obs
 from repro.placement.base import Placement, PlacementResult, Rejection
 from repro.placement.ha import (
     DemandEstimator,
@@ -39,23 +45,55 @@ from repro.placement.ha import (
 )
 from repro.placement.state import TenantAllocation
 from repro.topology.ledger import Ledger
-
-# External (out-of-TAG) demand is a pure function of the tag; keyed by
-# identity so pool tenants hit after their first placement and ephemeral
-# tags are dropped with their last reference.
-_DEMAND_CACHE: "weakref.WeakKeyDictionary[Tag, object]" = weakref.WeakKeyDictionary()
 from repro.topology.tree import Node
 
 __all__ = ["CloudMirrorPlacer"]
 
+_UNSEEN = object()
+_VALUE = itemgetter(0)
 
-@dataclass(frozen=True)
-class _Candidate:
-    """A colocation candidate: VMs per tier to put under one child."""
 
-    child: Node
-    request: dict[str, int]
-    saving: float
+class _TagPlan:
+    """What the search needs of one tag and never recomputes.
+
+    ``external``: the out-of-TAG demand of the whole tenant (the
+    root-path check of AllocTenant).
+    ``hose``: tier -> self-loop send rate (non-zero loops only).
+    ``trunk``: the internal (both endpoints placeable) non-loop edges,
+    in ``tag.iter_edges()`` order, as ``(edge, src, dst,
+    fill_src_first)`` with the higher-coefficient endpoint flag
+    precomputed.
+    Per internal tier: ``demand`` (the per-VM ``(out, into)``), ``peak``
+    (its max — the low-bandwidth test and the server fill order) and
+    ``size`` (also the Eq. 7 headroom when no WCS is guaranteed).
+    """
+
+    __slots__ = ("external", "hose", "trunk", "demand", "peak", "size")
+
+    def __init__(self, tag: Tag) -> None:
+        tiers = tag.internal_components()
+        self.size = {c.name: c.size for c in tiers}
+        self.external = uplink_requirement(tag, self.size)
+        self.hose = {
+            edge.src: edge.send
+            for edge in tag.iter_edges()
+            if edge.is_self_loop and edge.send != 0.0
+        }
+        self.trunk = tuple(
+            (edge, edge.src, edge.dst, edge.send >= edge.recv)
+            for edge in tag.iter_edges()
+            if not edge.is_self_loop
+            and not tag.component(edge.src).external
+            and not tag.component(edge.dst).external
+        )
+        self.demand = {c.name: tag.per_vm_demand(c.name) for c in tiers}
+        self.peak = {name: max(pair) for name, pair in self.demand.items()}
+
+
+# The search plan is a pure function of the tag; keyed by identity so pool
+# tenants hit after their first placement and ephemeral tags are dropped
+# with their last reference.
+_PLAN_CACHE: "weakref.WeakKeyDictionary[Tag, _TagPlan]" = weakref.WeakKeyDictionary()
 
 
 class CloudMirrorPlacer:
@@ -90,15 +128,15 @@ class CloudMirrorPlacer:
         self.enable_balance = enable_balance
         self.subtree_choice = subtree_choice
         self.ha = ha or HaPolicy()
+        self._wcs = self.ha.guarantees_wcs
         self.estimator = DemandEstimator()
         # Per-subtree low-bandwidth threshold: a pure function of the
         # immutable topology, so memoized for the life of the placer.
         self._threshold_cache: dict[int, tuple[int, float]] = {}
-        # Colocation candidate plan (hose loops + internal trunk edges),
-        # a pure function of the tag; rebuilt when the tag changes.
+        # Search invariants of the tag being placed (see _TagPlan), set by
+        # _candidate_plan wherever a tag enters the search.
         self._plan_for: Tag | None = None
-        self._hose_plan: dict[str, float] = {}
-        self._trunk_plan: tuple = ()
+        self._plan: _TagPlan = None  # type: ignore[assignment]
         # True only while an opportunistic-HA placement attempt is active
         # (the fallback attempt after a failed spread runs with it off).
         self._spreading = False
@@ -124,6 +162,7 @@ class CloudMirrorPlacer:
         self._spreading = opportunistic
         try:
             allocation = TenantAllocation(tag, self.ledger)
+            self._candidate_plan(tag)
             subtree = self._find_lowest_subtree(tag, start_level)
             while subtree is not None:
                 savepoint = allocation.savepoint()
@@ -158,6 +197,7 @@ class CloudMirrorPlacer:
         """
         savepoint = allocation.savepoint()
         allocation.begin_scale_up(tier, extra)
+        self._candidate_plan(allocation.tag)
         want = {tier: extra}
         root = self.topology.root
         self._alloc(allocation, want, root, root)
@@ -210,7 +250,7 @@ class CloudMirrorPlacer:
         while ``most-free`` load-balances (the ablation benchmark
         quantifies the difference).
         """
-        external_demand = self._external_demand(tag)
+        external_demand = self._candidate_plan(tag).external
         best_fit = self.subtree_choice == "best-fit"
         size = tag.size
         index = self._index
@@ -250,18 +290,15 @@ class CloudMirrorPlacer:
                 return best
         return None
 
-    def _external_demand(self, tag: Tag):
-        # Pure function of the tag; pool tenants are placed thousands of
-        # times in a service run, so memoize per tag identity.
-        cached = _DEMAND_CACHE.get(tag)
-        if cached is not None:
-            return cached
-        all_inside = {
-            c.name: c.size for c in tag.internal_components() if c.size is not None
-        }
-        demand = uplink_requirement(tag, all_inside)
-        _DEMAND_CACHE[tag] = demand
-        return demand
+    def _candidate_plan(self, tag: Tag) -> _TagPlan:
+        """Make ``tag``'s plan current (pool tenants are planned once)."""
+        if self._plan_for is not tag:
+            plan = _PLAN_CACHE.get(tag)
+            if plan is None:
+                plan = _PLAN_CACHE[tag] = _TagPlan(tag)
+            self._plan = plan
+            self._plan_for = tag
+        return self._plan
 
     def _root_path_available(self, node: Node, demand) -> bool:
         if demand.out == 0.0 and demand.into == 0.0:
@@ -304,7 +341,7 @@ class CloudMirrorPlacer:
                 # Fig. 10 "Coloc"-only ablation: place the remainder the
                 # way prior network-aware placers do — pack children in
                 # free-slot order with no resource balancing (Fig. 6(c)).
-                self._naive_fill(allocation, want, subtree, ceiling)
+                self._walk(allocation, want, subtree, ceiling, self._naive_option)
         return not want
 
     def _alloc_server(
@@ -315,42 +352,218 @@ class CloudMirrorPlacer:
         ceiling: Node,
     ) -> None:
         """Place VMs straight onto one server, respecting slots and Eq. 7."""
-        server_id = server.node_id
-        free = self.ledger.slot_cap[server_id] - self.ledger.used_slots_id(
-            server_id
-        )
-        order = sorted(
-            want,
-            key=lambda t: max(allocation.tag.per_vm_demand(t)),
-            reverse=True,
-        )
-        for tier in order:
-            if free <= 0:
-                break
-            count = min(want[tier], free, self._cap_left(allocation, server, tier))
-            if count <= 0:
-                continue
+        for tier, count in self._server_fill(allocation, want, server):
             if allocation.place(server, tier, count, ceiling):
-                free -= count
                 want[tier] -= count
                 if want[tier] == 0:
                     del want[tier]
 
-    def _cap_left(self, allocation: TenantAllocation, node: Node, tier: str) -> int:
-        """Remaining Eq. 7 headroom for ``tier`` under ``node``."""
-        if not self.ha.guarantees_wcs:
-            # No WCS guarantee: the headroom is the tier size, cached on
-            # the allocation (this runs per candidate per tier).
-            size = allocation.tier_size(tier)
-            return size if size > 0 else 0
-        return tier_cap_left(self.ha, allocation, node, tier)
+    def _server_fill(
+        self, allocation: TenantAllocation, want: dict[str, int], server: Node
+    ) -> list[tuple[str, int]]:
+        """The ``(tier, count)`` sequence ``want`` puts on ``server``.
+
+        Highest per-VM demand first, each tier bounded by the free slots
+        left and its Eq. 7 headroom.  Shared by the real placement and
+        the side-effect-free probe, so both replay the same sequence.
+        """
+        server_id = server.node_id
+        free = self.ledger.slot_cap[server_id] - self.ledger.used_slots_id(
+            server_id
+        )
+        caps = self._caps(allocation, server_id, want)
+        peak = self._plan.peak
+        fill = []
+        for tier in sorted(want, key=peak.__getitem__, reverse=True):
+            if free <= 0:
+                break
+            count = min(want[tier], free, caps[tier])
+            if count > 0:
+                fill.append((tier, count))
+                free -= count
+        return fill
+
+    def _caps(self, allocation: TenantAllocation, node_id: int, tiers):
+        """Remaining Eq. 7 headroom under ``node_id``, per tier of ``tiers``."""
+        if not self._wcs:
+            # No WCS guarantee: the headroom is the tier size.
+            return self._plan.size
+        node = self._flat.node_of[node_id]
+        return {
+            tier: tier_cap_left(self.ha, allocation, node, tier) for tier in tiers
+        }
+
+    # ------------------------------------------------------------------
+    # the child search shared by Colocate and Balance
+    # ------------------------------------------------------------------
+    def _walk(
+        self,
+        allocation: TenantAllocation,
+        want: dict[str, int],
+        subtree: Node,
+        ceiling: Node,
+        option,
+        *option_args,
+        key_tiers: tuple[str, ...] | None = None,
+        bandwidth: bool = False,
+    ) -> None:
+        """Offer ``want`` to ``subtree``'s children until none takes more.
+
+        Algorithm 1 tries the best child and, on overcommit, deallocates
+        and tries the next.  A failed try rolls back exactly — ``want``,
+        counts and every reservation are as the scan saw them — so "the
+        next" is read off the same scan: the children are ranked once
+        (highest value, ties to the earliest child, the order successive
+        fresh scans would produce) and walked down.  Only a try that
+        placed VMs changes the ledger and pays for a new scan.  A failed
+        child stays excluded for the rest of the walk.
+
+        Once one real try has failed, a server child is first probed
+        (:meth:`TenantAllocation.probe`) for overcommitting its own
+        uplink, which rejects it without touching any state.
+
+        ``option(allocation, want, *option_args, child_id, free)`` values
+        one child: ``(value, request)`` or ``None``.
+        """
+        node_of = self._flat.node_of
+        excluded: set[int] = set()
+        evaluate = partial(option, allocation, want, *option_args)
+        scan = partial(self._scan, allocation, subtree, excluded, evaluate, bandwidth)
+        probe = False
+        while want:
+            tiers = key_tiers
+            if tiers is None:
+                # Eq. 7 headroom depends on the counts only under WCS.
+                tiers = tuple(want) if self._wcs else ()
+            classes: dict = {}
+            pick = scan(tiers, classes, None)
+            c = _obs.counters
+            if c is not None:
+                c.bump("cloudmirror.scans")
+            ranked = None
+            while pick is not None and not self._try_child(
+                allocation, want, pick[2], node_of[pick[1]], ceiling, probe
+            ):
+                probe = True
+                excluded.add(pick[1])
+                if ranked is None:
+                    # Ranked lazily: a first try that succeeds never pays.
+                    found: list = []
+                    scan(tiers, classes, found)
+                    found.sort(key=_VALUE, reverse=True)
+                    ranked = iter(found)
+                pick = next(ranked, None)
+            if pick is None:
+                return
+
+    def _scan(
+        self,
+        allocation: TenantAllocation,
+        subtree: Node,
+        excluded: set[int],
+        evaluate,
+        bandwidth: bool,
+        key_tiers: tuple[str, ...],
+        classes: dict,
+        ranked: list | None,
+    ):
+        """Best ``(value, child_id, request)`` over ``subtree``'s children.
+
+        Children in identical reservation states — same free slots,
+        same per-tier counts of ``key_tiers`` and, with ``bandwidth``,
+        same nominal availability; ancestors above the child are shared —
+        get identical options from ``evaluate(child_id, free)``, and the
+        strict comparison means only the first of each equivalence class
+        can win, so ``classes`` holds one evaluation per class.  On
+        homogeneous (sub)trees this collapses the scan from O(children)
+        evaluations to one per distinct state.
+
+        With a ``ranked`` list (after a failed try, same ledger state)
+        every eligible child is appended with its class's option instead
+        and nothing is evaluated twice.
+        """
+        ledger = self.ledger
+        free_slots_id = ledger.free_slots_id
+        available_up = ledger.nominal_available_up_id
+        available_down = ledger.nominal_available_down_id
+        count_key = allocation.count_key
+        best = None
+        for child_id in self._flat.children_ids[subtree.node_id]:
+            if child_id in excluded:
+                continue
+            free = free_slots_id(child_id)
+            if free <= 0:
+                continue
+            counts = key_tiers and count_key(child_id, key_tiers)
+            if bandwidth:
+                key = (free, available_up(child_id), available_down(child_id), counts)
+            else:
+                key = (free, counts)
+            option = classes.get(key, _UNSEEN)
+            if option is _UNSEEN:
+                option = classes[key] = evaluate(child_id, free)
+            elif ranked is None:
+                continue
+            if option is None:
+                continue
+            if ranked is not None:
+                ranked.append((option[0], child_id, option[1]))
+            elif best is None or option[0] > best[0]:
+                best = (option[0], child_id, option[1])
+        return best
+
+    def _try_child(
+        self,
+        allocation: TenantAllocation,
+        want: dict[str, int],
+        request: dict[str, int],
+        child: Node,
+        ceiling: Node,
+        probe: bool,
+    ) -> int:
+        """Recurse into ``child`` with ``request``; roll back on overcommit.
+
+        Returns the number of VMs that stayed placed.  ``want`` is reduced
+        by exactly that amount.  With ``probe``, a server whose own uplink
+        would overcommit is rejected before anything is reserved.
+        """
+        c = _obs.counters
+        if (
+            probe
+            and child.is_server
+            and allocation.probe(
+                child.node_id, self._server_fill(allocation, request, child)
+            )
+        ):
+            if c is not None:
+                c.bump("cloudmirror.probe_rejects")
+            return 0
+        if c is not None:
+            c.bump("cloudmirror.tries")
+        savepoint = allocation.savepoint()
+        remainder = dict(request)
+        self._alloc(allocation, remainder, child, ceiling)
+        placed = 0
+        if self.ledger.has_overcommit():
+            allocation.rollback(savepoint)
+        else:
+            for tier, asked in request.items():
+                got = asked - remainder.get(tier, 0)
+                if got:
+                    placed += got
+                    want[tier] -= got
+                    if want[tier] == 0:
+                        del want[tier]
+        if c is not None and not placed:
+            c.bump("cloudmirror.tries_failed")
+        return placed
 
     # ------------------------------------------------------------------
     # Colocate
     # ------------------------------------------------------------------
     def _bw_saving_worthwhile(self, subtree: Node) -> bool:
         """Gate on Colocate: feasible under HA, and desirable under oppHA."""
-        if self.ha.guarantees_wcs and self.ha.required_wcs >= 0.5:
+        if self._wcs and self.ha.required_wcs >= 0.5:
             # With RWCS >= 50%, no tier may put a majority under a subtree
             # at or below the anti-affinity level, so no saving is possible
             # there (§4.4).
@@ -369,104 +582,21 @@ class CloudMirrorPlacer:
         subtree: Node,
         ceiling: Node,
     ) -> None:
-        excluded: set[int] = set()
-        while want:
-            candidate = self._find_tiers_to_coloc(allocation, want, subtree, excluded)
-            if candidate is None:
-                return
-            placed = self._try_child(
-                allocation, want, candidate.request, candidate.child, ceiling
-            )
-            if placed == 0:
-                excluded.add(candidate.child.node_id)
+        """Place the (child, tier set) picks with the largest saving first.
 
-    def _try_child(
-        self,
-        allocation: TenantAllocation,
-        want: dict[str, int],
-        request: dict[str, int],
-        child: Node,
-        ceiling: Node,
-    ) -> int:
-        """Recurse into ``child`` with ``request``; roll back on overcommit.
-
-        Returns the number of VMs that stayed placed.  ``want`` is reduced
-        by exactly that amount.
+        Tiers whose per-VM demand is below the children's nominal
+        per-slot bandwidth are excluded — they are better used later to
+        balance slot/bandwidth utilization (Fig. 6).  Without Balance
+        there is nothing to pair them with later, so they are colocated
+        too ("blind" colocation).
         """
-        savepoint = allocation.savepoint()
-        remainder = dict(request)
-        self._alloc(allocation, remainder, child, ceiling)
-        if self.ledger.has_overcommit():
-            allocation.rollback(savepoint)
-            return 0
-        placed = 0
-        for tier, asked in request.items():
-            got = asked - remainder.get(tier, 0)
-            if got:
-                placed += got
-                want[tier] -= got
-                if want[tier] == 0:
-                    del want[tier]
-        return placed
-
-    def _find_tiers_to_coloc(
-        self,
-        allocation: TenantAllocation,
-        want: dict[str, int],
-        subtree: Node,
-        excluded: set[int],
-    ) -> _Candidate | None:
-        """Best (child, tier set) with a verified positive bandwidth saving.
-
-        Hose candidates use Eq. 2, trunk candidates Eqs. 4-6 (saving
-        verified with Eq. 4, as §4.2 requires).  Tiers whose per-VM demand
-        is below the children's nominal per-slot bandwidth are excluded —
-        they are better used later to balance slot/bandwidth utilization
-        (Fig. 6) — unless nothing else remains.
-        """
-        tag = allocation.tag
-        free_slots_id = self.ledger.free_slots_id
-        children = [
-            c
-            for c in subtree.children
-            if c.node_id not in excluded and free_slots_id(c.node_id) > 0
-        ]
-        if not children:
-            return None
-        if self.enable_balance:
-            threshold = self._low_bw_threshold(subtree)
-            heavy = {
-                tier
-                for tier in want
-                if max(tag.per_vm_demand(tier)) >= threshold
-            }
-        else:
-            # Without Balance there is nothing to pair low-bandwidth tiers
-            # with later, so colocate them too ("blind" colocation).
-            heavy = set(want)
-        best: _Candidate | None = None
-        # Equivalence-class dedup, as in _md_subset_sum: every candidate
-        # quantity (hose/trunk counts, Eq. 7 headroom, free slots) is a
-        # function of the child's free slots and its per-tier counts —
-        # ancestors above the child are shared — and the strict saving
-        # comparison keeps the first member of each class as the winner.
-        ledger = self.ledger
-        count_id = allocation.count_id
-        tiers = allocation.internal_tiers
-        seen: set = set()
-        for child in children:
-            child_id = child.node_id
-            free = ledger.free_slots_id(child_id)
-            key = (free, tuple(count_id(child_id, tier) for tier in tiers))
-            if key in seen:
-                continue
-            seen.add(key)
-            for candidate in self._child_candidates(
-                allocation, want, heavy, child, free
-            ):
-                if best is None or candidate.saving > best.saving:
-                    best = candidate
-        return best
+        threshold = (
+            self._low_bw_threshold(subtree) if self.enable_balance else -math.inf
+        )
+        # Every candidate quantity (hose/trunk counts, Eq. 7 headroom) is a
+        # function of the child's counts over all tiers.
+        walk = partial(self._walk, allocation, want, subtree, ceiling)
+        walk(self._coloc_option, threshold, key_tiers=allocation.internal_tiers)
 
     def _low_bw_threshold(self, subtree: Node) -> float:
         """Nominal per-slot bandwidth of the children (Fig. 6 heuristic).
@@ -495,150 +625,100 @@ class CloudMirrorPlacer:
         self._threshold_cache[subtree.node_id] = (version, threshold)
         return threshold
 
-    def _candidate_plan(self, tag: Tag) -> tuple[dict[str, float], tuple]:
-        """Per-tag colocation structure, rebuilt only when the tag changes.
-
-        ``hose``: tier -> self-loop send rate (non-zero loops only).
-        ``trunk``: the internal (both endpoints placeable) non-loop
-        edges, in ``tag.iter_edges()`` order, as
-        ``(edge, src, dst, fill_src_first)`` with the higher-coefficient
-        endpoint flag precomputed.
-        """
-        if self._plan_for is not tag:
-            self._hose_plan = {
-                edge.src: edge.send
-                for edge in tag.iter_edges()
-                if edge.is_self_loop and edge.send != 0.0
-            }
-            self._trunk_plan = tuple(
-                (edge, edge.src, edge.dst, edge.send >= edge.recv)
-                for edge in tag.iter_edges()
-                if not edge.is_self_loop
-                and not tag.component(edge.src).external
-                and not tag.component(edge.dst).external
-            )
-            self._plan_for = tag
-        return self._hose_plan, self._trunk_plan
-
-    def _child_candidates(
+    def _coloc_option(
         self,
         allocation: TenantAllocation,
         want: dict[str, int],
-        heavy: set[str],
-        child: Node,
+        threshold: float,
+        child_id: int,
         free: int,
-    ):
-        """Yield verified-saving candidates for one child."""
-        hose_plan, trunk_plan = self._candidate_plan(allocation.tag)
-        child_id = child.node_id
+    ) -> tuple[float, dict[str, int]] | None:
+        """Best ``(saving, request)`` with a verified positive saving.
+
+        Hose candidates use Eq. 2, trunk candidates Eqs. 4-6 (saving
+        verified with Eq. 4, as §4.2 requires); only tiers of ``want``
+        with per-VM demand of at least ``threshold`` anchor a candidate.
+        The first of equally good candidates wins.
+        """
+        plan = self._plan
+        peak = plan.peak
+        sizes = plan.size
+        caps = self._caps(allocation, child_id, want)
         count_id = allocation.count_id
+        best = None
+        best_saving = 0.0
         # Hose candidates (Eq. 2): a majority of a self-loop tier in child.
-        for tier in want:
-            if tier not in heavy:
+        hose = plan.hose
+        for tier, left in want.items():
+            send = hose.get(tier)
+            if send is None or peak[tier] < threshold:
                 continue
-            send = hose_plan.get(tier)
-            if send is None:
-                continue
-            size = allocation.tier_size(tier)
-            assert size is not None
-            here = count_id(child_id, tier)
-            add = min(want[tier], free, self._cap_left(allocation, child, tier))
+            add = min(left, free, caps[tier])
             if add <= 0:
                 continue
+            size = sizes[tier]
+            here = count_id(child_id, tier)
             after = here + add
             if after <= size / 2.0:
                 continue
             crossing_before = min(here, size - here) * send
             crossing_after = min(after, size - after) * send
             saving = add * send - (crossing_after - crossing_before)
-            if saving > 0:
-                yield _Candidate(child, {tier: add}, saving)
+            if saving > best_saving:
+                best, best_saving = {tier: add}, saving
         # Trunk candidates (Eqs. 4-6): colocate both endpoints of an edge.
-        for edge, src, dst, src_first in trunk_plan:
-            if src not in heavy and dst not in heavy:
-                continue
+        for edge, src, dst, src_first in plan.trunk:
             src_want = want.get(src, 0)
             dst_want = want.get(dst, 0)
-            if src_want + dst_want == 0:
+            if not (
+                (src_want and peak[src] >= threshold)
+                or (dst_want and peak[dst] >= threshold)
+            ):
                 continue
-            src_size = allocation.tier_size(src)
-            dst_size = allocation.tier_size(dst)
-            assert src_size is not None and dst_size is not None
-            src_here = count_id(child_id, src)
-            dst_here = count_id(child_id, dst)
             # Fill the higher-coefficient endpoint first (maximizes Eq. 4).
-            budget = free
             if src_first:
-                src_add = min(
-                    src_want, budget, self._cap_left(allocation, child, src)
-                )
-                dst_add = min(
-                    dst_want,
-                    budget - src_add,
-                    self._cap_left(allocation, child, dst),
-                )
+                src_add = min(src_want, free, caps.get(src, 0))
+                dst_add = min(dst_want, free - src_add, caps.get(dst, 0))
             else:
-                dst_add = min(
-                    dst_want, budget, self._cap_left(allocation, child, dst)
-                )
-                src_add = min(
-                    src_want,
-                    budget - dst_add,
-                    self._cap_left(allocation, child, src),
-                )
+                dst_add = min(dst_want, free, caps.get(dst, 0))
+                src_add = min(src_want, free - dst_add, caps.get(src, 0))
             if src_add + dst_add <= 0:
                 continue
-            before = trunk_saving(edge, src_here, dst_here, src_size, dst_size)
-            after = trunk_saving(
+            src_size = sizes[src]
+            dst_size = sizes[dst]
+            src_here = count_id(child_id, src)
+            dst_here = count_id(child_id, dst)
+            saving = trunk_saving(
                 edge, src_here + src_add, dst_here + dst_add, src_size, dst_size
-            )
-            saving = after - before
-            if saving > 0:
+            ) - trunk_saving(edge, src_here, dst_here, src_size, dst_size)
+            if saving > best_saving:
                 request = {}
                 if src_add:
                     request[src] = src_add
                 if dst_add:
                     request[dst] = dst_add
-                yield _Candidate(child, request, saving)
+                best, best_saving = request, saving
+        return None if best is None else (best_saving, best)
 
-    def _naive_fill(
+    def _naive_option(
         self,
         allocation: TenantAllocation,
         want: dict[str, int],
-        subtree: Node,
-        ceiling: Node,
-    ) -> None:
-        """Sequentially pack children by free slots (no balancing)."""
-        flat = self._flat
-        free_slots_id = self.ledger.free_slots_id
-        child_ids = flat.children_ids[subtree.node_id]
-        excluded: set[int] = set()
-        while want:
-            candidates = [
-                child_id
-                for child_id in child_ids
-                if child_id not in excluded and free_slots_id(child_id) > 0
-            ]
-            if not candidates:
-                return
-            # max() keeps the first maximal id, matching the Node walk.
-            child_id = max(candidates, key=free_slots_id)
-            child = flat.node_of[child_id]
-            budget = free_slots_id(child_id)
-            request: dict[str, int] = {}
-            for tier, left in want.items():
-                if budget <= 0:
-                    break
-                count = min(left, budget, self._cap_left(allocation, child, tier))
-                if count > 0:
-                    request[tier] = count
-                    budget -= count
-            if not request:
-                excluded.add(child.node_id)
-                continue
-            placed = self._try_child(allocation, want, request, child, ceiling)
-            if placed == 0:
-                excluded.add(child.node_id)
+        child_id: int,
+        free: int,
+    ) -> tuple[int, dict[str, int]] | None:
+        """Pack the child with the most free slots, tiers in ``want`` order."""
+        caps = self._caps(allocation, child_id, want)
+        budget = free
+        request: dict[str, int] = {}
+        for tier, left in want.items():
+            if budget <= 0:
+                break
+            count = min(left, budget, caps[tier])
+            if count > 0:
+                request[tier] = count
+                budget -= count
+        return (free, request) if request else None
 
     # ------------------------------------------------------------------
     # Balance
@@ -650,129 +730,42 @@ class CloudMirrorPlacer:
         subtree: Node,
         ceiling: Node,
     ) -> None:
-        spread_mode = self._spreading and not saving_desirable(
-            self.ledger, subtree, self.estimator.expected_per_vm_demand
-        )
-        excluded: set[int] = set()
-        while want:
-            pick = self._md_subset_sum(
-                allocation, want, subtree, excluded, spread_mode
-            )
-            if pick is None:
-                break
-            child, request = pick
-            placed = self._try_child(allocation, want, request, child, ceiling)
-            if placed == 0:
-                excluded.add(child.node_id)
-        if not want:
-            return
-        # Second pass ignoring the (conservative, additive) bandwidth
-        # estimates: the per-VM worst case overstates Eq. 1's min() terms,
-        # so a remainder here may still fit.  The exact overcommit check
-        # at each _try_child boundary remains the real capacity gate.
-        excluded = set()
-        while want:
-            pick = self._md_subset_sum(
-                allocation,
-                want,
-                subtree,
-                excluded,
-                spread_mode=False,
-                ignore_bandwidth=True,
-            )
-            if pick is None:
-                return
-            child, request = pick
-            placed = self._try_child(allocation, want, request, child, ceiling)
-            if placed == 0:
-                excluded.add(child.node_id)
+        """Drive each child's slot and bandwidth utilization toward 100%.
 
-    def _md_subset_sum(
-        self,
-        allocation: TenantAllocation,
-        want: dict[str, int],
-        subtree: Node,
-        excluded: set[int],
-        spread_mode: bool,
-        ignore_bandwidth: bool = False,
-    ) -> tuple[Node, dict[str, int]] | None:
-        """Choose (child, VM subset) driving child utilization toward 100%.
-
-        The greedy works at tier granularity (the paper's speed-up: VMs of
-        one tier are identical) over three dimensions — slots, outgoing
-        bandwidth, incoming bandwidth — using utilization fractions as the
-        common metric.  In ``spread_mode`` (§4.5 opportunistic HA) it
-        returns a single VM for the emptiest child instead.
+        In spread mode (§4.5 opportunistic HA, saving undesirable) one VM
+        at a time goes to the emptiest child instead.
         """
-        free_slots_id = self.ledger.free_slots_id
-        children = [
-            c
-            for c in subtree.children
-            if c.node_id not in excluded and free_slots_id(c.node_id) > 0
-        ]
-        if not children:
-            return None
-        if spread_mode:
-            return self._spread_pick(allocation, want, children)
-        best_child: Node | None = None
-        best_fill: dict[str, int] | None = None
-        best_score = -1.0
-        # Children in identical reservation states (same free slots,
-        # available bandwidth, and — under a WCS guarantee — the same
-        # per-tier counts) produce identical greedy fills, and the strict
-        # score comparison means only the first of each equivalence class
-        # can win; later members are skipped without being evaluated.
-        # On homogeneous (sub)trees this collapses the per-round scan
-        # from O(children) greedy fills to one per distinct state.
-        ledger = self.ledger
-        count_id = allocation.count_id
-        keyed_counts = (
-            tuple(want) if self.ha.guarantees_wcs else ()
-        )
-        seen: set = set()
-        for child in children:
-            child_id = child.node_id
-            if ignore_bandwidth:
-                key = (
-                    ledger.free_slots_id(child_id),
-                    tuple(count_id(child_id, tier) for tier in keyed_counts),
-                )
-            else:
-                key = (
-                    ledger.free_slots_id(child_id),
-                    ledger.nominal_available_up_id(child_id),
-                    ledger.nominal_available_down_id(child_id),
-                    tuple(count_id(child_id, tier) for tier in keyed_counts),
-                )
-            if key in seen:
-                continue
-            seen.add(key)
-            fill, score = self._greedy_fill(
-                allocation, want, child, ignore_bandwidth
-            )
-            if fill and score > best_score:
-                best_child, best_fill, best_score = child, fill, score
-        if best_child is None or best_fill is None:
-            return None
-        return best_child, best_fill
+        walk = partial(self._walk, allocation, want, subtree, ceiling)
+        if self._spreading and not saving_desirable(
+            self.ledger, subtree, self.estimator.expected_per_vm_demand
+        ):
+            walk(self._spread_option)
+        else:
+            walk(self._greedy_fill, False, bandwidth=True)
+        if want:
+            # Second pass ignoring the (conservative, additive) bandwidth
+            # estimates: the per-VM worst case overstates Eq. 1's min()
+            # terms, so a remainder here may still fit.  The exact
+            # overcommit check at each _try_child boundary remains the
+            # real capacity gate.
+            walk(self._greedy_fill, True)
 
     def _greedy_fill(
         self,
         allocation: TenantAllocation,
         want: dict[str, int],
-        child: Node,
-        ignore_bandwidth: bool = False,
-    ) -> tuple[dict[str, int], float]:
-        """Greedy tier-granularity fill of one child; returns (fill, score).
+        ignore_bandwidth: bool,
+        child_id: int,
+        slots_free: int,
+    ) -> tuple[float, dict[str, int]] | None:
+        """Greedy tier-granularity fill of one child: ``(score, fill)``.
 
-        The per-VM demands and the Eq. 7 headroom of each tier are
-        invariant over one fill (only the hypothetical ``fill`` counts
-        move), so they are hoisted out of the packing loop.
+        The greedy works at tier granularity (the paper's speed-up: VMs
+        of one tier are identical) over three dimensions — slots,
+        outgoing bandwidth, incoming bandwidth — using utilization
+        fractions as the common metric.
         """
-        tag = allocation.tag
         ledger = self.ledger
-        child_id = child.node_id
-        slots_free = ledger.free_slots_id(child_id)
         if ignore_bandwidth:
             up_free = down_free = math.inf
         else:
@@ -783,10 +776,8 @@ class CloudMirrorPlacer:
         rate_up = finite_up and up_free > 0
         rate_down = finite_down and down_free > 0
         slots_denom = slots_free if slots_free > 1 else 1
-        tier_info: dict[str, tuple[float, float, int]] = {}
-        for tier in want:
-            out, into = tag.per_vm_demand(tier)
-            tier_info[tier] = (out, into, self._cap_left(allocation, child, tier))
+        demand = self._plan.demand
+        caps = self._caps(allocation, child_id, want)
         fill: dict[str, int] = {}
         used_slots = 0
         used_up = 0.0
@@ -799,8 +790,8 @@ class CloudMirrorPlacer:
             for tier, left in remaining.items():
                 if left <= 0:
                     continue
-                out, into, cap0 = tier_info[tier]
-                cap = cap0 - fill.get(tier, 0)
+                out, into = demand[tier]
+                cap = caps[tier] - fill.get(tier, 0)
                 count = min(left, slots_free - used_slots, cap)
                 if count <= 0:
                     continue
@@ -829,7 +820,7 @@ class CloudMirrorPlacer:
                     best_count = count
             if best_tier is None:
                 break
-            out, into, _ = tier_info[best_tier]
+            out, into = demand[best_tier]
             fill[best_tier] = fill.get(best_tier, 0) + best_count
             used_slots += best_count
             used_up += best_count * out
@@ -838,28 +829,24 @@ class CloudMirrorPlacer:
             if remaining[best_tier] <= 0:
                 del remaining[best_tier]
         if not fill:
-            return {}, -1.0
+            return None
         # Score: how full the child ends up, averaged over the finite dims.
         utils = [used_slots / slots_denom]
         if rate_up:
             utils.append(used_up / up_free)
         if rate_down:
             utils.append(used_down / down_free)
-        return fill, sum(utils) / len(utils)
+        return sum(utils) / len(utils), fill
 
-    def _spread_pick(
+    def _spread_option(
         self,
         allocation: TenantAllocation,
         want: dict[str, int],
-        children: list[Node],
-    ) -> tuple[Node, dict[str, int]] | None:
+        child_id: int,
+        free: int,
+    ) -> tuple[int, dict[str, int]] | None:
         """Opportunistic-HA: one VM of the largest tier, emptiest child."""
-        tier = max(want, key=lambda t: want[t])
-        eligible = [
-            c for c in children if self._cap_left(allocation, c, tier) > 0
-        ]
-        if not eligible:
+        tier = max(want, key=want.__getitem__)
+        if self._caps(allocation, child_id, (tier,))[tier] <= 0:
             return None
-        free_slots_id = self.ledger.free_slots_id
-        child = max(eligible, key=lambda c: free_slots_id(c.node_id))
-        return child, {tier: 1}
+        return free, {tier: 1}

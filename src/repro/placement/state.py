@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from itertools import repeat
+from typing import Callable, Iterator, Mapping, Sequence
 
 from repro import _kernels
 from repro.core.bandwidth import BandwidthDemand, uplink_requirement
@@ -274,6 +275,11 @@ class TenantAllocation:
         counts = self._counts.get(node_id)
         return 0 if counts is None else counts.get(tier, 0)
 
+    def count_key(self, node_id: int, tiers: Sequence[str]) -> tuple[int, ...]:
+        """The counts of ``tiers`` under ``node_id`` as one hashable (one
+        call per child in the placers' equivalence-class scans)."""
+        return tuple(map(self._counts.get(node_id, {}).get, tiers, repeat(0)))
+
     def counts_under(self, node: Node) -> Mapping[str, int]:
         return dict(self._counts.get(node.node_id, {}))
 
@@ -393,6 +399,33 @@ class TenantAllocation:
                 break
             self._update_reservation(node_id)
         return True
+
+    def probe(self, server_id: int, fill: Sequence[tuple[str, int]]) -> bool | None:
+        """Would :meth:`place`-ing ``fill`` overcommit the server's own uplink?
+
+        Replays for that one uplink, touching no state, the count bumps
+        and reservation deltas ``place`` would apply for each ``(tier,
+        count)`` in order; the ledger replays its adjust on the deltas.
+        True: a real try is certain to end overcommitted.  ``None``: cannot
+        tell, really try — the ledger is already overcommitted (placing
+        may *lower* a reservation and clear it) or has no
+        ``would_overcommit`` query.
+        """
+        ledger = self.ledger
+        would_overcommit = getattr(ledger, "would_overcommit", None)
+        if would_overcommit is None or ledger.has_overcommit():
+            return None
+        if self._compiled_for is not self.tag:
+            self._recompile()
+        inside = dict(self._counts.get(server_id, ()))
+        prev_out, prev_into = self._reserved.get(server_id, _ZERO)
+        deltas = []
+        for tier, count in fill:
+            inside[tier] = inside.get(tier, 0) + count
+            out, into = self._require(inside)
+            deltas.append((out - prev_out, into - prev_into))
+            prev_out, prev_into = out, into
+        return would_overcommit(server_id, deltas)
 
     def finalize(self, allocation_root: Node) -> bool:
         """Reserve the path from ``allocation_root`` to the tree root.

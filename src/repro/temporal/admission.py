@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -364,6 +364,31 @@ class TemporalLedger(SlotAccountingMixin):
         if c is not None:
             c.bump("temporal.journal_ops")
         return True
+
+    def would_overcommit(
+        self, node_id: int, deltas: Iterable[tuple[float, float]]
+    ) -> bool | None:
+        """Would unenforced adjusts by ``deltas``, in order, end overcommitted?
+
+        The W-plane twin of :meth:`Ledger.would_overcommit`: the real
+        adjust kernel, under the active ratios, on a private copy of the
+        node's column; ``None`` when a delta would be refused.
+        """
+        if node_id == self._root_id:
+            return False
+        windows = self.windows
+        base = node_id * windows
+        up, down = self._up[base : base + windows], self._down[base : base + windows]
+        max_up, max_down = [self._max_up[node_id]], [self._max_down[node_id]]
+        cap_up, cap_down = [self._cap_up[node_id]], [self._cap_down[node_id]]
+        over: set[int] = set()
+        column = (up, down, max_up, max_down, cap_up, cap_down, over, [], self._ratios)
+        for d_up, d_down in deltas:
+            if _kernels.temporal_adjust(
+                *column, 0, windows, d_up, d_down, False, _EPSILON
+            ):
+                return None
+        return bool(over)
 
     def release_uplink(self, node: Node, up: float, down: float) -> None:
         self.release_uplink_id(node.node_id, up, down)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro import _kernels
 from repro.core.constants import EPSILON
@@ -398,6 +398,29 @@ class Ledger(SlotAccountingMixin):
         if c is not None:
             c.bump("ledger.journal_ops")
         return True
+
+    def would_overcommit(
+        self, node_id: int, deltas: Iterable[tuple[float, float]]
+    ) -> bool | None:
+        """Would unenforced adjusts by ``deltas``, in order, end overcommitted?
+
+        Runs the adjust kernel :meth:`adjust_uplink_id` runs, on a private
+        one-node copy of the uplink — the over-set's answer, with nothing
+        changed.  ``None`` when a delta would be refused (the real adjust
+        raises).
+        """
+        if node_id == self._root_id:
+            return False
+        up, down = [self._used_up[node_id]], [self._used_down[node_id]]
+        cap_up, cap_down = [self.flat.cap_up[node_id]], [self.flat.cap_down[node_id]]
+        over: set[int] = set()
+        ops: list[object] = []
+        for d_up, d_down in deltas:
+            if _kernels.ledger_adjust(
+                up, down, cap_up, cap_down, over, ops, 0, d_up, d_down, False, _EPSILON
+            ):
+                return None
+        return bool(over)
 
     def has_overcommit(self) -> bool:
         """Any uplink currently reserved beyond its capacity?"""

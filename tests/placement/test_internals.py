@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import pytest
 
@@ -41,6 +42,17 @@ class TestLowBandwidthThreshold:
         assert placer._low_bw_threshold(tor) == pytest.approx(2500.0)
 
 
+def best_coloc(placer, allocation, want, subtree):
+    """The colocation scan's pick: ``(saving, child_id, request)`` or None."""
+    placer._candidate_plan(allocation.tag)
+    option = partial(
+        placer._coloc_option, allocation, want, placer._low_bw_threshold(subtree)
+    )
+    return placer._scan(
+        allocation, subtree, set(), option, False, allocation.internal_tiers, {}, None
+    )
+
+
 class TestFindTiersToColoc:
     def test_prefers_trunk_pair_with_highest_saving(self, setup):
         topology, ledger, placer = setup
@@ -57,9 +69,10 @@ class TestFindTiersToColoc:
         # cannot yield Eq. 4 saving for two 4-VM tiers).
         agg = topology.level_nodes(2)[0]
         want = allocation.remaining_tiers()
-        candidate = placer._find_tiers_to_coloc(allocation, want, agg, set())
-        assert candidate is not None
-        assert set(candidate.request) == {"hot-a", "hot-b"}
+        saving, child_id, request = best_coloc(placer, allocation, want, agg)
+        assert set(request) == {"hot-a", "hot-b"}
+        # Equally good children: the earliest one wins.
+        assert child_id == topology.flat.children_ids[agg.node_id][0]
 
     def test_low_bandwidth_tiers_excluded(self, setup):
         topology, ledger, placer = setup
@@ -69,7 +82,7 @@ class TestFindTiersToColoc:
         allocation = TenantAllocation(tag, ledger)
         tor = topology.level_nodes(1)[0]
         want = allocation.remaining_tiers()
-        assert placer._find_tiers_to_coloc(allocation, want, tor, set()) is None
+        assert best_coloc(placer, allocation, want, tor) is None
 
     def test_hose_candidate_when_heavy(self, setup):
         topology, ledger, placer = setup
@@ -79,10 +92,9 @@ class TestFindTiersToColoc:
         allocation = TenantAllocation(tag, ledger)
         agg = topology.level_nodes(2)[0]
         want = allocation.remaining_tiers()
-        candidate = placer._find_tiers_to_coloc(allocation, want, agg, set())
-        assert candidate is not None
-        assert candidate.request == {"heavy": 4}
-        assert candidate.saving > 0
+        saving, _, request = best_coloc(placer, allocation, want, agg)
+        assert request == {"heavy": 4}
+        assert saving > 0
 
 
 class TestOktopusVcMath:
@@ -200,7 +212,7 @@ class TestExternalDemandPath:
         tag.add_component("internet", external=True)
         # More external demand than the ToR uplink (1000*16/4 = 4000).
         tag.add_edge("web", "internet", send=3000.0, recv=3000.0)
-        demand = placer._external_demand(tag)
+        demand = placer._candidate_plan(tag).external
         assert demand.out == pytest.approx(6000.0)
         tor = small_datacenter.level_nodes(1)[0]
         assert not placer._root_path_available(tor, demand)
