@@ -127,8 +127,16 @@ class Tag:
         self.name = name
         self._components: dict[str, Component] = {}
         self._edges: dict[tuple[str, str], TagEdge] = {}
-        # Memo for per_vm_demand (hot in placement); any mutation clears it.
+        # Memos for the derived quantities placement asks for on every
+        # arrival of a pool tag; _invalidate() clears them on any mutation.
         self._demand_cache: dict[str, tuple[float, float]] = {}
+        self._tier_sizes: dict[str, int] | None = None
+        self._size: int | None = None
+        self._mean_demand: float | None = None
+
+    def _invalidate(self) -> None:
+        self._demand_cache.clear()
+        self._tier_sizes = self._size = self._mean_demand = None
 
     # ------------------------------------------------------------------
     # construction
@@ -141,7 +149,7 @@ class Tag:
             raise DuplicateComponentError(f"component {name!r} already in TAG")
         component = Component(name, size, external)
         self._components[name] = component
-        self._demand_cache.clear()
+        self._invalidate()
         return component
 
     def add_edge(self, src: str, dst: str, send: float, recv: float) -> TagEdge:
@@ -156,7 +164,7 @@ class Tag:
             raise DuplicateEdgeError(f"edge {src!r}->{dst!r} already in TAG")
         edge = TagEdge(src, dst, send, recv)
         self._edges[(src, dst)] = edge
-        self._demand_cache.clear()
+        self._invalidate()
         return edge
 
     def add_self_loop(self, component: str, bandwidth: float) -> TagEdge:
@@ -168,7 +176,7 @@ class Tag:
             raise DuplicateEdgeError(f"self-loop on {component!r} already in TAG")
         edge = TagEdge(component, component, bandwidth, bandwidth)
         self._edges[(component, component)] = edge
-        self._demand_cache.clear()
+        self._invalidate()
         return edge
 
     def add_undirected_edge(self, u: str, v: str, send: float, recv: float) -> None:
@@ -209,10 +217,22 @@ class Tag:
     def tier_names(self) -> list[str]:
         return [c.name for c in self.internal_components()]
 
+    def tier_sizes(self) -> dict[str, int]:
+        """Internal tier -> size, in component order (a fresh dict)."""
+        sizes = self._tier_sizes
+        if sizes is None:
+            sizes = self._tier_sizes = {
+                c.name: c.size for c in self._components.values() if not c.external
+            }
+        return dict(sizes)
+
     @property
     def size(self) -> int:
         """Total number of VMs to place (externals excluded)."""
-        return sum(c.size for c in self.internal_components())
+        size = self._size
+        if size is None:
+            size = self._size = sum(self.tier_sizes().values())
+        return size
 
     @property
     def num_tiers(self) -> int:
@@ -269,13 +289,14 @@ class Tag:
         Used by the B_max scaling of §5.1 and by the opportunistic-HA
         desirability test of §4.5.
         """
-        total = 0.0
-        vms = 0
-        for comp in self.internal_components():
-            out, into = self.per_vm_demand(comp.name)
-            total += max(out, into) * comp.size
-            vms += comp.size
-        return total / vms if vms else 0.0
+        mean = self._mean_demand
+        if mean is None:
+            total = 0.0
+            for name, size in self.tier_sizes().items():
+                out, into = self.per_vm_demand(name)
+                total += max(out, into) * size
+            mean = self._mean_demand = total / self.size if self.size else 0.0
+        return mean
 
     def edge_aggregate(self, edge: TagEdge) -> float:
         """Total guaranteed bandwidth of one edge, ``B_(u->v)`` (paper §3).

@@ -53,6 +53,15 @@ _UNSEEN = object()
 _VALUE = itemgetter(0)
 
 
+def _mean(values: list[float]) -> float:
+    """Left-to-right mean.  Builtin ``sum()`` compensates float addition
+    from Python 3.12, which could move a decision between interpreters."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
 class _TagPlan:
     """What the search needs of one tag and never recomputes.
 
@@ -71,8 +80,7 @@ class _TagPlan:
     __slots__ = ("external", "hose", "trunk", "demand", "peak", "size")
 
     def __init__(self, tag: Tag) -> None:
-        tiers = tag.internal_components()
-        self.size = {c.name: c.size for c in tiers}
+        self.size = tag.tier_sizes()
         self.external = uplink_requirement(tag, self.size)
         self.hose = {
             edge.src: edge.send
@@ -86,7 +94,7 @@ class _TagPlan:
             and not tag.component(edge.src).external
             and not tag.component(edge.dst).external
         )
-        self.demand = {c.name: tag.per_vm_demand(c.name) for c in tiers}
+        self.demand = {name: tag.per_vm_demand(name) for name in self.size}
         self.peak = {name: max(pair) for name, pair in self.demand.items()}
 
 
@@ -236,7 +244,7 @@ class CloudMirrorPlacer:
                 continue
             # Saving is desirable at this level when the bandwidth
             # typically available per free slot is scarcer than demand.
-            if sum(ratios) / len(ratios) < expected:
+            if _mean(ratios) < expected:
                 return level
         return self.topology.root.level
 
@@ -621,7 +629,7 @@ class CloudMirrorPlacer:
             nominal = up if up < down else down
             if slots > 0 and math.isfinite(nominal):
                 values.append(nominal / slots)
-        threshold = sum(values) / len(values) if values else 0.0
+        threshold = _mean(values) if values else 0.0
         self._threshold_cache[subtree.node_id] = (version, threshold)
         return threshold
 
@@ -831,12 +839,15 @@ class CloudMirrorPlacer:
         if not fill:
             return None
         # Score: how full the child ends up, averaged over the finite dims.
-        utils = [used_slots / slots_denom]
+        score = used_slots / slots_denom
+        dims = 1
         if rate_up:
-            utils.append(used_up / up_free)
+            score += used_up / up_free
+            dims += 1
         if rate_down:
-            utils.append(used_down / down_free)
-        return sum(utils) / len(utils), fill
+            score += used_down / down_free
+            dims += 1
+        return score / dims, fill
 
     def _spread_option(
         self,

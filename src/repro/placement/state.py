@@ -202,9 +202,7 @@ class TenantAllocation:
         self._reserved: dict[int, tuple[float, float]] = {}
         self._state_ops: list[tuple] = []
         self._placed = 0
-        self._remaining = {
-            c.name: c.size for c in tag.internal_components() if c.size is not None
-        }
+        self._remaining = tag.tier_sizes()
         self._compiled_for: Tag | None = None
         self._require: Callable[[Mapping[str, int]], tuple[float, float]]
         self._tier_sizes: dict[str, int | None] = {}

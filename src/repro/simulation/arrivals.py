@@ -10,8 +10,10 @@ tenant-rate times dwell time over total slots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+import math
+from functools import partial
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,13 +30,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Arrival:
+class Arrival(NamedTuple):
     """One tenant arrival: when it comes, which tenant, how long it stays."""
 
     time: float
     tenant_index: int
     dwell: float
+
+
+def _records(
+    times: list[float], indices: np.ndarray, dwells: np.ndarray
+) -> Iterator[Arrival]:
+    """One lazy ``Arrival`` per row, with no Python-level call per record.
+
+    ``tolist()`` yields the same doubles and ints that ``float()`` /
+    ``int()`` of each numpy scalar would (``times`` is already a list
+    because the diurnal clock is accumulated in Python).
+    """
+    return map(
+        partial(tuple.__new__, Arrival),
+        zip(times, indices.tolist(), dwells.tolist()),
+    )
 
 
 def arrival_rate_for_load(
@@ -73,10 +89,7 @@ def poisson_arrivals(
     times = np.cumsum(gaps)
     indices = rng.integers(0, len(pool), size=count)
     dwells = rng.exponential(mean_dwell, size=count)
-    return [
-        Arrival(float(t), int(i), float(d))
-        for t, i, d in zip(times, indices, dwells)
-    ]
+    return list(_records(times.tolist(), indices, dwells))
 
 
 def _stream_inputs(
@@ -112,23 +125,25 @@ def arrival_stream(
     ``block >= count`` the stream is element-for-element identical to
     ``poisson_arrivals`` at the same seed; smaller blocks interleave the
     draws differently and give a statistically identical but distinct
-    stream.
+    stream.  Arguments are checked here, at the call, not at the first
+    ``next()``.
     """
     mean_size = _stream_inputs(pool, count, mean_dwell, block)
-    rng = np.random.default_rng(seed)
     rate = arrival_rate_for_load(load, total_slots, mean_size, mean_dwell)
-    clock = 0.0
-    emitted = 0
-    while emitted < count:
-        n = min(block, count - emitted)
-        gaps = rng.exponential(1.0 / rate, size=n)
-        times = np.cumsum(gaps) + clock
-        indices = rng.integers(0, len(pool), size=n)
-        dwells = rng.exponential(mean_dwell, size=n)
-        clock = float(times[-1])
-        for t, i, d in zip(times, indices, dwells):
-            yield Arrival(float(t), int(i), float(d))
-        emitted += n
+
+    def blocks() -> Iterator[Iterator[Arrival]]:
+        rng = np.random.default_rng(seed)
+        clock = 0.0
+        for emitted in range(0, count, block):
+            n = min(block, count - emitted)
+            gaps = rng.exponential(1.0 / rate, size=n)
+            times = np.cumsum(gaps) + clock
+            indices = rng.integers(0, len(pool), size=n)
+            dwells = rng.exponential(mean_dwell, size=n)
+            clock = float(times[-1])
+            yield _records(times.tolist(), indices, dwells)
+
+    return chain.from_iterable(blocks())
 
 
 def diurnal_arrivals(
@@ -153,7 +168,8 @@ def diurnal_arrivals(
     exponentials scaled by the instantaneous rate of the window the
     clock currently sits in — the standard piecewise-constant thinning
     equivalent — and dwell times stay exponential, so the stream drops
-    into the same loops as the flat Poisson one.
+    into the same loops as the flat Poisson one.  Arguments are checked
+    at the call, like :func:`arrival_stream`.
     """
     mean_size = _stream_inputs(pool, count, mean_dwell, block)
     if factors is None:
@@ -165,23 +181,30 @@ def diurnal_arrivals(
         raise SimulationError("diurnal factors must be positive")
     if day_length <= 0:
         raise SimulationError(f"day length must be positive, got {day_length}")
-    rng = np.random.default_rng(seed)
     base_rate = arrival_rate_for_load(load, total_slots, mean_size, mean_dwell)
-    mean_factor = sum(factors) / len(factors)
+    total = 0.0
+    for factor in factors:  # not sum(): compensated from 3.12, values are pinned
+        total += factor
+    mean_factor = total / len(factors)
     rates = tuple(base_rate * f / mean_factor for f in factors)
     window_length = day_length / len(factors)
-    clock = 0.0
-    emitted = 0
-    while emitted < count:
-        n = min(block, count - emitted)
-        units = rng.exponential(1.0, size=n)
-        indices = rng.integers(0, len(pool), size=n)
-        dwells = rng.exponential(mean_dwell, size=n)
-        for u, i, d in zip(units, indices, dwells):
-            window = int(clock / window_length) % len(rates)
-            clock += float(u) / rates[window]
-            yield Arrival(clock, int(i), float(d))
-        emitted += n
+
+    def blocks() -> Iterator[Iterator[Arrival]]:
+        rng = np.random.default_rng(seed)
+        clock = 0.0
+        for emitted in range(0, count, block):
+            n = min(block, count - emitted)
+            units = rng.exponential(1.0, size=n)
+            indices = rng.integers(0, len(pool), size=n)
+            dwells = rng.exponential(mean_dwell, size=n)
+            times = []
+            for unit in units.tolist():
+                window = int(clock / window_length) % len(rates)
+                clock += unit / rates[window]
+                times.append(clock)
+            yield _records(times, indices, dwells)
+
+    return chain.from_iterable(blocks())
 
 
 def trace_arrivals(
@@ -189,23 +212,36 @@ def trace_arrivals(
 ) -> Iterator[Arrival]:
     """Adapt a recorded ``(time, tenant_index, dwell)`` trace to Arrivals.
 
-    Validates what the event loops rely on — non-decreasing times,
-    positive dwells, in-range tenant indices — one event at a time, so
-    an arbitrarily long trace file can be generated through without
-    materialization.
+    Validates what the event loops rely on — finite non-decreasing
+    times, positive dwells, integral in-range tenant indices — one event
+    at a time, so an arbitrarily long trace file can be generated through
+    without materialization.  Every malformed row raises
+    :class:`~repro.errors.SimulationError` naming its 0-based position.
     """
-    last = -np.inf
-    for time, tenant_index, dwell in events:
-        time = float(time)
-        tenant_index = int(tenant_index)
-        dwell = float(dwell)
+    last = -math.inf
+    for row, event in enumerate(events):
+        try:
+            time, tenant_index, dwell = event
+            time = float(time)
+            dwell = float(dwell)
+            index = int(tenant_index)
+            if index != tenant_index:
+                raise ValueError(f"tenant index {tenant_index!r} is not integral")
+        except (TypeError, ValueError, OverflowError) as error:
+            raise SimulationError(f"trace row {row}: {error}") from None
+        if not math.isfinite(time):
+            raise SimulationError(f"trace row {row}: time must be finite, got {time}")
         if time < last:
             raise SimulationError(
-                f"trace times must be non-decreasing ({time} after {last})"
+                f"trace row {row}: times must be non-decreasing ({time} after {last})"
             )
-        if dwell <= 0:
-            raise SimulationError(f"trace dwell must be positive, got {dwell}")
-        if tenant_index < 0 or (pool_size is not None and tenant_index >= pool_size):
-            raise SimulationError(f"trace tenant index {tenant_index} out of range")
+        if not dwell > 0:  # also catches NaN
+            raise SimulationError(
+                f"trace row {row}: dwell must be positive, got {dwell}"
+            )
+        if index < 0 or (pool_size is not None and index >= pool_size):
+            raise SimulationError(
+                f"trace row {row}: tenant index {index} out of range"
+            )
         last = time
-        yield Arrival(time, tenant_index, dwell)
+        yield Arrival(time, index, dwell)

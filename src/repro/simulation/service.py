@@ -155,6 +155,23 @@ class RejectionWindow:
         self._rejected += ring[pos]
         self._pos = (pos + 1) % len(ring)
 
+    def add_rejections(self, n: int) -> None:
+        """``n`` consecutive rejections: exactly ``n`` x ``add(True)``."""
+        ring = self._ring
+        size = len(ring)
+        pos = self._pos
+        run = min(n, size)  # a longer run only writes every slot again
+        head = min(run, size - pos)  # up to the end of the ring ...
+        wrapped = run - head  # ... and the rest from its start
+        # Slots not yet written are zero, so an unfilled ring needs no
+        # case of its own.
+        overwritten = ring.count(1, pos, pos + head) + ring.count(1, 0, wrapped)
+        self._rejected += run - overwritten
+        ring[pos : pos + head] = b"\x01" * head
+        ring[:wrapped] = b"\x01" * wrapped
+        self._filled = min(size, self._filled + n)
+        self._pos = (pos + n) % size
+
     @property
     def rate(self) -> float:
         """Rejection fraction over the window (0.0 before any decision)."""
@@ -300,34 +317,36 @@ class ServiceLoop:
         root_id = self._root_id
         latency_add = metrics.place_latency.add
         window_add = metrics.window.add
+        window_add_rejections = metrics.window.add_rejections
         on_decision = self.on_decision
         cohort_cap = self.cohort
         heartbeat = self.heartbeat
         departures: list[tuple[float, int, object]] = []
         heappush, heappop = heapq.heappush, heapq.heappop
+        due = math.inf  # departures[0][0], kept by every push and pop
         sequence = 0
         since_beat = 0
         started = perf_counter()
         if self.progress is not None:
             self.progress.begin(total=None, n_jobs=1)
+        # Exactly one event is held ahead of the one being decided.
         stream = iter(events)
         pending = next(stream, None)
         while pending is not None:
+            now, index, dwell = pending
             # Departures due at or before this arrival go first — the
             # exact run_arrival_departure ordering rule.
-            while departures and departures[0][0] <= pending.time:
+            while due <= now:
                 heappop(departures)[2].release()
                 metrics.departures += 1
+                due = departures[0][0] if departures else math.inf
             # One cohort: consecutive arrivals with no departure due
             # between them.  Admissions may push new departures, so the
             # boundary is re-checked against the live heap head.
-            batch = vms = rejected = rej_vms = 0
+            batch = vms = rejected = rej_vms = gated = 0
             bw = rej_bw = 0.0
             free = free_of(root_id)
-            while pending is not None and batch < cohort_cap:
-                if departures and departures[0][0] <= pending.time:
-                    break
-                index = pending.tenant_index
+            while True:
                 size = sizes[index]
                 batch += 1
                 vms += size
@@ -335,14 +354,18 @@ class ServiceLoop:
                 if size > free:
                     # Fused feasibility gate: more VMs than the whole
                     # datacenter has free — every placer rejects this
-                    # identically, without a scan.
+                    # identically, without a scan.  The window hears of
+                    # a run of these in one call.
                     rejected += 1
                     rej_vms += size
                     rej_bw += bws[index]
-                    window_add(True)
+                    gated += 1
                     if on_decision is not None:
                         on_decision(False)
                 else:
+                    if gated:
+                        window_add_rejections(gated)
+                        gated = 0
                     t0 = perf_counter()
                     result = place(pool[index])
                     latency_add(perf_counter() - t0)
@@ -356,19 +379,22 @@ class ServiceLoop:
                     else:
                         assert isinstance(result, Placement)
                         sequence += 1
-                        heappush(
-                            departures,
-                            (
-                                pending.time + pending.dwell,
-                                sequence,
-                                result.allocation,
-                            ),
-                        )
+                        leaves = now + dwell
+                        heappush(departures, (leaves, sequence, result.allocation))
+                        if leaves < due:
+                            due = leaves
                         free = free_of(root_id)
                         window_add(False)
                         if on_decision is not None:
                             on_decision(True)
                 pending = next(stream, None)
+                if pending is None or batch == cohort_cap:
+                    break
+                now, index, dwell = pending
+                if due <= now:
+                    break
+            if gated:
+                window_add_rejections(gated)
             # Flush the cohort's accounting in one go.
             metrics.arrivals += batch
             metrics.rejected += rejected

@@ -197,3 +197,97 @@ class TestSpecialCases:
     def test_three_tier_is_neither(self, three_tier_tag):
         assert not three_tier_tag.is_hose()
         assert not three_tier_tag.is_pipe()
+
+
+class TestDerivedQuantityCaches:
+    """size / tier_sizes / mean_per_vm_demand are memoized on the Tag.
+
+    Placement reads them on every arrival of a pool tag; the memo must
+    never outlive a mutation, nor travel into a copy.
+    """
+
+    @staticmethod
+    def _reference(tag: Tag) -> tuple[int, dict[str, int], float]:
+        """The three quantities from the public component/edge views."""
+        tiers = tag.internal_components()
+        size = sum(c.size for c in tiers)
+        total = 0.0
+        for c in tiers:
+            out = sum(e.send for e in tag.out_edges(c.name))
+            into = sum(e.recv for e in tag.in_edges(c.name))
+            loop = tag.self_loop(c.name)
+            if loop is not None:
+                out += loop.send
+                into += loop.recv
+            total += max(out, into) * c.size
+        return size, {c.name: c.size for c in tiers}, total / size if size else 0.0
+
+    def _read(self, tag: Tag) -> tuple[int, dict[str, int], float]:
+        return tag.size, tag.tier_sizes(), tag.mean_per_vm_demand()
+
+    def test_each_mutator_invalidates_every_memo(self, three_tier_tag):
+        tag = three_tier_tag
+        assert self._read(tag) == self._reference(tag) == self._read(tag)
+        before = self._read(tag)
+
+        tag.add_component("cache", 7)
+        assert self._read(tag) == self._reference(tag)
+        assert tag.size == before[0] + 7 and tag.tier_sizes()["cache"] == 7
+
+        mean = tag.mean_per_vm_demand()
+        tag.add_edge("web", "cache", send=900.0, recv=900.0)
+        assert self._read(tag) == self._reference(tag)
+        assert tag.mean_per_vm_demand() > mean
+
+        mean = tag.mean_per_vm_demand()
+        tag.add_self_loop("cache", 4000.0)
+        assert self._read(tag) == self._reference(tag)
+        assert tag.mean_per_vm_demand() > mean
+
+        tag.add_component("internet", None, external=True)
+        assert "internet" not in tag.tier_sizes()
+        assert self._read(tag) == self._reference(tag)
+
+    def test_empty_tag(self):
+        tag = Tag("empty")
+        assert self._read(tag) == (0, {}, 0.0)
+        tag.add_component("a", 3)
+        assert self._read(tag) == (3, {"a": 3}, 0.0)
+
+    def test_tier_sizes_is_a_fresh_dict(self, three_tier_tag):
+        sizes = three_tier_tag.tier_sizes()
+        sizes["web"] = 99
+        sizes["bogus"] = 1
+        assert three_tier_tag.tier_sizes() == self._reference(three_tier_tag)[1]
+        assert three_tier_tag.size == self._reference(three_tier_tag)[0]
+
+    def test_copies_never_inherit_a_stale_memo(self, three_tier_tag):
+        from repro.placement.state import _resize_tag
+
+        tag = three_tier_tag
+        warm = self._read(tag)
+        doubled = tag.scaled(2.0)
+        assert doubled.size == warm[0]
+        assert doubled.mean_per_vm_demand() == 2.0 * warm[2]
+        clone = tag.copy()
+        clone.add_component("cache", 2)
+        assert self._read(clone) == self._reference(clone)
+        assert self._read(tag) == warm  # and the original is untouched
+        grown = _resize_tag(tag, "web", 3)
+        assert grown.size == warm[0] + 3
+        assert grown.tier_sizes()["web"] == warm[1]["web"] + 3
+        assert self._read(grown) == self._reference(grown)
+        assert self._read(tag) == warm
+
+    def test_allocation_takes_a_private_copy_of_the_tier_map(self, three_tier_tag):
+        from repro.placement.state import TenantAllocation
+        from repro.topology.builder import DatacenterSpec, three_level_tree
+        from repro.topology.ledger import Ledger
+
+        ledger = Ledger(three_level_tree(DatacenterSpec(pods=1)))
+        first = TenantAllocation(three_tier_tag, ledger)
+        server = ledger.topology.servers[0]
+        assert first.place(server, "web", 2, ledger.topology.root)
+        assert first.remaining("web") == three_tier_tag.tier_sizes()["web"] - 2
+        second = TenantAllocation(three_tier_tag, ledger)
+        assert second.remaining_tiers() == three_tier_tag.tier_sizes()

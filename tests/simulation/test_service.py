@@ -13,13 +13,15 @@ from __future__ import annotations
 import heapq
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.obs import core as obs
 from repro.placement.ha import HaPolicy
-from repro.placement.base import Rejection
+from repro.placement.base import Placement, Rejection
 from repro.simulation.arrivals import poisson_arrivals
-from repro.simulation.cluster import ClusterManager
+from repro.simulation.cluster import ClusterManager, run_arrival_departure
 from repro.simulation.runner import make_placer
 from repro.simulation.service import (
     LatencyHistogram,
@@ -126,6 +128,94 @@ class TestDifferentialParity:
         assert report["rejection_rate"] == pytest.approx(
             reference.tenant_rejection_rate
         )
+
+
+class _DecisionTap:
+    """A placer that also notes, in order, what it decided."""
+
+    def __init__(self, placer):
+        self._place = placer.place
+        self.decisions: list[bool] = []
+
+    def place(self, tag):
+        result = self._place(tag)
+        self.decisions.append(isinstance(result, Placement))
+        return result
+
+
+class TestOverloadParity:
+    """Load 100: the gate rejects nearly everything, in long runs.
+
+    The suite above stops at load 2.0, where a run of gate rejections is
+    rarely longer than a handful; here runs span whole cohorts and wrap
+    the rejection window many times over, which is what the run-length
+    window call and the tracked departure time have to survive.
+    """
+
+    COUNT = 8000
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        pool = _pool()
+        events = _events(pool, count=self.COUNT, load=100.0, seed=5)
+        ledger = Ledger(three_level_tree(SPEC))
+        tap = _DecisionTap(make_placer("cm", ledger))
+        manager = ClusterManager(ledger, tap, collect_wcs=False)
+        metrics = run_arrival_departure(manager, events, pool)
+        return pool, events, tap.decisions, ledger_fingerprint(ledger), metrics
+
+    @pytest.mark.parametrize("window", [5, 1024])
+    @pytest.mark.parametrize("cohort", [1, 7, 64, 256])
+    def test_bit_identical_to_run_arrival_departure(self, reference, cohort, window):
+        pool, events, expected, end_state, metrics = reference
+        ledger = Ledger(three_level_tree(SPEC))
+        tap = _DecisionTap(make_placer("cm", ledger))
+        heard: list[bool] = []
+        loop = ServiceLoop(
+            ledger, tap, pool, cohort=cohort, window=window, on_decision=heard.append
+        )
+        report = loop.run(iter(events))
+
+        assert heard == expected  # every arrival, in arrival order
+        # Overload: the gate answers for at least 95 % of the arrivals,
+        # and never for one the placer would have admitted.
+        assert len(tap.decisions) <= 0.05 * self.COUNT
+        assert sum(tap.decisions) == sum(expected)
+        assert ledger_fingerprint(ledger) == end_state
+
+        accepted = sum(expected)
+        sizes = [pool[e.tenant_index].size for e in events]
+        bandwidths = [pool[e.tenant_index].total_bandwidth for e in events]
+        assert report["arrivals"] == self.COUNT == metrics.tenants_total
+        assert report["accepted"] == accepted
+        assert report["rejected"] == self.COUNT - accepted == metrics.tenants_rejected
+        assert report["vms_total"] == sum(sizes) == metrics.vms_total
+        assert report["vms_rejected"] == metrics.vms_rejected
+        # This pool's bandwidths are small integers: float sums are exact
+        # in any order, so per-cohort accumulation may not move a bit.
+        assert all(b == int(b) for b in bandwidths)
+        assert report["bw_total"] == sum(bandwidths) == metrics.bw_total
+        assert report["bw_rejected"] == metrics.bw_rejected
+        assert report["rejection_rate"] == metrics.tenant_rejection_rate
+        # Admitted tenants whose dwell ended before the last arrival.
+        last = events[-1].time
+        assert report["departures"] == sum(
+            1
+            for event, ok in zip(events, expected)
+            if ok and event.time + event.dwell <= last
+        )
+        tail = expected[-window:]
+        assert report["windowed_rejection_rate"] == tail.count(False) / len(tail)
+        # The ring itself, not just its rate: a run handed over late (after
+        # the placer decision that ended it) would shift the zeros.
+        replayed = RejectionWindow(window)
+        for ok in expected:
+            replayed.add(not ok)
+        for slot in RejectionWindow.__slots__:
+            assert getattr(loop.metrics.window, slot) == getattr(replayed, slot), slot
+        assert report["max_cohort"] <= cohort
+        if cohort == 1:
+            assert report["cohorts"] == self.COUNT
 
 
 class TestStreamingMemory:
@@ -248,6 +338,29 @@ class TestRejectionWindow:
         assert window.rate == 0.5
         with pytest.raises(SimulationError):
             RejectionWindow(size=0)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        size=st.integers(1, 17),
+        prefix=st.lists(st.booleans(), max_size=60),
+        data=st.data(),
+    )
+    def test_a_run_of_rejections_is_that_many_adds(self, size, prefix, data):
+        # Sizes 1..17 and n in 0..3*size reach the unfilled ring, the
+        # wrap-around and n >= size from every prefix state.
+        n = data.draw(st.integers(0, 3 * size))
+        one_by_one = RejectionWindow(size)
+        at_once = RejectionWindow(size)
+        for rejected in prefix:
+            one_by_one.add(rejected)
+            at_once.add(rejected)
+        for _ in range(n):
+            one_by_one.add(True)
+        at_once.add_rejections(n)
+        for slot in RejectionWindow.__slots__:
+            assert getattr(at_once, slot) == getattr(one_by_one, slot), slot
+        assert at_once.rate == one_by_one.rate
 
 
 class TestStreamingServiceMetrics:
