@@ -13,6 +13,10 @@ Reservations below the current allocation root (``ceiling``) are enforced
 during placement; the links from the allocation root up to the tree root
 are reserved once at :meth:`finalize` (Algorithm 1 line 6).
 
+An uplink whose requirement is unchanged is not touched: no ledger
+read-modify-write, no journal record, no state op (colocation's whole
+point is that most re-evaluations come back equal — usually zero).
+
 Hot-path layout (the flat-core refactor): root-path walks iterate the
 topology's precomputed ancestor id tuples instead of chasing
 ``Node.parent``; per-node reservations are ``(out, into)`` float pairs;
@@ -403,7 +407,8 @@ class TenantAllocation:
 
         Replays for that one uplink, touching no state, the count bumps
         and reservation deltas ``place`` would apply for each ``(tier,
-        count)`` in order; the ledger replays its adjust on the deltas.
+        count)`` in order (none where the requirement does not change);
+        the ledger replays its adjust on the deltas.
         True: a real try is certain to end overcommitted.  ``None``: cannot
         tell, really try — the ledger is already overcommitted (placing
         may *lower* a reservation and clear it) or has no
@@ -421,9 +426,10 @@ class TenantAllocation:
         for tier, count in fill:
             inside[tier] = inside.get(tier, 0) + count
             out, into = self._require(inside)
-            deltas.append((out - prev_out, into - prev_into))
+            if out != prev_out or into != prev_into:
+                deltas.append((out - prev_out, into - prev_into))
             prev_out, prev_into = out, into
-        return would_overcommit(server_id, deltas)
+        return would_overcommit(server_id, deltas) if deltas else False
 
     def finalize(self, allocation_root: Node) -> bool:
         """Reserve the path from ``allocation_root`` to the tree root.
@@ -432,12 +438,26 @@ class TenantAllocation:
         (Algorithm 1 line 6).  Returns False (undoing only the root-path
         reservations) when any link on the path lacks capacity; the caller
         then rejects the tenant and rolls back the placement below.
+
+        The requirement is evaluated once: every node from the allocation
+        root up holds the whole tenant and has seen the same sequence of
+        count bumps and undos, so each hop's evaluation would be the same.
         """
         if not self.is_complete:
             raise ReproError("finalize() requires a complete placement")
+        root_id = allocation_root.node_id
+        counts = self._counts.get(root_id, {})
+        if sum(counts.values()) != self._placed:
+            raise ReproError(
+                f"cannot finalize at {allocation_root.name!r}: it holds "
+                f"{sum(counts.values())} of the tenant's {self._placed} VMs"
+            )
         savepoint = self.savepoint()
-        for node_id in self._flat.path_up[allocation_root.node_id]:
-            self._update_reservation(node_id)
+        path = self._flat.path_up[root_id]
+        if path:
+            required = self._evaluate(counts)
+            for node_id in path:
+                self._reserve(node_id, required)
         if self.ledger.has_overcommit():
             self.rollback(savepoint)
             return False
@@ -544,31 +564,22 @@ class TenantAllocation:
         if self._compiled_for is not self.tag:
             self._recompile()
         root_id = self._flat.root_id
-        for node_id in list(self._counts):
+        for node_id, counts in list(self._counts.items()):
             if node_id == root_id:
                 continue
-            out, into = self._require(self._counts.get(node_id, {}))
-            prev_out, prev_into = self._reserved.get(node_id, _ZERO)
+            required = self._evaluate(counts)
             if journalled:
-                self.ledger.adjust_uplink_id(
-                    node_id,
-                    out - prev_out,
-                    into - prev_into,
-                    self.journal,
-                    enforce=False,
-                )
-                self._state_ops.append(
-                    (_OP_RESERVED, node_id, prev_out, prev_into)
-                )
-            else:
-                delta_out = out - prev_out
-                delta_in = into - prev_into
-                if delta_out > 0 or delta_in > 0:
-                    raise ReproError(
-                        "scale-down unexpectedly raised a reservation"
-                    )
-                self.ledger.release_uplink_id(node_id, -delta_out, -delta_in)
-            self._reserved[node_id] = (out, into)
+                self._reserve(node_id, required)
+                continue
+            prev = self._reserved.get(node_id, _ZERO)
+            if required == prev:
+                continue
+            delta_out = required[0] - prev[0]
+            delta_in = required[1] - prev[1]
+            if delta_out > 0 or delta_in > 0:
+                raise ReproError("scale-down unexpectedly raised a reservation")
+            self.ledger.release_uplink_id(node_id, -delta_out, -delta_in)
+            self._reserved[node_id] = required
 
     # ------------------------------------------------------------------
     def _bump_counts(self, server_id: int, tier: str, count: int) -> None:
@@ -583,21 +594,39 @@ class TenantAllocation:
         self._placed += count
         self._remaining[tier] -= count
 
-    def _update_reservation(self, node_id: int) -> None:
-        """Recompute the requirement on ``node_id``'s uplink, apply the delta."""
+    def _evaluate(self, counts: Mapping[str, int]) -> tuple[float, float]:
+        """The ``(out, into)`` requirement of an uplink with ``counts`` below it."""
         c = _obs.counters
         if c is not None:
             c.bump("placement.reservation_updates")
+        return self._require(counts)
+
+    def _update_reservation(self, node_id: int) -> None:
+        """Recompute the requirement on ``node_id``'s uplink, apply the delta."""
         if self._compiled_for is not self.tag:
             self._recompile()
-        out, into = self._require(self._counts.get(node_id, {}))
-        prev_out, prev_into = self._reserved.get(node_id, _ZERO)
+        self._reserve(node_id, self._evaluate(self._counts.get(node_id, {})))
+
+    def _reserve(self, node_id: int, required: tuple[float, float]) -> None:
+        """Move ``node_id``'s uplink reservation to ``required``, journalled.
+
+        An unchanged requirement writes nothing.  That is exact: a zero
+        delta leaves every stored value, maximum and over-set membership
+        as it was, so only the journals are shorter.
+        """
+        prev = self._reserved.get(node_id, _ZERO)
+        if required == prev:
+            return
+        c = _obs.counters
+        if c is not None:
+            c.bump("placement.reservation_writes")
+        prev_out, prev_into = prev
         self.ledger.adjust_uplink_id(
             node_id,
-            out - prev_out,
-            into - prev_into,
+            required[0] - prev_out,
+            required[1] - prev_into,
             self.journal,
             enforce=False,
         )
         self._state_ops.append((_OP_RESERVED, node_id, prev_out, prev_into))
-        self._reserved[node_id] = (out, into)
+        self._reserved[node_id] = required

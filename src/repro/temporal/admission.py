@@ -429,6 +429,9 @@ class TemporalLedger(SlotAccountingMixin):
     def rollback(self, journal: Journal, savepoint: int = 0) -> None:
         """Undo journalled operations back to ``savepoint`` (in reverse)."""
         ops = journal.ops
+        c = _obs.counters
+        if c is not None and len(ops) > savepoint:
+            c.bump("ledger.rollback_ops", len(ops) - savepoint)
         windows = self.windows
         while len(ops) > savepoint:
             op = ops.pop()

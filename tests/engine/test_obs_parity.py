@@ -29,8 +29,13 @@ def test_golden_grid_identical_with_instrumentation_enabled():
         assert counters, "instrumentation was on but no counter ever fired"
         # The hot paths really were instrumented during the run.
         for name in ("ledger.slot_mutations", "maxmin.solves",
-                     "temporal.journal_ops"):
+                     "temporal.journal_ops", "placement.reservation_writes"):
             assert counters.get(name, 0) > 0, f"{name} never fired"
+        # Useful / attempted: an unchanged requirement is evaluated, not written.
+        assert (
+            counters["placement.reservation_writes"]
+            <= counters["placement.reservation_updates"]
+        )
     assert len(actual) == len(expected)
     for got, want in zip(actual, expected):
         label = f"{want['scenario']}/{want['variant']}@{want['load']}"

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.bandwidth import BandwidthDemand
 from repro.core.tag import Tag
 from repro.errors import ReproError
+from repro.obs import core as obs
 from repro.placement.state import TenantAllocation
 from repro.topology.ledger import Ledger
 
@@ -97,6 +99,66 @@ class TestFinalize:
         allocation = TenantAllocation(hose_tag, small_ledger)
         with pytest.raises(ReproError):
             allocation.finalize(small_ledger.topology.root)
+
+    def test_finalize_rejects_a_root_below_part_of_the_tenant(
+        self, small_ledger, hose_tag
+    ):
+        allocation = TenantAllocation(hose_tag, small_ledger)
+        topology = small_ledger.topology
+        tor = topology.level_nodes(1)[0]
+        servers = list(topology.servers_under(tor))
+        allocation.place(servers[0], "all", 2, ceiling=tor)
+        allocation.place(servers[1], "all", 2, ceiling=tor)
+        before = (list(small_ledger._used_up), list(allocation.journal.ops))
+        with pytest.raises(ReproError, match=servers[0].name):
+            allocation.finalize(servers[0])
+        # A server that holds none of it is just as wrong as one holding half.
+        with pytest.raises(ReproError, match=servers[2].name):
+            allocation.finalize(servers[2])
+        assert before == (list(small_ledger._used_up), list(allocation.journal.ops))
+        assert not allocation.finalized
+        assert allocation.finalize(tor)
+
+    def test_finalize_at_the_tree_root_only_checks_overcommit(
+        self, small_ledger, hose_tag
+    ):
+        allocation = TenantAllocation(hose_tag, small_ledger)
+        topology = small_ledger.topology
+        far = topology.level_nodes(1)[-1]
+        servers = [topology.servers[0], next(iter(topology.servers_under(far)))]
+        for server in servers:
+            allocation.place(server, "all", 2, ceiling=topology.root)
+        ops = len(allocation.journal.ops)
+        with obs.enabled_scope() as counters:
+            assert allocation.finalize(topology.root)
+            assert "placement.reservation_updates" not in counters
+        assert len(allocation.journal.ops) == ops
+
+        crowded = TenantAllocation(hose_tag, small_ledger)
+        for server in servers:
+            crowded.place(server, "all", 2, ceiling=topology.root)
+        small_ledger.adjust_uplink_id(far.node_id, 1e9, 0.0, crowded.journal, enforce=False)
+        assert not crowded.finalize(topology.root)
+        assert not crowded.finalized
+
+    def test_finalize_at_a_server_evaluates_once_for_every_hop(self, small_ledger):
+        tag = Tag("front")
+        tag.add_component("web", 3)
+        tag.add_component("internet", external=True)
+        tag.add_edge("web", "internet", 40.0, 1e9)
+        tag.add_edge("internet", "web", 1e9, 25.0)
+        allocation = TenantAllocation(tag, small_ledger)
+        topology = small_ledger.topology
+        server = topology.servers[0]
+        allocation.place(server, "web", 3, ceiling=server)
+        with obs.enabled_scope() as counters:
+            assert allocation.finalize(server)
+            assert counters["placement.reservation_updates"] == 1
+            assert counters["placement.reservation_writes"] == 3
+        for node in (server, server.parent, server.parent.parent):
+            assert allocation.reserved_on(node) == BandwidthDemand(120.0, 75.0)
+            assert small_ledger.reserved_up(node) == 120.0
+            assert small_ledger.reserved_down(node) == 75.0
 
     def test_place_after_finalize_raises(self, small_ledger, hose_tag):
         allocation = TenantAllocation(hose_tag, small_ledger)

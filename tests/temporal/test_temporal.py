@@ -7,6 +7,7 @@ import pytest
 from repro.core.bandwidth import uplink_requirement
 from repro.core.tag import Tag
 from repro.errors import SimulationError
+from repro.obs import core as obs
 from repro.temporal.admission import TemporalCluster
 from repro.temporal.profile import TemporalProfile, TemporalTag, diurnal_profile
 from repro.topology.builder import DatacenterSpec
@@ -157,7 +158,10 @@ class TestTemporalCluster:
         before = [
             cluster.window_utilization(0, level) for level in range(3)
         ]
-        assert cluster.admit(tenant) is None
+        with obs.enabled_scope() as counters:
+            assert cluster.admit(tenant) is None
+            # Reported under the classic ledger's counter name.
+            assert counters["ledger.rollback_ops"] > 0
         assert cluster.rejected == 1
         after = [cluster.window_utilization(0, level) for level in range(3)]
         assert before == after
