@@ -335,10 +335,6 @@ def main(argv: list[str] | None = None) -> int:
             from repro.results.cli import results_main
 
             return results_main(argv[1:])
-        if argv[0] == "bench":
-            from repro.results.trajectory import bench_main
-
-            return bench_main(argv[1:])
         if argv[0] == "trace":
             from repro.obs.trace import trace_main
 

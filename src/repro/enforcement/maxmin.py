@@ -7,7 +7,8 @@ partitioning) and once over physical links (work-conserving rate
 allocation), and once more to model TCP's own max-min behaviour.
 
 The public :func:`maxmin_rates` surface is unchanged from the scalar
-implementation (frozen under ``benchmarks/_legacy/maxmin.py``), but the
+implementation (kept as ``reference_maxmin`` in
+``tests/enforcement/test_maxmin_equivalence.py``), but the
 engine underneath is rebuilt on arrays: link ids are interned to dense
 integers **once**, the flow×link incidence becomes sparse CSR-style
 entry arrays (one entry per crossing, so multiplicity is preserved),

@@ -64,21 +64,12 @@ from repro.results.telemetry import (
     record_telemetry,
     telemetry_fingerprint,
 )
-from repro.results.trajectory import (
-    BENCH_KIND,
-    RegressionFlag,
-    check_trajectory,
-    ingest_report,
-    trajectory_rows,
-)
 
 __all__ = [
     "Aggregate",
-    "BENCH_KIND",
     "Codec",
     "EXPORT_FORMATS",
     "MetricSample",
-    "RegressionFlag",
     "ResultStore",
     "ShardSpec",
     "StoredRow",
@@ -88,14 +79,12 @@ __all__ = [
     "aggregate_table",
     "bootstrap_ci",
     "canonical_trial",
-    "check_trajectory",
     "codec_for",
     "codec_names",
     "codec_version",
     "export_rows",
     "export_store",
     "exports_from_store",
-    "ingest_report",
     "parse_shard",
     "record_telemetry",
     "register_codec",
@@ -105,6 +94,5 @@ __all__ = [
     "store_summary_table",
     "stream_export",
     "telemetry_fingerprint",
-    "trajectory_rows",
     "trial_fingerprint",
 ]

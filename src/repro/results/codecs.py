@@ -438,33 +438,6 @@ register_codec(
     from_payload=_service_from,
     metrics=_service_metrics,
 )
-def _bench_metrics(payload: dict) -> dict[str, float]:
-    """Throughput figures of a smoke-bench report (higher is better).
-
-    Walks nested dicts (but not row lists — per-size rows would flood
-    the series) collecting numeric leaves named like throughput ratios:
-    ``*speedup*`` or ``*_per_sec``.  Raw ``*_ms`` timings are skipped —
-    absolute milliseconds shift with the runner; the before/after ratio
-    is the machine-comparable signal the trajectory tracks.
-    """
-    out: dict[str, float] = {}
-
-    def walk(prefix: str, value: Any) -> None:
-        if isinstance(value, dict):
-            for key, item in value.items():
-                walk(f"{prefix}{key}." if isinstance(item, dict) else f"{prefix}{key}", item)
-            return
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            return
-        name = prefix.rstrip(".")
-        leaf = name.rsplit(".", 1)[-1]
-        if "speedup" in leaf or leaf.endswith("_per_sec"):
-            out[name] = float(value)
-
-    walk("", payload)
-    return out
-
-
 register_codec(
     "failure",
     version=1,
@@ -508,25 +481,13 @@ def _telemetry_metrics(payload: dict) -> dict[str, float]:
 
 
 # "telemetry" rows are per-trial trace exports (repro.results.telemetry),
-# written by Engine.run when instrumentation is on.  Like "bench", the
-# codec registers here so every store operation (gc in particular) sees
-# it without importing the telemetry layer.
+# written by Engine.run when instrumentation is on.  The codec registers
+# here so every store operation (gc in particular) sees it without
+# importing the telemetry layer.
 register_codec(
     "telemetry",
     version=1,
     to_payload=_identity,
     from_payload=_telemetry_from,
     metrics=_telemetry_metrics,
-)
-# "bench" is not an engine trial kind: rows of this kind are smoke-bench
-# reports ingested by ``repro bench track`` (repro.results.trajectory).
-# The codec lives here with the others so that any store operation —
-# notably ``repro results gc``, which deletes rows whose kind has no
-# current codec — sees it without having to import the trajectory layer.
-register_codec(
-    "bench",
-    version=1,
-    to_payload=_identity,
-    from_payload=_identity,
-    metrics=_bench_metrics,
 )

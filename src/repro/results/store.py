@@ -31,7 +31,7 @@ from typing import Any, Iterable, Iterator
 from repro.engine.scenario import Trial, TrialResult
 from repro.errors import ResultsError
 from repro.obs import core as _obs
-from repro.results.codecs import codec_for, codec_version
+from repro.results.codecs import Codec, codec_for, codec_version
 from repro.results.fingerprint import trial_fingerprint
 
 __all__ = ["ResultStore", "StoredRow"]
@@ -81,12 +81,24 @@ class StoredRow:
     created: float
     payload_json: str
 
+    def _codec(self) -> Codec:
+        try:
+            return codec_for(self.kind)
+        except ResultsError:
+            # codec_for's message is advice for *writing* a new kind; a
+            # row already on disk whose kind is gone can only be reaped.
+            raise ResultsError(
+                f"stored row {self.fingerprint[:12]} has kind {self.kind!r}, "
+                "which this version no longer reads; `repro results gc "
+                "<store>` removes such rows"
+            ) from None
+
     def payload(self) -> Any:
         """The decoded payload object (requires the kind's codec)."""
-        return codec_for(self.kind).decode(self.payload_json)
+        return self._codec().decode(self.payload_json)
 
     def metrics(self) -> dict[str, float]:
-        return codec_for(self.kind).metrics(self.payload())
+        return self._codec().metrics(self.payload())
 
 
 class ResultStore:
@@ -207,12 +219,11 @@ class ResultStore:
         arrivals: int = 0,
         elapsed: float = 0.0,
     ) -> bool:
-        """Persist one non-trial row (e.g. a bench report); True if new.
+        """Persist one non-trial row (a telemetry export); True if new.
 
-        The trajectory layer uses this for rows whose identity is a
-        content hash rather than a trial fingerprint.  Re-recording an
-        existing fingerprint refreshes ``created`` (the ingest clock the
-        trajectory orders by) and counts as not-new.
+        For rows whose identity is derived by the caller rather than
+        from a trial fingerprint.  Re-recording an existing fingerprint
+        replaces the row, refreshes ``created`` and counts as not-new.
         """
         codec = codec_for(kind)
         connection = self._connect()

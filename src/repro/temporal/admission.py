@@ -17,8 +17,8 @@ the same oversubscribed links — their binding windows differ — which the
 peak-everywhere accounting forbids.  With flat profiles every plane is
 identical and the system degenerates to the classic one.
 
-Unlike the pre-PR-5 facade (frozen under
-``benchmarks/_legacy/temporal_admission.py``), the ledger does **not**
+Unlike the pre-PR-5 facade (kept as ``ReferenceTemporalLedger`` in
+``tests/temporal/test_temporal_equivalence.py``), the ledger does **not**
 multiplex W :class:`~repro.topology.ledger.Ledger` objects.  All W
 planes live in one contiguous state block per direction over the shared
 :class:`~repro.topology.flat.FlatTopology` — each node's W-window column

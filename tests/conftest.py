@@ -4,9 +4,21 @@ from __future__ import annotations
 
 import pytest
 
+from repro import _kernels
 from repro.core.tag import Tag
 from repro.topology.builder import DatacenterSpec, single_rack, three_level_tree
 from repro.topology.ledger import Ledger
+
+
+@pytest.fixture(params=_kernels.available_backends())
+def backend(request):
+    """Run the test under every kernel backend this checkout can load."""
+    previous = _kernels.backend
+    _kernels.use_backend(request.param)
+    try:
+        yield request.param
+    finally:
+        _kernels.use_backend(previous)
 
 
 @pytest.fixture

@@ -2,8 +2,8 @@
 
 ``reference_maxmin`` below is a line-for-line reimplementation of the
 pre-PR-5 scalar kernel (per-round dict-based link incidence, Python-set
-freezing) — the same code frozen under ``benchmarks/_legacy/maxmin.py``.
-The property tests drive it in lockstep with the live vectorized
+freezing); ``tests/seed_parity.json`` pins that kernel's own output at
+scale.  The property tests drive it in lockstep with the live vectorized
 :func:`repro.enforcement.maxmin.maxmin_rates` over randomized flow sets
 and assert **bit-identical** rates (no tolerance): the vectorized rounds
 perform element-for-element the same float operations, so any drift is

@@ -7,7 +7,9 @@ same accept/reject sequence, same per-server layouts — as running it
 against :func:`repro.topology.failures.pruned_topology`, for every
 placer, with the candidate index on and off, on the symmetric and the
 heterogeneous fabric.  Layouts are compared by node *name* because the
-pruned rebuild assigns fresh dense ids.
+pruned rebuild assigns fresh dense ids.  The degenerate input — a mask
+attached with nothing failed, against the topology pruned of nothing —
+must also leave the bit-identical ledger end-state.
 
 A temporal twin pins the same property for the W-plane ledger: admission
 outcomes and every surviving node's per-window reservation column must
@@ -22,6 +24,7 @@ from repro.placement.base import Placement
 from repro.placement.ha import HaPolicy
 from repro.simulation.cluster import ClusterManager
 from repro.simulation.runner import make_placer
+from repro.simulation.service import ledger_fingerprint
 from repro.temporal.admission import TemporalCluster
 from repro.temporal.profile import TemporalProfile, TemporalTag, diurnal_profile
 from repro.topology.builder import (
@@ -88,10 +91,13 @@ def fabric(request):
     return topology, pruned, pool
 
 
-def _run_stream(topology, pool, placer_name, ha, *, use_index, failed=()):
-    """Admissions with interleaved departures; layouts keyed by name."""
+def _run_stream(topology, pool, placer_name, ha, *, use_index, failed=None):
+    """Admissions with interleaved departures; layouts keyed by name.
+
+    ``failed=None`` attaches no mask; ``failed=()`` attaches an empty one.
+    """
     ledger = Ledger(topology)
-    if failed:
+    if failed is not None:
         _fail_by_name(ledger, failed)
     placer = make_placer(placer_name, ledger, ha, use_candidate_index=use_index)
     manager = ClusterManager(
@@ -118,16 +124,23 @@ def _run_stream(topology, pool, placer_name, ha, *, use_index, failed=()):
     return outcomes, layouts, ledger
 
 
+@pytest.mark.parametrize("failed", [FAILED_NAMES, ()], ids=["failed", "empty-mask"])
 @pytest.mark.parametrize("use_index", [True, False], ids=["index", "scan"])
 @pytest.mark.parametrize(("placer_name", "ha"), PLACER_CASES, ids=PLACER_IDS)
-def test_mask_equals_pruned(fabric, placer_name, ha, use_index):
+def test_mask_equals_pruned(fabric, placer_name, ha, use_index, failed):
     topology, pruned, pool = fabric
     masked = _run_stream(
-        topology, pool, placer_name, ha, use_index=use_index, failed=FAILED_NAMES
+        topology, pool, placer_name, ha, use_index=use_index, failed=failed
     )
-    reference = _run_stream(pruned, pool, placer_name, ha, use_index=use_index)
+    # Pruning nothing leaves the topology itself, ids included.
+    reference = _run_stream(
+        pruned if failed else topology, pool, placer_name, ha, use_index=use_index
+    )
     assert masked[0] == reference[0], f"{placer_name}: admissions diverged"
     assert masked[1] == reference[1], f"{placer_name}: layouts diverged"
+    if not failed:
+        assert reference[2].failure_mask is None
+        assert ledger_fingerprint(masked[2]) == ledger_fingerprint(reference[2])
     # The stream must exercise both sides of admission control, or the
     # equivalence proves less than it claims.
     assert any(masked[0]) and not all(masked[0])

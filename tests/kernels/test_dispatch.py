@@ -8,8 +8,10 @@ re-importing the package; the rebinding tests exercise the module-level
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -96,29 +98,30 @@ class TestUseBackend:
         )
 
 
+# The tree under test, wherever it is checked out.
+_SRC = Path(__file__).resolve().parents[2] / "src"
+
+
 class TestImportTimeSelection:
     """End-to-end: the env var steers a fresh interpreter's import."""
 
-    def _kernels_backend(self, env_value: str | None) -> str:
-        import os
-
+    def _import_kernels(self, env_value, code, cwd=None):
         env = dict(os.environ)
-        env["PYTHONPATH"] = "src"
+        env["PYTHONPATH"] = str(_SRC)
         env.pop(ENV_FLAG, None)
         if env_value is not None:
             env[ENV_FLAG] = env_value
-        out = subprocess.run(
-            [
-                sys.executable,
-                "-W",
-                "error::RuntimeWarning",
-                "-c",
-                "from repro._kernels import backend; print(backend)",
-            ],
+        return subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
             capture_output=True,
             text=True,
             env=env,
-            cwd="/root/repo",
+            cwd=cwd,
+        )
+
+    def _kernels_backend(self, env_value: str | None) -> str:
+        out = self._import_kernels(
+            env_value, "from repro._kernels import backend; print(backend)"
         )
         assert out.returncode == 0, out.stderr
         return out.stdout.strip()
@@ -131,26 +134,16 @@ class TestImportTimeSelection:
         assert self._kernels_backend(None) == expected
 
     def test_unknown_value_raises_runtime_warning(self):
-        import os
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = "src"
-        env[ENV_FLAG] = "fancy"
-        out = subprocess.run(
-            [
-                sys.executable,
-                "-W",
-                "error::RuntimeWarning",
-                "-c",
-                "import repro._kernels",
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd="/root/repo",
-        )
+        out = self._import_kernels("fancy", "import repro._kernels")
         assert out.returncode != 0
         assert "fancy" in out.stderr
+
+    def test_subprocess_imports_this_tree_from_any_cwd(self, tmp_path):
+        out = self._import_kernels(
+            "py", "import repro._kernels as k; print(k.__file__)", tmp_path
+        )
+        assert out.returncode == 0, out.stderr
+        assert Path(out.stdout.strip()).resolve() == Path(_kernels.__file__).resolve()
 
 
 class TestVersionCommand:

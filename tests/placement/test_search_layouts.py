@@ -22,7 +22,6 @@ from pathlib import Path
 
 import pytest
 
-from repro import _kernels
 from repro.placement.base import Placement
 from repro.placement.ha import HaPolicy
 from repro.simulation.arrivals import poisson_arrivals
@@ -168,16 +167,6 @@ def run_scenario(name: str) -> dict:
 @pytest.fixture(scope="module")
 def recorded():
     return json.loads(FIXTURE.read_text())
-
-
-@pytest.fixture(params=_kernels.available_backends())
-def backend(request):
-    previous = _kernels.backend
-    _kernels.use_backend(request.param)
-    try:
-        yield request.param
-    finally:
-        _kernels.use_backend(previous)
 
 
 @pytest.mark.parametrize("name", SCENARIOS)

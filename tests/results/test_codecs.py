@@ -69,14 +69,6 @@ def _survey_payload():
     return execute_trial(_trial("survey")).payload
 
 
-def _bench_payload():
-    return {
-        "benchmark": "codec-test",
-        "rows": [{"vms": 100, "speedup": 3.1}],
-        "largest_size_speedup": 3.1,
-    }
-
-
 def _failure_payload():
     # Canonical like _rejection_payload: the wall-clock recovery field is
     # zeroed because the codec excludes timing from persisted identity.
@@ -128,18 +120,15 @@ PAYLOAD_FACTORIES = {
     "temporal": _temporal_payload,
     "service": _service_payload,
     "failure": _failure_payload,
-    "bench": _bench_payload,
     "telemetry": _telemetry_payload,
 }
 
 
 def test_every_runner_kind_has_a_codec_and_a_roundtrip_case():
-    # "bench" and "telemetry" are not runner kinds: bench holds
-    # smoke-bench trajectory points (repro bench track) and telemetry
-    # holds per-trial obs exports (repro run --telemetry), but both must
-    # still round-trip like any other codec so `repro results gc` never
-    # reaps their rows.
-    assert set(codec_names()) == set(RUNNERS) | {"bench", "telemetry"}
+    # "telemetry" is not a runner kind: it holds per-trial obs exports
+    # (repro run --telemetry), but must still round-trip like any other
+    # codec so `repro results gc` never reaps its rows.
+    assert set(codec_names()) == set(RUNNERS) | {"telemetry"}
     assert set(PAYLOAD_FACTORIES) == set(codec_names())
 
 

@@ -236,6 +236,18 @@ class TestGc:
         assert store.gc() == 1
         assert len(store) == 0
 
+    def test_vacuum_returns_collected_pages(self, store, versioned_kind):
+        for run in range(64):
+            store.record_payload(
+                fingerprint=f"{run:064x}", kind=versioned_kind, scenario="gc",
+                payload={"padding": "x" * 4096},
+            )
+        before = store.path.stat().st_size
+        _CODECS.pop(versioned_kind)
+        assert store.gc() == 64
+        assert store.vacuum() > 0
+        assert store.path.stat().st_size < before
+
 
 class TestStoreErrors:
     def test_corrupt_store_file_reports_cleanly(self, tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
 from repro.cli import main
@@ -83,6 +85,27 @@ class TestResultsVerbs:
         assert "merged 4 new rows" in capsys.readouterr().out
         assert main(["results", "gc", dest]) == 0
         assert "removed 0 stale rows; 4 remain" in capsys.readouterr().out
+        assert main(["results", "gc", dest, "--vacuum"]) == 0
+        assert "vacuum reclaimed" in capsys.readouterr().out
+
+    def test_row_of_a_retired_kind_points_at_gc(self, capsys, tmp_path, populated):
+        # What a store fed by the removed bench-trajectory command still holds.
+        with sqlite3.connect(populated) as connection:
+            connection.execute(
+                "INSERT INTO results VALUES ('f00d', 'bench', 1, 'old', '-', "
+                "'-', 0, 0, 0, 'null', 0, 0, 0, '{}')"
+            )
+        connection.close()
+        out_file = str(tmp_path / "rows.csv")
+        assert main(["results", "list", populated]) == 0
+        assert "5 rows total" in capsys.readouterr().out
+        assert main(["results", "export", populated, "-o", out_file]) == 1
+        out = capsys.readouterr().out
+        assert "'bench'" in out and "repro results gc" in out
+        assert "register_codec" not in out and "Traceback" not in out
+        assert main(["results", "gc", populated]) == 0
+        assert "removed 1 stale rows; 4 remain" in capsys.readouterr().out
+        assert main(["results", "export", populated, "-o", out_file]) == 0
 
     def test_missing_store_reports_cleanly(self, capsys, tmp_path):
         missing = str(tmp_path / "absent.sqlite")
