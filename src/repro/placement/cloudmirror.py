@@ -148,6 +148,8 @@ class CloudMirrorPlacer:
         # True only while an opportunistic-HA placement attempt is active
         # (the fallback attempt after a failed spread runs with it off).
         self._spreading = False
+        # Offers of the current search that placed nothing (see _try_child).
+        self._failed: set[tuple] = set()
 
     # ------------------------------------------------------------------
     # AllocTenant
@@ -168,6 +170,7 @@ class CloudMirrorPlacer:
         self, tag: Tag, start_level: int, opportunistic: bool
     ) -> PlacementResult:
         self._spreading = opportunistic
+        self._failed = set()
         try:
             allocation = TenantAllocation(tag, self.ledger)
             self._candidate_plan(tag)
@@ -203,6 +206,7 @@ class CloudMirrorPlacer:
         allocation exactly as before — when the datacenter cannot host
         the growth.
         """
+        self._failed = set()
         savepoint = allocation.savepoint()
         allocation.begin_scale_up(tier, extra)
         self._candidate_plan(allocation.tag)
@@ -534,17 +538,34 @@ class CloudMirrorPlacer:
         Returns the number of VMs that stayed placed.  ``want`` is reduced
         by exactly that amount.  With ``probe``, a server whose own uplink
         would overcommit is rejected before anything is reserved.
+
+        An offer that places nothing leaves every array as it found it, so
+        it is remembered as ``(state version, child, ceiling, *request)``
+        and answered from ``_failed`` when Colocate, a Balance pass or a
+        later hand-down from above repeats it.  ``request`` keeps its
+        order (option ties break on it).  The set lives for one search:
+        versions are per allocation, and the ledger moves between searches.
         """
         c = _obs.counters
+        child_id = child.node_id
+        failed = self._failed
+        key = None
+        if probe or failed:  # no failure yet this search: no key to pay for
+            key = (allocation.version, child_id, ceiling.node_id, *request.items())
+            if key in failed:
+                if c is not None:
+                    c.bump("cloudmirror.memo_hits")
+                return 0
         if (
             probe
             and child.is_server
             and allocation.probe(
-                child.node_id, self._server_fill(allocation, request, child)
+                child_id, self._server_fill(allocation, request, child)
             )
         ):
             if c is not None:
                 c.bump("cloudmirror.probe_rejects")
+            failed.add(key)
             return 0
         if c is not None:
             c.bump("cloudmirror.tries")
@@ -562,8 +583,13 @@ class CloudMirrorPlacer:
                     want[tier] -= got
                     if want[tier] == 0:
                         del want[tier]
-        if c is not None and not placed:
-            c.bump("cloudmirror.tries_failed")
+        if not placed:
+            if c is not None:
+                c.bump("cloudmirror.tries_failed")
+            if key is None:
+                # Nothing stayed, so the version is again the one tried from.
+                key = (allocation.version, child_id, ceiling.node_id, *request.items())
+            failed.add(key)
         return placed
 
     # ------------------------------------------------------------------

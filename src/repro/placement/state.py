@@ -83,6 +83,7 @@ class Savepoint:
 
     ledger_ops: int
     state_ops: int
+    version: int = 0
 
 
 # Per-tag compile caches.  The compiled requirement closures and tier
@@ -205,6 +206,11 @@ class TenantAllocation:
         self._counts: dict[int, dict[str, int]] = {}
         self._reserved: dict[int, tuple[float, float]] = {}
         self._state_ops: list[tuple] = []
+        # State version: every mutation takes a never-reused value and a
+        # rollback restores its savepoint's, so while only this allocation
+        # moves the ledger, equal versions mean identical counts,
+        # reservations and ledger arrays.
+        self.version = self._last_version = 0
         self._placed = 0
         self._remaining = tag.tier_sizes()
         self._compiled_for: Tag | None = None
@@ -340,7 +346,9 @@ class TenantAllocation:
     # savepoints
     # ------------------------------------------------------------------
     def savepoint(self) -> Savepoint:
-        return Savepoint(self.journal.savepoint(), len(self._state_ops))
+        return Savepoint(
+            self.journal.savepoint(), len(self._state_ops), self.version
+        )
 
     def rollback(self, savepoint: Savepoint) -> None:
         """Undo everything placed since ``savepoint`` (Algorithm 1 Dealloc)."""
@@ -367,6 +375,7 @@ class TenantAllocation:
                 self.finalized = op[3]
             else:  # pragma: no cover - defensive
                 raise ReproError(f"unknown state op {op!r}")
+        self.version = savepoint.version
 
     # ------------------------------------------------------------------
     # mutations
@@ -477,6 +486,7 @@ class TenantAllocation:
         self._state_ops.clear()
         self.journal.ops.clear()
         self._placed = 0
+        self.version = self._last_version = self._last_version + 1
 
     # ------------------------------------------------------------------
     # auto-scaling (paper §6 extension)
@@ -498,6 +508,7 @@ class TenantAllocation:
         self._state_ops.append(
             (_OP_RESIZE, self.tag, dict(self._remaining), self.finalized)
         )
+        self.version = self._last_version = self._last_version + 1
         self.tag = new_tag
         self._remaining[tier] = self._remaining.get(tier, 0) + extra
         self.finalized = False
@@ -521,7 +532,9 @@ class TenantAllocation:
         """Remove ``remove`` VMs of ``tier`` from a finalized tenant.
 
         VMs leave the servers holding the fewest of the tier first (the
-        minority placements cause the most crossing).  Shrinking a TAG
+        minority placements cause the most crossing), equal holders in
+        server-id order: a function of the layout, not of the order the
+        search happened to touch the servers in.  Shrinking a TAG
         can only lower Eq. 1's min() terms, so the re-reservation can
         never exceed capacity and the operation always succeeds.
         """
@@ -540,7 +553,7 @@ class TenantAllocation:
                 for server, counts in self.iter_server_placements()
                 if counts.get(tier, 0) > 0
             ),
-            key=lambda item: item[1],
+            key=lambda item: (item[1], item[0].node_id),
         )
         self.tag = _resize_tag(self.tag, tier, -remove)
         left = remove
@@ -557,6 +570,7 @@ class TenantAllocation:
                     del counts[tier]
             self._placed -= take
         assert left == 0, "holders must cover the tier"
+        self.version = self._last_version = self._last_version + 1
         self._refresh_all_reservations(journalled=False)
 
     def _refresh_all_reservations(self, journalled: bool = True) -> None:
@@ -591,6 +605,7 @@ class TenantAllocation:
                 counts = counts_by_node[node_id] = {}
             counts[tier] = counts.get(tier, 0) + count
             ops.append((_OP_COUNT, node_id, tier, count))
+        self.version = self._last_version = self._last_version + 1
         self._placed += count
         self._remaining[tier] -= count
 
@@ -630,3 +645,4 @@ class TenantAllocation:
         )
         self._state_ops.append((_OP_RESERVED, node_id, prev_out, prev_into))
         self._reserved[node_id] = required
+        self.version = self._last_version = self._last_version + 1

@@ -64,8 +64,7 @@ def make_placer(
 
     ``cm-coloc-only`` and ``cm-balance-only`` are the Fig. 10 ablations.
     ``use_candidate_index=False`` selects the index-free candidate scan
-    (bit-identical placements; the lockstep tests and the candidate-cache
-    benchmark compare the two paths).
+    (bit-identical placements; the lockstep tests compare the two paths).
     """
     if name == "cm":
         return CloudMirrorPlacer(ledger, ha=ha, use_candidate_index=use_candidate_index)

@@ -124,6 +124,29 @@ class TestScaleDown:
             expected = allocation.requirement(allocation.tag, counts)
             assert allocation.reserved_on(node).out == pytest.approx(expected.out)
 
+    def test_equal_holders_leave_in_server_order(self, small_datacenter):
+        """The tie-break is a function of the layout, not of the order the
+        search touched the servers in (a failed real try leaves an empty
+        entry in ``_counts``; a probe reject or a memo hit does not)."""
+        from repro.placement.state import TenantAllocation
+
+        tag = Tag.hose("t", 6, 10.0)
+        root = small_datacenter.root
+        servers = sorted(small_datacenter.servers[:3], key=lambda s: s.node_id)
+        layouts = []
+        for order in (servers, servers[::-1]):
+            allocation = TenantAllocation(tag, Ledger(small_datacenter))
+            for server in order:
+                assert allocation.place(server, "all", 2, root)
+            assert allocation.finalize(root)
+            allocation.scale_down("all", 3)
+            layouts.append(
+                {s.node_id: dict(c) for s, c in allocation.iter_server_placements()}
+            )
+        # Three holders of two: the lowest id empties, the next gives one.
+        low, mid, high = (server.node_id for server in servers)
+        assert layouts[0] == layouts[1] == {mid: {"all": 1}, high: {"all": 2}}
+
     def test_cannot_remove_entire_tier(self, placed):
         placer, allocation = placed
         with pytest.raises(ReproError):

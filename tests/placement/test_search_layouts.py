@@ -80,9 +80,9 @@ def _layout(allocation) -> str:
     )
 
 
-def _churn(topology, pool, admit, depart, hook=None):
+def _churn(topology, pool, admit, depart, hook=None, arrivals=ARRIVALS):
     """Poisson arrivals / exponential departures; per-arrival records."""
-    events = poisson_arrivals(pool, ARRIVALS, LOAD, topology.total_slots, seed=5)
+    events = poisson_arrivals(pool, arrivals, LOAD, topology.total_slots, seed=5)
     departures: list = []
     decisions = []
     layouts = []
@@ -99,7 +99,9 @@ def _churn(topology, pool, admit, depart, hook=None):
     return {"decisions": "".join(decisions), "layouts": layouts}
 
 
-def _classic(topology, placer_name, ha, hook_for=None, ledger_cls=Ledger):
+def _classic(
+    topology, placer_name, ha, hook_for=None, ledger_cls=Ledger, arrivals=ARRIVALS
+):
     pool = small_bing_pool()
     ledger = ledger_cls(topology)
     placer = make_placer(placer_name, ledger, ha)
@@ -111,16 +113,18 @@ def _classic(topology, placer_name, ha, hook_for=None, ledger_cls=Ledger):
         return None, None
 
     hook = hook_for(ledger) if hook_for is not None else None
-    return _churn(topology, pool, admit, lambda a: a.release(), hook)
+    return _churn(topology, pool, admit, lambda a: a.release(), hook, arrivals)
 
 
-def _temporal(topology):
+def _temporal(topology, ha=None, arrivals=ARRIVALS):
     pool = small_bing_pool()
     tenants = [
         TemporalTag(tag, diurnal_profile(WINDOWS, peak_window=i % WINDOWS, trough=0.3))
         for i, tag in enumerate(pool)
     ]
     cluster = TemporalCluster(None, WINDOWS, topology=topology)
+    if ha is not None:
+        cluster.placer = make_placer("cm", cluster.ledger, ha)
 
     def admit(index):
         admission = cluster.admit(tenants[index])
@@ -128,7 +132,7 @@ def _temporal(topology):
             return None, None
         return admission, admission.allocation
 
-    return _churn(topology, pool, admit, cluster.depart)
+    return _churn(topology, pool, admit, cluster.depart, arrivals=arrivals)
 
 
 def _fail_restore_hook(ledger):

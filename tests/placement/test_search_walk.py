@@ -1,8 +1,11 @@
-"""The CloudMirror child search: one scan per ledger change, a pure probe.
+"""The CloudMirror child search: one scan per ledger change, a pure probe,
+a failed offer paid for once.
 
 Unit tests of ``_walk`` / ``_scan`` (ranking order, class succession,
-exclusion, an overcommitted ledger on entry, the obs counters) and the
-seeded probe == real-try property on both ledgers.  The end-to-end
+exclusion, an overcommitted ledger on entry, the obs counters), the
+seeded probe == real-try property on both ledgers, and the failed-offer
+memo: a hit == the real try it skips, equal state versions == equal
+state, and the memo does not outlive its search.  The end-to-end
 guarantee — decisions and layouts identical to the old rescan loop — is
 ``test_search_layouts.py``.
 """
@@ -10,20 +13,27 @@ guarantee — decisions and layouts identical to the old rescan loop — is
 from __future__ import annotations
 
 import random
-from copy import deepcopy
 
 import pytest
 
 from repro.core.tag import Tag
 from repro.obs import core as obs
-from repro.placement.base import Rejection
+from repro.placement import cloudmirror
+from repro.placement.base import Placement, Rejection
 from repro.placement.cloudmirror import CloudMirrorPlacer
-from repro.placement.state import Savepoint, TenantAllocation
+from repro.placement.ha import HaPolicy
+from repro.placement.state import _ZERO, Savepoint, TenantAllocation
 from repro.temporal.admission import TemporalLedger
 from repro.temporal.profile import TemporalProfile, diurnal_profile
-from repro.topology.builder import three_level_tree
+from repro.topology.builder import single_rack, three_level_tree
 from repro.topology.ledger import Journal, Ledger
-from tests.placement.test_search_layouts import SPEC, small_bing_pool
+from tests.placement.test_search_layouts import (
+    SPEC,
+    _classic,
+    _layout,
+    _temporal,
+    small_bing_pool,
+)
 
 
 # ----------------------------------------------------------------------
@@ -146,11 +156,13 @@ def test_counters_account_for_a_rejection():
         tries = counters["cloudmirror.tries"]
         failed = counters["cloudmirror.tries_failed"]
         rejects = counters["cloudmirror.probe_rejects"]
+        hits = counters["cloudmirror.memo_hits"]
         scans = counters["cloudmirror.scans"]
     assert 0 < failed <= tries
     assert rejects > 0
+    assert hits > 0
     # Far fewer scans than offers: the point of the ranking.
-    assert scans < tries + rejects
+    assert scans < tries + rejects + hits
 
 
 # ----------------------------------------------------------------------
@@ -164,27 +176,27 @@ def _profiles(rng):
 
 
 def _snapshot(ledger, allocation):
+    """Copies of everything a try can write (the containers hold numbers
+    and tuples, so one level deep is a deep copy)."""
     index = ledger.ensure_candidate_index()
     bandwidth = (
         (ledger._used_up, ledger._used_down)
         if isinstance(ledger, Ledger)
         else (ledger._up, ledger._down, ledger._max_up, ledger._max_down)
     )
-    return deepcopy(
-        (
-            ledger._used_slots,
-            ledger._free_subtree,
-            bandwidth,
-            ledger._over,
-            index._level_entries,
-            index.pending_dirty(),
-            allocation.journal.ops,
-            allocation._state_ops,
-            allocation._counts,
-            allocation._reserved,
-            allocation._remaining,
-            allocation.placed_vms,
-        )
+    return (
+        list(ledger._used_slots),
+        list(ledger._free_subtree),
+        [list(column) for column in bandwidth],
+        set(ledger._over),
+        [entries and list(entries) for entries in index._level_entries],
+        index.pending_dirty(),
+        list(allocation.journal.ops),
+        list(allocation._state_ops),
+        {node_id: dict(held) for node_id, held in allocation._counts.items()},
+        dict(allocation._reserved),
+        dict(allocation._remaining),
+        allocation.placed_vms,
     )
 
 
@@ -243,3 +255,177 @@ def test_probe_agrees_with_the_real_try_and_touches_nothing(kind, seed):
                 allocation.rollback(savepoint)
         allocation.rollback(Savepoint(0, 0))  # the test tenant leaves
     assert verdicts[True] > 10 and verdicts[False] > 10
+
+
+# ----------------------------------------------------------------------
+# the failed-offer memo
+# ----------------------------------------------------------------------
+def _settled(snapshot):
+    """What the search can read of a ``_snapshot``.
+
+    A real try that rolls back differs from one never made in two ways no
+    decision sees: the candidate index holds dirty entries (repaired on
+    the next lookup), and the allocation keeps an empty count dict and a
+    zero reservation for every node it touched.
+    """
+    *ledger, _entries, _dirty, journal, ops, counts, reserved, remaining, placed = (
+        snapshot
+    )
+    return (
+        ledger,
+        journal,
+        ops,
+        {node_id: held for node_id, held in counts.items() if held},
+        {node_id: pair for node_id, pair in reserved.items() if pair != _ZERO},
+        remaining,
+        placed,
+    )
+
+
+def _offer_key(allocation, request, child, ceiling):
+    return (allocation.version, child.node_id, ceiling.node_id, *request.items())
+
+
+def _intercept(monkeypatch, hook):
+    """Call ``hook(real, key, placer, allocation, want, request, child,
+    ceiling)`` ahead of every ``_try_child``, nested ones included."""
+    real = CloudMirrorPlacer._try_child
+
+    def try_child(placer, allocation, want, request, child, ceiling, probe):
+        key = _offer_key(allocation, request, child, ceiling)
+        hook(real, key, placer, allocation, want, request, child, ceiling)
+        return real(placer, allocation, want, request, child, ceiling, probe)
+
+    monkeypatch.setattr(CloudMirrorPlacer, "_try_child", try_child)
+
+
+def _memo_churn(kind, ha):
+    """The first half of the layout fixture's churn: ``small_bing_pool``
+    at load 0.9, where most offers fail."""
+    topology = three_level_tree(SPEC)
+    if kind == "classic":
+        decisions = _classic(topology, "cm", ha, arrivals=45)["decisions"]
+    else:
+        decisions = _temporal(topology, ha, arrivals=45)["decisions"]
+    assert "0" in decisions and "1" in decisions
+
+
+ARMS = pytest.mark.parametrize(
+    "ha",
+    [None, HaPolicy(required_wcs=0.5), HaPolicy(opportunistic=True)],
+    ids=["plain", "wcs", "opportunistic"],
+)
+KINDS = pytest.mark.parametrize("kind", ["classic", "temporal"])
+
+
+@KINDS
+@ARMS
+def test_memo_hit_is_the_real_try_it_skips(kind, ha, monkeypatch):
+    hits = []
+
+    def hook(real, key, placer, allocation, want, request, child, ceiling):
+        memo = placer._failed
+        if key not in memo:
+            return
+        # Would be answered from the memo: make the offer for real, nested
+        # offers included, and see that nothing comes of it.
+        hits.append(key)
+        before = _settled(_snapshot(placer.ledger, allocation))
+        wanted = dict(want)
+        placer._failed = set()
+        try:
+            assert real(placer, allocation, want, request, child, ceiling, False) == 0
+        finally:
+            placer._failed = memo
+        assert list(want.items()) == list(wanted.items())
+        assert _settled(_snapshot(placer.ledger, allocation)) == before
+
+    _intercept(monkeypatch, hook)
+    with obs.enabled_scope() as counters:
+        _memo_churn(kind, ha)
+        # Every answer the placer took from its memo was checked here.
+        assert counters["cloudmirror.memo_hits"] == len(hits) > 0
+
+
+@KINDS
+@ARMS
+def test_equal_versions_are_equal_states(kind, ha, monkeypatch):
+    recurrences = []
+
+    class Versioned(TenantAllocation):
+        """Logs the state under its version at every savepoint and after
+        every rollback, and every version a mutation takes."""
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            self._states = {}
+            self._taken = {0}
+
+        def _observe(self):
+            state = _settled(_snapshot(self.ledger, self))
+            recurrences.append(self.version in self._states)
+            assert self._states.setdefault(self.version, state) == state
+
+        def savepoint(self):
+            self._observe()
+            return super().savepoint()
+
+        def rollback(self, savepoint):
+            super().rollback(savepoint)
+            assert self.version == savepoint.version
+            self._observe()
+
+        def _bump_counts(self, *args):
+            super()._bump_counts(*args)
+            self._fresh()
+
+        def _reserve(self, *args):
+            ops = len(self._state_ops)
+            super()._reserve(*args)
+            if len(self._state_ops) != ops:
+                self._fresh()
+
+        def _fresh(self):
+            assert self.version not in self._taken
+            self._taken.add(self.version)
+
+    monkeypatch.setattr(cloudmirror, "TenantAllocation", Versioned)
+    _memo_churn(kind, ha)
+    assert any(recurrences)
+
+
+@pytest.mark.parametrize(
+    "slots, cool, hot, grow",
+    [
+        # scale_up: the growth's first offer repeats, version for version,
+        # one the hot tenant's rejection saw fail on the same server.
+        (4, Tag.hose("cool", 6, 10.0), Tag.hose("hot", 6, 100.0), True),
+        # place: every new allocation starts at version 0, like the last.
+        (2, Tag.hose("cool", 3, 10.0), Tag.hose("hot", 4, 60.0), False),
+    ],
+    ids=["scale_up", "place"],
+)
+def test_memo_dies_with_its_search(slots, cool, hot, grow, monkeypatch):
+    offers = []
+    _intercept(monkeypatch, lambda real, key, *args: offers.append(key))
+    layouts = []
+    for fresh in (False, True):
+        ledger = Ledger(single_rack(servers=4, slots_per_server=slots, nic_mbps=100.0))
+        placer = CloudMirrorPlacer(ledger)
+        allocation = placer.place(cool).allocation
+        assert isinstance(placer.place(hot), Rejection)
+        left_behind = set(placer._failed)
+        if fresh:
+            placer = CloudMirrorPlacer(ledger)
+        del offers[:]
+        if grow:
+            assert placer.scale_up(allocation, "all", 3)
+        else:
+            allocation.release()  # what the rejected search saw is gone
+            result = placer.place(hot)
+            assert isinstance(result, Placement)
+            allocation = result.allocation
+        # Directed: the keys the rejection left would have answered.
+        assert left_behind & set(offers)
+        layouts.append(_layout(allocation))
+    assert layouts[0] == layouts[1]
