@@ -26,7 +26,7 @@ between lookups:
     calls :meth:`track_racks`.
 
 Invalidation is *lazy* via per-node dirty bits: every slot mutation
-funnels through ``SlotAccountingMixin._apply_slots`` (reserve, release
+funnels through ``ReservationLedger._apply_slots`` (reserve, release
 and journal rollback alike), which hands the touched server's ancestor
 tuple to :meth:`touch_path`; the marked nodes are re-scored on the next
 lookup of their level (or rack) and everything else is reused as-is.
@@ -71,7 +71,7 @@ class CandidateIndex:
     )
 
     def __init__(self, ledger) -> None:
-        # ``ledger`` is any SlotAccountingMixin host: it provides
+        # ``ledger`` is any ReservationLedger: it provides
         # ``flat``, ``free_slots_id`` and ``used_slots_id``.
         self.ledger = ledger
         flat = ledger.flat
@@ -100,7 +100,7 @@ class CandidateIndex:
         self._enum_pos = [0] * size
 
     # ------------------------------------------------------------------
-    # invalidation (driven by SlotAccountingMixin._apply_slots)
+    # invalidation (driven by ReservationLedger._apply_slots)
     # ------------------------------------------------------------------
     def touch_path(self, ancestors: tuple[int, ...]) -> None:
         """Mark a mutated server's root-path dirty.

@@ -240,8 +240,8 @@ class CloudMirrorPlacer:
                 if free <= 0 or node.is_root:
                     continue
                 available = min(
-                    self.ledger.nominal_available_up(node),
-                    self.ledger.nominal_available_down(node),
+                    self.ledger.nominal_available_up_id(node.node_id),
+                    self.ledger.nominal_available_down_id(node.node_id),
                 )
                 ratios.append(max(0.0, available) / free)
             if not ratios:

@@ -108,7 +108,8 @@ def saving_desirable(
     free = ledger.free_slots(node)
     if free <= 0:
         return True
-    available = min(ledger.available_up(node), ledger.available_down(node))
+    node_id = node.node_id
+    available = min(ledger.available_up_id(node_id), ledger.available_down_id(node_id))
     if math.isinf(available):
         return False
     return available / free < expected_demand

@@ -74,8 +74,7 @@ class PipeAllocation:
             self.ledger.release_slots(self.ledger.topology.node(server_id), count)
         for node_id, (up, down) in self._reserved.items():
             if up or down:
-                node = self.ledger.topology.node(node_id)
-                self.ledger.release_uplink(node, up, down)
+                self.ledger.release_uplink_id(node_id, up, down)
         self.vm_server.clear()
         self.vm_server_ids.clear()
         self._reserved.clear()

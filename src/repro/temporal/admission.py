@@ -29,7 +29,9 @@ so:
 
 * ``available_*``/``nominal_*``/``reserved_*`` are a single cache load
   (capacity minus the cross-plane maximum) instead of a generator
-  expression ``min`` over W per-plane method calls;
+  expression ``min`` over W per-plane method calls — they are the
+  :class:`~repro.topology.ledger.ReservationLedger` queries, which
+  read nothing but that cache;
 * ``adjust_uplink_id`` is one fused scaled-delta + feasibility check
   across the whole plane column, journalled as a single tuple undo
   record (previous column + previous maxima) — no per-plane journals
@@ -37,9 +39,9 @@ so:
 * ``window_utilization`` reads level id slices off the flat topology
   instead of walking ``Node`` objects.
 
-VM slots are time-invariant, so slot state stays scalar — the very
-same :class:`~repro.topology.ledger.SlotAccountingMixin` the classic
-ledger uses.
+VM slots are time-invariant, so slot state stays scalar, and
+:class:`TemporalLedger` inherits it — with every query, the overcommit
+set and ``rollback`` — from the base it shares with the classic ledger.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -59,7 +61,7 @@ from repro.placement.base import Placement, Rejection
 from repro.placement.cloudmirror import CloudMirrorPlacer
 from repro.temporal.profile import TemporalProfile, TemporalTag
 from repro.topology.builder import DatacenterSpec, three_level_tree
-from repro.topology.ledger import OP_MASK, OP_SLOTS, Journal, SlotAccountingMixin
+from repro.topology.ledger import Journal, ReservationLedger
 from repro.topology.tree import Node, Topology
 
 __all__ = [
@@ -71,19 +73,6 @@ __all__ = [
 ]
 
 _EPSILON = EPSILON
-
-# Journal op tags.  Slot records come from SlotAccountingMixin under
-# the shared ``OP_SLOTS`` tag; the bandwidth record is this ledger's
-# own shape —
-#   (_OP_BANDWIDTH, node_id, prev_up_column, prev_down_column,
-#    prev_max_up, prev_max_down)
-# — one record undoing the mutation on every plane at once.
-_OP_SLOTS = OP_SLOTS
-_OP_BANDWIDTH = 1
-
-# The temporal adjust kernel journals _OP_BANDWIDTH records itself; the
-# tag value is part of the kernel contract (see repro._kernels.pyref).
-assert _OP_BANDWIDTH == 1
 
 
 class TemporalPlaneView:
@@ -115,70 +104,41 @@ class TemporalPlaneView:
 
     def reserved_at_level(self, level: int) -> float:
         ledger = self._ledger
-        up = ledger._up
-        windows = ledger.windows
-        window = self._window
-        root_id = ledger._root_id
-        return sum(
-            up[node_id * windows + window]
-            for node_id in ledger.flat.level_ids[level]
-            if node_id != root_id
-        )
+        return ledger._level_sum(level, ledger._up, ledger.windows, self._window)
 
 
-class TemporalLedger(SlotAccountingMixin):
+class TemporalLedger(ReservationLedger):
     """W bandwidth planes on one contiguous per-direction state block.
 
-    Duck-types the :class:`repro.topology.ledger.Ledger` surface the
-    placement machinery uses.  Slots are global; bandwidth deltas apply
-    to every plane scaled by the *active ratios* (the current tenant's
-    per-window fraction of its peak), which the caller must set via
-    :meth:`set_ratios` before placing or releasing a tenant —
-    reservations are plane-scaled per tenant, so release must run under
-    the same ratios as the original placement.
+    The same :class:`~repro.topology.ledger.ReservationLedger` the
+    classic ledger is, over W-window columns: ``_max_up`` / ``_max_down``
+    hold each uplink's cross-plane maximum, so availability and
+    overcommit are the binding window's.  Slots are global; bandwidth
+    deltas apply to every plane scaled by the *active ratios* (the
+    current tenant's per-window fraction of its peak), which the caller
+    must set via :meth:`set_ratios` before placing or releasing a tenant
+    — reservations are plane-scaled per tenant, so release must run
+    under the same ratios as the original placement.
     """
 
     def __init__(self, topology: Topology, windows: int) -> None:
         if windows < 1:
             raise SimulationError("need at least one time window")
-        _kernels.note_backend()
-        self.topology = topology
-        # The flat array view the placement machinery drives its path
-        # walks from (shared by every plane; structure is per-topology).
-        flat = topology.flat
-        self.flat = flat
+        super().__init__(topology)
         self.windows = windows
-        size = flat.size
-        self._root_id = flat.root_id
-        # Local aliases of the flat capacity arrays: the availability
-        # queries below are the placer's innermost loop.
-        self._cap_up = flat.cap_up
-        self._cap_down = flat.cap_down
-        self._nom_up = flat.nominal_up
-        self._nom_down = flat.nominal_down
         # The reservation block: node ``i``'s W-window column is the
         # contiguous slice ``[i*W, (i+1)*W)``, so the fused adjust reads
         # and writes one slice; plane ``w`` is the stride-W view
         # ``[w::W]`` (see plane_matrices / TemporalPlaneView).
-        self._up = [0.0] * (size * windows)
-        self._down = [0.0] * (size * windows)
-        # Cross-plane maxima per node, maintained on every mutation so
-        # worst-case availability queries are one load + subtraction.
-        self._max_up = [0.0] * size
-        self._max_down = [0.0] * size
-        self._used_slots = [0] * size
-        self._free_subtree = list(flat.subtree_slots)
-        # Effective slot capacity (see Ledger): aliases the immutable
-        # column until a FailureMask attaches its own mutable copy.
-        self.slot_cap = flat.slots
-        self._over: set[int] = set()
+        size = self.flat.size * windows
+        self._up = [0.0] * size
+        self._down = [0.0] * size
         self._ratios: tuple[float, ...] = tuple([1.0] * windows)
         # Ratio memo: profiles hash by their factors tuple, and the
         # window-to-peak ratios are a pure function of them, so a pool
         # of ~80 recurring tenants computes each division exactly once
         # over a million-event service run.  ``_active_profile`` is the
-        # identity fast path for back-to-back activations of the same
-        # tenant (cohort admission sorts consecutive same-profile runs).
+        # identity fast path for back-to-back activations of one profile.
         self._ratio_cache: dict[TemporalProfile, tuple[float, ...]] = {}
         self._active_profile: TemporalProfile | None = None
         self._planes = tuple(
@@ -222,103 +182,22 @@ class TemporalLedger(SlotAccountingMixin):
         self._active_profile = profile
 
     # ------------------------------------------------------------------
-    # Ledger surface used by placement: queries (slot queries come from
-    # SlotAccountingMixin)
+    # per-window read-outs
     # ------------------------------------------------------------------
-    def available_up(self, node: Node) -> float:
-        return self.available_up_id(node.node_id)
-
-    def available_up_id(self, node_id: int) -> float:
-        if node_id == self._root_id:
-            return math.inf
-        return self._cap_up[node_id] - self._max_up[node_id]
-
-    def available_down(self, node: Node) -> float:
-        return self.available_down_id(node.node_id)
-
-    def available_down_id(self, node_id: int) -> float:
-        if node_id == self._root_id:
-            return math.inf
-        return self._cap_down[node_id] - self._max_down[node_id]
-
-    def nominal_available_up(self, node: Node) -> float:
-        return self.nominal_available_up_id(node.node_id)
-
-    def nominal_available_up_id(self, node_id: int) -> float:
-        if node_id == self._root_id:
-            return math.inf
-        return self._nom_up[node_id] - self._max_up[node_id]
-
-    def nominal_available_down(self, node: Node) -> float:
-        return self.nominal_available_down_id(node.node_id)
-
-    def nominal_available_down_id(self, node_id: int) -> float:
-        if node_id == self._root_id:
-            return math.inf
-        return self._nom_down[node_id] - self._max_down[node_id]
-
-    def reserved_up(self, node: Node) -> float:
-        node_id = node.node_id
-        return 0.0 if node_id == self._root_id else self._max_up[node_id]
-
-    def reserved_down(self, node: Node) -> float:
-        node_id = node.node_id
-        return 0.0 if node_id == self._root_id else self._max_down[node_id]
-
     def reserved_at_level(self, level: int) -> float:
         """Worst-case (across planes) reserved up-bandwidth at one level."""
         return max(plane.reserved_at_level(level) for plane in self._planes)
 
     def window_level_fraction(self, window: int, level: int) -> float:
-        """Reserved fraction of one level's aggregate capacity, one window.
-
-        Level slices come straight off the flat topology's ``level_ids``;
-        summation order matches the legacy ``level_nodes`` walk so the
-        reported fractions are bit-stable across the rebuild.
-        """
-        flat = self.flat
-        root_id = self._root_id
-        ids = [i for i in flat.level_ids[level] if i != root_id]
-        capacity = sum(flat.cap_up[i] for i in ids)
+        """Reserved fraction of one level's aggregate capacity, one window."""
+        capacity = self._level_sum(level, self._cap_up)
         if capacity == 0 or math.isinf(capacity):
             return 0.0
-        up = self._up
-        windows = self.windows
-        return sum(up[i * windows + window] for i in ids) / capacity
-
-    def has_overcommit(self) -> bool:
-        return bool(self._over)
-
-    def overcommitted_nodes(self) -> frozenset[int]:
-        return frozenset(self._over)
-
-    def _update_overcommit(
-        self, node_id: int, max_up: float, max_down: float
-    ) -> None:
-        """Refresh ``node_id``'s overcommit membership from its new maxima."""
-        if (
-            max_up > self._cap_up[node_id] + _EPSILON
-            or max_down > self._cap_down[node_id] + _EPSILON
-        ):
-            self._over.add(node_id)
-        else:
-            self._over.discard(node_id)
+        return self._level_sum(level, self._up, self.windows, window) / capacity
 
     # ------------------------------------------------------------------
-    # mutations (journalled; slot mutations come from SlotAccountingMixin)
+    # mutations (journalled)
     # ------------------------------------------------------------------
-    def adjust_uplink(
-        self,
-        node: Node,
-        delta_up: float,
-        delta_down: float,
-        journal: Journal,
-        enforce: bool = True,
-    ) -> bool:
-        return self.adjust_uplink_id(
-            node.node_id, delta_up, delta_down, journal, enforce
-        )
-
     def adjust_uplink_id(
         self,
         node_id: int,
@@ -353,13 +232,8 @@ class TemporalLedger(SlotAccountingMixin):
             enforce,
             _EPSILON,
         )
-        if status == 2:
-            name = self.flat.node_of[node_id].name  # type: ignore[union-attr]
-            raise LedgerError(
-                f"uplink reservation on {name!r} would become negative"
-            )
-        if status != 0:
-            return False
+        if status:
+            return self._adjust_refused(status, node_id)
         c = _obs.counters
         if c is not None:
             c.bump("temporal.journal_ops")
@@ -390,9 +264,6 @@ class TemporalLedger(SlotAccountingMixin):
                 return None
         return bool(over)
 
-    def release_uplink(self, node: Node, up: float, down: float) -> None:
-        self.release_uplink_id(node.node_id, up, down)
-
     def release_uplink_id(self, node_id: int, up: float, down: float) -> None:
         """Unjournalled scaled release on every plane (departure path)."""
         if node_id == self._root_id:
@@ -409,49 +280,29 @@ class TemporalLedger(SlotAccountingMixin):
             for p, r in zip(self._down[base : base + windows], ratios)
         ]
         if min(new_up) < -_EPSILON or min(new_down) < -_EPSILON:
-            name = self.flat.node_of[node_id].name  # type: ignore[union-attr]
             raise LedgerError(
-                f"releasing more bandwidth than reserved on {name!r}"
+                "releasing more bandwidth than reserved on "
+                f"{self._name(node_id)!r}"
             )
         new_up = [v if v > 0.0 else 0.0 for v in new_up]
         new_down = [v if v > 0.0 else 0.0 for v in new_down]
         self._up[base : base + windows] = new_up
         self._down[base : base + windows] = new_down
-        max_up = max(new_up)
-        max_down = max(new_down)
-        self._max_up[node_id] = max_up
-        self._max_down[node_id] = max_down
-        self._update_overcommit(node_id, max_up, max_down)
+        self._max_up[node_id] = max(new_up)
+        self._max_down[node_id] = max(new_down)
+        self._update_overcommit(node_id)
 
-    # ------------------------------------------------------------------
-    # rollback
-    # ------------------------------------------------------------------
-    def rollback(self, journal: Journal, savepoint: int = 0) -> None:
-        """Undo journalled operations back to ``savepoint`` (in reverse)."""
-        ops = journal.ops
-        c = _obs.counters
-        if c is not None and len(ops) > savepoint:
-            c.bump("ledger.rollback_ops", len(ops) - savepoint)
+    def _restore_bandwidth(self, op) -> None:
+        """Undo one record of the temporal adjust kernel — ``(OP_BANDWIDTH,
+        node_id, prev_up_column, prev_down_column, prev_max_up,
+        prev_max_down)`` — on every plane at once."""
+        node_id = op[1]
         windows = self.windows
-        while len(ops) > savepoint:
-            op = ops.pop()
-            tag = op[0]
-            if tag == _OP_SLOTS:
-                self._apply_slots(op[1], -op[2])
-            elif tag == _OP_BANDWIDTH:
-                node_id = op[1]
-                base = node_id * windows
-                self._up[base : base + windows] = op[2]
-                self._down[base : base + windows] = op[3]
-                max_up = op[4]
-                max_down = op[5]
-                self._max_up[node_id] = max_up
-                self._max_down[node_id] = max_down
-                self._update_overcommit(node_id, max_up, max_down)
-            elif tag == OP_MASK:
-                self._failure_mask._undo(op)
-            else:  # pragma: no cover - defensive
-                raise LedgerError(f"unknown journal op {op!r}")
+        base = node_id * windows
+        self._up[base : base + windows] = op[2]
+        self._down[base : base + windows] = op[3]
+        self._max_up[node_id] = op[4]
+        self._max_down[node_id] = op[5]
 
 
 @dataclass
@@ -527,48 +378,6 @@ class TemporalCluster:
         admission = TemporalAdmission(tenant, result.allocation)
         self._admitted[id(admission)] = admission
         return admission
-
-    def admit_cohort(
-        self, tenants: Sequence[TemporalTag]
-    ) -> list[TemporalAdmission | None]:
-        """Admit one arrival cohort with a fused W-plane feasibility pass.
-
-        Decision-identical to :meth:`admit` called per tenant in arrival
-        order (a test pins this): VM slots are plane-invariant, so one
-        running root free-slot count screens the whole batch — a tenant
-        whose VM count exceeds it is rejected without activating its
-        ratios or walking any plane (the placer's own first gate would
-        reject it identically) — and survivors place under the memoized
-        ratios, paying the per-plane work only for tenants that can
-        actually fit.
-        """
-        ledger = self.ledger
-        root_id = ledger.flat.root_id
-        free = ledger.free_slots_id(root_id)
-        results: list[TemporalAdmission | None] = []
-        for tenant in tenants:
-            if tenant.profile.windows != self.windows:
-                raise SimulationError(
-                    f"tenant has {tenant.profile.windows} windows, cluster "
-                    f"has {self.windows}"
-                )
-            tag = self._peak_tag(tenant)
-            if tag.size > free:  # type: ignore[attr-defined]
-                self.rejected += 1
-                results.append(None)
-                continue
-            ledger.set_ratios(tenant.profile)
-            result = self.placer.place(tag)
-            if isinstance(result, Rejection):
-                self.rejected += 1
-                results.append(None)
-                continue
-            assert isinstance(result, Placement)
-            admission = TemporalAdmission(tenant, result.allocation)
-            self._admitted[id(admission)] = admission
-            results.append(admission)
-            free = ledger.free_slots_id(root_id)
-        return results
 
     def depart(self, admission: TemporalAdmission) -> None:
         # Release must run under the departing tenant's own ratios: its

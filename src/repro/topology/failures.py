@@ -1,6 +1,6 @@
 """First-class failure state over the flat topology arrays.
 
-A :class:`FailureMask` attaches to any ``SlotAccountingMixin`` ledger
+A :class:`FailureMask` attaches to any ``ReservationLedger``
 (the classic :class:`~repro.topology.ledger.Ledger` or the W-plane
 temporal ledger) and makes failed servers, switches and uplinks a native
 input to the placement scan — the FGR model of ``--failed 4 8 18``-style

@@ -15,10 +15,19 @@ State lives in flat id-indexed arrays mirroring
 :class:`repro.topology.flat.FlatTopology` (used slots, used up/down
 bandwidth, free slots per subtree), so capacity checks and rollbacks are
 plain list indexing rather than dict lookups, and the slot aggregates
-update by looping a precomputed ancestor id tuple.  Every Node-taking
-method has an ``*_id`` twin operating on raw node ids; the Node methods
-delegate, and hot inner loops (placement state, the placers) call the id
-forms directly with ids drawn from the flat topology's path arrays.
+update by looping a precomputed ancestor id tuple.  Bandwidth is queried
+and mutated by raw node id only (``*_id``), with ids drawn from the flat
+topology's path arrays; the ``Node``-taking forms that remain are the
+read-outs callers hold a ``Node`` for (``free_slots``, ``used_slots``,
+``reserved_up`` / ``reserved_down``) and ``reserve_slots`` /
+``release_slots``, which have no id twin.
+
+:class:`ReservationLedger` is the one base of both storages — everything
+that reads only the worst-case reservation per uplink is defined there
+once.  :class:`Ledger` keeps one reservation per uplink, which is its
+own worst case; the W-plane
+:class:`repro.temporal.admission.TemporalLedger` keeps a W-window
+column per uplink and its maximum.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from repro.errors import LedgerError
 from repro.obs import core as _obs
 from repro.topology.tree import Node, Topology
 
-__all__ = ["Ledger", "Journal", "SlotAccountingMixin"]
+__all__ = ["Ledger", "Journal", "ReservationLedger"]
 
 # Tolerance for floating-point capacity comparisons (Mbps); the single
 # repo-wide value from repro.core.constants.
@@ -43,14 +52,13 @@ _EPSILON = EPSILON
 # sweeps journal millions of mutations and dataclass construction was a
 # measurable share of trial runtime:
 #   (OP_SLOTS, server_id, count)
-#   (OP_BANDWIDTH, node_id, prev_up, prev_down)
-# OP_SLOTS is part of the contract shared with every ledger that mixes
-# in SlotAccountingMixin: their rollback dispatch must treat tag 0 as a
-# slot op.  Bandwidth tags are per-ledger (the temporal ledger journals
-# a different record shape under the same tag value 1).  OP_MASK records
-# failure-mask transitions — (OP_MASK, kind, ...) — and is shared like
-# OP_SLOTS: every mixin host's rollback hands tag 2 to the attached
-# :class:`repro.topology.failures.FailureMask`.
+#   (OP_BANDWIDTH, node_id, ...)
+# :meth:`ReservationLedger.rollback` undoes all three.  The tail of a
+# bandwidth record is its ledger's own — ``prev_up, prev_down`` here, the
+# previous columns and maxima in the temporal ledger — written by that
+# ledger's adjust kernel and read back by its ``_restore_bandwidth``.
+# OP_MASK records failure-mask transitions — (OP_MASK, kind, ...) — and
+# goes to the attached :class:`repro.topology.failures.FailureMask`.
 OP_SLOTS = 0
 OP_BANDWIDTH = 1
 OP_MASK = 2
@@ -64,8 +72,8 @@ assert OP_BANDWIDTH == 1
 class Journal:
     """An undo log of ledger mutations for one placement attempt.
 
-    Ops are opaque to callers; facades (e.g. the temporal ledger) may
-    append their own op records and interpret them in their rollback.
+    Ops are opaque to callers; only the ledger that wrote them reads
+    them back, in its rollback.
     """
 
     ops: list[object] = field(default_factory=list)
@@ -74,15 +82,17 @@ class Journal:
         return len(self.ops)
 
 
-class SlotAccountingMixin:
-    """Scalar VM-slot accounting shared by the reservation ledgers.
+class ReservationLedger:
+    """Slot accounting, worst-case uplink state and rollback of every ledger.
 
-    VM slots are time-invariant, so the classic :class:`Ledger` and the
-    W-plane temporal ledger keep exactly one copy of this state.  The
-    host class provides ``self.flat`` (slot capacities + ancestor id
-    tuples), ``self._used_slots`` and ``self._free_subtree`` (both
-    id-indexed lists), and a rollback that undoes ``(OP_SLOTS,
-    server_id, count)`` journal records via :meth:`_apply_slots`.
+    VM slots are time-invariant, so there is exactly one copy of that
+    state whatever the bandwidth storage.  Bandwidth is seen here only
+    through ``_max_up`` / ``_max_down`` — per uplink, the largest
+    reservation any time window holds — which is all that availability,
+    the overcommit set and the read-outs need.  A subclass adds its
+    reservation block, keeps ``_max_*`` current in its mutators
+    (``adjust_uplink_id``, ``release_uplink_id``) and restores both from
+    an ``OP_BANDWIDTH`` record in ``_restore_bandwidth(op)``.
 
     An optional :class:`repro.placement.candidates.CandidateIndex` can
     attach via :meth:`ensure_candidate_index`; once attached, every slot
@@ -99,6 +109,32 @@ class SlotAccountingMixin:
     # slot funnel pays one identity test per mutation without a mask.
     _failure_mask = None
     _down_cover = None
+
+    def __init__(self, topology: Topology) -> None:
+        _kernels.note_backend()
+        self.topology = topology
+        # The flat array view the placement machinery drives its path
+        # walks from.
+        flat = topology.flat
+        self.flat = flat
+        size = flat.size
+        self._root_id = flat.root_id
+        # Local aliases of the flat capacity arrays: the availability
+        # queries below are the placer's innermost loop.
+        self._cap_up = flat.cap_up
+        self._cap_down = flat.cap_down
+        self._nom_up = flat.nominal_up
+        self._nom_down = flat.nominal_down
+        # Worst-case reservation per uplink, maintained on every
+        # mutation so availability is one load + subtraction.
+        self._max_up = [0.0] * size
+        self._max_down = [0.0] * size
+        self._used_slots = [0] * size
+        self._free_subtree = list(flat.subtree_slots)
+        # Effective slot capacity: an *alias* of the shared immutable
+        # column until a FailureMask attaches and swaps in its own copy.
+        self.slot_cap = flat.slots
+        self._over: set[int] = set()
 
     def ensure_candidate_index(self):
         """The ledger's attached candidate index, created on first use."""
@@ -152,6 +188,76 @@ class SlotAccountingMixin:
     def used_slots_id(self, server_id: int) -> int:
         return self._used_slots[server_id]
 
+    def available_up_id(self, node_id: int) -> float:
+        """Unreserved uplink capacity toward the root."""
+        if node_id == self._root_id:
+            return math.inf
+        return self._cap_up[node_id] - self._max_up[node_id]
+
+    def available_down_id(self, node_id: int) -> float:
+        """Unreserved uplink capacity toward the leaves."""
+        if node_id == self._root_id:
+            return math.inf
+        return self._cap_down[node_id] - self._max_down[node_id]
+
+    def nominal_available_up_id(self, node_id: int) -> float:
+        """Unreserved *nominal* uplink capacity toward the root.
+
+        Identical to :meth:`available_up_id` on real topologies; on the
+        idealized unlimited topology (Table 1) it reflects the realistic
+        capacity the placement heuristics should reason about.
+        """
+        if node_id == self._root_id:
+            return math.inf
+        return self._nom_up[node_id] - self._max_up[node_id]
+
+    def nominal_available_down_id(self, node_id: int) -> float:
+        """Unreserved nominal uplink capacity toward the leaves."""
+        if node_id == self._root_id:
+            return math.inf
+        return self._nom_down[node_id] - self._max_down[node_id]
+
+    def reserved_up(self, node: Node) -> float:
+        node_id = node.node_id
+        return 0.0 if node_id == self._root_id else self._max_up[node_id]
+
+    def reserved_down(self, node: Node) -> float:
+        node_id = node.node_id
+        return 0.0 if node_id == self._root_id else self._max_down[node_id]
+
+    def _level_sum(
+        self, level: int, values: list[float], stride: int = 1, offset: int = 0
+    ) -> float:
+        """Left-to-right total of ``values[id * stride + offset]`` over the
+        uplinks of one tree level.
+
+        Not builtin ``sum()``: that is compensated from Python 3.12 on,
+        and these totals feed pinned rows (Table 1, the temporal goldens).
+        """
+        root_id = self._root_id
+        total = 0.0
+        for node_id in self.flat.level_ids[level]:
+            if node_id != root_id:
+                total += values[node_id * stride + offset]
+        return total
+
+    def has_overcommit(self) -> bool:
+        """Any uplink currently reserved beyond its capacity?"""
+        return bool(self._over)
+
+    def overcommitted_nodes(self) -> frozenset[int]:
+        return frozenset(self._over)
+
+    def _update_overcommit(self, node_id: int) -> None:
+        """Refresh ``node_id``'s overcommit membership from its maxima."""
+        if (
+            self._max_up[node_id] > self._cap_up[node_id] + _EPSILON
+            or self._max_down[node_id] > self._cap_down[node_id] + _EPSILON
+        ):
+            self._over.add(node_id)
+        else:
+            self._over.discard(node_id)
+
     # ------------------------------------------------------------------
     # mutations
     # ------------------------------------------------------------------
@@ -203,28 +309,53 @@ class SlotAccountingMixin:
         if index is not None:
             index.touch_path(ancestors)
 
+    def _adjust_refused(self, status: int, node_id: int) -> bool:
+        """An adjust kernel's non-zero status: refused (False) or an error."""
+        if status == 2:
+            raise LedgerError(
+                f"uplink reservation on {self._name(node_id)!r} would "
+                "become negative"
+            )
+        return False
 
-class Ledger(SlotAccountingMixin):
+    def _name(self, node_id: int) -> str:
+        return self.flat.node_of[node_id].name  # type: ignore[union-attr]
+
+    # ------------------------------------------------------------------
+    # rollback
+    # ------------------------------------------------------------------
+    def rollback(self, journal: Journal, savepoint: int = 0) -> None:
+        """Undo journalled operations back to ``savepoint`` (in reverse)."""
+        ops = journal.ops
+        c = _obs.counters
+        if c is not None and len(ops) > savepoint:
+            c.bump("ledger.rollback_ops", len(ops) - savepoint)
+        while len(ops) > savepoint:
+            op = ops.pop()
+            tag = op[0]
+            if tag == OP_SLOTS:
+                self._apply_slots(op[1], -op[2])
+            elif tag == OP_BANDWIDTH:
+                self._restore_bandwidth(op)
+                self._update_overcommit(op[1])
+            elif tag == OP_MASK:
+                self._failure_mask._undo(op)
+            else:  # pragma: no cover - defensive
+                raise LedgerError(f"unknown journal op {op!r}")
+
+
+class Ledger(ReservationLedger):
     """Mutable reservation state over an immutable :class:`Topology`."""
 
     def __init__(self, topology: Topology) -> None:
-        _kernels.note_backend()
-        self._topology = topology
-        flat = topology.flat
-        self.flat = flat
-        size = flat.size
-        self._used_slots = [0] * size
-        self._used_up = [0.0] * size
-        self._used_down = [0.0] * size
-        self._free_subtree = list(flat.subtree_slots)
-        # Effective slot capacity: an *alias* of the shared immutable
-        # column until a FailureMask attaches and swaps in its own copy.
-        self.slot_cap = flat.slots
-        self._over: set[int] = set()
-        self._root_id = flat.root_id
+        super().__init__(topology)
+        # One reservation per uplink is its own worst case.
+        self._used_up = self._max_up
+        self._used_down = self._max_down
         # Finite-capacity server uplinks, for the utilization metric: the
         # capacity denominator is static, the usage numerator is summed
         # per sample in the same (node-id) order the seed code used.
+        flat = self.flat
         self._finite_server_ids = tuple(
             i
             for i in flat.server_order
@@ -236,79 +367,20 @@ class Ledger(SlotAccountingMixin):
                 capacity += node.uplink_up
         self._finite_server_capacity = capacity
 
-    @property
-    def topology(self) -> Topology:
-        return self._topology
-
     # ------------------------------------------------------------------
-    # queries (slot queries come from SlotAccountingMixin)
+    # utilisation metrics
     # ------------------------------------------------------------------
-    def available_up(self, node: Node) -> float:
-        """Unreserved uplink capacity toward the root."""
-        return self.available_up_id(node.node_id)
-
-    def available_up_id(self, node_id: int) -> float:
-        if node_id == self._root_id:
-            return math.inf
-        return self.flat.cap_up[node_id] - self._used_up[node_id]
-
-    def available_down(self, node: Node) -> float:
-        """Unreserved uplink capacity toward the leaves."""
-        return self.available_down_id(node.node_id)
-
-    def available_down_id(self, node_id: int) -> float:
-        if node_id == self._root_id:
-            return math.inf
-        return self.flat.cap_down[node_id] - self._used_down[node_id]
-
-    def nominal_available_up(self, node: Node) -> float:
-        """Unreserved *nominal* uplink capacity toward the root.
-
-        Identical to :meth:`available_up` on real topologies; on the
-        idealized unlimited topology (Table 1) it reflects the realistic
-        capacity the placement heuristics should reason about.
-        """
-        return self.nominal_available_up_id(node.node_id)
-
-    def nominal_available_up_id(self, node_id: int) -> float:
-        if node_id == self._root_id:
-            return math.inf
-        return self.flat.nominal_up[node_id] - self._used_up[node_id]
-
-    def nominal_available_down(self, node: Node) -> float:
-        """Unreserved nominal uplink capacity toward the leaves."""
-        return self.nominal_available_down_id(node.node_id)
-
-    def nominal_available_down_id(self, node_id: int) -> float:
-        if node_id == self._root_id:
-            return math.inf
-        return self.flat.nominal_down[node_id] - self._used_down[node_id]
-
-    def reserved_up(self, node: Node) -> float:
-        node_id = node.node_id
-        return 0.0 if node_id == self._root_id else self._used_up[node_id]
-
-    def reserved_down(self, node: Node) -> float:
-        node_id = node.node_id
-        return 0.0 if node_id == self._root_id else self._used_down[node_id]
-
     def reserved_at_level(self, level: int) -> float:
         """Total reserved uplink bandwidth (up direction) at one tree level.
 
         This is the metric of Table 1: "bandwidth reserved on uplinks from
         the server / ToR / agg switch network levels".
         """
-        used_up = self._used_up
-        root_id = self._root_id
-        return sum(
-            used_up[node_id]
-            for node_id in self.flat.level_ids[level]
-            if node_id != root_id
-        )
+        return self._level_sum(level, self._used_up)
 
     def iter_utilization(self) -> Iterator[tuple[Node, float, float]]:
         """Yield ``(node, up_fraction, down_fraction)`` for capacity links."""
-        for node in self._topology.nodes:
+        for node in self.topology.nodes:
             if node.is_root or math.isinf(node.uplink_up):
                 continue
             yield (
@@ -333,30 +405,8 @@ class Ledger(SlotAccountingMixin):
         return used / capacity
 
     # ------------------------------------------------------------------
-    # mutations (journalled; slot mutations come from SlotAccountingMixin)
+    # mutations (journalled)
     # ------------------------------------------------------------------
-    def adjust_uplink(
-        self,
-        node: Node,
-        delta_up: float,
-        delta_down: float,
-        journal: Journal,
-        enforce: bool = True,
-    ) -> bool:
-        """Adjust reserved uplink bandwidth by a delta.
-
-        With ``enforce=True`` the adjustment is refused (returning False)
-        when it would exceed capacity.  With ``enforce=False`` the
-        adjustment always applies and over-capacity links are tracked in
-        the overcommit set; placement algorithms use this to defer the
-        capacity check to subtree-completion boundaries (Algorithm 1
-        reserves per completed subtree, so transient mid-placement spikes
-        must not reject a tenant that finally fits).
-        """
-        return self.adjust_uplink_id(
-            node.node_id, delta_up, delta_down, journal, enforce
-        )
-
     def adjust_uplink_id(
         self,
         node_id: int,
@@ -365,7 +415,15 @@ class Ledger(SlotAccountingMixin):
         journal: Journal,
         enforce: bool = True,
     ) -> bool:
-        """Id-indexed :meth:`adjust_uplink` (the placement hot path).
+        """Adjust reserved uplink bandwidth by a delta (the placement hot path).
+
+        With ``enforce=True`` the adjustment is refused (returning False)
+        when it would exceed capacity.  With ``enforce=False`` the
+        adjustment always applies and over-capacity links are tracked in
+        the overcommit set; placement algorithms use this to defer the
+        capacity check to subtree-completion boundaries (Algorithm 1
+        reserves per completed subtree, so transient mid-placement spikes
+        must not reject a tenant that finally fits).
 
         The fused adjust + feasibility check + journal append runs in
         the active :mod:`repro._kernels` backend; this wrapper keeps
@@ -373,12 +431,11 @@ class Ledger(SlotAccountingMixin):
         """
         if node_id == self._root_id:
             return True
-        flat = self.flat
         status = _kernels.ledger_adjust(
             self._used_up,
             self._used_down,
-            flat.cap_up,
-            flat.cap_down,
+            self._cap_up,
+            self._cap_down,
             self._over,
             journal.ops,
             node_id,
@@ -387,13 +444,8 @@ class Ledger(SlotAccountingMixin):
             enforce,
             _EPSILON,
         )
-        if status == 2:
-            name = flat.node_of[node_id].name  # type: ignore[union-attr]
-            raise LedgerError(
-                f"uplink reservation on {name!r} would become negative"
-            )
-        if status != 0:
-            return False
+        if status:
+            return self._adjust_refused(status, node_id)
         c = _obs.counters
         if c is not None:
             c.bump("ledger.journal_ops")
@@ -412,7 +464,7 @@ class Ledger(SlotAccountingMixin):
         if node_id == self._root_id:
             return False
         up, down = [self._used_up[node_id]], [self._used_down[node_id]]
-        cap_up, cap_down = [self.flat.cap_up[node_id]], [self.flat.cap_down[node_id]]
+        cap_up, cap_down = [self._cap_up[node_id]], [self._cap_down[node_id]]
         over: set[int] = set()
         ops: list[object] = []
         for d_up, d_down in deltas:
@@ -422,63 +474,23 @@ class Ledger(SlotAccountingMixin):
                 return None
         return bool(over)
 
-    def has_overcommit(self) -> bool:
-        """Any uplink currently reserved beyond its capacity?"""
-        return bool(self._over)
-
-    def overcommitted_nodes(self) -> frozenset[int]:
-        return frozenset(self._over)
-
-    def _update_overcommit(self, node_id: int) -> None:
-        over = (
-            self._used_up[node_id] > self.flat.cap_up[node_id] + _EPSILON
-            or self._used_down[node_id] > self.flat.cap_down[node_id] + _EPSILON
-        )
-        if over:
-            self._over.add(node_id)
-        else:
-            self._over.discard(node_id)
-
-    def release_uplink(self, node: Node, up: float, down: float) -> None:
-        """Release bandwidth without journalling (tenant departure path)."""
-        self.release_uplink_id(node.node_id, up, down)
-
     def release_uplink_id(self, node_id: int, up: float, down: float) -> None:
+        """Release bandwidth without journalling (tenant departure path)."""
         if node_id == self._root_id:
             return
         new_up = self._used_up[node_id] - up
         new_down = self._used_down[node_id] - down
         if new_up < -_EPSILON or new_down < -_EPSILON:
-            name = self.flat.node_of[node_id].name  # type: ignore[union-attr]
             raise LedgerError(
-                f"releasing more bandwidth than reserved on {name!r}"
+                "releasing more bandwidth than reserved on "
+                f"{self._name(node_id)!r}"
             )
         self._used_up[node_id] = new_up if new_up > 0.0 else 0.0
         self._used_down[node_id] = new_down if new_down > 0.0 else 0.0
         self._update_overcommit(node_id)
 
-    # ------------------------------------------------------------------
-    # rollback
-    # ------------------------------------------------------------------
-    def rollback(self, journal: Journal, savepoint: int = 0) -> None:
-        """Undo journalled operations back to ``savepoint`` (in reverse)."""
-        ops = journal.ops
-        c = _obs.counters
-        if c is not None and len(ops) > savepoint:
-            c.bump("ledger.rollback_ops", len(ops) - savepoint)
-        used_up = self._used_up
-        used_down = self._used_down
-        while len(ops) > savepoint:
-            op = ops.pop()
-            tag = op[0]
-            if tag == OP_SLOTS:
-                self._apply_slots(op[1], -op[2])
-            elif tag == OP_BANDWIDTH:
-                node_id = op[1]
-                used_up[node_id] = op[2]
-                used_down[node_id] = op[3]
-                self._update_overcommit(node_id)
-            elif tag == OP_MASK:
-                self._failure_mask._undo(op)
-            else:  # pragma: no cover - defensive
-                raise LedgerError(f"unknown journal op {op!r}")
+    def _restore_bandwidth(self, op) -> None:
+        """Undo one ``(OP_BANDWIDTH, node_id, prev_up, prev_down)`` record."""
+        node_id = op[1]
+        self._used_up[node_id] = op[2]
+        self._used_down[node_id] = op[3]

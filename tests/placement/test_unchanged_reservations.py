@@ -198,7 +198,10 @@ def _state(ledger, allocations):
         ledger_fingerprint(ledger),
         ledger.overcommitted_nodes(),
         planes,
-        tuple((ledger.available_up(n), ledger.available_down(n)) for n in non_root),
+        tuple(
+            (ledger.available_up_id(n.node_id), ledger.available_down_id(n.node_id))
+            for n in non_root
+        ),
         tuple(ledger.free_slots(n) for n in TOPOLOGY.nodes),
         tuple(
             (

@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.bandwidth import uplink_requirement
 from repro.core.tag import Tag
 from repro.errors import SimulationError
 from repro.obs import core as obs
+from repro.placement.base import Placement
+from repro.placement.cloudmirror import CloudMirrorPlacer
 from repro.temporal.admission import TemporalCluster
 from repro.temporal.profile import TemporalProfile, TemporalTag, diurnal_profile
-from repro.topology.builder import DatacenterSpec
+from repro.topology.builder import DatacenterSpec, three_level_tree
+from repro.topology.ledger import Ledger
+from repro.workloads import bing_pool
+from repro.workloads.scaling import scale_pool
 
 
 def web_tenant(scale: float = 1.0) -> Tag:
@@ -82,17 +89,65 @@ class TestTemporalTag:
 
 
 class TestTemporalCluster:
-    def test_flat_profile_matches_classic(self):
-        cluster = TemporalCluster(SPEC, windows=1)
-        tenant = TemporalTag(web_tenant(), TemporalProfile.flat(1))
-        assert cluster.admit(tenant) is not None
-        assert len(cluster.admitted) == 1
+    def test_flat_profile_matches_classic(self, backend):
+        """One window under a flat profile *is* a classic ledger: the same
+        decisions, layouts and per-uplink state after every churn step."""
+        topology = three_level_tree(DatacenterSpec(pods=1))
+        classic = CloudMirrorPlacer(Ledger(topology))
+        temporal = TemporalCluster(None, 1, topology=topology)
+        pool = [
+            TemporalTag(tag, TemporalProfile.flat(1))
+            for tag in scale_pool(bing_pool(tenants=40), 3000.0)
+        ]
+        rng = random.Random(2014)
+        live, rejected = [], 0
+
+        def layout(allocation):
+            return sorted(
+                (server.node_id, sorted(counts.items()))
+                for server, counts in allocation.iter_server_placements()
+            )
+
+        for _ in range(2000):
+            if live and rng.random() < 0.4:
+                placed, admission = live.pop(rng.randrange(len(live)))
+                placed.allocation.release()
+                temporal.depart(admission)
+            else:
+                tenant = rng.choice(pool)
+                placed = classic.place(tenant.base)
+                admission = temporal.admit(tenant)
+                assert isinstance(placed, Placement) == (admission is not None)
+                if admission is None:
+                    rejected += 1
+                else:
+                    assert layout(placed.allocation) == layout(admission.allocation)
+                    live.append((placed, admission))
+            one, planes = classic.ledger, temporal.ledger
+            assert one._used_slots == planes._used_slots
+            assert one._over == planes._over
+            assert one._used_up == planes._max_up == planes._up
+            assert one._used_down == planes._max_down == planes._down
+        assert rejected > 100  # a tenth of ~1,200 arrivals, most on bandwidth
 
     def test_window_mismatch_rejected(self):
         cluster = TemporalCluster(SPEC, windows=4)
         tenant = TemporalTag(web_tenant(), TemporalProfile.flat(2))
         with pytest.raises(SimulationError):
             cluster.admit(tenant)
+
+    def test_ratios_compile_once_per_profile(self):
+        day = diurnal_profile(4, peak_window=1, trough=0.2)
+        night = diurnal_profile(4, peak_window=3, trough=0.2)
+        with obs.enabled_scope() as counters:
+            cluster = TemporalCluster(SPEC, windows=4)
+            for i in range(60):
+                cluster.admit(
+                    TemporalTag(web_tenant(0.4 + 0.1 * (i % 3)), day if i % 2 else night)
+                )
+            # Two distinct profiles: the memo means two compiles, never
+            # one per arrival.
+            assert counters.get("temporal.ratio_compiles", 0) <= 2
 
     def test_reservations_follow_profile(self):
         cluster = TemporalCluster(SPEC, windows=2)
@@ -166,53 +221,3 @@ class TestTemporalCluster:
         after = [cluster.window_utilization(0, level) for level in range(3)]
         assert before == after
         assert cluster.ledger.free_slots(cluster.topology.root) == SPEC.total_slots
-
-
-class TestCohortAdmission:
-    """admit_cohort must be decision-identical to per-tenant admit."""
-
-    def _tenant_mix(self, windows=4, count=40):
-        day = diurnal_profile(windows, peak_window=1, trough=0.2)
-        night = diurnal_profile(windows, peak_window=3, trough=0.2)
-        return [
-            TemporalTag(web_tenant(0.4 + 0.1 * (i % 3)), day if i % 2 else night)
-            for i in range(count)
-        ]
-
-    def test_cohort_matches_sequential_admit(self):
-        from repro.simulation.service import ledger_fingerprint
-
-        tenants = self._tenant_mix()
-        sequential = TemporalCluster(SPEC, windows=4)
-        expected = [sequential.admit(t) is not None for t in tenants]
-        batched = TemporalCluster(SPEC, windows=4)
-        results = batched.admit_cohort(tenants)
-        assert [r is not None for r in results] == expected
-        assert batched.rejected == sequential.rejected
-        assert ledger_fingerprint(batched.ledger) == ledger_fingerprint(
-            sequential.ledger
-        )
-
-    def test_cohort_skips_ratio_activation_for_infeasible_tenants(self):
-        from repro.obs import core as obs
-
-        tenants = self._tenant_mix(count=60)
-        with obs.enabled_scope() as counters:
-            batched = TemporalCluster(SPEC, windows=4)
-            batched.admit_cohort(tenants)
-            batched_compiles = counters.get("temporal.ratio_compiles", 0)
-        with obs.enabled_scope() as counters:
-            sequential = TemporalCluster(SPEC, windows=4)
-            for tenant in tenants:
-                sequential.admit(tenant)
-            sequential_compiles = counters.get("temporal.ratio_compiles", 0)
-        # Two distinct profiles in the pool: the memo means at most two
-        # compiles either way, never one per arrival.
-        assert batched_compiles <= 2
-        assert sequential_compiles <= 2
-
-    def test_window_mismatch_rejected_in_cohort(self):
-        cluster = TemporalCluster(SPEC, windows=4)
-        bad = TemporalTag(web_tenant(), diurnal_profile(8))
-        with pytest.raises(SimulationError):
-            cluster.admit_cohort([bad])

@@ -207,8 +207,8 @@ class MirroredLedger(Ledger):
         return ops
 
     def _check(self) -> None:
-        assert observable_state(self, self._topology) == observable_state(
-            self.reference, self._topology
+        assert observable_state(self, self.topology) == observable_state(
+            self.reference, self.topology
         )
 
     def reserve_slots(self, server, count, journal):
@@ -228,7 +228,7 @@ class MirroredLedger(Ledger):
         got = super().adjust_uplink_id(
             node_id, delta_up, delta_down, journal, enforce
         )
-        node = self._topology.node(node_id)
+        node = self.topology.node(node_id)
         assert got == self.reference.adjust_uplink(
             node, delta_up, delta_down, self._ref_ops(journal), enforce
         )
@@ -237,7 +237,7 @@ class MirroredLedger(Ledger):
 
     def release_uplink_id(self, node_id, up, down):
         super().release_uplink_id(node_id, up, down)
-        self.reference.release_uplink(self._topology.node(node_id), up, down)
+        self.reference.release_uplink(self.topology.node(node_id), up, down)
         self._check()
 
     def rollback(self, journal, savepoint=0):
@@ -321,8 +321,8 @@ def test_raw_ops_match_reference(topology_name, seed):
                 delta_up = rng.uniform(0.0, 6.0)
                 delta_down = rng.uniform(0.0, 6.0)
                 enforce = rng.random() < 0.5
-                got = ledger.adjust_uplink(
-                    node, delta_up, delta_down, journal, enforce
+                got = ledger.adjust_uplink_id(
+                    node.node_id, delta_up, delta_down, journal, enforce
                 )
                 assert got == reference.adjust_uplink(
                     node, delta_up, delta_down, ref_ops, enforce
@@ -364,7 +364,7 @@ def test_raw_ops_match_reference(topology_name, seed):
             node, up, down = committed_uplink.pop(
                 rng.randrange(len(committed_uplink))
             )
-            ledger.release_uplink(node, up, down)
+            ledger.release_uplink_id(node.node_id, up, down)
             reference.release_uplink(node, up, down)
             check()
 
@@ -486,11 +486,11 @@ def test_infinite_capacity_topology_state_matches():
     reference = ReferenceLedger(topology)
     journal = Journal()
     server = topology.servers[0]
-    assert ledger.adjust_uplink(
-        server, 1e9, 1e9, journal
+    assert ledger.adjust_uplink_id(
+        server.node_id, 1e9, 1e9, journal
     ) == reference.adjust_uplink(server, 1e9, 1e9, [])
     assert not ledger.has_overcommit()
-    assert math.isinf(ledger.available_up(server))
+    assert math.isinf(ledger.available_up_id(server.node_id))
     assert observable_state(ledger, topology) == observable_state(
         reference, topology
     )

@@ -2,7 +2,9 @@
 
 A failed placement attempt must restore the ledger *exactly*: per-server
 used slots, per-uplink reserved bandwidth in both directions, the
-incremental free-slot subtree aggregates, and the overcommit set.
+incremental free-slot subtree aggregates, and the overcommit set.  The
+one ``rollback`` loop is run against both storages: the classic ledger
+and a 4-plane temporal ledger under a non-flat profile.
 """
 
 from __future__ import annotations
@@ -12,14 +14,20 @@ import pytest
 from repro.core.tag import Tag
 from repro.errors import ReproError
 from repro.placement.state import TenantAllocation
+from repro.temporal.admission import TemporalLedger
+from repro.temporal.profile import TemporalProfile
 from repro.topology.builder import single_rack
-from repro.topology.ledger import Ledger
+from repro.topology.ledger import Ledger, ReservationLedger
 
 
-def snapshot(ledger: Ledger):
+def snapshot(ledger: ReservationLedger):
     """Full observable ledger state via public APIs only."""
     topology = ledger.topology
+    planes = ()
+    if isinstance(ledger, TemporalLedger):
+        planes = tuple(matrix.tobytes() for matrix in ledger.plane_matrices())
     return (
+        planes,
         {s.node_id: ledger.used_slots(s) for s in topology.servers},
         {
             n.node_id: (ledger.reserved_up(n), ledger.reserved_down(n))
@@ -35,9 +43,13 @@ def rack():
     return single_rack(servers=4, slots_per_server=2, nic_mbps=10.0)
 
 
-@pytest.fixture
-def ledger(rack) -> Ledger:
-    return Ledger(rack)
+@pytest.fixture(params=["classic", "temporal"])
+def ledger(request, rack) -> ReservationLedger:
+    if request.param == "classic":
+        return Ledger(rack)
+    planes = TemporalLedger(rack, 4)
+    planes.set_ratios(TemporalProfile((1.0, 0.5, 0.25, 0.75)))
+    return planes
 
 
 def two_tier_tag(bandwidth: float = 4.0) -> Tag:
