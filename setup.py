@@ -51,8 +51,6 @@ setup(
     entry_points={
         "console_scripts": [
             "repro=repro.cli:main",
-            # Legacy spelling from earlier revisions; same entry point.
-            "repro-experiment=repro.cli:main",
         ]
     },
     classifiers=[

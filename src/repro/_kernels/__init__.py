@@ -23,6 +23,10 @@ Backend selection happens once at import time from ``REPRO_KERNELS``:
            warn and fall back to pure Python
 =========  ==========================================================
 
+An extension that imports but lacks one of the kernels (a stale build
+from before that kernel existed) counts as not built: ``auto`` and ``c``
+warn, naming what is missing, and run pure Python.
+
 Consumers (``topology/ledger.py``, ``temporal/admission.py``,
 ``placement/state.py``, ``placement/secondnet.py``) call through the
 module attributes (``_kernels.ledger_adjust(...)``), which keeps the
@@ -83,11 +87,34 @@ except ImportError:  # pragma: no cover - depends on the build
     _compiled = None
 
 
-def _select_backend(requested: str, compiled_built: bool) -> tuple[str, str | None]:
+def _stale_reason(module: object | None) -> str | None:
+    """Why a loaded extension cannot serve; ``None`` if it can or is absent."""
+    if module is None:
+        return None
+    missing = [name for name in _KERNEL_NAMES if not hasattr(module, name)]
+    if not missing:
+        return None
+    return (
+        f"the compiled extension is stale: it lacks {', '.join(missing)} "
+        f"(REPRO_BUILD_EXT=1 python setup.py build_ext --inplace rebuilds it)"
+    )
+
+
+# Set when an extension was found but ignored; 'repro version' shows it.
+stale = _stale_reason(_compiled)
+if stale is not None:
+    _compiled = None
+
+
+def _select_backend(
+    requested: str, compiled_built: bool, stale: str | None = None
+) -> tuple[str, str | None]:
     """Resolve a ``REPRO_KERNELS`` value to ``(backend, warning | None)``.
 
     Pure so the dispatch policy is unit-testable without rebuilding the
-    extension or re-importing the package.
+    extension or re-importing the package.  ``stale`` is
+    :func:`_stale_reason`'s verdict on an extension that was found but
+    cannot serve (``compiled_built`` is then false).
     """
     requested = (requested or "auto").strip().lower() or "auto"
     if requested not in _CHOICES:
@@ -100,6 +127,8 @@ def _select_backend(requested: str, compiled_built: bool) -> tuple[str, str | No
         return "py", None
     if compiled_built:
         return "c", None
+    if stale is not None:
+        return "py", f"{stale}; falling back to the pure-Python kernels"
     if requested == "c":
         return (
             "py",
@@ -112,7 +141,7 @@ def _select_backend(requested: str, compiled_built: bool) -> tuple[str, str | No
 
 requested = os.environ.get(ENV_FLAG, "auto")
 compiled_available = _compiled is not None
-backend, _warning = _select_backend(requested, compiled_available)
+backend, _warning = _select_backend(requested, compiled_available, stale)
 if _warning is not None:
     warnings.warn(_warning, RuntimeWarning, stacklevel=2)
 
@@ -150,6 +179,7 @@ def kernels_info() -> dict:
         "backend": backend,
         "requested": (requested or "auto").strip().lower() or "auto",
         "compiled_available": compiled_available,
+        "stale": stale,
         "env": ENV_FLAG,
     }
 

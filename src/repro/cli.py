@@ -11,22 +11,31 @@
     repro run fig08 --telemetry --store runs.sqlite  # persist obs data
     repro results list runs.sqlite   # inspect / aggregate stored runs
     repro trace export --store runs.sqlite -o trace.json  # Chrome trace
-    repro profile fig08 --trials 2   # cProfile + obs counter summary
+    repro run table1 --workload hpcloud --store runs.sqlite  # own flags
+    repro profile fig08 --trials 2 --pods 1  # cProfile + obs counters
     repro version                    # package + kernel backend diagnostics
     repro -v run fig08               # INFO logging (-vv DEBUG, -q errors)
-    repro fig08 --pods 1             # shorthand for "run fig08 --pods 1"
+    repro fig08 --pods 1             # spells "repro run fig08 --pods 1"
 
-``run`` accepts grid overrides (``--seeds``, ``--loads``, ``--bmax``,
-``--placers``, ``--pods``, ``--arrivals``) that rewrite the registered
-scenario's axes — plus ``--load-profile {poisson,diurnal}`` for the
-service kind's arrival shape — plus ``--jobs N`` to execute the trial matrix over N
-worker processes (``--jobs 0`` = one per CPU; default: ``os.cpu_count()``
+``run`` is the one way to launch an experiment.  It looks the scenario
+up first — the name is the first argument — and builds its parser for
+it: the grid overrides the scenario's kind consumes (``--seeds``,
+``--loads``, ``--bmax``, ``--placers``, ``--pods``, ``--arrivals``; one
+the kind would ignore is refused, not dropped) plus the options the
+scenario's registry entry declares (``repro run table1 --workload
+hpcloud``, ``repro run service --cohort 256``; ``repro run <name> -h``
+lists them).  ``--jobs N`` executes the trial matrix over N worker
+processes (``--jobs 0`` = one per CPU; default: ``os.cpu_count()``
 capped at 8, serial for wall-clock kinds).  ``--store PATH`` makes the
 run persistent: already-computed trials are served from the store and
 fresh ones are recorded as they finish, so an interrupted run resumes.
 ``--shard i/n`` runs one deterministic stride of the matrix; combine
-per-shard stores with ``repro results merge``.  The legacy
-``repro-experiment <name>`` spelling keeps working via the shorthand.
+per-shard stores with ``repro results merge``.  ``repro <name> ...`` is
+nothing but a spelling of ``repro run <name> ...``; there is no
+``--seed`` flag (argparse reads it as the prefix of ``--seeds`` it is).
+
+Tables go to stdout, diagnostics (``error: ...``) to stderr; exit code 2
+is a usage error (unknown scenario or flag), 1 a failed run.
 
 Observability: leading ``-v``/``-q`` flags (before the subcommand)
 configure stdlib logging for the ``repro.*`` hierarchy.  ``run`` takes
@@ -45,23 +54,12 @@ import sys
 from repro.engine import Engine, Scenario, Variant, default_jobs, kind_axes, registry
 from repro.errors import EngineError, ReproError
 
-__all__ = ["main"]
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part != "")
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part != "")
-
-
-def _str_list(text: str) -> tuple[str, ...]:
-    return tuple(part for part in text.split(",") if part != "")
+__all__ = ["build_scenario", "fail", "main", "parse_scenario_args"]
 
 
 def _list_scenarios() -> int:
     print("usage: repro run <scenario> [--jobs N] [--seeds 0,1,..] [options]")
+    print("       repro run <scenario> -h   # the flags that scenario takes")
     print("\nregistered scenarios:")
     for entry in registry.entries():
         scenario = entry.scenario
@@ -94,6 +92,8 @@ def _version() -> int:
         f"(requested {ENV_FLAG}={info['requested']}, "
         f"available: {', '.join(available_backends())})"
     )
+    if info["stale"] is not None:
+        print(f"kernels: {info['stale']}")
     # Environment toggles, as set vs unset: the second question a
     # surprising run raises is which switches it inherited.
     kernels_env = os.environ.get(ENV_FLAG)
@@ -107,11 +107,102 @@ def _version() -> int:
     return 0
 
 
-def _build_run_parser() -> argparse.ArgumentParser:
+# The generic grid flags: (flag, the Scenario axis it overrides — also
+# its argparse dest —, type, help).  A scenario's kind consumes a subset
+# (``kind_axes``); the rest are hidden from its --help and refused.
+_AXIS_FLAGS = (
+    ("--seeds", "seeds", registry.int_list, "seed grid, e.g. 0,1,2"),
+    ("--loads", "loads", registry.float_list, "load grid, e.g. 0.5,0.9"),
+    ("--bmax", "bmaxes", registry.float_list, "B_max grid, e.g. 400,800"),
+    (
+        "--placers",
+        "placers",
+        registry.str_list,
+        "placer variants, e.g. cm,ovoc,secondnet",
+    ),
+    ("--pods", "pods", int, "datacenter pods"),
+    ("--arrivals", "arrivals", int, "tenant arrivals per trial"),
+)
+
+
+def parse_scenario_args(
+    parser: argparse.ArgumentParser, argv: list[str]
+) -> tuple[registry.RegisteredScenario, argparse.Namespace]:
+    """Parse ``<scenario> [flags]`` for ``repro run`` and ``repro profile``.
+
+    ``parser`` arrives with the subcommand's own flags; the scenario is
+    looked up first — it is the first argument — so the parser can offer
+    the grid axes its kind consumes plus the options its registry entry
+    declares.  Raises :class:`EngineError` for a usage error: an unknown
+    scenario, or a grid flag the kind would silently ignore.
+    """
+    parser.add_argument("name", help="scenario name or alias (see 'repro list')")
+    entry = None
+    ignored_axes: set[str] = set()
+    if argv and not argv[0].startswith("-"):
+        entry = registry.get(argv[0])
+        ignored_axes = {axis for _, axis, _, _ in _AXIS_FLAGS} - kind_axes(
+            entry.scenario.kind
+        )
+    grid = parser.add_argument_group("grid overrides")
+    for flag, axis, type_, help_ in _AXIS_FLAGS:
+        if axis in ignored_axes:
+            help_ = argparse.SUPPRESS  # still parsed, to be refused below
+        grid.add_argument(flag, dest=axis, type=type_, help=help_)
+    if entry is not None and entry.options:
+        own = parser.add_argument_group(f"{entry.name} options")
+        for option in entry.options:
+            own.add_argument(option.flag, type=option.type, help=option.help)
+    args = parser.parse_args(argv)
+    if entry is None:
+        raise EngineError(
+            f"the scenario comes first: {parser.prog} <scenario> [flags]"
+        )
+    ignored = [
+        flag
+        for flag, axis, _, _ in _AXIS_FLAGS
+        if axis in ignored_axes and getattr(args, axis) is not None
+    ]
+    if ignored:
+        raise EngineError(
+            f"{', '.join(ignored)} would have no effect on "
+            f"{entry.name!r} (kind {entry.scenario.kind!r})"
+        )
+    return entry, args
+
+
+def build_scenario(
+    entry: registry.RegisteredScenario, args: argparse.Namespace
+) -> Scenario:
+    """The registered scenario with the parsed overrides applied."""
+    variants = None
+    if args.placers:
+        variants = tuple(Variant(name) for name in args.placers)
+    scenario = entry.scenario.override(
+        seeds=args.seeds,
+        loads=args.loads,
+        bmaxes=args.bmaxes,
+        variants=variants,
+        pods=args.pods,
+        arrivals=args.arrivals,
+    )
+    for option in entry.options:
+        value = getattr(args, option.dest)
+        if value is not None:
+            scenario = option.apply(scenario, value)
+    return scenario
+
+
+def fail(error: object, code: int) -> int:
+    """Diagnostics go to stderr: stdout is the table, and gets redirected."""
+    print(f"error: {error}", file=sys.stderr)
+    return code
+
+
+def _run(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro run", description="run one registered scenario"
     )
-    parser.add_argument("name", help="scenario name or alias (see 'repro list')")
     parser.add_argument(
         "--jobs",
         type=int,
@@ -128,21 +219,6 @@ def _build_run_parser() -> argparse.ArgumentParser:
         help="run one stride i/n of the trial matrix (e.g. 0/2); "
         "requires --store",
     )
-    parser.add_argument("--seeds", type=_int_list, help="seed grid, e.g. 0,1,2")
-    parser.add_argument("--loads", type=_float_list, help="load grid, e.g. 0.5,0.9")
-    parser.add_argument("--bmax", type=_float_list, help="B_max grid, e.g. 400,800")
-    parser.add_argument(
-        "--placers", type=_str_list, help="placer variants, e.g. cm,ovoc,secondnet"
-    )
-    parser.add_argument("--pods", type=int, help="datacenter pods")
-    parser.add_argument("--arrivals", type=int, help="tenant arrivals per trial")
-    parser.add_argument(
-        "--load-profile",
-        choices=("poisson", "diurnal"),
-        default=None,
-        help="arrival shape for service-kind scenarios: flat Poisson "
-        "rate or a cyclic day/night profile",
-    )
     parser.add_argument(
         "--progress",
         choices=("live", "json", "off"),
@@ -156,76 +232,19 @@ def _build_run_parser() -> argparse.ArgumentParser:
         help="enable span/counter instrumentation; per-trial telemetry "
         "rows are persisted when --store is given",
     )
-    return parser
-
-
-# CLI flag -> the scenario grid axis it overrides.
-_FLAG_AXES = (
-    ("seeds", "seeds"),
-    ("loads", "loads"),
-    ("bmax", "bmaxes"),
-    ("placers", "placers"),
-    ("pods", "pods"),
-    ("arrivals", "arrivals"),
-)
-
-
-def _unsupported_flags(scenario: Scenario, args: argparse.Namespace) -> list[str]:
-    """Overrides the scenario's kind would silently ignore."""
-    supported = kind_axes(scenario.kind)
-    flags = [
-        f"--{flag}"
-        for flag, axis in _FLAG_AXES
-        if getattr(args, flag) is not None and axis not in supported
-    ]
-    # Not a grid axis: the arrival shape is a service-runner param, so
-    # it rides on params rather than _FLAG_AXES.
-    if args.load_profile is not None and scenario.kind != "service":
-        flags.append("--load-profile")
-    return flags
-
-
-def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
-    variants = None
-    if args.placers:
-        variants = tuple(Variant(name) for name in args.placers)
-    params = None
-    if args.load_profile is not None:
-        merged = dict(scenario.params)
-        merged["load_profile"] = args.load_profile
-        params = tuple(sorted(merged.items()))
-    return scenario.override(
-        seeds=args.seeds,
-        loads=args.loads,
-        bmaxes=args.bmax,
-        variants=variants,
-        pods=args.pods,
-        arrivals=args.arrivals,
-        params=params,
-    )
-
-
-def _run(argv: list[str]) -> int:
-    args = _build_run_parser().parse_args(argv)
     try:
-        entry = registry.get(args.name)
+        entry, args = parse_scenario_args(parser, argv)
     except EngineError as error:
-        print(error)
-        return 2
-    unsupported = _unsupported_flags(entry.scenario, args)
-    if unsupported:
-        print(
-            f"error: {', '.join(unsupported)} would have no effect on "
-            f"{entry.scenario.name!r} (kind {entry.scenario.kind!r})"
-        )
-        return 2
+        return fail(error, 2)
     if args.shard is not None and args.store is None:
-        print("error: --shard needs --store (a shard's results must be "
-              "persisted to be merged)")
-        return 2
+        return fail(
+            "--shard needs --store (a shard's results must be persisted "
+            "to be merged)",
+            2,
+        )
     store = shard = None
     try:
-        scenario = _apply_overrides(entry.scenario, args)
+        scenario = build_scenario(entry, args)
         jobs = args.jobs if args.jobs is not None else default_jobs(scenario.kind)
         if args.store is not None:
             from repro.results import ResultStore, parse_shard
@@ -259,8 +278,7 @@ def _run(argv: list[str]) -> int:
         )
         entry.present(result)
     except ReproError as error:
-        print(f"error: {error}")
-        return 1
+        return fail(error, 1)
     finally:
         if store is not None:
             store.close()
@@ -273,35 +291,11 @@ def _run(argv: list[str]) -> int:
     return 0
 
 
-def _shorthand(name: str, rest: list[str]) -> int:
-    """``repro <name> [flags]``: the experiment's own CLI.
-
-    Unlike ``repro run`` (the generic grid interface), this dispatches
-    to the experiment module's ``main``, which understands its
-    experiment-specific flags (``--workload``, ``--max-senders``, ...) —
-    the legacy ``repro-experiment`` behaviour.
-    """
-    try:
-        entry = registry.get(name)
-    except EngineError as error:
-        print(error)
-        return 2
-    if entry.cli is None:
-        return _run([name, *rest])
-    try:
-        entry.cli(rest)
-    except ReproError as error:
-        print(f"error: {error}")
-        return 1
-    return 0
-
-
 def _strip_verbosity(argv: list[str]) -> tuple[list[str], int]:
     """Consume leading ``-v``/``-q`` flags (before the subcommand).
 
     Only the leading position is global — ``repro run fig08 -v`` is left
-    for the subcommand parser to reject, so experiment CLIs that define
-    their own ``-v`` keep working.
+    for the subcommand parser to reject.
     """
     verbosity = 0
     while argv:
@@ -343,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
             from repro.obs.profile import profile_main
 
             return profile_main(argv[1:])
-        return _shorthand(argv[0], argv[1:])
+        return _run(argv)  # repro <name> ... == repro run <name> ...
     except BrokenPipeError:
         # Piped into head/less that exited: not an error.  Detach stdout
         # so the interpreter's shutdown flush doesn't raise again.

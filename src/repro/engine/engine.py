@@ -1,12 +1,14 @@
 """The scenario execution engine: grid expansion + (parallel) dispatch.
 
 ``Engine(n_jobs=1)`` runs a scenario's trial matrix in-process;
-``Engine(n_jobs=4)`` fans the trials out over a spawn-based
-``multiprocessing`` pool.  Trials are fully bound before dispatch (every
-trial carries its own seed from the scenario's seed grid), so the result
-list is identical — bit-for-bit on every metric — whichever mode runs
-it; only wall-clock fields differ.  Results always come back in grid
-order regardless of worker scheduling.
+``Engine(n_jobs=4)`` fans the trials out over a spawn-based process
+pool.  Trials are fully bound before dispatch (every trial carries its
+own seed from the scenario's seed grid), so the result list is
+identical — bit-for-bit on every metric — whichever mode runs it; only
+wall-clock fields differ.  Results always come back in grid order
+regardless of worker scheduling.  A worker that dies mid-trial ends the
+run with an :class:`~repro.errors.EngineError` naming how many trials
+finished and how many were lost.
 
 ``run(..., store=...)`` makes a run persistent and resumable: trials
 whose fingerprint is already in the store are served from it without
@@ -200,17 +202,42 @@ class Engine:
         record: Callable[[TrialResult], Any] | None,
         progress: Any | None = None,
     ) -> None:
+        # Imported here: a serial run (and the benchmark's child) never
+        # pays the ~0.6 MiB the executor machinery costs to load.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
         context = multiprocessing.get_context(self.mp_context)
-        # chunksize=1: trial runtimes vary wildly across a grid (a 90%
-        # load point costs far more than a 10% one), so fine-grained
-        # dispatch beats pre-chunking.  imap_unordered lets each result
+        # One future per trial: runtimes vary wildly across a grid (a
+        # 90% load point costs far more than a 10% one), so fine-grained
+        # dispatch beats pre-chunking.  as_completed lets each result
         # reach the store the moment its worker finishes — an
         # interrupted parallel run keeps everything completed so far —
         # and grid order is restored from the trial indices afterwards.
-        with context.Pool(processes=workers) as pool:
-            for result in pool.imap_unordered(execute_trial, trials, chunksize=1):
+        # A worker that dies (OOM kill, segfault) breaks the pool: every
+        # unfinished future then raises BrokenProcessPool instead of
+        # waiting forever for a result nobody will send.
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
+        lost = 0
+        try:
+            futures = [pool.submit(execute_trial, trial) for trial in trials]
+            for future in as_completed(futures):
+                try:
+                    result = future.result()
+                except BrokenProcessPool:
+                    lost += 1
+                    continue
                 if record is not None:
                     record(result)
                 by_index[result.trial.index] = result
                 if progress is not None:
                     progress.update(result)
+        finally:
+            # On an error, do not run what is still queued.
+            pool.shutdown(cancel_futures=True)
+        if lost:
+            kept = " (and are in the store)" if record is not None else ""
+            raise EngineError(
+                f"a worker process died mid-trial: {len(trials) - lost} of "
+                f"{len(trials)} trials finished{kept}, {lost} lost"
+            )

@@ -3,11 +3,10 @@
 Importing this package registers every experiment's declarative
 :class:`~repro.engine.scenario.Scenario` with
 :mod:`repro.engine.registry` (that is what ``registry.load_all`` relies
-on).  ``EXPERIMENTS`` is the legacy name -> module map kept for callers
-that import driver modules directly.
+on); ``repro run <name>`` is the one way to launch them from a shell.
 """
 
-from repro.experiments import (
+from repro.experiments import (  # noqa: F401  (import-time registration)
     fig01_survey,
     fig04_hose_failure,
     fig07_bmax_sweep,
@@ -24,23 +23,3 @@ from repro.experiments import (
     table1_reserved_bw,
     temporal_savings,
 )
-
-EXPERIMENTS = {
-    "fig1": fig01_survey,
-    "fig4": fig04_hose_failure,
-    "table1": table1_reserved_bw,
-    "fig7": fig07_bmax_sweep,
-    "fig8": fig08_load_sweep,
-    "fig9": fig09_oversub_sweep,
-    "fig10": fig10_ablation,
-    "fig11": fig11_wcs_guarantee,
-    "fig12": fig12_opportunistic_ha,
-    "fig13": fig13_enforcement,
-    "runtime": runtime_scaling,
-    "inference": inference_ami,
-    "temporal": temporal_savings,
-    "service": service_loop,
-    "failure": failure_sweep,
-}
-
-__all__ = ["EXPERIMENTS"]

@@ -1,7 +1,7 @@
 """Minimal ASCII chart rendering for the figure experiments.
 
 The paper's evaluation artifacts are figures; these helpers render the
-regenerated series as terminal plots so `repro-experiment figN` output
+regenerated series as terminal plots so `repro run figN` output
 visually mirrors the paper (shape, crossings, saturation), without any
 plotting dependency.
 """

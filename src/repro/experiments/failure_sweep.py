@@ -17,10 +17,9 @@ the blast radius.
 from __future__ import annotations
 
 from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
-from repro.experiments._cli import CliOption, scenario_main
 from repro.experiments._table import Table
 
-__all__ = ["run", "main", "SCENARIO", "DEFAULT_FRACTIONS"]
+__all__ = ["run", "SCENARIO", "DEFAULT_FRACTIONS"]
 
 DEFAULT_FRACTIONS = (0.02, 0.05, 0.1, 0.2)
 
@@ -103,26 +102,16 @@ def present(result: ScenarioResult) -> None:
         print(f"{name}: worst-case guarantee survival {rate:.0%}")
 
 
-main = scenario_main(
+registry.register(
     SCENARIO,
-    __doc__,
     present,
+    aliases=("failures",),
     options=(
-        CliOption(
+        registry.ScenarioOption(
             "--fractions",
-            str,
-            ",".join(str(x) for x in DEFAULT_FRACTIONS),
+            registry.float_list,
             "comma-separated failed-server fractions on the x-axis",
-            lambda scenario, value: scenario.override(
-                xs=tuple(
-                    float(part) for part in value.split(",") if part.strip()
-                )
-            ),
+            lambda scenario, value: scenario.override(xs=value),
         ),
     ),
 )
-
-registry.register(SCENARIO, present, aliases=("failures",), cli=main)
-
-if __name__ == "__main__":
-    main()

@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
-from repro.experiments._cli import scenario_main
 from repro.experiments._table import Table
 
-__all__ = ["run", "Fig1Result", "main", "SCENARIO"]
+__all__ = ["run", "Fig1Result", "SCENARIO"]
 
 SCENARIO = Scenario(
     name="fig01",
@@ -86,9 +85,4 @@ def present(result: ScenarioResult) -> None:
     )
 
 
-main = scenario_main(SCENARIO, __doc__, present)
-
-registry.register(SCENARIO, present, aliases=("fig1",), cli=main)
-
-if __name__ == "__main__":
-    main()
+registry.register(SCENARIO, present, aliases=("fig1",))

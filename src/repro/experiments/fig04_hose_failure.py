@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
 from repro.enforcement.scenarios import Fig4Outcome
-from repro.experiments._cli import scenario_main
 from repro.experiments._table import Table
 
-__all__ = ["run", "main", "SCENARIO"]
+__all__ = ["run", "SCENARIO"]
 
 SCENARIO = Scenario(
     name="fig04",
@@ -53,9 +52,4 @@ def present(result: ScenarioResult) -> None:
     to_table(_to_outcomes(result)).show()
 
 
-main = scenario_main(SCENARIO, __doc__, present)
-
-registry.register(SCENARIO, present, aliases=("fig4",), cli=main)
-
-if __name__ == "__main__":
-    main()
+registry.register(SCENARIO, present, aliases=("fig4",))

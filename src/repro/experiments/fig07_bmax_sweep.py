@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
-from repro.experiments._cli import scenario_main
 from repro.experiments._table import Table
 from repro.simulation.metrics import RunMetrics
 
-__all__ = ["run", "main", "SCENARIO", "DEFAULT_BMAX_VALUES"]
+__all__ = ["run", "SCENARIO", "DEFAULT_BMAX_VALUES"]
 
 DEFAULT_BMAX_VALUES = (400.0, 600.0, 800.0, 1000.0, 1200.0)
 
@@ -95,9 +94,4 @@ def present(result: ScenarioResult) -> None:
         print(summary)
 
 
-main = scenario_main(SCENARIO, __doc__, present)
-
-registry.register(SCENARIO, present, aliases=("fig7",), cli=main)
-
-if __name__ == "__main__":
-    main()
+registry.register(SCENARIO, present, aliases=("fig7",))

@@ -9,11 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
-from repro.experiments._cli import scenario_main
 from repro.experiments._table import Table
 from repro.simulation.metrics import RunMetrics
 
-__all__ = ["run", "main", "SCENARIO", "DEFAULT_LOADS"]
+__all__ = ["run", "SCENARIO", "DEFAULT_LOADS"]
 
 DEFAULT_LOADS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -106,9 +105,4 @@ def present(result: ScenarioResult) -> None:
         print(summary)
 
 
-main = scenario_main(SCENARIO, __doc__, present)
-
-registry.register(SCENARIO, present, aliases=("fig8",), cli=main)
-
-if __name__ == "__main__":
-    main()
+registry.register(SCENARIO, present, aliases=("fig8",))

@@ -11,12 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.engine import Engine, Scenario, ScenarioResult, TopologyCase, Variant, registry
-from repro.experiments._cli import scenario_main
 from repro.experiments._table import Table
 from repro.simulation.metrics import RunMetrics
 from repro.topology.builder import DatacenterSpec
 
-__all__ = ["run", "main", "SCENARIO", "DEFAULT_OVERSUB"]
+__all__ = ["run", "SCENARIO", "DEFAULT_OVERSUB"]
 
 # total -> (tor_oversub, agg_oversub)
 DEFAULT_OVERSUB = {16: (4.0, 4.0), 32: (4.0, 8.0), 64: (8.0, 8.0), 128: (8.0, 16.0)}
@@ -102,9 +101,4 @@ def present(result: ScenarioResult) -> None:
     to_table(_points(result)).show()
 
 
-main = scenario_main(SCENARIO, __doc__, present)
-
-registry.register(SCENARIO, present, aliases=("fig9",), cli=main)
-
-if __name__ == "__main__":
-    main()
+registry.register(SCENARIO, present, aliases=("fig9",))

@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
-from repro.experiments._cli import scenario_main
 from repro.experiments._table import Table
 from repro.simulation.metrics import RunMetrics
 
-__all__ = ["run", "main", "SCENARIO", "VARIANTS"]
+__all__ = ["run", "SCENARIO", "VARIANTS"]
 
 VARIANTS = ("cm", "cm-coloc-only", "cm-balance-only", "ovoc")
 _LABELS = {
@@ -102,9 +101,4 @@ def present(result: ScenarioResult) -> None:
     print(to_chart(points))
 
 
-main = scenario_main(SCENARIO, __doc__, present)
-
-registry.register(SCENARIO, present, cli=main)
-
-if __name__ == "__main__":
-    main()
+registry.register(SCENARIO, present)

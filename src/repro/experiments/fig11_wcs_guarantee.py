@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
-from repro.experiments._cli import scenario_main
 from repro.experiments._table import Table
 from repro.placement.ha import HaPolicy
 from repro.simulation.metrics import RunMetrics
 
-__all__ = ["run", "main", "SCENARIO", "DEFAULT_RWCS"]
+__all__ = ["run", "SCENARIO", "DEFAULT_RWCS"]
 
 DEFAULT_RWCS = (0.0, 0.25, 0.5, 0.75)
 
@@ -119,9 +118,4 @@ def present(result: ScenarioResult) -> None:
     to_table(_points(result)).show()
 
 
-main = scenario_main(SCENARIO, __doc__, present)
-
-registry.register(SCENARIO, present, cli=main)
-
-if __name__ == "__main__":
-    main()
+registry.register(SCENARIO, present)

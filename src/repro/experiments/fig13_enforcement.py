@@ -14,10 +14,9 @@ from itertools import zip_longest
 
 from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
 from repro.enforcement.scenarios import Fig13Point
-from repro.experiments._cli import CliOption, scenario_main
 from repro.experiments._table import Table
 
-__all__ = ["run", "main", "SCENARIO"]
+__all__ = ["run", "SCENARIO"]
 
 SCENARIO = Scenario(
     name="fig13",
@@ -104,22 +103,15 @@ def present(result: ScenarioResult) -> None:
     )
 
 
-main = scenario_main(
+registry.register(
     SCENARIO,
-    __doc__,
     present,
     options=(
-        CliOption(
+        registry.ScenarioOption(
             "--max-senders",
             int,
-            5,
             "largest C2 sender count on the x-axis",
             lambda scenario, value: scenario.override(xs=tuple(range(value + 1))),
         ),
     ),
 )
-
-registry.register(SCENARIO, present, cli=main)
-
-if __name__ == "__main__":
-    main()

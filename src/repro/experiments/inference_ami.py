@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
-from repro.experiments._cli import CliOption, scenario_main
 from repro.experiments._table import Table
 
-__all__ = ["run", "main", "SCENARIO"]
+__all__ = ["run", "SCENARIO"]
 
 SCENARIO = Scenario(
     name="inference",
@@ -93,33 +92,13 @@ def present(result: ScenarioResult) -> None:
         to_table(_to_result(trial_result)).show()
 
 
-def _set_param(key: str):
-    def apply(scenario: Scenario, value):
-        params = tuple(
-            (name, value if name == key else old) for name, old in scenario.params
-        )
-        return scenario.override(params=params)
-
-    return apply
-
-
-main = scenario_main(
+registry.register(
     SCENARIO,
-    __doc__,
     present,
     options=(
-        CliOption("--max-vms", int, 60, "per-application VM bound", _set_param("max_vms")),
-        CliOption(
-            "--max-applications",
-            int,
-            20,
-            "number of pool applications to infer",
-            _set_param("max_applications"),
+        registry.param_option("--max-vms", int, "per-application VM bound"),
+        registry.param_option(
+            "--max-applications", int, "number of pool applications to infer"
         ),
     ),
 )
-
-registry.register(SCENARIO, present, cli=main)
-
-if __name__ == "__main__":
-    main()

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
-from repro.experiments._cli import scenario_main
 from repro.experiments._table import Table
 
-__all__ = ["run", "main", "SCENARIO", "DEFAULT_SIZES"]
+__all__ = ["run", "SCENARIO", "DEFAULT_SIZES"]
 
 DEFAULT_SIZES = (25, 100, 400, 1000)
 
@@ -81,9 +80,4 @@ def present(result: ScenarioResult) -> None:
     to_table(_points(result)).show()
 
 
-main = scenario_main(SCENARIO, __doc__, present)
-
-registry.register(SCENARIO, present, cli=main)
-
-if __name__ == "__main__":
-    main()
+registry.register(SCENARIO, present)

@@ -18,10 +18,9 @@ placement results.
 from __future__ import annotations
 
 from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
-from repro.experiments._cli import CliOption, scenario_main
 from repro.experiments._table import Table
 
-__all__ = ["run", "main", "SCENARIO"]
+__all__ = ["run", "SCENARIO"]
 
 SCENARIO = Scenario(
     name="service",
@@ -102,39 +101,17 @@ def present(result: ScenarioResult) -> None:
         )
 
 
-main = scenario_main(
+registry.register(
     SCENARIO,
-    __doc__,
     present,
     options=(
-        CliOption(
+        registry.param_option(
             "--load-profile",
-            str,
-            "poisson",
+            registry.one_of(("poisson", "diurnal")),
             "arrival shape: poisson (flat rate) or diurnal (day/night cycle)",
-            lambda scenario, value: scenario.override(
-                params=tuple(
-                    (key, value if key == "load_profile" else old)
-                    for key, old in scenario.params
-                )
-            ),
         ),
-        CliOption(
-            "--cohort",
-            int,
-            64,
-            "admission batch size (1 = per-event bookkeeping)",
-            lambda scenario, value: scenario.override(
-                params=tuple(
-                    (key, value if key == "cohort" else old)
-                    for key, old in scenario.params
-                )
-            ),
+        registry.param_option(
+            "--cohort", int, "admission batch size (1 = per-event bookkeeping)"
         ),
     ),
 )
-
-registry.register(SCENARIO, present, cli=main)
-
-if __name__ == "__main__":
-    main()

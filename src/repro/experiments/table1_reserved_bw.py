@@ -12,11 +12,10 @@ from dataclasses import dataclass
 
 from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
 from repro.engine.context import POOL_NAMES
-from repro.experiments._cli import CliOption, scenario_main
 from repro.experiments._table import Table
 from repro.simulation.runner import ReservedBandwidth
 
-__all__ = ["run", "main", "SCENARIO"]
+__all__ = ["run", "SCENARIO"]
 
 SCENARIO = Scenario(
     name="table1",
@@ -80,35 +79,15 @@ def present(result: ScenarioResult) -> None:
         _to_result(trial_result).table.show()
 
 
-def _str_choice(value: str) -> str:
-    if value not in POOL_NAMES:
-        raise ValueError(f"workload must be one of {POOL_NAMES}")
-    return value
-
-
-main = scenario_main(
+registry.register(
     SCENARIO,
-    __doc__,
     present,
     options=(
-        CliOption(
+        registry.ScenarioOption(
             "--workload",
-            _str_choice,
-            "bing",
+            registry.one_of(POOL_NAMES),
             f"tenant pool, one of {POOL_NAMES}",
             lambda scenario, value: scenario.override(pool=value),
         ),
-        CliOption(
-            "--bmax",
-            float,
-            800.0,
-            "per-VM bandwidth scale (Mbps)",
-            lambda scenario, value: scenario.override(bmaxes=(value,)),
-        ),
     ),
 )
-
-registry.register(SCENARIO, present, cli=main)
-
-if __name__ == "__main__":
-    main()

@@ -12,11 +12,10 @@ per-window server-level utilization profile.
 from __future__ import annotations
 
 from repro.engine import Engine, Scenario, ScenarioResult, TopologyCase, Variant, registry
-from repro.experiments._cli import CliOption, scenario_main
 from repro.experiments._table import Table
 from repro.topology.builder import DatacenterSpec
 
-__all__ = ["run", "main", "SCENARIO", "DEFAULT_WINDOWS"]
+__all__ = ["run", "SCENARIO", "DEFAULT_WINDOWS"]
 
 DEFAULT_WINDOWS = (4, 8, 12)
 
@@ -95,24 +94,15 @@ def present(result: ScenarioResult) -> None:
             )
 
 
-main = scenario_main(
+registry.register(
     SCENARIO,
-    __doc__,
     present,
     options=(
-        CliOption(
+        registry.ScenarioOption(
             "--windows",
-            str,
-            ",".join(str(w) for w in DEFAULT_WINDOWS),
+            registry.int_list,
             "comma-separated window counts on the x-axis",
-            lambda scenario, value: scenario.override(
-                xs=tuple(int(part) for part in value.split(",") if part.strip())
-            ),
+            lambda scenario, value: scenario.override(xs=value),
         ),
     ),
 )
-
-registry.register(SCENARIO, present, cli=main)
-
-if __name__ == "__main__":
-    main()

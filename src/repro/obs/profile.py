@@ -23,7 +23,7 @@ __all__ = ["profile_main"]
 SORT_KEYS = ("cumulative", "tottime", "calls", "ncalls", "pcalls", "time")
 
 
-def profile_main(argv: list[str] | None = None) -> int:
+def profile_main(argv: list[str]) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -31,7 +31,6 @@ def profile_main(argv: list[str] | None = None) -> int:
         description="run scenario trials under cProfile and print the "
         "top-N pstats table plus the obs hot-path counters",
     )
-    parser.add_argument("name", help="scenario name or alias (see 'repro list')")
     parser.add_argument(
         "--trials",
         type=int,
@@ -62,23 +61,26 @@ def profile_main(argv: list[str] | None = None) -> int:
         "this results store (same rows as 'repro run --store "
         "--telemetry'; combines with -o)",
     )
-    args = parser.parse_args(argv)
-
-    from repro.engine import registry
+    # The scenario, its grid overrides and its own options parse and
+    # apply exactly as for 'repro run' — same two functions.
+    from repro.cli import build_scenario, fail, parse_scenario_args
     from repro.engine.runners import execute_trial
-    from repro.errors import EngineError
+    from repro.errors import EngineError, ReproError
 
     try:
-        entry = registry.get(args.name)
+        entry, args = parse_scenario_args(parser, argv)
     except EngineError as error:
-        print(error)
-        return 2
-    trials = entry.scenario.expand()
+        return fail(error, 2)
+    try:
+        scenario = build_scenario(entry, args)
+        trials = scenario.expand()
+    except ReproError as error:
+        return fail(error, 1)
     if args.trials > 0:
         trials = trials[: args.trials]
     print(
-        f"profiling {len(trials)} {entry.scenario.kind!r} trial(s) of "
-        f"{entry.scenario.name!r} (serial, instrumented)",
+        f"profiling {len(trials)} {scenario.kind!r} trial(s) of "
+        f"{scenario.name!r} (serial, instrumented)",
         file=sys.stderr,
     )
 
@@ -104,9 +106,10 @@ def profile_main(argv: list[str] | None = None) -> int:
         from repro.engine.engine import Engine
         from repro.results import ResultStore
 
-        record = Engine._make_recorder(ResultStore(args.store))
-        for result in results:
-            record(result)
+        with ResultStore(args.store) as store:
+            record = Engine._make_recorder(store)
+            for result in results:
+                record(result)
         print(
             f"recorded {len(results)} trial(s) to {args.store}",
             file=sys.stderr,

@@ -7,7 +7,6 @@ from repro.simulation.cluster import (
     run_arrivals_until_full,
 )
 from repro.simulation.metrics import RunMetrics, WcsStats
-from repro.simulation.replicated import Replication, replicate
 from repro.simulation.runner import (
     PLACER_NAMES,
     ReservedBandwidth,
@@ -21,14 +20,12 @@ __all__ = [
     "ClusterManager",
     "PLACER_NAMES",
     "ReservedBandwidth",
-    "Replication",
     "RunMetrics",
     "WcsStats",
     "arrival_rate_for_load",
     "make_placer",
     "measure_reserved_bandwidth",
     "poisson_arrivals",
-    "replicate",
     "run_arrival_departure",
     "run_arrivals_until_full",
     "simulate_rejections",

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.engine import (
     MAX_AUTO_JOBS,
     Engine,
@@ -18,6 +25,7 @@ from repro.engine import (
     registry,
 )
 from repro.errors import EngineError
+from repro.results import ResultStore
 from repro.topology.builder import DatacenterSpec
 
 TINY = Scenario(
@@ -246,7 +254,8 @@ class TestCli:
         from repro.cli import main
 
         assert main(["run", "table1", "--arrivals", "100"]) == 2
-        assert "no effect" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "no effect" in captured.err and captured.out == ""
         assert main(["run", "fig13", "--loads", "0.5"]) == 2
 
     def test_enforce_kind_accepts_placer_override(self, capsys):
@@ -256,13 +265,6 @@ class TestCli:
         assert main(["run", "fig13", "--placers", "hose"]) == 0
         out = capsys.readouterr().out
         assert "hose" in out
-
-    def test_shorthand_dispatches_experiment_cli(self, capsys):
-        # Legacy `repro-experiment table1 --workload hpcloud` spelling.
-        from repro.cli import main
-
-        assert main(["table1", "--workload", "hpcloud", "--pods", "1"]) == 0
-        assert "hpcloud workload" in capsys.readouterr().out
 
     def test_multi_seed_grid_renders_per_trial_tables(self, capsys):
         # Single-trial presenters (table1, inference) must survive the
@@ -277,8 +279,9 @@ class TestCli:
         from repro.cli import main
 
         assert main(["fig08", "--pods", "0"]) == 1
-        out = capsys.readouterr().out
-        assert "error:" in out and "Traceback" not in out
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""  # a redirected table never holds the error
 
     def test_runtime_kind_pinned_serial(self):
         # Wall-clock payloads must not race each other for CPU.
@@ -287,3 +290,36 @@ class TestCli:
         result = Engine(n_jobs=4).run(scenario)
         assert result.n_jobs == 1
         assert all(r.payload["placed"] for r in result)
+
+
+class TestDeadWorker:
+    """A worker killed mid-trial ends the run; it must not hang it."""
+
+    def test_run_reports_the_loss_and_keeps_what_finished(self, tmp_path):
+        # dying_worker.py is `repro` plus a scenario whose last trial
+        # SIGKILLs its own process.  Run as a script under a hard
+        # timeout: multiprocessing.Pool used to lose the task silently
+        # and wait for its result forever.
+        script = Path(__file__).with_name("dying_worker.py")
+        store = tmp_path / "d.sqlite"
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, str(script), "run", "dying", "--jobs", "2",
+             "--store", str(store)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=30,
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stdout == ""  # nothing presented, nothing filed as data
+        found = re.search(
+            r"error: a worker process died mid-trial: (\d) of 5 trials "
+            r"finished \(and are in the store\), (\d) lost",
+            done.stderr,
+        )
+        assert found, done.stderr
+        finished, lost = map(int, found.groups())
+        assert lost >= 1 and finished + lost == 5
+        with ResultStore(str(store)) as rows:
+            assert rows.count(kind="dying") == finished

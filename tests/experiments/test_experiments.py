@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.experiments import (
-    EXPERIMENTS,
     fig01_survey,
     fig04_hose_failure,
     fig10_ablation,
@@ -110,25 +109,6 @@ class TestTemporal:
 
 
 class TestCli:
-    def test_registry_complete(self):
-        assert set(EXPERIMENTS) == {
-            "fig1",
-            "fig4",
-            "table1",
-            "fig7",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig11",
-            "fig12",
-            "fig13",
-            "runtime",
-            "inference",
-            "temporal",
-            "failure",
-            "service",
-        }
-
     def test_list_command(self, capsys):
         from repro.cli import main
 

@@ -11,14 +11,17 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 from repro import _kernels
 from repro._kernels import (
+    _KERNEL_NAMES,
     ENV_FLAG,
     _select_backend,
+    _stale_reason,
     available_backends,
     kernels_info,
     pyref,
@@ -144,6 +147,92 @@ class TestImportTimeSelection:
         )
         assert out.returncode == 0, out.stderr
         assert Path(out.stdout.strip()).resolve() == Path(_kernels.__file__).resolve()
+
+
+# A fresh interpreter whose `_ckernels` is a stand-in lacking the last
+# kernel in `_KERNEL_NAMES` — what an .so built before that kernel was
+# added looks like.  No rebuild needed: the import system finds the
+# stand-in in sys.modules.
+_STALE_PRELUDE = """
+import sys, types
+names = {names!r}
+stand_in = types.ModuleType("repro._kernels._ckernels")
+for name in names[:-1]:
+    setattr(stand_in, name, lambda *args: None)
+sys.modules[stand_in.__name__] = stand_in
+"""
+
+
+class TestStaleExtension:
+    """An extension lacking a kernel counts as not built (never a bare
+    AttributeError out of ``import repro``)."""
+
+    def test_stale_reason_names_what_is_missing(self):
+        whole = types.SimpleNamespace(**dict.fromkeys(_KERNEL_NAMES, len))
+        assert _stale_reason(whole) is None
+        assert _stale_reason(None) is None
+        del whole.temporal_adjust, whole.voc_requirement
+        reason = _stale_reason(whole)
+        assert "temporal_adjust, voc_requirement" in reason
+        assert "ledger_adjust" not in reason and "build_ext" in reason
+
+    def test_auto_and_c_warn_and_fall_back_but_py_is_silent(self):
+        for requested in ("auto", "c"):
+            backend, warning = _select_backend(requested, False, "lacks eq1")
+            assert backend == "py" and "lacks eq1" in warning
+        assert _select_backend("py", False, "lacks eq1") == ("py", None)
+
+    def _run(self, env_value, code, *flags):
+        env = dict(os.environ, PYTHONPATH=str(_SRC))
+        env[ENV_FLAG] = env_value
+        prelude = _STALE_PRELUDE.format(names=_KERNEL_NAMES)
+        return subprocess.run(
+            [sys.executable, *flags, "-c", prelude + code],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+
+    @pytest.mark.parametrize("requested", ["auto", "c"])
+    def test_import_repro_survives_and_runs_pure_python(self, requested):
+        out = self._run(
+            requested,
+            "import repro\n"
+            "from repro import _kernels\n"
+            "print(_kernels.backend, _kernels.available_backends())\n"
+            "try:\n"
+            "    _kernels.use_backend('c')\n"
+            "except RuntimeError as error:\n"
+            "    print('RuntimeError:', error)\n",
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "py ('py',)",
+            "RuntimeError: compiled kernels are not built (REPRO_BUILD_EXT=1 "
+            "pip install -e . builds them)",
+        ]
+        assert "RuntimeWarning" in out.stderr
+        assert f"lacks {_KERNEL_NAMES[-1]}" in out.stderr
+
+    def test_the_warning_is_a_runtime_warning(self):
+        out = self._run("auto", "import repro", "-W", "error::RuntimeWarning")
+        assert out.returncode != 0
+        assert f"lacks {_KERNEL_NAMES[-1]}" in out.stderr
+
+    def test_forced_py_never_mentions_it(self):
+        out = self._run("py", "import repro", "-W", "error::RuntimeWarning")
+        assert out.returncode == 0, out.stderr
+
+    def test_version_shows_why(self):
+        out = self._run(
+            "py", "from repro.cli import main\nraise SystemExit(main(['version']))"
+        )
+        assert out.returncode == 0, out.stderr
+        assert "available: py)" in out.stdout
+        assert (
+            f"kernels: the compiled extension is stale: it lacks "
+            f"{_KERNEL_NAMES[-1]}" in out.stdout
+        )
 
 
 class TestVersionCommand:

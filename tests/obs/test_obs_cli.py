@@ -67,9 +67,31 @@ class TestProfileCommand:
         with ResultStore(path) as store:
             assert store.count(kind="runtime") == 1
 
+    def test_takes_run_s_overrides_and_scenario_options(self, capsys):
+        # Same parser rows and the same build_scenario as 'repro run'.
+        assert profile_main(
+            ["fig13", "--max-senders", "1", "--placers", "tag", "--trials", "0"]
+        ) == 0
+        assert "profiling 2 'enforce' trial(s)" in capsys.readouterr().err
+        assert profile_main(["fig13", "--loads", "0.5"]) == 2
+        assert "no effect" in capsys.readouterr().err
+        assert profile_main(["fig08", "--pods", "1", "--seeds", ""]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_store_is_closed_after_recording(self, tmp_path, monkeypatch):
+        closed = []
+        close = ResultStore.close
+        monkeypatch.setattr(
+            ResultStore, "close", lambda self: (closed.append(self), close(self))
+        )
+        path = str(tmp_path / "p.sqlite")
+        assert profile_main(["runtime", "--trials", "1", "--store", path]) == 0
+        assert len(closed) == 1
+
     def test_unknown_scenario_fails_cleanly(self, capsys):
         assert profile_main(["nope"]) == 2
-        assert "nope" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "nope" in captured.err and captured.out == ""
 
     def test_routed_from_the_main_entry_point(self, capsys):
         assert main(["profile", "runtime", "--trials", "1"]) == 0

@@ -28,7 +28,7 @@ class TestRunWithStore:
 
     def test_shard_requires_store(self, capsys):
         assert main(["run", "fig08", *RUN_FLAGS, "--shard", "0/2"]) == 2
-        assert "--shard needs --store" in capsys.readouterr().out
+        assert "--shard needs --store" in capsys.readouterr().err
 
     def test_malformed_shard_reports_cleanly(self, capsys, store_path):
         assert (
@@ -36,8 +36,8 @@ class TestRunWithStore:
                   "--shard", "nope"])
             == 1
         )
-        out = capsys.readouterr().out
-        assert "error:" in out and "Traceback" not in out
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
     def test_sharded_runs_cover_the_matrix(self, capsys, store_path):
         assert main(["run", "fig08", *RUN_FLAGS, "--store", store_path,
