@@ -28,6 +28,7 @@ and ``REPRO_BENCH_OBS_MAX_TRACE_OVERHEAD`` (default 0.30).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import platform
@@ -71,7 +72,7 @@ def _churn_once(topology, arrivals, pool):
         )
         for allocation in manager.active
     ]
-    outcome = metrics.to_dict()
+    outcome = dataclasses.asdict(metrics)
     outcome.pop("runtime_seconds")
     return elapsed, (outcome, layouts, list(ledger._used_slots))
 

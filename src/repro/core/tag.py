@@ -274,8 +274,13 @@ class Tag:
         cached = self._demand_cache.get(component)
         if cached is not None:
             return cached
-        out = sum(e.send for e in self.out_edges(component))
-        into = sum(e.recv for e in self.in_edges(component))
+        # Not sum(): compensated from Python 3.12, and these totals feed
+        # placement decisions.  Left to right from int 0, as sum() was.
+        out = into = 0
+        for edge in self.out_edges(component):
+            out += edge.send
+        for edge in self.in_edges(component):
+            into += edge.recv
         loop = self.self_loop(component)
         if loop is not None:
             out += loop.send
@@ -319,7 +324,10 @@ class Tag:
     @property
     def total_bandwidth(self) -> float:
         """Sum of aggregate guarantees over all edges (tenant BW metric)."""
-        return sum(self.edge_aggregate(e) for e in self.iter_edges())
+        total = 0  # not sum(): compensated from Python 3.12, totals are pinned
+        for edge in self.iter_edges():
+            total += self.edge_aggregate(edge)
+        return total
 
     # ------------------------------------------------------------------
     # transforms

@@ -60,7 +60,9 @@ def fig13_scenario(
         )
     result = enforce(tag, flows, capacities, mode=mode, headroom=headroom)
     x_rate = result.rates[0]
-    c2_rate = sum(result.rates[1:])
+    c2_rate = 0  # not sum(): compensated from Python 3.12, rates are pinned
+    for rate in result.rates[1:]:
+        c2_rate += rate
     return Fig13Point(senders_in_c2=senders_in_c2, x_to_z=x_rate, c2_to_z=c2_rate)
 
 

@@ -296,14 +296,14 @@ def run_survey_trial(trial: Trial) -> dict[str, Any]:
     for dc in DATACENTERS:
         ratios = datacenter_ratios(dc)
         dc_rows.append(
-            (dc.name, ratios["server"], ratios["tor"], ratios["aggregation"])
+            [dc.name, ratios["server"], ratios["tor"], ratios["aggregation"]]
         )
     interactive = [
         float(np.sqrt(w.low * w.high)) for w in WORKLOADS if w.kind == "interactive"
     ]
     batch = [float(np.sqrt(w.low * w.high)) for w in WORKLOADS if w.kind == "batch"]
     return {
-        "workload_rows": [(w.name, w.kind, w.low, w.high) for w in WORKLOADS],
+        "workload_rows": [[w.name, w.kind, w.low, w.high] for w in WORKLOADS],
         "datacenter_rows": dc_rows,
         "interactive_median": float(np.median(interactive)),
         "batch_median": float(np.median(batch)),

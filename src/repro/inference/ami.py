@@ -31,9 +31,11 @@ def entropy(labels: Sequence[int]) -> float:
     if n == 0:
         raise InferenceError("cannot compute entropy of an empty labelling")
     counts = Counter(labels)
-    return -sum(
-        (c / n) * math.log(c / n) for c in counts.values() if c > 0
-    )
+    total = 0  # not sum(): compensated from Python 3.12, AMI scores are pinned
+    for c in counts.values():
+        if c > 0:
+            total += (c / n) * math.log(c / n)
+    return -total
 
 
 def mutual_information(a: Sequence[int], b: Sequence[int]) -> float:

@@ -5,8 +5,8 @@ statistically aggregatable:
 
 * :mod:`~repro.results.fingerprint` — a stable SHA-256 identity for every
   fully-bound trial, shared across processes and machines.
-* :mod:`~repro.results.codecs` — versioned ``to_payload``/``from_payload``
-  JSON codecs, one per trial kind.
+* :mod:`~repro.results.codecs` — one canonical-JSON encoding rule for
+  every trial kind, plus each kind's version and metrics extractor.
 * :mod:`~repro.results.store` — a SQLite-backed
   :class:`~repro.results.store.ResultStore`; ``Engine.run(...,
   store=...)`` skips cache hits and records misses as they complete, so

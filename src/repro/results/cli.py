@@ -8,14 +8,16 @@
     repro results export runs.sqlite --format csv -o trials.csv
     repro results export runs.sqlite --format jsonl --scenario fig08
     repro results merge merged.sqlite a.sqlite b.sqlite
-    repro results gc    runs.sqlite                 # drop stale-codec rows
+    repro results gc    runs.sqlite                 # drop undecodable rows
 
 ``merge`` combines per-shard stores (see ``repro run --shard i/n``) by
 copying rows verbatim; aggregating the merged store is bit-identical to
 aggregating a single full-matrix run.  ``export`` writes one row per
 stored trial (grid-point columns plus flattened payload metrics) for
-pandas/R analysis.  ``gc`` reclaims rows whose codec version no longer
-matches the code.
+pandas/R analysis.  ``gc`` reclaims rows no current codec can decode:
+a stale codec version, a retired kind, or a corrupt payload.  Any
+other verb that meets such a row prints ``error: ...`` to stderr and
+exits 1.
 """
 
 from __future__ import annotations
@@ -175,7 +177,9 @@ def _build_parser() -> argparse.ArgumentParser:
     merge_cmd.add_argument("sources", nargs="+", help="source stores")
     merge_cmd.set_defaults(handler=_merge)
 
-    gc_cmd = commands.add_parser("gc", help="drop rows with stale codecs")
+    gc_cmd = commands.add_parser(
+        "gc", help="drop rows no current codec can decode"
+    )
     gc_cmd.add_argument("store", help="path to a results store")
     gc_cmd.add_argument(
         "--vacuum",
@@ -192,5 +196,5 @@ def results_main(argv: list[str]) -> int:
     try:
         return args.handler(args)
     except ReproError as error:
-        print(f"error: {error}")
+        print(f"error: {error}", file=sys.stderr)
         return 1

@@ -1,29 +1,37 @@
-"""Per-kind payload codecs for the results store.
+"""Payload codecs for the results store: one rule for every trial kind.
 
-Every trial kind registers exactly one codec alongside its runner: a
-``to_payload`` that lowers the runner's return value into JSON-able
-primitives, a ``from_payload`` that rebuilds an equal object, a
-``metrics`` extractor naming the scalar series the aggregation layer can
-average across seeds, and an integer ``version``.
+A kind registers a ``version``, a ``metrics`` extractor (the scalar
+series aggregation averages across seeds, exported as ``metric_*``
+columns) and, when its runner returns a dataclass, that ``payload_type``.
+:meth:`Codec.encode` lowers any payload (a dataclass to a dict of its
+fields, tuples to lists, recursively), zeroes each top-level wall-clock
+field of ``_TIMING_FIELDS`` so that equal fingerprints mean equal payload
+bytes across serial, parallel and sharded runs — except in
+``SERIAL_ONLY_KINDS`` (``runtime``), whose reading *is* the payload —
+and writes canonical JSON.  :meth:`Codec.decode` is ``json.loads`` plus
+a rebuild of ``payload_type`` from its resolved field types; any other
+payload is its JSON value.  Tests pin ``decode(encode(p)) == p``.
 
-The version participates in the trial fingerprint
-(:func:`repro.results.fingerprint.trial_fingerprint`): bump it whenever
-the payload schema changes shape and every stored entry of that kind is
-transparently invalidated — the next run recomputes and ``repro results
-gc`` reclaims the stale rows.  Kinds without a registered codec
-fingerprint at version 0 and cannot be persisted.
-
-The invariant the round-trip tests pin: for every registered kind,
-``from_payload(json.loads(json.dumps(to_payload(p)))) == p``.
+The version participates in the trial fingerprint: bump it whenever the
+payload schema changes shape and every stored entry of that kind is
+invalidated; ``repro results gc`` reclaims the stale rows.  Kinds
+without a codec fingerprint at version 0 and cannot be persisted.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
-from dataclasses import dataclass
+import typing
 from typing import Any, Callable
 
+from repro.engine.runners import SERIAL_ONLY_KINDS
+from repro.engine.scenario import _TIMING_FIELDS
+from repro.enforcement.scenarios import Fig4Outcome, Fig13Point
 from repro.errors import ResultsError
+from repro.simulation.metrics import RunMetrics
+from repro.simulation.runner import ReservedBandwidth
 
 __all__ = [
     "Codec",
@@ -34,24 +42,69 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+def _fields(value: Any) -> dict[str, Any]:
+    """A dataclass as a dict of its fields, in declaration order.
+
+    The ``default`` hook of :meth:`Codec.encode`'s ``json.dumps``: the
+    encoder lowers dicts, lists, tuples (as lists) and scalars itself, and
+    asks this hook only about values it cannot encode.
+    """
+    if not dataclasses.is_dataclass(value):
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    return {name: getattr(value, name) for name in _field_types(type(value))}
+
+
+@functools.cache
+def _field_types(cls: type) -> dict[str, Any]:
+    """The resolved annotation of each field of dataclass ``cls``, in
+    declaration order: the field list both directions walk, built once."""
+    hints = typing.get_type_hints(cls)
+    return {field.name: hints[field.name] for field in dataclasses.fields(cls)}
+
+
+def _rebuild(hint: Any, value: Any) -> Any:
+    """Decoded JSON ``value`` as the annotation ``hint``: only dataclasses
+    (which must arrive as exactly their own fields) and lists of them are
+    rebuilt; any other value is already what JSON gives back."""
+    if dataclasses.is_dataclass(hint):
+        types = _field_types(hint)
+        if value.keys() != types.keys():  # AttributeError if not an object
+            raise ValueError(
+                f"{hint.__name__} has fields {list(types)}, not {list(value)}"
+            )
+        return hint(**{name: _rebuild(types[name], value[name]) for name in types})
+    item = typing.get_args(hint)[0] if typing.get_origin(hint) is list else None
+    if dataclasses.is_dataclass(item):
+        return [_rebuild(item, element) for element in value]
+    return value
+
+
+@dataclasses.dataclass(frozen=True)
 class Codec:
     """How one trial kind's payload is persisted and summarized."""
 
     kind: str
     version: int
-    to_payload: Callable[[Any], Any]
-    from_payload: Callable[[Any], Any]
     metrics: Callable[[Any], dict[str, float]]
+    payload_type: type | None = None
 
     def encode(self, payload: Any) -> str:
         """Canonical JSON text for the store (sorted keys: merge-stable)."""
+        data = _fields(payload) if dataclasses.is_dataclass(payload) else payload
+        if isinstance(data, dict) and self.kind not in SERIAL_ONLY_KINDS:
+            data = dict(data)  # zero a copy: the caller's payload stays as is
+            for key in _TIMING_FIELDS.intersection(data):
+                timing = data[key]
+                data[key] = (
+                    dict.fromkeys(timing, 0.0) if isinstance(timing, dict) else 0.0
+                )
         return json.dumps(
-            self.to_payload(payload), sort_keys=True, separators=(",", ":")
+            data, sort_keys=True, separators=(",", ":"), default=_fields
         )
 
     def decode(self, text: str) -> Any:
-        return self.from_payload(json.loads(text))
+        """The payload ``text`` encodes; raises if it encodes none."""
+        return _rebuild(self.payload_type, json.loads(text))
 
 
 _CODECS: dict[str, Codec] = {}
@@ -61,16 +114,18 @@ def register_codec(
     kind: str,
     *,
     version: int,
-    to_payload: Callable[[Any], Any],
-    from_payload: Callable[[Any], Any],
     metrics: Callable[[Any], dict[str, float]] | None = None,
+    payload_type: type | None = None,
 ) -> Codec:
-    """Register (or replace) the payload codec for ``kind``."""
+    """Register (or replace) the payload codec for ``kind``.
+
+    ``payload_type`` is the dataclass the kind's runner returns, if any.
+    """
     if not kind:
         raise ResultsError("codec kind must be non-empty")
     if version < 1:
         raise ResultsError(f"codec version must be >= 1, got {version}")
-    codec = Codec(kind, version, to_payload, from_payload, metrics or (lambda p: {}))
+    codec = Codec(kind, version, metrics or (lambda p: {}), payload_type)
     _CODECS[kind] = codec
     return codec
 
@@ -95,31 +150,7 @@ def codec_names() -> tuple[str, ...]:
     return tuple(sorted(_CODECS))
 
 
-# ----------------------------------------------------------------------
 # Built-in codecs, one per kind in repro.engine.runners.RUNNERS.
-# ----------------------------------------------------------------------
-
-
-def _identity(payload: Any) -> Any:
-    return payload
-
-
-def _rejection_to(payload) -> dict:
-    # Persisted payloads are canonical: runtime_seconds is a wall-clock
-    # measurement the repo excludes from identity (_TIMING_FIELDS), and
-    # zeroing it here makes "equal fingerprint => equal payload bytes"
-    # hold across executions — serial vs parallel runs and per-shard
-    # stores become byte-identical, which is what makes `repro results
-    # merge` reproduce a full-matrix store exactly.
-    data = payload.to_dict()
-    data["runtime_seconds"] = 0.0
-    return data
-
-
-def _rejection_from(data: dict):
-    from repro.simulation.metrics import RunMetrics
-
-    return RunMetrics.from_dict(data)
 
 
 def _rejection_metrics(payload) -> dict[str, float]:
@@ -133,40 +164,12 @@ def _rejection_metrics(payload) -> dict[str, float]:
     }
 
 
-def _reserved_to(payload) -> dict:
-    return {
-        "cm_tag": dict(payload.cm_tag),
-        "cm_voc": dict(payload.cm_voc),
-        "ovoc": dict(payload.ovoc),
-        "tenants_deployed": payload.tenants_deployed,
-    }
-
-
-def _reserved_from(data: dict):
-    from repro.simulation.runner import ReservedBandwidth
-
-    return ReservedBandwidth(
-        cm_tag={k: float(v) for k, v in data["cm_tag"].items()},
-        cm_voc={k: float(v) for k, v in data["cm_voc"].items()},
-        ovoc={k: float(v) for k, v in data["ovoc"].items()},
-        tenants_deployed=int(data["tenants_deployed"]),
-    )
-
-
 def _reserved_metrics(payload) -> dict[str, float]:
     out: dict[str, float] = {"tenants_deployed": float(payload.tenants_deployed)}
     for combo in ("cm_tag", "cm_voc", "ovoc"):
         for level, value in getattr(payload, combo).items():
             out[f"{combo}_{level}_gbps"] = value
     return out
-
-
-def _inference_from(data: dict) -> dict:
-    return {
-        "scores": [float(score) for score in data["scores"]],
-        "mean": float(data["mean"]),
-        "applications": int(data["applications"]),
-    }
 
 
 def _inference_metrics(payload: dict) -> dict[str, float]:
@@ -176,84 +179,31 @@ def _inference_metrics(payload: dict) -> dict[str, float]:
     }
 
 
-def _runtime_from(data):
-    # Unlike rejection, the runtime payload's seconds are NOT zeroed:
-    # the wall-clock reading IS the experiment's deliverable (§5.1
-    # placement runtime), not incidental timing.  Runtime rows are
-    # therefore measurements — re-executions legitimately differ — and
-    # the store's byte-identity guarantee applies to the deterministic
-    # kinds only (see store.record / store.merge_from).
-    if data is None:
-        return None
-    return {"seconds": float(data["seconds"]), "placed": bool(data["placed"])}
-
-
 def _runtime_metrics(payload) -> dict[str, float]:
     if payload is None:
         return {}
     return {"seconds": payload["seconds"], "placed": float(payload["placed"])}
 
 
-def _enforce_to(payload) -> dict:
-    return {
-        "senders_in_c2": payload.senders_in_c2,
-        "x_to_z": payload.x_to_z,
-        "c2_to_z": payload.c2_to_z,
-    }
-
-
-def _enforce_from(data: dict):
-    from repro.enforcement.scenarios import Fig13Point
-
-    return Fig13Point(
-        senders_in_c2=int(data["senders_in_c2"]),
-        x_to_z=float(data["x_to_z"]),
-        c2_to_z=float(data["c2_to_z"]),
-    )
-
-
 def _enforce_metrics(payload) -> dict[str, float]:
-    return {"x_to_z": payload.x_to_z, "c2_to_z": payload.c2_to_z}
-
-
-def _hose_fail_to(payload) -> dict:
-    return {
-        "web_to_logic": payload.web_to_logic,
-        "db_to_logic": payload.db_to_logic,
-        "web_guarantee_met": payload.web_guarantee_met,
-    }
-
-
-def _hose_fail_from(data: dict):
-    from repro.enforcement.scenarios import Fig4Outcome
-
-    return Fig4Outcome(
-        web_to_logic=float(data["web_to_logic"]),
-        db_to_logic=float(data["db_to_logic"]),
-        web_guarantee_met=bool(data["web_guarantee_met"]),
-    )
+    # float(): a rate summed over no flows is the int 0, stored as "0".
+    return {"x_to_z": float(payload.x_to_z), "c2_to_z": float(payload.c2_to_z)}
 
 
 def _hose_fail_metrics(payload) -> dict[str, float]:
     return {
-        "web_to_logic": payload.web_to_logic,
-        "db_to_logic": payload.db_to_logic,
+        "web_to_logic": float(payload.web_to_logic),
+        "db_to_logic": float(payload.db_to_logic),
         "web_guarantee_met": float(payload.web_guarantee_met),
-    }
-
-
-def _temporal_from(data: dict) -> dict:
-    return {
-        "windows": int(data["windows"]),
-        "tenants": int(data["tenants"]),
-        "admitted": int(data["admitted"]),
-        "utilization": [float(value) for value in data["utilization"]],
     }
 
 
 def _temporal_metrics(payload: dict) -> dict[str, float]:
     tenants = payload["tenants"]
     utilization = payload["utilization"]
+    total = 0  # not sum(): compensated from Python 3.12, exports are pinned
+    for value in utilization:
+        total += value
     return {
         "admitted": float(payload["admitted"]),
         "admitted_fraction": (
@@ -261,56 +211,9 @@ def _temporal_metrics(payload: dict) -> dict[str, float]:
         ),
         "peak_window_utilization": max(utilization, default=0.0),
         "mean_window_utilization": (
-            sum(utilization) / len(utilization) if utilization else 0.0
+            total / len(utilization) if utilization else 0.0
         ),
     }
-
-
-_SERVICE_INT_FIELDS = (
-    "arrivals",
-    "accepted",
-    "rejected",
-    "departures",
-    "vms_total",
-    "vms_rejected",
-    "cohorts",
-    "max_cohort",
-    "cohort",
-)
-
-_SERVICE_FLOAT_FIELDS = (
-    "bw_total",
-    "bw_rejected",
-    "rejection_rate",
-    "windowed_rejection_rate",
-)
-
-
-def _service_to(payload: dict) -> dict:
-    # The whole "timing" block is wall clock (a _TIMING_FIELDS member):
-    # zero it like rejection's runtime_seconds so equal fingerprints mean
-    # equal stored bytes across executions.
-    data = dict(payload)
-    data["timing"] = {key: 0.0 for key in data["timing"]}
-    return data
-
-
-def _service_from(data: dict) -> dict:
-    out = {field: int(data[field]) for field in _SERVICE_INT_FIELDS}
-    for field in _SERVICE_FLOAT_FIELDS:
-        out[field] = float(data[field])
-    utilization = data["utilization"]
-    out["utilization"] = {
-        "samples": int(utilization["samples"]),
-        **{
-            key: float(utilization[key])
-            for key in ("mean_slot", "last_slot", "mean_bw", "last_bw")
-        },
-    }
-    out["timing"] = {key: float(value) for key, value in data["timing"].items()}
-    out["load_profile"] = str(data["load_profile"])
-    out["fingerprint"] = str(data["fingerprint"])
-    return out
 
 
 def _service_metrics(payload: dict) -> dict[str, float]:
@@ -327,38 +230,6 @@ def _service_metrics(payload: dict) -> dict[str, float]:
     }
 
 
-_FAILURE_INT_FIELDS = (
-    "placed",
-    "placed_vms",
-    "failed_servers",
-    "failed_switches",
-    "failed_links",
-    "downed_servers",
-    "victims",
-    "victim_vms",
-    "survivors",
-    "replaced",
-    "lost",
-    "churn_vms",
-)
-
-
-def _failure_to(payload: dict) -> dict:
-    # recover_seconds is wall clock (a _TIMING_FIELDS member): zero it in
-    # the canonical encoding so equal fingerprints mean equal bytes, as
-    # for the rejection kind's runtime_seconds.
-    data = dict(payload)
-    data["recover_seconds"] = 0.0
-    return data
-
-
-def _failure_from(data: dict) -> dict:
-    out = {field: int(data[field]) for field in _FAILURE_INT_FIELDS}
-    out["survival_rate"] = float(data["survival_rate"])
-    out["recover_seconds"] = float(data["recover_seconds"])
-    return out
-
-
 def _failure_metrics(payload: dict) -> dict[str, float]:
     victims = payload["victims"]
     return {
@@ -368,99 +239,6 @@ def _failure_metrics(payload: dict) -> dict[str, float]:
         "lost": float(payload["lost"]),
         "churn_vms": float(payload["churn_vms"]),
         "recover_seconds": payload["recover_seconds"],
-    }
-
-
-def _survey_from(data: dict) -> dict:
-    # JSON lowers tuples to lists; the runner emits tuple rows, so the
-    # round-trip must restore them for payload equality.
-    return {
-        "workload_rows": [tuple(row) for row in data["workload_rows"]],
-        "datacenter_rows": [tuple(row) for row in data["datacenter_rows"]],
-        "interactive_median": float(data["interactive_median"]),
-        "batch_median": float(data["batch_median"]),
-    }
-
-
-register_codec(
-    "rejection",
-    version=1,
-    to_payload=_rejection_to,
-    from_payload=_rejection_from,
-    metrics=_rejection_metrics,
-)
-register_codec(
-    "reserved",
-    version=1,
-    to_payload=_reserved_to,
-    from_payload=_reserved_from,
-    metrics=_reserved_metrics,
-)
-register_codec(
-    "inference",
-    version=1,
-    to_payload=_identity,
-    from_payload=_inference_from,
-    metrics=_inference_metrics,
-)
-register_codec(
-    "runtime",
-    version=1,
-    to_payload=_identity,
-    from_payload=_runtime_from,
-    metrics=_runtime_metrics,
-)
-register_codec(
-    "enforce",
-    version=1,
-    to_payload=_enforce_to,
-    from_payload=_enforce_from,
-    metrics=_enforce_metrics,
-)
-register_codec(
-    "hose_fail",
-    version=1,
-    to_payload=_hose_fail_to,
-    from_payload=_hose_fail_from,
-    metrics=_hose_fail_metrics,
-)
-register_codec(
-    "temporal",
-    version=1,
-    to_payload=_identity,
-    from_payload=_temporal_from,
-    metrics=_temporal_metrics,
-)
-register_codec(
-    "service",
-    version=1,
-    to_payload=_service_to,
-    from_payload=_service_from,
-    metrics=_service_metrics,
-)
-register_codec(
-    "failure",
-    version=1,
-    to_payload=_failure_to,
-    from_payload=_failure_from,
-    metrics=_failure_metrics,
-)
-register_codec(
-    "survey",
-    version=1,
-    to_payload=_identity,
-    from_payload=_survey_from,
-)
-def _telemetry_from(data: dict) -> dict:
-    return {
-        "label": str(data["label"]),
-        "phases": {
-            name: {"count": int(p["count"]), "seconds": float(p["seconds"])}
-            for name, p in data["phases"].items()
-        },
-        "counters": {name: int(v) for name, v in data["counters"].items()},
-        "events": [list(event) for event in data["events"]],
-        "dropped_events": int(data["dropped_events"]),
     }
 
 
@@ -480,14 +258,21 @@ def _telemetry_metrics(payload: dict) -> dict[str, float]:
     return out
 
 
-# "telemetry" rows are per-trial trace exports (repro.results.telemetry),
-# written by Engine.run when instrumentation is on.  The codec registers
-# here so every store operation (gc in particular) sees it without
-# importing the telemetry layer.
-register_codec(
-    "telemetry",
-    version=1,
-    to_payload=_identity,
-    from_payload=_telemetry_from,
-    metrics=_telemetry_metrics,
-)
+# kind: (metrics extractor, the dataclass its runner returns, if any)
+_BUILTIN_CODECS = {
+    "rejection": (_rejection_metrics, RunMetrics),
+    "reserved": (_reserved_metrics, ReservedBandwidth),
+    "inference": (_inference_metrics, None),
+    "runtime": (_runtime_metrics, None),
+    "enforce": (_enforce_metrics, Fig13Point),
+    "hose_fail": (_hose_fail_metrics, Fig4Outcome),
+    "temporal": (_temporal_metrics, None),
+    "service": (_service_metrics, None),
+    "failure": (_failure_metrics, None),
+    "survey": (None, None),
+    # Per-trial trace exports (repro.results.telemetry), registered here
+    # so every store operation (gc in particular) sees them.
+    "telemetry": (_telemetry_metrics, None),
+}
+for _kind, (_metrics, _type) in _BUILTIN_CODECS.items():
+    register_codec(_kind, version=1, metrics=_metrics, payload_type=_type)

@@ -31,7 +31,7 @@ from typing import Any, Iterable, Iterator
 from repro.engine.scenario import Trial, TrialResult
 from repro.errors import ResultsError
 from repro.obs import core as _obs
-from repro.results.codecs import Codec, codec_for, codec_version
+from repro.results.codecs import codec_for, codec_version
 from repro.results.fingerprint import trial_fingerprint
 
 __all__ = ["ResultStore", "StoredRow"]
@@ -81,24 +81,50 @@ class StoredRow:
     created: float
     payload_json: str
 
-    def _codec(self) -> Codec:
-        try:
-            return codec_for(self.kind)
-        except ResultsError:
-            # codec_for's message is advice for *writing* a new kind; a
-            # row already on disk whose kind is gone can only be reaped.
-            raise ResultsError(
-                f"stored row {self.fingerprint[:12]} has kind {self.kind!r}, "
-                "which this version no longer reads; `repro results gc "
-                "<store>` removes such rows"
-            ) from None
-
     def payload(self) -> Any:
         """The decoded payload object (requires the kind's codec)."""
-        return self._codec().decode(self.payload_json)
+        return _decode(self.kind, self.fingerprint, self.payload_json)[0]
 
     def metrics(self) -> dict[str, float]:
-        return self._codec().metrics(self.payload())
+        return _decode(self.kind, self.fingerprint, self.payload_json)[1]
+
+
+def _decode(kind: str, fingerprint: str, text: str) -> tuple[Any, dict[str, float]]:
+    """One stored payload and its metrics, or a ``ResultsError`` naming gc.
+
+    Every read of a stored payload comes through here, so a row that
+    cannot be read — its kind is gone, its text is not JSON, its fields
+    are not the payload type's, or its kind's ``metrics`` extractor
+    rejects it — fails the same clean way wherever it is read, and
+    :meth:`ResultStore.gc` reaps exactly the rows that fail here.
+    """
+    try:
+        codec = codec_for(kind)
+    except ResultsError:
+        # codec_for's message is advice for *writing* a new kind; a row
+        # already on disk whose kind is gone can only be reaped.
+        raise ResultsError(
+            f"stored row {fingerprint[:12]} has kind {kind!r}, which this "
+            "version no longer reads; `repro results gc <store>` removes "
+            "such rows"
+        ) from None
+    try:
+        payload = codec.decode(text)
+        return payload, codec.metrics(payload)
+    except (ValueError, LookupError, TypeError, AttributeError) as error:
+        raise ResultsError(
+            f"stored row {fingerprint[:12]} (kind {kind!r}) does not decode "
+            f"({type(error).__name__}: {error}); `repro results gc <store>` "
+            "removes such rows"
+        ) from None
+
+
+def _decodes(kind: str, fingerprint: str, text: str) -> bool:
+    try:
+        _decode(kind, fingerprint, text)
+    except ResultsError:
+        return False
+    return True
 
 
 class ResultStore:
@@ -148,11 +174,12 @@ class ResultStore:
         marks the result ``cached=True``; ``elapsed`` is the original
         execution's wall time.
         """
+        fingerprint = trial_fingerprint(trial)
         row = (
             self._connect()
             .execute(
                 "SELECT payload, elapsed FROM results WHERE fingerprint = ?",
-                (trial_fingerprint(trial),),
+                (fingerprint,),
             )
             .fetchone()
         )
@@ -163,7 +190,7 @@ class ResultStore:
             return None
         if c is not None:
             c.bump("store.cache_hits")
-        payload = codec_for(trial.kind).decode(row[0])
+        payload = _decode(trial.kind, fingerprint, row[0])[0]
         return TrialResult(trial, payload, row[1], cached=True)
 
     def record(self, result: TrialResult) -> str:
@@ -353,28 +380,25 @@ class ResultStore:
     def gc(self) -> int:
         """Delete rows no current codec can decode; returns rows removed.
 
-        A row is stale when its kind has no registered codec or its
+        A row is stale when its kind has no registered codec, when its
         ``codec_version`` differs from the registered one (the
         fingerprint of such a trial has changed, so the row can never
-        hit again).
+        hit again), or when its payload does not decode (a corrupt row).
         """
         connection = self._connect()
         stale = [
-            (kind, version)
-            for kind, version in connection.execute(
-                "SELECT DISTINCT kind, codec_version FROM results"
+            (fingerprint,)
+            for fingerprint, kind, version, text in connection.execute(
+                "SELECT fingerprint, kind, codec_version, payload FROM results"
             )
             if codec_version(kind) != version
+            or not _decodes(kind, fingerprint, text)
         ]
-        removed = 0
         with connection:
-            for kind, version in stale:
-                cursor = connection.execute(
-                    "DELETE FROM results WHERE kind = ? AND codec_version = ?",
-                    (kind, version),
-                )
-                removed += cursor.rowcount
-        return removed
+            connection.executemany(
+                "DELETE FROM results WHERE fingerprint = ?", stale
+            )
+        return len(stale)
 
     def vacuum(self) -> int:
         """Rebuild the database file, returning the bytes reclaimed.

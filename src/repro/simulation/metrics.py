@@ -36,14 +36,6 @@ class WcsStats:
     def maximum(self) -> float:
         return float(max(self.values)) if self.values else 0.0
 
-    def to_dict(self) -> dict:
-        """JSON-able form for the results store (exact float round-trip)."""
-        return {"values": list(self.values)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WcsStats":
-        return cls(values=[float(value) for value in data["values"]])
-
 
 @dataclass
 class UtilizationSample:
@@ -51,19 +43,6 @@ class UtilizationSample:
 
     slot_fraction: float
     bandwidth_fraction: float
-
-    def to_dict(self) -> dict:
-        return {
-            "slot_fraction": self.slot_fraction,
-            "bandwidth_fraction": self.bandwidth_fraction,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "UtilizationSample":
-        return cls(
-            slot_fraction=float(data["slot_fraction"]),
-            bandwidth_fraction=float(data["bandwidth_fraction"]),
-        )
 
 
 @dataclass
@@ -118,33 +97,3 @@ class RunMetrics:
     def bw_rejection_rate(self) -> float:
         return self.bw_rejected / self.bw_total if self.bw_total else 0.0
 
-    def to_dict(self) -> dict:
-        """JSON-able form for the results store (exact float round-trip)."""
-        return {
-            "tenants_total": self.tenants_total,
-            "tenants_rejected": self.tenants_rejected,
-            "vms_total": self.vms_total,
-            "vms_rejected": self.vms_rejected,
-            "bw_total": self.bw_total,
-            "bw_rejected": self.bw_rejected,
-            "wcs": self.wcs.to_dict(),
-            "runtime_seconds": self.runtime_seconds,
-            "utilization": [sample.to_dict() for sample in self.utilization],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunMetrics":
-        return cls(
-            tenants_total=int(data["tenants_total"]),
-            tenants_rejected=int(data["tenants_rejected"]),
-            vms_total=int(data["vms_total"]),
-            vms_rejected=int(data["vms_rejected"]),
-            bw_total=float(data["bw_total"]),
-            bw_rejected=float(data["bw_rejected"]),
-            wcs=WcsStats.from_dict(data["wcs"]),
-            runtime_seconds=float(data["runtime_seconds"]),
-            utilization=[
-                UtilizationSample.from_dict(sample)
-                for sample in data["utilization"]
-            ],
-        )

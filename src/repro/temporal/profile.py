@@ -54,7 +54,10 @@ class TemporalProfile:
 
     @property
     def mean(self) -> float:
-        return sum(self.factors) / len(self.factors)
+        total = 0  # not sum(): compensated from Python 3.12, values are pinned
+        for factor in self.factors:
+            total += factor
+        return total / len(self.factors)
 
     @classmethod
     def flat(cls, windows: int, factor: float = 1.0) -> "TemporalProfile":

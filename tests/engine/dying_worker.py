@@ -25,7 +25,7 @@ def run_dying_trial(trial: Trial) -> dict[str, int]:
 
 
 register_runner("dying", run_dying_trial)
-register_codec("dying", version=1, to_payload=dict, from_payload=dict)
+register_codec("dying", version=1)
 registry.register(
     Scenario(
         name="dying",

@@ -1,8 +1,15 @@
-"""Payload codecs: JSON round-trip equality for every registered kind."""
+"""Payload codecs: JSON round-trip equality for every registered kind.
+
+``codec_wire.json`` pins, per kind, the exact text each
+``PAYLOAD_FACTORIES`` payload encodes to.  Stores on disk, the golden
+payload hashes and the bench digests all hash that text, so it may only
+change together with the kind's codec version.
+"""
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +19,8 @@ from repro.errors import ResultsError
 from repro.results import codec_for, codec_names, codec_version, register_codec
 from repro.results.codecs import _CODECS
 from repro.simulation.runner import ReservedBandwidth
+
+WIRE = json.loads((Path(__file__).parent / "codec_wire.json").read_text())
 
 
 def _trial(kind: str, **overrides):
@@ -136,9 +145,9 @@ def test_every_runner_kind_has_a_codec_and_a_roundtrip_case():
 def test_payload_roundtrip_equality(kind):
     payload = PAYLOAD_FACTORIES[kind]()
     codec = codec_for(kind)
-    # Through actual JSON text, exactly as the store persists it.
-    wire = json.dumps(codec.to_payload(payload))
-    decoded = codec.from_payload(json.loads(wire))
+    # Through the recorded wire text, exactly as the store persists it.
+    assert codec.encode(payload) == WIRE[kind]
+    decoded = codec.decode(WIRE[kind])
     assert decoded == payload
     assert type(decoded) is type(payload)
 
@@ -180,11 +189,9 @@ def test_unknown_kind_rejected():
 
 def test_codec_registration_validates():
     with pytest.raises(ResultsError, match="version"):
-        register_codec("bad", version=0, to_payload=lambda p: p,
-                       from_payload=lambda p: p)
+        register_codec("bad", version=0)
     with pytest.raises(ResultsError, match="non-empty"):
-        register_codec("", version=1, to_payload=lambda p: p,
-                       from_payload=lambda p: p)
+        register_codec("", version=1)
     assert "bad" not in _CODECS
 
 
@@ -193,3 +200,32 @@ def test_hose_fail_payload_roundtrip_is_dataclass():
     assert isinstance(payload, Fig4Outcome)
     codec = codec_for("hose_fail")
     assert codec.decode(codec.encode(payload)) == payload
+
+
+def test_wall_clock_fields_are_zeroed_except_in_measurement_kinds():
+    rejection = _rejection_payload()
+    rejection.runtime_seconds = 1.25
+    service = _service_payload()
+    service["timing"] = {key: 3.5 for key in service["timing"]}
+    failure = _failure_payload()
+    failure["recover_seconds"] = 0.5
+    for kind, payload in (("rejection", rejection), ("service", service),
+                          ("failure", failure)):
+        assert codec_for(kind).encode(payload) == WIRE[kind]
+    # The runtime kind's reading is its payload: stored as measured.
+    assert '"seconds":0.0123' in codec_for("runtime").encode(_runtime_payload())
+
+
+def test_an_int_rate_keeps_its_bytes_and_exports_as_a_float():
+    # Fig. 13 at x = 0 has no C2 senders: c2_to_z is sum([]) == 0, which
+    # JSON writes as "0".  The stored bytes must survive a decode/encode
+    # round trip, and the exported metric must still read 0.0.
+    codec = codec_for("enforce")
+    text = codec.encode(Fig13Point(0, 1000.0, 0))
+    assert '"c2_to_z":0,' in text
+    decoded = codec.decode(text)
+    assert codec.encode(decoded) == text
+    metrics = codec.metrics(decoded)
+    assert [type(value) for value in metrics.values()] == [float, float]
+    hose = codec_for("hose_fail").metrics(Fig4Outcome(0, 0, False))
+    assert [type(value) for value in hose.values()] == [float] * 3

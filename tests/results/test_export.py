@@ -249,5 +249,5 @@ class TestExportCli:
     def test_export_missing_store_reports_cleanly(self, capsys, tmp_path):
         missing = str(tmp_path / "absent.sqlite")
         assert main(["results", "export", missing]) == 1
-        out = capsys.readouterr().out
-        assert "error:" in out and "Traceback" not in out
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err

@@ -97,11 +97,9 @@ class TestSensitivity:
         trial = scenario.expand()[0]
         unregistered = fp(trial)  # version 0: no codec yet
         try:
-            register_codec(kind, version=1, to_payload=lambda p: p,
-                           from_payload=lambda p: p)
+            register_codec(kind, version=1)
             v1 = fp(trial)
-            register_codec(kind, version=2, to_payload=lambda p: p,
-                           from_payload=lambda p: p)
+            register_codec(kind, version=2)
             v2 = fp(trial)
         finally:
             _CODECS.pop(kind, None)

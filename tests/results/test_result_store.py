@@ -101,13 +101,7 @@ class TestResumeAfterInterrupt:
             return {"value": trial.seed * 10.0}
 
         register_runner(kind, runner)
-        register_codec(
-            kind,
-            version=1,
-            to_payload=lambda p: p,
-            from_payload=lambda p: {"value": float(p["value"])},
-            metrics=lambda p: {"value": p["value"]},
-        )
+        register_codec(kind, version=1, metrics=lambda p: {"value": p["value"]})
         try:
             yield kind, explode_at
         finally:
@@ -204,8 +198,7 @@ class TestGc:
     def versioned_kind(self):
         kind = "gc-test"
         register_runner(kind, lambda trial: {"value": 1.0})
-        register_codec(kind, version=1, to_payload=lambda p: p,
-                       from_payload=lambda p: p)
+        register_codec(kind, version=1)
         try:
             yield kind
         finally:
@@ -218,8 +211,7 @@ class TestGc:
         )
         Engine().run(scenario, store=store)
         assert store.gc() == 0  # everything current
-        register_codec(versioned_kind, version=2, to_payload=lambda p: p,
-                       from_payload=lambda p: p)
+        register_codec(versioned_kind, version=2)
         # The v1 rows can never hit again (fingerprints moved with the
         # version), so a re-run recomputes and gc reclaims the old rows.
         rerun = Engine().run(scenario, store=store)

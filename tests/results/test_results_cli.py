@@ -100,9 +100,9 @@ class TestResultsVerbs:
         assert main(["results", "list", populated]) == 0
         assert "5 rows total" in capsys.readouterr().out
         assert main(["results", "export", populated, "-o", out_file]) == 1
-        out = capsys.readouterr().out
-        assert "'bench'" in out and "repro results gc" in out
-        assert "register_codec" not in out and "Traceback" not in out
+        err = capsys.readouterr().err
+        assert "'bench'" in err and "repro results gc" in err
+        assert "register_codec" not in err and "Traceback" not in err
         assert main(["results", "gc", populated]) == 0
         assert "removed 1 stale rows; 4 remain" in capsys.readouterr().out
         assert main(["results", "export", populated, "-o", out_file]) == 0
@@ -113,5 +113,56 @@ class TestResultsVerbs:
                      ["results", "show", missing, "fig08"],
                      ["results", "gc", missing]):
             assert main(argv) == 1
-            out = capsys.readouterr().out
-            assert "no results store" in out and "Traceback" not in out
+            err = capsys.readouterr().err
+            assert "no results store" in err and "Traceback" not in err
+
+
+# One stored row damaged three ways: cut mid-JSON, emptied to an object
+# with none of its fields, and given a field its payload type lacks.
+CORRUPTIONS = {
+    "truncated": lambda text: text[:40],
+    "empty": lambda text: "{}",
+    "extra-key": lambda text: text[:-1] + ',"zzz_extra":1}',
+}
+
+
+class TestCorruptRow:
+    @pytest.fixture(params=sorted(CORRUPTIONS))
+    def corrupted(self, request, store_path, capsys):
+        assert main(["run", "fig08", *RUN_FLAGS, "--store", store_path]) == 0
+        capsys.readouterr()
+        with sqlite3.connect(store_path) as connection:
+            fingerprint, text = connection.execute(
+                "SELECT fingerprint, payload FROM results ORDER BY fingerprint"
+            ).fetchone()
+            connection.execute(
+                "UPDATE results SET payload = ? WHERE fingerprint = ?",
+                (CORRUPTIONS[request.param](text), fingerprint),
+            )
+        connection.close()
+        return store_path, fingerprint
+
+    @pytest.mark.parametrize("verb", ["show", "export", "run"])
+    def test_reading_it_is_a_clean_error_naming_gc(self, capsys, corrupted, verb):
+        store_path, fingerprint = corrupted
+        argv = {
+            "show": ["results", "show", store_path, "fig08"],
+            "export": ["results", "export", store_path],
+            "run": ["run", "fig08", *RUN_FLAGS, "--store", store_path],
+        }[verb]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert fingerprint[:12] in captured.err and "'rejection'" in captured.err
+        assert "repro results gc" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
+    def test_gc_reaps_exactly_it_and_the_rerun_refills_it(self, capsys, corrupted):
+        store_path, _ = corrupted
+        assert main(["results", "gc", store_path]) == 0
+        assert "removed 1 stale rows; 3 remain" in capsys.readouterr().out
+        assert main(["run", "fig08", *RUN_FLAGS, "--store", store_path]) == 0
+        out = capsys.readouterr().out
+        assert "4 trials" in out and "3 cached" in out
+        assert main(["results", "gc", store_path]) == 0
+        assert "removed 0 stale rows; 4 remain" in capsys.readouterr().out

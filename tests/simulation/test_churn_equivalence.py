@@ -11,6 +11,8 @@ state arrays.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.placement.ha import HaPolicy
@@ -82,8 +84,8 @@ def assert_lockstep(topology, pool, events, placer_name, ha=None):
     indexed = churn_run(
         topology, pool, events, placer_name, ha=ha, use_index=True
     )
-    base_metrics = baseline[0].to_dict()
-    index_metrics = indexed[0].to_dict()
+    base_metrics = dataclasses.asdict(baseline[0])
+    index_metrics = dataclasses.asdict(indexed[0])
     base_metrics.pop("runtime_seconds")
     index_metrics.pop("runtime_seconds")
     assert base_metrics == index_metrics, f"{placer_name}: metrics diverged"

@@ -102,13 +102,12 @@ class TestRunMetricsEmptyRun:
     """An untouched RunMetrics must survive the store round-trip."""
 
     def test_empty_run_serialization_round_trip(self):
-        import json
-
+        from repro.results import codec_for
         from repro.simulation.metrics import RunMetrics
 
+        codec = codec_for("rejection")
         metrics = RunMetrics()
-        restored = RunMetrics.from_dict(json.loads(json.dumps(metrics.to_dict())))
-        assert restored == metrics
+        assert codec.decode(codec.encode(metrics)) == metrics
 
     def test_empty_run_rates_and_means_are_zero(self):
         from repro.simulation.metrics import RunMetrics
