@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.experiments._table import Table
 from repro.placement.cloudmirror import CloudMirrorPlacer
 from repro.simulation.arrivals import poisson_arrivals
-from repro.simulation.cluster import ClusterManager, run_arrival_departure
+from repro.simulation.runner import run_rejections
 from repro.topology.builder import DatacenterSpec, three_level_tree
 from repro.topology.ledger import Ledger
 from repro.workloads.bing import bing_pool
@@ -24,9 +24,8 @@ def _run_variant(choice: str, pods: int, arrivals: int):
     topology = three_level_tree(DatacenterSpec(pods=pods))
     ledger = Ledger(topology)
     placer = CloudMirrorPlacer(ledger, subtree_choice=choice)
-    manager = ClusterManager(ledger, placer, collect_wcs=False)
     events = poisson_arrivals(pool, arrivals, 0.9, topology.total_slots, seed=0)
-    return run_arrival_departure(manager, events, pool)
+    return run_rejections(ledger, placer, pool, events)
 
 
 def test_subtree_choice_ablation(run_once, bench_pods, bench_arrivals):

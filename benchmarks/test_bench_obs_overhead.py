@@ -9,7 +9,8 @@ inputs:
   plus one identity test.
 * **counters** — ``obs.enable()``: every site also bumps a dict slot.
 * **traced** — counters plus a :class:`TraceRecorder` installed, so the
-  ``obs.timed`` sites additionally append span events.
+  loop's ``place`` span and the ``obs.timed`` sites additionally append
+  span events.
 
 All three must produce bit-identical placement decisions (asserted on
 metrics, final layouts and slot usage) — the obs layer observes, never
@@ -28,7 +29,6 @@ and ``REPRO_BENCH_OBS_MAX_TRACE_OVERHEAD`` (default 0.30).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import platform
@@ -37,8 +37,8 @@ import time
 from repro.obs import core
 from repro.obs.trace import TraceRecorder
 from repro.simulation.arrivals import poisson_arrivals
-from repro.simulation.cluster import ClusterManager, run_arrival_departure
 from repro.simulation.runner import make_placer
+from repro.simulation.service import ServiceLoop
 from repro.topology.builder import DatacenterSpec, three_level_tree
 from repro.topology.ledger import Ledger
 from repro.workloads.synthetic import synthetic_pool
@@ -59,21 +59,18 @@ def _env_float(name: str, default: float) -> float:
 def _churn_once(topology, arrivals, pool):
     ledger = Ledger(topology)
     placer = make_placer("cm", ledger)
-    manager = ClusterManager(
-        ledger, placer, collect_wcs=False, collect_utilization=False
-    )
+    loop = ServiceLoop(ledger, placer, pool, collect_utilization=False)
     started = time.perf_counter()
-    metrics = run_arrival_departure(manager, arrivals, pool)
+    outcome = loop.run(arrivals)
     elapsed = time.perf_counter() - started
     layouts = [
         sorted(
             (server.node_id, tuple(sorted(counts.items())))
             for server, counts in allocation.iter_server_placements()
         )
-        for allocation in manager.active
+        for allocation in loop.live()
     ]
-    outcome = dataclasses.asdict(metrics)
-    outcome.pop("runtime_seconds")
+    outcome.pop("timing")
     return elapsed, (outcome, layouts, list(ledger._used_slots))
 
 

@@ -6,8 +6,9 @@ Drives tens of thousands of Poisson arrivals through
 ever materializing the event list, and prints the streaming metrics an
 online placement service watches: throughput, time-to-place quantiles,
 windowed rejection rate, utilization.  The decisions are bit-identical
-to the per-event ``ClusterManager`` loop at any cohort size; only the
-bookkeeping is batched.
+to a per-event ``place``/``release`` loop at any cohort size; only the
+bookkeeping is batched.  The paper figures run through this same loop,
+with ``RunMetrics.recorder`` as its per-decision hook.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Every trial needs a tenant pool, a scaled copy of it, and a topology
 built from its spec.  Those are pure functions of hashable inputs, so
 repeated trials in one process (the common case for a sweep) reuse them
 instead of re-parsing workload data and rebuilding trees.  Mutable state
-(the ledger, placer, manager) is always constructed fresh per trial —
+(the ledger and placer) is always constructed fresh per trial —
 only immutable objects are cached.
 
 Worker processes build their own caches on first use; nothing here is
@@ -21,7 +21,6 @@ from repro.core.tag import Tag
 from repro.engine.scenario import Trial
 from repro.errors import EngineError
 from repro.obs import core as _obs
-from repro.simulation.cluster import ClusterManager
 from repro.simulation.runner import make_placer
 from repro.topology.builder import (
     DatacenterSpec,
@@ -117,21 +116,17 @@ class TrialContext:
     topology: Topology
     ledger: Ledger
     placer: object
-    manager: ClusterManager
 
 
-def build_context(trial: Trial, *, collect_wcs: bool = True) -> TrialContext:
+def build_context(trial: Trial) -> TrialContext:
     """Construct the mutable simulation state for one trial.
 
     The scaled pool and topology come from the process-wide caches; the
-    ledger, placer and cluster manager are fresh so trials never observe
-    each other's reservations.
+    ledger and placer are fresh so trials never observe each other's
+    reservations.
     """
     pool = list(get_scaled_pool(trial.pool, trial.bmax))
     topology = get_topology(trial.topology.spec)
     ledger = Ledger(topology)
     placer = make_placer(trial.variant.placer, ledger, trial.variant.ha)
-    manager = ClusterManager(
-        ledger, placer, laa_level=trial.laa_level, collect_wcs=collect_wcs
-    )
-    return TrialContext(pool, topology, ledger, placer, manager)
+    return TrialContext(pool, topology, ledger, placer)

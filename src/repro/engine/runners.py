@@ -39,8 +39,7 @@ from repro.errors import EngineError
 from repro.obs import core as obs
 from repro.obs.trace import TraceRecorder
 from repro.simulation.arrivals import poisson_arrivals
-from repro.simulation.cluster import run_arrival_departure
-from repro.simulation.runner import measure_reserved_bandwidth
+from repro.simulation.runner import measure_reserved_bandwidth, run_rejections
 
 __all__ = ["KIND_AXES", "RUNNERS", "execute_trial", "kind_axes", "register_runner"]
 
@@ -48,11 +47,10 @@ __all__ = ["KIND_AXES", "RUNNERS", "execute_trial", "kind_axes", "register_runne
 def run_rejection_trial(trial: Trial):
     """The §5.1 arrival/departure loop (Figs. 7-12).
 
-    Semantically identical to
-    :func:`repro.simulation.runner.simulate_rejections` (a test pins the
-    two together) but built through :func:`build_context`, whose
-    process-wide caches let repeated trials skip re-scaling the pool and
-    re-building the topology.
+    :func:`repro.simulation.runner.run_rejections` on a
+    :func:`build_context` context, whose process-wide caches let
+    repeated trials skip re-scaling the pool and re-building the
+    topology.
     """
     context = build_context(trial)
     events = poisson_arrivals(
@@ -62,7 +60,9 @@ def run_rejection_trial(trial: Trial):
         context.topology.total_slots,
         seed=trial.seed,
     )
-    return run_arrival_departure(context.manager, events, context.pool)
+    return run_rejections(
+        context.ledger, context.placer, context.pool, events, trial.laa_level
+    )
 
 
 def run_reserved_trial(trial: Trial):
@@ -108,9 +108,9 @@ def run_inference_trial(trial: Trial) -> dict[str, Any]:
 def run_runtime_trial(trial: Trial) -> dict[str, Any] | None:
     """Time one single-tenant placement on an empty datacenter.
 
-    Builds only what the measurement touches (no tenant pool, no
-    cluster manager): a fresh ledger over the cached topology plus the
-    placer under test.
+    Builds only what the measurement touches (no tenant pool, no event
+    loop): a fresh ledger over the cached topology plus the placer under
+    test.
     """
     from repro.placement.base import Placement
     from repro.simulation.runner import make_placer

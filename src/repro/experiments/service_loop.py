@@ -8,11 +8,11 @@ through :class:`~repro.simulation.service.ServiceLoop` — cohort-batched
 admission over the persistent candidate index — and reports steady-state
 admission behaviour plus the loop's own latency quantiles.
 
-The decisions are bit-identical to the per-event loop at any cohort size
-(the differential suite in ``tests/simulation/test_service.py`` pins
-this); the scenario exists to observe the *service* — throughput,
-time-to-place percentiles, windowed rejection rate — not to change the
-placement results.
+The paper figures run the same loop, and its decisions are
+bit-identical to a per-event loop at any cohort size (the differential
+suite in ``tests/simulation/test_service.py`` pins this); the scenario
+exists to observe the *service* — throughput, time-to-place percentiles,
+windowed rejection rate — not to change the placement results.
 """
 
 from __future__ import annotations

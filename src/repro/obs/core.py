@@ -191,8 +191,8 @@ class Timer:
 
     This is the replacement for the hand-rolled ``started =
     perf_counter() ... elapsed = perf_counter() - started`` pairs that
-    used to be scattered through the runners, the cluster manager and
-    the failure harness: the measured ``seconds`` is *always* produced
+    used to be scattered through the runners and the failure harness:
+    the measured ``seconds`` is *always* produced
     (several payloads are wall-clock measurements), and when a recorder
     is active the same reading is recorded as a span for free — one
     clock read pair either way.

@@ -166,6 +166,11 @@ class CloudMirrorPlacer:
         # algorithm would accept: fall back to the default behaviour.
         return self._place_attempt(tag, 0, False)
 
+    def observe(self, tag: Tag) -> None:
+        """Count an arrival a caller rejected without :meth:`place`:
+        §4.5 predicts demand from every previous arrival."""
+        self.estimator.observe(tag)
+
     def _place_attempt(
         self, tag: Tag, start_level: int, opportunistic: bool
     ) -> PlacementResult:

@@ -27,8 +27,8 @@ from repro.core.tag import Tag
 from repro.obs import core as obs
 from repro.placement.base import Placement
 from repro.simulation.arrivals import poisson_arrivals
-from repro.simulation.cluster import ClusterManager, run_arrival_departure
 from repro.simulation.runner import make_placer
+from repro.simulation.service import ServiceLoop
 from repro.topology.ledger import Journal, Ledger
 from repro.topology.tree import Topology
 
@@ -89,14 +89,9 @@ def run_failure_scenario(
     placer = make_placer(
         placer_name, ledger, ha, use_candidate_index=use_candidate_index
     )
-    manager = ClusterManager(
-        ledger, placer, collect_wcs=False, collect_utilization=False
-    )
-    events = poisson_arrivals(
-        pool, arrivals, load, topology.total_slots, seed=seed
-    )
-    run_arrival_departure(manager, events, pool)
-    placed = manager.active
+    loop = ServiceLoop(ledger, placer, pool, collect_utilization=False)
+    loop.run(poisson_arrivals(pool, arrivals, load, topology.total_slots, seed=seed))
+    placed = loop.live()
     placed_vms = sum(allocation.tag.size for allocation in placed)
 
     rng = random.Random(seed * 7919 + 13)
@@ -119,28 +114,29 @@ def run_failure_scenario(
     # obs.timed: same perf_counter pair as before, plus a "recover" span
     # in the trial trace when instrumentation is on.
     with obs.timed("recover") as timer:
-        victims = [
-            allocation
-            for allocation in placed
-            if any(
+        live, victims = [], []
+        for allocation in placed:
+            hit = any(
                 mask.is_down(server.node_id)
                 for server, _ in allocation.iter_server_placements()
             )
-        ]
+            (victims if hit else live).append(allocation)
         victim_vms = sum(allocation.tag.size for allocation in victims)
         for allocation in victims:
-            manager.depart(allocation)
+            allocation.release()
         replaced = lost = churn_vms = 0
         for allocation in victims:
-            if isinstance(manager.admit(allocation.tag), Placement):
+            result = placer.place(allocation.tag)
+            if isinstance(result, Placement):
                 replaced += 1
                 churn_vms += allocation.tag.size
+                live.append(result.allocation)
             else:
                 lost += 1
     recover_seconds = timer.seconds
 
     # Recovery invariant: nothing may live on a covered server.
-    for allocation in manager.active:
+    for allocation in live:
         for server, _ in allocation.iter_server_placements():
             assert not mask.is_down(server.node_id), (
                 f"allocation survived on failed server {server.name!r}"

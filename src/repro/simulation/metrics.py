@@ -9,8 +9,12 @@ survivability (WCS) statistics and per-level reserved bandwidth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
+
+from repro.core.tag import Tag
+from repro.placement.ha import allocation_wcs
 
 __all__ = ["RunMetrics", "UtilizationSample", "WcsStats"]
 
@@ -68,6 +72,40 @@ class RunMetrics:
         self.tenants_rejected += 1
         self.vms_rejected += vms
         self.bw_rejected += bandwidth
+
+    def recorder(
+        self, ledger, laa_level: int = 0
+    ) -> Callable[[Tag, object | None], None]:
+        """A ``ServiceLoop`` ``on_decision`` hook filling these metrics.
+
+        Per decision: the totals (added one tenant at a time, as a
+        per-event loop adds them), the WCS of an admitted tenant's
+        multi-VM tiers, and a utilization sample of ``ledger``.
+        """
+        root_id = ledger.flat.root_id
+        total_slots = ledger.topology.total_slots
+
+        def record(tag: Tag, allocation) -> None:
+            self.record_arrival(tag.size, tag.total_bandwidth)
+            if allocation is None:
+                self.record_rejection(tag.size, tag.total_bandwidth)
+            else:
+                try:
+                    per_tier = allocation_wcs(allocation, laa_level)
+                except (AttributeError, ValueError):  # pipes, size-0 tiers
+                    per_tier = {}
+                for tier, wcs in per_tier.items():
+                    # Single-VM tiers cannot survive any fault-domain
+                    # failure; the WCS statistics follow [11] and cover
+                    # multi-VM components.
+                    if tag.component(tier).size > 1:
+                        self.wcs.add(wcs)
+            slot_fraction = 1.0 - ledger.free_slots_id(root_id) / total_slots
+            self.utilization.append(
+                UtilizationSample(slot_fraction, ledger.server_bandwidth_fraction())
+            )
+
+        return record
 
     @property
     def mean_slot_utilization(self) -> float:

@@ -4,7 +4,8 @@ Two modes:
 
 * :func:`simulate_rejections` — the standard arrival/departure loop over
   a capacity-constrained datacenter, reporting rejection rates and WCS
-  statistics (Figs. 7-12).
+  statistics (Figs. 7-12); :func:`run_rejections` is its loop, shared
+  with the engine's rejection runner.
 * :func:`measure_reserved_bandwidth` — the Table 1 loop: an idealized
   unlimited-capacity datacenter, arrivals only, stop at the first
   rejection for lack of slots, and report per-level reserved bandwidth
@@ -21,23 +22,21 @@ import numpy as np
 from repro.core.tag import Tag
 from repro.errors import SimulationError
 from repro.models.voc import voc_uplink_requirement
+from repro.placement.base import Rejection
 from repro.placement.cloudmirror import CloudMirrorPlacer
 from repro.placement.ha import HaPolicy
 from repro.placement.oktopus import OktopusPlacer
 from repro.placement.secondnet import SecondNetPlacer
-from repro.simulation.arrivals import poisson_arrivals
-from repro.simulation.cluster import (
-    ClusterManager,
-    run_arrival_departure,
-    run_arrivals_until_full,
-)
+from repro.simulation.arrivals import Arrival, poisson_arrivals
 from repro.simulation.metrics import RunMetrics
+from repro.simulation.service import ServiceLoop
 from repro.topology.builder import DatacenterSpec, three_level_tree
 from repro.topology.ledger import Ledger
 from repro.workloads.scaling import scale_pool
 
 __all__ = [
     "make_placer",
+    "run_rejections",
     "simulate_rejections",
     "measure_reserved_bandwidth",
     "ReservedBandwidth",
@@ -88,6 +87,30 @@ def make_placer(
     raise SimulationError(f"unknown placer {name!r}; options: {PLACER_NAMES}")
 
 
+def run_rejections(
+    ledger: Ledger,
+    placer,
+    pool: Sequence[Tag],
+    events: Sequence[Arrival],
+    laa_level: int = 0,
+) -> RunMetrics:
+    """The §5.1 loop of Figs. 7-12: ``events`` through a
+    :class:`ServiceLoop` whose ``on_decision`` is
+    :meth:`RunMetrics.recorder`.  ``runtime_seconds`` sums the placer
+    calls' wall clock."""
+    metrics = RunMetrics()
+    loop = ServiceLoop(
+        ledger,
+        placer,
+        pool,
+        collect_utilization=False,
+        on_decision=metrics.recorder(ledger, laa_level),
+    )
+    loop.run(events)
+    metrics.runtime_seconds = loop.metrics.place_latency.total
+    return metrics
+
+
 def simulate_rejections(
     pool: Sequence[Tag],
     placer_name: str,
@@ -104,18 +127,17 @@ def simulate_rejections(
 
     This is the standalone single-run primitive.  Sweeps should go
     through ``repro.engine``, whose ``build_context`` caches reuse the
-    scaled pool and topology across trials; the engine's rejection
-    runner is pinned to this function by an equivalence test.
+    scaled pool and topology across trials; both run
+    :func:`run_rejections`.
     """
     scaled = scale_pool(pool, bmax)
     topology = three_level_tree(spec)
     ledger = Ledger(topology)
     placer = make_placer(placer_name, ledger, ha)
-    manager = ClusterManager(ledger, placer, laa_level=laa_level)
     events = poisson_arrivals(
         scaled, arrivals, load, topology.total_slots, seed=seed
     )
-    return run_arrival_departure(manager, events, scaled)
+    return run_rejections(ledger, placer, scaled, events, laa_level)
 
 
 @dataclass(frozen=True)
@@ -159,10 +181,13 @@ def measure_reserved_bandwidth(
     if topology is None:
         topology = three_level_tree(spec, unlimited=True)
     cm_ledger = Ledger(topology)
-    cm_manager = ClusterManager(
-        cm_ledger, CloudMirrorPlacer(cm_ledger), collect_wcs=False
-    )
-    accepted = run_arrivals_until_full(cm_manager, scaled, indices)
+    cm_placer = CloudMirrorPlacer(cm_ledger)
+    allocations = []
+    for index in indices:
+        result = cm_placer.place(scaled[index])
+        if isinstance(result, Rejection):
+            break
+        allocations.append(result.allocation)
     cm_tag = _per_level(cm_ledger)
 
     # Same placement, accounted under the VOC abstraction (footnote 7).
@@ -173,7 +198,7 @@ def measure_reserved_bandwidth(
     levels = flat.level
     root_id = flat.root_id
     num_levels = len(ReservedBandwidth.LEVELS)
-    for allocation in cm_manager.active:
+    for allocation in allocations:
         for node_id, counts in allocation.iter_node_counts_id():
             level = levels[node_id]
             if node_id == root_id or level >= num_levels:
@@ -183,17 +208,14 @@ def measure_reserved_bandwidth(
 
     # Oktopus deploying the same accepted tenants as VOCs.
     ovoc_ledger = Ledger(topology)
-    ovoc_manager = ClusterManager(
-        ovoc_ledger, OktopusPlacer(ovoc_ledger), collect_wcs=False
-    )
-    run_arrivals_until_full(
-        ovoc_manager, scaled, accepted, stop_on_rejection=False
-    )
+    ovoc_placer = OktopusPlacer(ovoc_ledger)
+    for allocation in allocations:
+        ovoc_placer.place(allocation.tag)
     ovoc = _per_level(ovoc_ledger)
 
     return ReservedBandwidth(
         cm_tag=cm_tag,
         cm_voc=cm_voc,
         ovoc=ovoc,
-        tenants_deployed=len(accepted),
+        tenants_deployed=len(allocations),
     )

@@ -1,30 +1,28 @@
-"""Million-event service loop: cohort-batched admission, O(1) metrics.
+"""The arrival/departure event loop: cohort-batched admission, O(1) metrics.
 
-The ROADMAP's online-service scenario streams millions of tenant
-arrivals and departures through one shared ledger.  The per-event loop
-(:func:`repro.simulation.cluster.run_arrival_departure`) was built for
-10k-arrival batches and pays, per admission: an ``obs.timed`` context
-manager, several :class:`~repro.simulation.metrics.RunMetrics`
-attribute bumps, a WCS sample, and — dominating everything on real
-topologies — an O(servers) bandwidth-utilization sweep.  Its metrics
-are unbounded Python lists, so a long run's memory grows with the event
-count.
-
-:class:`ServiceLoop` restructures the loop around **cohorts** — maximal
+:class:`ServiceLoop` is the one heap-driven admit/depart loop: the §5.1
+paper figures (Figs. 7-12, through
+:func:`repro.simulation.runner.run_rejections`), the failure scenario
+and the million-event online-service scenario all stream their
+arrivals through it.  It is organised around **cohorts** — maximal
 runs of consecutive arrivals with no departure due between them — while
-keeping every placement decision *bit-identical* to the sequential
-per-event loop (the differential suite in ``tests/simulation`` pins
-accept/reject sequences and ledger end-state for all four placers):
+keeping every placement decision *bit-identical* to a sequential
+per-event ``place``/``release`` loop (the differential suite in
+``tests/simulation`` pins accept/reject sequences, ledger end-state and
+the paper-figure metrics for every placer):
 
 * decisions stay strictly sequential — a cohort changes *when the
   bookkeeping happens*, never the ledger state a placement sees;
 * one fused feasibility pre-pass per cohort: a running root free-slot
   count screens arrivals that cannot fit before the placer is invoked
-  (any correct placer must reject a tenant with more VMs than the
-  datacenter has free slots, so the short-circuit is decision-exact);
+  (every placer's own first check is that same comparison, and a
+  screened arrival still reaches a placer's ``observe`` hook, so §4.5's
+  arrival-based demand estimate sees every tenant);
 * per-tier utilization is sampled at heartbeat boundaries instead of
   after every admission, amortizing the O(servers) sweep to ~zero;
-* metric accounting accumulates in locals and flushes once per cohort.
+* metric accounting accumulates in locals and flushes once per cohort;
+  per-decision bookkeeping (the paper figures' ``RunMetrics``) rides on
+  the ``on_decision`` hook.
 
 The placement scan itself stays O(1)-amortized across events because
 the :class:`~repro.placement.candidates.CandidateIndex` attached to the
@@ -256,17 +254,18 @@ class StreamingServiceMetrics:
 class ServiceLoop:
     """Heap-scheduled arrival/departure loop with cohort-batched admission.
 
-    Drives one ``(ledger, placer)`` pair — the same objects the
-    per-event :class:`~repro.simulation.cluster.ClusterManager` would
-    drive — through an arrival stream (any ``Iterable[Arrival]``,
-    including the streaming generators in
+    Drives one ``(ledger, placer)`` pair through an arrival stream (any
+    ``Iterable[Arrival]``, including the streaming generators in
     :mod:`repro.simulation.arrivals`).  ``cohort`` caps the batch size
     (1 degenerates to per-event bookkeeping; the decisions are identical
     either way), ``heartbeat`` sets how many events pass between
     utilization samples, gauge refreshes and progress beats.
 
-    ``on_decision`` (tests, benches) receives ``True``/``False`` per
-    arrival in order; leave it ``None`` on the hot path.
+    ``on_decision`` receives ``(tag, allocation)`` per arrival, right
+    after its decision (``allocation`` is ``None`` for any rejection).
+    A placer's ``observe(tag)``, if it has one, hears of every arrival
+    the gate rejects: a wrapper around an opportunistic-HA placer must
+    forward it.  Calling :meth:`run` again continues the stream.
     """
 
     def __init__(
@@ -280,7 +279,7 @@ class ServiceLoop:
         window: int = 1024,
         progress=None,
         collect_utilization: bool = True,
-        on_decision: Callable[[bool], None] | None = None,
+        on_decision: Callable[[Tag, object | None], None] | None = None,
     ) -> None:
         if cohort < 1:
             raise SimulationError(f"cohort size must be >= 1, got {cohort}")
@@ -297,6 +296,8 @@ class ServiceLoop:
         self.collect_utilization = collect_utilization
         self.on_decision = on_decision
         self.metrics = StreamingServiceMetrics(window=window)
+        # (departure time, admission sequence, allocation) min-heap.
+        self._departures: list[tuple[float, int, object]] = []
         # Per-tag scalars the hot loop would otherwise re-derive from
         # Tag properties on every arrival.
         self._sizes = [tag.size for tag in self.pool]
@@ -313,6 +314,9 @@ class ServiceLoop:
         sizes = self._sizes
         bws = self._bws
         place = self.placer.place
+        if _obs.recorder is not None:
+            place = _spanned(place)
+        observe = getattr(self.placer, "observe", None)
         free_of = self.ledger.free_slots_id
         root_id = self._root_id
         latency_add = metrics.place_latency.add
@@ -321,10 +325,10 @@ class ServiceLoop:
         on_decision = self.on_decision
         cohort_cap = self.cohort
         heartbeat = self.heartbeat
-        departures: list[tuple[float, int, object]] = []
+        departures = self._departures
         heappush, heappop = heapq.heappush, heapq.heappop
-        due = math.inf  # departures[0][0], kept by every push and pop
-        sequence = 0
+        due = departures[0][0] if departures else math.inf  # kept by push/pop
+        sequence = metrics.accepted  # one per admission, across runs
         since_beat = 0
         started = perf_counter()
         if self.progress is not None:
@@ -334,8 +338,7 @@ class ServiceLoop:
         pending = next(stream, None)
         while pending is not None:
             now, index, dwell = pending
-            # Departures due at or before this arrival go first — the
-            # exact run_arrival_departure ordering rule.
+            # Departures due at or before this arrival go first.
             while due <= now:
                 heappop(departures)[2].release()
                 metrics.departures += 1
@@ -360,14 +363,17 @@ class ServiceLoop:
                     rej_vms += size
                     rej_bw += bws[index]
                     gated += 1
+                    if observe is not None:
+                        observe(pool[index])
                     if on_decision is not None:
-                        on_decision(False)
+                        on_decision(pool[index], None)
                 else:
                     if gated:
                         window_add_rejections(gated)
                         gated = 0
+                    tag = pool[index]
                     t0 = perf_counter()
-                    result = place(pool[index])
+                    result = place(tag)
                     latency_add(perf_counter() - t0)
                     if isinstance(result, Rejection):
                         rejected += 1
@@ -375,7 +381,7 @@ class ServiceLoop:
                         rej_bw += bws[index]
                         window_add(True)
                         if on_decision is not None:
-                            on_decision(False)
+                            on_decision(tag, None)
                     else:
                         assert isinstance(result, Placement)
                         sequence += 1
@@ -386,7 +392,7 @@ class ServiceLoop:
                         free = free_of(root_id)
                         window_add(False)
                         if on_decision is not None:
-                            on_decision(True)
+                            on_decision(tag, result.allocation)
                 pending = next(stream, None)
                 if pending is None or batch == cohort_cap:
                     break
@@ -415,6 +421,11 @@ class ServiceLoop:
         if self.progress is not None:
             self.progress.close()
         return self._report(elapsed)
+
+    def live(self) -> list:
+        """Allocations admitted and not yet departed, in admission order."""
+        by_admission = sorted(self._departures, key=lambda entry: entry[1])
+        return [entry[2] for entry in by_admission]
 
     # ------------------------------------------------------------------
     def _beat(self, events_done: int) -> None:
@@ -478,6 +489,16 @@ class ServiceLoop:
                 "mean_place_ms": latency.mean * 1e3,
             },
         }
+
+
+def _spanned(place):
+    """``place`` inside a ``place`` span (bound only while tracing)."""
+
+    def traced_place(tag):
+        with _obs.span("place"):
+            return place(tag)
+
+    return traced_place
 
 
 def ledger_fingerprint(ledger) -> str:

@@ -305,9 +305,10 @@ class TemporalLedger(ReservationLedger):
         self._max_down[node_id] = op[5]
 
 
-@dataclass
+@dataclass(eq=False)
 class TemporalAdmission:
-    """A live window-aware tenant."""
+    """A live window-aware tenant, hashed by identity: the handle
+    ``admit`` returns and ``depart`` consumes."""
 
     tenant: TemporalTag
     allocation: object
@@ -340,7 +341,7 @@ class TemporalCluster:
         self.placer = CloudMirrorPlacer(  # type: ignore[arg-type]
             self.ledger, use_candidate_index=use_candidate_index
         )
-        self._admitted: dict[int, TemporalAdmission] = {}
+        self._admitted: dict[TemporalAdmission, None] = {}  # ordered set
         # ``TemporalTag.peak_tag()`` builds a fresh scaled Tag per call;
         # memoizing it per tenant keeps the placer's per-tag-identity
         # caches (compiled requirement closures, candidate plans) hot
@@ -353,7 +354,7 @@ class TemporalCluster:
     @property
     def admitted(self) -> list[TemporalAdmission]:
         """Live admissions, in admission order."""
-        return list(self._admitted.values())
+        return list(self._admitted)
 
     def _peak_tag(self, tenant: TemporalTag):
         tag = self._peak_tags.get(tenant)
@@ -376,17 +377,17 @@ class TemporalCluster:
             return None
         assert isinstance(result, Placement)
         admission = TemporalAdmission(tenant, result.allocation)
-        self._admitted[id(admission)] = admission
+        self._admitted[admission] = None
         return admission
 
     def depart(self, admission: TemporalAdmission) -> None:
         # Release must run under the departing tenant's own ratios: its
         # plane reservations were scaled by them at placement time.
-        if id(admission) not in self._admitted:
-            raise SimulationError("departing tenant was never admitted")
+        if admission not in self._admitted:
+            raise SimulationError("departing tenant is not admitted")
         self.ledger.set_ratios(admission.tenant.profile)
         admission.allocation.release()
-        del self._admitted[id(admission)]
+        del self._admitted[admission]
 
     # ------------------------------------------------------------------
     def window_utilization(self, window: int, level: int) -> float:

@@ -392,8 +392,8 @@ class Ledger(ReservationLedger):
     def server_bandwidth_fraction(self) -> float:
         """Reserved fraction of finite server uplink capacity (up direction).
 
-        The utilization metric the cluster manager samples after every
-        admission; the static capacity denominator is precomputed.
+        The utilization metric the paper-figure recorder samples after
+        every decision; the static capacity denominator is precomputed.
         """
         capacity = self._finite_server_capacity
         if not capacity:

@@ -138,7 +138,7 @@ class TestContextCaches:
         first, second = build_context(trial), build_context(trial)
         assert first.topology is second.topology  # immutable: shared
         assert first.ledger is not second.ledger  # mutable: fresh
-        assert first.manager is not second.manager
+        assert first.placer is not second.placer
 
     def test_trials_do_not_leak_reservations(self):
         trial = TINY.expand()[0]

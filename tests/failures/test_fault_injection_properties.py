@@ -15,6 +15,7 @@ and admission streams through three invariants:
 
 from __future__ import annotations
 
+import math
 import random
 
 from hypothesis import assume, given, settings
@@ -22,8 +23,9 @@ from hypothesis import strategies as st
 
 from repro.errors import TopologyError
 from repro.placement.base import Placement
-from repro.simulation.cluster import ClusterManager
+from repro.simulation.arrivals import Arrival
 from repro.simulation.runner import make_placer
+from repro.simulation.service import ServiceLoop
 from repro.topology.builder import DatacenterSpec, three_level_tree
 from repro.topology.failures import pruned_topology
 from repro.topology.ledger import Journal, Ledger
@@ -60,6 +62,8 @@ def _survivors(failed):
 
 
 def _stream(topology, placer_name, use_index, order, failed=()):
+    """Arrival ``i`` leaves just before arrival ``3 i + 3``: one
+    departure per three arrivals, oldest first."""
     ledger = Ledger(topology)
     if failed:
         mask = ledger.ensure_failure_mask()
@@ -67,24 +71,24 @@ def _stream(topology, placer_name, use_index, order, failed=()):
         for node_id in failed:
             mask.fail(node_id, journal)
     placer = make_placer(placer_name, ledger, use_candidate_index=use_index)
-    manager = ClusterManager(
-        ledger, placer, collect_wcs=False, collect_utilization=False
+    outcomes = []
+    loop = ServiceLoop(
+        ledger,
+        placer,
+        POOL,
+        collect_utilization=False,
+        on_decision=lambda tag, allocation: outcomes.append(allocation is not None),
     )
-    outcomes, live = [], []
-    for i, tag_index in enumerate(order):
-        result = manager.admit(POOL[tag_index])
-        placed = isinstance(result, Placement)
-        outcomes.append(placed)
-        if placed:
-            live.append(result.allocation)
-        if i % 3 == 2 and live:
-            manager.depart(live.pop(0))
+    loop.run(
+        Arrival(float(i), tag_index, 2.0 * i + 2.5)
+        for i, tag_index in enumerate(order)
+    )
     layouts = [
         sorted(
             (server.name, tuple(sorted(counts.items())))
             for server, counts in allocation.iter_server_placements()
         )
-        for allocation in manager.active
+        for allocation in loop.live()
     ]
     return outcomes, layouts
 
@@ -187,29 +191,27 @@ def test_recovery_leaves_no_dangling_allocations(failed, use_index, seed):
     rng = random.Random(seed)
     ledger = Ledger(TOPOLOGY)
     placer = make_placer("cm", ledger, use_candidate_index=use_index)
-    manager = ClusterManager(
-        ledger, placer, collect_wcs=False, collect_utilization=False
-    )
-    for _ in range(12):
-        manager.admit(POOL[rng.randrange(len(POOL))])
+    loop = ServiceLoop(ledger, placer, POOL, collect_utilization=False)
+    loop.run(Arrival(0.0, rng.randrange(len(POOL)), math.inf) for _ in range(12))
     mask = ledger.ensure_failure_mask()
     journal = Journal()
     for node_id in failed:
         mask.fail(node_id, journal)
-    victims = [
-        allocation
-        for allocation in manager.active
-        if any(
+    live, victims = [], []
+    for allocation in loop.live():
+        hit = any(
             mask.is_down(server.node_id)
             for server, _ in allocation.iter_server_placements()
         )
-    ]
+        (victims if hit else live).append(allocation)
     for allocation in victims:
-        manager.depart(allocation)
+        allocation.release()
     for allocation in victims:
-        manager.admit(allocation.tag)
+        result = placer.place(allocation.tag)
+        if isinstance(result, Placement):
+            live.append(result.allocation)
     # Invariant 1: nothing lives on a down server after recovery.
-    for allocation in manager.active:
+    for allocation in live:
         for server, _ in allocation.iter_server_placements():
             assert not mask.is_down(server.node_id)
     # Invariant 2: the incremental aggregates match a full recount,

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.placement.base import Placement
 from repro.placement.ha import HaPolicy
-from repro.simulation.cluster import ClusterManager
+from repro.simulation.arrivals import Arrival
 from repro.simulation.runner import make_placer
-from repro.simulation.service import ledger_fingerprint
+from repro.simulation.service import ServiceLoop, ledger_fingerprint
 from repro.temporal.admission import TemporalCluster
 from repro.temporal.profile import TemporalProfile, TemporalTag, diurnal_profile
 from repro.topology.builder import (
@@ -95,31 +94,30 @@ def _run_stream(topology, pool, placer_name, ha, *, use_index, failed=None):
     """Admissions with interleaved departures; layouts keyed by name.
 
     ``failed=None`` attaches no mask; ``failed=()`` attaches an empty one.
+    Arrival ``i`` leaves just before arrival ``4 i + 4``: one departure
+    per four arrivals, oldest first.
     """
     ledger = Ledger(topology)
     if failed is not None:
         _fail_by_name(ledger, failed)
     placer = make_placer(placer_name, ledger, ha, use_candidate_index=use_index)
-    manager = ClusterManager(
-        ledger, placer, collect_wcs=False, collect_utilization=False
-    )
     outcomes = []
-    live = []
-    for i in range(ADMISSIONS):
-        result = manager.admit(pool[i % len(pool)])
-        placed = isinstance(result, Placement)
-        outcomes.append(placed)
-        if placed:
-            live.append(result.allocation)
-        # Interleaved departures: release churn must also be equivalent.
-        if i % 4 == 3 and live:
-            manager.depart(live.pop(0))
+    loop = ServiceLoop(
+        ledger,
+        placer,
+        pool,
+        collect_utilization=False,
+        on_decision=lambda tag, allocation: outcomes.append(allocation is not None),
+    )
+    loop.run(
+        Arrival(float(i), i % len(pool), 3.0 * i + 3.5) for i in range(ADMISSIONS)
+    )
     layouts = [
         sorted(
             (server.name, tuple(sorted(counts.items())))
             for server, counts in allocation.iter_server_placements()
         )
-        for allocation in manager.active
+        for allocation in loop.live()
     ]
     return outcomes, layouts, ledger
 

@@ -11,14 +11,13 @@ state arrays.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.placement.ha import HaPolicy
 from repro.simulation.arrivals import poisson_arrivals
-from repro.simulation.cluster import ClusterManager, run_arrival_departure
+from repro.simulation.metrics import RunMetrics
 from repro.simulation.runner import PLACER_NAMES, make_placer
+from repro.simulation.service import ServiceLoop
 from repro.temporal.admission import TemporalCluster
 from repro.temporal.profile import TemporalProfile, TemporalTag, diurnal_profile
 from repro.topology.builder import DatacenterSpec, three_level_tree
@@ -56,14 +55,15 @@ def churn_run(topology, pool, events, placer_name, *, ha=None, use_index):
     placer = make_placer(
         placer_name, ledger, ha, use_candidate_index=use_index
     )
-    manager = ClusterManager(ledger, placer)
-    metrics = run_arrival_departure(manager, events, pool)
+    metrics = RunMetrics()
+    loop = ServiceLoop(ledger, placer, pool, on_decision=metrics.recorder(ledger))
+    loop.run(events)
     layouts = [
         sorted(
             (server.node_id, tuple(sorted(counts.items())))
             for server, counts in allocation.iter_server_placements()
         )
-        for allocation in manager.active
+        for allocation in loop.live()
     ]
     return metrics, layouts, ledger
 
@@ -84,11 +84,7 @@ def assert_lockstep(topology, pool, events, placer_name, ha=None):
     indexed = churn_run(
         topology, pool, events, placer_name, ha=ha, use_index=True
     )
-    base_metrics = dataclasses.asdict(baseline[0])
-    index_metrics = dataclasses.asdict(indexed[0])
-    base_metrics.pop("runtime_seconds")
-    index_metrics.pop("runtime_seconds")
-    assert base_metrics == index_metrics, f"{placer_name}: metrics diverged"
+    assert baseline[0] == indexed[0], f"{placer_name}: metrics diverged"
     assert baseline[1] == indexed[1], f"{placer_name}: layouts diverged"
     assert ledger_state(baseline[2]) == ledger_state(indexed[2]), (
         f"{placer_name}: ledger state diverged"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.tag import Tag
 from repro.errors import SimulationError
 from repro.placement.cloudmirror import CloudMirrorPlacer
 from repro.placement.ha import HaPolicy
@@ -81,3 +82,17 @@ class TestMeasureReservedBandwidth:
         for row in (reserved.cm_tag, reserved.cm_voc, reserved.ovoc):
             for value in row.values():
                 assert value >= 0.0
+
+    def test_stops_at_the_first_rejection(self):
+        tenant = Tag("big")
+        tenant.add_component("app", 100)
+        tenant.add_self_loop("app", 10.0)
+        reserved = measure_reserved_bandwidth(
+            [tenant], bmax=800.0, spec=SMALL_SPEC, max_arrivals=20
+        )
+        # 512 slots / 100 -> 5 fit; the 6th is rejected and ends the run,
+        # and Oktopus deploys exactly those five.
+        assert reserved.tenants_deployed == 5
+        assert reserved.ovoc["server"] == pytest.approx(
+            reserved.cm_voc["server"]
+        )

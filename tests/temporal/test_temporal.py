@@ -206,6 +206,18 @@ class TestTemporalCluster:
                 )
         assert cluster.ledger.free_slots(cluster.topology.root) == SPEC.total_slots
 
+    def test_an_admission_departs_once(self):
+        cluster = TemporalCluster(SPEC, windows=2)
+        profile = TemporalProfile((1.0, 0.5))
+        first = cluster.admit(TemporalTag(web_tenant(), profile))
+        second = cluster.admit(TemporalTag(web_tenant(), profile))
+        assert first is not None and second is not None
+        cluster.depart(first)
+        assert cluster.admitted == [second]
+        with pytest.raises(SimulationError):
+            cluster.depart(first)
+        assert cluster.admitted == [second]
+
     def test_rejection_rolls_back_cleanly(self):
         cluster = TemporalCluster(SPEC, windows=1)
         # Demand far beyond any link.

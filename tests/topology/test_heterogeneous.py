@@ -7,9 +7,9 @@ import math
 import pytest
 
 from repro.errors import TopologyError
-from repro.placement.base import Placement
-from repro.simulation.cluster import ClusterManager
+from repro.simulation.arrivals import Arrival
 from repro.simulation.runner import PLACER_NAMES, make_placer
+from repro.simulation.service import ServiceLoop
 from repro.topology.builder import (
     DatacenterSpec,
     PodSpec,
@@ -152,26 +152,25 @@ def test_fat_tree_shape_and_capacity():
 
 
 def _run(topology, placer_name, use_index):
+    """36 arrivals; arrival ``i`` leaves just before arrival ``4 i + 4``."""
     pool = scale_pool(list(synthetic_pool()), 0.5)
     ledger = Ledger(topology)
     placer = make_placer(placer_name, ledger, use_candidate_index=use_index)
-    manager = ClusterManager(
-        ledger, placer, collect_wcs=False, collect_utilization=False
+    outcomes = []
+    loop = ServiceLoop(
+        ledger,
+        placer,
+        pool,
+        collect_utilization=False,
+        on_decision=lambda tag, allocation: outcomes.append(allocation is not None),
     )
-    outcomes, live = [], []
-    for i in range(36):
-        result = manager.admit(pool[i % len(pool)])
-        outcomes.append(isinstance(result, Placement))
-        if outcomes[-1]:
-            live.append(result.allocation)
-        if i % 4 == 3 and live:
-            manager.depart(live.pop(0))
+    loop.run(Arrival(float(i), i % len(pool), 3.0 * i + 3.5) for i in range(36))
     layouts = [
         sorted(
             (server.name, tuple(sorted(counts.items())))
             for server, counts in allocation.iter_server_placements()
         )
-        for allocation in manager.active
+        for allocation in loop.live()
     ]
     return outcomes, layouts
 

@@ -38,17 +38,19 @@ class TestUtilizationMetrics:
     def test_sampled_per_admission(self, small_datacenter):
         from repro.core.tag import Tag
         from repro.placement.cloudmirror import CloudMirrorPlacer
-        from repro.simulation.cluster import ClusterManager
+        from repro.simulation.arrivals import Arrival
+        from repro.simulation.runner import run_rejections
         from repro.topology.ledger import Ledger
 
         ledger = Ledger(small_datacenter)
-        manager = ClusterManager(ledger, CloudMirrorPlacer(ledger))
+        pool = []
         for i in range(3):
             tag = Tag(f"t{i}")
             tag.add_component("app", 16)
             tag.add_self_loop("app", 100.0)
-            manager.admit(tag)
-        metrics = manager.metrics
+            pool.append(tag)
+        arrivals = [Arrival(float(i), i, float("inf")) for i in range(3)]
+        metrics = run_rejections(ledger, CloudMirrorPlacer(ledger), pool, arrivals)
         assert len(metrics.utilization) == 3
         fractions = [s.slot_fraction for s in metrics.utilization]
         assert fractions == sorted(fractions)  # fills monotonically
