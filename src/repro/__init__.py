@@ -21,40 +21,7 @@ Quickstart::
     result = CloudMirrorPlacer(ledger).place(tag)
 """
 
-from repro.core import (
-    BandwidthDemand,
-    Component,
-    Tag,
-    TagEdge,
-    uplink_requirement,
-)
-from repro.engine import (
-    Engine,
-    Scenario,
-    ScenarioResult,
-    TopologyCase,
-    Trial,
-    TrialResult,
-    Variant,
-)
-from repro.placement import (
-    CloudMirrorPlacer,
-    HaPolicy,
-    OktopusPlacer,
-    Placement,
-    Rejection,
-    SecondNetPlacer,
-    TenantAllocation,
-    allocation_wcs,
-)
-from repro.topology import (
-    DatacenterSpec,
-    Ledger,
-    Topology,
-    paper_datacenter,
-    single_rack,
-    three_level_tree,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
@@ -87,3 +54,21 @@ __all__ = [
     "uplink_requirement",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core": (
+        "BandwidthDemand", "Component", "Tag", "TagEdge", "uplink_requirement",
+    ),
+    "repro.engine": (
+        "Engine", "Scenario", "ScenarioResult", "TopologyCase", "Trial", "TrialResult",
+        "Variant",
+    ),
+    "repro.placement": (
+        "CloudMirrorPlacer", "HaPolicy", "OktopusPlacer", "Placement", "Rejection",
+        "SecondNetPlacer", "TenantAllocation", "allocation_wcs",
+    ),
+    "repro.topology": (
+        "DatacenterSpec", "Ledger", "Topology", "paper_datacenter", "single_rack",
+        "three_level_tree",
+    ),
+})

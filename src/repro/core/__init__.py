@@ -1,24 +1,6 @@
 """Core TAG abstraction and bandwidth mathematics (paper §3, §4.1-4.2)."""
 
-from repro.core.bandwidth import (
-    BandwidthDemand,
-    achieved_wcs,
-    hose_requirement,
-    hose_saving_possible,
-    trunk_requirement,
-    trunk_saving,
-    trunk_saving_possible,
-    uplink_requirement,
-    wcs_cap,
-)
-from repro.core.constants import CONVERGENCE_EPSILON, EPSILON
-from repro.core.serialize import (
-    tag_from_dict,
-    tag_from_json,
-    tag_to_dict,
-    tag_to_json,
-)
-from repro.core.tag import Component, Tag, TagEdge
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BandwidthDemand",
@@ -40,3 +22,16 @@ __all__ = [
     "uplink_requirement",
     "wcs_cap",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.bandwidth": (
+        "BandwidthDemand", "achieved_wcs", "hose_requirement", "hose_saving_possible",
+        "trunk_requirement", "trunk_saving", "trunk_saving_possible",
+        "uplink_requirement", "wcs_cap",
+    ),
+    "repro.core.constants": ("CONVERGENCE_EPSILON", "EPSILON"),
+    "repro.core.serialize": (
+        "tag_from_dict", "tag_from_json", "tag_to_dict", "tag_to_json",
+    ),
+    "repro.core.tag": ("Component", "Tag", "TagEdge"),
+})

@@ -1,30 +1,6 @@
 """Guarantee-enforcement prototype: max-min flows + ElasticSwitch model."""
 
-from repro.enforcement.dynamics import (
-    DynamicsConfig,
-    ElasticSwitchDynamics,
-    PeriodSample,
-)
-from repro.enforcement.elasticswitch import (
-    EnforcementProblem,
-    EnforcementResult,
-    PairFlow,
-    build_enforcement_problem,
-    enforce,
-    solve_enforcement,
-)
-from repro.enforcement.maxmin import (
-    FlowSpec,
-    MaxMinProblem,
-    maxmin_rates,
-    solve_maxmin,
-)
-from repro.enforcement.scenarios import (
-    Fig13Point,
-    Fig4Outcome,
-    fig4_scenario,
-    fig13_scenario,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DynamicsConfig",
@@ -45,3 +21,19 @@ __all__ = [
     "solve_enforcement",
     "solve_maxmin",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.enforcement.dynamics": (
+        "DynamicsConfig", "ElasticSwitchDynamics", "PeriodSample",
+    ),
+    "repro.enforcement.elasticswitch": (
+        "EnforcementProblem", "EnforcementResult", "PairFlow",
+        "build_enforcement_problem", "enforce", "solve_enforcement",
+    ),
+    "repro.enforcement.maxmin": (
+        "FlowSpec", "MaxMinProblem", "maxmin_rates", "solve_maxmin",
+    ),
+    "repro.enforcement.scenarios": (
+        "Fig13Point", "Fig4Outcome", "fig4_scenario", "fig13_scenario",
+    ),
+})

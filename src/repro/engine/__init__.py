@@ -15,31 +15,7 @@ and run any experiment in the repo::
     entry.present(result)
 """
 
-from repro.engine import registry
-from repro.engine.context import (
-    POOL_NAMES,
-    TrialContext,
-    build_context,
-    get_pool,
-    get_scaled_pool,
-    get_topology,
-)
-from repro.engine.engine import MAX_AUTO_JOBS, Engine, default_jobs
-from repro.engine.runners import (
-    KIND_AXES,
-    RUNNERS,
-    execute_trial,
-    kind_axes,
-    register_runner,
-)
-from repro.engine.scenario import (
-    Scenario,
-    ScenarioResult,
-    TopologyCase,
-    Trial,
-    TrialResult,
-    Variant,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Engine",
@@ -66,4 +42,17 @@ __all__ = [
     "registry",
 ]
 
-from repro.engine.registry import RegisteredScenario  # noqa: E402  (re-export)
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.engine.context": (
+        "POOL_NAMES", "TrialContext", "build_context", "get_pool", "get_scaled_pool",
+        "get_topology",
+    ),
+    "repro.engine.engine": ("MAX_AUTO_JOBS", "Engine", "default_jobs"),
+    "repro.engine.registry": ("RegisteredScenario",),
+    "repro.engine.runners": (
+        "KIND_AXES", "RUNNERS", "execute_trial", "kind_axes", "register_runner",
+    ),
+    "repro.engine.scenario": (
+        "Scenario", "ScenarioResult", "TopologyCase", "Trial", "TrialResult", "Variant",
+    ),
+})

@@ -13,9 +13,9 @@ shared across processes.
 
 from __future__ import annotations
 
+import pkgutil
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
 
 from repro.core.tag import Tag
 from repro.engine.scenario import Trial
@@ -29,10 +29,7 @@ from repro.topology.builder import (
 )
 from repro.topology.ledger import Ledger
 from repro.topology.tree import Topology
-from repro.workloads.bing import bing_pool
-from repro.workloads.hpcloud import hpcloud_pool
 from repro.workloads.scaling import scale_pool
-from repro.workloads.synthetic import synthetic_pool
 
 __all__ = [
     "POOL_NAMES",
@@ -44,10 +41,11 @@ __all__ = [
     "get_topology",
 ]
 
-_POOL_FACTORIES: dict[str, Callable[[], Sequence[Tag]]] = {
-    "bing": bing_pool,
-    "hpcloud": hpcloud_pool,
-    "synthetic": synthetic_pool,
+# Each pool's factory, imported by the first get_pool() of that pool.
+_POOL_FACTORIES = {
+    "bing": "repro.workloads.bing:bing_pool",
+    "hpcloud": "repro.workloads.hpcloud:hpcloud_pool",
+    "synthetic": "repro.workloads.synthetic:synthetic_pool",
 }
 
 POOL_NAMES = tuple(sorted(_POOL_FACTORIES))
@@ -64,7 +62,7 @@ def get_pool(name: str) -> tuple[Tag, ...]:
     c = _obs.counters
     if c is not None:
         c.bump("context.pool_builds")
-    return tuple(factory())
+    return tuple(pkgutil.resolve_name(factory)())
 
 
 @lru_cache(maxsize=64)

@@ -13,7 +13,6 @@ itself never prints.  A scenario's own flags (``--workload``,
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
@@ -55,6 +54,8 @@ def one_of(choices: Sequence[str]) -> Callable[[str], str]:
 
     def choice(value: str) -> str:
         if value not in choices:
+            import argparse
+
             raise argparse.ArgumentTypeError(
                 f"{value!r} is not one of {', '.join(choices)}"
             )

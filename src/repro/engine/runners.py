@@ -37,7 +37,6 @@ from repro.engine.context import build_context, get_pool, get_topology
 from repro.engine.scenario import Trial, TrialResult
 from repro.errors import EngineError
 from repro.obs import core as obs
-from repro.obs.trace import TraceRecorder
 from repro.simulation.arrivals import poisson_arrivals
 from repro.simulation.runner import measure_reserved_bandwidth, run_rejections
 
@@ -398,6 +397,8 @@ def execute_trial(trial: Trial) -> TrialResult:
         started = time.perf_counter()
         payload = runner(trial)
         return TrialResult(trial, payload, time.perf_counter() - started)
+    from repro.obs.trace import TraceRecorder
+
     label = f"{trial.scenario}/{trial.variant.name}#{trial.index}"
     with TraceRecorder(label) as recorder:
         started = time.perf_counter()

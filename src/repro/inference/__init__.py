@@ -1,14 +1,6 @@
 """TAG inference from raw VM-level traffic (paper §3)."""
 
-from repro.inference.ami import ami, entropy, expected_mutual_information, mutual_information
-from repro.inference.builder import build_tag_from_trace, infer_components, infer_tag
-from repro.inference.louvain import louvain_communities, modularity
-from repro.inference.similarity import (
-    angular_similarity,
-    feature_vectors,
-    projection_graph,
-)
-from repro.inference.traffic import TrafficTrace, synthesize_trace
+from repro._lazy import lazy_exports
 
 __all__ = [
     "TrafficTrace",
@@ -26,3 +18,17 @@ __all__ = [
     "projection_graph",
     "synthesize_trace",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.inference.ami": (
+        "ami", "entropy", "expected_mutual_information", "mutual_information",
+    ),
+    "repro.inference.builder": (
+        "build_tag_from_trace", "infer_components", "infer_tag",
+    ),
+    "repro.inference.louvain": ("louvain_communities", "modularity"),
+    "repro.inference.similarity": (
+        "angular_similarity", "feature_vectors", "projection_graph",
+    ),
+    "repro.inference.traffic": ("TrafficTrace", "synthesize_trace"),
+})

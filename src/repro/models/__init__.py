@@ -1,21 +1,6 @@
 """Baseline tenant-network abstractions: hose, VOC, pipe (paper §2.2)."""
 
-from repro.models.hose import (
-    HoseModel,
-    VirtualCluster,
-    hose_from_tag,
-    hose_uplink_requirement,
-)
-from repro.models.pipe import (
-    Pipe,
-    PipeSet,
-    pipe_expansion,
-    pipe_tag_from_tag,
-    pipe_vm_demand,
-    pipes_from_tag,
-    vm_name,
-)
-from repro.models.voc import VocCluster, VocModel, voc_from_tag, voc_uplink_requirement
+from repro._lazy import lazy_exports
 
 __all__ = [
     "HoseModel",
@@ -34,3 +19,16 @@ __all__ = [
     "voc_from_tag",
     "voc_uplink_requirement",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.models.hose": (
+        "HoseModel", "VirtualCluster", "hose_from_tag", "hose_uplink_requirement",
+    ),
+    "repro.models.pipe": (
+        "Pipe", "PipeSet", "pipe_expansion", "pipe_tag_from_tag", "pipe_vm_demand",
+        "pipes_from_tag", "vm_name",
+    ),
+    "repro.models.voc": (
+        "VocCluster", "VocModel", "voc_from_tag", "voc_uplink_requirement",
+    ),
+})

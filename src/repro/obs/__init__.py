@@ -37,20 +37,7 @@ Public surface::
         ...
 """
 
-from repro.obs.core import (
-    Counters,
-    count,
-    counter_snapshot,
-    disable,
-    enable,
-    enabled,
-    enabled_scope,
-    span,
-    timed,
-)
-from repro.obs.logconfig import setup_logging
-from repro.obs.progress import ProgressReporter
-from repro.obs.trace import TraceRecorder
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Counters",
@@ -66,3 +53,13 @@ __all__ = [
     "span",
     "timed",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.core": (
+        "Counters", "count", "counter_snapshot", "disable", "enable", "enabled",
+        "enabled_scope", "span", "timed",
+    ),
+    "repro.obs.logconfig": ("setup_logging",),
+    "repro.obs.progress": ("ProgressReporter",),
+    "repro.obs.trace": ("TraceRecorder",),
+})

@@ -1,18 +1,6 @@
 """VM placement algorithms: CloudMirror, Oktopus (VOC), SecondNet (pipe)."""
 
-from repro.placement.base import Placement, PlacementResult, Placer, Rejection
-from repro.placement.candidates import CandidateIndex
-from repro.placement.cloudmirror import CloudMirrorPlacer
-from repro.placement.ha import (
-    DemandEstimator,
-    HaPolicy,
-    allocation_wcs,
-    saving_desirable,
-    tier_cap_left,
-)
-from repro.placement.oktopus import OktopusPlacer
-from repro.placement.secondnet import PipeAllocation, SecondNetPlacer
-from repro.placement.state import TenantAllocation
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CandidateIndex",
@@ -31,3 +19,16 @@ __all__ = [
     "saving_desirable",
     "tier_cap_left",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.placement.base": ("Placement", "PlacementResult", "Placer", "Rejection"),
+    "repro.placement.candidates": ("CandidateIndex",),
+    "repro.placement.cloudmirror": ("CloudMirrorPlacer",),
+    "repro.placement.ha": (
+        "DemandEstimator", "HaPolicy", "allocation_wcs", "saving_desirable",
+        "tier_cap_left",
+    ),
+    "repro.placement.oktopus": ("OktopusPlacer",),
+    "repro.placement.secondnet": ("PipeAllocation", "SecondNetPlacer"),
+    "repro.placement.state": ("TenantAllocation",),
+})

@@ -28,42 +28,7 @@ statistically aggregatable:
     Engine(n_jobs=4).run(scenario, store=store)   # 100% cache hits
 """
 
-from repro.results.aggregate import (
-    Aggregate,
-    MetricSample,
-    aggregate,
-    bootstrap_ci,
-    samples_from_results,
-    samples_from_store,
-)
-from repro.results.codecs import (
-    Codec,
-    codec_for,
-    codec_names,
-    codec_version,
-    register_codec,
-)
-from repro.results.export import (
-    EXPORT_FORMATS,
-    export_rows,
-    export_store,
-    stream_export,
-)
-from repro.results.fingerprint import canonical_trial, trial_fingerprint
-from repro.results.present import (
-    aggregate_chart,
-    aggregate_table,
-    seed_replicated_summary,
-    store_summary_table,
-)
-from repro.results.sharding import ShardSpec, parse_shard
-from repro.results.store import ResultStore, StoredRow
-from repro.results.telemetry import (
-    TELEMETRY_KIND,
-    exports_from_store,
-    record_telemetry,
-    telemetry_fingerprint,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Aggregate",
@@ -96,3 +61,27 @@ __all__ = [
     "telemetry_fingerprint",
     "trial_fingerprint",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.results.aggregate": (
+        "Aggregate", "MetricSample", "aggregate", "bootstrap_ci",
+        "samples_from_results", "samples_from_store",
+    ),
+    "repro.results.codecs": (
+        "Codec", "codec_for", "codec_names", "codec_version", "register_codec",
+    ),
+    "repro.results.export": (
+        "EXPORT_FORMATS", "export_rows", "export_store", "stream_export",
+    ),
+    "repro.results.fingerprint": ("canonical_trial", "trial_fingerprint"),
+    "repro.results.present": (
+        "aggregate_chart", "aggregate_table", "seed_replicated_summary",
+        "store_summary_table",
+    ),
+    "repro.results.sharding": ("ShardSpec", "parse_shard"),
+    "repro.results.store": ("ResultStore", "StoredRow"),
+    "repro.results.telemetry": (
+        "TELEMETRY_KIND", "exports_from_store", "record_telemetry",
+        "telemetry_fingerprint",
+    ),
+})

@@ -2,7 +2,8 @@
 
 A kind registers a ``version``, a ``metrics`` extractor (the scalar
 series aggregation averages across seeds, exported as ``metric_*``
-columns) and, when its runner returns a dataclass, that ``payload_type``.
+columns) and, when its runner returns a dataclass, that ``payload_type``
+(or its ``"module:Class"`` name, imported on the first decode of the kind).
 :meth:`Codec.encode` lowers any payload (a dataclass to a dict of its
 fields, tuples to lists, recursively), zeroes each top-level wall-clock
 field of ``_TIMING_FIELDS`` so that equal fingerprints mean equal payload
@@ -23,15 +24,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import pkgutil
 import typing
 from typing import Any, Callable
 
 from repro.engine.runners import SERIAL_ONLY_KINDS
 from repro.engine.scenario import _TIMING_FIELDS
-from repro.enforcement.scenarios import Fig4Outcome, Fig13Point
 from repro.errors import ResultsError
-from repro.simulation.metrics import RunMetrics
-from repro.simulation.runner import ReservedBandwidth
 
 __all__ = [
     "Codec",
@@ -86,7 +85,7 @@ class Codec:
     kind: str
     version: int
     metrics: Callable[[Any], dict[str, float]]
-    payload_type: type | None = None
+    payload_type: type | str | None = None
 
     def encode(self, payload: Any) -> str:
         """Canonical JSON text for the store (sorted keys: merge-stable)."""
@@ -104,7 +103,10 @@ class Codec:
 
     def decode(self, text: str) -> Any:
         """The payload ``text`` encodes; raises if it encodes none."""
-        return _rebuild(self.payload_type, json.loads(text))
+        payload_type = self.payload_type
+        if isinstance(payload_type, str):
+            payload_type = pkgutil.resolve_name(payload_type)
+        return _rebuild(payload_type, json.loads(text))
 
 
 _CODECS: dict[str, Codec] = {}
@@ -115,11 +117,13 @@ def register_codec(
     *,
     version: int,
     metrics: Callable[[Any], dict[str, float]] | None = None,
-    payload_type: type | None = None,
+    payload_type: type | str | None = None,
 ) -> Codec:
     """Register (or replace) the payload codec for ``kind``.
 
-    ``payload_type`` is the dataclass the kind's runner returns, if any.
+    ``payload_type`` is the dataclass the kind's runner returns, if any,
+    or its ``"module:Class"`` name, imported on the first decode: the
+    kind's module need not load with this one.
     """
     if not kind:
         raise ResultsError("codec kind must be non-empty")
@@ -258,14 +262,14 @@ def _telemetry_metrics(payload: dict) -> dict[str, float]:
     return out
 
 
-# kind: (metrics extractor, the dataclass its runner returns, if any)
+# kind: (metrics extractor, the name of the dataclass its runner returns, if any)
 _BUILTIN_CODECS = {
-    "rejection": (_rejection_metrics, RunMetrics),
-    "reserved": (_reserved_metrics, ReservedBandwidth),
+    "rejection": (_rejection_metrics, "repro.simulation.metrics:RunMetrics"),
+    "reserved": (_reserved_metrics, "repro.simulation.runner:ReservedBandwidth"),
     "inference": (_inference_metrics, None),
     "runtime": (_runtime_metrics, None),
-    "enforce": (_enforce_metrics, Fig13Point),
-    "hose_fail": (_hose_fail_metrics, Fig4Outcome),
+    "enforce": (_enforce_metrics, "repro.enforcement.scenarios:Fig13Point"),
+    "hose_fail": (_hose_fail_metrics, "repro.enforcement.scenarios:Fig4Outcome"),
     "temporal": (_temporal_metrics, None),
     "service": (_service_metrics, None),
     "failure": (_failure_metrics, None),

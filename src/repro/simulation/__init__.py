@@ -5,16 +5,7 @@ every arrival/departure stream; :func:`run_rejections` is the paper
 figures' run of it.
 """
 
-from repro.simulation.arrivals import Arrival, arrival_rate_for_load, poisson_arrivals
-from repro.simulation.metrics import RunMetrics, WcsStats
-from repro.simulation.runner import (
-    PLACER_NAMES,
-    ReservedBandwidth,
-    make_placer,
-    measure_reserved_bandwidth,
-    run_rejections,
-    simulate_rejections,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Arrival",
@@ -29,3 +20,14 @@ __all__ = [
     "run_rejections",
     "simulate_rejections",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.simulation.arrivals": (
+        "Arrival", "arrival_rate_for_load", "poisson_arrivals",
+    ),
+    "repro.simulation.metrics": ("RunMetrics", "WcsStats"),
+    "repro.simulation.runner": (
+        "PLACER_NAMES", "ReservedBandwidth", "make_placer",
+        "measure_reserved_bandwidth", "run_rejections", "simulate_rejections",
+    ),
+})

@@ -21,12 +21,9 @@ import numpy as np
 
 from repro.core.tag import Tag
 from repro.errors import SimulationError
-from repro.models.voc import voc_uplink_requirement
 from repro.placement.base import Rejection
 from repro.placement.cloudmirror import CloudMirrorPlacer
 from repro.placement.ha import HaPolicy
-from repro.placement.oktopus import OktopusPlacer
-from repro.placement.secondnet import SecondNetPlacer
 from repro.simulation.arrivals import Arrival, poisson_arrivals
 from repro.simulation.metrics import RunMetrics
 from repro.simulation.service import ServiceLoop
@@ -79,10 +76,14 @@ def make_placer(
             use_candidate_index=use_candidate_index,
         )
     if name == "ovoc":
+        from repro.placement.oktopus import OktopusPlacer
+
         return OktopusPlacer(ledger, ha=ha, use_candidate_index=use_candidate_index)
     if name == "secondnet":
         if ha is not None and (ha.guarantees_wcs or ha.opportunistic):
             raise SimulationError("the SecondNet baseline does not support HA")
+        from repro.placement.secondnet import SecondNetPlacer
+
         return SecondNetPlacer(ledger, use_candidate_index=use_candidate_index)
     raise SimulationError(f"unknown placer {name!r}; options: {PLACER_NAMES}")
 
@@ -173,6 +174,9 @@ def measure_reserved_bandwidth(
     ``topology`` optionally supplies a prebuilt *unlimited* tree (shared
     safely by both ledgers — topologies are immutable).
     """
+    from repro.models.voc import voc_uplink_requirement
+    from repro.placement.oktopus import OktopusPlacer
+
     scaled = scale_pool(pool, bmax)
     rng = np.random.default_rng(seed)
     indices = [int(i) for i in rng.integers(0, len(scaled), size=max_arrivals)]

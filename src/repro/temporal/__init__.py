@@ -1,12 +1,6 @@
 """Time-varying bandwidth guarantees (paper §6 extension, TIVC-style)."""
 
-from repro.temporal.admission import (
-    TemporalAdmission,
-    TemporalCluster,
-    TemporalLedger,
-    peak_equivalent,
-)
-from repro.temporal.profile import TemporalProfile, TemporalTag, diurnal_profile
+from repro._lazy import lazy_exports
 
 __all__ = [
     "TemporalAdmission",
@@ -17,3 +11,10 @@ __all__ = [
     "TemporalTag",
     "diurnal_profile",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.temporal.admission": (
+        "TemporalAdmission", "TemporalCluster", "TemporalLedger", "peak_equivalent",
+    ),
+    "repro.temporal.profile": ("TemporalProfile", "TemporalTag", "diurnal_profile"),
+})

@@ -1,21 +1,6 @@
 """Datacenter tree topologies and the reservation ledger substrate."""
 
-from repro.topology.builder import (
-    DatacenterSpec,
-    PodSpec,
-    RackSpec,
-    fat_tree,
-    heterogeneous_from_spec,
-    heterogeneous_tree,
-    multi_rooted_tree,
-    paper_datacenter,
-    single_rack,
-    three_level_tree,
-)
-from repro.topology.failures import FailureMask, pruned_topology
-from repro.topology.flat import FlatTopology
-from repro.topology.ledger import Journal, Ledger
-from repro.topology.tree import SERVER_LEVEL, Node, Topology, TopologyBuilder
+from repro._lazy import lazy_exports
 
 __all__ = [
     "SERVER_LEVEL",
@@ -38,3 +23,15 @@ __all__ = [
     "single_rack",
     "three_level_tree",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.topology.builder": (
+        "DatacenterSpec", "PodSpec", "RackSpec", "fat_tree", "heterogeneous_from_spec",
+        "heterogeneous_tree", "multi_rooted_tree", "paper_datacenter", "single_rack",
+        "three_level_tree",
+    ),
+    "repro.topology.failures": ("FailureMask", "pruned_topology"),
+    "repro.topology.flat": ("FlatTopology",),
+    "repro.topology.ledger": ("Journal", "Ledger"),
+    "repro.topology.tree": ("SERVER_LEVEL", "Node", "Topology", "TopologyBuilder"),
+})

@@ -1,18 +1,6 @@
 """Workload substrates: tenant pools, patterns, scaling, survey data."""
 
-from repro.workloads import patterns
-from repro.workloads.bing import bing_pool, pool_statistics
-from repro.workloads.hpcloud import hpcloud_pool
-from repro.workloads.scaling import pool_scale_factor, scale_pool
-from repro.workloads.store import dump_pool, load_pool, pool_from_json, pool_to_json
-from repro.workloads.survey import (
-    DATACENTERS,
-    WORKLOADS,
-    DatacenterProvision,
-    WorkloadRatio,
-    datacenter_ratios,
-)
-from repro.workloads.synthetic import synthetic_pool
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DATACENTERS",
@@ -32,3 +20,17 @@ __all__ = [
     "scale_pool",
     "synthetic_pool",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.workloads.bing": ("bing_pool", "pool_statistics"),
+    "repro.workloads.hpcloud": ("hpcloud_pool",),
+    "repro.workloads.scaling": ("pool_scale_factor", "scale_pool"),
+    "repro.workloads.store": (
+        "dump_pool", "load_pool", "pool_from_json", "pool_to_json",
+    ),
+    "repro.workloads.survey": (
+        "DATACENTERS", "WORKLOADS", "DatacenterProvision", "WorkloadRatio",
+        "datacenter_ratios",
+    ),
+    "repro.workloads.synthetic": ("synthetic_pool",),
+})

@@ -165,7 +165,8 @@ sys.modules[stand_in.__name__] = stand_in
 
 class TestStaleExtension:
     """An extension lacking a kernel counts as not built (never a bare
-    AttributeError out of ``import repro``)."""
+    AttributeError out of the first import of the kernels, which every
+    ledger and placer makes)."""
 
     def test_stale_reason_names_what_is_missing(self):
         whole = types.SimpleNamespace(**dict.fromkeys(_KERNEL_NAMES, len))
@@ -197,7 +198,7 @@ class TestStaleExtension:
     def test_import_repro_survives_and_runs_pure_python(self, requested):
         out = self._run(
             requested,
-            "import repro\n"
+            "import repro.topology.ledger\n"
             "from repro import _kernels\n"
             "print(_kernels.backend, _kernels.available_backends())\n"
             "try:\n"
@@ -215,12 +216,16 @@ class TestStaleExtension:
         assert f"lacks {_KERNEL_NAMES[-1]}" in out.stderr
 
     def test_the_warning_is_a_runtime_warning(self):
-        out = self._run("auto", "import repro", "-W", "error::RuntimeWarning")
+        out = self._run(
+            "auto", "import repro.topology.ledger", "-W", "error::RuntimeWarning"
+        )
         assert out.returncode != 0
         assert f"lacks {_KERNEL_NAMES[-1]}" in out.stderr
 
     def test_forced_py_never_mentions_it(self):
-        out = self._run("py", "import repro", "-W", "error::RuntimeWarning")
+        out = self._run(
+            "py", "import repro.topology.ledger", "-W", "error::RuntimeWarning"
+        )
         assert out.returncode == 0, out.stderr
 
     def test_version_shows_why(self):
