@@ -1,10 +1,11 @@
 """Benchmark configuration.
 
-Each benchmark regenerates one paper table/figure at a reduced default
-scale (so the whole harness finishes in minutes) and prints the rows the
-paper reports.  Set ``REPRO_BENCH_PODS`` / ``REPRO_BENCH_ARRIVALS`` to
-raise the scale — ``REPRO_BENCH_PODS=8 REPRO_BENCH_ARRIVALS=10000`` is the
-paper's configuration (2048 servers, 10,000 arrivals).
+``test_paper_claims.py`` runs every registered paper table/figure through
+``repro run`` at a reduced default scale (so the whole harness finishes
+in minutes), prints the rows the paper reports and checks the paper's
+claims about them.  Set ``REPRO_BENCH_PODS`` / ``REPRO_BENCH_ARRIVALS``
+to raise the scale — ``REPRO_BENCH_PODS=8 REPRO_BENCH_ARRIVALS=10000`` is
+the paper's configuration (2048 servers, 10,000 arrivals).
 """
 
 from __future__ import annotations
@@ -34,15 +35,3 @@ def bench_pods() -> int:
 @pytest.fixture(scope="session")
 def bench_arrivals() -> int:
     return _env_int("REPRO_BENCH_ARRIVALS", 300)
-
-
-@pytest.fixture
-def run_once(benchmark):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-
-    def runner(fn, *args, **kwargs):
-        return benchmark.pedantic(
-            fn, args=args, kwargs=kwargs, rounds=1, iterations=1
-        )
-
-    return runner

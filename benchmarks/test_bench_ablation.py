@@ -1,10 +1,10 @@
-"""Ablation benchmarks for design choices called out in DESIGN.md.
+"""Ablation benchmark: FindLowestSubtree's candidate choice.
 
-1. FindLowestSubtree candidate choice: best-fit (default; preserves large
-   holes for the pool's 732-VM giants) vs most-free (load-balancing).
-2. Exact re-reservation is what lets TAG beat VOC above the server level:
-   quantified by the CM+VOC / CM+TAG accounting gap in Table 1, asserted
-   here on a single run.
+Best-fit (default; preserves large holes for the pool's 732-VM giants)
+vs most-free (load-balancing).  The other design choice the evaluation
+isolates — exact re-reservation is what lets TAG beat VOC above the
+server level — is Table 1's CM+VOC minus CM+TAG claim rows
+(``repro run table1``).
 """
 
 from __future__ import annotations
@@ -28,14 +28,11 @@ def _run_variant(choice: str, pods: int, arrivals: int):
     return run_rejections(ledger, placer, pool, events)
 
 
-def test_subtree_choice_ablation(run_once, bench_pods, bench_arrivals):
-    def run_both():
-        return {
-            choice: _run_variant(choice, bench_pods, bench_arrivals)
-            for choice in ("best-fit", "most-free")
-        }
-
-    metrics = run_once(run_both)
+def test_subtree_choice_ablation(bench_pods, bench_arrivals):
+    metrics = {
+        choice: _run_variant(choice, bench_pods, bench_arrivals)
+        for choice in ("best-fit", "most-free")
+    }
     table = Table(
         "Ablation — FindLowestSubtree candidate choice (load 90%)",
         ("choice", "BW rejected", "VM rejected"),

@@ -49,8 +49,8 @@ def _run(bench_pods: int):
     return results
 
 
-def test_pipe_placement_comparison(run_once, bench_pods):
-    results = run_once(_run, bench_pods)
+def test_pipe_placement_comparison(bench_pods):
+    results = _run(bench_pods)
     table = Table(
         "§5.1 — idealized pipe models: CM+pipe vs SecondNet",
         ("placer", "tenants placed", "total reserved (Mbps)"),

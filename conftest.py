@@ -1,10 +1,11 @@
 """Root pytest configuration: the opt-in ``slow`` marker.
 
-Everything under ``benchmarks/`` regenerates a full paper table and is
+Everything under ``benchmarks/`` runs whole paper tables and is
 automatically marked ``slow``; slow tests are skipped unless the run
 opts in with ``--runslow`` or ``REPRO_RUN_SLOW=1``.  The tier-1 suite
 (``PYTHONPATH=src python -m pytest -x -q``) therefore stays fast while
-``python -m pytest --runslow benchmarks`` reproduces the paper numbers.
+``python -m pytest --runslow benchmarks`` regenerates every registered
+table and figure and checks each of the paper's claims about it.
 """
 
 from __future__ import annotations

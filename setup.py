@@ -44,8 +44,8 @@ setup(
     python_requires=">=3.10",
     install_requires=["numpy>=1.22"],
     extras_require={
-        "test": ["pytest", "pytest-benchmark", "hypothesis"],
-        "dev": ["pytest", "pytest-benchmark", "hypothesis", "coverage"],
+        "test": ["pytest", "hypothesis"],
+        "dev": ["pytest", "hypothesis", "coverage"],
     },
     ext_modules=EXT_MODULES,
     entry_points={

@@ -34,6 +34,13 @@ per-shard stores with ``repro results merge``.  ``repro <name> ...`` is
 nothing but a spelling of ``repro run <name> ...``; there is no
 ``--seed`` flag (argparse reads it as the prefix of ``--seeds`` it is).
 
+After the presenter's tables, a whole-grid run prints the scenario's
+claims — the paper's statements about that figure, registered as
+:class:`~repro.engine.registry.Claim` rows — one line each: ``OKAY``,
+``DEVIATES`` or ``n/a``, the measured value, its bounds and the paper's
+number.  The verdict is information about the grid the user picked; it
+never changes the exit status.  ``--shard`` runs print no claims.
+
 Tables go to stdout, diagnostics (``error: ...``) to stderr; exit code 2
 is a usage error (unknown scenario or flag), 1 a failed run.
 
@@ -174,10 +181,22 @@ def parse_scenario_args(
 def build_scenario(
     entry: registry.RegisteredScenario, args: argparse.Namespace
 ) -> Scenario:
-    """The registered scenario with the parsed overrides applied."""
+    """The registered scenario with the parsed overrides applied.
+
+    ``--placers`` keeps every registered variant of each listed placer —
+    its name and HA policy included — and adds a plain variant for a
+    placer the scenario does not declare.
+    """
     variants = None
     if args.placers:
-        variants = tuple(Variant(name) for name in args.placers)
+        declared = entry.scenario.variants
+        variants = tuple(
+            variant
+            for name in args.placers
+            for variant in (
+                [v for v in declared if v.placer == name] or [Variant(name)]
+            )
+        )
     scenario = entry.scenario.override(
         seeds=args.seeds,
         loads=args.loads,
@@ -277,6 +296,13 @@ def _run(argv: list[str]) -> int:
             scenario, store=store, shard=shard, progress=progress
         )
         entry.present(result)
+        if shard is None:
+            # A shard holds part of the grid: the claims need all of it.
+            from repro.results.present import claim_table
+
+            claims = claim_table(entry.claims, result)
+            if claims is not None:
+                claims.show()
     except ReproError as error:
         return fail(error, 1)
     finally:

@@ -1,4 +1,4 @@
-"""Scenario registry: name -> (scenario, presenter, options) for the CLI.
+"""Scenario registry: name -> (scenario, presenter, options, claims).
 
 Experiment modules call :func:`register` at import time; the CLI (and
 anything else that wants "every experiment in the repo") calls
@@ -8,11 +8,14 @@ canonical name or alias.  Presenters render a finished
 itself never prints.  A scenario's own flags (``--workload``,
 ``--max-senders``, ...) are :class:`ScenarioOption` rows on its entry:
 ``repro run <name>`` adds them to its one parser, so they combine with
-``--store``/``--shard``/``--seeds`` like any grid axis.
+``--store``/``--shard``/``--seeds`` like any grid axis.  The paper's
+statements about the figure are :class:`Claim` rows on the same entry;
+``repro run`` checks them after the presenter.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
@@ -20,6 +23,7 @@ from repro.engine.scenario import Scenario, ScenarioResult
 from repro.errors import EngineError
 
 __all__ = [
+    "Claim",
     "RegisteredScenario",
     "ScenarioOption",
     "entries",
@@ -109,13 +113,52 @@ def param_option(
 
 
 @dataclass(frozen=True)
+class Claim:
+    """One statement of the paper's evaluation, as a number and its bounds.
+
+    ``measure`` reduces one seed's trial results (a ``ScenarioResult``
+    holding that seed's trials, in grid order) to a float, or to ``None``
+    when the grid lacks the points the claim needs (``--placers cm``
+    leaves no OVOC to compare against).  The claim holds for a seed when
+    ``low <= value <= high`` (``<`` throughout when ``strict``).
+    ``paper`` is the paper's value of the same quantity, if it states one;
+    a number derived from several of the paper's belongs in ``text``.
+    """
+
+    section: str
+    text: str
+    measure: Callable[[ScenarioResult], float | None]
+    low: float = -math.inf
+    high: float = math.inf
+    strict: bool = False
+    paper: float | None = None
+
+    def holds(self, value: float) -> bool:
+        if self.strict:
+            return self.low < value < self.high
+        return self.low <= value <= self.high
+
+    @property
+    def bound(self) -> str:
+        """The bounds as text: ``> 0.05``, ``<= 1e-09``, ``in [0.35, 1]``."""
+        above, below = (">", "<") if self.strict else (">=", "<=")
+        if self.high == math.inf:
+            return f"{above} {self.low:.7g}"
+        if self.low == -math.inf:
+            return f"{below} {self.high:.7g}"
+        left, right = "()" if self.strict else "[]"
+        return f"in {left}{self.low:.7g}, {self.high:.7g}{right}"
+
+
+@dataclass(frozen=True)
 class RegisteredScenario:
-    """One registry row: the default scenario, its renderer, its flags."""
+    """One registry row: the default scenario, its renderer, flags, claims."""
 
     scenario: Scenario
     present: Presenter
     aliases: tuple[str, ...] = ()
     options: tuple[ScenarioOption, ...] = ()
+    claims: tuple[Claim, ...] = ()
 
     @property
     def name(self) -> str:
@@ -132,13 +175,14 @@ def register(
     *,
     aliases: tuple[str, ...] = (),
     options: tuple[ScenarioOption, ...] = (),
+    claims: tuple[Claim, ...] = (),
 ) -> RegisteredScenario:
     """Register ``scenario`` under its canonical name (plus aliases).
 
     Re-registering the same name replaces the entry (supports module
     reloads); an alias may not shadow a different scenario's name.
     """
-    entry = RegisteredScenario(scenario, present, aliases, options)
+    entry = RegisteredScenario(scenario, present, aliases, options, claims)
     if _ALIASES.get(scenario.name, scenario.name) != scenario.name:
         raise EngineError(
             f"scenario name {scenario.name!r} collides with an alias of "

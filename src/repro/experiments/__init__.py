@@ -1,9 +1,11 @@
 """One driver module per paper table/figure, all running on the engine.
 
 Importing this package registers every experiment's declarative
-:class:`~repro.engine.scenario.Scenario` with
-:mod:`repro.engine.registry` (that is what ``registry.load_all`` relies
-on); ``repro run <name>`` is the one way to launch them from a shell.
+:class:`~repro.engine.scenario.Scenario`, its presenter and the paper's
+claims about it with :mod:`repro.engine.registry` (that is what
+``registry.load_all`` relies on); ``repro run <name>`` is the one way to
+launch them from a shell, ``registry.get(name).scenario.override(...)``
+plus ``Engine().run`` the one way from code.
 """
 
 from repro.experiments import (  # noqa: F401  (import-time registration)

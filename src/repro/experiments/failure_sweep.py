@@ -16,12 +16,10 @@ the blast radius.
 
 from __future__ import annotations
 
-from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
+from repro.engine import Scenario, ScenarioResult, Variant, registry
 from repro.experiments._table import Table
 
-__all__ = ["run", "SCENARIO", "DEFAULT_FRACTIONS"]
-
-DEFAULT_FRACTIONS = (0.02, 0.05, 0.1, 0.2)
+__all__ = ["SCENARIO"]
 
 SCENARIO = Scenario(
     name="failure",
@@ -30,7 +28,7 @@ SCENARIO = Scenario(
     variants=(Variant("cm"), Variant("ovoc"), Variant("secondnet")),
     loads=(0.7,),
     bmaxes=(800.0,),
-    xs=DEFAULT_FRACTIONS,
+    xs=(0.02, 0.05, 0.1, 0.2),
     arrivals=400,
     # One ToR switch and one ToR uplink die alongside the server
     # fraction; hetero=1 places on the mixed-rack variant of the spec.
@@ -38,30 +36,7 @@ SCENARIO = Scenario(
 )
 
 
-def run(
-    *,
-    fractions: tuple[float, ...] = DEFAULT_FRACTIONS,
-    load: float = 0.7,
-    arrivals: int = 400,
-    pods: int | None = None,
-    seed: int = 0,
-    algorithms: tuple[str, ...] = ("cm", "ovoc", "secondnet"),
-    hetero: bool = True,
-    n_jobs: int = 1,
-) -> ScenarioResult:
-    scenario = SCENARIO.override(
-        xs=fractions,
-        loads=(load,),
-        arrivals=arrivals,
-        pods=pods,
-        seeds=(seed,),
-        variants=tuple(Variant(a) for a in algorithms),
-        params=(("switches", 1), ("links", 1), ("hetero", int(hetero))),
-    )
-    return Engine(n_jobs=n_jobs).run(scenario)
-
-
-def to_table(result: ScenarioResult) -> Table:
+def present(result: ScenarioResult) -> None:
     table = Table(
         "Failure sweep — survival and re-placement after injected faults",
         (
@@ -89,11 +64,7 @@ def to_table(result: ScenarioResult) -> Table:
             payload["churn_vms"],
             f"{payload['recover_seconds'] * 1e3:.1f} ms",
         )
-    return table
-
-
-def present(result: ScenarioResult) -> None:
-    to_table(result).show()
+    table.show()
     worst: dict[str, float] = {}
     for r in result:
         name = r.trial.variant.name

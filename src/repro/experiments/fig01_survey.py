@@ -7,12 +7,10 @@ adequate at the server level but short at ToR/aggregation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
+from repro.engine import Scenario, ScenarioResult, Variant, registry
 from repro.experiments._table import Table
 
-__all__ = ["run", "Fig1Result", "SCENARIO"]
+__all__ = ["SCENARIO"]
 
 SCENARIO = Scenario(
     name="fig01",
@@ -23,66 +21,52 @@ SCENARIO = Scenario(
 )
 
 
-@dataclass(frozen=True)
-class Fig1Result:
-    workload_rows: Table
-    datacenter_rows: Table
-    interactive_median: float
-    batch_median: float
-    server_ratios: list[float]
-    tor_ratios: list[float]
-    agg_ratios: list[float]
-
-
-def _to_result(result: ScenarioResult) -> Fig1Result:
-    (trial_result,) = result.results
-    payload = trial_result.payload
-
+def present(result: ScenarioResult) -> None:
+    (payload,) = result.payloads()
     workloads = Table(
         "Fig. 1(a) — workload BW:CPU demand (Mbps/GHz)",
         ("workload", "kind", "low", "high"),
     )
-    for name, kind, low, high in payload["workload_rows"]:
-        workloads.add(name, kind, low, high)
-
+    for row in payload["workload_rows"]:
+        workloads.add(*row)
+    workloads.show()
     datacenters = Table(
         "Fig. 1(b) — datacenter BW:CPU provisioning (Mbps/GHz)",
         ("datacenter", "server", "tor", "aggregation"),
     )
-    server, tor, agg = [], [], []
-    for name, srv, tor_ratio, agg_ratio in payload["datacenter_rows"]:
-        datacenters.add(name, srv, tor_ratio, agg_ratio)
-        server.append(srv)
-        tor.append(tor_ratio)
-        agg.append(agg_ratio)
-
-    return Fig1Result(
-        workload_rows=workloads,
-        datacenter_rows=datacenters,
-        interactive_median=payload["interactive_median"],
-        batch_median=payload["batch_median"],
-        server_ratios=server,
-        tor_ratios=tor,
-        agg_ratios=agg,
-    )
-
-
-def run(*, n_jobs: int = 1) -> Fig1Result:
-    return _to_result(Engine(n_jobs=n_jobs).run(SCENARIO))
-
-
-def present(result: ScenarioResult) -> None:
-    fig1 = _to_result(result)
-    fig1.workload_rows.show()
-    fig1.datacenter_rows.show()
+    for row in payload["datacenter_rows"]:
+        datacenters.add(*row)
+    datacenters.show()
     print(
-        f"interactive median {fig1.interactive_median:.0f} Mbps/GHz vs "
-        f"batch median {fig1.batch_median:.0f} Mbps/GHz"
-    )
-    print(
-        "datacenters: server-level provisioning covers typical demand; "
-        "ToR/agg levels fall below interactive demand medians"
+        f"interactive median {payload['interactive_median']:.0f} Mbps/GHz vs "
+        f"batch median {payload['batch_median']:.0f} Mbps/GHz"
     )
 
 
-registry.register(SCENARIO, present, aliases=("fig1",))
+def _medians(trials) -> float:
+    (survey,) = trials.payloads()
+    return survey["interactive_median"] / survey["batch_median"]
+
+
+def _above_rack(trials) -> float:
+    (survey,) = trials.payloads()
+    worst = max(max(tor, agg) for _, _, tor, agg in survey["datacenter_rows"])
+    return worst / survey["interactive_median"]
+
+
+CLAIMS = (
+    registry.Claim(
+        "Fig. 1(a)",
+        "interactive workloads demand similar-or-higher BW per CPU than batch "
+        "jobs [interactive / batch median]",
+        _medians, low=1.0, strict=True,
+    ),
+    registry.Claim(
+        "Fig. 1(b)",
+        "ToR/agg levels fall below interactive demand medians [largest ToR or "
+        "agg ratio of any datacenter / interactive median]",
+        _above_rack, high=1.0, strict=True,
+    ),
+)
+
+registry.register(SCENARIO, present, aliases=("fig1",), claims=CLAIMS)

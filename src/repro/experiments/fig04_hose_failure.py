@@ -9,11 +9,10 @@ guarantees separate.
 
 from __future__ import annotations
 
-from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
-from repro.enforcement.scenarios import Fig4Outcome
+from repro.engine import Scenario, ScenarioResult, Variant, registry
 from repro.experiments._table import Table
 
-__all__ = ["run", "SCENARIO"]
+__all__ = ["SCENARIO"]
 
 SCENARIO = Scenario(
     name="fig04",
@@ -24,32 +23,49 @@ SCENARIO = Scenario(
 )
 
 
-def _to_outcomes(result: ScenarioResult) -> dict[str, Fig4Outcome]:
-    return {r.trial.variant.name: r.payload for r in result}
-
-
-def run(*, n_jobs: int = 1, **kwargs) -> dict[str, Fig4Outcome]:
-    scenario = SCENARIO.override(params=tuple(sorted(kwargs.items())))
-    return _to_outcomes(Engine(n_jobs=n_jobs).run(scenario))
-
-
-def to_table(outcomes: dict[str, Fig4Outcome]) -> Table:
+def present(result: ScenarioResult) -> None:
     table = Table(
         "Fig. 4 — logic VM throughput by source tier (Mbps)",
         ("model", "web->logic", "db->logic", "500 Mbps web guarantee met"),
     )
-    for model, outcome in outcomes.items():
+    for r in result:
         table.add(
-            model,
-            f"{outcome.web_to_logic:.0f}",
-            f"{outcome.db_to_logic:.0f}",
-            "yes" if outcome.web_guarantee_met else "NO",
+            r.trial.variant.name,
+            f"{r.payload.web_to_logic:.0f}",
+            f"{r.payload.db_to_logic:.0f}",
+            "yes" if r.payload.web_guarantee_met else "NO",
         )
-    return table
+    table.show()
 
 
-def present(result: ScenarioResult) -> None:
-    to_table(_to_outcomes(result)).show()
+def _throughput(mode: str, field: str):
+    def measure(trials) -> float | None:
+        runs = trials.by_variant(mode)
+        return getattr(runs[0].payload, field) if runs else None
+
+    return measure
 
 
-registry.register(SCENARIO, present, aliases=("fig4",))
+# pytest.approx's default tolerance: a relative 1e-6.
+CLAIMS = (
+    registry.Claim(
+        "Fig. 4",
+        "TAG delivers the web tier its 500 Mbps guarantee [web->logic, TAG]",
+        _throughput("tag", "web_to_logic"),
+        low=500.0 * (1 - 1e-6), high=500.0 * (1 + 1e-6), paper=500.0,
+    ),
+    registry.Claim(
+        "Fig. 4",
+        "TAG keeps the DB tier's 100 Mbps guarantee apart [db->logic, TAG]",
+        _throughput("tag", "db_to_logic"),
+        low=100.0 * (1 - 1e-6), high=100.0 * (1 + 1e-6), paper=100.0,
+    ),
+    registry.Claim(
+        "Fig. 4",
+        "the hose splits its 600 Mbps TCP-style and cannot deliver 500 Mbps "
+        "to the web tier [web->logic, hose]",
+        _throughput("hose", "web_to_logic"), high=500.0, strict=True, paper=300.0,
+    ),
+)
+
+registry.register(SCENARIO, present, aliases=("fig4",), claims=CLAIMS)

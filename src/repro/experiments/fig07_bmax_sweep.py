@@ -9,15 +9,12 @@ requests."
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
-from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
+from repro.engine import Scenario, ScenarioResult, Variant, registry
 from repro.experiments._table import Table
-from repro.simulation.metrics import RunMetrics
 
-__all__ = ["run", "SCENARIO", "DEFAULT_BMAX_VALUES"]
-
-DEFAULT_BMAX_VALUES = (400.0, 600.0, 800.0, 1000.0, 1200.0)
+__all__ = ["SCENARIO"]
 
 SCENARIO = Scenario(
     name="fig07",
@@ -25,65 +22,25 @@ SCENARIO = Scenario(
     kind="rejection",
     variants=(Variant("cm"), Variant("ovoc")),
     loads=(0.5, 0.9),
-    bmaxes=DEFAULT_BMAX_VALUES,
+    bmaxes=(400.0, 600.0, 800.0, 1000.0, 1200.0),
 )
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    bmax: float
-    load: float
-    algorithm: str
-    metrics: RunMetrics
-
-
-def _points(result: ScenarioResult) -> list[SweepPoint]:
-    return [
-        SweepPoint(r.trial.bmax, r.trial.load, r.trial.variant.name, r.payload)
-        for r in result
-    ]
-
-
-def run(
-    *,
-    loads: tuple[float, ...] = (0.5, 0.9),
-    bmax_values: tuple[float, ...] = DEFAULT_BMAX_VALUES,
-    pods: int = 2,
-    arrivals: int = 600,
-    seed: int = 0,
-    algorithms: tuple[str, ...] = ("cm", "ovoc"),
-    n_jobs: int = 1,
-) -> list[SweepPoint]:
-    scenario = SCENARIO.override(
-        loads=loads,
-        bmaxes=bmax_values,
-        pods=pods,
-        arrivals=arrivals,
-        seeds=(seed,),
-        variants=tuple(Variant(a) for a in algorithms),
-    )
-    return _points(Engine(n_jobs=n_jobs).run(scenario))
-
-
-def to_table(points: list[SweepPoint]) -> Table:
+def present(result: ScenarioResult) -> None:
     table = Table(
         "Fig. 7 — rejection rates (%) vs B_max",
         ("load", "bmax", "algorithm", "BW rejected", "VM rejected", "tenants rejected"),
     )
-    for p in points:
+    for r in result:
         table.add(
-            f"{p.load:.0%}",
-            f"{p.bmax:.0f}",
-            p.algorithm,
-            f"{p.metrics.bw_rejection_rate:.1%}",
-            f"{p.metrics.vm_rejection_rate:.1%}",
-            f"{p.metrics.tenant_rejection_rate:.1%}",
+            f"{r.trial.load:.0%}",
+            f"{r.trial.bmax:.0f}",
+            r.trial.variant.name,
+            f"{r.payload.bw_rejection_rate:.1%}",
+            f"{r.payload.vm_rejection_rate:.1%}",
+            f"{r.payload.tenant_rejection_rate:.1%}",
         )
-    return table
-
-
-def present(result: ScenarioResult) -> None:
-    to_table(_points(result)).show()
+    table.show()
     # Seed-replicated grids additionally get mean ± bootstrap CI rows.
     from repro.results.present import seed_replicated_summary
 
@@ -94,4 +51,48 @@ def present(result: ScenarioResult) -> None:
         print(summary)
 
 
-registry.register(SCENARIO, present, aliases=("fig7",))
+def _sweeps(trials, variant: str) -> list[list[float]]:
+    """Per load: the variant's rejected-bandwidth fractions across B_max."""
+    by_load: dict[float, list[float]] = {}
+    for r in trials.by_variant(variant):
+        by_load.setdefault(r.trial.load, []).append(r.payload.bw_rejection_rate)
+    return list(by_load.values())
+
+
+def _gap(trials) -> float | None:
+    cm, ovoc = _sweeps(trials, "cm"), _sweeps(trials, "ovoc")
+    if not cm or not ovoc:
+        return None
+    return max(np.mean(c) - np.mean(o) for c, o in zip(cm, ovoc))
+
+
+def _across(variant: str, over_bmax, over_loads):
+    def measure(trials) -> float | None:
+        sweeps = _sweeps(trials, variant)
+        return over_loads(map(over_bmax, sweeps)) if sweeps else None
+
+    return measure
+
+
+CLAIMS = (
+    registry.Claim(
+        "Fig. 7",
+        "CM rejects less bandwidth than OVOC at every load [largest per-load "
+        "mean over B_max, CM minus OVOC rejected-BW fraction]",
+        _gap, high=0.0, strict=True,
+    ),
+    registry.Claim(
+        "Fig. 7",
+        "OVOC rejects up to 40% of bandwidth requests [OVOC's peak rejected-BW "
+        "fraction over B_max, at the load where it is lowest]",
+        _across("ovoc", max, min), low=0.2, strict=True, paper=0.4,
+    ),
+    registry.Claim(
+        "Fig. 7",
+        "for some B_max, CM can deploy almost all requests [CM's lowest "
+        "rejected-BW fraction over B_max, at the load where it is highest]",
+        _across("cm", min, max), high=0.05, strict=True,
+    ),
+)
+
+registry.register(SCENARIO, present, aliases=("fig7",), claims=CLAIMS)

@@ -8,15 +8,11 @@ close to OVOC."
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
+from repro.engine import Scenario, ScenarioResult, Variant, registry
 from repro.experiments._table import Table
-from repro.simulation.metrics import RunMetrics
 
-__all__ = ["run", "SCENARIO", "VARIANTS"]
+__all__ = ["SCENARIO"]
 
-VARIANTS = ("cm", "cm-coloc-only", "cm-balance-only", "ovoc")
 _LABELS = {
     "cm": "Coloc+Balance",
     "cm-coloc-only": "Coloc",
@@ -28,77 +24,83 @@ SCENARIO = Scenario(
     name="fig10",
     title="Fig. 10 — CM subroutine ablation",
     kind="rejection",
-    variants=tuple(Variant(v) for v in VARIANTS),
+    variants=tuple(Variant(name) for name in _LABELS),
     loads=(0.8,),
     bmaxes=(800.0,),
 )
 
 
-@dataclass(frozen=True)
-class AblationPoint:
-    variant: str
-    label: str
-    metrics: RunMetrics
+def present(result: ScenarioResult) -> None:
+    from repro.experiments._chart import bar_chart
 
-
-def _points(result: ScenarioResult) -> list[AblationPoint]:
-    return [
-        AblationPoint(
-            r.trial.variant.name,
-            _LABELS.get(r.trial.variant.name, r.trial.variant.name),
-            r.payload,
-        )
-        for r in result
-    ]
-
-
-def run(
-    *,
-    load: float = 0.8,
-    bmax: float = 800.0,
-    pods: int = 2,
-    arrivals: int = 600,
-    seed: int = 0,
-    n_jobs: int = 1,
-) -> list[AblationPoint]:
-    scenario = SCENARIO.override(
-        loads=(load,),
-        bmaxes=(bmax,),
-        pods=pods,
-        arrivals=arrivals,
-        seeds=(seed,),
-    )
-    return _points(Engine(n_jobs=n_jobs).run(scenario))
-
-
-def to_table(points: list[AblationPoint]) -> Table:
     table = Table(
         "Fig. 10 — CM subroutine ablation (rejected bandwidth %)",
         ("variant", "BW rejected", "VM rejected"),
     )
-    for p in points:
+    bars = {}
+    for r in result:
+        label = _LABELS.get(r.trial.variant.name, r.trial.variant.name)
         table.add(
-            p.label,
-            f"{p.metrics.bw_rejection_rate:.1%}",
-            f"{p.metrics.vm_rejection_rate:.1%}",
+            label,
+            f"{r.payload.bw_rejection_rate:.1%}",
+            f"{r.payload.vm_rejection_rate:.1%}",
         )
-    return table
+        bars[label] = r.payload.bw_rejection_rate * 100
+    table.show()
+    print(bar_chart(bars, title="Fig. 10 — rejected bandwidth (%)", unit="%"))
 
 
-def to_chart(points: list[AblationPoint]) -> str:
-    from repro.experiments._chart import bar_chart
-
-    return bar_chart(
-        {p.label: p.metrics.bw_rejection_rate * 100 for p in points},
-        title="Fig. 10 — rejected bandwidth (%)",
-        unit="%",
-    )
+def _rates(trials, variant: str) -> list[float]:
+    """The variant's rejected-BW fractions, one per grid point."""
+    return [r.payload.bw_rejection_rate for r in trials.by_variant(variant)]
 
 
-def present(result: ScenarioResult) -> None:
-    points = _points(result)
-    to_table(points).show()
-    print(to_chart(points))
+def _excess(variant: str, other: str):
+    """The most ``variant`` rejects beyond ``other`` at any grid point."""
+
+    def measure(trials) -> float | None:
+        mine, theirs = _rates(trials, variant), _rates(trials, other)
+        return max(a - b for a, b in zip(mine, theirs)) if mine and theirs else None
+
+    return measure
 
 
-registry.register(SCENARIO, present)
+def _ovoc_shortfall(trials) -> float | None:
+    """The most any variant rejects beyond OVOC at any grid point."""
+    ovoc = _rates(trials, "ovoc")
+    rates = [_rates(trials, name) for name in {r.trial.variant.name for r in trials}]
+    if not ovoc or len(rates) < 2:
+        return None
+    return max(max(point) - o for *point, o in zip(*rates, ovoc))
+
+
+CLAIMS = (
+    registry.Claim(
+        "Fig. 10",
+        "colocation is clearly the main factor but Balance also contributes "
+        "[rejected-BW fraction, Coloc+Balance minus Coloc]",
+        _excess("cm", "cm-coloc-only"), high=1e-9,
+    ),
+    registry.Claim(
+        "Fig. 10",
+        "Coloc+Balance beats OVOC [rejected-BW fraction, Coloc+Balance minus "
+        "OVOC]",
+        _excess("cm", "ovoc"), high=1e-9,
+    ),
+    registry.Claim(
+        "Fig. 10",
+        "even without Coloc, the Balance-only approach performed close to OVOC "
+        "[rejected-BW fraction, Balance minus OVOC].  Known deviation: ours "
+        "lands closer to full CM, as best-fit subtree search already "
+        "localizes tenants",
+        _excess("cm-balance-only", "ovoc"), high=1e-9,
+    ),
+    registry.Claim(
+        "Fig. 10",
+        "OVOC is the worst of the four [largest rejected-BW fraction minus "
+        "OVOC's]",
+        _ovoc_shortfall, high=1e-9,
+    ),
+)
+
+registry.register(SCENARIO, present, claims=CLAIMS)

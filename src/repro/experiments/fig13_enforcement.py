@@ -9,14 +9,12 @@ intra-tier traffic crowd X out (the Fig. 4 failure, quantified).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import zip_longest
 
-from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
-from repro.enforcement.scenarios import Fig13Point
+from repro.engine import Scenario, ScenarioResult, Variant, registry
 from repro.experiments._table import Table
 
-__all__ = ["run", "SCENARIO"]
+__all__ = ["SCENARIO"]
 
 SCENARIO = Scenario(
     name="fig13",
@@ -29,43 +27,21 @@ SCENARIO = Scenario(
 )
 
 
-@dataclass(frozen=True)
-class Fig13Result:
-    tag_points: list[Fig13Point]
-    hose_points: list[Fig13Point]
-    guarantee: float
+def _points(trials, mode: str) -> list:
+    return [r.payload for r in trials.by_variant(mode)]
 
 
-def _to_result(result: ScenarioResult) -> Fig13Result:
-    return Fig13Result(
-        tag_points=[r.payload for r in result.by_variant("tag")],
-        hose_points=[r.payload for r in result.by_variant("hose")],
-        guarantee=result.scenario.param("guarantee", 450.0),
-    )
+def present(result: ScenarioResult) -> None:
+    from repro.experiments._chart import line_chart
 
-
-def run(
-    *,
-    max_senders: int = 5,
-    guarantee: float = 450.0,
-    bottleneck: float = 1000.0,
-    n_jobs: int = 1,
-) -> Fig13Result:
-    scenario = SCENARIO.override(
-        xs=tuple(range(max_senders + 1)),
-        params=(("bottleneck", bottleneck), ("guarantee", guarantee)),
-    )
-    return _to_result(Engine(n_jobs=n_jobs).run(scenario))
-
-
-def to_table(result: Fig13Result) -> Table:
+    tag, hose = _points(result, "tag"), _points(result, "hose")
     table = Table(
         "Fig. 13 — TCP throughput of VM Z (Mbps) vs #senders in C2",
         ("C2 senders", "X->Z (TAG)", "C2->Z (TAG)", "X->Z (hose)", "C2->Z (hose)"),
     )
     # zip_longest: either mode may be absent when --placers restricts
     # the variant axis to a single abstraction.
-    for tag_p, hose_p in zip_longest(result.tag_points, result.hose_points):
+    for tag_p, hose_p in zip_longest(tag, hose):
         table.add(
             (tag_p or hose_p).senders_in_c2,
             f"{tag_p.x_to_z:.0f}" if tag_p else "-",
@@ -73,35 +49,58 @@ def to_table(result: Fig13Result) -> Table:
             f"{hose_p.x_to_z:.0f}" if hose_p else "-",
             f"{hose_p.c2_to_z:.0f}" if hose_p else "-",
         )
-    return table
-
-
-def to_chart(result: Fig13Result) -> str:
-    from repro.experiments._chart import line_chart
-
-    return line_chart(
-        {
-            "X->Z (TAG)": [
-                (p.senders_in_c2, p.x_to_z) for p in result.tag_points
-            ],
-            "X->Z (hose)": [
-                (p.senders_in_c2, p.x_to_z) for p in result.hose_points
-            ],
-        },
-        title="Fig. 13(b) — throughput of VM Z (Mbps)",
-        x_label="senders in C2",
-    )
-
-
-def present(result: ScenarioResult) -> None:
-    fig13 = _to_result(result)
-    to_table(fig13).show()
-    print(to_chart(fig13))
+    table.show()
     print(
-        f"TAG keeps X->Z >= {fig13.guarantee:.0f} Mbps for every sender "
-        "count; the hose baseline degrades toward 900/(k+1)."
+        line_chart(
+            {
+                "X->Z (TAG)": [(p.senders_in_c2, p.x_to_z) for p in tag],
+                "X->Z (hose)": [(p.senders_in_c2, p.x_to_z) for p in hose],
+            },
+            title="Fig. 13(b) — throughput of VM Z (Mbps)",
+            x_label="senders in C2",
+        )
     )
 
+
+def _tag_floor(field: str, min_senders: int):
+    """TAG's least throughput into Z over sender counts >= ``min_senders``."""
+
+    def measure(trials) -> float | None:
+        points = [p for p in _points(trials, "tag") if p.senders_in_c2 >= min_senders]
+        return min((getattr(p, field) for p in points), default=None)
+
+    return measure
+
+
+def _hose_share(trials) -> float | None:
+    hose = _points(trials, "hose")
+    if not hose:
+        return None
+    last = max(hose, key=lambda p: p.senders_in_c2)
+    return last.x_to_z * (last.senders_in_c2 + 1)
+
+
+CLAIMS = (
+    registry.Claim(
+        "Fig. 13",
+        "TAG keeps X->Z at its 450 Mbps guarantee for every sender count "
+        "[least X->Z, TAG]",
+        _tag_floor("x_to_z", 0), low=450.0 - 1e-6, paper=450.0,
+    ),
+    registry.Claim(
+        "Fig. 13",
+        "with C2 senders, the intra-tier aggregate takes its own 450 Mbps "
+        "[least C2->Z, TAG, k >= 1]",
+        _tag_floor("c2_to_z", 1), low=450.0 - 1e-6, paper=450.0,
+    ),
+    # pytest.approx's default tolerance: a relative 1e-6.
+    registry.Claim(
+        "Fig. 13",
+        "the hose baseline degrades as 900 reserved + 100 spare Mbps split "
+        "TCP-style over k+1 senders [X->Z x (k+1), hose, largest k]",
+        _hose_share, low=1000.0 * (1 - 1e-6), high=1000.0 * (1 + 1e-6),
+    ),
+)
 
 registry.register(
     SCENARIO,
@@ -114,4 +113,5 @@ registry.register(
             lambda scenario, value: scenario.override(xs=tuple(range(value + 1))),
         ),
     ),
+    claims=CLAIMS,
 )

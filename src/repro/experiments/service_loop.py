@@ -17,10 +17,10 @@ windowed rejection rate — not to change the placement results.
 
 from __future__ import annotations
 
-from repro.engine import Engine, Scenario, ScenarioResult, Variant, registry
+from repro.engine import Scenario, ScenarioResult, Variant, registry
 from repro.experiments._table import Table
 
-__all__ = ["run", "SCENARIO"]
+__all__ = ["SCENARIO"]
 
 SCENARIO = Scenario(
     name="service",
@@ -34,29 +34,7 @@ SCENARIO = Scenario(
 )
 
 
-def run(
-    *,
-    arrivals: int = 20_000,
-    load: float = 0.9,
-    cohort: int = 64,
-    load_profile: str = "poisson",
-    pods: int | None = None,
-    n_jobs: int = 1,
-) -> ScenarioResult:
-    scenario = SCENARIO.override(
-        arrivals=arrivals,
-        loads=(load,),
-        pods=pods,
-        params=(
-            ("cohort", cohort),
-            ("heartbeat", 4096),
-            ("load_profile", load_profile),
-        ),
-    )
-    return Engine(n_jobs=n_jobs).run(scenario)
-
-
-def to_table(result: ScenarioResult) -> Table:
+def present(result: ScenarioResult) -> None:
     table = Table(
         "Online service — admission stream at steady state",
         (
@@ -85,11 +63,7 @@ def to_table(result: ScenarioResult) -> Table:
             f"{timing['p99_place_ms']:.2f}ms",
             f"{timing['events_per_sec']:,.0f}",
         )
-    return table
-
-
-def present(result: ScenarioResult) -> None:
-    to_table(result).show()
+    table.show()
     for r in result:
         payload = r.payload
         utilization = payload["utilization"]

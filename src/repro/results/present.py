@@ -6,6 +6,8 @@ high]`` cells (95% bootstrap CI) and the sweep charts grow ``:``
 confidence bands.  Experiment modules call
 :func:`seed_replicated_summary` from their presenters; the ``repro
 results`` CLI uses the table/chart builders directly on a store.
+:func:`claim_table` checks a scenario's registered
+:class:`~repro.engine.registry.Claim` rows against a finished run.
 
 The ``repro.experiments`` helpers are imported lazily so that importing
 :mod:`repro.results` does not drag in (and register) every experiment
@@ -16,12 +18,20 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.engine.scenario import ScenarioResult
-from repro.results.aggregate import Aggregate, aggregate, samples_from_results
+import numpy as np
+
+from repro.engine.scenario import ScenarioResult, TrialResult
+from repro.results.aggregate import (
+    Aggregate,
+    aggregate,
+    bootstrap_ci,
+    samples_from_results,
+)
 
 __all__ = [
     "aggregate_chart",
     "aggregate_table",
+    "claim_table",
     "seed_replicated_summary",
     "store_summary_table",
 ]
@@ -119,6 +129,46 @@ def seed_replicated_summary(
     if chart:
         parts.append(chart)
     return "\n\n".join(parts)
+
+
+def claim_table(claims: Sequence, result: ScenarioResult):
+    """The paper's claims checked against ``result``: one row per claim.
+
+    Each claim is measured on every seed's trials separately, handed to
+    it as a :class:`ScenarioResult` of that seed alone.  Its verdict is
+    ``OKAY`` only when every seed lies inside the bounds, ``DEVIATES``
+    otherwise, and ``n/a`` when the grid lacks the points it needs.  The
+    measured cell is the mean, plus its 95% bootstrap CI and how many
+    seeds held when there are several.  ``None`` when the scenario
+    declares no claims.
+    """
+    from repro.experiments._table import Table, format_mean_ci
+
+    if not claims:
+        return None
+    seeds: dict[int, list[TrialResult]] = {}
+    for trial_result in result:
+        seeds.setdefault(trial_result.trial.seed, []).append(trial_result)
+    runs = [ScenarioResult(result.scenario, seeds[seed]) for seed in sorted(seeds)]
+    table = Table(
+        f"{result.scenario.name} — the paper's claims",
+        ("verdict", "section", "measured", "bound", "paper", "claim"),
+    )
+    for claim in claims:
+        values = [claim.measure(run) for run in runs]
+        if None in values:
+            verdict, measured = "n/a", "-"
+        else:
+            held = sum(claim.holds(value) for value in values)
+            verdict = "OKAY" if held == len(values) else "DEVIATES"
+            measured = format_mean_ci(
+                float(np.mean(values)), *bootstrap_ci(values), fmt="{:.4g}"
+            )
+            if len(values) > 1:
+                measured += f" ({held}/{len(values)} seeds)"
+        paper = "-" if claim.paper is None else f"{claim.paper:g}"
+        table.add(verdict, claim.section, measured, claim.bound, paper, claim.text)
+    return table
 
 
 def store_summary_table(store):

@@ -200,7 +200,6 @@ class TestRegistry:
         assert "web->logic" in out
         assert "senders in C2" in out
 
-
 class TestCli:
     def test_run_with_grid_overrides(self, capsys):
         from repro.cli import main

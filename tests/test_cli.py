@@ -164,6 +164,28 @@ class TestScenarioOptions:
             assert "is not one of" in capsys.readouterr().err
 
 
+class TestPlacers:
+    """``--placers`` picks the scenario's own variants of those placers."""
+
+    def test_fig11_keeps_its_ha_variants_and_labels(self, capsys):
+        variants = scenario_for(["fig11", "--placers", "cm"]).variants
+        assert [v.name for v in variants] == ["cm@0%", "cm@25%", "cm@50%", "cm@75%"]
+        assert all(v.placer == "cm" and v.ha is not None for v in variants)
+        out = stdout_of(capsys, ["fig11", "--placers", "cm", *tiny_args("fig11")])
+        assert len(re.findall(r"^\d+%\s+CM\+HA ", out, re.M)) == 4
+
+    def test_fig12_keeps_its_three_modes(self):
+        variants = scenario_for(["fig12", "--placers", "cm"]).variants
+        assert [v.name for v in variants] == ["cm", "cm+ha", "cm+oppha"]
+
+    def test_an_undeclared_placer_runs_plain_in_the_order_given(self):
+        variants = scenario_for(["fig08", "--placers", "secondnet,ovoc"]).variants
+        assert [(v.name, v.placer, v.ha) for v in variants] == [
+            ("secondnet", "secondnet", None),
+            ("ovoc", "ovoc", None),
+        ]
+
+
 class TestHelp:
     @pytest.mark.parametrize("name", NAMES)
     def test_help_lists_what_the_scenario_consumes(self, name, capsys):
