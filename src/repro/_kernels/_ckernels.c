@@ -54,15 +54,13 @@ list_store_double(PyObject *list, Py_ssize_t i, double value)
 /* kernel 1: fused reservation adjust + feasibility check             */
 /* ------------------------------------------------------------------ */
 
-/* The shared core of ledger_adjust and commit_pipes: returns the status
- * code (0 applied / 1 refused / 2 negative), mutating used/over/ops.
- * On status 0 with ``key_ret`` non-NULL, a new reference to the boxed
- * node id is handed back so commit_pipes can reuse it as a dict key. */
+/* The body of ledger_adjust: returns the status code (0 applied /
+ * 1 refused / 2 negative), mutating used/over/ops. */
 static int
 adjust_core(PyObject *used_up, PyObject *used_down, PyObject *cap_up,
             PyObject *cap_down, PyObject *over, PyObject *ops,
             Py_ssize_t node_id, double delta_up, double delta_down,
-            int enforce, double eps, PyObject **key_ret)
+            int enforce, double eps)
 {
     double prev_up = list_double(used_up, node_id);
     double prev_down = list_double(used_down, node_id);
@@ -91,7 +89,7 @@ adjust_core(PyObject *used_up, PyObject *used_down, PyObject *cap_up,
         return -1;
     }
     /* (OP_BANDWIDTH, node_id, prev_up, prev_down) built by hand — this
-     * append runs once per reserved link. */
+     * append runs once per adjust. */
     record = PyTuple_New(4);
     if (record == NULL) {
         Py_DECREF(key);
@@ -114,10 +112,7 @@ adjust_core(PyObject *used_up, PyObject *used_down, PyObject *cap_up,
     if (PyList_Append(ops, record) < 0)
         goto fail;
     Py_DECREF(record);
-    if (key_ret != NULL)
-        *key_ret = key;
-    else
-        Py_DECREF(key);
+    Py_DECREF(key);
     return 0;
 
 fail:
@@ -150,7 +145,7 @@ k_ledger_adjust(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     status = adjust_core(args[0], args[1], args[2], args[3], args[4],
                          args[5], node_id, delta_up, delta_down, enforce,
-                         eps, NULL);
+                         eps);
     if (status < 0 || PyErr_Occurred())
         return NULL;
     return PyLong_FromLong(status);
@@ -666,77 +661,291 @@ fail:
     return NULL;
 }
 
+/* A small open-addressing map from non-negative ids to indices: the
+ * per-call working storage of commit_pipes (tens to hundreds of keys). */
+typedef struct {
+    Py_ssize_t *keys; /* -1 marks an empty slot */
+    Py_ssize_t *values;
+    Py_ssize_t mask;
+    Py_ssize_t count;
+} IdMap;
+
+static int
+idmap_init(IdMap *map, Py_ssize_t size) /* size: a power of two */
+{
+    Py_ssize_t i;
+
+    map->keys = (Py_ssize_t *)PyMem_Malloc(2 * size * sizeof(Py_ssize_t));
+    if (map->keys == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    map->values = map->keys + size;
+    for (i = 0; i < size; i++)
+        map->keys[i] = -1;
+    map->mask = size - 1;
+    map->count = 0;
+    return 0;
+}
+
+/* The slot holding ``key``, or the empty slot where it belongs. */
+static Py_ssize_t
+idmap_slot(const IdMap *map, Py_ssize_t key)
+{
+    size_t i = ((size_t)key * 0x9E3779B97F4A7C15ULL) >> 7;
+
+    for (i &= (size_t)map->mask; map->keys[i] != -1 && map->keys[i] != key;
+         i = (i + 1) & (size_t)map->mask)
+        ;
+    return (Py_ssize_t)i;
+}
+
+/* Fill the empty ``slot`` and grow the table past half full. */
+static int
+idmap_insert(IdMap *map, Py_ssize_t slot, Py_ssize_t key, Py_ssize_t value)
+{
+    IdMap grown;
+    Py_ssize_t i;
+
+    map->keys[slot] = key;
+    map->values[slot] = value;
+    if (++map->count * 2 <= map->mask + 1)
+        return 0;
+    if (idmap_init(&grown, 2 * (map->mask + 1)) < 0)
+        return -1;
+    for (i = 0; i <= map->mask; i++) {
+        if (map->keys[i] != -1) {
+            Py_ssize_t at = idmap_slot(&grown, map->keys[i]);
+            grown.keys[at] = map->keys[i];
+            grown.values[at] = map->values[i];
+        }
+    }
+    grown.count = map->count;
+    PyMem_Free(map->keys);
+    *map = grown;
+    return 0;
+}
+
+/* ``buf`` (``*cap`` items of ``size`` bytes) grown to hold ``need``
+ * items; NULL with MemoryError set, ``buf`` then still owned. */
+static void *
+grow_buffer(void *buf, Py_ssize_t *cap, Py_ssize_t need, size_t size)
+{
+    Py_ssize_t fresh = *cap ? *cap : 64;
+    void *grown;
+
+    if (need <= *cap)
+        return buf;
+    while (fresh < need)
+        fresh *= 2;
+    grown = PyMem_Realloc(buf, fresh * size);
+    if (grown == NULL)
+        return PyErr_NoMemory();
+    *cap = fresh;
+    return grown;
+}
+
+/* One touched node's running sums: the ledger's and the reserved
+ * record's values, plus every pipe bandwidth crossing it so far. */
+typedef struct {
+    Py_ssize_t node_id;
+    double used_up, used_down, reserved_up, reserved_down;
+} NodeSum;
+
+typedef struct {
+    IdMap index; /* node id -> position in sums */
+    NodeSum *sums; /* first-touch order */
+    Py_ssize_t n_sums, cap;
+} NodeSums;
+
+/* Position of ``node_id``'s sums, seeded from the ledger and
+ * ``reserved`` on first touch; -1 on error. */
+static Py_ssize_t
+node_sum(NodeSums *nodes, Py_ssize_t node_id, PyObject *used_up,
+         PyObject *used_down, PyObject *reserved)
+{
+    Py_ssize_t slot = idmap_slot(&nodes->index, node_id);
+    PyObject *key, *entry;
+    NodeSum *sum;
+
+    if (nodes->index.keys[slot] == node_id)
+        return nodes->index.values[slot];
+    sum = grow_buffer(nodes->sums, &nodes->cap, nodes->n_sums + 1,
+                      sizeof(NodeSum));
+    if (sum == NULL)
+        return -1;
+    nodes->sums = sum;
+    sum += nodes->n_sums;
+    sum->node_id = node_id;
+    sum->used_up = list_double(used_up, node_id);
+    sum->used_down = list_double(used_down, node_id);
+    key = PyLong_FromSsize_t(node_id);
+    if (key == NULL)
+        return -1;
+    entry = PyDict_GetItemWithError(reserved, key); /* borrowed */
+    Py_DECREF(key);
+    if (entry == NULL) {
+        sum->reserved_up = 0.0;
+        sum->reserved_down = 0.0;
+    }
+    else {
+        sum->reserved_up = list_double(entry, 0);
+        sum->reserved_down = list_double(entry, 1);
+    }
+    if (PyErr_Occurred() ||
+        idmap_insert(&nodes->index, slot, node_id, nodes->n_sums) < 0)
+        return -1;
+    return nodes->n_sums++;
+}
+
+/* Journal, write and record one touched node (the commit's success
+ * path); 0 on success, -1 on error. */
+static int
+write_node_sum(const NodeSum *sum, PyObject *used_up, PyObject *used_down,
+               PyObject *over, PyObject *ops, PyObject *reserved)
+{
+    Py_ssize_t node_id = sum->node_id;
+    PyObject *key, *record, *entry;
+    int failed;
+
+    key = PyLong_FromSsize_t(node_id);
+    if (key == NULL)
+        return -1;
+    record = Py_BuildValue("(iOOO)", OP_BANDWIDTH, key,
+                           PyList_GET_ITEM(used_up, node_id),
+                           PyList_GET_ITEM(used_down, node_id));
+    failed = record == NULL || PyList_Append(ops, record) < 0;
+    Py_XDECREF(record);
+    if (failed ||
+        list_store_double(used_up, node_id,
+                          sum->used_up > 0.0 ? sum->used_up : 0.0) < 0 ||
+        list_store_double(used_down, node_id,
+                          sum->used_down > 0.0 ? sum->used_down : 0.0) < 0 ||
+        PySet_Discard(over, key) < 0)
+        goto fail;
+    entry = PyDict_GetItemWithError(reserved, key); /* borrowed */
+    if (entry == NULL) {
+        if (PyErr_Occurred())
+            goto fail;
+        entry = Py_BuildValue("[dd]", sum->reserved_up, sum->reserved_down);
+        failed = entry == NULL || PyDict_SetItem(reserved, key, entry) < 0;
+        Py_XDECREF(entry);
+        if (failed)
+            goto fail;
+    }
+    else if (list_store_double(entry, 0, sum->reserved_up) < 0 ||
+             list_store_double(entry, 1, sum->reserved_down) < 0)
+        goto fail;
+    Py_DECREF(key);
+    return 0;
+
+fail:
+    Py_DECREF(key);
+    return -1;
+}
+
 static PyObject *
 k_commit_pipes(PyObject *self, PyObject *args)
 {
     PyObject *parent, *depth, *used_up, *used_down, *cap_up, *cap_down;
-    PyObject *over, *ops, *reserved, *peers;
-    Py_ssize_t server_id, n_peers, p;
+    PyObject *over, *ops, *reserved, *peers, *result = NULL;
+    Py_ssize_t server_id, n_peers, p, i;
     double eps;
+    NodeSums nodes = {{NULL}, NULL, 0, 0};
+    IdMap paths = {NULL};
+    /* Each distinct path as [count, step...], a step being a NodeSum
+     * position * 2 + is_up; ``paths`` maps peer_id * 2 + outgoing to
+     * the path's offset here. */
+    Py_ssize_t *steps = NULL;
+    Py_ssize_t n_steps = 0, steps_cap = 0;
 
     if (!PyArg_ParseTuple(args, "OOOOOOOOOnO!d", &parent, &depth, &used_up,
                           &used_down, &cap_up, &cap_down, &over, &ops,
                           &reserved, &server_id, &PyList_Type, &peers, &eps))
         return NULL;
+    if (idmap_init(&nodes.index, 64) < 0 || idmap_init(&paths, 64) < 0)
+        goto done;
     n_peers = PyList_GET_SIZE(peers);
     for (p = 0; p < n_peers; p++) {
-        Py_ssize_t peer_id, src_id, dst_id, count, j;
+        Py_ssize_t peer_id, key, slot, start, j;
         double bandwidth;
         int outgoing;
-        Py_ssize_t link_ids[MAX_PATH_LINKS];
-        char link_up[MAX_PATH_LINKS];
 
         if (unpack_peer(PyList_GET_ITEM(peers, p), &peer_id, &bandwidth,
                         &outgoing) < 0)
-            return NULL;
+            goto done;
         if (peer_id == server_id)
             continue;
-        if (outgoing) {
-            src_id = server_id;
-            dst_id = peer_id;
-        }
+        key = peer_id * 2 + outgoing;
+        slot = idmap_slot(&paths, key);
+        if (paths.keys[slot] == key)
+            start = paths.values[slot];
         else {
-            src_id = peer_id;
-            dst_id = server_id;
-        }
-        count = collect_path_links(parent, depth, src_id, dst_id, link_ids,
-                                   link_up);
-        if (count < 0)
-            return NULL;
-        for (j = 0; j < count; j++) {
-            double delta_up = link_up[j] ? bandwidth : 0.0;
-            double delta_down = link_up[j] ? 0.0 : bandwidth;
-            PyObject *key = NULL, *entry;
-            int status = adjust_core(used_up, used_down, cap_up, cap_down,
-                                     over, ops, link_ids[j], delta_up,
-                                     delta_down, 1, eps, &key);
-            if (status < 0 || PyErr_Occurred())
-                return NULL;
-            if (status != 0)
-                return PyLong_FromLong(status);
-            entry = PyDict_GetItemWithError(reserved, key); /* borrowed */
-            if (entry == NULL) {
-                if (PyErr_Occurred()) {
-                    Py_DECREF(key);
-                    return NULL;
-                }
-                entry = Py_BuildValue("[dd]", 0.0, 0.0);
-                if (entry == NULL || PyDict_SetItem(reserved, key, entry) < 0) {
-                    Py_XDECREF(entry);
-                    Py_DECREF(key);
-                    return NULL;
-                }
-                Py_DECREF(entry); /* the dict holds it now */
+            Py_ssize_t link_ids[MAX_PATH_LINKS];
+            char link_up[MAX_PATH_LINKS];
+            Py_ssize_t *grown;
+            Py_ssize_t count = outgoing
+                ? collect_path_links(parent, depth, server_id, peer_id,
+                                     link_ids, link_up)
+                : collect_path_links(parent, depth, peer_id, server_id,
+                                     link_ids, link_up);
+
+            if (count < 0)
+                goto done;
+            grown = grow_buffer(steps, &steps_cap, n_steps + 1 + count,
+                                sizeof(Py_ssize_t));
+            if (grown == NULL)
+                goto done;
+            steps = grown;
+            start = n_steps;
+            steps[n_steps++] = count;
+            for (j = 0; j < count; j++) {
+                Py_ssize_t at = node_sum(&nodes, link_ids[j], used_up,
+                                         used_down, reserved);
+                if (at < 0)
+                    goto done;
+                steps[n_steps++] = at * 2 + link_up[j];
             }
-            Py_DECREF(key);
-            if (list_store_double(entry, 0,
-                                  list_double(entry, 0) + delta_up) < 0 ||
-                list_store_double(entry, 1,
-                                  list_double(entry, 1) + delta_down) < 0)
-                return NULL;
+            if (idmap_insert(&paths, slot, key, start) < 0)
+                goto done;
+        }
+        for (j = 1; j <= steps[start]; j++) {
+            NodeSum *sum = &nodes.sums[steps[start + j] >> 1];
+
+            if (steps[start + j] & 1) {
+                sum->used_up += bandwidth;
+                sum->reserved_up += bandwidth;
+            }
+            else {
+                sum->used_down += bandwidth;
+                sum->reserved_down += bandwidth;
+            }
         }
     }
-    return PyLong_FromLong(0);
+    for (i = 0; i < nodes.n_sums; i++) {
+        const NodeSum *sum = &nodes.sums[i];
+
+        if (sum->used_up > list_double(cap_up, sum->node_id) + eps ||
+            sum->used_down > list_double(cap_down, sum->node_id) + eps) {
+            result = PyErr_Occurred() ? NULL : PyLong_FromLong(1);
+            goto done;
+        }
+    }
+    if (PyErr_Occurred())
+        goto done;
+    for (i = 0; i < nodes.n_sums; i++) {
+        if (write_node_sum(&nodes.sums[i], used_up, used_down, over, ops,
+                           reserved) < 0)
+            goto done;
+    }
+    result = PyLong_FromLong(0);
+
+done:
+    PyMem_Free(nodes.index.keys);
+    PyMem_Free(nodes.sums);
+    PyMem_Free(paths.keys);
+    PyMem_Free(steps);
+    return result;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1164,7 +1373,7 @@ static PyMethodDef kernel_methods[] = {
     {"pipes_feasible", k_pipes_feasible, METH_VARARGS,
      "Fused pipe path feasibility check (see pyref.pipes_feasible)."},
     {"commit_pipes", k_commit_pipes, METH_VARARGS,
-     "Fused per-VM pipe commit loop (see pyref.commit_pipes)."},
+     "Grouped per-VM pipe commit (see pyref.commit_pipes)."},
     {"eq1_requirement", k_eq1_requirement, METH_VARARGS,
      "Flattened-edge Eq. 1 evaluation (see pyref.eq1_requirement)."},
     {"voc_requirement", k_voc_requirement, METH_VARARGS,

@@ -21,8 +21,9 @@ the flat-array rebuild (PRs 4-6):
 ``path_link_ids`` / ``pipes_feasible`` / ``commit_pipes``
     The SecondNet virtual-link path machinery: the LCA path-link walk,
     the per-candidate path feasibility check over the accumulated pipe
-    demands, and the per-VM pipe commit loop (path walk + per-link
-    journalled adjust + reservation recording).
+    demands, and the per-VM pipe commit (one walk per distinct path,
+    per-link sums in pipe order, one check and one journal record per
+    touched node, plus the reservation recording).
 ``eq1_requirement`` / ``voc_requirement``
     The flattened-edge Eq. 1 / footnote-7 VOC requirement evaluation
     that :mod:`repro.placement.state` compiles per tag.
@@ -42,9 +43,15 @@ Status codes shared by the adjust kernels:
 Journal record shapes (tag value 1 is ``OP_BANDWIDTH`` for both
 ledgers; the consuming modules assert this at import):
 
-* classic: ``(1, node_id, prev_up, prev_down)``
+* classic: ``(1, node_id, prev_up, prev_down)`` — one per
+  ``ledger_adjust``, and one per touched node per ``commit_pipes`` call
+  (the node's values before that VM's pipes)
 * temporal: ``(1, node_id, prev_up_column, prev_down_column,
   prev_max_up, prev_max_down)``
+
+A refused adjust or ``commit_pipes`` (status ``1``) writes nothing: no
+ledger value, no journal record, no overcommit-set or ``reserved``
+change.
 """
 
 from __future__ import annotations
@@ -341,14 +348,16 @@ def pipes_feasible(
     without the root special case.
     """
     needed: dict = {}
+    paths: dict = {}
     for peer_id, bandwidth, outgoing in peers:
         if peer_id == server_id:
             continue
-        if outgoing:
-            src_id, dst_id = server_id, peer_id
-        else:
-            src_id, dst_id = peer_id, server_id
-        for link in path_link_ids(parent, depth, src_id, dst_id):
+        links = paths.get((peer_id, outgoing))
+        if links is None:
+            links = paths[peer_id, outgoing] = _pipe_path(
+                parent, depth, server_id, peer_id, outgoing
+            )
+        for link in links:
             needed[link] = needed.get(link, 0.0) + bandwidth
     for (node_id, is_up), amount in needed.items():
         available = (
@@ -379,44 +388,69 @@ def commit_pipes(
 
     ``peers`` holds ``(peer_id, bandwidth, outgoing)`` triples (zero-
     bandwidth and unplaced peers are the caller's skip; colocated peers
-    — ``peer_id == server_id`` — are skipped here).  Each path link
-    gets a strict journalled adjust; on the first refusal the commit
-    stops with status ``1`` and the partial journal in place — the
-    caller rolls back wholesale, exactly like the unfused loop.
-    ``reserved`` maps ``node_id -> [up, down]`` aggregates (the
-    allocation's release record) and is updated for every applied link.
+    — ``peer_id == server_id`` — are skipped here).  ``reserved`` maps
+    ``node_id -> [up, down]`` aggregates (the allocation's release
+    record).  Bandwidths and ledger values are non-negative.
+
+    Each distinct (peer server, direction) path is walked once.  Each
+    path link's pipe bandwidths are added left to right, in pipe order,
+    onto the ledger's value and onto ``reserved``'s, so the sums are
+    bit-identical to one adjust per (pipe, link).  Every touched node is
+    then checked once against ``cap + eps`` in both directions: the
+    running sums only grow, so the final state is over capacity exactly
+    when some per-pipe step would have been, and the verdict is the
+    per-pipe one.  On refusal (status ``1``) nothing is written.  On
+    success each touched node gets one ``(1, node_id, prev_up,
+    prev_down)`` record holding its values before this VM, so a rollback
+    restores the same state.
     """
+    paths: dict = {}
+    # node_id -> [used_down, used_up, reserved_down, reserved_up]: the
+    # running sums, indexed by a link's ``is_up`` (+ 2 for reserved).
+    sums: dict = {}
     for peer_id, bandwidth, outgoing in peers:
         if peer_id == server_id:
             continue
-        if outgoing:
-            src_id, dst_id = server_id, peer_id
+        links = paths.get((peer_id, outgoing))
+        if links is None:
+            links = paths[peer_id, outgoing] = []
+            for node_id, is_up in _pipe_path(
+                parent, depth, server_id, peer_id, outgoing
+            ):
+                running = sums.get(node_id)
+                if running is None:
+                    entry = reserved.get(node_id) or (0.0, 0.0)
+                    running = sums[node_id] = [
+                        used_down[node_id], used_up[node_id], entry[1], entry[0]
+                    ]
+                links.append((running, is_up))
+        for running, is_up in links:
+            running[is_up] += bandwidth
+            running[is_up + 2] += bandwidth
+    for node_id, (down, up, _, _) in sums.items():
+        if up > cap_up[node_id] + eps or down > cap_down[node_id] + eps:
+            return 1
+    for node_id, (down, up, reserved_down, reserved_up) in sums.items():
+        ops.append((_OP_BANDWIDTH, node_id, used_up[node_id], used_down[node_id]))
+        used_up[node_id] = up if up > 0.0 else 0.0
+        used_down[node_id] = down if down > 0.0 else 0.0
+        over.discard(node_id)
+        entry = reserved.get(node_id)
+        if entry is None:
+            reserved[node_id] = [reserved_up, reserved_down]
         else:
-            src_id, dst_id = peer_id, server_id
-        for node_id, is_up in path_link_ids(parent, depth, src_id, dst_id):
-            delta_up = bandwidth if is_up else 0.0
-            delta_down = 0.0 if is_up else bandwidth
-            status = ledger_adjust(
-                used_up,
-                used_down,
-                cap_up,
-                cap_down,
-                over,
-                ops,
-                node_id,
-                delta_up,
-                delta_down,
-                True,
-                eps,
-            )
-            if status != 0:
-                return status
-            entry = reserved.get(node_id)
-            if entry is None:
-                entry = reserved[node_id] = [0.0, 0.0]
-            entry[0] += delta_up
-            entry[1] += delta_down
+            entry[0] = reserved_up
+            entry[1] = reserved_down
     return 0
+
+
+def _pipe_path(
+    parent: list, depth: list, server_id: int, peer_id: int, outgoing: bool
+) -> list:
+    """The path links of one pipe between ``server_id`` and a peer."""
+    if outgoing:
+        return path_link_ids(parent, depth, server_id, peer_id)
+    return path_link_ids(parent, depth, peer_id, server_id)
 
 
 # ----------------------------------------------------------------------

@@ -108,8 +108,12 @@ def fig4_scenario(
         for i in range(db_senders)
     ]
     result = enforce(tag, flows, capacities, mode=mode, headroom=0.0)
-    web_rate = sum(result.rates[:web_senders])
-    db_rate = sum(result.rates[web_senders:])
+    web_rate = 0  # not sum(): compensated from Python 3.12, rates are pinned
+    for rate in result.rates[:web_senders]:
+        web_rate += rate
+    db_rate = 0
+    for rate in result.rates[web_senders:]:
+        db_rate += rate
     return Fig4Outcome(
         web_to_logic=web_rate,
         db_to_logic=db_rate,

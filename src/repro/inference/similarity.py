@@ -87,9 +87,9 @@ def projection_graph(
     weights = 1.0 - np.arccos(cosine) / np.pi
     weights = np.where(denom > 0.0, weights, 0.0)
     graph: dict[tuple[int, int], float] = {}
-    for i in range(n):
+    for i, row in enumerate(weights.tolist()):
         for j in range(i + 1, n):
-            weight = float(weights[i, j])
+            weight = row[j]
             if weight > threshold:
                 graph[(i, j)] = weight
     return graph

@@ -91,10 +91,12 @@ def synthesize_trace(
         pairs = _edge_pairs(tag, edge, offsets)
         if not pairs:
             continue
+        # One edge's pairs are distinct cells, so the fancy-indexed add
+        # gives each cell the same single double add a per-pair loop did.
+        rows, cols = np.array(pairs).T
+        alpha = np.full(len(pairs), imbalance)
         for matrix in matrices:
-            weights = rng.dirichlet(np.full(len(pairs), imbalance))
-            for (i, j), w in zip(pairs, weights):
-                matrix[i, j] += aggregate * w
+            matrix[rows, cols] += aggregate * rng.dirichlet(alpha)
 
     mean_rate = float(np.mean([m.sum() for m in matrices])) / max(total, 1)
     if noise_fraction > 0 and total > 1:

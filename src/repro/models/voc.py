@@ -86,8 +86,12 @@ def voc_from_tag(tag: Tag) -> VocModel:
     for component in tag.internal_components():
         assert component.size is not None
         loop = tag.self_loop(component.name)
-        inter_out = sum(e.send for e in tag.out_edges(component.name))
-        inter_in = sum(e.recv for e in tag.in_edges(component.name))
+        inter_out = 0  # not sum(): compensated from Python 3.12, OVOC is pinned
+        for edge in tag.out_edges(component.name):
+            inter_out += edge.send
+        inter_in = 0
+        for edge in tag.in_edges(component.name):
+            inter_in += edge.recv
         clusters.append(
             VocCluster(
                 name=component.name,

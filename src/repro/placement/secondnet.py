@@ -16,6 +16,7 @@ reproduce in spirit, not in wall-clock).
 
 from __future__ import annotations
 
+import weakref
 from collections import defaultdict
 
 from repro import _kernels
@@ -47,8 +48,9 @@ class PipeAllocation:
         # Mirror of ``vm_server`` in node-id form, the shape the per-VM
         # peer triples (and through them the path kernels) consume.
         self.vm_server_ids: dict[str, int] = {}
-        # Aggregate (up, down) reserved per node uplink, for release().
-        self._reserved: dict[int, list[float]] = defaultdict(lambda: [0.0, 0.0])
+        # Aggregate [up, down] reserved per node uplink, for release();
+        # written by the commit_pipes kernel.
+        self._reserved: dict[int, list[float]] = {}
         self.finalized = False
 
     @property
@@ -56,14 +58,6 @@ class PipeAllocation:
         if self._pipes is None:
             self._pipes = pipes_from_tag(self.tag)
         return self._pipes
-
-    def record_reservation(self, node: Node, up: float, down: float) -> None:
-        self.record_reservation_id(node.node_id, up, down)
-
-    def record_reservation_id(self, node_id: int, up: float, down: float) -> None:
-        entry = self._reserved[node_id]
-        entry[0] += up
-        entry[1] += down
 
     def release(self) -> None:
         """Release all slots and pipe reservations (tenant departure)."""
@@ -103,8 +97,29 @@ class PipeAllocation:
         return dict(spread)
 
 
+def _pipe_plan(tag: Tag) -> tuple[dict, dict, list[str]]:
+    """``(neighbors, demand, order)``: the per-VM pipe expansion of ``tag``.
+
+    Built from the flattened O(edges) plan, not the materialized
+    PipeSet: one kernel pass yields the per-VM peer lists and (out, in)
+    demand, summed in pipe order exactly like
+    :func:`repro.models.pipe.pipe_vm_demand`.  ``order`` places VMs by
+    descending total demand.
+    """
+    vms, plans = pipe_expansion(tag)
+    neighbors, demand = _kernels.expand_edges(plans, vms)
+    order = sorted(vms, key=lambda vm: demand[vm][0] + demand[vm][1], reverse=True)
+    return neighbors, demand, order
+
+
+# The expansion is a pure function of the tag; keyed by identity so pool
+# tenants are expanded once and ephemeral tags are dropped with their
+# last reference (CloudMirror's plan cache idiom).
+_PLAN_CACHE: "weakref.WeakKeyDictionary[Tag, tuple]" = weakref.WeakKeyDictionary()
+
+
 class SecondNetPlacer:
-    """Greedy pipe-model placement with per-pipe path reservations."""
+    """Greedy pipe-model placement with per-VM path reservations."""
 
     def __init__(self, ledger: Ledger, *, use_candidate_index: bool = True) -> None:
         self.ledger = ledger
@@ -122,18 +137,13 @@ class SecondNetPlacer:
         self._rack_ids = [node.node_id for node in self.topology.level_nodes(1)]
 
     def place(self, tag: Tag) -> PlacementResult:
-        # The flattened O(edges) plan, not the materialized PipeSet: the
-        # placer only ever needs the per-VM peer/demand expansion, which
-        # the kernel builds straight from the plan rows.
-        vms, plans = pipe_expansion(tag)
-        if len(vms) > self.ledger.free_slots(self.topology.root):
+        if tag.size > self.ledger.free_slots(self.topology.root):
             return Rejection(tag, "not enough free VM slots in the datacenter")
+        plan = _PLAN_CACHE.get(tag)
+        if plan is None:
+            plan = _PLAN_CACHE[tag] = _pipe_plan(tag)
+        neighbors, demand, order = plan
         allocation = PipeAllocation(tag, None, self.ledger)
-        # One pass builds the per-VM peer lists and the per-VM (out, in)
-        # demand; the sums accumulate in pipe order, exactly like
-        # :func:`repro.models.pipe.pipe_vm_demand`.
-        neighbors, demand = _kernels.expand_edges(plans, vms)
-        order = sorted(vms, key=lambda vm: sum(demand[vm]), reverse=True)
         # Per-server headroom for the *total* pipe demand of colocated
         # VMs: pipes toward not-yet-placed peers will need uplink
         # capacity later, so stacking demand-blind would dead-end (the
@@ -368,10 +378,10 @@ class SecondNetPlacer:
         journal = allocation.journal
         flat = self._flat
         placed = [t for t in placed_peers if t[1] != 0.0]
-        # The whole per-VM pipe loop — path walk, per-link journalled
-        # adjust, reservation aggregation — is one kernel call; a mid-
-        # commit refusal leaves the partial journal for the caller's
-        # wholesale rollback, exactly like the unfused loop did.
+        # The whole per-VM pipe commit — one walk per distinct path,
+        # per-link sums in pipe order, one check and one journal record
+        # per touched node — is one kernel call.  A refusal writes no
+        # bandwidth; the caller's wholesale rollback undoes the slot.
         before = len(journal.ops)
         status = _kernels.commit_pipes(
             flat.parent,

@@ -230,7 +230,9 @@ class PodSpec:
     def effective_agg_uplink(self) -> float:
         if self.agg_uplink is not None:
             return self.agg_uplink
-        total = sum(rack.effective_tor_uplink for rack in self.racks)
+        total = 0  # not sum(): compensated from Python 3.12, fabrics are pinned
+        for rack in self.racks:
+            total += rack.effective_tor_uplink
         return math.inf if math.isinf(total) else total / self.agg_oversub
 
 

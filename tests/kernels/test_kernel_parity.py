@@ -317,13 +317,18 @@ class TestPipeCommitKernels:
         for _ in range(300):
             (parent, depth, used_up0, used_down0, cap_up, cap_down,
              server, peers) = self._fabric(rng)
+            reserved0 = {
+                node: [round(rng.uniform(0.0, 9.0), 3), 0.0]
+                for node in range(len(parent))
+                if rng.random() < 0.3
+            }
             envs = []
             for impl in (pyref, _ckernels):
                 used_up = list(used_up0)
                 used_down = list(used_down0)
-                over: set = set()
+                over: set = set(range(len(parent)))
                 ops: list = []
-                reserved: dict = {}
+                reserved = {node: list(entry) for node, entry in reserved0.items()}
                 status = impl.commit_pipes(
                     parent, depth, used_up, used_down, cap_up, cap_down,
                     over, ops, reserved, server, peers, EPS,
@@ -332,6 +337,10 @@ class TestPipeCommitKernels:
                     (status, repr(used_up), repr(used_down), repr(ops),
                      repr(reserved), list(reserved), sorted(over))
                 )
+                # One (1, node_id, prev_up, prev_down) record per touched
+                # node on success, nothing at all on refusal.
+                assert len({op[1] for op in ops}) == len(ops)
+                assert status == 0 or (ops, reserved) == ([], reserved0)
             assert envs[0] == envs[1]
 
 
