@@ -17,7 +17,11 @@ Structure follows the paper's pseudocode:
 * ``_walk`` / ``_scan`` — the child search both share: "try a child, on
   overcommit deallocate and try the next" costs one scan of the children
   per *ledger change*, not per try, and a failing server is asked first,
-  without side effects, whether its own uplink would overcommit.
+  without side effects, whether its own uplink would overcommit.  A scan
+  reads each child's row (free slots, this tenant's counts, nominal
+  availability) once from the ledger's columns and hands it to the
+  option, and once an offer has failed the allocation keeps its Eq. 1
+  results per count vector for the rest of the search.
 
 Bandwidth reservations are recomputed exactly (Eq. 1) on every touched
 uplink as placement proceeds, and capacity is checked at subtree-completion
@@ -31,6 +35,7 @@ from __future__ import annotations
 import math
 import weakref
 from functools import partial
+from itertools import repeat
 from operator import itemgetter
 
 from repro.core.bandwidth import trunk_saving, uplink_requirement
@@ -51,6 +56,7 @@ __all__ = ["CloudMirrorPlacer"]
 
 _UNSEEN = object()
 _VALUE = itemgetter(0)
+_NONE_HELD: dict[str, int] = {}
 
 
 def _mean(values: list[float]) -> float:
@@ -423,6 +429,7 @@ class CloudMirrorPlacer:
         *option_args,
         key_tiers: tuple[str, ...] | None = None,
         bandwidth: bool = False,
+        probe_first: bool = False,
     ) -> None:
         """Offer ``want`` to ``subtree``'s children until none takes more.
 
@@ -435,18 +442,24 @@ class CloudMirrorPlacer:
         placed VMs changes the ledger and pays for a new scan.  A failed
         child stays excluded for the rest of the walk.
 
-        Once one real try has failed, a server child is first probed
+        Once one real try has failed (from the first offer with
+        ``probe_first``), a server child is first probed
         (:meth:`TenantAllocation.probe`) for overcommitting its own
-        uplink, which rejects it without touching any state.
+        uplink, which rejects it without touching any state.  The first
+        failed offer also starts the allocation's Eq. 1 memo
+        (:meth:`TenantAllocation.memoize`).
 
-        ``option(allocation, want, *option_args, child_id, free)`` values
-        one child: ``(value, request)`` or ``None``.
+        ``option(allocation, want, *option_args, child_id, free, counts,
+        up, down)`` values one child from the row the scan read: its free
+        slots, this tenant's per-tier counts under it and, in a
+        ``bandwidth`` scan, its nominal up/down availability (``None``
+        otherwise).  It returns ``(value, request)`` or ``None``.
         """
         node_of = self._flat.node_of
         excluded: set[int] = set()
         evaluate = partial(option, allocation, want, *option_args)
         scan = partial(self._scan, allocation, subtree, excluded, evaluate, bandwidth)
-        probe = False
+        probe = probe_first
         while want:
             tiers = key_tiers
             if tiers is None:
@@ -462,6 +475,7 @@ class CloudMirrorPlacer:
                 allocation, want, pick[2], node_of[pick[1]], ceiling, probe
             ):
                 probe = True
+                allocation.memoize()
                 excluded.add(pick[1])
                 if ranked is None:
                     # Ranked lazily: a first try that succeeds never pays.
@@ -498,27 +512,38 @@ class CloudMirrorPlacer:
         With a ``ranked`` list (after a failed try, same ledger state)
         every eligible child is appended with its class's option instead
         and nothing is evaluated twice.
+
+        The row is read straight off the ledger's columns — the values
+        ``free_slots_id`` and ``nominal_available_*_id`` return for a
+        non-root node, which a child never is — and the allocation's
+        per-node counts.
         """
         ledger = self.ledger
-        free_slots_id = ledger.free_slots_id
-        available_up = ledger.nominal_available_up_id
-        available_down = ledger.nominal_available_down_id
-        count_key = allocation.count_key
+        free_slots = ledger._free_subtree
+        nom_up, nom_down = ledger._nom_up, ledger._nom_down
+        max_up, max_down = ledger._max_up, ledger._max_down
+        held = allocation._counts.get  # never rebound; read only here
+        up = down = None
         best = None
         for child_id in self._flat.children_ids[subtree.node_id]:
             if child_id in excluded:
                 continue
-            free = free_slots_id(child_id)
+            free = free_slots[child_id]
             if free <= 0:
                 continue
-            counts = key_tiers and count_key(child_id, key_tiers)
+            state = key_tiers and tuple(
+                map(held(child_id, _NONE_HELD).get, key_tiers, repeat(0))
+            )
             if bandwidth:
-                key = (free, available_up(child_id), available_down(child_id), counts)
+                up = nom_up[child_id] - max_up[child_id]
+                down = nom_down[child_id] - max_down[child_id]
+                key = (free, up, down, state)
             else:
-                key = (free, counts)
+                key = (free, state)
             option = classes.get(key, _UNSEEN)
             if option is _UNSEEN:
-                option = classes[key] = evaluate(child_id, free)
+                counts = held(child_id, _NONE_HELD)
+                option = classes[key] = evaluate(child_id, free, counts, up, down)
             elif ranked is None:
                 continue
             if option is None:
@@ -671,6 +696,9 @@ class CloudMirrorPlacer:
         threshold: float,
         child_id: int,
         free: int,
+        counts,
+        up,
+        down,
     ) -> tuple[float, dict[str, int]] | None:
         """Best ``(saving, request)`` with a verified positive saving.
 
@@ -682,8 +710,8 @@ class CloudMirrorPlacer:
         plan = self._plan
         peak = plan.peak
         sizes = plan.size
-        caps = self._caps(allocation, child_id, want)
-        count_id = allocation.count_id
+        caps = self._caps(allocation, child_id, want) if self._wcs else sizes
+        here_of = counts.get
         best = None
         best_saving = 0.0
         # Hose candidates (Eq. 2): a majority of a self-loop tier in child.
@@ -696,7 +724,7 @@ class CloudMirrorPlacer:
             if add <= 0:
                 continue
             size = sizes[tier]
-            here = count_id(child_id, tier)
+            here = here_of(tier, 0)
             after = here + add
             if after <= size / 2.0:
                 continue
@@ -725,8 +753,8 @@ class CloudMirrorPlacer:
                 continue
             src_size = sizes[src]
             dst_size = sizes[dst]
-            src_here = count_id(child_id, src)
-            dst_here = count_id(child_id, dst)
+            src_here = here_of(src, 0)
+            dst_here = here_of(dst, 0)
             saving = trunk_saving(
                 edge, src_here + src_add, dst_here + dst_add, src_size, dst_size
             ) - trunk_saving(edge, src_here, dst_here, src_size, dst_size)
@@ -745,6 +773,9 @@ class CloudMirrorPlacer:
         want: dict[str, int],
         child_id: int,
         free: int,
+        counts,
+        up,
+        down,
     ) -> tuple[int, dict[str, int]] | None:
         """Pack the child with the most free slots, tiers in ``want`` order."""
         caps = self._caps(allocation, child_id, want)
@@ -780,43 +811,47 @@ class CloudMirrorPlacer:
         ):
             walk(self._spread_option)
         else:
-            walk(self._greedy_fill, False, bandwidth=True)
+            walk(self._greedy_fill, bandwidth=True)
         if want:
             # Second pass ignoring the (conservative, additive) bandwidth
             # estimates: the per-VM worst case overstates Eq. 1's min()
             # terms, so a remainder here may still fit.  The exact
             # overcommit check at each _try_child boundary remains the
-            # real capacity gate.
-            walk(self._greedy_fill, True)
+            # real capacity gate.  What the first pass left mostly does
+            # not fit, so even the first offer is probed: a probe
+            # rejects only a try certain to overcommit.
+            walk(self._greedy_fill, probe_first=True)
 
     def _greedy_fill(
         self,
         allocation: TenantAllocation,
         want: dict[str, int],
-        ignore_bandwidth: bool,
         child_id: int,
         slots_free: int,
+        counts,
+        up: float | None,
+        down: float | None,
     ) -> tuple[float, dict[str, int]] | None:
         """Greedy tier-granularity fill of one child: ``(score, fill)``.
 
         The greedy works at tier granularity (the paper's speed-up: VMs
         of one tier are identical) over three dimensions — slots,
         outgoing bandwidth, incoming bandwidth — using utilization
-        fractions as the common metric.
+        fractions as the common metric.  Without a scanned availability
+        (``up is None``: the relaxed pass) bandwidth is ignored.
         """
-        ledger = self.ledger
-        if ignore_bandwidth:
+        if up is None:
             up_free = down_free = math.inf
         else:
-            up_free = max(0.0, ledger.nominal_available_up_id(child_id))
-            down_free = max(0.0, ledger.nominal_available_down_id(child_id))
+            up_free = max(0.0, up)
+            down_free = max(0.0, down)
         finite_up = math.isfinite(up_free)
         finite_down = math.isfinite(down_free)
         rate_up = finite_up and up_free > 0
         rate_down = finite_down and down_free > 0
         slots_denom = slots_free if slots_free > 1 else 1
         demand = self._plan.demand
-        caps = self._caps(allocation, child_id, want)
+        caps = self._caps(allocation, child_id, want) if self._wcs else self._plan.size
         fill: dict[str, int] = {}
         used_slots = 0
         used_up = 0.0
@@ -886,6 +921,9 @@ class CloudMirrorPlacer:
         want: dict[str, int],
         child_id: int,
         free: int,
+        counts,
+        up,
+        down,
     ) -> tuple[int, dict[str, int]] | None:
         """Opportunistic-HA: one VM of the largest tier, emptiest child."""
         tier = max(want, key=want.__getitem__)

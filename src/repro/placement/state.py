@@ -25,13 +25,19 @@ undo records are plain tuples; and the two shipped requirement functions
 closures over a flattened edge table, replicating the originals'
 arithmetic term-for-term so results are bit-identical.  A custom
 ``requirement`` callable is used as-is.
+
+A failing search re-evaluates the same few count vectors over and over
+(every try of a child, and every probe of it, retraces the same bumps),
+so once the placer reports a failed offer (:meth:`memoize`) Eq. 1
+results are kept per count multiset until the search ends.  Eq. 1 reads
+counts by name, so the multiset fixes the result; VOC's hose term sums
+in insertion order and is never memoized.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Iterator, Mapping, Sequence
 
 from repro import _kernels
@@ -163,6 +169,22 @@ def _compile_voc_requirement(tag: Tag) -> Callable[[Mapping[str, int]], tuple[fl
     return requirement
 
 
+class _Eq1Memo(dict):
+    """One search's Eq. 1 results keyed by count multiset
+    (``frozenset(counts.items())``); a vector not yet seen is evaluated
+    once, on lookup, and kept."""
+
+    __slots__ = ("_require",)
+
+    def __init__(self, require: Callable[[Mapping[str, int]], tuple[float, float]]):
+        super().__init__()
+        self._require = require
+
+    def __missing__(self, key: frozenset) -> tuple[float, float]:
+        required = self[key] = self._require(dict(key))
+        return required
+
+
 def _tag_metadata(tag: Tag) -> tuple:
     """Cached ``(tier_sizes, internal_tiers, size)`` for one tag."""
     cached = _META_CACHE.get(tag)
@@ -189,6 +211,11 @@ class TenantAllocation:
         Uplink requirement function; defaults to the TAG Eq. 1.  The
         Oktopus placer passes the footnote-7 VOC requirement instead so
         that each abstraction pays for its own aggregation.
+
+    The Eq. 1 memo (see the module docstring) lives for one search: it
+    starts at :meth:`memoize` and is dropped by :meth:`finalize`,
+    :meth:`finish_scale_up`, a rollback across a resize and every
+    recompile, so a placed tenant holds none.
     """
 
     def __init__(
@@ -216,6 +243,7 @@ class TenantAllocation:
         self._compiled_for: Tag | None = None
         self._require: Callable[[Mapping[str, int]], tuple[float, float]]
         self._tier_sizes: dict[str, int | None] = {}
+        self._memo: _Eq1Memo | None = None
         self._recompile()
 
     def _recompile(self) -> None:
@@ -239,6 +267,14 @@ class TenantAllocation:
         # Shared, never mutated: see _tag_metadata / the module caches.
         self._tier_sizes, self._internal_tiers, self._tag_size = _tag_metadata(tag)
         self._compiled_for = tag
+        self._memo = None
+
+    def memoize(self) -> None:
+        """Keep Eq. 1 results for the rest of this search (the placer
+        calls this at its first failed offer; admissions whose tries all
+        succeed build no key)."""
+        if self._memo is None and self.requirement is uplink_requirement:
+            self._memo = _Eq1Memo(self._require)
 
     # ------------------------------------------------------------------
     # queries
@@ -282,11 +318,6 @@ class TenantAllocation:
         """Id-indexed :meth:`count` for hot loops."""
         counts = self._counts.get(node_id)
         return 0 if counts is None else counts.get(tier, 0)
-
-    def count_key(self, node_id: int, tiers: Sequence[str]) -> tuple[int, ...]:
-        """The counts of ``tiers`` under ``node_id`` as one hashable (one
-        call per child in the placers' equivalence-class scans)."""
-        return tuple(map(self._counts.get(node_id, {}).get, tiers, repeat(0)))
 
     def counts_under(self, node: Node) -> Mapping[str, int]:
         return dict(self._counts.get(node.node_id, {}))
@@ -373,6 +404,7 @@ class TenantAllocation:
                 self.tag = op[1]
                 self._remaining = dict(op[2])
                 self.finalized = op[3]
+                self._memo = None  # its results are the resized tag's
             else:  # pragma: no cover - defensive
                 raise ReproError(f"unknown state op {op!r}")
         self.version = savepoint.version
@@ -431,10 +463,15 @@ class TenantAllocation:
             self._recompile()
         inside = dict(self._counts.get(server_id, ()))
         prev_out, prev_into = self._reserved.get(server_id, _ZERO)
+        require = self._require
+        memo = self._memo
         deltas = []
         for tier, count in fill:
             inside[tier] = inside.get(tier, 0) + count
-            out, into = self._require(inside)
+            if memo is None:
+                out, into = require(inside)
+            else:
+                out, into = memo[frozenset(inside.items())]
             if out != prev_out or into != prev_into:
                 deltas.append((out - prev_out, into - prev_into))
             prev_out, prev_into = out, into
@@ -471,6 +508,7 @@ class TenantAllocation:
             self.rollback(savepoint)
             return False
         self.finalized = True
+        self._memo = None
         return True
 
     def release(self) -> None:
@@ -526,6 +564,7 @@ class TenantAllocation:
         if self.ledger.has_overcommit():
             return False
         self.finalized = True
+        self._memo = None
         return True
 
     def scale_down(self, tier: str, remove: int) -> None:
@@ -614,7 +653,10 @@ class TenantAllocation:
         c = _obs.counters
         if c is not None:
             c.bump("placement.reservation_updates")
-        return self._require(counts)
+        memo = self._memo
+        if memo is None:
+            return self._require(counts)
+        return memo[frozenset(counts.items())]
 
     def _update_reservation(self, node_id: int) -> None:
         """Recompute the requirement on ``node_id``'s uplink, apply the delta."""

@@ -2,12 +2,14 @@
 a failed offer paid for once.
 
 Unit tests of ``_walk`` / ``_scan`` (ranking order, class succession,
-exclusion, an overcommitted ledger on entry, the obs counters), the
-seeded probe == real-try property on both ledgers, and the failed-offer
-memo: a hit == the real try it skips, equal state versions == equal
-state, and the memo does not outlive its search.  The end-to-end
-guarantee — decisions and layouts identical to the old rescan loop — is
-``test_search_layouts.py``.
+exclusion, an overcommitted ledger on entry, which passes probe their
+first offer, the obs counters), the seeded probe == real-try property on
+both ledgers, the failed-offer memo (a hit == the real try it skips,
+equal state versions == equal state, the memo does not outlive its
+search) and the allocation's Eq. 1 memo (a hit == a fresh evaluation,
+engaged only by a failed offer, gone from every placed tenant and after
+a rolled-back resize).  The end-to-end guarantee — decisions and
+layouts identical to the old rescan loop — is ``test_search_layouts.py``.
 """
 
 from __future__ import annotations
@@ -16,13 +18,20 @@ import random
 
 import pytest
 
+from repro import _kernels
+from repro.core.bandwidth import uplink_requirement
 from repro.core.tag import Tag
 from repro.obs import core as obs
 from repro.placement import cloudmirror
 from repro.placement.base import Placement, Rejection
 from repro.placement.cloudmirror import CloudMirrorPlacer
 from repro.placement.ha import HaPolicy
-from repro.placement.state import _ZERO, Savepoint, TenantAllocation
+from repro.placement.state import (
+    _ZERO,
+    Savepoint,
+    TenantAllocation,
+    _compile_uplink_requirement,
+)
 from repro.temporal.admission import TemporalLedger
 from repro.temporal.profile import TemporalProfile, diurnal_profile
 from repro.topology.builder import single_rack, three_level_tree
@@ -59,7 +68,7 @@ def rack():
 
 
 def _values_by_free(values, evaluated):
-    def option(allocation, want, child_id, free):
+    def option(allocation, want, child_id, free, counts, up, down):
         evaluated.append(child_id)
         return values[free], {"a": 1}
 
@@ -128,7 +137,7 @@ def test_overcommitted_ledger_on_entry_is_never_probed(rack):
     before = (list(ledger._used_slots), list(ledger._used_up), list(ledger._used_down))
     want = {"a": 3}
     with obs.enabled_scope() as counters:
-        placer._walk(allocation, want, tor, tor, placer._greedy_fill, True)
+        placer._walk(allocation, want, tor, tor, placer._greedy_fill, probe_first=True)
         # Placing may lower a reservation and clear the over-set, so the
         # probe abstains and all five open servers are really tried.
         assert "cloudmirror.probe_rejects" not in counters
@@ -163,6 +172,44 @@ def test_counters_account_for_a_rejection():
     assert hits > 0
     # Far fewer scans than offers: the point of the ranking.
     assert scans < tries + rejects + hits
+
+
+def test_only_the_relaxed_pass_probes_its_first_offer(monkeypatch):
+    """Balance's relaxed pass gets only what the bandwidth-aware pass left,
+    which mostly does not fit, so its first offer is probed; Colocate and
+    the bandwidth-aware pass make their first offer for real."""
+    walks = []  # the active walks, innermost last: [pass, first offer pending]
+    firsts: dict[str, set[bool]] = {}
+    real_walk = CloudMirrorPlacer._walk
+    real_try = CloudMirrorPlacer._try_child
+
+    def walk(placer, allocation, want, subtree, ceiling, option, *args, **kwargs):
+        name = option.__name__
+        if name == "_greedy_fill":
+            name = "bandwidth" if kwargs.get("bandwidth") else "relaxed"
+        walks.append([name, True])
+        try:
+            return real_walk(
+                placer, allocation, want, subtree, ceiling, option, *args, **kwargs
+            )
+        finally:
+            walks.pop()
+
+    def try_child(placer, allocation, want, request, child, ceiling, probe):
+        frame = walks[-1]
+        if frame[1]:
+            frame[1] = False
+            firsts.setdefault(frame[0], set()).add(probe)
+        return real_try(placer, allocation, want, request, child, ceiling, probe)
+
+    monkeypatch.setattr(CloudMirrorPlacer, "_walk", walk)
+    monkeypatch.setattr(CloudMirrorPlacer, "_try_child", try_child)
+    _memo_churn("classic", None)
+    assert firsts == {
+        "_coloc_option": {False},
+        "bandwidth": {False},
+        "relaxed": {True},
+    }
 
 
 # ----------------------------------------------------------------------
@@ -221,10 +268,12 @@ def test_probe_agrees_with_the_real_try_and_touches_nothing(kind, seed):
     servers = topology.servers
     root = topology.root
     verdicts = {True: 0, False: 0}
-    for _ in range(12):
+    for attempt in range(12):
         activate()  # the tenant under test keeps these ratios throughout
         tag = rng.choice(pool)
         allocation = TenantAllocation(tag, ledger)
+        if attempt % 2:
+            allocation.memoize()  # probe and place share the Eq. 1 memo
         placer._candidate_plan(tag)
         for _ in range(25):
             remaining = allocation.remaining_tiers()
@@ -429,3 +478,137 @@ def test_memo_dies_with_its_search(slots, cool, hot, grow, monkeypatch):
         assert left_behind & set(offers)
         layouts.append(_layout(allocation))
     assert layouts[0] == layouts[1]
+
+
+# ----------------------------------------------------------------------
+# the Eq. 1 memo
+# ----------------------------------------------------------------------
+def _random_tag(rng):
+    """Tiers with and without self-loops, external components, and edges
+    with unequal send and recv rates in either direction."""
+    tag = Tag("random")
+    tiers = [f"t{i}" for i in range(rng.randint(1, 4))]
+    for tier in tiers:
+        tag.add_component(tier, rng.randint(1, 9))
+        if rng.random() < 0.6:
+            tag.add_self_loop(tier, rng.choice((0.0, rng.uniform(1.0, 300.0))))
+    outside = [f"x{i}" for i in range(rng.randint(0, 2))]
+    for name in outside:
+        tag.add_component(name, external=True)
+    names = tiers + outside
+    for _ in range(rng.randint(0, 6)):
+        src, dst = rng.choice(names), rng.choice(names)
+        if src == dst or (src, dst) in tag.edges or {src, dst} <= set(outside):
+            continue
+        tag.add_edge(src, dst, rng.uniform(0.0, 400.0), rng.uniform(0.0, 400.0))
+    return tag
+
+
+def _hex(pair):
+    return tuple(value.hex() for value in pair)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_eq1_memo_hit_is_a_fresh_evaluation(backend, seed, monkeypatch):
+    rng = random.Random(seed)
+    ledger = Ledger(three_level_tree(SPEC))
+    kernel = _kernels.eq1_requirement
+    evaluated = []
+
+    def eq1_requirement(edges, inside):
+        evaluated.append(frozenset(inside.items()))
+        return kernel(edges, inside)
+
+    for _ in range(30):
+        tag = _random_tag(rng)
+        vectors = [
+            {
+                tier: rng.randint(1, size)
+                for tier, size in tag.tier_sizes().items()
+                if rng.random() < 0.7
+            }
+            for _ in range(8)
+        ]
+        fresh = _compile_uplink_requirement(tag)
+        expected = []
+        for counts in vectors:
+            reference = uplink_requirement(tag, counts)
+            assert _hex(fresh(counts)) == _hex((reference.out, reference.into))
+            expected.append(_hex(fresh(counts)))
+        allocation = TenantAllocation(tag, ledger)
+        allocation.memoize()
+        monkeypatch.setattr(_kernels, "eq1_requirement", eq1_requirement)
+        # Each vector twice, every time in a fresh insertion order.
+        for counts, want in zip(vectors * 2, expected * 2):
+            items = list(counts.items())
+            rng.shuffle(items)
+            assert _hex(allocation._evaluate(dict(items))) == want
+        monkeypatch.setattr(_kernels, "eq1_requirement", kernel)
+        # One kernel evaluation per distinct count vector.
+        distinct = {frozenset(counts.items()) for counts in vectors}
+        assert sorted(evaluated, key=sorted) == sorted(distinct, key=sorted)
+        del evaluated[:]
+
+
+@KINDS
+@ARMS
+def test_eq1_memo_starts_at_the_first_failed_offer(kind, ha, monkeypatch):
+    offers = {True: 0, False: 0}
+
+    def hook(real, key, placer, allocation, want, request, child, ceiling):
+        engaged = allocation._memo is not None
+        # Until this search has a failed offer no count vector is keyed.
+        assert engaged == bool(placer._failed)
+        offers[engaged] += 1
+
+    _intercept(monkeypatch, hook)
+    _memo_churn(kind, ha)
+    assert offers[True] and offers[False]
+
+
+@KINDS
+def test_no_placed_tenant_keeps_an_eq1_memo(kind, monkeypatch):
+    made = []
+
+    class Recorded(TenantAllocation):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.engaged = False
+            made.append(self)
+
+        def memoize(self):
+            super().memoize()
+            self.engaged = True
+
+    monkeypatch.setattr(cloudmirror, "TenantAllocation", Recorded)
+    _memo_churn(kind, None)
+    placed = [allocation for allocation in made if allocation.finalized]
+    assert any(allocation.engaged for allocation in placed)
+    assert all(allocation._memo is None for allocation in placed)
+
+
+def test_rolled_back_resize_evaluates_under_the_restored_tag(monkeypatch):
+    ledger = Ledger(single_rack(servers=4, slots_per_server=4, nic_mbps=100.0))
+    placer = CloudMirrorPlacer(ledger)
+    allocation = placer.place(Tag.hose("warm", 6, 30.0)).allocation
+    restored = allocation.tag
+    memos = []
+    real = TenantAllocation.memoize
+
+    def memoize(self):
+        real(self)
+        memos.append(self._memo)
+
+    monkeypatch.setattr(TenantAllocation, "memoize", memoize)
+    # Ten VMs put four on some server: min(4, 10 - 4) x 30 > 100 Mbps.
+    assert not placer.scale_up(allocation, "all", 4)
+    assert allocation.tag is restored
+    assert allocation._memo is None
+    grown = {key for memo in memos for key in memo}
+    assert grown  # the failed growth keyed count vectors under 10 VMs
+    fresh = _compile_uplink_requirement(restored)
+    assert allocation.is_complete
+    allocation.memoize()  # the next search's memo
+    for key in grown:
+        counts = dict(key)
+        assert _hex(allocation._evaluate(counts)) == _hex(fresh(counts))

@@ -220,8 +220,10 @@ class TestTemporalCluster:
 
     def test_rejection_rolls_back_cleanly(self):
         cluster = TemporalCluster(SPEC, windows=1)
-        # Demand far beyond any link.
-        tenant = TemporalTag(web_tenant(1000.0), TemporalProfile.flat(1))
+        # Every server fits its share (4 x 400 of 2000 Mbps), so VMs are
+        # really placed before a rack's uplink (32 x 400 against 4000)
+        # rejects the tenant, and the journal undoes them.
+        tenant = TemporalTag(Tag.hose("hot", 64, 400.0), TemporalProfile.flat(1))
         before = [
             cluster.window_utilization(0, level) for level in range(3)
         ]
