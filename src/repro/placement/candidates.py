@@ -1,17 +1,18 @@
 """Incremental candidate index with dirty-bit invalidation.
 
 Every placer's outer loop asks the same question — "which subtree at
-level L can host this request?" — and until now answered it by scanning
-every node at the level and re-deriving its free-slot key, even though a
-single placement only changes the keys on a handful of root-paths.  The
+level L can host this request?"  A full scan would visit every node at
+the level and re-derive its free-slot key, even though a single
+placement only changes the keys on a handful of root-paths.  The
 :class:`CandidateIndex` keeps the per-level candidate order *maintained*
-between lookups:
+between lookups, and it is the only way any placer answers the
+question:
 
 ``level order``
     One sorted list per tree level of ``(free_slots, level_pos,
     node_id)`` where ``level_pos`` is the node's position in
     ``Topology.level_nodes`` order.  Iterating a slice of this list
-    reproduces exactly the winner the legacy full scan would pick, both
+    reproduces exactly the winner the full scan would pick, both
     in best-fit (minimal sufficient free slots, first in level order on
     ties) and most-free (maximal free slots, first in level order on
     ties) modes — see :meth:`best_fit` / :meth:`most_free`.
@@ -37,10 +38,10 @@ simply dirty again and repairs to the restored values.
 Bandwidth is deliberately **not** indexed: candidate keys depend only on
 slot state, and bandwidth feasibility (CloudMirror's root-path check,
 SecondNet's per-pipe check) is evaluated against the live ledger by the
-caller's accept filter during iteration.  The index is bypassed
-entirely when a placer is constructed with ``use_candidate_index=False``
-(the lockstep baseline) — a ledger without an attached index pays one
-``is None`` test per slot mutation and nothing else.
+caller's accept filter during iteration.  A ledger no placer has
+attached an index to pays one ``is None`` test per slot mutation and
+nothing else.  The full-scan reference every answer is checked against
+lives with the tests (``tests/placement/scan_candidates.py``).
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class CandidateIndex:
         size = flat.size
         num_levels = flat.num_levels
         # Node position within its level, in ``level_nodes`` order (the
-        # tie-break the legacy scans used).
+        # tie-break the full scan uses).
         self._level_pos = [0] * size
         for ids in flat.level_ids:
             for pos, node_id in enumerate(ids):
@@ -174,7 +175,7 @@ class CandidateIndex:
 
         Entries are sorted by ``(free, level_pos)``, so the first
         acceptable entry at or past the bisection point *is* the node
-        the legacy scan's strict ``free < best_free`` update would have
+        the full scan's strict ``free < best_free`` update would have
         kept.
         """
         entries = self._level_ready(level)
@@ -197,7 +198,7 @@ class CandidateIndex:
     ) -> int | None:
         """Most-free candidate at ``level`` with ``free >= size``.
 
-        Ties break to the first node in level order, matching the legacy
+        Ties break to the first node in level order, matching the full
         scan's strict ``free > best_free`` update, so the sorted list is
         walked one *distinct free value* at a time from the top, in
         ascending level position within each value.
@@ -243,7 +244,7 @@ class CandidateIndex:
     def rack_candidates(self, rack_id: int) -> list[tuple[int, int, int]]:
         """The rack's non-full servers as sorted ``(-used, enum_pos, id)``.
 
-        Iteration order equals the legacy per-VM rebuild — a stable
+        Iteration order equals the per-VM rebuild — a stable
         ``sort(key=used_slots, reverse=True)`` over the reversed-preorder
         ``servers_under`` walk.  The returned list is live: callers must
         not mutate slot state while iterating it (none do — SecondNet

@@ -125,7 +125,6 @@ class CloudMirrorPlacer:
         enable_balance: bool = True,
         subtree_choice: str = "best-fit",
         ha: HaPolicy | None = None,
-        use_candidate_index: bool = True,
     ) -> None:
         if subtree_choice not in ("best-fit", "most-free"):
             raise ValueError(
@@ -135,9 +134,8 @@ class CloudMirrorPlacer:
         self.ledger = ledger
         self.topology = ledger.topology
         self._flat = ledger.flat
-        # Incrementally-maintained subtree candidate order; ``False``
-        # falls back to the full per-level scan (the lockstep baseline).
-        self._index = ledger.ensure_candidate_index() if use_candidate_index else None
+        # Incrementally-maintained subtree candidate order.
+        self._index = ledger.ensure_candidate_index()
         self.enable_colocate = enable_colocate
         self.enable_balance = enable_balance
         self.subtree_choice = subtree_choice
@@ -274,43 +272,21 @@ class CloudMirrorPlacer:
         quantifies the difference).
         """
         external_demand = self._candidate_plan(tag).external
-        best_fit = self.subtree_choice == "best-fit"
-        size = tag.size
+        if external_demand.out == 0.0 and external_demand.into == 0.0:
+            accept = None
+        else:
+            available = self._root_path_available_id
+
+            def accept(node_id: int) -> bool:
+                return available(node_id, external_demand)
+
         index = self._index
-        if index is not None:
-            if external_demand.out == 0.0 and external_demand.into == 0.0:
-                accept = None
-            else:
-                available = self._root_path_available_id
-
-                def accept(node_id: int) -> bool:
-                    return available(node_id, external_demand)
-
-            pick = index.best_fit if best_fit else index.most_free
-            for level in range(min_level, self.topology.num_levels):
-                node_id = pick(level, size, accept)
-                if node_id is not None:
-                    return self._flat.node_of[node_id]
-            return None
-        free_slots_id = self.ledger.free_slots_id
+        pick = index.best_fit if self.subtree_choice == "best-fit" else index.most_free
+        size = tag.size
         for level in range(min_level, self.topology.num_levels):
-            best: Node | None = None
-            best_free = 0
-            for node in self.topology.level_nodes(level):
-                free = free_slots_id(node.node_id)
-                if free < size:
-                    continue
-                if not self._root_path_available(node, external_demand):
-                    continue
-                if (
-                    best is None
-                    or (best_fit and free < best_free)
-                    or (not best_fit and free > best_free)
-                ):
-                    best = node
-                    best_free = free
-            if best is not None:
-                return best
+            node_id = pick(level, size, accept)
+            if node_id is not None:
+                return self._flat.node_of[node_id]
         return None
 
     def _candidate_plan(self, tag: Tag) -> _TagPlan:
@@ -322,11 +298,6 @@ class CloudMirrorPlacer:
             self._plan = plan
             self._plan_for = tag
         return self._plan
-
-    def _root_path_available(self, node: Node, demand) -> bool:
-        if demand.out == 0.0 and demand.into == 0.0:
-            return True
-        return self._root_path_available_id(node.node_id, demand)
 
     def _root_path_available_id(self, node_id: int, demand) -> bool:
         ledger = self.ledger

@@ -36,19 +36,12 @@ __all__ = ["OktopusPlacer"]
 class OktopusPlacer:
     """Places tenants by converting their TAG to a generalized VOC."""
 
-    def __init__(
-        self,
-        ledger: Ledger,
-        *,
-        ha: HaPolicy | None = None,
-        use_candidate_index: bool = True,
-    ) -> None:
+    def __init__(self, ledger: Ledger, *, ha: HaPolicy | None = None) -> None:
         self.ledger = ledger
         self.topology = ledger.topology
         self.ha = ha or HaPolicy()
-        # Incrementally-maintained subtree candidate order; ``False``
-        # falls back to the full per-level scan (the lockstep baseline).
-        self._index = ledger.ensure_candidate_index() if use_candidate_index else None
+        # Incrementally-maintained subtree candidate order.
+        self._index = ledger.ensure_candidate_index()
 
     def place(self, tag: Tag) -> PlacementResult:
         if tag.size > self.ledger.free_slots(self.topology.root):
@@ -71,26 +64,11 @@ class OktopusPlacer:
     def _find_lowest_subtree(self, tag: Tag, min_level: int = 0) -> Node | None:
         """Lowest-level best-fit subtree with enough aggregate free slots."""
         size = tag.size
-        index = self._index
-        if index is not None:
-            for level in range(min_level, self.topology.num_levels):
-                node_id = index.best_fit(level, size)
-                if node_id is not None:
-                    return self.ledger.flat.node_of[node_id]
-            return None
-        free_slots_id = self.ledger.free_slots_id
+        best_fit = self._index.best_fit
         for level in range(min_level, self.topology.num_levels):
-            best: Node | None = None
-            best_free = 0
-            for node in self.topology.level_nodes(level):
-                free = free_slots_id(node.node_id)
-                if free < size:
-                    continue
-                if best is None or free < best_free:
-                    best = node
-                    best_free = free
-            if best is not None:
-                return best
+            node_id = best_fit(level, size)
+            if node_id is not None:
+                return self.ledger.flat.node_of[node_id]
         return None
 
     def _alloc_tenant(

@@ -121,17 +121,13 @@ _PLAN_CACHE: "weakref.WeakKeyDictionary[Tag, tuple]" = weakref.WeakKeyDictionary
 class SecondNetPlacer:
     """Greedy pipe-model placement with per-VM path reservations."""
 
-    def __init__(self, ledger: Ledger, *, use_candidate_index: bool = True) -> None:
+    def __init__(self, ledger: Ledger) -> None:
         self.ledger = ledger
         self.topology = ledger.topology
         self._flat = ledger.flat
-        # Maintained per-rack server candidate order; ``False`` falls
-        # back to the per-VM rebuild+sort (the lockstep baseline).
-        if use_candidate_index:
-            self._index = ledger.ensure_candidate_index()
-            self._index.track_racks()
-        else:
-            self._index = None
+        # Maintained per-rack server candidate order.
+        self._index = ledger.ensure_candidate_index()
+        self._index.track_racks()
         # Rack ids in enumeration order, the base order of the per-VM
         # rack sweep (the rack_order kernel filters and sorts these).
         self._rack_ids = [node.node_id for node in self.topology.level_nodes(1)]
@@ -184,63 +180,21 @@ class SecondNetPlacer:
         Racks are scored first (cost of reaching all placed peers), then
         the fullest feasible server inside the best rack is chosen, which
         keeps the search far below the full O(servers x peers) sweep.
+        The rack sweep — the free-slot filter, per-class costs (racks in
+        the same pod hosting no placed peer accumulate the exact same
+        per-peer float sum, racks hosting a peer are their own class),
+        and the stable sort by cost — is one :func:`_kernels.rack_order`
+        call over the precomputed rack id list; each rack's fullest-first
+        server order comes pre-maintained from the candidate index.
         ``hosted`` maps servers hosting a placed peer to that peer's
         indices: such servers skip those pipes in the feasibility check,
         so they are never equivalent to servers that don't.
         """
-        ledger = self.ledger
-        if self._index is not None:
-            return self._best_server_indexed(placed_peers, vm_demand, headroom, hosted)
-        racks = sorted(
-            (
-                rack
-                for rack in self.topology.level_nodes(1)
-                if self.ledger.free_slots(rack) > 0
-            ),
-            key=lambda rack: self._rack_cost(rack, placed_peers),
-        )
-        for rack in racks:
-            candidates = [
-                s
-                for s in self.topology.servers_under(rack)
-                if ledger.used_slots(s) < ledger.slot_cap[s.node_id]
-            ]
-            if not candidates:
-                continue
-            # Fullest-first packs servers tightly, like SecondNet's
-            # cluster-then-server refinement.
-            candidates.sort(key=ledger.used_slots, reverse=True)
-            found = self._first_feasible(
-                candidates, placed_peers, vm_demand, headroom, hosted
-            )
-            if found is not None:
-                return found
-        return None
-
-    def _best_server_indexed(
-        self,
-        placed_peers: list[tuple[int, float, bool]],
-        vm_demand: tuple[float, float],
-        headroom: dict[int, list[float]],
-        hosted: dict[int, list[int]],
-    ) -> Node | None:
-        """:meth:`_best_server` over the maintained candidate index.
-
-        Two changes, both bit-identical to the scan: the per-rack server
-        order comes pre-maintained from the index instead of a per-VM
-        rebuild+sort, and the whole rack sweep — the free-slot filter,
-        per-class costs (racks in the same pod hosting no placed peer
-        accumulate the exact same per-peer float sum, racks hosting a
-        peer are their own class), and the stable sort by cost — is one
-        :func:`_kernels.rack_order` call over the precomputed rack id
-        list.
-        """
-        ledger = self.ledger
         flat = self._flat
         node_of = flat.node_of
         index = self._index
         order = _kernels.rack_order(
-            flat.parent, ledger._free_subtree, self._rack_ids, placed_peers
+            flat.parent, self.ledger._free_subtree, self._rack_ids, placed_peers
         )
         for rack_id in order:
             entries = index.rack_candidates(rack_id)
@@ -292,36 +246,6 @@ class SecondNetPlacer:
                 return server
             infeasible.add(key)
         return None
-
-    def _rack_cost(
-        self, rack: Node, placed_peers: list[tuple[int, float, bool]]
-    ) -> float:
-        # Inlined hop computation over the flat parent array: this runs
-        # once per (rack, peer) pair for every VM placed.
-        parent = self._flat.parent
-        rack_id = rack.node_id
-        pod_id = parent[rack_id]
-        cost = 0.0
-        for peer_id, bandwidth, _ in placed_peers:
-            peer_rack = parent[peer_id]
-            if peer_rack == rack_id:
-                cost += bandwidth * 2
-            elif parent[peer_rack] == pod_id:
-                cost += bandwidth * 4
-            else:
-                cost += bandwidth * 6
-        return cost
-
-    def _hops(self, rack: Node, server: Node) -> int:
-        """Path length (in links) between a rack and a peer's server."""
-        parent = self._flat.parent
-        peer_rack = parent[server.node_id]
-        assert peer_rack >= 0
-        if peer_rack == rack.node_id:
-            return 2
-        if parent[peer_rack] == parent[rack.node_id]:
-            return 4
-        return 6
 
     def _path_link_ids(self, src_id: int, dst_id: int) -> list[tuple[int, bool]]:
         """Uplink ids crossed from server ``src_id`` to server ``dst_id``.

@@ -82,13 +82,10 @@ def run_failure_scenario(
     fail_fraction: float,
     switch_failures: int = 1,
     link_failures: int = 1,
-    use_candidate_index: bool = True,
 ) -> dict[str, Any]:
     """Load, fail, recover; returns the survival/churn payload dict."""
     ledger = Ledger(topology)
-    placer = make_placer(
-        placer_name, ledger, ha, use_candidate_index=use_candidate_index
-    )
+    placer = make_placer(placer_name, ledger, ha)
     loop = ServiceLoop(ledger, placer, pool, collect_utilization=False)
     loop.run(poisson_arrivals(pool, arrivals, load, topology.total_slots, seed=seed))
     placed = loop.live()

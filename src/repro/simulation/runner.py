@@ -49,42 +49,29 @@ PLACER_NAMES = (
 )
 
 
-def make_placer(
-    name: str,
-    ledger: Ledger,
-    ha: HaPolicy | None = None,
-    *,
-    use_candidate_index: bool = True,
-):
+def make_placer(name: str, ledger: Ledger, ha: HaPolicy | None = None):
     """Placer factory used by experiments and the CLI.
 
     ``cm-coloc-only`` and ``cm-balance-only`` are the Fig. 10 ablations.
-    ``use_candidate_index=False`` selects the index-free candidate scan
-    (bit-identical placements; the lockstep tests compare the two paths).
+    Every placer finds its candidate subtrees (and SecondNet its rack
+    servers) through the ledger's maintained candidate index.
     """
     if name == "cm":
-        return CloudMirrorPlacer(ledger, ha=ha, use_candidate_index=use_candidate_index)
+        return CloudMirrorPlacer(ledger, ha=ha)
     if name == "cm-coloc-only":
-        return CloudMirrorPlacer(
-            ledger, enable_balance=False, ha=ha, use_candidate_index=use_candidate_index
-        )
+        return CloudMirrorPlacer(ledger, enable_balance=False, ha=ha)
     if name == "cm-balance-only":
-        return CloudMirrorPlacer(
-            ledger,
-            enable_colocate=False,
-            ha=ha,
-            use_candidate_index=use_candidate_index,
-        )
+        return CloudMirrorPlacer(ledger, enable_colocate=False, ha=ha)
     if name == "ovoc":
         from repro.placement.oktopus import OktopusPlacer
 
-        return OktopusPlacer(ledger, ha=ha, use_candidate_index=use_candidate_index)
+        return OktopusPlacer(ledger, ha=ha)
     if name == "secondnet":
         if ha is not None and (ha.guarantees_wcs or ha.opportunistic):
             raise SimulationError("the SecondNet baseline does not support HA")
         from repro.placement.secondnet import SecondNetPlacer
 
-        return SecondNetPlacer(ledger, use_candidate_index=use_candidate_index)
+        return SecondNetPlacer(ledger)
     raise SimulationError(f"unknown placer {name!r}; options: {PLACER_NAMES}")
 
 

@@ -323,7 +323,6 @@ class TemporalCluster:
         windows: int,
         *,
         topology: Topology | None = None,
-        use_candidate_index: bool = True,
     ) -> None:
         self.spec = spec
         self.windows = windows
@@ -338,9 +337,7 @@ class TemporalCluster:
         # The candidate index attaches to the temporal ledger the same
         # way it does to the classic one: slots are plane-invariant, so
         # admissions and departures across windows share one index.
-        self.placer = CloudMirrorPlacer(  # type: ignore[arg-type]
-            self.ledger, use_candidate_index=use_candidate_index
-        )
+        self.placer = CloudMirrorPlacer(self.ledger)  # type: ignore[arg-type]
         self._admitted: dict[TemporalAdmission, None] = {}  # ordered set
         # ``TemporalTag.peak_tag()`` builds a fresh scaled Tag per call;
         # memoizing it per tenant keeps the placer's per-tag-identity

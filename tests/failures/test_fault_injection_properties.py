@@ -31,6 +31,7 @@ from repro.topology.failures import pruned_topology
 from repro.topology.ledger import Journal, Ledger
 from repro.workloads.scaling import scale_pool
 from repro.workloads.synthetic import synthetic_pool
+from tests.placement.scan_candidates import scan_unless_indexed
 
 SPEC = DatacenterSpec(
     servers_per_rack=3,
@@ -70,7 +71,7 @@ def _stream(topology, placer_name, use_index, order, failed=()):
         journal = Journal()
         for node_id in failed:
             mask.fail(node_id, journal)
-    placer = make_placer(placer_name, ledger, use_candidate_index=use_index)
+    placer = make_placer(placer_name, ledger)
     outcomes = []
     loop = ServiceLoop(
         ledger,
@@ -79,10 +80,11 @@ def _stream(topology, placer_name, use_index, order, failed=()):
         collect_utilization=False,
         on_decision=lambda tag, allocation: outcomes.append(allocation is not None),
     )
-    loop.run(
-        Arrival(float(i), tag_index, 2.0 * i + 2.5)
-        for i, tag_index in enumerate(order)
-    )
+    with scan_unless_indexed(placer, use_index):
+        loop.run(
+            Arrival(float(i), tag_index, 2.0 * i + 2.5)
+            for i, tag_index in enumerate(order)
+        )
     layouts = [
         sorted(
             (server.name, tuple(sorted(counts.items())))
@@ -190,26 +192,27 @@ def test_recovery_leaves_no_dangling_allocations(failed, use_index, seed):
     assume(_survivors(failed))
     rng = random.Random(seed)
     ledger = Ledger(TOPOLOGY)
-    placer = make_placer("cm", ledger, use_candidate_index=use_index)
-    loop = ServiceLoop(ledger, placer, POOL, collect_utilization=False)
-    loop.run(Arrival(0.0, rng.randrange(len(POOL)), math.inf) for _ in range(12))
-    mask = ledger.ensure_failure_mask()
-    journal = Journal()
-    for node_id in failed:
-        mask.fail(node_id, journal)
-    live, victims = [], []
-    for allocation in loop.live():
-        hit = any(
-            mask.is_down(server.node_id)
-            for server, _ in allocation.iter_server_placements()
-        )
-        (victims if hit else live).append(allocation)
-    for allocation in victims:
-        allocation.release()
-    for allocation in victims:
-        result = placer.place(allocation.tag)
-        if isinstance(result, Placement):
-            live.append(result.allocation)
+    placer = make_placer("cm", ledger)
+    with scan_unless_indexed(placer, use_index):
+        loop = ServiceLoop(ledger, placer, POOL, collect_utilization=False)
+        loop.run(Arrival(0.0, rng.randrange(len(POOL)), math.inf) for _ in range(12))
+        mask = ledger.ensure_failure_mask()
+        journal = Journal()
+        for node_id in failed:
+            mask.fail(node_id, journal)
+        live, victims = [], []
+        for allocation in loop.live():
+            hit = any(
+                mask.is_down(server.node_id)
+                for server, _ in allocation.iter_server_placements()
+            )
+            (victims if hit else live).append(allocation)
+        for allocation in victims:
+            allocation.release()
+        for allocation in victims:
+            result = placer.place(allocation.tag)
+            if isinstance(result, Placement):
+                live.append(result.allocation)
     # Invariant 1: nothing lives on a down server after recovery.
     for allocation in live:
         for server, _ in allocation.iter_server_placements():

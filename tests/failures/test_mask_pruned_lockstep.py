@@ -5,7 +5,8 @@ absent node*: running the same admission/departure stream against the
 full topology with a mask installed must make bit-identical decisions —
 same accept/reject sequence, same per-server layouts — as running it
 against :func:`repro.topology.failures.pruned_topology`, for every
-placer, with the candidate index on and off, on the symmetric and the
+placer, with the candidate index and with the full-scan reference
+(``tests/placement/scan_candidates.py``), on the symmetric and the
 heterogeneous fabric.  Layouts are compared by node *name* because the
 pruned rebuild assigns fresh dense ids.  The degenerate input — a mask
 attached with nothing failed, against the topology pruned of nothing —
@@ -35,6 +36,7 @@ from repro.topology.failures import pruned_topology
 from repro.topology.ledger import Journal, Ledger
 from repro.workloads.scaling import scale_pool
 from repro.workloads.synthetic import synthetic_pool
+from tests.placement.scan_candidates import scan_unless_indexed
 
 SPEC = DatacenterSpec(
     servers_per_rack=4,
@@ -90,17 +92,20 @@ def fabric(request):
     return topology, pruned, pool
 
 
-def _run_stream(topology, pool, placer_name, ha, *, use_index, failed=None):
+def _run_stream(
+    topology, pool, placer_name, ha, *, use_index, failed=None, restore_after=None
+):
     """Admissions with interleaved departures; layouts keyed by name.
 
     ``failed=None`` attaches no mask; ``failed=()`` attaches an empty one.
     Arrival ``i`` leaves just before arrival ``4 i + 4``: one departure
-    per four arrivals, oldest first.
+    per four arrivals, oldest first.  ``restore_after=k`` restores every
+    failed node once ``k`` arrivals have been decided.
     """
     ledger = Ledger(topology)
     if failed is not None:
-        _fail_by_name(ledger, failed)
-    placer = make_placer(placer_name, ledger, ha, use_candidate_index=use_index)
+        mask = _fail_by_name(ledger, failed)
+    placer = make_placer(placer_name, ledger, ha)
     outcomes = []
     loop = ServiceLoop(
         ledger,
@@ -109,9 +114,16 @@ def _run_stream(topology, pool, placer_name, ha, *, use_index, failed=None):
         collect_utilization=False,
         on_decision=lambda tag, allocation: outcomes.append(allocation is not None),
     )
-    loop.run(
+    arrivals = [
         Arrival(float(i), i % len(pool), 3.0 * i + 3.5) for i in range(ADMISSIONS)
-    )
+    ]
+    split = ADMISSIONS if restore_after is None else restore_after
+    with scan_unless_indexed(placer, use_index):
+        loop.run(arrivals[:split])
+        if restore_after is not None:
+            for node_id in sorted(mask.failed_nodes()):
+                mask.restore(node_id, Journal())
+        loop.run(arrivals[split:])
     layouts = [
         sorted(
             (server.name, tuple(sorted(counts.items())))
@@ -156,7 +168,7 @@ def test_mask_equals_pruned(fabric, placer_name, ha, use_index, failed):
 
 @pytest.mark.parametrize("use_index", [True, False], ids=["index", "scan"])
 def test_mask_equals_pruned_index_cross(fabric, use_index):
-    """Mask+index must also equal pruned *without* the index (cross-config)."""
+    """Mask+index must also equal pruned on the full scan (cross-config)."""
     topology, pruned, pool = fabric
     masked = _run_stream(
         topology, pool, "cm", None, use_index=use_index, failed=FAILED_NAMES

@@ -1,10 +1,10 @@
 """Property tests for the incremental candidate index.
 
 The index's contract is that every lookup returns exactly what the
-legacy full scan over the level (or rack) would have returned, no matter
-what interleaving of reservations, releases and journal rollbacks
+full scan over the level (or rack) returns, no matter what interleaving
+of reservations, releases, failures, restores and journal rollbacks
 preceded it.  These tests churn a ledger randomly and compare each
-lookup against a freshly-computed naive answer.
+lookup against :class:`ScanCandidates`, the full-scan reference.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import pytest
 from repro.placement.candidates import CandidateIndex
 from repro.topology.builder import DatacenterSpec, three_level_tree
 from repro.topology.ledger import Journal, Ledger
+from tests.placement.scan_candidates import ScanCandidates
 
 
 @pytest.fixture
@@ -31,46 +32,6 @@ def churn_setup():
     ledger = Ledger(topology)
     index = ledger.ensure_candidate_index()
     return topology, ledger, index
-
-
-def naive_best_fit(ledger, level, size, accept=None):
-    """The legacy scan: first node in level order with minimal free >= size."""
-    best = None
-    best_free = None
-    for node in ledger.topology.level_nodes(level):
-        free = ledger.free_slots(node)
-        if free < size:
-            continue
-        if accept is not None and not accept(node.node_id):
-            continue
-        if best_free is None or free < best_free:
-            best, best_free = node.node_id, free
-    return best
-
-
-def naive_most_free(ledger, level, size, accept=None):
-    best = None
-    best_free = None
-    for node in ledger.topology.level_nodes(level):
-        free = ledger.free_slots(node)
-        if free < size:
-            continue
-        if accept is not None and not accept(node.node_id):
-            continue
-        if best_free is None or free > best_free:
-            best, best_free = node.node_id, free
-    return best
-
-
-def naive_rack_candidates(ledger, rack):
-    """The legacy per-VM rebuild: stable used-desc sort of the rack walk."""
-    candidates = [
-        server
-        for server in ledger.topology.servers_under(rack)
-        if ledger.used_slots(server) < server.slots
-    ]
-    candidates.sort(key=ledger.used_slots, reverse=True)
-    return [server.node_id for server in candidates]
 
 
 def random_churn(ledger, rng, steps, journal, held=None, releases=True):
@@ -99,26 +60,28 @@ def random_churn(ledger, rng, steps, journal, held=None, releases=True):
 class TestLevelLookups:
     def test_best_fit_matches_naive_under_churn(self, churn_setup):
         topology, ledger, index = churn_setup
+        scan = ScanCandidates(ledger)
         rng = random.Random(7)
         journal = Journal()
         for _ in range(30):
             random_churn(ledger, rng, 12, journal)
             for level in range(topology.num_levels):
                 for size in (1, 2, 4, 9, 30):
-                    assert index.best_fit(level, size) == naive_best_fit(
-                        ledger, level, size
+                    assert index.best_fit(level, size) == scan.best_fit(
+                        level, size
                     ), f"best_fit diverged at level {level} size {size}"
 
     def test_most_free_matches_naive_under_churn(self, churn_setup):
         topology, ledger, index = churn_setup
+        scan = ScanCandidates(ledger)
         rng = random.Random(11)
         journal = Journal()
         for _ in range(30):
             random_churn(ledger, rng, 12, journal)
             for level in range(topology.num_levels):
                 for size in (1, 2, 4, 9, 30):
-                    assert index.most_free(level, size) == naive_most_free(
-                        ledger, level, size
+                    assert index.most_free(level, size) == scan.most_free(
+                        level, size
                     ), f"most_free diverged at level {level} size {size}"
 
     def test_accept_filter_skips_in_scan_order(self, churn_setup):
@@ -126,15 +89,16 @@ class TestLevelLookups:
         rng = random.Random(13)
         journal = Journal()
         random_churn(ledger, rng, 40, journal)
+        scan = ScanCandidates(ledger)
         # An arbitrary predicate over node ids: the filtered lookup must
-        # equal the naive scan restricted by the same predicate.
+        # equal the full scan restricted by the same predicate.
         accept = lambda node_id: node_id % 3 != 0  # noqa: E731
         for level in range(topology.num_levels):
-            assert index.best_fit(level, 2, accept) == naive_best_fit(
-                ledger, level, 2, accept
+            assert index.best_fit(level, 2, accept) == scan.best_fit(
+                level, 2, accept
             )
-            assert index.most_free(level, 2, accept) == naive_most_free(
-                ledger, level, 2, accept
+            assert index.most_free(level, 2, accept) == scan.most_free(
+                level, 2, accept
             )
 
     def test_most_free_tie_breaks_to_level_order(self, churn_setup):
@@ -229,18 +193,33 @@ class TestRackOrder:
     def test_rack_candidates_match_legacy_rebuild(self, churn_setup):
         topology, ledger, index = churn_setup
         index.track_racks()
+        scan = ScanCandidates(ledger)
+        mask = ledger.ensure_failure_mask()
         rng = random.Random(23)
         journal = Journal()
         racks = topology.level_nodes(1)
+        # Servers and racks that a fail/restore step may flip.
+        domains = [node.node_id for node in topology.servers] + [
+            rack.node_id for rack in racks
+        ]
+        masked_rounds = 0
         for _ in range(30):
             random_churn(ledger, rng, 10, journal)
+            # Interleaved failures and restores: a down server keeps its
+            # ``used`` but drops to zero capacity, so it must leave the
+            # candidate list and come back on restore.
+            for _ in range(2):
+                node_id = rng.choice(domains)
+                if node_id in mask.failed_nodes():
+                    mask.restore(node_id, Journal())
+                else:
+                    mask.fail(node_id, Journal())
+            masked_rounds += bool(mask.down_servers())
             for rack in racks:
-                got = [
-                    entry[2] for entry in index.rack_candidates(rack.node_id)
-                ]
-                assert got == naive_rack_candidates(ledger, rack), (
-                    f"rack {rack.name} candidate order diverged"
-                )
+                assert index.rack_candidates(rack.node_id) == scan.rack_candidates(
+                    rack.node_id
+                ), f"rack {rack.name} candidate order diverged"
+        assert masked_rounds > 0
 
     def test_full_servers_drop_out_and_return(self, churn_setup):
         topology, ledger, index = churn_setup

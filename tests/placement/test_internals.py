@@ -7,6 +7,7 @@ from functools import partial
 
 import pytest
 
+from repro import _kernels
 from repro.core.tag import Tag
 from repro.models.voc import VocCluster
 from repro.placement.cloudmirror import CloudMirrorPlacer
@@ -162,11 +163,24 @@ class TestSecondNetPaths:
         assert sorted(downs) == [0, 1, 2]
 
     def test_hops_heuristic_ordering(self, small_datacenter):
-        placer = SecondNetPlacer(Ledger(small_datacenter))
-        tor_a = small_datacenter.level_nodes(1)[0]
-        tor_far = small_datacenter.level_nodes(1)[-1]
+        ledger = Ledger(small_datacenter)
+        flat = ledger.flat
+        racks = small_datacenter.level_nodes(1)
+        tor_a, tor_far = racks[0], racks[-1]
         server = next(iter(small_datacenter.servers_under(tor_a)))
-        assert placer._hops(tor_a, server) < placer._hops(tor_far, server)
+        order = _kernels.rack_order(
+            flat.parent,
+            ledger._free_subtree,
+            [rack.node_id for rack in racks],
+            [(server.node_id, 10.0, True)],
+        )
+        # The peer's own rack (2 hops) first, the rest of its pod (4
+        # hops) next, the other pod (6 hops) last, each in input order.
+        pod = flat.parent[tor_a.node_id]
+        near = [rack.node_id for rack in racks[1:] if flat.parent[rack.node_id] == pod]
+        far = [rack.node_id for rack in racks if flat.parent[rack.node_id] != pod]
+        assert order == [tor_a.node_id] + near + far
+        assert order[-1] == tor_far.node_id
 
 
 class TestSubtreeChoice:
@@ -215,4 +229,4 @@ class TestExternalDemandPath:
         demand = placer._candidate_plan(tag).external
         assert demand.out == pytest.approx(6000.0)
         tor = small_datacenter.level_nodes(1)[0]
-        assert not placer._root_path_available(tor, demand)
+        assert not placer._root_path_available_id(tor.node_id, demand)

@@ -1,12 +1,12 @@
-"""Lockstep churn equivalence: indexed vs index-free placement stacks.
+"""Lockstep churn equivalence: indexed placement vs the full scan.
 
-The candidate index is a pure lookup accelerator — with it on or off,
-every placer must make *bit-identical decisions* on every arrival,
-rejection, rollback and departure.  These tests run the same
-arrival/departure stream (loaded high enough to force rejections, whose
-doomed attempts exercise journal rollback through the index) through
-both configurations and compare placements, metrics and the full ledger
-state arrays.
+The candidate index is a pure lookup accelerator — against the full-scan
+reference (``tests/placement/scan_candidates.py``), every placer must
+make *bit-identical decisions* on every arrival, rejection, rollback and
+departure.  These tests run the same arrival/departure stream (loaded
+high enough to force rejections, whose doomed attempts exercise journal
+rollback through the index) through both and compare placements,
+metrics and the full ledger state arrays.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from repro.topology.builder import DatacenterSpec, three_level_tree
 from repro.topology.ledger import Ledger
 from repro.workloads.scaling import scale_pool
 from repro.workloads.synthetic import synthetic_pool
+from tests.placement.scan_candidates import scan_unless_indexed
 
 SPEC = DatacenterSpec(
     servers_per_rack=8,
@@ -52,12 +53,11 @@ def workload():
 
 def churn_run(topology, pool, events, placer_name, *, ha=None, use_index):
     ledger = Ledger(topology)
-    placer = make_placer(
-        placer_name, ledger, ha, use_candidate_index=use_index
-    )
+    placer = make_placer(placer_name, ledger, ha)
     metrics = RunMetrics()
     loop = ServiceLoop(ledger, placer, pool, on_decision=metrics.recorder(ledger))
-    loop.run(events)
+    with scan_unless_indexed(placer, use_index):
+        loop.run(events)
     layouts = [
         sorted(
             (server.node_id, tuple(sorted(counts.items())))
@@ -136,18 +136,19 @@ def _temporal_tenants():
 
 
 def _temporal_run(use_index):
-    cluster = TemporalCluster(SPEC, windows=6, use_candidate_index=use_index)
+    cluster = TemporalCluster(SPEC, windows=6)
     tenants = _temporal_tenants()
     outcomes = []
     live = []
-    for i, tenant in enumerate(tenants):
-        admission = cluster.admit(tenant)
-        outcomes.append(admission is not None)
-        if admission is not None:
-            live.append(admission)
-        # Interleave departures so the index sees release churn too.
-        if i % 5 == 4 and live:
-            cluster.depart(live.pop(0))
+    with scan_unless_indexed(cluster.placer, use_index):
+        for i, tenant in enumerate(tenants):
+            admission = cluster.admit(tenant)
+            outcomes.append(admission is not None)
+            if admission is not None:
+                live.append(admission)
+            # Interleave departures so the index sees release churn too.
+            if i % 5 == 4 and live:
+                cluster.depart(live.pop(0))
     state = (
         list(cluster.ledger._used_slots),
         list(cluster.ledger._free_subtree),

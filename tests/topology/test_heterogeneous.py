@@ -22,6 +22,7 @@ from repro.topology.builder import (
 from repro.topology.ledger import Journal, Ledger
 from repro.workloads.scaling import scale_pool
 from repro.workloads.synthetic import synthetic_pool
+from tests.placement.scan_candidates import scan_unless_indexed
 
 SPEC = DatacenterSpec(
     servers_per_rack=4,
@@ -146,8 +147,9 @@ def test_fat_tree_shape_and_capacity():
 
 
 # ----------------------------------------------------------------------
-# heterogeneous placement: index on/off lockstep (the fixed asymmetry
-# assumptions in CandidateIndex and the secondnet rack-cost dedup)
+# heterogeneous placement: index vs full-scan lockstep (the fixed
+# asymmetry assumptions in CandidateIndex and the secondnet rack-cost
+# dedup)
 # ----------------------------------------------------------------------
 
 
@@ -155,7 +157,7 @@ def _run(topology, placer_name, use_index):
     """36 arrivals; arrival ``i`` leaves just before arrival ``4 i + 4``."""
     pool = scale_pool(list(synthetic_pool()), 0.5)
     ledger = Ledger(topology)
-    placer = make_placer(placer_name, ledger, use_candidate_index=use_index)
+    placer = make_placer(placer_name, ledger)
     outcomes = []
     loop = ServiceLoop(
         ledger,
@@ -164,7 +166,8 @@ def _run(topology, placer_name, use_index):
         collect_utilization=False,
         on_decision=lambda tag, allocation: outcomes.append(allocation is not None),
     )
-    loop.run(Arrival(float(i), i % len(pool), 3.0 * i + 3.5) for i in range(36))
+    with scan_unless_indexed(placer, use_index):
+        loop.run(Arrival(float(i), i % len(pool), 3.0 * i + 3.5) for i in range(36))
     layouts = [
         sorted(
             (server.name, tuple(sorted(counts.items())))
