@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, TypeVar
 
 from repro.errors import (
     DuplicateComponentError,
@@ -36,6 +36,8 @@ from repro.errors import (
 )
 
 __all__ = ["Component", "TagEdge", "Tag"]
+
+_T = TypeVar("_T")
 
 
 def _check_bandwidth(value: float, what: str) -> float:
@@ -110,6 +112,13 @@ class TagEdge:
 class Tag:
     """A Tenant Application Graph (mutable builder + query interface).
 
+    Everything derived from a tag — its sizes and per-VM demands, and
+    what placement builds from it (Eq. 1 and VOC edge tables, search
+    plans, pipe expansions, scaled peak copies) — lives in one memo on
+    the tag (:meth:`derived`) that every mutator clears.  A placement
+    reserves for the tag as it is when placement starts; a release
+    gives back what was reserved, whatever the tag became since.
+
     Example
     -------
     The three-tier web application of paper Fig. 2(a)::
@@ -127,16 +136,29 @@ class Tag:
         self.name = name
         self._components: dict[str, Component] = {}
         self._edges: dict[tuple[str, str], TagEdge] = {}
-        # Memos for the derived quantities placement asks for on every
-        # arrival of a pool tag; _invalidate() clears them on any mutation.
-        self._demand_cache: dict[str, tuple[float, float]] = {}
-        self._tier_sizes: dict[str, int] | None = None
-        self._size: int | None = None
-        self._mean_demand: float | None = None
+        self._memo: dict = {}
 
     def _invalidate(self) -> None:
-        self._demand_cache.clear()
-        self._tier_sizes = self._size = self._mean_demand = None
+        self._memo.clear()
+
+    def derived(self, build: Callable[..., _T], *args: Hashable) -> _T:
+        """``build(self, *args)``, computed once until the next mutation.
+
+        The memo is keyed by ``build`` (and ``args``), never pickled, and
+        shared by every caller: treat what it returns as read-only.
+        """
+        key = (build, *args) if args else build
+        memo = self._memo
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = build(self, *args)
+            return value
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_memo"] = {}
+        return state
 
     # ------------------------------------------------------------------
     # construction
@@ -219,20 +241,12 @@ class Tag:
 
     def tier_sizes(self) -> dict[str, int]:
         """Internal tier -> size, in component order (a fresh dict)."""
-        sizes = self._tier_sizes
-        if sizes is None:
-            sizes = self._tier_sizes = {
-                c.name: c.size for c in self._components.values() if not c.external
-            }
-        return dict(sizes)
+        return dict(self.derived(_tier_sizes))
 
     @property
     def size(self) -> int:
         """Total number of VMs to place (externals excluded)."""
-        size = self._size
-        if size is None:
-            size = self._size = sum(self.tier_sizes().values())
-        return size
+        return self.derived(_size)
 
     @property
     def num_tiers(self) -> int:
@@ -271,22 +285,7 @@ class Tag:
         server uplink: the sum of its send guarantees plus its self-loop for
         the outgoing direction, and symmetrically for incoming.
         """
-        cached = self._demand_cache.get(component)
-        if cached is not None:
-            return cached
-        # Not sum(): compensated from Python 3.12, and these totals feed
-        # placement decisions.  Left to right from int 0, as sum() was.
-        out = into = 0
-        for edge in self.out_edges(component):
-            out += edge.send
-        for edge in self.in_edges(component):
-            into += edge.recv
-        loop = self.self_loop(component)
-        if loop is not None:
-            out += loop.send
-            into += loop.recv
-        self._demand_cache[component] = (out, into)
-        return out, into
+        return self.derived(_per_vm_demand, component)
 
     def mean_per_vm_demand(self) -> float:
         """Average per-VM demand, ``max(out, in)`` averaged across all VMs.
@@ -294,14 +293,7 @@ class Tag:
         Used by the B_max scaling of §5.1 and by the opportunistic-HA
         desirability test of §4.5.
         """
-        mean = self._mean_demand
-        if mean is None:
-            total = 0.0
-            for name, size in self.tier_sizes().items():
-                out, into = self.per_vm_demand(name)
-                total += max(out, into) * size
-            mean = self._mean_demand = total / self.size if self.size else 0.0
-        return mean
+        return self.derived(_mean_per_vm_demand)
 
     def edge_aggregate(self, edge: TagEdge) -> float:
         """Total guaranteed bandwidth of one edge, ``B_(u->v)`` (paper §3).
@@ -398,3 +390,35 @@ class Tag:
             f"Tag({self.name!r}, tiers={self.num_tiers}, vms={self.size}, "
             f"edges={len(self._edges)})"
         )
+
+
+# Builders for Tag.derived: the tag's own derived quantities.
+def _tier_sizes(tag: Tag) -> dict[str, int]:
+    return {c.name: c.size for c in tag._components.values() if not c.external}
+
+
+def _size(tag: Tag) -> int:
+    return sum(tag.derived(_tier_sizes).values())
+
+
+def _per_vm_demand(tag: Tag, component: str) -> tuple[float, float]:
+    # Not sum(): compensated from Python 3.12, and these totals feed
+    # placement decisions.  Left to right from int 0, as sum() was.
+    out = into = 0
+    for edge in tag.out_edges(component):
+        out += edge.send
+    for edge in tag.in_edges(component):
+        into += edge.recv
+    loop = tag.self_loop(component)
+    if loop is not None:
+        out += loop.send
+        into += loop.recv
+    return out, into
+
+
+def _mean_per_vm_demand(tag: Tag) -> float:
+    total = 0.0
+    for name, size in tag.derived(_tier_sizes).items():
+        out, into = tag.per_vm_demand(name)
+        total += max(out, into) * size
+    return total / tag.size if tag.size else 0.0

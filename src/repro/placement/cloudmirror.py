@@ -33,7 +33,6 @@ layout fits.
 from __future__ import annotations
 
 import math
-import weakref
 from functools import partial
 from itertools import repeat
 from operator import itemgetter
@@ -69,7 +68,7 @@ def _mean(values: list[float]) -> float:
 
 
 class _TagPlan:
-    """What the search needs of one tag and never recomputes.
+    """What the search needs of one tag, memoized on it (``Tag.derived``).
 
     ``external``: the out-of-TAG demand of the whole tenant (the
     root-path check of AllocTenant).
@@ -102,12 +101,6 @@ class _TagPlan:
         )
         self.demand = {name: tag.per_vm_demand(name) for name in self.size}
         self.peak = {name: max(pair) for name, pair in self.demand.items()}
-
-
-# The search plan is a pure function of the tag; keyed by identity so pool
-# tenants hit after their first placement and ephemeral tags are dropped
-# with their last reference.
-_PLAN_CACHE: "weakref.WeakKeyDictionary[Tag, _TagPlan]" = weakref.WeakKeyDictionary()
 
 
 class CloudMirrorPlacer:
@@ -147,7 +140,6 @@ class CloudMirrorPlacer:
         self._threshold_cache: dict[int, tuple[int, float]] = {}
         # Search invariants of the tag being placed (see _TagPlan), set by
         # _candidate_plan wherever a tag enters the search.
-        self._plan_for: Tag | None = None
         self._plan: _TagPlan = None  # type: ignore[assignment]
         # True only while an opportunistic-HA placement attempt is active
         # (the fallback attempt after a failed spread runs with it off).
@@ -290,14 +282,9 @@ class CloudMirrorPlacer:
         return None
 
     def _candidate_plan(self, tag: Tag) -> _TagPlan:
-        """Make ``tag``'s plan current (pool tenants are planned once)."""
-        if self._plan_for is not tag:
-            plan = _PLAN_CACHE.get(tag)
-            if plan is None:
-                plan = _PLAN_CACHE[tag] = _TagPlan(tag)
-            self._plan = plan
-            self._plan_for = tag
-        return self._plan
+        """Make ``tag``'s plan current (built once per tag mutation)."""
+        plan = self._plan = tag.derived(_TagPlan)
+        return plan
 
     def _root_path_available_id(self, node_id: int, demand) -> bool:
         ledger = self.ledger

@@ -124,9 +124,7 @@ def tier_cap_left(ha: HaPolicy, allocation, node: Node, tier: str) -> int:
     cached tier size and walks precomputed ancestor ids — this runs once
     per (child, tier) candidate in every placer inner loop.
     """
-    size = allocation.tier_size(tier)
-    assert size is not None
-    headroom = size
+    size = headroom = allocation.tier_size(tier)
     if ha.guarantees_wcs:
         cap = ha.tier_cap(size)
         flat = allocation.ledger.flat

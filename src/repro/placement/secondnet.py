@@ -16,7 +16,6 @@ reproduce in spirit, not in wall-clock).
 
 from __future__ import annotations
 
-import weakref
 from collections import defaultdict
 
 from repro import _kernels
@@ -104,18 +103,12 @@ def _pipe_plan(tag: Tag) -> tuple[dict, dict, list[str]]:
     PipeSet: one kernel pass yields the per-VM peer lists and (out, in)
     demand, summed in pipe order exactly like
     :func:`repro.models.pipe.pipe_vm_demand`.  ``order`` places VMs by
-    descending total demand.
+    descending total demand.  Memoized on the tag (``Tag.derived``).
     """
     vms, plans = pipe_expansion(tag)
     neighbors, demand = _kernels.expand_edges(plans, vms)
     order = sorted(vms, key=lambda vm: demand[vm][0] + demand[vm][1], reverse=True)
     return neighbors, demand, order
-
-
-# The expansion is a pure function of the tag; keyed by identity so pool
-# tenants are expanded once and ephemeral tags are dropped with their
-# last reference (CloudMirror's plan cache idiom).
-_PLAN_CACHE: "weakref.WeakKeyDictionary[Tag, tuple]" = weakref.WeakKeyDictionary()
 
 
 class SecondNetPlacer:
@@ -135,10 +128,7 @@ class SecondNetPlacer:
     def place(self, tag: Tag) -> PlacementResult:
         if tag.size > self.ledger.free_slots(self.topology.root):
             return Rejection(tag, "not enough free VM slots in the datacenter")
-        plan = _PLAN_CACHE.get(tag)
-        if plan is None:
-            plan = _PLAN_CACHE[tag] = _pipe_plan(tag)
-        neighbors, demand, order = plan
+        neighbors, demand, order = tag.derived(_pipe_plan)
         allocation = PipeAllocation(tag, None, self.ledger)
         # Per-server headroom for the *total* pipe demand of colocated
         # VMs: pipes toward not-yet-placed peers will need uplink

@@ -22,9 +22,9 @@ topology's precomputed ancestor id tuples instead of chasing
 ``Node.parent``; per-node reservations are ``(out, into)`` float pairs;
 undo records are plain tuples; and the two shipped requirement functions
 (TAG Eq. 1 and the footnote-7 VOC form) are *compiled* per tag into
-closures over a flattened edge table, replicating the originals'
-arithmetic term-for-term so results are bit-identical.  A custom
-``requirement`` callable is used as-is.
+closures over a flattened edge table, memoized on the tag, replicating
+the originals' arithmetic term-for-term so results are bit-identical.
+A custom ``requirement`` callable is used as-is.
 
 A failing search re-evaluates the same few count vectors over and over
 (every try of a child, and every probe of it, retraces the same bumps),
@@ -36,7 +36,6 @@ in insertion order and is never memoized.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -92,18 +91,28 @@ class Savepoint:
     version: int = 0
 
 
-# Per-tag compile caches.  The compiled requirement closures and tier
-# metadata are pure functions of the (immutable-once-built) Tag, so
-# allocations of the same pool tenant share one compilation instead of
-# re-walking the edge table per placement — the service loop places the
-# same ~80 pool tags millions of times.  Keys are weak: a pool being
-# garbage-collected drops its entries, and Tags hash by identity, so a
-# *mutated* tag object is simply a different key only if rebuilt (the
-# repo never mutates a tag after placement starts; resize builds a new
-# Tag).
-_EQ1_CACHE: "weakref.WeakKeyDictionary[Tag, Callable]" = weakref.WeakKeyDictionary()
-_VOC_CACHE: "weakref.WeakKeyDictionary[Tag, Callable]" = weakref.WeakKeyDictionary()
-_META_CACHE: "weakref.WeakKeyDictionary[Tag, tuple]" = weakref.WeakKeyDictionary()
+# What an allocation reads from its tag is built by _tier_table and the
+# two compilers below and memoized on the tag (Tag.derived): a pool
+# tenant is compiled once per mutation, and its allocations share it.
+def _tier_table(tag: Tag) -> tuple[dict[str, int], tuple[str, ...]]:
+    """Internal tier -> size, and the internal tiers in component order."""
+    sizes = tag.tier_sizes()
+    return sizes, tuple(sizes)
+
+
+def _edge_rows(tag: Tag) -> tuple:
+    """One ``(src, dst, send, recv, src_size, dst_size)`` row per edge."""
+    return tuple(
+        (
+            edge.src,
+            edge.dst,
+            edge.send,
+            edge.recv,
+            tag.component(edge.src).size,
+            tag.component(edge.dst).size,
+        )
+        for edge in tag.iter_edges()
+    )
 
 
 def _compile_uplink_requirement(tag: Tag) -> Callable[[Mapping[str, int]], tuple[float, float]]:
@@ -117,45 +126,18 @@ def _compile_uplink_requirement(tag: Tag) -> Callable[[Mapping[str, int]], tuple
     dispatches through :mod:`repro._kernels` at call time, so the same
     closure serves the pure-Python and the compiled backend.
     """
-    cached = _EQ1_CACHE.get(tag)
-    if cached is not None:
-        return cached
-    edges = tuple(
-        (
-            edge.src,
-            edge.dst,
-            edge.send,
-            edge.recv,
-            tag.component(edge.src).size,
-            tag.component(edge.dst).size,
-        )
-        for edge in tag.iter_edges()
-    )
+    edges = _edge_rows(tag)
 
     def requirement(inside: Mapping[str, int]) -> tuple[float, float]:
         return _kernels.eq1_requirement(edges, inside)
 
-    _EQ1_CACHE[tag] = requirement
     return requirement
 
 
 def _compile_voc_requirement(tag: Tag) -> Callable[[Mapping[str, int]], tuple[float, float]]:
     """Compile the footnote-7 VOC requirement for ``tag`` (see above)."""
-    cached = _VOC_CACHE.get(tag)
-    if cached is not None:
-        return cached
-    trunk = tuple(
-        (
-            edge.src,
-            edge.dst,
-            edge.send,
-            edge.recv,
-            tag.component(edge.src).size,
-            tag.component(edge.dst).size,
-        )
-        for edge in tag.iter_edges()
-        if not edge.is_self_loop
-    )
+    rows = zip(_edge_rows(tag), tag.iter_edges())
+    trunk = tuple(row for row, edge in rows if not edge.is_self_loop)
     loops = {
         edge.src: (edge.send, tag.component(edge.src).size or 0)
         for edge in tag.iter_edges()
@@ -165,7 +147,6 @@ def _compile_voc_requirement(tag: Tag) -> Callable[[Mapping[str, int]], tuple[fl
     def requirement(inside: Mapping[str, int]) -> tuple[float, float]:
         return _kernels.voc_requirement(trunk, loops, inside)
 
-    _VOC_CACHE[tag] = requirement
     return requirement
 
 
@@ -183,19 +164,6 @@ class _Eq1Memo(dict):
     def __missing__(self, key: frozenset) -> tuple[float, float]:
         required = self[key] = self._require(dict(key))
         return required
-
-
-def _tag_metadata(tag: Tag) -> tuple:
-    """Cached ``(tier_sizes, internal_tiers, size)`` for one tag."""
-    cached = _META_CACHE.get(tag)
-    if cached is None:
-        cached = (
-            {name: component.size for name, component in tag.components.items()},
-            tuple(c.name for c in tag.internal_components()),
-            tag.size,
-        )
-        _META_CACHE[tag] = cached
-    return cached
 
 
 class TenantAllocation:
@@ -240,23 +208,21 @@ class TenantAllocation:
         self.version = self._last_version = 0
         self._placed = 0
         self._remaining = tag.tier_sizes()
-        self._compiled_for: Tag | None = None
         self._require: Callable[[Mapping[str, int]], tuple[float, float]]
-        self._tier_sizes: dict[str, int | None] = {}
         self._memo: _Eq1Memo | None = None
         self._recompile()
 
     def _recompile(self) -> None:
-        """(Re)build the per-tag caches; called whenever ``tag`` rebinds."""
+        """Rebuild what is read from ``tag``; called wherever it rebinds."""
         tag = self.tag
         requirement = self.requirement
         if requirement is uplink_requirement:
-            self._require = _compile_uplink_requirement(tag)
+            self._require = tag.derived(_compile_uplink_requirement)
         else:
             from repro.models.voc import voc_uplink_requirement
 
             if requirement is voc_uplink_requirement:
-                self._require = _compile_voc_requirement(tag)
+                self._require = tag.derived(_compile_voc_requirement)
             else:
 
                 def generic(inside: Mapping[str, int]) -> tuple[float, float]:
@@ -264,9 +230,8 @@ class TenantAllocation:
                     return demand.out, demand.into
 
                 self._require = generic
-        # Shared, never mutated: see _tag_metadata / the module caches.
-        self._tier_sizes, self._internal_tiers, self._tag_size = _tag_metadata(tag)
-        self._compiled_for = tag
+        self._tier_sizes, self._internal_tiers = tag.derived(_tier_table)
+        self._tag_size = tag.size
         self._memo = None
 
     def memoize(self) -> None:
@@ -285,8 +250,6 @@ class TenantAllocation:
 
     @property
     def is_complete(self) -> bool:
-        if self._compiled_for is not self.tag:
-            self._recompile()
         return self._placed == self._tag_size
 
     def remaining(self, tier: str) -> int:
@@ -296,17 +259,13 @@ class TenantAllocation:
     def remaining_tiers(self) -> dict[str, int]:
         return {t: n for t, n in self._remaining.items() if n > 0}
 
-    def tier_size(self, tier: str) -> int | None:
-        """Declared size of ``tier`` (cached; ``None`` for unsized)."""
-        if self._compiled_for is not self.tag:
-            self._recompile()
+    def tier_size(self, tier: str) -> int:
+        """Declared size of the internal ``tier``."""
         return self._tier_sizes[tier]
 
     @property
     def internal_tiers(self) -> tuple[str, ...]:
-        """Names of the tiers whose VMs this allocation places (cached)."""
-        if self._compiled_for is not self.tag:
-            self._recompile()
+        """Names of the tiers whose VMs this allocation places."""
         return self._internal_tiers
 
     def count(self, node: Node, tier: str) -> int:
@@ -318,9 +277,6 @@ class TenantAllocation:
         """Id-indexed :meth:`count` for hot loops."""
         counts = self._counts.get(node_id)
         return 0 if counts is None else counts.get(tier, 0)
-
-    def counts_under(self, node: Node) -> Mapping[str, int]:
-        return dict(self._counts.get(node.node_id, {}))
 
     def reserved_on(self, node: Node) -> BandwidthDemand:
         """This tenant's current reservation on ``node``'s uplink."""
@@ -402,9 +358,9 @@ class TenantAllocation:
                 self._reserved[op[1]] = (op[2], op[3])
             elif tag == _OP_RESIZE:
                 self.tag = op[1]
+                self._recompile()  # and drops the search memo with it
                 self._remaining = dict(op[2])
                 self.finalized = op[3]
-                self._memo = None  # its results are the resized tag's
             else:  # pragma: no cover - defensive
                 raise ReproError(f"unknown state op {op!r}")
         self.version = savepoint.version
@@ -459,8 +415,6 @@ class TenantAllocation:
         would_overcommit = getattr(ledger, "would_overcommit", None)
         if would_overcommit is None or ledger.has_overcommit():
             return None
-        if self._compiled_for is not self.tag:
-            self._recompile()
         inside = dict(self._counts.get(server_id, ()))
         prev_out, prev_into = self._reserved.get(server_id, _ZERO)
         require = self._require
@@ -548,6 +502,7 @@ class TenantAllocation:
         )
         self.version = self._last_version = self._last_version + 1
         self.tag = new_tag
+        self._recompile()
         self._remaining[tier] = self._remaining.get(tier, 0) + extra
         self.finalized = False
         self._refresh_all_reservations()
@@ -595,6 +550,7 @@ class TenantAllocation:
             key=lambda item: (item[1], item[0].node_id),
         )
         self.tag = _resize_tag(self.tag, tier, -remove)
+        self._recompile()
         left = remove
         for server, count in holders:
             if left == 0:
@@ -614,8 +570,6 @@ class TenantAllocation:
 
     def _refresh_all_reservations(self, journalled: bool = True) -> None:
         """Re-derive every touched uplink's reservation from current counts."""
-        if self._compiled_for is not self.tag:
-            self._recompile()
         root_id = self._flat.root_id
         for node_id, counts in list(self._counts.items()):
             if node_id == root_id:
@@ -660,8 +614,6 @@ class TenantAllocation:
 
     def _update_reservation(self, node_id: int) -> None:
         """Recompute the requirement on ``node_id``'s uplink, apply the delta."""
-        if self._compiled_for is not self.tag:
-            self._recompile()
         self._reserve(node_id, self._evaluate(self._counts.get(node_id, {})))
 
     def _reserve(self, node_id: int, required: tuple[float, float]) -> None:

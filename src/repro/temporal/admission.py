@@ -47,7 +47,6 @@ set and ``rollback`` — from the base it shares with the classic ledger.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -55,6 +54,7 @@ import numpy as np
 
 from repro import _kernels
 from repro.core.constants import EPSILON
+from repro.core.tag import Tag
 from repro.errors import LedgerError, SimulationError
 from repro.obs import core as _obs
 from repro.placement.base import Placement, Rejection
@@ -339,26 +339,12 @@ class TemporalCluster:
         # admissions and departures across windows share one index.
         self.placer = CloudMirrorPlacer(self.ledger)  # type: ignore[arg-type]
         self._admitted: dict[TemporalAdmission, None] = {}  # ordered set
-        # ``TemporalTag.peak_tag()`` builds a fresh scaled Tag per call;
-        # memoizing it per tenant keeps the placer's per-tag-identity
-        # caches (compiled requirement closures, candidate plans) hot
-        # when the same pool tenant arrives again and again.
-        self._peak_tags: "weakref.WeakKeyDictionary[TemporalTag, object]" = (
-            weakref.WeakKeyDictionary()
-        )
         self.rejected = 0
 
     @property
     def admitted(self) -> list[TemporalAdmission]:
         """Live admissions, in admission order."""
         return list(self._admitted)
-
-    def _peak_tag(self, tenant: TemporalTag):
-        tag = self._peak_tags.get(tenant)
-        if tag is None:
-            tag = tenant.peak_tag()
-            self._peak_tags[tenant] = tag
-        return tag
 
     def admit(self, tenant: TemporalTag) -> TemporalAdmission | None:
         """Place one time-varying tenant; None when any window overflows."""
@@ -368,7 +354,10 @@ class TemporalCluster:
                 f"{self.windows}"
             )
         self.ledger.set_ratios(tenant.profile)
-        result = self.placer.place(self._peak_tag(tenant))
+        # The peak tag, memoized on the base so a pool tenant's arrivals
+        # share one and, through it, the placer's plans and edge tables.
+        peak = tenant.base.derived(Tag.scaled, tenant.profile.peak)
+        result = self.placer.place(peak)
         if isinstance(result, Rejection):
             self.rejected += 1
             return None

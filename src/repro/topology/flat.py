@@ -183,10 +183,6 @@ class FlatTopology:
         for index in range(hi - 1, lo - 1, -1):
             yield node_of[order[index]]  # type: ignore[misc]
 
-    def path_to_root_ids(self, node_id: int) -> tuple[int, ...]:
-        """Ids whose uplinks form ``node -> root`` (root excluded)."""
-        return self.path_up[node_id]
-
     def lca_id(self, a: int, b: int) -> int:
         """Lowest common ancestor of two node ids."""
         parent = self.parent

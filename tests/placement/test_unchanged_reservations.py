@@ -93,8 +93,6 @@ class WriteAlways(TenantAllocation):
         ledger = self.ledger
         if ledger.has_overcommit():
             return None
-        if self._compiled_for is not self.tag:
-            self._recompile()
         inside = dict(self._counts.get(server_id, ()))
         prev_out, prev_into = self._reserved.get(server_id, _ZERO)
         deltas = []
@@ -108,8 +106,6 @@ class WriteAlways(TenantAllocation):
     def _refresh_all_reservations(self, journalled=True):
         if journalled:
             return super()._refresh_all_reservations()
-        if self._compiled_for is not self.tag:
-            self._recompile()
         for node_id, counts in list(self._counts.items()):
             if node_id == self._flat.root_id:
                 continue
