@@ -1,13 +1,11 @@
-"""Pure-Python reference implementations of the placement hot kernels.
+"""The placement hot kernels.
 
-This module is the *semantic contract* of :mod:`repro._kernels`: every
-function here is the bit-exact specification that the compiled backend
-(``repro._kernels._ckernels``, built from ``_ckernels.c`` when
-``REPRO_BUILD_EXT=1``) must reproduce — same arithmetic, same
-``inf * 0 == 0`` convention, same accumulation order, same journal
-record shapes.  The differential suite (``tests/kernels/``) pins the two
-backends against each other, and the golden-fixture grid pins whichever
-backend is active against the pre-refactor stack.
+The ledgers and placers call these functions in their inner loops.  They
+share one contract: the ``inf * 0 == 0`` convention, a fixed
+accumulation order, and the journal record shapes below.  The oracle
+suites (``tests/kernels/``) pin the grouped kernels against the
+per-step loops they replaced, and the golden-fixture grid pins the
+whole stack against the pre-refactor one.
 
 The three hot loops ``repro profile`` showed dominating trial time after
 the flat-array rebuild (PRs 4-6):
@@ -29,8 +27,8 @@ the flat-array rebuild (PRs 4-6):
     that :mod:`repro.placement.state` compiles per tag.
 
 All functions take the ledger's raw id-indexed lists (plus plain ints /
-floats) so both backends read and mutate the very same state — there is
-no marshalling layer and nothing to copy back.
+floats) and read and mutate that very state — there is no marshalling
+layer and nothing to copy back.
 
 Status codes shared by the adjust kernels:
 

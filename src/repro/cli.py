@@ -13,7 +13,7 @@
     repro trace export --store runs.sqlite -o trace.json  # Chrome trace
     repro run table1 --workload hpcloud --store runs.sqlite  # own flags
     repro profile fig08 --trials 2 --pods 1  # cProfile + obs counters
-    repro version                    # package + kernel backend diagnostics
+    repro version                    # package + environment diagnostics
     repro -v run fig08               # INFO logging (-vv DEBUG, -q errors)
     repro fig08 --pods 1             # spells "repro run fig08 --pods 1"
 
@@ -76,39 +76,22 @@ def _list_scenarios() -> int:
 
 
 def _version() -> int:
-    """``repro version`` — package, interpreter, and kernel diagnostics.
-
-    The kernel lines answer the first question a surprising benchmark
-    result raises: which backend actually ran, and why (requested value
-    vs what was available).
-    """
+    """``repro version`` — package, interpreter, and environment diagnostics."""
     import os
     import platform
 
     import numpy
 
     from repro import __version__
-    from repro._kernels import ENV_FLAG, available_backends, kernels_info
     from repro.obs import core as obs
 
-    info = kernels_info()
     print(f"repro {__version__} (python {platform.python_version()})")
     print(f"numpy {numpy.__version__}")
-    print(
-        f"kernels: backend={info['backend']} "
-        f"(requested {ENV_FLAG}={info['requested']}, "
-        f"available: {', '.join(available_backends())})"
-    )
-    if info["stale"] is not None:
-        print(f"kernels: {info['stale']}")
-    # Environment toggles, as set vs unset: the second question a
-    # surprising run raises is which switches it inherited.
-    kernels_env = os.environ.get(ENV_FLAG)
+    # Environment toggles, as set vs unset: the question a surprising
+    # run raises is which switches it inherited.
     obs_env = os.environ.get(obs.ENV_FLAG)
     print(
-        f"env: {ENV_FLAG}="
-        f"{kernels_env if kernels_env is not None else '(unset)'} "
-        f"{obs.ENV_FLAG}={obs_env if obs_env is not None else '(unset)'} "
+        f"env: {obs.ENV_FLAG}={obs_env if obs_env is not None else '(unset)'} "
         f"(obs {'enabled' if obs.enabled() else 'disabled'})"
     )
     return 0

@@ -1,8 +1,7 @@
 """``repro profile`` — cProfile one scenario's trials + obs counters.
 
-The ROADMAP's compiled-kernels item needs to know where interpreted time
-actually goes before deciding what to compile; this command answers that
-with evidence instead of guesses: it runs a (capped) slice of a
+Optimising a loop starts from where interpreted time actually goes;
+this command answers that with evidence instead of guesses: it runs a (capped) slice of a
 scenario's trial matrix serially under :mod:`cProfile`, prints the
 top-N ``pstats`` table, and follows it with a flat summary of the obs
 hot-path counters collected during the same run — so "N seconds in

@@ -12,10 +12,9 @@ question:
     One sorted list per tree level of ``(free_slots, level_pos,
     node_id)`` where ``level_pos`` is the node's position in
     ``Topology.level_nodes`` order.  Iterating a slice of this list
-    reproduces exactly the winner the full scan would pick, both
-    in best-fit (minimal sufficient free slots, first in level order on
-    ties) and most-free (maximal free slots, first in level order on
-    ties) modes — see :meth:`best_fit` / :meth:`most_free`.
+    reproduces exactly the best-fit winner the full scan would pick
+    (minimal sufficient free slots, first in level order on ties) — see
+    :meth:`best_fit`.
 
 ``rack order``
     One sorted list per rack (level-1 node) of its non-full servers as
@@ -188,34 +187,6 @@ class CandidateIndex:
             node_id = entries[index][2]
             if accept(node_id):
                 return node_id
-        return None
-
-    def most_free(
-        self,
-        level: int,
-        size: int,
-        accept: Callable[[int], bool] | None = None,
-    ) -> int | None:
-        """Most-free candidate at ``level`` with ``free >= size``.
-
-        Ties break to the first node in level order, matching the full
-        scan's strict ``free > best_free`` update, so the sorted list is
-        walked one *distinct free value* at a time from the top, in
-        ascending level position within each value.
-        """
-        entries = self._level_ready(level)
-        lo = bisect_left(entries, (size, -1, -1))
-        hi = len(entries)
-        while hi > lo:
-            free = entries[hi - 1][0]
-            first = bisect_left(entries, (free, -1, -1), lo, hi)
-            if accept is None:
-                return entries[first][2]
-            for index in range(first, hi):
-                node_id = entries[index][2]
-                if accept(node_id):
-                    return node_id
-            hi = first
         return None
 
     # ------------------------------------------------------------------

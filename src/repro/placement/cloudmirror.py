@@ -116,14 +116,8 @@ class CloudMirrorPlacer:
         *,
         enable_colocate: bool = True,
         enable_balance: bool = True,
-        subtree_choice: str = "best-fit",
         ha: HaPolicy | None = None,
     ) -> None:
-        if subtree_choice not in ("best-fit", "most-free"):
-            raise ValueError(
-                f"subtree_choice must be 'best-fit' or 'most-free', "
-                f"got {subtree_choice!r}"
-            )
         self.ledger = ledger
         self.topology = ledger.topology
         self._flat = ledger.flat
@@ -131,7 +125,6 @@ class CloudMirrorPlacer:
         self._index = ledger.ensure_candidate_index()
         self.enable_colocate = enable_colocate
         self.enable_balance = enable_balance
-        self.subtree_choice = subtree_choice
         self.ha = ha or HaPolicy()
         self._wcs = self.ha.guarantees_wcs
         self.estimator = DemandEstimator()
@@ -258,10 +251,8 @@ class CloudMirrorPlacer:
 
         Validates aggregate free slots and, when the TAG talks to external
         components, the root-path bandwidth for that external demand.
-        Among valid candidates, ``best-fit`` (default) picks the fewest
-        sufficient free slots — preserving large holes for large tenants —
-        while ``most-free`` load-balances (the ablation benchmark
-        quantifies the difference).
+        Among valid candidates it picks the best fit, the fewest
+        sufficient free slots, preserving large holes for large tenants.
         """
         external_demand = self._candidate_plan(tag).external
         if external_demand.out == 0.0 and external_demand.into == 0.0:
@@ -272,11 +263,10 @@ class CloudMirrorPlacer:
             def accept(node_id: int) -> bool:
                 return available(node_id, external_demand)
 
-        index = self._index
-        pick = index.best_fit if self.subtree_choice == "best-fit" else index.most_free
+        best_fit = self._index.best_fit
         size = tag.size
         for level in range(min_level, self.topology.num_levels):
-            node_id = pick(level, size, accept)
+            node_id = best_fit(level, size, accept)
             if node_id is not None:
                 return self._flat.node_of[node_id]
         return None

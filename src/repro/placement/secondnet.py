@@ -244,7 +244,7 @@ class SecondNetPlacer:
         of the LCA, the down direction on the destination side
         (destination side first, matching the reservation order the
         pointer-walk implementation used).  The walk (including the
-        LCA) runs in the active :mod:`repro._kernels` backend.
+        LCA) runs in :mod:`repro._kernels`.
         """
         flat = self._flat
         return _kernels.path_link_ids(flat.parent, flat.depth, src_id, dst_id)

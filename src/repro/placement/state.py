@@ -123,8 +123,8 @@ def _compile_uplink_requirement(tag: Tag) -> Callable[[Mapping[str, int]], tuple
     same ``inf * 0 == 0`` convention, same accumulation order), minus
     the per-call component lookups and input validation — the counts it
     sees are maintained internally and always in range.  Evaluation
-    dispatches through :mod:`repro._kernels` at call time, so the same
-    closure serves the pure-Python and the compiled backend.
+    looks the kernel up on :mod:`repro._kernels` at call time, so a
+    patched kernel reaches closures compiled before the patch.
     """
     edges = _edge_rows(tag)
 

@@ -209,8 +209,8 @@ class TemporalLedger(ReservationLedger):
         """One fused scaled-delta + feasibility check across all planes.
 
         The column read-modify-write (scaled deltas, negativity check,
-        clamp, maxima, journal record) runs in the active
-        :mod:`repro._kernels` backend; this wrapper keeps the root fast
+        clamp, maxima, journal record) runs in
+        :mod:`repro._kernels`; this wrapper keeps the root fast
         path, the error raise, and the obs counter.
         """
         if node_id == self._root_id:

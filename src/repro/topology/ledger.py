@@ -111,7 +111,6 @@ class ReservationLedger:
     _down_cover = None
 
     def __init__(self, topology: Topology) -> None:
-        _kernels.note_backend()
         self.topology = topology
         # The flat array view the placement machinery drives its path
         # walks from.
@@ -411,8 +410,8 @@ class Ledger(ReservationLedger):
         must not reject a tenant that finally fits).
 
         The fused adjust + feasibility check + journal append runs in
-        the active :mod:`repro._kernels` backend; this wrapper keeps
-        only the root fast path, the error raise, and the obs counter.
+        :mod:`repro._kernels`; this wrapper keeps only the root fast
+        path, the error raise, and the obs counter.
         """
         if node_id == self._root_id:
             return True

@@ -6,8 +6,8 @@ checks every touched node once and writes one journal record per node.
 the oracle: one strict journalled ``ledger_adjust`` per (pipe, path
 link), stopping at the first refusal.  Over random fabrics — masked
 (zero-capacity) links, nodes already over capacity in the direction a
-VM does not touch, overflows part-way through a VM's pipes — every
-backend must give the oracle's status and, on success, its used and
+VM does not touch, overflows part-way through a VM's pipes — the kernel
+must give the oracle's status and, on success, its used and
 reserved values bit for bit (``repr``); a refusal writes nothing; and
 ``Ledger.rollback`` over the grouped records restores the pre-state.
 """
@@ -17,20 +17,11 @@ from __future__ import annotations
 import math
 import random
 
-import pytest
-
-from repro import _kernels
 from repro._kernels import pyref
 from repro.topology.builder import DatacenterSpec, three_level_tree
 from repro.topology.ledger import Journal, Ledger
 
 EPS = 1e-9
-
-BACKENDS = [pyref]
-if _kernels.compiled_available:  # pragma: no cover - build-dependent
-    from repro._kernels import _ckernels
-
-    BACKENDS.append(_ckernels)
 
 
 def per_pipe_commit(
@@ -101,8 +92,7 @@ def _state(used_up, used_down, over, reserved):
     return repr(used_up), repr(used_down), sorted(over), repr(reserved)
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
-def test_grouped_commit_matches_the_per_pipe_oracle(impl):
+def test_grouped_commit_matches_the_per_pipe_oracle():
     rng = random.Random(2014)
     outcomes = {0: 0, 1: 0}
     for _ in range(1500):
@@ -122,7 +112,7 @@ def test_grouped_commit_matches_the_per_pipe_oracle(impl):
             server, peers, EPS,
         )
         ops: list = []
-        got = impl.commit_pipes(
+        got = pyref.commit_pipes(
             parent, depth, used_up, used_down, cap_up, cap_down, over, ops,
             reserved, server, peers, EPS,
         )
@@ -166,29 +156,27 @@ def test_each_refusal_kind_writes_nothing():
         ),
     }
     for name, (cap, down, peers) in cases.items():
-        for impl in BACKENDS:
-            used_up = [0.0] * 6
-            used_down = list(down)
-            over = {2} if name == "other direction" else set()
-            ops: list = []
-            reserved: dict = {}
-            ref = (list(used_up), list(used_down), set(over), {})
-            assert per_pipe_commit(
-                parent, depth, *ref[:2], cap, cap, ref[2], [], ref[3], 2,
-                peers, EPS,
-            ) == 1, name
-            status = impl.commit_pipes(
-                parent, depth, used_up, used_down, cap, cap, over, ops,
-                reserved, 2, peers, EPS,
-            )
-            assert status == 1, name
-            assert (used_up, used_down, ops, reserved) == (
-                [0.0] * 6, down, [], {}
-            ), name
+        used_up = [0.0] * 6
+        used_down = list(down)
+        over = {2} if name == "other direction" else set()
+        ops: list = []
+        reserved: dict = {}
+        ref = (list(used_up), list(used_down), set(over), {})
+        assert per_pipe_commit(
+            parent, depth, *ref[:2], cap, cap, ref[2], [], ref[3], 2,
+            peers, EPS,
+        ) == 1, name
+        status = pyref.commit_pipes(
+            parent, depth, used_up, used_down, cap, cap, over, ops,
+            reserved, 2, peers, EPS,
+        )
+        assert status == 1, name
+        assert (used_up, used_down, ops, reserved) == (
+            [0.0] * 6, down, [], {}
+        ), name
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
-def test_ledger_rollback_restores_the_pre_state(impl):
+def test_ledger_rollback_restores_the_pre_state():
     """Several VMs commit into one journal; ``Ledger.rollback`` undoes all."""
     rng = random.Random(30)
     topology = three_level_tree(
@@ -212,7 +200,7 @@ def test_ledger_rollback_restores_the_pre_state(impl):
                  rng.random() < 0.5)
                 for _ in range(rng.randint(0, 10))
             ]
-            if impl.commit_pipes(
+            if pyref.commit_pipes(
                 flat.parent, flat.depth, ledger._used_up, ledger._used_down,
                 flat.cap_up, flat.cap_down, ledger._over, journal.ops,
                 reserved, rng.choice(servers), peers, EPS,

@@ -6,8 +6,8 @@ so they share a single computed cost, and a rack hosting a peer is its
 own class.  :func:`scan_rack_order` (``tests/placement/scan_candidates``)
 is the loop that priced every rack separately, kept as the oracle: over
 random trees and the symmetric, heterogeneous and fat-tree fabrics,
-with random free-slot aggregates and random placed peers, every
-backend must return the oracle's rack list, order included.
+with random free-slot aggregates and random placed peers, the kernel
+must return the oracle's rack list, order included.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import random
 
 import pytest
 
-from repro import _kernels
 from repro._kernels import pyref
 from repro.topology.builder import (
     DatacenterSpec,
@@ -25,12 +24,6 @@ from repro.topology.builder import (
     three_level_tree,
 )
 from tests.placement.scan_candidates import scan_rack_order
-
-BACKENDS = [pyref]
-if _kernels.compiled_available:  # pragma: no cover - build-dependent
-    from repro._kernels import _ckernels
-
-    BACKENDS.append(_ckernels)
 
 SPEC = DatacenterSpec(
     servers_per_rack=4,
@@ -82,8 +75,7 @@ def random_tree(rng: random.Random):
     return parent, racks, servers
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
-def test_rack_order_matches_the_per_rack_oracle_on_random_trees(impl):
+def test_rack_order_matches_the_per_rack_oracle_on_random_trees():
     rng = random.Random(2014)
     shared = 0
     for _ in range(2000):
@@ -93,7 +85,7 @@ def test_rack_order_matches_the_per_rack_oracle_on_random_trees(impl):
         free = [rng.choice([0, 0, 1, 3, 8]) for _ in parent]
         peers = _peers(rng, servers)
         want = scan_rack_order(parent, free, racks, peers)
-        assert impl.rack_order(parent, free, racks, peers) == want
+        assert pyref.rack_order(parent, free, racks, peers) == want
         peer_racks = {parent[peer_id] for peer_id, _, _ in peers}
         pods = [parent[rack] for rack in want if rack not in peer_racks]
         shared += len(pods) > len(set(pods))
@@ -102,8 +94,7 @@ def test_rack_order_matches_the_per_rack_oracle_on_random_trees(impl):
 
 
 @pytest.mark.parametrize("fabric", sorted(FABRICS))
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
-def test_rack_order_matches_the_per_rack_oracle_on_fabrics(impl, fabric):
+def test_rack_order_matches_the_per_rack_oracle_on_fabrics(fabric):
     flat = FABRICS[fabric]().flat
     racks = list(flat.level_ids[1])
     servers = list(flat.server_order)
@@ -112,4 +103,4 @@ def test_rack_order_matches_the_per_rack_oracle_on_fabrics(impl, fabric):
         free = [rng.choice([0, 1, 4, 16]) for _ in range(flat.size)]
         peers = _peers(rng, servers)
         want = scan_rack_order(flat.parent, free, racks, peers)
-        assert impl.rack_order(flat.parent, free, racks, peers) == want
+        assert pyref.rack_order(flat.parent, free, racks, peers) == want

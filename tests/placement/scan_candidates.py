@@ -15,7 +15,6 @@ the scan path, decision for decision.
 
 from __future__ import annotations
 
-import operator
 from contextlib import contextmanager, nullcontext
 
 from repro import _kernels
@@ -37,13 +36,6 @@ class ScanCandidates:
 
     def best_fit(self, level, size, accept=None):
         """First node in level order with the fewest free slots ``>= size``."""
-        return self._scan(level, size, accept, operator.lt)
-
-    def most_free(self, level, size, accept=None):
-        """First node in level order with the most free slots ``>= size``."""
-        return self._scan(level, size, accept, operator.gt)
-
-    def _scan(self, level, size, accept, better):
         free_slots_id = self.ledger.free_slots_id
         best = None
         best_free = 0
@@ -53,7 +45,7 @@ class ScanCandidates:
                 continue
             if accept is not None and not accept(node.node_id):
                 continue
-            if best is None or better(free, best_free):
+            if best is None or free < best_free:
                 best = node.node_id
                 best_free = free
         return best

@@ -71,19 +71,6 @@ class TestLevelLookups:
                         level, size
                     ), f"best_fit diverged at level {level} size {size}"
 
-    def test_most_free_matches_naive_under_churn(self, churn_setup):
-        topology, ledger, index = churn_setup
-        scan = ScanCandidates(ledger)
-        rng = random.Random(11)
-        journal = Journal()
-        for _ in range(30):
-            random_churn(ledger, rng, 12, journal)
-            for level in range(topology.num_levels):
-                for size in (1, 2, 4, 9, 30):
-                    assert index.most_free(level, size) == scan.most_free(
-                        level, size
-                    ), f"most_free diverged at level {level} size {size}"
-
     def test_accept_filter_skips_in_scan_order(self, churn_setup):
         topology, ledger, index = churn_setup
         rng = random.Random(13)
@@ -97,17 +84,6 @@ class TestLevelLookups:
             assert index.best_fit(level, 2, accept) == scan.best_fit(
                 level, 2, accept
             )
-            assert index.most_free(level, 2, accept) == scan.most_free(
-                level, 2, accept
-            )
-
-    def test_most_free_tie_breaks_to_level_order(self, churn_setup):
-        topology, ledger, index = churn_setup
-        # Fresh ledger: every server ties on free slots.  The winner must
-        # be the *first* node in level order, not an arbitrary tied node.
-        for level in range(topology.num_levels):
-            first = topology.level_nodes(level)[0].node_id
-            assert index.most_free(level, 1) == first
 
     def test_exhausted_level_returns_none(self, churn_setup):
         topology, ledger, index = churn_setup
@@ -116,7 +92,6 @@ class TestLevelLookups:
             assert ledger.reserve_slots(server, server.slots, journal)
         for level in range(topology.num_levels):
             assert index.best_fit(level, 1) is None
-            assert index.most_free(level, 1) is None
 
 
 class TestDirtyBits:

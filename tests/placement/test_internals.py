@@ -184,10 +184,6 @@ class TestSecondNetPaths:
 
 
 class TestSubtreeChoice:
-    def test_invalid_choice_rejected(self, small_ledger):
-        with pytest.raises(ValueError):
-            CloudMirrorPlacer(small_ledger, subtree_choice="random")
-
     def test_best_fit_prefers_fuller_subtree(self, small_datacenter):
         ledger = Ledger(small_datacenter)
         placer = CloudMirrorPlacer(ledger)
@@ -202,19 +198,6 @@ class TestSubtreeChoice:
         tag.add_component("a", 16)
         chosen = placer._find_lowest_subtree(tag, 1)
         assert chosen is tor0  # 32 free slots beats the untouched racks
-
-    def test_most_free_prefers_empty_subtree(self, small_datacenter):
-        ledger = Ledger(small_datacenter)
-        placer = CloudMirrorPlacer(ledger, subtree_choice="most-free")
-        from repro.topology.ledger import Journal
-
-        tor0 = small_datacenter.level_nodes(1)[0]
-        for server in list(small_datacenter.servers_under(tor0))[:8]:
-            ledger.reserve_slots(server, 4, Journal())
-        tag = Tag("t")
-        tag.add_component("a", 16)
-        chosen = placer._find_lowest_subtree(tag, 1)
-        assert chosen is not tor0
 
 
 class TestExternalDemandPath:

@@ -110,7 +110,7 @@ class _World:
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
 @pytest.mark.parametrize("path", PATHS)
-def test_a_mutated_tag_is_placed_as_it_is_now(backend, path, mutation):
+def test_a_mutated_tag_is_placed_as_it_is_now(path, mutation):
     world = _World(path)
     tag = _tag()
     first = world.place(tag)

@@ -6,8 +6,7 @@ side-effect-free server probe).  Every scenario is a seeded churn loaded
 high enough that most ``_try_child`` calls fail, and records, per
 arrival, the accept/reject byte and the server-level layout of an
 accepted tenant.  The search change is decision-identical, so the
-fixture must reproduce byte for byte under every kernel backend this
-checkout can load (``py`` always, ``c`` when the extension is built).
+fixture must reproduce byte for byte.
 
 Re-record (only when a *decision* is meant to change)::
 
@@ -174,7 +173,7 @@ def recorded():
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
-def test_layouts_match_the_recorded_search(recorded, backend, name):
+def test_layouts_match_the_recorded_search(recorded, name):
     result = run_scenario(name)
     expected = recorded[name]
     assert result["decisions"] == expected["decisions"]

@@ -509,7 +509,7 @@ def _hex(pair):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_eq1_memo_hit_is_a_fresh_evaluation(backend, seed, monkeypatch):
+def test_eq1_memo_hit_is_a_fresh_evaluation(seed, monkeypatch):
     rng = random.Random(seed)
     ledger = Ledger(three_level_tree(SPEC))
     kernel = _kernels.eq1_requirement

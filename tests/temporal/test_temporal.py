@@ -89,7 +89,7 @@ class TestTemporalTag:
 
 
 class TestTemporalCluster:
-    def test_flat_profile_matches_classic(self, backend):
+    def test_flat_profile_matches_classic(self):
         """One window under a flat profile *is* a classic ledger: the same
         decisions, layouts and per-uplink state after every churn step."""
         topology = three_level_tree(DatacenterSpec(pods=1))

@@ -86,7 +86,7 @@ _PACKAGES = sorted(
 # submodule, which binds each one on its package.  Either way an export is
 # a module only when it is the exported submodule itself, and one the
 # package's own ``__init__`` does not bind is what every submodule holding
-# that name holds (``_kernels`` binds its dispatch slots itself).
+# that name holds.
 _EXPORT_CHECK = """
 import importlib, json, pkgutil, sys, types
 

@@ -8,8 +8,7 @@ datacenter, and the SHA-256 of eight float vectors — Fig. 13 guarantee
 partitioning at growing sender counts in both abstraction modes, the
 raw max-min kernel on a parking-lot chain, and the last period of the
 ElasticSwitch control loop.  The live stack must reproduce every entry
-exactly, under every kernel backend this checkout can load.  The
-recording script is in CHANGES.md (PR 18); its input no longer exists,
+exactly.  The recording script is in CHANGES.md (PR 18); its input no longer exists,
 so an entry changes only when a *decision* is meant to change.
 """
 
@@ -106,7 +105,7 @@ _CASES = {
 
 
 @pytest.mark.parametrize("entry", RECORDED)
-def test_live_stack_reproduces_the_seed(backend, entry):
+def test_live_stack_reproduces_the_seed(entry):
     case, _, arguments = entry.partition("@")
     assert _CASES[case](*arguments.split("/")) == RECORDED[entry]
 
