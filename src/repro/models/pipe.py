@@ -96,8 +96,8 @@ def pipe_expansion(
     as are self-loops on single-VM tiers (no peers to send to).  The
     quadratic per-pair expansion of a row is left to the consumer —
     :func:`pipes_from_tag` materializes ``Pipe`` objects from it, while
-    the SecondNet placer feeds the rows straight to the
-    ``expand_edges`` kernel and never builds the pipes at all.
+    the SecondNet placer expands the rows itself (``_pipe_plan``) and
+    never builds the pipes at all.
     """
     vms: list[str] = []
     names: dict[str, list[str]] = {}

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from repro import _kernels
 from repro.core.constants import EPSILON as _EPSILON
 from repro.core.tag import Tag
 from repro.models.pipe import PipeSet, pipe_expansion, pipes_from_tag
 from repro.obs import core as _obs
 from repro.placement.base import Placement, PlacementResult, Rejection
-from repro.topology.ledger import Journal, Ledger
+from repro.topology.ledger import OP_BANDWIDTH, Journal, Ledger
 from repro.topology.tree import Node
 
 __all__ = ["SecondNetPlacer", "PipeAllocation"]
@@ -45,10 +44,10 @@ class PipeAllocation:
         self.journal = Journal()
         self.vm_server: dict[str, Node] = {}
         # Mirror of ``vm_server`` in node-id form, the shape the per-VM
-        # peer triples (and through them the path kernels) consume.
+        # peer triples (and through them the path walks) consume.
         self.vm_server_ids: dict[str, int] = {}
         # Aggregate [up, down] reserved per node uplink, for release();
-        # written by the commit_pipes kernel.
+        # written by SecondNetPlacer._commit.
         self._reserved: dict[int, list[float]] = {}
         self.finalized = False
 
@@ -99,14 +98,31 @@ class PipeAllocation:
 def _pipe_plan(tag: Tag) -> tuple[dict, dict, list[str]]:
     """``(neighbors, demand, order)``: the per-VM pipe expansion of ``tag``.
 
-    Built from the flattened O(edges) plan, not the materialized
-    PipeSet: one kernel pass yields the per-VM peer lists and (out, in)
-    demand, summed in pipe order exactly like
-    :func:`repro.models.pipe.pipe_vm_demand`.  ``order`` places VMs by
-    descending total demand.  Memoized on the tag (``Tag.derived``).
+    ``pipe_expansion``'s ``(src_tier, dst_tier, per_pair, self_loop)``
+    rows describe the quadratic per-pair expansion; this performs it
+    without materializing ``Pipe`` objects.  ``neighbors[vm]`` lists
+    ``(peer, bandwidth, outgoing)`` triples in pipe order — row by row,
+    source-major, self-loops skipping the diagonal — and ``demand[vm]``
+    is the ``[out, in]`` sum accumulated in the same order, exactly like
+    :func:`repro.models.pipe.pipe_vm_demand`.  Every VM gets an entry,
+    including pipe-less ones.  ``order`` places VMs by descending total
+    demand.  Memoized on the tag (``Tag.derived``).
     """
     vms, plans = pipe_expansion(tag)
-    neighbors, demand = _kernels.expand_edges(plans, vms)
+    neighbors: dict = {vm: [] for vm in vms}
+    demand: dict = {vm: [0.0, 0.0] for vm in vms}
+    for src_tier, dst_tier, per_pair, self_loop in plans:
+        for i, src in enumerate(src_tier):
+            src_peers = neighbors[src]
+            src_demand = demand[src]
+            for j, dst in enumerate(dst_tier):
+                if self_loop and i == j:
+                    continue
+                # (peer, bandwidth, True when this VM is the sender)
+                src_peers.append((dst, per_pair, True))
+                neighbors[dst].append((src, per_pair, False))
+                src_demand[0] += per_pair
+                demand[dst][1] += per_pair
     order = sorted(vms, key=lambda vm: demand[vm][0] + demand[vm][1], reverse=True)
     return neighbors, demand, order
 
@@ -122,7 +138,7 @@ class SecondNetPlacer:
         self._index = ledger.ensure_candidate_index()
         self._index.track_racks()
         # Rack ids in enumeration order, the base order of the per-VM
-        # rack sweep (the rack_order kernel filters and sorts these).
+        # rack sweep (_rack_order filters and sorts these).
         self._rack_ids = [node.node_id for node in self.topology.level_nodes(1)]
 
     def place(self, tag: Tag) -> PlacementResult:
@@ -135,13 +151,25 @@ class SecondNetPlacer:
         # capacity later, so stacking demand-blind would dead-end (the
         # real SecondNet folds this into its bipartite matching).
         headroom: dict[int, list[float]] = {}
-        vm_ids = allocation.vm_server_ids
+        get_id = allocation.vm_server_ids.get
         for vm in order:
             # Placed peers as (peer_server_id, bandwidth, outgoing)
             # triples — the id form every downstream consumer (rack
-            # costs, hosted-peer classes, the path kernels) needs —
-            # built once per VM and shared by the search and the commit.
-            placed, hosted = _kernels.placed_peers(neighbors[vm], vm_ids)
+            # costs, hosted-peer classes, the path walks) needs — built
+            # once per VM and shared by the search and the commit.
+            # ``hosted`` maps a server id to the ``placed`` indices it
+            # hosts (the equivalence-class key of _first_feasible).
+            placed: list[tuple[int, float, bool]] = []
+            hosted: dict[int, list[int]] = {}
+            for name, bandwidth, outgoing in neighbors[vm]:
+                server_id = get_id(name)
+                if server_id is None:
+                    continue
+                indices = hosted.get(server_id)
+                if indices is None:
+                    indices = hosted[server_id] = []
+                indices.append(len(placed))
+                placed.append((server_id, bandwidth, outgoing))
             server = self._best_server(placed, hosted, demand[vm], headroom)
             if server is None or not self._commit(
                 allocation, vm, server, placed
@@ -173,20 +201,16 @@ class SecondNetPlacer:
         The rack sweep — the free-slot filter, per-class costs (racks in
         the same pod hosting no placed peer accumulate the exact same
         per-peer float sum, racks hosting a peer are their own class),
-        and the stable sort by cost — is one :func:`_kernels.rack_order`
-        call over the precomputed rack id list; each rack's fullest-first
-        server order comes pre-maintained from the candidate index.
+        and the stable sort by cost — is :meth:`_rack_order` over the
+        precomputed rack id list; each rack's fullest-first server order
+        comes pre-maintained from the candidate index.
         ``hosted`` maps servers hosting a placed peer to that peer's
         indices: such servers skip those pipes in the feasibility check,
         so they are never equivalent to servers that don't.
         """
-        flat = self._flat
-        node_of = flat.node_of
+        node_of = self._flat.node_of
         index = self._index
-        order = _kernels.rack_order(
-            flat.parent, self.ledger._free_subtree, self._rack_ids, placed_peers
-        )
-        for rack_id in order:
+        for rack_id in self._rack_order(placed_peers):
             entries = index.rack_candidates(rack_id)
             if not entries:
                 continue
@@ -200,6 +224,47 @@ class SecondNetPlacer:
             if found is not None:
                 return found
         return None
+
+    def _rack_order(self, peers: list[tuple[int, float, bool]]) -> list[int]:
+        """Racks with free slots, in ascending pipe-cost order (stable).
+
+        Of the rack ids whose subtree still has free VM slots, order by
+        the bandwidth-hop cost toward the placed ``(peer_id, bandwidth,
+        outgoing)`` triples — ``bandwidth * 2`` for a peer in the rack,
+        ``* 4`` in the same pod, ``* 6`` across pods, accumulated in peer
+        order.  Racks in the same pod hosting no placed peer take the
+        same branch for every term, so they share one computed cost;
+        ties keep input order, i.e. exactly a stable sort of the
+        surviving ids by cost.  With no peers every cost is zero and the
+        filtered ids come back unreordered.
+        """
+        parent = self._flat.parent
+        free_subtree = self.ledger._free_subtree
+        feasible = [rack_id for rack_id in self._rack_ids if free_subtree[rack_id] > 0]
+        if not peers:
+            return feasible
+        peer_rack_ids = {parent[peer_id] for peer_id, _, _ in peers}
+        cost_of: dict = {}
+        costs = []
+        for rack_id in feasible:
+            pod_id = parent[rack_id]
+            klass = (pod_id, rack_id if rack_id in peer_rack_ids else -1)
+            cost = cost_of.get(klass)
+            if cost is None:
+                cost = 0.0
+                for peer_id, bandwidth, _ in peers:
+                    peer_rack = parent[peer_id]
+                    if peer_rack == rack_id:
+                        cost += bandwidth * 2
+                    elif parent[peer_rack] == pod_id:
+                        cost += bandwidth * 4
+                    else:
+                        cost += bandwidth * 6
+                cost_of[klass] = cost
+            costs.append(cost)
+        order = list(range(len(feasible)))
+        order.sort(key=costs.__getitem__)
+        return [feasible[position] for position in order]
 
     def _first_feasible(
         self,
@@ -243,41 +308,80 @@ class SecondNetPlacer:
         ``(node_id, is_up)`` pairs: the up direction on the source side
         of the LCA, the down direction on the destination side
         (destination side first, matching the reservation order the
-        pointer-walk implementation used).  The walk (including the
-        LCA) runs in :mod:`repro._kernels`.
+        pointer-walk implementation used).
         """
-        flat = self._flat
-        return _kernels.path_link_ids(flat.parent, flat.depth, src_id, dst_id)
+        parent = self._flat.parent
+        depth = self._flat.depth
+        a = src_id
+        b = dst_id
+        while depth[a] > depth[b]:
+            a = parent[a]
+        while depth[b] > depth[a]:
+            b = parent[b]
+        while a != b:
+            a = parent[a]
+            b = parent[b]
+        lca = a
+        links = []
+        node_id = dst_id
+        while node_id != lca:
+            links.append((node_id, False))
+            node_id = parent[node_id]
+        node_id = src_id
+        while node_id != lca:
+            links.append((node_id, True))
+            node_id = parent[node_id]
+        return links
 
-    def _path_links(self, src: Node, dst: Node) -> list[tuple[Node, bool]]:
-        """Node-level :meth:`_path_link_ids` (kept for introspection)."""
-        node_of = self._flat.node_of
-        return [
-            (node_of[node_id], is_up)  # type: ignore[misc]
-            for node_id, is_up in self._path_link_ids(src.node_id, dst.node_id)
-        ]
+    def _pipe_path(
+        self, server_id: int, peer_id: int, outgoing: bool
+    ) -> list[tuple[int, bool]]:
+        """The path links of one pipe between ``server_id`` and a peer."""
+        if outgoing:
+            return self._path_link_ids(server_id, peer_id)
+        return self._path_link_ids(peer_id, server_id)
 
     def _feasible(
         self, server: Node, placed_peers: list[tuple[int, float, bool]]
     ) -> bool:
-        """One fused path-demand accumulation + capacity check.
+        """Can ``server`` host a VM whose placed peers are ``placed_peers``?
 
-        Path links sit strictly below the LCA, so they are never the
-        root and the kernel indexes the ledger's raw used/capacity
-        arrays directly (the root's ``inf`` special case cannot arise).
+        Peers hosted on ``server`` itself are skipped (their pipes never
+        leave the server).  The per-link demand is accumulated first (two
+        pipes can share a link), in pipe-then-link order, and then
+        checked per link against unreserved capacity, so the container's
+        iteration order cannot change the verdict.  Path links sit
+        strictly below the LCA, so they are never the root and the
+        ledger's raw used/capacity arrays index directly (the root's
+        ``inf`` special case cannot arise).
         """
+        server_id = server.node_id
+        needed: dict = {}
+        paths: dict = {}
+        for peer_id, bandwidth, outgoing in placed_peers:
+            if peer_id == server_id:
+                continue
+            links = paths.get((peer_id, outgoing))
+            if links is None:
+                links = paths[peer_id, outgoing] = self._pipe_path(
+                    server_id, peer_id, outgoing
+                )
+            for link in links:
+                needed[link] = needed.get(link, 0.0) + bandwidth
         flat = self._flat
-        ledger = self.ledger
-        return _kernels.pipes_feasible(
-            flat.parent,
-            flat.depth,
-            ledger._used_up,
-            ledger._used_down,
-            flat.cap_up,
-            flat.cap_down,
-            server.node_id,
-            placed_peers,
-        )
+        cap_up = flat.cap_up
+        cap_down = flat.cap_down
+        used_up = self.ledger._used_up
+        used_down = self.ledger._used_down
+        for (node_id, is_up), amount in needed.items():
+            available = (
+                cap_up[node_id] - used_up[node_id]
+                if is_up
+                else cap_down[node_id] - used_down[node_id]
+            )
+            if amount > available:
+                return False
+        return True
 
     def _commit(
         self,
@@ -286,36 +390,72 @@ class SecondNetPlacer:
         server: Node,
         placed_peers: list[tuple[int, float, bool]],
     ) -> bool:
-        if not self.ledger.reserve_slots(server, 1, allocation.journal):
-            return False
+        """Reserve the slot and every pipe from ``vm`` on ``server`` to its
+        placed peers.
+
+        Zero-bandwidth pipes are skipped, and so are colocated peers.
+        Each distinct (peer server, direction) path is walked once.  Each
+        path link's pipe bandwidths are added left to right, in pipe
+        order, onto the ledger's value and onto ``allocation._reserved``'s,
+        so the sums are bit-identical to one adjust per (pipe, link).
+        Every touched node is then checked once against ``cap + eps`` in
+        both directions: the running sums only grow, so the final state
+        is over capacity exactly when some per-pipe step would have been.
+        A refusal writes no bandwidth (the caller's wholesale rollback
+        undoes the slot).  On success each touched node gets one
+        ``(OP_BANDWIDTH, node_id, prev_up, prev_down)`` record holding its
+        values before this VM, so a rollback restores the same state.
+        """
         ledger = self.ledger
-        journal = allocation.journal
-        flat = self._flat
-        placed = [t for t in placed_peers if t[1] != 0.0]
-        # The whole per-VM pipe commit — one walk per distinct path,
-        # per-link sums in pipe order, one check and one journal record
-        # per touched node — is one kernel call.  A refusal writes no
-        # bandwidth; the caller's wholesale rollback undoes the slot.
-        before = len(journal.ops)
-        status = _kernels.commit_pipes(
-            flat.parent,
-            flat.depth,
-            ledger._used_up,
-            ledger._used_down,
-            flat.cap_up,
-            flat.cap_down,
-            ledger._over,
-            journal.ops,
-            allocation._reserved,
-            server.node_id,
-            placed,
-            _EPSILON,
-        )
-        c = _obs.counters
-        if c is not None and len(journal.ops) > before:
-            c.bump("ledger.journal_ops", len(journal.ops) - before)
-        if status != 0:
+        if not ledger.reserve_slots(server, 1, allocation.journal):
             return False
+        server_id = server.node_id
+        used_up = ledger._used_up
+        used_down = ledger._used_down
+        reserved = allocation._reserved
+        paths: dict = {}
+        # node_id -> [used_down, used_up, reserved_down, reserved_up]: the
+        # running sums, indexed by a link's ``is_up`` (+ 2 for reserved).
+        sums: dict = {}
+        for peer_id, bandwidth, outgoing in placed_peers:
+            if peer_id == server_id or bandwidth == 0.0:
+                continue
+            links = paths.get((peer_id, outgoing))
+            if links is None:
+                links = paths[peer_id, outgoing] = []
+                for node_id, is_up in self._pipe_path(server_id, peer_id, outgoing):
+                    running = sums.get(node_id)
+                    if running is None:
+                        entry = reserved.get(node_id) or (0.0, 0.0)
+                        running = sums[node_id] = [
+                            used_down[node_id], used_up[node_id], entry[1], entry[0]
+                        ]
+                    links.append((running, is_up))
+            for running, is_up in links:
+                running[is_up] += bandwidth
+                running[is_up + 2] += bandwidth
+        flat = self._flat
+        cap_up = flat.cap_up
+        cap_down = flat.cap_down
+        for node_id, (down, up, _, _) in sums.items():
+            if up > cap_up[node_id] + _EPSILON or down > cap_down[node_id] + _EPSILON:
+                return False
+        ops = allocation.journal.ops
+        over = ledger._over
+        for node_id, (down, up, reserved_down, reserved_up) in sums.items():
+            ops.append((OP_BANDWIDTH, node_id, used_up[node_id], used_down[node_id]))
+            used_up[node_id] = up if up > 0.0 else 0.0
+            used_down[node_id] = down if down > 0.0 else 0.0
+            over.discard(node_id)
+            entry = reserved.get(node_id)
+            if entry is None:
+                reserved[node_id] = [reserved_up, reserved_down]
+            else:
+                entry[0] = reserved_up
+                entry[1] = reserved_down
+        c = _obs.counters
+        if c is not None and sums:
+            c.bump("ledger.journal_ops", len(sums))
         allocation.vm_server[vm] = server
-        allocation.vm_server_ids[vm] = server.node_id
+        allocation.vm_server_ids[vm] = server_id
         return True

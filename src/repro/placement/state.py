@@ -24,7 +24,7 @@ undo records are plain tuples; and the two shipped requirement functions
 (TAG Eq. 1 and the footnote-7 VOC form) are *compiled* per tag into
 closures over a flattened edge table, memoized on the tag, replicating
 the originals' arithmetic term-for-term so results are bit-identical.
-A custom ``requirement`` callable is used as-is.
+They are the only two: any other ``requirement`` is refused.
 
 A failing search re-evaluates the same few count vectors over and over
 (every try of a child, and every probe of it, retraces the same bumps),
@@ -36,10 +36,10 @@ in insertion order and is never memoized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
-from repro import _kernels
 from repro.core.bandwidth import BandwidthDemand, uplink_requirement
 from repro.core.tag import Tag
 from repro.errors import ReproError, TagError
@@ -122,20 +122,42 @@ def _compile_uplink_requirement(tag: Tag) -> Callable[[Mapping[str, int]], tuple
     :func:`repro.core.bandwidth.uplink_requirement` (same edge order,
     same ``inf * 0 == 0`` convention, same accumulation order), minus
     the per-call component lookups and input validation — the counts it
-    sees are maintained internally and always in range.  Evaluation
-    looks the kernel up on :mod:`repro._kernels` at call time, so a
-    patched kernel reaches closures compiled before the patch.
+    sees are maintained internally and always in range.  ``None`` sizes
+    are unsized (external) components.
     """
     edges = _edge_rows(tag)
+    inf = math.inf
 
     def requirement(inside: Mapping[str, int]) -> tuple[float, float]:
-        return _kernels.eq1_requirement(edges, inside)
+        out = 0.0
+        into = 0.0
+        get = inside.get
+        for src, dst, send, recv, src_size, dst_size in edges:
+            src_in = get(src, 0)
+            dst_in = get(dst, 0)
+            src_out = inf if src_size is None else src_size - src_in
+            dst_out = inf if dst_size is None else dst_size - dst_in
+            if src_in > 0 and dst_out > 0:
+                lhs = 0.0 if send == 0.0 or src_in == 0.0 else src_in * send
+                rhs = 0.0 if recv == 0.0 or dst_out == 0.0 else dst_out * recv
+                out += lhs if lhs < rhs else rhs
+            if src_out > 0 and dst_in > 0:
+                lhs = 0.0 if send == 0.0 or src_out == 0.0 else src_out * send
+                rhs = 0.0 if recv == 0.0 or dst_in == 0.0 else dst_in * recv
+                into += lhs if lhs < rhs else rhs
+        return out, into
 
     return requirement
 
 
 def _compile_voc_requirement(tag: Tag) -> Callable[[Mapping[str, int]], tuple[float, float]]:
-    """Compile the footnote-7 VOC requirement for ``tag`` (see above)."""
+    """Compile the footnote-7 VOC requirement for ``tag`` (see above).
+
+    Term-for-term identical to
+    :func:`repro.models.voc.voc_uplink_requirement`: the trunk edges in
+    edge order, then the hose term of each self-loop tier in the
+    (insertion) order of ``inside``.
+    """
     rows = zip(_edge_rows(tag), tag.iter_edges())
     trunk = tuple(row for row, edge in rows if not edge.is_self_loop)
     loops = {
@@ -143,9 +165,31 @@ def _compile_voc_requirement(tag: Tag) -> Callable[[Mapping[str, int]], tuple[fl
         for edge in tag.iter_edges()
         if edge.is_self_loop
     }
+    inf = math.inf
 
     def requirement(inside: Mapping[str, int]) -> tuple[float, float]:
-        return _kernels.voc_requirement(trunk, loops, inside)
+        send_inside = recv_outside = 0.0
+        send_outside = recv_inside = 0.0
+        get = inside.get
+        for src, dst, send, recv, src_size, dst_size in trunk:
+            src_in = get(src, 0)
+            dst_in = get(dst, 0)
+            src_out = inf if src_size is None else src_size - src_in
+            dst_out = inf if dst_size is None else dst_size - dst_in
+            send_inside += src_in * send
+            send_outside += 0.0 if send == 0 else src_out * send
+            recv_inside += dst_in * recv
+            recv_outside += 0.0 if recv == 0 else dst_out * recv
+        hose = 0.0
+        for name, count in inside.items():
+            loop = loops.get(name)
+            if loop is not None:
+                send, size = loop
+                hose += min(count, size - count) * send
+        return (
+            min(send_inside, recv_outside) + hose,
+            min(send_outside, recv_inside) + hose,
+        )
 
     return requirement
 
@@ -176,9 +220,12 @@ class TenantAllocation:
     ledger:
         The datacenter reservation ledger (shared, mutated in place).
     requirement:
-        Uplink requirement function; defaults to the TAG Eq. 1.  The
-        Oktopus placer passes the footnote-7 VOC requirement instead so
-        that each abstraction pays for its own aggregation.
+        Uplink requirement function: the TAG Eq. 1
+        (:func:`repro.core.bandwidth.uplink_requirement`, the default)
+        or the footnote-7 VOC form
+        (:func:`repro.models.voc.voc_uplink_requirement`), which the
+        Oktopus placer passes so that each abstraction pays for its own
+        aggregation.  Any other function raises :class:`ValueError`.
 
     The Eq. 1 memo (see the module docstring) lives for one search: it
     starts at :meth:`memoize` and is dropped by :meth:`finalize`,
@@ -221,15 +268,11 @@ class TenantAllocation:
         else:
             from repro.models.voc import voc_uplink_requirement
 
-            if requirement is voc_uplink_requirement:
-                self._require = tag.derived(_compile_voc_requirement)
-            else:
-
-                def generic(inside: Mapping[str, int]) -> tuple[float, float]:
-                    demand = requirement(tag, inside)
-                    return demand.out, demand.into
-
-                self._require = generic
+            if requirement is not voc_uplink_requirement:
+                raise ValueError(
+                    f"no compiled form of requirement function {requirement!r}"
+                )
+            self._require = tag.derived(_compile_voc_requirement)
         self._tier_sizes, self._internal_tiers = tag.derived(_tier_table)
         self._tag_size = tag.size
         self._memo = None

@@ -76,20 +76,14 @@ def poisson_arrivals(
     """Sample ``count`` Poisson arrivals with exponential dwell times.
 
     Tenants are drawn uniformly from ``pool``; inter-arrival gaps are
-    exponential with the rate implied by ``load``.
+    exponential with the rate implied by ``load``.  The materialized
+    :func:`arrival_stream`, drawn in one block.
     """
-    if not pool:
-        raise SimulationError("tenant pool is empty")
-    if count <= 0:
-        raise SimulationError(f"need a positive arrival count, got {count}")
-    rng = np.random.default_rng(seed)
-    mean_size = float(np.mean([tag.size for tag in pool]))
-    rate = arrival_rate_for_load(load, total_slots, mean_size, mean_dwell)
-    gaps = rng.exponential(1.0 / rate, size=count)
-    times = np.cumsum(gaps)
-    indices = rng.integers(0, len(pool), size=count)
-    dwells = rng.exponential(mean_dwell, size=count)
-    return list(_records(times.tolist(), indices, dwells))
+    return list(
+        arrival_stream(
+            pool, count, load, total_slots, mean_dwell=mean_dwell, seed=seed, block=count
+        )
+    )
 
 
 def _stream_inputs(
@@ -117,16 +111,15 @@ def arrival_stream(
     seed: int = 0,
     block: int = 8192,
 ) -> Iterator[Arrival]:
-    """Streaming :func:`poisson_arrivals`: O(block) memory at any count.
+    """Poisson arrivals with exponential dwells, in O(block) memory.
 
     Random draws happen in numpy blocks of ``block`` events (three bulk
-    draws per block, same draw order as the materializing function), so
-    a million-event service run never holds the event list.  With
-    ``block >= count`` the stream is element-for-element identical to
-    ``poisson_arrivals`` at the same seed; smaller blocks interleave the
-    draws differently and give a statistically identical but distinct
-    stream.  Arguments are checked here, at the call, not at the first
-    ``next()``.
+    draws per block: gaps, tenant indices, dwells), so a million-event
+    service run never holds the event list.  :func:`poisson_arrivals`
+    is this stream with ``block == count``; smaller blocks interleave
+    the draws differently and give a statistically identical but
+    distinct stream.  Arguments are checked here, at the call, not at
+    the first ``next()``.
     """
     mean_size = _stream_inputs(pool, count, mean_dwell, block)
     rate = arrival_rate_for_load(load, total_slots, mean_size, mean_dwell)

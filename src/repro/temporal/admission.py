@@ -52,7 +52,6 @@ from typing import Iterable
 
 import numpy as np
 
-from repro import _kernels
 from repro.core.constants import EPSILON
 from repro.core.tag import Tag
 from repro.errors import LedgerError, SimulationError
@@ -61,50 +60,17 @@ from repro.placement.base import Placement, Rejection
 from repro.placement.cloudmirror import CloudMirrorPlacer
 from repro.temporal.profile import TemporalProfile, TemporalTag
 from repro.topology.builder import DatacenterSpec, three_level_tree
-from repro.topology.ledger import Journal, ReservationLedger
-from repro.topology.tree import Node, Topology
+from repro.topology.ledger import OP_BANDWIDTH, Journal, ReservationLedger
+from repro.topology.tree import Topology
 
 __all__ = [
     "TemporalLedger",
-    "TemporalPlaneView",
     "TemporalAdmission",
     "TemporalCluster",
     "peak_equivalent",
 ]
 
 _EPSILON = EPSILON
-
-
-class TemporalPlaneView:
-    """Read-only view of one window's reservations (tests, benchmarks)."""
-
-    __slots__ = ("_ledger", "_window")
-
-    def __init__(self, ledger: "TemporalLedger", window: int) -> None:
-        self._ledger = ledger
-        self._window = window
-
-    def reserved_up(self, node: Node) -> float:
-        return self.reserved_up_id(node.node_id)
-
-    def reserved_up_id(self, node_id: int) -> float:
-        ledger = self._ledger
-        if node_id == ledger._root_id:
-            return 0.0
-        return ledger._up[node_id * ledger.windows + self._window]
-
-    def reserved_down(self, node: Node) -> float:
-        return self.reserved_down_id(node.node_id)
-
-    def reserved_down_id(self, node_id: int) -> float:
-        ledger = self._ledger
-        if node_id == ledger._root_id:
-            return 0.0
-        return ledger._down[node_id * ledger.windows + self._window]
-
-    def reserved_at_level(self, level: int) -> float:
-        ledger = self._ledger
-        return ledger._level_sum(level, ledger._up, ledger.windows, self._window)
 
 
 class TemporalLedger(ReservationLedger):
@@ -129,7 +95,7 @@ class TemporalLedger(ReservationLedger):
         # The reservation block: node ``i``'s W-window column is the
         # contiguous slice ``[i*W, (i+1)*W)``, so the fused adjust reads
         # and writes one slice; plane ``w`` is the stride-W view
-        # ``[w::W]`` (see plane_matrices / TemporalPlaneView).
+        # ``[w::W]`` (see plane_matrices).
         size = self.flat.size * windows
         self._up = [0.0] * size
         self._down = [0.0] * size
@@ -141,14 +107,6 @@ class TemporalLedger(ReservationLedger):
         # identity fast path for back-to-back activations of one profile.
         self._ratio_cache: dict[TemporalProfile, tuple[float, ...]] = {}
         self._active_profile: TemporalProfile | None = None
-        self._planes = tuple(
-            TemporalPlaneView(self, window) for window in range(windows)
-        )
-
-    @property
-    def planes(self) -> tuple[TemporalPlaneView, ...]:
-        """Per-window read views (the legacy per-plane-Ledger surface)."""
-        return self._planes
 
     def plane_matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """``(W × num_nodes)`` numpy snapshots of both direction blocks."""
@@ -186,7 +144,10 @@ class TemporalLedger(ReservationLedger):
     # ------------------------------------------------------------------
     def reserved_at_level(self, level: int) -> float:
         """Worst-case (across planes) reserved up-bandwidth at one level."""
-        return max(plane.reserved_at_level(level) for plane in self._planes)
+        return max(
+            self._level_sum(level, self._up, self.windows, window)
+            for window in range(self.windows)
+        )
 
     def window_level_fraction(self, window: int, level: int) -> float:
         """Reserved fraction of one level's aggregate capacity, one window."""
@@ -208,32 +169,52 @@ class TemporalLedger(ReservationLedger):
     ) -> bool:
         """One fused scaled-delta + feasibility check across all planes.
 
-        The column read-modify-write (scaled deltas, negativity check,
-        clamp, maxima, journal record) runs in
-        :mod:`repro._kernels`; this wrapper keeps the root fast
-        path, the error raise, and the obs counter.
+        The uplink's W-window column is read, scaled by the active ratios,
+        checked and written back whole; one journal record — ``(OP_BANDWIDTH,
+        node_id, prev_up_column, prev_down_column, prev_max_up,
+        prev_max_down)`` — undoes it.  A refused adjust writes nothing.
         """
         if node_id == self._root_id:
             return True
-        status = _kernels.temporal_adjust(
-            self._up,
-            self._down,
-            self._max_up,
-            self._max_down,
-            self._cap_up,
-            self._cap_down,
-            self._over,
-            journal.ops,
-            self._ratios,
-            node_id,
-            self.windows,
-            delta_up,
-            delta_down,
-            enforce,
-            _EPSILON,
+        windows = self.windows
+        base = node_id * windows
+        ratios = self._ratios
+        prev_up = self._up[base : base + windows]
+        prev_down = self._down[base : base + windows]
+        new_up = [p + delta_up * r for p, r in zip(prev_up, ratios)]
+        new_down = [p + delta_down * r for p, r in zip(prev_down, ratios)]
+        if delta_up < 0.0 or delta_down < 0.0:
+            # Columns can only dip negative on a release-style delta.
+            if min(new_up) < -_EPSILON or min(new_down) < -_EPSILON:
+                raise self._negative(node_id)
+            new_up = [v if v > 0.0 else 0.0 for v in new_up]
+            new_down = [v if v > 0.0 else 0.0 for v in new_down]
+        col_max_up = max(new_up)
+        col_max_down = max(new_down)
+        is_over = (
+            col_max_up > self._cap_up[node_id] + _EPSILON
+            or col_max_down > self._cap_down[node_id] + _EPSILON
         )
-        if status:
-            return self._adjust_refused(status, node_id)
+        if enforce and is_over:
+            return False
+        self._up[base : base + windows] = new_up
+        self._down[base : base + windows] = new_down
+        journal.ops.append(
+            (
+                OP_BANDWIDTH,
+                node_id,
+                prev_up,
+                prev_down,
+                self._max_up[node_id],
+                self._max_down[node_id],
+            )
+        )
+        self._max_up[node_id] = col_max_up
+        self._max_down[node_id] = col_max_down
+        if is_over:
+            self._over.add(node_id)
+        else:
+            self._over.discard(node_id)
         c = _obs.counters
         if c is not None:
             c.bump("temporal.journal_ops")
@@ -244,25 +225,31 @@ class TemporalLedger(ReservationLedger):
     ) -> bool | None:
         """Would unenforced adjusts by ``deltas``, in order, end overcommitted?
 
-        The W-plane twin of :meth:`Ledger.would_overcommit`: the real
-        adjust kernel, under the active ratios, on a private copy of the
-        node's column; ``None`` when a delta would be refused.
+        The W-plane twin of :meth:`Ledger.would_overcommit`: the column
+        arithmetic of :meth:`adjust_uplink_id`, under the active ratios,
+        stepped on local copies of the node's column; ``None`` when a
+        delta would leave a window negative.
         """
         if node_id == self._root_id:
             return False
         windows = self.windows
         base = node_id * windows
-        up, down = self._up[base : base + windows], self._down[base : base + windows]
-        max_up, max_down = [self._max_up[node_id]], [self._max_down[node_id]]
-        cap_up, cap_down = [self._cap_up[node_id]], [self._cap_down[node_id]]
-        over: set[int] = set()
-        column = (up, down, max_up, max_down, cap_up, cap_down, over, [], self._ratios)
+        ratios = self._ratios
+        up = self._up[base : base + windows]
+        down = self._down[base : base + windows]
+        cap_up = self._cap_up[node_id] + _EPSILON
+        cap_down = self._cap_down[node_id] + _EPSILON
+        is_over = False
         for d_up, d_down in deltas:
-            if _kernels.temporal_adjust(
-                *column, 0, windows, d_up, d_down, False, _EPSILON
-            ):
-                return None
-        return bool(over)
+            up = [p + d_up * r for p, r in zip(up, ratios)]
+            down = [p + d_down * r for p, r in zip(down, ratios)]
+            if d_up < 0.0 or d_down < 0.0:
+                if min(up) < -_EPSILON or min(down) < -_EPSILON:
+                    return None
+                up = [v if v > 0.0 else 0.0 for v in up]
+                down = [v if v > 0.0 else 0.0 for v in down]
+            is_over = max(up) > cap_up or max(down) > cap_down
+        return is_over
 
     def release_uplink_id(self, node_id: int, up: float, down: float) -> None:
         """Unjournalled scaled release on every plane (departure path)."""
@@ -293,9 +280,7 @@ class TemporalLedger(ReservationLedger):
         self._update_overcommit(node_id)
 
     def _restore_bandwidth(self, op) -> None:
-        """Undo one record of the temporal adjust kernel — ``(OP_BANDWIDTH,
-        node_id, prev_up_column, prev_down_column, prev_max_up,
-        prev_max_down)`` — on every plane at once."""
+        """Undo one :meth:`adjust_uplink_id` record on every plane at once."""
         node_id = op[1]
         windows = self.windows
         base = node_id * windows

@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro import _kernels
 from repro.core.constants import EPSILON
 from repro.errors import LedgerError
 from repro.obs import core as _obs
@@ -56,16 +55,12 @@ _EPSILON = EPSILON
 # :meth:`ReservationLedger.rollback` undoes all three.  The tail of a
 # bandwidth record is its ledger's own — ``prev_up, prev_down`` here, the
 # previous columns and maxima in the temporal ledger — written by that
-# ledger's adjust kernel and read back by its ``_restore_bandwidth``.
+# ledger's ``adjust_uplink_id`` and read back by its ``_restore_bandwidth``.
 # OP_MASK records failure-mask transitions — (OP_MASK, kind, ...) — and
 # goes to the attached :class:`repro.topology.failures.FailureMask`.
 OP_SLOTS = 0
 OP_BANDWIDTH = 1
 OP_MASK = 2
-
-# The adjust kernels journal OP_BANDWIDTH records themselves; the tag
-# value is part of the kernel contract (see repro._kernels.pyref).
-assert OP_BANDWIDTH == 1
 
 
 @dataclass
@@ -304,14 +299,11 @@ class ReservationLedger:
         if index is not None:
             index.touch_path(ancestors)
 
-    def _adjust_refused(self, status: int, node_id: int) -> bool:
-        """An adjust kernel's non-zero status: refused (False) or an error."""
-        if status == 2:
-            raise LedgerError(
-                f"uplink reservation on {self._name(node_id)!r} would "
-                "become negative"
-            )
-        return False
+    def _negative(self, node_id: int) -> LedgerError:
+        """The error of an adjust that would leave a reservation negative."""
+        return LedgerError(
+            f"uplink reservation on {self._name(node_id)!r} would become negative"
+        )
 
     def _name(self, node_id: int) -> str:
         return self.flat.node_of[node_id].name  # type: ignore[union-attr]
@@ -409,27 +401,32 @@ class Ledger(ReservationLedger):
         reserves per completed subtree, so transient mid-placement spikes
         must not reject a tenant that finally fits).
 
-        The fused adjust + feasibility check + journal append runs in
-        :mod:`repro._kernels`; this wrapper keeps only the root fast
-        path, the error raise, and the obs counter.
+        A refused adjust writes nothing: no value, no journal record, no
+        overcommit-set change.
         """
         if node_id == self._root_id:
             return True
-        status = _kernels.ledger_adjust(
-            self._used_up,
-            self._used_down,
-            self._cap_up,
-            self._cap_down,
-            self._over,
-            journal.ops,
-            node_id,
-            delta_up,
-            delta_down,
-            enforce,
-            _EPSILON,
+        used_up = self._used_up
+        used_down = self._used_down
+        prev_up = used_up[node_id]
+        prev_down = used_down[node_id]
+        new_up = prev_up + delta_up
+        new_down = prev_down + delta_down
+        if new_up < -_EPSILON or new_down < -_EPSILON:
+            raise self._negative(node_id)
+        is_over = (
+            new_up > self._cap_up[node_id] + _EPSILON
+            or new_down > self._cap_down[node_id] + _EPSILON
         )
-        if status:
-            return self._adjust_refused(status, node_id)
+        if enforce and is_over:
+            return False
+        used_up[node_id] = new_up if new_up > 0.0 else 0.0
+        used_down[node_id] = new_down if new_down > 0.0 else 0.0
+        if is_over:
+            self._over.add(node_id)
+        else:
+            self._over.discard(node_id)
+        journal.ops.append((OP_BANDWIDTH, node_id, prev_up, prev_down))
         c = _obs.counters
         if c is not None:
             c.bump("ledger.journal_ops")
@@ -440,23 +437,27 @@ class Ledger(ReservationLedger):
     ) -> bool | None:
         """Would unenforced adjusts by ``deltas``, in order, end overcommitted?
 
-        Runs the adjust kernel :meth:`adjust_uplink_id` runs, on a private
-        one-node copy of the uplink — the over-set's answer, with nothing
-        changed.  ``None`` when a delta would be refused (the real adjust
-        raises).
+        The arithmetic of :meth:`adjust_uplink_id`, stepped on local
+        copies of the uplink's values — the over-set's answer, with
+        nothing changed.  ``None`` when a delta would leave the
+        reservation negative (the real adjust raises).
         """
         if node_id == self._root_id:
             return False
-        up, down = [self._used_up[node_id]], [self._used_down[node_id]]
-        cap_up, cap_down = [self._cap_up[node_id]], [self._cap_down[node_id]]
-        over: set[int] = set()
-        ops: list[object] = []
+        up = self._used_up[node_id]
+        down = self._used_down[node_id]
+        cap_up = self._cap_up[node_id] + _EPSILON
+        cap_down = self._cap_down[node_id] + _EPSILON
+        is_over = False
         for d_up, d_down in deltas:
-            if _kernels.ledger_adjust(
-                up, down, cap_up, cap_down, over, ops, 0, d_up, d_down, False, _EPSILON
-            ):
+            up += d_up
+            down += d_down
+            if up < -_EPSILON or down < -_EPSILON:
                 return None
-        return bool(over)
+            is_over = up > cap_up or down > cap_down
+            up = up if up > 0.0 else 0.0
+            down = down if down > 0.0 else 0.0
+        return is_over
 
     def release_uplink_id(self, node_id: int, up: float, down: float) -> None:
         """Release bandwidth without journalling (tenant departure path)."""

@@ -1,50 +1,91 @@
 """The grouped SecondNet commit against the per-pipe loop it replaced.
 
-``commit_pipes`` sums each path link's pipe bandwidths in pipe order,
-checks every touched node once and writes one journal record per node.
-:func:`per_pipe_commit` below is the loop it replaced, kept verbatim as
-the oracle: one strict journalled ``ledger_adjust`` per (pipe, path
-link), stopping at the first refusal.  Over random fabrics — masked
-(zero-capacity) links, nodes already over capacity in the direction a
-VM does not touch, overflows part-way through a VM's pipes — the kernel
-must give the oracle's status and, on success, its used and
-reserved values bit for bit (``repr``); a refusal writes nothing; and
-``Ledger.rollback`` over the grouped records restores the pre-state.
+``SecondNetPlacer._commit`` sums each path link's pipe bandwidths in
+pipe order, checks every touched node once and writes one journal
+record per node.  :func:`per_pipe_commit` below is the loop it
+replaced, kept as the oracle: one strict journalled adjust per (pipe,
+path link) — :meth:`Ledger.adjust_uplink_id`'s arithmetic — stopping at
+the first refusal.  Over random fabrics — masked (zero-capacity) links,
+nodes already over capacity in the direction a VM does not touch,
+overflows part-way through a VM's pipes — the commit must give the
+oracle's verdict and, on success, its used and reserved values bit for
+bit (``repr``); a refusal writes no bandwidth; and ``Ledger.rollback``
+over the grouped records restores the pre-state.
+
+On a random tree the placer runs over a stand-in ledger holding the
+arrays (:func:`_committer`); slots are not this suite's concern.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from types import SimpleNamespace
 
-from repro._kernels import pyref
+from repro.core.constants import EPSILON as EPS
+from repro.placement.secondnet import SecondNetPlacer
 from repro.topology.builder import DatacenterSpec, three_level_tree
 from repro.topology.ledger import Journal, Ledger
 
-EPS = 1e-9
+
+def _arrays_ledger(used_up, used_down, cap_up, cap_down, over) -> Ledger:
+    """A :class:`Ledger` over the given arrays, every slot granted.
+
+    Path links sit strictly below the LCA, so no root id is needed.
+    """
+    ledger = object.__new__(Ledger)
+    ledger._root_id = -1
+    ledger._used_up, ledger._used_down = used_up, used_down
+    ledger._cap_up, ledger._cap_down = cap_up, cap_down
+    ledger._over = over
+    ledger.reserve_slots = lambda server, count, journal: True
+    return ledger
+
+
+def _committer(parent, depth, used_up, used_down, cap_up, cap_down, over):
+    """A SecondNet placer over the given tree and arrays."""
+    placer = object.__new__(SecondNetPlacer)
+    placer._flat = SimpleNamespace(
+        parent=parent, depth=depth, cap_up=cap_up, cap_down=cap_down
+    )
+    placer.ledger = _arrays_ledger(used_up, used_down, cap_up, cap_down, over)
+    return placer
+
+
+def commit(placer, ops, reserved, server_id, peers) -> int:
+    """``placer._commit`` of one VM; 0 when applied, 1 when refused."""
+    allocation = SimpleNamespace(
+        journal=Journal(ops), _reserved=reserved, vm_server={}, vm_server_ids={}
+    )
+    server = SimpleNamespace(node_id=server_id)
+    return 0 if placer._commit(allocation, "vm", server, peers) else 1
 
 
 def per_pipe_commit(
     parent, depth, used_up, used_down, cap_up, cap_down, over, ops,
-    reserved, server_id, peers, eps,
+    reserved, server_id, peers,
 ):
-    """One strict journalled adjust per (pipe, path link)."""
+    """One strict journalled ``adjust_uplink_id`` per (pipe, path link).
+
+    Zero-bandwidth pipes and colocated peers are skipped, as the placer
+    has always skipped them.
+    """
+    placer = _committer(parent, depth, used_up, used_down, cap_up, cap_down, over)
+    journal = Journal(ops)
     for peer_id, bandwidth, outgoing in peers:
-        if peer_id == server_id:
+        if peer_id == server_id or bandwidth == 0.0:
             continue
         if outgoing:
             src_id, dst_id = server_id, peer_id
         else:
             src_id, dst_id = peer_id, server_id
-        for node_id, is_up in pyref.path_link_ids(parent, depth, src_id, dst_id):
+        for node_id, is_up in placer._path_link_ids(src_id, dst_id):
             delta_up = bandwidth if is_up else 0.0
             delta_down = 0.0 if is_up else bandwidth
-            status = pyref.ledger_adjust(
-                used_up, used_down, cap_up, cap_down, over, ops, node_id,
-                delta_up, delta_down, True, eps,
-            )
-            if status != 0:
-                return status
+            if not placer.ledger.adjust_uplink_id(
+                node_id, delta_up, delta_down, journal, enforce=True
+            ):
+                return 1
             entry = reserved.get(node_id)
             if entry is None:
                 entry = reserved[node_id] = [0.0, 0.0]
@@ -109,13 +150,11 @@ def test_grouped_commit_matches_the_per_pipe_oracle():
                {k: list(v) for k, v in reserved.items()})
         want = per_pipe_commit(
             parent, depth, *ref[:2], cap_up, cap_down, ref[2], [], ref[3],
-            server, peers, EPS,
+            server, peers,
         )
         ops: list = []
-        got = pyref.commit_pipes(
-            parent, depth, used_up, used_down, cap_up, cap_down, over, ops,
-            reserved, server, peers, EPS,
-        )
+        placer = _committer(parent, depth, used_up, used_down, cap_up, cap_down, over)
+        got = commit(placer, ops, reserved, server, peers)
         assert got == want
         outcomes[got] += 1
         if got != 0:
@@ -164,12 +203,10 @@ def test_each_refusal_kind_writes_nothing():
         ref = (list(used_up), list(used_down), set(over), {})
         assert per_pipe_commit(
             parent, depth, *ref[:2], cap, cap, ref[2], [], ref[3], 2,
-            peers, EPS,
+            peers,
         ) == 1, name
-        status = pyref.commit_pipes(
-            parent, depth, used_up, used_down, cap, cap, over, ops,
-            reserved, 2, peers, EPS,
-        )
+        placer = _committer(parent, depth, used_up, used_down, cap, cap, over)
+        status = commit(placer, ops, reserved, 2, peers)
         assert status == 1, name
         assert (used_up, used_down, ops, reserved) == (
             [0.0] * 6, down, [], {}
@@ -184,28 +221,29 @@ def test_ledger_rollback_restores_the_pre_state():
     )
     flat = topology.flat
     servers = [node.node_id for node in topology.servers]
+    nodes = {node_id: SimpleNamespace(node_id=node_id) for node_id in servers}
     for _ in range(60):
         ledger = Ledger(topology)
+        placer = SecondNetPlacer(ledger)
         for node in range(flat.size):
             if node != flat.root_id:
                 ledger._used_up[node] = round(rng.uniform(0.0, 300.0), 3)
                 ledger._used_down[node] = round(rng.uniform(0.0, 300.0), 3)
                 ledger._update_overcommit(node)
         before = _state(ledger._used_up, ledger._used_down, ledger._over, {})
-        journal = Journal()
-        reserved: dict = {}
-        for _vm in range(rng.randint(1, 6)):
+        allocation = SimpleNamespace(
+            journal=Journal(), _reserved={}, vm_server={}, vm_server_ids={}
+        )
+        for vm in range(rng.randint(1, 6)):
             peers = [
                 (rng.choice(servers), round(rng.uniform(0.0, 80.0), 3),
                  rng.random() < 0.5)
                 for _ in range(rng.randint(0, 10))
             ]
-            if pyref.commit_pipes(
-                flat.parent, flat.depth, ledger._used_up, ledger._used_down,
-                flat.cap_up, flat.cap_down, ledger._over, journal.ops,
-                reserved, rng.choice(servers), peers, EPS,
-            ):
+            server = nodes[rng.choice(servers)]
+            if not placer._commit(allocation, vm, server, peers):
                 break
+        journal = allocation.journal
         ledger.rollback(journal)
         assert journal.ops == []
         assert _state(ledger._used_up, ledger._used_down, ledger._over, {}) == before

@@ -1,22 +1,24 @@
-"""The ``rack_order`` kernel against the per-rack sum it replaced.
+"""SecondNet's rack order against the per-rack sum it replaced.
 
-``rack_order`` prices SecondNet's racks once per cost class: racks in
-one pod that host no placed peer take the same branch for every peer,
-so they share a single computed cost, and a rack hosting a peer is its
-own class.  :func:`scan_rack_order` (``tests/placement/scan_candidates``)
-is the loop that priced every rack separately, kept as the oracle: over
-random trees and the symmetric, heterogeneous and fat-tree fabrics,
-with random free-slot aggregates and random placed peers, the kernel
-must return the oracle's rack list, order included.
+``SecondNetPlacer._rack_order`` prices racks once per cost class: racks
+in one pod that host no placed peer take the same branch for every
+peer, so they share a single computed cost, and a rack hosting a peer
+is its own class.  :func:`scan_rack_order`
+(``tests/placement/scan_candidates``) is the loop that priced every
+rack separately, kept as the oracle: over random trees and the
+symmetric, heterogeneous and fat-tree fabrics, with random free-slot
+aggregates and random placed peers, the method must return the oracle's
+rack list, order included.
 """
 
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from repro._kernels import pyref
+from repro.placement.secondnet import SecondNetPlacer
 from repro.topology.builder import (
     DatacenterSpec,
     fat_tree,
@@ -40,6 +42,15 @@ FABRICS = {
     "hetero": lambda: heterogeneous_from_spec(SPEC),
     "fat-tree": lambda: fat_tree(4),
 }
+
+
+def rack_order(parent: list, free: list, racks: list, peers: list) -> list:
+    """``_rack_order`` of a placer over the given tree, slots and racks."""
+    placer = object.__new__(SecondNetPlacer)
+    placer._flat = SimpleNamespace(parent=parent)
+    placer.ledger = SimpleNamespace(_free_subtree=free)
+    placer._rack_ids = racks
+    return placer._rack_order(peers)
 
 
 def _bandwidth(rng: random.Random) -> float:
@@ -85,7 +96,7 @@ def test_rack_order_matches_the_per_rack_oracle_on_random_trees():
         free = [rng.choice([0, 0, 1, 3, 8]) for _ in parent]
         peers = _peers(rng, servers)
         want = scan_rack_order(parent, free, racks, peers)
-        assert pyref.rack_order(parent, free, racks, peers) == want
+        assert rack_order(parent, free, racks, peers) == want
         peer_racks = {parent[peer_id] for peer_id, _, _ in peers}
         pods = [parent[rack] for rack in want if rack not in peer_racks]
         shared += len(pods) > len(set(pods))
@@ -103,4 +114,4 @@ def test_rack_order_matches_the_per_rack_oracle_on_fabrics(fabric):
         free = [rng.choice([0, 1, 4, 16]) for _ in range(flat.size)]
         peers = _peers(rng, servers)
         want = scan_rack_order(flat.parent, free, racks, peers)
-        assert pyref.rack_order(flat.parent, free, racks, peers) == want
+        assert rack_order(flat.parent, free, racks, peers) == want

@@ -5,8 +5,8 @@
 ledger from scratch: the per-level scan the placers' lowest-subtree
 search was written as, and SecondNet's per-VM rebuild and used-desc sort
 of a rack's servers.  :func:`scan_rack_order` is SecondNet's rack sweep
-before the ``rack_order`` kernel shared costs between racks: one
-per-peer sum per rack, then a stable sort by cost.
+before ``SecondNetPlacer._rack_order`` shared costs between racks:
+one per-peer sum per rack, then a stable sort by cost.
 
 :func:`full_scan` runs a placer on both for the length of a ``with``
 block, so a lockstep suite can compare an indexed run against exactly
@@ -16,8 +16,6 @@ the scan path, decision for decision.
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-
-from repro import _kernels
 
 __all__ = ["ScanCandidates", "full_scan", "scan_rack_order", "scan_unless_indexed"]
 
@@ -95,17 +93,22 @@ def full_scan(placer):
     """Run ``placer`` on the full-scan reference inside the block.
 
     The placer and its ledger both hold a :class:`ScanCandidates` from
-    here on, and ``_kernels.rack_order`` is :func:`scan_rack_order`
-    until the block exits.
+    here on, and a SecondNet placer orders its racks by
+    :func:`scan_rack_order` until the block exits.
     """
-    scan = ScanCandidates(placer.ledger)
-    placer._index = placer.ledger._candidate_index = scan
-    rack_order = _kernels.rack_order
-    _kernels.rack_order = scan_rack_order
+    ledger = placer.ledger
+    scan = ScanCandidates(ledger)
+    placer._index = ledger._candidate_index = scan
+    swapped = hasattr(placer, "_rack_order")
+    if swapped:
+        placer._rack_order = lambda peers: scan_rack_order(
+            placer._flat.parent, ledger._free_subtree, placer._rack_ids, peers
+        )
     try:
         yield
     finally:
-        _kernels.rack_order = rack_order
+        if swapped:
+            del placer._rack_order
 
 
 def scan_unless_indexed(placer, use_index):

@@ -7,7 +7,6 @@ from functools import partial
 
 import pytest
 
-from repro import _kernels
 from repro.core.tag import Tag
 from repro.models.voc import VocCluster
 from repro.placement.cloudmirror import CloudMirrorPlacer
@@ -143,37 +142,30 @@ class TestSecondNetPaths:
         placer = SecondNetPlacer(Ledger(small_datacenter))
         tor = small_datacenter.level_nodes(1)[0]
         a, b = list(small_datacenter.servers_under(tor))[:2]
-        links = placer._path_links(a, b)
-        # One hop up from a, one hop down to b.
-        assert {(n.name, up) for n, up in links} == {
-            (a.name, True),
-            (b.name, False),
-        }
+        links = placer._path_link_ids(a.node_id, b.node_id)
+        # One hop up from a, one hop down to b (destination side first).
+        assert links == [(b.node_id, False), (a.node_id, True)]
 
     def test_path_links_cross_pod(self, small_datacenter):
         placer = SecondNetPlacer(Ledger(small_datacenter))
         pods = small_datacenter.level_nodes(2)
         src = next(iter(small_datacenter.servers_under(pods[0])))
         dst = next(iter(small_datacenter.servers_under(pods[1])))
-        links = placer._path_links(src, dst)
-        ups = [n.level for n, up in links if up]
-        downs = [n.level for n, up in links if not up]
+        links = placer._path_link_ids(src.node_id, dst.node_id)
+        node = small_datacenter.node
+        ups = [node(node_id).level for node_id, up in links if up]
+        downs = [node(node_id).level for node_id, up in links if not up]
         # server+tor+agg up on the source side, mirrored down on the dest.
         assert sorted(ups) == [0, 1, 2]
         assert sorted(downs) == [0, 1, 2]
 
     def test_hops_heuristic_ordering(self, small_datacenter):
-        ledger = Ledger(small_datacenter)
-        flat = ledger.flat
+        placer = SecondNetPlacer(Ledger(small_datacenter))
+        flat = placer.ledger.flat
         racks = small_datacenter.level_nodes(1)
         tor_a, tor_far = racks[0], racks[-1]
         server = next(iter(small_datacenter.servers_under(tor_a)))
-        order = _kernels.rack_order(
-            flat.parent,
-            ledger._free_subtree,
-            [rack.node_id for rack in racks],
-            [(server.node_id, 10.0, True)],
-        )
+        order = placer._rack_order([(server.node_id, 10.0, True)])
         # The peer's own rack (2 hops) first, the rest of its pod (4
         # hops) next, the other pod (6 hops) last, each in input order.
         pod = flat.parent[tor_a.node_id]

@@ -18,7 +18,6 @@ import random
 
 import pytest
 
-from repro import _kernels
 from repro.core.bandwidth import uplink_requirement
 from repro.core.tag import Tag
 from repro.obs import core as obs
@@ -509,15 +508,10 @@ def _hex(pair):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_eq1_memo_hit_is_a_fresh_evaluation(seed, monkeypatch):
+def test_eq1_memo_hit_is_a_fresh_evaluation(seed):
     rng = random.Random(seed)
     ledger = Ledger(three_level_tree(SPEC))
-    kernel = _kernels.eq1_requirement
     evaluated = []
-
-    def eq1_requirement(edges, inside):
-        evaluated.append(frozenset(inside.items()))
-        return kernel(edges, inside)
 
     for _ in range(30):
         tag = _random_tag(rng)
@@ -536,15 +530,21 @@ def test_eq1_memo_hit_is_a_fresh_evaluation(seed, monkeypatch):
             assert _hex(fresh(counts)) == _hex((reference.out, reference.into))
             expected.append(_hex(fresh(counts)))
         allocation = TenantAllocation(tag, ledger)
+        compiled = allocation._require
+
+        def counted(inside, _compiled=compiled):
+            evaluated.append(frozenset(inside.items()))
+            return _compiled(inside)
+
+        # The memo evaluates through the allocation's compiled closure.
+        allocation._require = counted
         allocation.memoize()
-        monkeypatch.setattr(_kernels, "eq1_requirement", eq1_requirement)
         # Each vector twice, every time in a fresh insertion order.
         for counts, want in zip(vectors * 2, expected * 2):
             items = list(counts.items())
             rng.shuffle(items)
             assert _hex(allocation._evaluate(dict(items))) == want
-        monkeypatch.setattr(_kernels, "eq1_requirement", kernel)
-        # One kernel evaluation per distinct count vector.
+        # One evaluation per distinct count vector.
         distinct = {frozenset(counts.items()) for counts in vectors}
         assert sorted(evaluated, key=sorted) == sorted(distinct, key=sorted)
         del evaluated[:]

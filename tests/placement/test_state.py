@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.bandwidth import BandwidthDemand
+from repro.core.bandwidth import BandwidthDemand, uplink_requirement
 from repro.core.tag import Tag
 from repro.errors import ReproError
+from repro.models.voc import voc_uplink_requirement
 from repro.obs import core as obs
 from repro.placement.state import TenantAllocation
 from repro.topology.ledger import Ledger
@@ -79,6 +80,22 @@ class TestPlacement:
         # Below the ceiling: server uplink reserved; at/above: nothing yet.
         assert small_ledger.reserved_up(server) == pytest.approx(200.0)
         assert small_ledger.reserved_up(tor) == pytest.approx(0.0)
+
+
+    def test_only_the_two_compiled_requirements_are_taken(
+        self, small_ledger, hose_tag
+    ):
+        """Eq. 1 and VOC are compiled per tag; any other function is
+        refused rather than called per evaluation."""
+
+        def doubled(tag, inside):
+            demand = uplink_requirement(tag, inside)
+            return BandwidthDemand(2 * demand.out, 2 * demand.into)
+
+        with pytest.raises(ValueError, match="no compiled form"):
+            TenantAllocation(hose_tag, small_ledger, doubled)
+        for requirement in (uplink_requirement, voc_uplink_requirement):
+            TenantAllocation(hose_tag, small_ledger, requirement)
 
 
 class TestFinalize:

@@ -16,7 +16,7 @@ and ``finalize`` evaluates once for the whole root path.  Two suites:
 * **what the journals hold** — the structural pins: a tenant that needs
   no bandwidth journals only slots, a split tenant journals only the
   hops that carry traffic, ``release`` drains to pristine, and a probe
-  whose deltas are all zero never reaches the adjust kernel.
+  whose deltas are all zero never reaches the ledger's adjust.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import _kernels
 from repro.core.tag import Tag
 from repro.errors import ReproError
 from repro.placement import cloudmirror, oktopus
@@ -484,16 +483,18 @@ def test_a_split_tenant_journals_only_the_hops_that_carry_traffic(kind):
 
 @pytest.mark.parametrize("kind", ["classic", "temporal"])
 def test_a_probe_with_nothing_to_write_never_reaches_the_kernel(kind, monkeypatch):
+    """The kernel is the ledger's adjust loop: ``adjust_uplink_id`` and
+    its read-only twin ``would_overcommit``."""
     ledger = _ledger(kind)
     calls = []
-    for name in ("ledger_adjust", "temporal_adjust"):
-        kernel = getattr(_kernels, name)
+    for name in ("adjust_uplink_id", "would_overcommit"):
+        method = getattr(ledger, name)
 
-        def counted(*args, _kernel=kernel, _name=name):
+        def counted(*args, _method=method, _name=name, **kwargs):
             calls.append(_name)
-            return _kernel(*args)
+            return _method(*args, **kwargs)
 
-        monkeypatch.setattr(_kernels, name, counted)
+        monkeypatch.setattr(ledger, name, counted)
     loops = _pool(external=False)[4]
     server = SERVERS[0]
     fill = [("a", 2), ("b", 2)]
@@ -506,7 +507,7 @@ def test_a_probe_with_nothing_to_write_never_reaches_the_kernel(kind, monkeypatc
     assert server.node_id not in ledger.overcommitted_nodes()
     assert calls == []
     allocation.rollback(Savepoint(0, 0))
-    # A fill that does change the requirement still replays the kernel.
+    # A fill that does change the requirement still replays the adjust.
     assert allocation.probe(server.node_id, [("a", 1)]) is False
     assert len(calls) == 1
     ledger.adjust_uplink_id(server.node_id, 240.0, 0.0, Journal(), enforce=False)

@@ -222,6 +222,26 @@ class TestDifferentialParity:
             TOTAL_SLOTS - ledger.free_slots(ledger.topology.root)
         )
 
+    def test_a_resumed_run_reports_its_own_rate(self, monkeypatch):
+        # A clock that ticks one second per reading: every run lasts a
+        # whole, non-zero number of seconds.
+        ticks = iter(range(10**6))
+        monkeypatch.setattr(
+            "repro.simulation.service.perf_counter", lambda: float(next(ticks))
+        )
+        pool = _pool()
+        events = _events(pool, count=301)
+        ledger = Ledger(three_level_tree(SPEC))
+        loop = ServiceLoop(ledger, make_placer("cm", ledger), pool)
+        for chunk in (events[:300], events[300:]):
+            timing = loop.run(chunk)["timing"]
+            # Events per second of this call's events, not of the
+            # cumulative count.
+            assert timing["events_per_sec"] * timing["runtime_seconds"] == (
+                pytest.approx(len(chunk))
+            )
+        assert loop.metrics.arrivals == 301
+
     def test_place_span_only_while_tracing(self):
         pool = _pool()
         events = _events(pool, count=100)

@@ -154,15 +154,12 @@ class TestTemporalCluster:
         tenant = TemporalTag(web_tenant(), TemporalProfile((1.0, 0.25)))
         admission = cluster.admit(tenant)
         assert admission is not None
+        up, _ = cluster.ledger.plane_matrices()
         peak_total = sum(
-            cluster.ledger.planes[0].reserved_up(n)
-            for n in cluster.topology.nodes
-            if not n.is_root
+            up[0][n.node_id] for n in cluster.topology.nodes if not n.is_root
         )
         trough_total = sum(
-            cluster.ledger.planes[1].reserved_up(n)
-            for n in cluster.topology.nodes
-            if not n.is_root
+            up[1][n.node_id] for n in cluster.topology.nodes if not n.is_root
         )
         if peak_total > 0:
             assert trough_total == pytest.approx(peak_total * 0.25)

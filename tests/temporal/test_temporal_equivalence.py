@@ -237,6 +237,7 @@ class ReferenceTemporalLedger:
 
 def observable_state(ledger, reference, topology, windows):
     """Compare everything a placer (or a metric) can see, per plane."""
+    up, down = (matrix.tolist() for matrix in ledger.plane_matrices())
     live = (
         {s.node_id: ledger.used_slots_id(s.node_id) for s in topology.servers},
         {n.node_id: ledger.free_slots_id(n.node_id) for n in topology.nodes},
@@ -249,13 +250,7 @@ def observable_state(ledger, reference, topology, windows):
             for n in topology.nodes
         },
         [
-            {
-                n.node_id: (
-                    ledger.planes[w].reserved_up(n),
-                    ledger.planes[w].reserved_down(n),
-                )
-                for n in topology.nodes
-            }
+            {n.node_id: (up[w][n.node_id], down[w][n.node_id]) for n in topology.nodes}
             for w in range(windows)
         ],
         ledger.has_overcommit(),

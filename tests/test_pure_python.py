@@ -1,8 +1,8 @@
-"""The package is pure Python, and its kernels have one implementation.
+"""The package is pure Python, and its hot loops have one implementation.
 
-:mod:`repro._kernels` re-exports :mod:`repro._kernels.pyref`; nothing
-is compiled and nothing chooses between implementations.  This scan
-fails when the tree grows a second implementation back:
+The placement inner loops live in the modules that own their state;
+nothing is compiled and nothing chooses between implementations.  This
+scan fails when the tree grows a second implementation back:
 
 * a ``.c`` file under ``src/``;
 * ``ext_modules`` or ``Extension`` in ``setup.py``;
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import _kernels
+import repro
 from repro.cli import main
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -29,7 +29,7 @@ _EXTENSION = re.compile(r"\b(ext_modules|Extension)\b")
 
 
 def offences(root: Path) -> list[str]:
-    """What under ``root`` builds or selects a second kernel implementation."""
+    """What under ``root`` builds or selects a second implementation."""
     src = root / "src"
     found = [f"{path.relative_to(root)}: C source" for path in sorted(src.rglob("*.c"))]
     setup = root / "setup.py"
@@ -42,7 +42,7 @@ def offences(root: Path) -> list[str]:
 
 
 def test_one_pure_python_kernel_implementation():
-    assert offences(_ROOT) == [], "the kernels live in repro/_kernels/pyref.py alone"
+    assert offences(_ROOT) == [], "the package is pure Python, with no backend switch"
 
 
 def _tree(root: Path, files: dict[str, str]) -> Path:
@@ -89,14 +89,14 @@ def test_the_scan_passes_a_clean_tree(tmp_path):
 
 def test_subprocess_imports_this_tree_from_any_cwd(tmp_path):
     out = subprocess.run(
-        [sys.executable, "-c", "import repro._kernels as k; print(k.__file__)"],
+        [sys.executable, "-c", "import repro; print(repro.__file__)"],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=str(_ROOT / "src")),
         cwd=tmp_path,
     )
     assert out.returncode == 0, out.stderr
-    assert Path(out.stdout.strip()).resolve() == Path(_kernels.__file__).resolve()
+    assert Path(out.stdout.strip()).resolve() == Path(repro.__file__).resolve()
 
 
 class TestVersionCommand:
