@@ -59,7 +59,7 @@ def _env_float(name: str, default: float) -> float:
 def _churn_once(topology, arrivals, pool):
     ledger = Ledger(topology)
     placer = make_placer("cm", ledger)
-    loop = ServiceLoop(ledger, placer, pool, collect_utilization=False)
+    loop = ServiceLoop(ledger, placer, pool)
     started = time.perf_counter()
     outcome = loop.run(arrivals)
     elapsed = time.perf_counter() - started
@@ -70,7 +70,6 @@ def _churn_once(topology, arrivals, pool):
         )
         for allocation in loop.live()
     ]
-    outcome.pop("timing")
     return elapsed, (outcome, layouts, list(ledger._used_slots))
 
 

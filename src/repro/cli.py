@@ -23,12 +23,12 @@ it: the grid overrides the scenario's kind consumes (``--seeds``,
 ``--loads``, ``--bmax``, ``--placers``, ``--pods``, ``--arrivals``; one
 the kind would ignore is refused, not dropped) plus the options the
 scenario's registry entry declares (``repro run table1 --workload
-hpcloud``, ``repro run service --cohort 256``; ``repro run <name> -h``
-lists them).  ``--jobs N`` executes the trial matrix over N worker
-processes (``--jobs 0`` = one per CPU; default: ``os.cpu_count()``
-capped at 8, serial for wall-clock kinds).  ``--store PATH`` makes the
-run persistent: already-computed trials are served from the store and
-fresh ones are recorded as they finish, so an interrupted run resumes.
+hpcloud``; ``repro run <name> -h`` lists them).  ``--jobs N``
+executes the trial matrix over N worker processes (``--jobs 0`` = one
+per CPU; default: ``os.cpu_count()`` capped at 8, serial for
+wall-clock kinds).  ``--store PATH`` makes the run persistent:
+already-computed trials are served from the store and fresh ones are
+recorded as they finish, so an interrupted run resumes.
 ``--shard i/n`` runs one deterministic stride of the matrix; combine
 per-shard stores with ``repro results merge``.  ``repro <name> ...`` is
 nothing but a spelling of ``repro run <name> ...``; there is no

@@ -19,7 +19,6 @@ enforce    :class:`repro.enforcement.scenarios.Fig13Point`
 hose_fail  :class:`repro.enforcement.scenarios.Fig4Outcome`
 temporal   ``{"windows", "tenants", "admitted", "utilization"}``
 failure    survival/churn/recovery dict (see ``run_failure_trial``)
-service    streaming-loop report dict (see ``run_service_trial``)
 survey     raw Fig. 1 ratio data (dict)
 ========== ==========================================================
 
@@ -238,55 +237,6 @@ def run_failure_trial(trial: Trial) -> dict[str, Any]:
     )
 
 
-def run_service_trial(trial: Trial) -> dict[str, Any]:
-    """Cohort-batched service loop over a streaming arrival generator.
-
-    Streams ``trial.arrivals`` events (O(block) memory at any count)
-    through :class:`~repro.simulation.service.ServiceLoop` on a fresh
-    ledger.  Params: ``load_profile`` picks the generator (``poisson``
-    default, or ``diurnal`` for the cyclic day/night rate), ``cohort``
-    the admission batch size, ``heartbeat`` the events between
-    utilization samples.  The payload's ledger ``fingerprint`` makes two
-    runs comparable bit-for-bit; wall-clock lives under ``timing``,
-    which fingerprinting and the codec both treat as non-deterministic.
-    """
-    from repro.engine.context import get_scaled_pool
-    from repro.simulation.arrivals import arrival_stream, diurnal_arrivals
-    from repro.simulation.runner import make_placer
-    from repro.simulation.service import ServiceLoop, ledger_fingerprint
-    from repro.topology.ledger import Ledger
-
-    pool = list(get_scaled_pool(trial.pool, trial.bmax))
-    topology = get_topology(trial.topology.spec)
-    ledger = Ledger(topology)
-    placer = make_placer(trial.variant.placer, ledger, trial.variant.ha)
-    profile = str(trial.param("load_profile", "poisson"))
-    if profile == "poisson":
-        events = arrival_stream(
-            pool, trial.arrivals, trial.load, topology.total_slots, seed=trial.seed
-        )
-    elif profile == "diurnal":
-        events = diurnal_arrivals(
-            pool, trial.arrivals, trial.load, topology.total_slots, seed=trial.seed
-        )
-    else:
-        raise EngineError(
-            f"load_profile must be 'poisson' or 'diurnal', got {profile!r}"
-        )
-    loop = ServiceLoop(
-        ledger,
-        placer,
-        pool,
-        cohort=int(trial.param("cohort", 64)),
-        heartbeat=int(trial.param("heartbeat", 4096)),
-    )
-    report = loop.run(events)
-    report["load_profile"] = profile
-    report["cohort"] = loop.cohort
-    report["fingerprint"] = ledger_fingerprint(ledger)
-    return report
-
-
 def run_survey_trial(trial: Trial) -> dict[str, Any]:
     """Raw Fig. 1 data: workload demand vs datacenter provisioning."""
     from repro.workloads.survey import DATACENTERS, WORKLOADS, datacenter_ratios
@@ -318,7 +268,6 @@ RUNNERS: dict[str, Callable[[Trial], Any]] = {
     "hose_fail": run_hose_failure_trial,
     "temporal": run_temporal_trial,
     "failure": run_failure_trial,
-    "service": run_service_trial,
     "survey": run_survey_trial,
 }
 
@@ -343,9 +292,6 @@ KIND_AXES: dict[str, frozenset[str]] = {
     # The x-axis is the failed-server fraction; every generic axis
     # (load, pool scaling, placer, topology size, seeds) is meaningful.
     "failure": _ALL_AXES,
-    # The streaming loop consumes every generic axis; arrival shape and
-    # cohort size ride on params (--load-profile and scenario overrides).
-    "service": _ALL_AXES,
     "survey": frozenset(),
 }
 

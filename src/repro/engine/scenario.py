@@ -34,7 +34,7 @@ __all__ = [
 # Payload fields that record wall-clock time: excluded from fingerprints
 # so that serial and parallel runs of the same trial compare equal.
 _TIMING_FIELDS = frozenset(
-    {"runtime_seconds", "seconds", "elapsed", "recover_seconds", "timing"}
+    {"runtime_seconds", "seconds", "elapsed", "recover_seconds"}
 )
 
 

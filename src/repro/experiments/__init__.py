@@ -21,7 +21,6 @@ from repro.experiments import (  # noqa: F401  (import-time registration)
     failure_sweep,
     inference_ami,
     runtime_scaling,
-    service_loop,
     table1_reserved_bw,
     temporal_savings,
 )

@@ -15,13 +15,6 @@ The latency estimate is an exponential moving average (alpha 0.2) of
 per-trial wall-clock; ETA divides the remaining trial count by the
 parallel width, so a 4-worker run reports a quarter of the serial
 projection.
-
-Open-ended event streams (the service loop) call ``begin(total=None)``:
-with an indeterminate total there is no remaining count, so no ETA and
-no hit rate — the reporter renders done count, events/sec and elapsed
-time instead, and heartbeat payloads carry ``"total": null``.  Batched
-producers pass ``update(step=n)`` to advance the done count by a whole
-cohort per beat.
 """
 
 from __future__ import annotations
@@ -53,7 +46,7 @@ class ProgressReporter:
         # live mode throttles redraws; json emits every event (consumers
         # want every heartbeat, and trials are never sub-millisecond).
         self.min_interval = min_interval if mode == "live" else 0.0
-        self.total: int | None = 0
+        self.total = 0
         self.done = 0
         self.cache_hits = 0
         self.errors = 0
@@ -65,10 +58,8 @@ class ProgressReporter:
 
     # -- engine-facing protocol -------------------------------------------
 
-    def begin(
-        self, *, total: int | None, cache_hits: int = 0, n_jobs: int = 1
-    ) -> None:
-        """Start reporting; ``total=None`` marks an open-ended stream."""
+    def begin(self, *, total: int, cache_hits: int = 0, n_jobs: int = 1) -> None:
+        """Start reporting on ``total`` trials, ``cache_hits`` of them done."""
         self.total = total
         self.cache_hits = cache_hits
         self.done = cache_hits
@@ -79,19 +70,9 @@ class ProgressReporter:
         elif self.mode == "live":
             self._render_live(force=True)
 
-    def update(
-        self,
-        result: Any = None,
-        *,
-        seconds: float | None = None,
-        step: int = 1,
-    ) -> None:
-        """Record completed work (a TrialResult, raw seconds, or a batch).
-
-        ``step`` advances the done count by a whole batch — event-loop
-        producers beat once per cohort instead of once per event.
-        """
-        self.done += step
+    def update(self, result: Any = None, *, seconds: float | None = None) -> None:
+        """Record one completed trial (a TrialResult, or raw seconds)."""
+        self.done += 1
         if seconds is None and result is not None:
             seconds = getattr(result, "elapsed", None)
             if getattr(result, "cached", False):
@@ -132,8 +113,7 @@ class ProgressReporter:
 
     @property
     def eta_seconds(self) -> float | None:
-        # An indeterminate total has no remaining count to project.
-        if self.ema_seconds is None or self.total is None:
+        if self.ema_seconds is None:
             return None
         remaining = max(0, self.total - self.done)
         return remaining * self.ema_seconds / self.n_jobs
@@ -165,24 +145,15 @@ class ProgressReporter:
         if not force and now - self._last_render < self.min_interval:
             return
         self._last_render = now
-        if self.total is None:
-            # Open-ended stream: there is no total to count toward and
-            # no ETA to project — show throughput and elapsed instead.
-            line = (
-                f"\r[{self.done}] "
-                f"{self.events_per_sec:,.0f}/s  "
-                f"elapsed {_format_seconds(self.elapsed_seconds)}"
-            )
-        else:
-            eta = self.eta_seconds
-            eta_text = _format_seconds(eta) if eta is not None else "--"
-            ema = self.ema_seconds
-            ema_text = f"{ema * 1e3:.0f}ms" if ema is not None else "--"
-            line = (
-                f"\r[{self.done}/{self.total}] "
-                f"hits {self.cache_hits} ({self.hit_rate:.0%})  "
-                f"trial {ema_text}  eta {eta_text}"
-            )
+        eta = self.eta_seconds
+        eta_text = _format_seconds(eta) if eta is not None else "--"
+        ema = self.ema_seconds
+        ema_text = f"{ema * 1e3:.0f}ms" if ema is not None else "--"
+        line = (
+            f"\r[{self.done}/{self.total}] "
+            f"hits {self.cache_hits} ({self.hit_rate:.0%})  "
+            f"trial {ema_text}  eta {eta_text}"
+        )
         print(f"{line:<72}", end="", file=self.stream, flush=True)
         self._wrote_live_line = True
 

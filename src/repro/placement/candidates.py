@@ -277,9 +277,8 @@ class CandidateIndex:
 
         Levels build once and repair in place (del/insort), so these
         numbers are a function of the topology, not of how many events
-        have flowed through the ledger — the service loop exports them
-        as an obs gauge and a test pins that they stay constant across
-        runs of very different lengths.
+        have flowed through the ledger (the bench reports their sum as
+        ``placement.candidates.index_entries``).
         """
         return {
             "levels_built": sum(

@@ -93,10 +93,7 @@ class Codec:
         if isinstance(data, dict) and self.kind not in SERIAL_ONLY_KINDS:
             data = dict(data)  # zero a copy: the caller's payload stays as is
             for key in _TIMING_FIELDS.intersection(data):
-                timing = data[key]
-                data[key] = (
-                    dict.fromkeys(timing, 0.0) if isinstance(timing, dict) else 0.0
-                )
+                data[key] = 0.0
         return json.dumps(
             data, sort_keys=True, separators=(",", ":"), default=_fields
         )
@@ -220,20 +217,6 @@ def _temporal_metrics(payload: dict) -> dict[str, float]:
     }
 
 
-def _service_metrics(payload: dict) -> dict[str, float]:
-    arrivals = payload["arrivals"]
-    return {
-        "rejection_rate": payload["rejection_rate"],
-        "windowed_rejection_rate": payload["windowed_rejection_rate"],
-        "accepted_fraction": (
-            payload["accepted"] / arrivals if arrivals else 0.0
-        ),
-        "departures": float(payload["departures"]),
-        "mean_slot_utilization": payload["utilization"]["mean_slot"],
-        "mean_bw_utilization": payload["utilization"]["mean_bw"],
-    }
-
-
 def _failure_metrics(payload: dict) -> dict[str, float]:
     victims = payload["victims"]
     return {
@@ -271,7 +254,6 @@ _BUILTIN_CODECS = {
     "enforce": (_enforce_metrics, "repro.enforcement.scenarios:Fig13Point"),
     "hose_fail": (_hose_fail_metrics, "repro.enforcement.scenarios:Fig4Outcome"),
     "temporal": (_temporal_metrics, None),
-    "service": (_service_metrics, None),
     "failure": (_failure_metrics, None),
     "survey": (None, None),
     # Per-trial trace exports (repro.results.telemetry), registered here

@@ -24,7 +24,6 @@ __all__ = [
     "Arrival",
     "arrival_rate_for_load",
     "arrival_stream",
-    "diurnal_arrivals",
     "poisson_arrivals",
     "trace_arrivals",
 ]
@@ -36,21 +35,6 @@ class Arrival(NamedTuple):
     time: float
     tenant_index: int
     dwell: float
-
-
-def _records(
-    times: list[float], indices: np.ndarray, dwells: np.ndarray
-) -> Iterator[Arrival]:
-    """One lazy ``Arrival`` per row, with no Python-level call per record.
-
-    ``tolist()`` yields the same doubles and ints that ``float()`` /
-    ``int()`` of each numpy scalar would (``times`` is already a list
-    because the diurnal clock is accumulated in Python).
-    """
-    return map(
-        partial(tuple.__new__, Arrival),
-        zip(times, indices.tolist(), dwells.tolist()),
-    )
 
 
 def arrival_rate_for_load(
@@ -86,21 +70,6 @@ def poisson_arrivals(
     )
 
 
-def _stream_inputs(
-    pool: Sequence[Tag], count: int, mean_dwell: float, block: int
-) -> float:
-    """Shared validation for the streaming generators; returns mean size."""
-    if not pool:
-        raise SimulationError("tenant pool is empty")
-    if count <= 0:
-        raise SimulationError(f"need a positive arrival count, got {count}")
-    if mean_dwell <= 0:
-        raise SimulationError(f"mean dwell must be positive, got {mean_dwell}")
-    if block <= 0:
-        raise SimulationError(f"block size must be positive, got {block}")
-    return float(np.mean([tag.size for tag in pool]))
-
-
 def arrival_stream(
     pool: Sequence[Tag],
     count: int,
@@ -114,14 +83,21 @@ def arrival_stream(
     """Poisson arrivals with exponential dwells, in O(block) memory.
 
     Random draws happen in numpy blocks of ``block`` events (three bulk
-    draws per block: gaps, tenant indices, dwells), so a million-event
-    service run never holds the event list.  :func:`poisson_arrivals`
-    is this stream with ``block == count``; smaller blocks interleave
-    the draws differently and give a statistically identical but
-    distinct stream.  Arguments are checked here, at the call, not at
+    draws per block: gaps, tenant indices, dwells), so a long run never
+    holds the event list.  :func:`poisson_arrivals` is this stream with
+    ``block == count``; smaller blocks interleave the draws differently
+    and give a statistically identical but distinct stream.  Arguments are checked here, at the call, not at
     the first ``next()``.
     """
-    mean_size = _stream_inputs(pool, count, mean_dwell, block)
+    if not pool:
+        raise SimulationError("tenant pool is empty")
+    if count <= 0:
+        raise SimulationError(f"need a positive arrival count, got {count}")
+    if mean_dwell <= 0:
+        raise SimulationError(f"mean dwell must be positive, got {mean_dwell}")
+    if block <= 0:
+        raise SimulationError(f"block size must be positive, got {block}")
+    mean_size = float(np.mean([tag.size for tag in pool]))
     rate = arrival_rate_for_load(load, total_slots, mean_size, mean_dwell)
 
     def blocks() -> Iterator[Iterator[Arrival]]:
@@ -134,68 +110,13 @@ def arrival_stream(
             indices = rng.integers(0, len(pool), size=n)
             dwells = rng.exponential(mean_dwell, size=n)
             clock = float(times[-1])
-            yield _records(times.tolist(), indices, dwells)
-
-    return chain.from_iterable(blocks())
-
-
-def diurnal_arrivals(
-    pool: Sequence[Tag],
-    count: int,
-    load: float,
-    total_slots: int,
-    *,
-    factors: Sequence[float] | None = None,
-    day_length: float = 1.0,
-    mean_dwell: float = 1.0,
-    seed: int = 0,
-    block: int = 8192,
-) -> Iterator[Arrival]:
-    """Diurnal load: the Poisson rate follows a cyclic window profile.
-
-    ``factors`` gives one relative rate per window of the day (default: a
-    24-window day/night cycle from
-    :func:`repro.temporal.profile.diurnal_profile`); the factors are
-    normalized by their mean so ``load`` stays the *time-averaged* load
-    and only the shape changes.  Inter-arrival gaps are sampled as unit
-    exponentials scaled by the instantaneous rate of the window the
-    clock currently sits in — the standard piecewise-constant thinning
-    equivalent — and dwell times stay exponential, so the stream drops
-    into the same loops as the flat Poisson one.  Arguments are checked
-    at the call, like :func:`arrival_stream`.
-    """
-    mean_size = _stream_inputs(pool, count, mean_dwell, block)
-    if factors is None:
-        from repro.temporal.profile import diurnal_profile
-
-        factors = diurnal_profile(24).factors
-    factors = tuple(float(f) for f in factors)
-    if not factors or min(factors) <= 0:
-        raise SimulationError("diurnal factors must be positive")
-    if day_length <= 0:
-        raise SimulationError(f"day length must be positive, got {day_length}")
-    base_rate = arrival_rate_for_load(load, total_slots, mean_size, mean_dwell)
-    total = 0.0
-    for factor in factors:  # not sum(): compensated from 3.12, values are pinned
-        total += factor
-    mean_factor = total / len(factors)
-    rates = tuple(base_rate * f / mean_factor for f in factors)
-    window_length = day_length / len(factors)
-
-    def blocks() -> Iterator[Iterator[Arrival]]:
-        rng = np.random.default_rng(seed)
-        clock = 0.0
-        for emitted in range(0, count, block):
-            n = min(block, count - emitted)
-            units = rng.exponential(1.0, size=n)
-            indices = rng.integers(0, len(pool), size=n)
-            dwells = rng.exponential(mean_dwell, size=n)
-            times = []
-            for unit in units.tolist():
-                window = int(clock / window_length) % len(rates)
-                clock += unit / rates[window]
-                times.append(clock)
-            yield _records(times, indices, dwells)
+            # tolist() yields the same doubles and ints that float() /
+            # int() of each numpy scalar would, with no Python-level
+            # call per record.
+            yield map(
+                partial(tuple.__new__, Arrival),
+                zip(times.tolist(), indices.tolist(), dwells.tolist()),
+            )
 
     return chain.from_iterable(blocks())
 

@@ -86,7 +86,7 @@ def run_failure_scenario(
     """Load, fail, recover; returns the survival/churn payload dict."""
     ledger = Ledger(topology)
     placer = make_placer(placer_name, ledger, ha)
-    loop = ServiceLoop(ledger, placer, pool, collect_utilization=False)
+    loop = ServiceLoop(ledger, placer, pool)
     loop.run(poisson_arrivals(pool, arrivals, load, topology.total_slots, seed=seed))
     placed = loop.live()
     placed_vms = sum(allocation.tag.size for allocation in placed)

@@ -88,14 +88,10 @@ def run_rejections(
     calls' wall clock."""
     metrics = RunMetrics()
     loop = ServiceLoop(
-        ledger,
-        placer,
-        pool,
-        collect_utilization=False,
-        on_decision=metrics.recorder(ledger, laa_level),
+        ledger, placer, pool, on_decision=metrics.recorder(ledger, laa_level)
     )
     loop.run(events)
-    metrics.runtime_seconds = loop.metrics.place_latency.total
+    metrics.runtime_seconds = loop.place_seconds
     return metrics
 
 

@@ -103,8 +103,8 @@ class TemporalLedger(ReservationLedger):
         # Ratio memo: profiles hash by their factors tuple, and the
         # window-to-peak ratios are a pure function of them, so a pool
         # of ~80 recurring tenants computes each division exactly once
-        # over a million-event service run.  ``_active_profile`` is the
-        # identity fast path for back-to-back activations of one profile.
+        # over a whole run.  ``_active_profile`` is the identity fast
+        # path for back-to-back activations of one profile.
         self._ratio_cache: dict[TemporalProfile, tuple[float, ...]] = {}
         self._active_profile: TemporalProfile | None = None
 

@@ -161,7 +161,6 @@ class TestRegistry:
         "fig13",
         "inference",
         "runtime",
-        "service",
         "table1",
         "temporal",
     }

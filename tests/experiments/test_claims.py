@@ -57,6 +57,13 @@ def test_every_claim_measures_and_prints_one_line(name, capsys):
     assert len(VERDICT.findall(capsys.readouterr().out)) == len(entry.claims)
 
 
+def test_only_the_failure_scenario_checks_no_claim():
+    # A registered scenario checks what the paper states about it; the
+    # failure sweep is the one still without its claim rows.
+    unclaimed = {entry.scenario.name for entry in registry.entries() if not entry.claims}
+    assert unclaimed == {"failure"}
+
+
 def _run(capsys, *argv: str) -> str:
     assert main(["run", *argv]) == 0
     return capsys.readouterr().out

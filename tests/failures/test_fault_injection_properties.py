@@ -77,7 +77,6 @@ def _stream(topology, placer_name, use_index, order, failed=()):
         ledger,
         placer,
         POOL,
-        collect_utilization=False,
         on_decision=lambda tag, allocation: outcomes.append(allocation is not None),
     )
     with scan_unless_indexed(placer, use_index):
@@ -194,7 +193,7 @@ def test_recovery_leaves_no_dangling_allocations(failed, use_index, seed):
     ledger = Ledger(TOPOLOGY)
     placer = make_placer("cm", ledger)
     with scan_unless_indexed(placer, use_index):
-        loop = ServiceLoop(ledger, placer, POOL, collect_utilization=False)
+        loop = ServiceLoop(ledger, placer, POOL)
         loop.run(Arrival(0.0, rng.randrange(len(POOL)), math.inf) for _ in range(12))
         mask = ledger.ensure_failure_mask()
         journal = Journal()

@@ -111,7 +111,6 @@ def _run_stream(
         ledger,
         placer,
         pool,
-        collect_utilization=False,
         on_decision=lambda tag, allocation: outcomes.append(allocation is not None),
     )
     arrivals = [

@@ -107,52 +107,3 @@ def test_format_seconds_buckets():
     assert _format_seconds(57.4) == "57s"
     assert _format_seconds(123) == "2m03s"
     assert _format_seconds(3900) == "1h05m"
-
-
-class TestIndeterminateTotal:
-    """Open-ended streams: begin(total=None) — throughput, not ETA."""
-
-    def test_no_eta_or_hit_rate_without_a_total(self):
-        p = ProgressReporter("off")
-        p.begin(total=None)
-        p.update(seconds=0.5)
-        assert p.eta_seconds is None  # nothing to project against
-        assert p.hit_rate == 0.0
-
-    def test_step_advances_done_by_whole_cohorts(self):
-        p = ProgressReporter("off")
-        p.begin(total=None)
-        p.update(step=256)
-        p.update(step=128)
-        assert p.done == 384
-
-    def test_events_per_sec_is_positive_after_work(self):
-        p = ProgressReporter("off")
-        p.begin(total=None)
-        p.update(step=1000)
-        assert p.events_per_sec > 0
-        assert p.elapsed_seconds >= 0
-
-    def test_json_heartbeats_carry_null_total(self):
-        stream = io.StringIO()
-        p = ProgressReporter("json", stream=stream)
-        p.begin(total=None)
-        p.update(step=512)
-        p.close()
-        lines = [json.loads(line) for line in stream.getvalue().splitlines()]
-        assert all(line["total"] is None for line in lines)
-        assert all(line["eta_seconds"] is None for line in lines)
-        assert lines[1]["done"] == 512
-        assert "events_per_sec" in lines[1]
-
-    def test_live_line_shows_throughput_instead_of_eta(self):
-        stream = io.StringIO()
-        p = ProgressReporter("live", stream=stream, min_interval=0.0)
-        p.begin(total=None)
-        p.update(step=100)
-        p.close()
-        text = stream.getvalue()
-        assert "[100]" in text
-        assert "/s" in text
-        assert "elapsed" in text
-        assert "eta" not in text

@@ -101,14 +101,6 @@ def _telemetry_payload():
     }
 
 
-def _service_payload():
-    # Canonical like _rejection_payload: the whole "timing" block is wall
-    # clock, so the codec zeroes it in the persisted encoding.
-    payload = execute_trial(_trial("service")).payload
-    payload["timing"] = {key: 0.0 for key in payload["timing"]}
-    return payload
-
-
 def _temporal_payload():
     return {
         "windows": 4,
@@ -127,7 +119,6 @@ PAYLOAD_FACTORIES = {
     "hose_fail": _hose_fail_payload,
     "survey": _survey_payload,
     "temporal": _temporal_payload,
-    "service": _service_payload,
     "failure": _failure_payload,
     "telemetry": _telemetry_payload,
 }
@@ -205,12 +196,9 @@ def test_hose_fail_payload_roundtrip_is_dataclass():
 def test_wall_clock_fields_are_zeroed_except_in_measurement_kinds():
     rejection = _rejection_payload()
     rejection.runtime_seconds = 1.25
-    service = _service_payload()
-    service["timing"] = {key: 3.5 for key in service["timing"]}
     failure = _failure_payload()
     failure["recover_seconds"] = 0.5
-    for kind, payload in (("rejection", rejection), ("service", service),
-                          ("failure", failure)):
+    for kind, payload in (("rejection", rejection), ("failure", failure)):
         assert codec_for(kind).encode(payload) == WIRE[kind]
     # The runtime kind's reading is its payload: stored as measured.
     assert '"seconds":0.0123' in codec_for("runtime").encode(_runtime_payload())

@@ -14,7 +14,6 @@ from repro.simulation.arrivals import (
     Arrival,
     arrival_rate_for_load,
     arrival_stream,
-    diurnal_arrivals,
     poisson_arrivals,
     trace_arrivals,
 )
@@ -141,50 +140,6 @@ class TestArrivalStream:
             arrival_stream(_pool(), 10, 0.0, 1000)
 
 
-class TestDiurnalArrivals:
-    def test_count_monotone_and_load_preserving(self):
-        flat = list(arrival_stream(_pool(), 4000, 0.5, 1000, seed=3))
-        cyclic = list(
-            diurnal_arrivals(_pool(), 4000, 0.5, 1000, seed=3, day_length=0.5)
-        )
-        assert len(cyclic) == 4000
-        times = [a.time for a in cyclic]
-        assert times == sorted(times)
-        # Factors are normalized by their mean, so the time-averaged rate
-        # (total span for the same event count) matches the flat stream.
-        assert cyclic[-1].time == pytest.approx(flat[-1].time, rel=0.15)
-
-    def test_rate_modulation_follows_factors(self):
-        # A 2-window day with a 9:1 ratio should cram most arrivals into
-        # the fast half-day windows.
-        cyclic = list(
-            diurnal_arrivals(
-                _pool(), 6000, 0.5, 1000,
-                factors=(9.0, 1.0), day_length=1.0, seed=4,
-            )
-        )
-        window_length = 0.5
-        fast = sum(
-            1 for a in cyclic if int(a.time / window_length) % 2 == 0
-        )
-        assert fast / len(cyclic) > 0.8
-
-    def test_validation(self):
-        # The call raises, as for arrival_stream.
-        with pytest.raises(SimulationError):
-            diurnal_arrivals(_pool(), 10, 0.5, 1000, factors=(1.0, 0.0))
-        with pytest.raises(SimulationError):
-            diurnal_arrivals(_pool(), 10, 0.5, 1000, factors=())
-        with pytest.raises(SimulationError):
-            diurnal_arrivals(_pool(), 10, 0.5, 1000, day_length=0.0)
-        with pytest.raises(SimulationError):
-            diurnal_arrivals([], 10, 0.5, 1000)
-        with pytest.raises(SimulationError):
-            diurnal_arrivals(_pool(), 0, 0.5, 1000)
-        with pytest.raises(SimulationError):
-            diurnal_arrivals(_pool(), 10, 0.5, 1000, block=-1)
-
-
 class TestTraceArrivals:
     def test_passthrough(self):
         events = [(0.0, 0, 1.0), (0.5, 2, 0.25), (0.5, 1, 3.0)]
@@ -264,7 +219,6 @@ STREAM_PINS = {
     "poisson": "5254e72bd55a07622739dbb6e904d3d8f98ab5a28292aac954ac09c95faf7ff9",
     "stream-8192": "c8512ab849779c1f3ebc0b5a789b99b18bb90268840f087c9274f1b58e301dbf",
     "stream-1000": "bad5f0fc90b7a4f357631edaa52dbd1ed0ed5af5c0568241f2fdd3a932385029",
-    "diurnal": "ca1be314e6785063ef16c64a427a3e92d1c5ee4cf35275b166201fbc40f4d52a",
 }
 
 
@@ -274,7 +228,6 @@ def _pinned_streams():
         "poisson": poisson_arrivals(*args, seed=2014),
         "stream-8192": arrival_stream(*args, seed=2014),
         "stream-1000": arrival_stream(*args, seed=2014, block=1000),
-        "diurnal": diurnal_arrivals(*args, seed=2014),
     }
 
 

@@ -1,4 +1,4 @@
-"""The service loop: differential parity, paper-figure metrics, O(1) memory.
+"""The service loop: differential parity and paper-figure metrics.
 
 The load-bearing suite is differential: for every placer the repo ships,
 :class:`~repro.simulation.service.ServiceLoop` at cohort sizes 1, 7 and
@@ -13,8 +13,6 @@ from __future__ import annotations
 import heapq
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.obs import core as obs
@@ -23,12 +21,10 @@ from repro.placement.base import Placement
 from repro.placement.ha import HaPolicy, allocation_wcs
 from repro.simulation.arrivals import poisson_arrivals
 from repro.simulation.metrics import RunMetrics, UtilizationSample
-from repro.simulation.runner import make_placer
+from repro.simulation.runner import PLACER_NAMES, make_placer
 from repro.simulation.service import (
-    LatencyHistogram,
-    RejectionWindow,
+    ServiceCounts,
     ServiceLoop,
-    StreamingServiceMetrics,
     ledger_fingerprint,
 )
 from repro.topology.builder import DatacenterSpec, three_level_tree
@@ -130,12 +126,24 @@ def _service_run(placer_name, pool, events, *, cohort, ha=None):
 
 PARITY_CASES = [
     ("cm", None, _pool),
+    ("cm-coloc-only", None, _pool),
+    ("cm-balance-only", None, _pool),
     ("ovoc", None, _pool),
     ("secondnet", None, _pool),
     ("cm", HaPolicy(required_wcs=0.5, laa_level=0), _pool),
+    ("ovoc", HaPolicy(required_wcs=0.5, laa_level=0), _pool),
     ("cm", HaPolicy(opportunistic=True, laa_level=0), _giant_pool),
 ]
-PARITY_IDS = ["cm", "ovoc", "secondnet", "cm+ha", "cm+oppha"]
+PARITY_IDS = [
+    "cm",
+    "cm-coloc-only",
+    "cm-balance-only",
+    "ovoc",
+    "secondnet",
+    "cm+ha",
+    "ovoc+ha",
+    "cm+oppha",
+]
 
 
 class TestDifferentialParity:
@@ -198,6 +206,54 @@ class TestDifferentialParity:
         assert resumed[:2] == (expected, end_state)
         assert resumed[2] == run(events)[2]  # same residents, same order
 
+    def test_a_resumed_run_reports_the_whole_stream(self):
+        # The counts are cumulative: a stream fed in two parts reports
+        # what the whole stream in one part does.  Only the cut itself
+        # may end one cohort early.
+        pool = _pool()
+        events = _events(pool, load=1.8)
+
+        def report(*parts):
+            ledger = Ledger(three_level_tree(SPEC))
+            loop = ServiceLoop(ledger, make_placer("cm", ledger), pool, cohort=16)
+            for part in parts:
+                result = loop.run(part)
+            return result
+
+        whole = report(events)
+        resumed = report(events[:150], events[150:])
+        assert 0 <= resumed.pop("cohorts") - whole.pop("cohorts") <= 1
+        assert resumed.pop("max_cohort") <= whole.pop("max_cohort")
+        assert resumed == whole
+        assert whole["arrivals"] == len(events)
+
+    def test_gate_rejections_reach_observe_and_nothing_else(self):
+        pool = _giant_pool()
+        events = _events(pool, count=200)
+        ledger = Ledger(three_level_tree(SPEC))
+        tap = _ObservingTap(make_placer("cm", ledger))
+        decided = []
+        loop = ServiceLoop(
+            ledger,
+            tap,
+            pool,
+            on_decision=lambda tag, allocation: decided.append((tag, allocation)),
+        )
+        report = loop.run(events)
+        # Each arrival is either placed or observed, never both.
+        assert len(tap.placed) + len(tap.observed) == report["arrivals"]
+        giants = sum(1 for event in events if pool[event.tenant_index].name == "giant")
+        assert 0 < giants <= len(tap.observed)
+        assert "giant" not in {tag.name for tag in tap.placed}
+        # The hook hears every arrival, in order; an observed one as a
+        # rejection.
+        assert [tag.name for tag, _ in decided] == [
+            pool[event.tenant_index].name for event in events
+        ]
+        rejected = [tag for tag, allocation in decided if allocation is None]
+        assert len(rejected) == report["rejected"]
+        assert len(tap.observed) <= len(rejected)
+
     def test_live_is_the_resident_set_in_admission_order(self):
         pool = _pool()
         events = _events(pool)
@@ -222,25 +278,21 @@ class TestDifferentialParity:
             TOTAL_SLOTS - ledger.free_slots(ledger.topology.root)
         )
 
-    def test_a_resumed_run_reports_its_own_rate(self, monkeypatch):
-        # A clock that ticks one second per reading: every run lasts a
-        # whole, non-zero number of seconds.
+    def test_place_seconds_sums_the_placer_calls_only(self, monkeypatch):
+        # A clock that ticks one second per reading: each place() call
+        # adds exactly one second, a gate rejection none, in every run.
         ticks = iter(range(10**6))
         monkeypatch.setattr(
             "repro.simulation.service.perf_counter", lambda: float(next(ticks))
         )
-        pool = _pool()
-        events = _events(pool, count=301)
+        pool = _giant_pool()
+        events = _events(pool, count=200)
         ledger = Ledger(three_level_tree(SPEC))
-        loop = ServiceLoop(ledger, make_placer("cm", ledger), pool)
-        for chunk in (events[:300], events[300:]):
-            timing = loop.run(chunk)["timing"]
-            # Events per second of this call's events, not of the
-            # cumulative count.
-            assert timing["events_per_sec"] * timing["runtime_seconds"] == (
-                pytest.approx(len(chunk))
-            )
-        assert loop.metrics.arrivals == 301
+        tap = _DecisionTap(make_placer("cm", ledger))
+        loop = ServiceLoop(ledger, tap, pool)
+        loop.run(events[:150])
+        loop.run(events[150:])
+        assert loop.place_seconds == len(tap.decisions) < len(events)
 
     def test_place_span_only_while_tracing(self):
         pool = _pool()
@@ -268,38 +320,111 @@ class _DecisionTap:
         return result
 
 
+class _ObservingTap:
+    """A placer that notes which tags it was asked to place and which
+    it only heard of through ``observe``."""
+
+    def __init__(self, placer):
+        self._placer = placer
+        self.placed: list = []
+        self.observed: list = []
+
+    def place(self, tag):
+        self.placed.append(tag)
+        return self._placer.place(tag)
+
+    def observe(self, tag):
+        self.observed.append(tag)
+        self._placer.observe(tag)
+
+
+def _reference_cohorts(events, accepted, cap):
+    """Cohort count and largest cohort of a stream, from its definition:
+    a new cohort starts at the first arrival, after ``cap`` arrivals, and
+    wherever a departure falls due at or before an arrival."""
+    due: list[float] = []
+    cohorts = largest = batch = 0
+    for event, ok in zip(events, accepted):
+        departed = False
+        while due and due[0] <= event.time:
+            heapq.heappop(due)
+            departed = True
+        if batch == 0 or departed or batch == cap:
+            cohorts += 1
+            batch = 0
+        batch += 1
+        largest = max(largest, batch)
+        if ok:
+            heapq.heappush(due, event.time + event.dwell)
+    return cohorts, largest
+
+
+class TestCohorts:
+    @pytest.mark.parametrize("cohort", [1, 7, 64, 10**6])
+    def test_cohorts_are_the_departure_free_runs(self, cohort):
+        pool = _pool()
+        events = _events(pool, count=600, load=1.4)
+        expected, _, _ = _per_event_run("cm", pool, events)
+        ledger = Ledger(three_level_tree(SPEC))
+        loop = ServiceLoop(ledger, make_placer("cm", ledger), pool, cohort=cohort)
+        report = loop.run(events)
+        cohorts, largest = _reference_cohorts(events, expected, cohort)
+        assert (report["cohorts"], report["max_cohort"]) == (cohorts, largest)
+        assert largest <= cohort
+        assert report["cohorts"] < len(events) or cohort == 1
+
+
+class TestServiceCounts:
+    def test_report_carries_every_count_and_the_rate(self):
+        report = ServiceCounts().report()
+        assert set(report) == {
+            "arrivals",
+            "accepted",
+            "rejected",
+            "departures",
+            "vms_total",
+            "vms_rejected",
+            "bw_total",
+            "bw_rejected",
+            "cohorts",
+            "max_cohort",
+            "rejection_rate",
+        }
+        assert report["rejection_rate"] == 0.0  # no arrivals, no division
+
+    def test_rejection_rate_counts_tenants_not_vms(self):
+        counts = ServiceCounts(arrivals=8, accepted=6, rejected=2, vms_total=40)
+        counts.vms_rejected = 30
+        assert counts.report()["rejection_rate"] == 0.25
+
+
 class TestOverloadParity:
     """Load 100: the gate rejects nearly everything, in long runs.
 
     The suite above stops at load 2.0, where a run of gate rejections is
-    rarely longer than a handful; here runs span whole cohorts and wrap
-    the rejection window many times over, which is what the run-length
-    window call and the tracked departure time have to survive.
+    rarely longer than a handful; here runs span whole cohorts, which is
+    what the tracked departure time has to survive.
     """
 
     COUNT = 8000
 
-    @pytest.fixture(scope="class")
-    def reference(self):
+    @pytest.fixture(scope="class", params=PLACER_NAMES)
+    def reference(self, request):
+        # Every placer: the gate claims each one's first check is the
+        # same root free-slot comparison, so none may admit what it gates.
         pool = _pool()
         events = _events(pool, count=self.COUNT, load=100.0, seed=5)
-        expected, end_state, metrics = _per_event_run("cm", pool, events)
-        return pool, events, expected, end_state, metrics
+        expected, end_state, metrics = _per_event_run(request.param, pool, events)
+        return request.param, pool, events, expected, end_state, metrics
 
-    @pytest.mark.parametrize("window", [5, 1024])
     @pytest.mark.parametrize("cohort", [1, 7, 64, 256])
-    def test_bit_identical_to_per_event_loop(self, reference, cohort, window):
-        pool, events, expected, end_state, metrics = reference
+    def test_bit_identical_to_per_event_loop(self, reference, cohort):
+        placer_name, pool, events, expected, end_state, metrics = reference
         ledger = Ledger(three_level_tree(SPEC))
-        tap = _DecisionTap(make_placer("cm", ledger))
+        tap = _DecisionTap(make_placer(placer_name, ledger))
         heard: list[bool] = []
         loop = ServiceLoop(
-            ledger,
-            tap,
-            pool,
-            cohort=cohort,
-            window=window,
-            on_decision=_accepts(heard),
+            ledger, tap, pool, cohort=cohort, on_decision=_accepts(heard)
         )
         report = loop.run(iter(events))
 
@@ -331,49 +456,12 @@ class TestOverloadParity:
             for event, ok in zip(events, expected)
             if ok and event.time + event.dwell <= last
         )
-        tail = expected[-window:]
-        assert report["windowed_rejection_rate"] == tail.count(False) / len(tail)
-        # The ring itself, not just its rate: a run handed over late (after
-        # the placer decision that ended it) would shift the zeros.
-        replayed = RejectionWindow(window)
-        for ok in expected:
-            replayed.add(not ok)
-        for slot in RejectionWindow.__slots__:
-            assert getattr(loop.metrics.window, slot) == getattr(replayed, slot), slot
         assert report["max_cohort"] <= cohort
         if cohort == 1:
             assert report["cohorts"] == self.COUNT
 
 
 class TestStreamingMemory:
-    def _footprint_after(self, count):
-        pool = _pool()
-        events = _events(pool, count=count, load=2.0)
-        ledger = Ledger(three_level_tree(SPEC))
-        loop = ServiceLoop(
-            ledger, make_placer("cm", ledger), pool, cohort=32, heartbeat=128
-        )
-        loop.run(events)
-        return loop.metrics.footprint()
-
-    def test_footprint_independent_of_event_count(self):
-        # The O(1)-memory claim: a 10x longer run stores not one more
-        # scalar than a short one.
-        assert self._footprint_after(200) == self._footprint_after(2000)
-
-    def test_metrics_gauges_exported(self):
-        pool = _pool()
-        events = _events(pool, count=300)
-        with obs.enabled_scope() as counters:
-            ledger = Ledger(three_level_tree(SPEC))
-            loop = ServiceLoop(
-                ledger, make_placer("cm", ledger), pool, cohort=16, heartbeat=64
-            )
-            loop.run(events)
-            assert counters["service.metrics_entries"] == loop.metrics.footprint()
-            # The persistent index footprint is O(topology), not O(events).
-            assert counters["service.index_entries"] > 0
-
     def test_index_is_built_once_per_level(self):
         pool = _pool()
         events = _events(pool, count=400, load=1.8)
@@ -392,7 +480,6 @@ class TestStreamingMemory:
         report = loop.run([])
         assert report["arrivals"] == 0
         assert report["rejection_rate"] == 0.0
-        assert report["timing"]["p50_place_ms"] == 0.0
 
 
 class TestServiceLoopValidation:
@@ -402,100 +489,4 @@ class TestServiceLoopValidation:
         with pytest.raises(SimulationError):
             ServiceLoop(ledger, placer, _pool(), cohort=0)
         with pytest.raises(SimulationError):
-            ServiceLoop(ledger, placer, _pool(), heartbeat=0)
-        with pytest.raises(SimulationError):
             ServiceLoop(ledger, placer, [])
-
-
-class TestLatencyHistogram:
-    def test_quantiles_track_inserted_scale(self):
-        histogram = LatencyHistogram()
-        for _ in range(95):
-            histogram.add(1e-4)
-        for _ in range(5):
-            histogram.add(1e-1)
-        assert histogram.quantile(0.5) == pytest.approx(1e-4, rel=0.5)
-        assert histogram.quantile(0.99) == pytest.approx(1e-1, rel=0.5)
-        assert histogram.mean == pytest.approx((95 * 1e-4 + 5 * 1e-1) / 100)
-
-    def test_under_and_overflow_buckets(self):
-        histogram = LatencyHistogram(buckets=8, lo=1e-3, hi=1.0)
-        histogram.add(1e-9)
-        histogram.add(50.0)
-        assert histogram.counts[0] == 1
-        assert histogram.counts[-1] == 1
-        assert histogram.quantile(0.0) == pytest.approx(5e-4)
-        assert histogram.quantile(1.0) == 1.0
-
-    def test_empty_and_validation(self):
-        histogram = LatencyHistogram()
-        assert histogram.quantile(0.5) == 0.0
-        assert histogram.mean == 0.0
-        with pytest.raises(SimulationError):
-            histogram.quantile(1.5)
-        with pytest.raises(SimulationError):
-            LatencyHistogram(buckets=2)
-
-    def test_footprint_constant(self):
-        histogram = LatencyHistogram()
-        before = histogram.footprint()
-        for i in range(10_000):
-            histogram.add(1e-6 * (i + 1))
-        assert histogram.footprint() == before
-
-
-class TestRejectionWindow:
-    def test_windowed_rate_forgets_old_decisions(self):
-        window = RejectionWindow(size=4)
-        for _ in range(4):
-            window.add(True)
-        assert window.rate == 1.0
-        for _ in range(4):
-            window.add(False)
-        assert window.rate == 0.0
-        window.add(True)
-        assert window.rate == 0.25
-
-    def test_partial_fill_and_validation(self):
-        window = RejectionWindow(size=8)
-        assert window.rate == 0.0
-        window.add(True)
-        window.add(False)
-        assert window.filled == 2
-        assert window.rate == 0.5
-        with pytest.raises(SimulationError):
-            RejectionWindow(size=0)
-
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        size=st.integers(1, 17),
-        prefix=st.lists(st.booleans(), max_size=60),
-        data=st.data(),
-    )
-    def test_a_run_of_rejections_is_that_many_adds(self, size, prefix, data):
-        # Sizes 1..17 and n in 0..3*size reach the unfilled ring, the
-        # wrap-around and n >= size from every prefix state.
-        n = data.draw(st.integers(0, 3 * size))
-        one_by_one = RejectionWindow(size)
-        at_once = RejectionWindow(size)
-        for rejected in prefix:
-            one_by_one.add(rejected)
-            at_once.add(rejected)
-        for _ in range(n):
-            one_by_one.add(True)
-        at_once.add_rejections(n)
-        for slot in RejectionWindow.__slots__:
-            assert getattr(at_once, slot) == getattr(one_by_one, slot), slot
-        assert at_once.rate == one_by_one.rate
-
-
-class TestStreamingServiceMetrics:
-    def test_running_utilization_mean(self):
-        metrics = StreamingServiceMetrics()
-        metrics.sample_utilization(0.2, 0.1)
-        metrics.sample_utilization(0.6, 0.3)
-        assert metrics.mean_slot_utilization == pytest.approx(0.4)
-        assert metrics.mean_bw_utilization == pytest.approx(0.2)
-        assert metrics.last_slot_utilization == 0.6
-        assert metrics.util_samples == 2

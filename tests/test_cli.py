@@ -42,13 +42,6 @@ OPTION_CASES = [
     ),
     ("temporal", "--windows", "6,10", lambda t: t.x in (6, 10)),
     ("failure", "--fractions", "0.15", lambda t: t.x == 0.15),
-    (
-        "service",
-        "--load-profile",
-        "diurnal",
-        lambda t: t.param("load_profile") == "diurnal",
-    ),
-    ("service", "--cohort", "16", lambda t: t.param("cohort") == 16),
 ]
 
 
@@ -76,13 +69,13 @@ class TestOneFrontDoor:
         assert set(NAMES) == {
             "fig01", "fig04", "fig07", "fig08", "fig09", "fig10", "fig11",
             "fig12", "fig13", "table1", "runtime", "inference", "temporal",
-            "failure", "service",
+            "failure",
         }
 
     @pytest.mark.parametrize("name", NAMES)
     def test_shorthand_is_run(self, name, capsys, tmp_path):
         # Through a store, so wall-clock payload columns (runtime,
-        # service, failure) come back as recorded instead of re-measured
+        # failure) come back as recorded instead of re-measured
         # — and so --store is shown to work after the shorthand.
         args = [*tiny_args(name), "--jobs", "1", "--store", str(tmp_path / "s.sqlite")]
         first = stdout_of(capsys, ["run", name, *args])
@@ -154,14 +147,10 @@ class TestScenarioOptions:
         assert "--workload" in capsys.readouterr().err
 
     def test_option_values_are_validated_at_parse_time(self, capsys):
-        for argv in (
-            ["table1", "--workload", "azure"],
-            ["service", "--load-profile", "weekly"],
-        ):
-            with pytest.raises(SystemExit) as exit_:
-                main(argv)
-            assert exit_.value.code == 2
-            assert "is not one of" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_:
+            main(["table1", "--workload", "azure"])
+        assert exit_.value.code == 2
+        assert "is not one of" in capsys.readouterr().err
 
 
 class TestPlacers:

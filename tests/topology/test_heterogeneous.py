@@ -163,7 +163,6 @@ def _run(topology, placer_name, use_index):
         ledger,
         placer,
         pool,
-        collect_utilization=False,
         on_decision=lambda tag, allocation: outcomes.append(allocation is not None),
     )
     with scan_unless_indexed(placer, use_index):
