@@ -62,13 +62,12 @@ class Engine:
         platform and never inherits dirty interpreter state.
     """
 
-    def __init__(self, n_jobs: int = 1, *, mp_context: str = "spawn") -> None:
+    def __init__(self, n_jobs: int = 1) -> None:
         if n_jobs < 0:
             raise EngineError(f"n_jobs must be >= 0, got {n_jobs}")
         if n_jobs == 0:
             n_jobs = multiprocessing.cpu_count()
         self.n_jobs = n_jobs
-        self.mp_context = mp_context
 
     def expand(self, scenario: Scenario) -> list[Trial]:
         """The scenario's flat, ordered trial matrix (no execution)."""
@@ -84,10 +83,8 @@ class Engine:
     ) -> ScenarioResult:
         """Execute every trial of ``scenario``; results in grid order.
 
-        ``store`` is any object with the
-        :class:`~repro.results.store.ResultStore` protocol
-        (``cached_result(trial)`` / ``record(result)``): hits skip
-        execution, misses are recorded as they complete.  ``shard`` is a
+        ``store`` is a :class:`~repro.results.store.ResultStore`: hits
+        skip execution, misses are recorded as they complete.  ``shard`` is a
         :class:`~repro.results.sharding.ShardSpec` (or a plain ``(index,
         count)`` tuple) restricting the run to that deterministic stride
         of the matrix.
@@ -177,11 +174,6 @@ class Engine:
         """
         if store is None:
             return None
-        record_payload = getattr(store, "record_payload", None)
-        if record_payload is None:
-            # Minimal store protocol (cached_result/record only): trial
-            # rows persist, telemetry has nowhere to go.
-            return store.record
 
         def record(result: TrialResult) -> None:
             store.record(result)
@@ -207,7 +199,7 @@ class Engine:
         from concurrent.futures import ProcessPoolExecutor, as_completed
         from concurrent.futures.process import BrokenProcessPool
 
-        context = multiprocessing.get_context(self.mp_context)
+        context = multiprocessing.get_context("spawn")
         # One future per trial: runtimes vary wildly across a grid (a
         # 90% load point costs far more than a 10% one), so fine-grained
         # dispatch beats pre-chunking.  as_completed lets each result

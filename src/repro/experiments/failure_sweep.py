@@ -62,7 +62,8 @@ def present(result: ScenarioResult) -> None:
             payload["replaced"],
             payload["lost"],
             payload["churn_vms"],
-            f"{payload['recover_seconds'] * 1e3:.1f} ms",
+            # The store zeroes wall clock: a cached trial has no reading.
+            "-" if r.cached else f"{payload['recover_seconds'] * 1e3:.1f} ms",
         )
     table.show()
     worst: dict[str, float] = {}

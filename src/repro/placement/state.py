@@ -451,12 +451,10 @@ class TenantAllocation:
         the ledger replays its adjust on the deltas.
         True: a real try is certain to end overcommitted.  ``None``: cannot
         tell, really try — the ledger is already overcommitted (placing
-        may *lower* a reservation and clear it) or has no
-        ``would_overcommit`` query.
+        may *lower* a reservation and clear it).
         """
         ledger = self.ledger
-        would_overcommit = getattr(ledger, "would_overcommit", None)
-        if would_overcommit is None or ledger.has_overcommit():
+        if ledger.has_overcommit():
             return None
         inside = dict(self._counts.get(server_id, ()))
         prev_out, prev_into = self._reserved.get(server_id, _ZERO)
@@ -472,7 +470,7 @@ class TenantAllocation:
             if out != prev_out or into != prev_into:
                 deltas.append((out - prev_out, into - prev_into))
             prev_out, prev_into = out, into
-        return would_overcommit(server_id, deltas) if deltas else False
+        return ledger.would_overcommit(server_id, deltas) if deltas else False
 
     def finalize(self, allocation_root: Node) -> bool:
         """Reserve the path from ``allocation_root`` to the tree root.

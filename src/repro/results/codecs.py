@@ -225,7 +225,6 @@ def _failure_metrics(payload: dict) -> dict[str, float]:
         "replaced_fraction": payload["replaced"] / victims if victims else 1.0,
         "lost": float(payload["lost"]),
         "churn_vms": float(payload["churn_vms"]),
-        "recover_seconds": payload["recover_seconds"],
     }
 
 

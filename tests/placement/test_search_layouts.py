@@ -23,6 +23,7 @@ import pytest
 
 from repro.placement.base import Placement
 from repro.placement.ha import HaPolicy
+from repro.placement.state import TenantAllocation
 from repro.simulation.arrivals import poisson_arrivals
 from repro.simulation.runner import make_placer
 from repro.temporal.admission import TemporalCluster
@@ -98,11 +99,9 @@ def _churn(topology, pool, admit, depart, hook=None, arrivals=ARRIVALS):
     return {"decisions": "".join(decisions), "layouts": layouts}
 
 
-def _classic(
-    topology, placer_name, ha, hook_for=None, ledger_cls=Ledger, arrivals=ARRIVALS
-):
+def _classic(topology, placer_name, ha, hook_for=None, arrivals=ARRIVALS):
     pool = small_bing_pool()
-    ledger = ledger_cls(topology)
+    ledger = Ledger(topology)
     placer = make_placer(placer_name, ledger, ha)
 
     def admit(index):
@@ -182,14 +181,10 @@ def test_layouts_match_the_recorded_search(recorded, name):
     assert "0" in result["decisions"] and "1" in result["decisions"]
 
 
-class _UnprobeableLedger(Ledger):
-    """A ledger the server probe cannot evaluate: every try is a real one."""
-
-    would_overcommit = None
-
-
-def test_probe_is_only_an_accelerator(recorded):
-    result = _classic(three_level_tree(SPEC), "cm", None, ledger_cls=_UnprobeableLedger)
+def test_probe_is_only_an_accelerator(recorded, monkeypatch):
+    # With the probe abstaining every time, each try is a real one.
+    monkeypatch.setattr(TenantAllocation, "probe", lambda self, *a: None)
+    result = _classic(three_level_tree(SPEC), "cm", None)
     assert result == recorded["cm"]
 
 

@@ -10,6 +10,8 @@ from repro.cli import main
 
 RUN_FLAGS = ["--pods", "1", "--arrivals", "30", "--loads", "0.4",
              "--seeds", "0,1", "--jobs", "1"]
+FAILURE_RUN = ["run", "failure", "--pods", "1", "--arrivals", "20",
+               "--fractions", "0.1", "--placers", "cm"]
 
 
 @pytest.fixture
@@ -25,6 +27,24 @@ class TestRunWithStore:
         out = capsys.readouterr().out
         assert "4 cached" in out
         assert "Fig. 8" in out  # presenter still renders from cache
+
+    def test_a_cached_failure_trial_prints_no_recovery_time(self, capsys, store_path):
+        # The store zeroes wall clock, so a cached trial has no reading.
+        assert main([*FAILURE_RUN, "--store", store_path]) == 0
+        first = capsys.readouterr().out
+        assert "0 cached" in first and " ms" in first
+        assert main([*FAILURE_RUN, "--store", store_path]) == 0
+        second = capsys.readouterr().out
+        assert "1 cached" in second and " ms" not in second
+
+    def test_stored_failure_rows_export_no_recovery_time(self, store_path, tmp_path):
+        assert main([*FAILURE_RUN, "--store", store_path]) == 0
+        out = tmp_path / "trials.csv"
+        assert main(["results", "export", store_path, "--format", "csv",
+                     "-o", str(out)]) == 0
+        header = out.read_text().splitlines()[0]
+        assert "metric_survival_rate" in header
+        assert "recover_seconds" not in header
 
     def test_shard_requires_store(self, capsys):
         assert main(["run", "fig08", *RUN_FLAGS, "--shard", "0/2"]) == 2
