@@ -52,9 +52,9 @@ def projection_graph(
     full dot product minus the contributions of the four zeroed positions
     ``{i, j, n+i, n+j}`` (they are distinct for i != j), and each masked
     norm drops exactly its own two positions — so the whole masked cosine
-    matrix falls out of dense matrix algebra (see
-    ``projection_graph_reference`` for the direct per-pair construction
-    the tests compare against).
+    matrix falls out of dense matrix algebra (the direct per-pair
+    construction the tests compare against is
+    ``tests/inference/test_pipeline.py::projection_graph_reference``).
     """
     n = matrix.shape[0]
     features = feature_vectors(matrix)
@@ -94,26 +94,3 @@ def projection_graph(
                 graph[(i, j)] = weight
     return graph
 
-
-def projection_graph_reference(
-    matrix: np.ndarray, *, mask_mutual: bool = True, threshold: float = 0.0
-) -> dict[tuple[int, int], float]:
-    """The direct per-pair construction (used to verify the vectorized one)."""
-    n = matrix.shape[0]
-    features = feature_vectors(matrix)
-    graph: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            a = features[i]
-            b = features[j]
-            if mask_mutual:
-                a = a.copy()
-                b = b.copy()
-                # Zero the entries that refer to each other (row block is
-                # columns [0, n), column block is [n, 2n)).
-                a[j] = a[n + j] = 0.0
-                b[i] = b[n + i] = 0.0
-            weight = angular_similarity(a, b)
-            if weight > threshold:
-                graph[(i, j)] = weight
-    return graph

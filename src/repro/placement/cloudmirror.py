@@ -21,7 +21,11 @@ Structure follows the paper's pseudocode:
   reads each child's row (free slots, this tenant's counts, nominal
   availability) once from the ledger's columns and hands it to the
   option, and once an offer has failed the allocation keeps its Eq. 1
-  results per count vector for the rest of the search.
+  results per count vector for the rest of the search.  After a try
+  that placed VMs, Balance's rescan reuses a child's greedy fill from
+  the previous scan when the child's row is unchanged and ``want``
+  shrank within the fill's per-tier slack — not under WCS, where Eq. 7
+  headroom reads counts at ancestors the children share.
 
 Bandwidth reservations are recomputed exactly (Eq. 1) on every touched
 uplink as placement proceeds, and capacity is checked at subtree-completion
@@ -37,7 +41,7 @@ from functools import partial
 from itertools import repeat
 from operator import itemgetter
 
-from repro.core.bandwidth import trunk_saving, uplink_requirement
+from repro.core.bandwidth import uplink_requirement
 from repro.core.tag import Tag
 from repro.obs import core as _obs
 from repro.placement.base import Placement, PlacementResult, Rejection
@@ -74,8 +78,8 @@ class _TagPlan:
     root-path check of AllocTenant).
     ``hose``: tier -> self-loop send rate (non-zero loops only).
     ``trunk``: the internal (both endpoints placeable) non-loop edges,
-    in ``tag.iter_edges()`` order, as ``(edge, src, dst,
-    fill_src_first)`` with the higher-coefficient endpoint flag
+    in ``tag.iter_edges()`` order, as ``(src, dst, fill_src_first,
+    send, recv)`` with the higher-coefficient endpoint flag
     precomputed.
     Per internal tier: ``demand`` (the per-VM ``(out, into)``), ``peak``
     (its max — the low-bandwidth test and the server fill order) and
@@ -93,7 +97,7 @@ class _TagPlan:
             if edge.is_self_loop and edge.send != 0.0
         }
         self.trunk = tuple(
-            (edge, edge.src, edge.dst, edge.send >= edge.recv)
+            (edge.src, edge.dst, edge.send >= edge.recv, edge.send, edge.recv)
             for edge in tag.iter_edges()
             if not edge.is_self_loop
             and not tag.component(edge.src).external
@@ -378,6 +382,7 @@ class CloudMirrorPlacer:
         key_tiers: tuple[str, ...] | None = None,
         bandwidth: bool = False,
         probe_first: bool = False,
+        reuse: bool = False,
     ) -> None:
         """Offer ``want`` to ``subtree``'s children until none takes more.
 
@@ -401,20 +406,25 @@ class CloudMirrorPlacer:
         up, down)`` values one child from the row the scan read: its free
         slots, this tenant's per-tier counts under it and, in a
         ``bandwidth`` scan, its nominal up/down availability (``None``
-        otherwise).  It returns ``(value, request)`` or ``None``.
+        otherwise).  It returns ``(value, request)`` or ``None``; with
+        ``reuse`` (ignored under WCS) ``(value, request, slack)`` as
+        :meth:`_greedy_fill` does, which later scans may reuse (``_scan``).
         """
         node_of = self._flat.node_of
         excluded: set[int] = set()
         evaluate = partial(option, allocation, want, *option_args)
         scan = partial(self._scan, allocation, subtree, excluded, evaluate, bandwidth)
         probe = probe_first
+        reuse = reuse and not self._wcs
+        previous = shrink = None
         while want:
             tiers = key_tiers
             if tiers is None:
                 # Eq. 7 headroom depends on the counts only under WCS.
                 tiers = tuple(want) if self._wcs else ()
             classes: dict = {}
-            pick = scan(tiers, classes, None)
+            pick = scan(tiers, classes, None, previous, shrink)
+            seen = dict(want) if reuse else None
             c = _obs.counters
             if c is not None:
                 c.bump("cloudmirror.scans")
@@ -434,6 +444,13 @@ class CloudMirrorPlacer:
                 pick = next(ranked, None)
             if pick is None:
                 return
+            if reuse:
+                previous = classes
+                shrink = [
+                    (tier, count - want.get(tier, 0))
+                    for tier, count in seen.items()
+                    if count != want.get(tier, 0)
+                ]
 
     def _scan(
         self,
@@ -445,21 +462,30 @@ class CloudMirrorPlacer:
         key_tiers: tuple[str, ...],
         classes: dict,
         ranked: list | None,
+        previous: dict | None = None,
+        shrink: list | None = None,
     ):
         """Best ``(value, child_id, request)`` over ``subtree``'s children.
 
         Children in identical reservation states — same free slots,
         same per-tier counts of ``key_tiers`` and, with ``bandwidth``,
         same nominal availability; ancestors above the child are shared —
-        get identical options from ``evaluate(child_id, free)``, and the
-        strict comparison means only the first of each equivalence class
-        can win, so ``classes`` holds one evaluation per class.  On
-        homogeneous (sub)trees this collapses the scan from O(children)
-        evaluations to one per distinct state.
+        get identical options from ``evaluate(child_id, free, counts, up,
+        down)``, and the strict comparison means only the first of each
+        equivalence class can win, so ``classes`` holds one evaluation per
+        class.  On homogeneous (sub)trees this collapses the scan from
+        O(children) evaluations to one per distinct state.
 
         With a ``ranked`` list (after a failed try, same ledger state)
         every eligible child is appended with its class's option instead
         and nothing is evaluated twice.
+
+        ``previous`` is the classes of the walk's last scan and ``shrink``
+        the ``(tier, delta)`` by which ``want`` has shrunk since.  A class
+        found there is reused without evaluating: a ``None`` (nothing
+        fits, and less cannot fit more) always, a greedy fill when every
+        ``delta`` is within its tier's slack, which it then carries
+        forward reduced by ``delta``.
 
         The row is read straight off the ledger's columns — the values
         ``free_slots_id`` and ``nominal_available_*_id`` return for a
@@ -471,6 +497,7 @@ class CloudMirrorPlacer:
         nom_up, nom_down = ledger._nom_up, ledger._nom_down
         max_up, max_down = ledger._max_up, ledger._max_down
         held = allocation._counts.get  # never rebound; read only here
+        zero = (0,) * len(key_tiers)  # the state of a child holding none
         up = down = None
         best = None
         for child_id in self._flat.children_ids[subtree.node_id]:
@@ -479,9 +506,11 @@ class CloudMirrorPlacer:
             free = free_slots[child_id]
             if free <= 0:
                 continue
-            state = key_tiers and tuple(
-                map(held(child_id, _NONE_HELD).get, key_tiers, repeat(0))
-            )
+            counts = held(child_id)
+            if counts is None:
+                counts, state = _NONE_HELD, zero
+            else:
+                state = key_tiers and tuple(map(counts.get, key_tiers, repeat(0)))
             if bandwidth:
                 up = nom_up[child_id] - max_up[child_id]
                 down = nom_down[child_id] - max_down[child_id]
@@ -490,8 +519,20 @@ class CloudMirrorPlacer:
                 key = (free, state)
             option = classes.get(key, _UNSEEN)
             if option is _UNSEEN:
-                counts = held(child_id, _NONE_HELD)
-                option = classes[key] = evaluate(child_id, free, counts, up, down)
+                if previous is not None:
+                    option = previous.get(key, _UNSEEN)
+                    if option is not _UNSEEN and option is not None:
+                        # Carried in place: a previous class is read once.
+                        slack = option[2]
+                        for tier, delta in shrink:
+                            if tier in slack:
+                                slack[tier] -= delta
+                                if slack[tier] < 0:
+                                    option = _UNSEEN
+                                    break
+                if option is _UNSEEN:
+                    option = evaluate(child_id, free, counts, up, down)
+                classes[key] = option
             elif ranked is None:
                 continue
             if option is None:
@@ -682,7 +723,7 @@ class CloudMirrorPlacer:
             if saving > best_saving:
                 best, best_saving = {tier: add}, saving
         # Trunk candidates (Eqs. 4-6): colocate both endpoints of an edge.
-        for edge, src, dst, src_first in plan.trunk:
+        for src, dst, src_first, send, recv in plan.trunk:
             src_want = want.get(src, 0)
             dst_want = want.get(dst, 0)
             if not (
@@ -691,21 +732,28 @@ class CloudMirrorPlacer:
             ):
                 continue
             # Fill the higher-coefficient endpoint first (maximizes Eq. 4).
+            src_cap = caps.get(src, 0)
+            dst_cap = caps.get(dst, 0)
             if src_first:
-                src_add = min(src_want, free, caps.get(src, 0))
-                dst_add = min(dst_want, free - src_add, caps.get(dst, 0))
+                src_add = src_want if src_want < free else free
+                src_add = src_cap if src_cap < src_add else src_add
+                dst_add = dst_want if dst_want < free - src_add else free - src_add
+                dst_add = dst_cap if dst_cap < dst_add else dst_add
             else:
-                dst_add = min(dst_want, free, caps.get(dst, 0))
-                src_add = min(src_want, free - dst_add, caps.get(src, 0))
+                dst_add = dst_want if dst_want < free else free
+                dst_add = dst_cap if dst_cap < dst_add else dst_add
+                src_add = src_want if src_want < free - dst_add else free - dst_add
+                src_add = src_cap if src_cap < src_add else src_add
             if src_add + dst_add <= 0:
                 continue
-            src_size = sizes[src]
+            # Eq. 4 after the add minus before it, as trunk_saving computes
+            # it; its range checks hold here by construction.
             dst_size = sizes[dst]
             src_here = here_of(src, 0)
             dst_here = here_of(dst, 0)
-            saving = trunk_saving(
-                edge, src_here + src_add, dst_here + dst_add, src_size, dst_size
-            ) - trunk_saving(edge, src_here, dst_here, src_size, dst_size)
+            after = (src_here + src_add) * send - (dst_size - dst_here - dst_add) * recv
+            before = src_here * send - (dst_size - dst_here) * recv
+            saving = (0.0 if after < 0.0 else after) - (0.0 if before < 0.0 else before)
             if saving > best_saving:
                 request = {}
                 if src_add:
@@ -759,7 +807,7 @@ class CloudMirrorPlacer:
         ):
             walk(self._spread_option)
         else:
-            walk(self._greedy_fill, bandwidth=True)
+            walk(self._greedy_fill, bandwidth=True, reuse=True)
         if want:
             # Second pass ignoring the (conservative, additive) bandwidth
             # estimates: the per-VM worst case overstates Eq. 1's min()
@@ -768,7 +816,7 @@ class CloudMirrorPlacer:
             # real capacity gate.  What the first pass left mostly does
             # not fit, so even the first offer is probed: a probe
             # rejects only a try certain to overcommit.
-            walk(self._greedy_fill, probe_first=True)
+            walk(self._greedy_fill, probe_first=True, reuse=True)
 
     def _greedy_fill(
         self,
@@ -779,14 +827,21 @@ class CloudMirrorPlacer:
         counts,
         up: float | None,
         down: float | None,
-    ) -> tuple[float, dict[str, int]] | None:
-        """Greedy tier-granularity fill of one child: ``(score, fill)``.
+    ) -> tuple[float, dict[str, int], dict[str, int]] | None:
+        """Greedy tier-granularity fill of one child: ``(score, fill, slack)``.
 
         The greedy works at tier granularity (the paper's speed-up: VMs
         of one tier are identical) over three dimensions — slots,
         outgoing bandwidth, incoming bandwidth — using utilization
         fractions as the common metric.  Without a scanned availability
         (``up is None``: the relaxed pass) bandwidth is ignored.
+
+        ``slack[tier]`` is the least ``left - room`` over the steps that
+        examined ``tier`` with ``room > 0``, where ``room`` is the count
+        slots, Eq. 7 headroom and bandwidth allow before ``left`` clips
+        it.  Shrinking ``want[tier]`` by at most its slack (a tier with
+        no entry by any amount) leaves every count, pick and float as it
+        was, so the result stands for the shrunk ``want`` too.
         """
         if up is None:
             up_free = down_free = math.inf
@@ -801,6 +856,7 @@ class CloudMirrorPlacer:
         demand = self._plan.demand
         caps = self._caps(allocation, child_id, want) if self._wcs else self._plan.size
         fill: dict[str, int] = {}
+        slack: dict[str, int] = {}
         used_slots = 0
         used_up = 0.0
         used_down = 0.0
@@ -813,20 +869,26 @@ class CloudMirrorPlacer:
                 if left <= 0:
                     continue
                 out, into = demand[tier]
+                room = slots_free - used_slots
                 cap = caps[tier] - fill.get(tier, 0)
-                count = min(left, slots_free - used_slots, cap)
-                if count <= 0:
+                if cap < room:
+                    room = cap
+                if room <= 0:
                     continue
                 if out > 0 and finite_up:
                     bound = int((up_free - used_up) / out)
-                    if bound < count:
-                        count = bound
+                    if bound < room:
+                        room = bound
                 if into > 0 and finite_down:
                     bound = int((down_free - used_down) / into)
-                    if bound < count:
-                        count = bound
-                if count <= 0:
+                    if bound < room:
+                        room = bound
+                if room <= 0:
                     continue
+                gap = left - room  # < left: room > 0
+                if gap < slack.get(tier, left):
+                    slack[tier] = gap
+                count = left if left < room else room
                 min_util = (used_slots + count) / slots_denom
                 if rate_up:
                     util = (used_up + count * out) / up_free
@@ -861,7 +923,7 @@ class CloudMirrorPlacer:
         if rate_down:
             score += used_down / down_free
             dims += 1
-        return score / dims, fill
+        return score / dims, fill, slack
 
     def _spread_option(
         self,

@@ -7,6 +7,8 @@ Storm deployment of Fig. 3(c), and the footnote-4/7 inequalities.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.bandwidth import (
     BandwidthDemand,
@@ -132,6 +134,41 @@ class TestSavingConditions:
                 saving = trunk_saving(edge, src_in, dst_in, n, n)
                 if saving > 0:
                     assert trunk_saving_possible(src_in, dst_in, n, n)
+
+
+# Finite rates >= 0, zeros included: what ``TagEdge`` admits.
+RATES = st.one_of(st.just(0.0), st.floats(0.0, 1e9), st.integers(0, 10**6).map(float))
+
+
+@st.composite
+def trunk_cases(draw):
+    src_size = draw(st.integers(1, 200))
+    dst_size = draw(st.integers(1, 200))
+    return (
+        draw(st.integers(0, src_size)),
+        draw(st.integers(0, dst_size)),
+        src_size,
+        dst_size,
+        draw(RATES),
+        draw(RATES),
+    )
+
+
+@given(trunk_cases())
+def test_inline_eq4_is_trunk_saving_bit_for_bit(case):
+    """CloudMirror's Colocate evaluates Eq. 4 inline, without the call's
+    checks; over in-range counts it must be ``trunk_saving`` exactly."""
+    src_in, dst_in, src_size, dst_size, send, recv = case
+    x = src_in * send - (dst_size - dst_in) * recv
+    inline = 0.0 if x < 0.0 else x
+    edge = TagEdge("a", "b", send, recv)
+    assert inline.hex() == trunk_saving(edge, src_in, dst_in, src_size, dst_size).hex()
+
+
+@given(st.one_of(st.just(-0.0), st.just(0.0), st.floats(allow_nan=False)))
+def test_inline_clamp_is_max_bit_for_bit(x):
+    # ``.hex()`` tells -0.0 from 0.0: max(-0.0, 0.0) keeps its first argument.
+    assert (0.0 if x < 0.0 else x).hex() == max(x, 0.0).hex()
 
 
 class TestWcs:

@@ -18,6 +18,30 @@ from repro.inference.traffic import synthesize_trace
 from repro.workloads.patterns import three_tier
 
 
+def projection_graph_reference(
+    matrix: np.ndarray, *, mask_mutual: bool = True, threshold: float = 0.0
+) -> dict[tuple[int, int], float]:
+    """The direct per-pair construction the vectorized one must match."""
+    n = matrix.shape[0]
+    features = feature_vectors(matrix)
+    graph: dict[tuple[int, int], float] = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            a = features[i]
+            b = features[j]
+            if mask_mutual:
+                a = a.copy()
+                b = b.copy()
+                # Zero the entries that refer to each other (row block is
+                # columns [0, n), column block is [n, 2n)).
+                a[j] = a[n + j] = 0.0
+                b[i] = b[n + i] = 0.0
+            weight = angular_similarity(a, b)
+            if weight > threshold:
+                graph[(i, j)] = weight
+    return graph
+
+
 @pytest.fixture(scope="module")
 def trace():
     return synthesize_trace(three_tier("t", (5, 5, 5), 100.0, 40.0, 20.0), seed=1)
@@ -112,10 +136,6 @@ class TestVectorizedSimilarity:
     """The vectorized projection graph must match the per-pair reference."""
 
     def test_equivalence_random_matrices(self):
-        import numpy as np
-
-        from repro.inference.similarity import projection_graph_reference
-
         rng = np.random.default_rng(7)
         for _ in range(5):
             n = int(rng.integers(3, 20))
@@ -130,8 +150,6 @@ class TestVectorizedSimilarity:
                     assert fast[key] == pytest.approx(ref[key], abs=1e-9)
 
     def test_equivalence_on_trace(self, trace):
-        from repro.inference.similarity import projection_graph_reference
-
         fast = projection_graph(trace.mean_matrix)
         ref = projection_graph_reference(trace.mean_matrix)
         assert set(fast) == set(ref)
