@@ -49,7 +49,6 @@ __all__ = [
     "Variant",
     "allocation_wcs",
     "paper_datacenter",
-    "single_rack",
     "three_level_tree",
     "uplink_requirement",
     "__version__",
@@ -68,7 +67,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "SecondNetPlacer", "TenantAllocation", "allocation_wcs",
     ),
     "repro.topology": (
-        "DatacenterSpec", "Ledger", "Topology", "paper_datacenter", "single_rack",
-        "three_level_tree",
+        "DatacenterSpec", "Ledger", "Topology", "paper_datacenter", "three_level_tree",
     ),
 })

@@ -16,7 +16,6 @@ __all__ = [
     "tag_from_json",
     "tag_to_dict",
     "tag_to_json",
-    "trunk_requirement",
     "trunk_saving",
     "trunk_saving_possible",
     "uplink_requirement",
@@ -26,8 +25,7 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.bandwidth": (
         "BandwidthDemand", "achieved_wcs", "hose_requirement", "hose_saving_possible",
-        "trunk_requirement", "trunk_saving", "trunk_saving_possible",
-        "uplink_requirement", "wcs_cap",
+        "trunk_saving", "trunk_saving_possible", "uplink_requirement", "wcs_cap",
     ),
     "repro.core.constants": ("CONVERGENCE_EPSILON", "EPSILON"),
     "repro.core.serialize": (

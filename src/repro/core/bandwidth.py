@@ -31,7 +31,6 @@ from repro.core.tag import Tag, TagEdge
 __all__ = [
     "BandwidthDemand",
     "uplink_requirement",
-    "trunk_requirement",
     "hose_requirement",
     "hose_saving_possible",
     "trunk_saving",
@@ -57,9 +56,6 @@ class BandwidthDemand:
     @property
     def peak(self) -> float:
         return max(self.out, self.into)
-
-
-ZERO_DEMAND = BandwidthDemand(0.0, 0.0)
 
 
 def _outside_count(tag: Tag, name: str, inside: Mapping[str, int]) -> float:
@@ -127,13 +123,6 @@ def hose_requirement(tag: Tag, inside: Mapping[str, int]) -> BandwidthDemand:
         out += min(count, size - count) * loop.send
     # A hose crossing is symmetric by construction.
     return BandwidthDemand(out, out)
-
-
-def trunk_requirement(tag: Tag, inside: Mapping[str, int]) -> BandwidthDemand:
-    """The ``B_trunk`` part of Eq. 1 (inter-component edges only)."""
-    total = uplink_requirement(tag, inside)
-    hose = hose_requirement(tag, inside)
-    return BandwidthDemand(total.out - hose.out, total.into - hose.into)
 
 
 # ----------------------------------------------------------------------

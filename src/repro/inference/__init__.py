@@ -5,7 +5,6 @@ from repro._lazy import lazy_exports
 __all__ = [
     "TrafficTrace",
     "ami",
-    "angular_similarity",
     "build_tag_from_trace",
     "entropy",
     "expected_mutual_information",
@@ -13,7 +12,6 @@ __all__ = [
     "infer_components",
     "infer_tag",
     "louvain_communities",
-    "modularity",
     "mutual_information",
     "projection_graph",
     "synthesize_trace",
@@ -26,9 +24,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.inference.builder": (
         "build_tag_from_trace", "infer_components", "infer_tag",
     ),
-    "repro.inference.louvain": ("louvain_communities", "modularity"),
-    "repro.inference.similarity": (
-        "angular_similarity", "feature_vectors", "projection_graph",
-    ),
+    "repro.inference.louvain": ("louvain_communities",),
+    "repro.inference.similarity": ("feature_vectors", "projection_graph"),
     "repro.inference.traffic": ("TrafficTrace", "synthesize_trace"),
 })

@@ -24,30 +24,9 @@ from typing import Mapping, Sequence
 
 from repro.errors import InferenceError
 
-__all__ = ["louvain_communities", "modularity"]
+__all__ = ["louvain_communities"]
 
 Graph = Mapping[tuple[int, int], float]
-
-
-def modularity(
-    graph: Graph, labels: Sequence[int], num_nodes: int, resolution: float = 1.0
-) -> float:
-    """Weighted modularity of a labelling (self-loops allowed)."""
-    adjacency, degrees, total = _normalize(graph, num_nodes)
-    if total == 0.0:
-        return 0.0
-    two_m = 2.0 * total
-    intra = 0.0
-    community_degree: dict[int, float] = defaultdict(float)
-    for node in range(num_nodes):
-        community_degree[labels[node]] += degrees[node]
-    for (i, j), w in adjacency.items():
-        if labels[i] == labels[j]:
-            intra += 2.0 * w if i != j else 2.0 * w
-    quality = intra / two_m
-    for degree_sum in community_degree.values():
-        quality -= resolution * (degree_sum / two_m) ** 2
-    return quality
 
 
 def louvain_communities(

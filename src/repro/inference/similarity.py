@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.errors import InferenceError
 
-__all__ = ["feature_vectors", "angular_similarity", "projection_graph"]
+__all__ = ["feature_vectors", "projection_graph"]
 
 
 def feature_vectors(matrix: np.ndarray) -> np.ndarray:
@@ -29,15 +29,6 @@ def feature_vectors(matrix: np.ndarray) -> np.ndarray:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise InferenceError(f"traffic matrix must be square, got {matrix.shape}")
     return np.concatenate([matrix, matrix.T], axis=1)
-
-
-def angular_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """``1 - angle(a, b)/pi``: 1 for parallel vectors, 0 for opposite."""
-    norm = float(np.linalg.norm(a) * np.linalg.norm(b))
-    if norm == 0.0:
-        return 0.0
-    cosine = float(np.clip(np.dot(a, b) / norm, -1.0, 1.0))
-    return 1.0 - float(np.arccos(cosine)) / np.pi
 
 
 def projection_graph(

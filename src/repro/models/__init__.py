@@ -7,13 +7,11 @@ __all__ = [
     "Pipe",
     "PipeSet",
     "pipe_expansion",
-    "VirtualCluster",
     "VocCluster",
     "VocModel",
     "hose_from_tag",
     "hose_uplink_requirement",
     "pipe_tag_from_tag",
-    "pipe_vm_demand",
     "pipes_from_tag",
     "vm_name",
     "voc_from_tag",
@@ -22,11 +20,11 @@ __all__ = [
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.models.hose": (
-        "HoseModel", "VirtualCluster", "hose_from_tag", "hose_uplink_requirement",
+        "HoseModel", "hose_from_tag", "hose_uplink_requirement",
     ),
     "repro.models.pipe": (
-        "Pipe", "PipeSet", "pipe_expansion", "pipe_tag_from_tag", "pipe_vm_demand",
-        "pipes_from_tag", "vm_name",
+        "Pipe", "PipeSet", "pipe_expansion", "pipe_tag_from_tag", "pipes_from_tag",
+        "vm_name",
     ),
     "repro.models.voc": (
         "VocCluster", "VocModel", "voc_from_tag", "voc_uplink_requirement",

@@ -21,21 +21,7 @@ from repro.core.bandwidth import BandwidthDemand
 from repro.core.tag import Tag
 from repro.errors import ModelError
 
-__all__ = ["HoseModel", "VirtualCluster", "hose_from_tag", "hose_uplink_requirement"]
-
-
-@dataclass(frozen=True)
-class VirtualCluster:
-    """Oktopus' homogeneous hose request ``<N, B>``."""
-
-    size: int
-    bandwidth: float
-
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ModelError(f"VC size must be positive, got {self.size}")
-        if self.bandwidth < 0:
-            raise ModelError(f"VC bandwidth must be >= 0, got {self.bandwidth}")
+__all__ = ["HoseModel", "hose_from_tag", "hose_uplink_requirement"]
 
 
 @dataclass(frozen=True)

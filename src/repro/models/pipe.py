@@ -11,7 +11,7 @@ TAG hose and trunk guarantee uniformly across the corresponding VM pairs;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from repro.core.tag import Tag
 from repro.errors import ModelError
@@ -23,7 +23,6 @@ __all__ = [
     "pipe_tag_from_tag",
     "pipes_from_tag",
     "vm_name",
-    "pipe_vm_demand",
 ]
 
 
@@ -71,15 +70,6 @@ class PipeSet:
     @property
     def total_bandwidth(self) -> float:
         return sum(p.bandwidth for p in self.pipes)
-
-
-def pipe_vm_demand(pipes: PipeSet) -> Mapping[str, tuple[float, float]]:
-    """Per-VM ``(out, in)`` demand implied by a pipe set."""
-    demand: dict[str, list[float]] = {vm: [0.0, 0.0] for vm in pipes.vms}
-    for pipe in pipes.iter_pipes():
-        demand[pipe.src][0] += pipe.bandwidth
-        demand[pipe.dst][1] += pipe.bandwidth
-    return {vm: (out, into) for vm, (out, into) in demand.items()}
 
 
 def pipe_expansion(

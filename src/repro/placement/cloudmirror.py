@@ -875,14 +875,17 @@ class CloudMirrorPlacer:
                     room = cap
                 if room <= 0:
                     continue
+                # Compare before truncating: a tiny rate makes the
+                # quotient inf, which int() refuses, and for a finite
+                # quotient int(q) < room exactly when q < room.
                 if out > 0 and finite_up:
-                    bound = int((up_free - used_up) / out)
+                    bound = (up_free - used_up) / out
                     if bound < room:
-                        room = bound
+                        room = int(bound)
                 if into > 0 and finite_down:
-                    bound = int((down_free - used_down) / into)
+                    bound = (down_free - used_down) / into
                     if bound < room:
-                        room = bound
+                        room = int(bound)
                 if room <= 0:
                     continue
                 gap = left - room  # < left: room > 0

@@ -103,8 +103,8 @@ def _pipe_plan(tag: Tag) -> tuple[dict, dict, list[str]]:
     without materializing ``Pipe`` objects.  ``neighbors[vm]`` lists
     ``(peer, bandwidth, outgoing)`` triples in pipe order — row by row,
     source-major, self-loops skipping the diagonal — and ``demand[vm]``
-    is the ``[out, in]`` sum accumulated in the same order, exactly like
-    :func:`repro.models.pipe.pipe_vm_demand`.  Every VM gets an entry,
+    is ``[out, in]``: the bandwidth of the VM's outgoing pipes and of its
+    incoming pipes, each summed in that order.  Every VM gets an entry,
     including pipe-less ones.  ``order`` places VMs by descending total
     demand.  Memoized on the tag (``Tag.derived``).
     """

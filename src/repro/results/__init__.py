@@ -47,8 +47,6 @@ __all__ = [
     "codec_for",
     "codec_names",
     "codec_version",
-    "export_rows",
-    "export_store",
     "exports_from_store",
     "parse_shard",
     "record_telemetry",
@@ -70,9 +68,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.results.codecs": (
         "Codec", "codec_for", "codec_names", "codec_version", "register_codec",
     ),
-    "repro.results.export": (
-        "EXPORT_FORMATS", "export_rows", "export_store", "stream_export",
-    ),
+    "repro.results.export": ("EXPORT_FORMATS", "stream_export"),
     "repro.results.fingerprint": ("canonical_trial", "trial_fingerprint"),
     "repro.results.present": (
         "aggregate_chart", "aggregate_table", "seed_replicated_summary",

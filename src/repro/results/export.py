@@ -27,15 +27,14 @@ pins it at 1).
 from __future__ import annotations
 
 import csv
-import io
 import json
-from typing import Any, Callable, Iterable, Iterator, TextIO
+from typing import Any, Callable, Iterator, TextIO
 
 from repro.errors import ResultsError
 from repro.obs import core as _obs
-from repro.results.store import ResultStore, StoredRow
+from repro.results.store import StoredRow
 
-__all__ = ["EXPORT_FORMATS", "export_rows", "export_store", "stream_export"]
+__all__ = ["EXPORT_FORMATS", "stream_export"]
 
 EXPORT_FORMATS = ("csv", "jsonl")
 
@@ -141,36 +140,3 @@ def stream_export(
             f"pass 2 saw {written}"
         )
     return count
-
-
-def export_rows(rows: Iterable[StoredRow], fmt: str) -> str:
-    """Render an in-memory row collection in ``fmt`` (convenience API).
-
-    For store-backed exports prefer :func:`stream_export` (or the CLI),
-    which never materializes the rows; this helper exists for callers
-    that already hold a list of rows.
-    """
-    materialized = list(rows)
-    buffer = io.StringIO()
-    stream_export(lambda: iter(materialized), fmt, buffer)
-    return buffer.getvalue()
-
-
-def export_store(
-    store: ResultStore,
-    fmt: str,
-    *,
-    scenario: str | None = None,
-    kind: str | None = None,
-) -> tuple[str, int]:
-    """Export (optionally filtered) rows; returns ``(text, row_count)``.
-
-    Streams the store (O(1) row buffer) but renders to a string; callers
-    with a file handle should pass it to :func:`stream_export` directly
-    to avoid holding the output text in memory too.
-    """
-    buffer = io.StringIO()
-    count = stream_export(
-        lambda: store.iter_rows(scenario=scenario, kind=kind), fmt, buffer
-    )
-    return buffer.getvalue(), count

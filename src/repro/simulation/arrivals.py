@@ -10,10 +10,9 @@ tenant-rate times dwell time over total slots.
 
 from __future__ import annotations
 
-import math
 from functools import partial
 from itertools import chain
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,7 +24,6 @@ __all__ = [
     "arrival_rate_for_load",
     "arrival_stream",
     "poisson_arrivals",
-    "trace_arrivals",
 ]
 
 
@@ -119,43 +117,3 @@ def arrival_stream(
             )
 
     return chain.from_iterable(blocks())
-
-
-def trace_arrivals(
-    events: Iterable[tuple[float, int, float]], pool_size: int | None = None
-) -> Iterator[Arrival]:
-    """Adapt a recorded ``(time, tenant_index, dwell)`` trace to Arrivals.
-
-    Validates what the event loops rely on — finite non-decreasing
-    times, positive dwells, integral in-range tenant indices — one event
-    at a time, so an arbitrarily long trace file can be generated through
-    without materialization.  Every malformed row raises
-    :class:`~repro.errors.SimulationError` naming its 0-based position.
-    """
-    last = -math.inf
-    for row, event in enumerate(events):
-        try:
-            time, tenant_index, dwell = event
-            time = float(time)
-            dwell = float(dwell)
-            index = int(tenant_index)
-            if index != tenant_index:
-                raise ValueError(f"tenant index {tenant_index!r} is not integral")
-        except (TypeError, ValueError, OverflowError) as error:
-            raise SimulationError(f"trace row {row}: {error}") from None
-        if not math.isfinite(time):
-            raise SimulationError(f"trace row {row}: time must be finite, got {time}")
-        if time < last:
-            raise SimulationError(
-                f"trace row {row}: times must be non-decreasing ({time} after {last})"
-            )
-        if not dwell > 0:  # also catches NaN
-            raise SimulationError(
-                f"trace row {row}: dwell must be positive, got {dwell}"
-            )
-        if index < 0 or (pool_size is not None and index >= pool_size):
-            raise SimulationError(
-                f"trace row {row}: tenant index {index} out of range"
-            )
-        last = time
-        yield Arrival(time, index, dwell)

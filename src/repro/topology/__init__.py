@@ -14,23 +14,19 @@ __all__ = [
     "RackSpec",
     "Topology",
     "TopologyBuilder",
-    "fat_tree",
     "heterogeneous_from_spec",
     "heterogeneous_tree",
     "multi_rooted_tree",
     "paper_datacenter",
-    "pruned_topology",
-    "single_rack",
     "three_level_tree",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.topology.builder": (
-        "DatacenterSpec", "PodSpec", "RackSpec", "fat_tree", "heterogeneous_from_spec",
-        "heterogeneous_tree", "multi_rooted_tree", "paper_datacenter", "single_rack",
-        "three_level_tree",
+        "DatacenterSpec", "PodSpec", "RackSpec", "heterogeneous_from_spec",
+        "heterogeneous_tree", "multi_rooted_tree", "paper_datacenter", "three_level_tree",
     ),
-    "repro.topology.failures": ("FailureMask", "pruned_topology"),
+    "repro.topology.failures": ("FailureMask",),
     "repro.topology.flat": ("FlatTopology",),
     "repro.topology.ledger": ("Journal", "Ledger"),
     "repro.topology.tree": ("SERVER_LEVEL", "Node", "Topology", "TopologyBuilder"),

@@ -21,12 +21,10 @@ __all__ = [
     "DatacenterSpec",
     "PodSpec",
     "RackSpec",
-    "fat_tree",
     "heterogeneous_from_spec",
     "heterogeneous_tree",
     "multi_rooted_tree",
     "paper_datacenter",
-    "single_rack",
     "three_level_tree",
 ]
 
@@ -320,51 +318,6 @@ def heterogeneous_from_spec(
         for _ in range(spec.pods)
     )
     return heterogeneous_tree(pods)
-
-
-def fat_tree(
-    k: int,
-    *,
-    slots_per_server: int = 4,
-    server_uplink: float = 1_000.0,
-) -> Topology:
-    """A k-ary fat-tree collapsed to its logical reservation tree.
-
-    The canonical fat-tree has k pods of k/2 edge and k/2 aggregation
-    switches, k/2 servers per edge switch, and (k/2)^2 cores, every link
-    at NIC speed.  With ECMP spreading reservations evenly over the
-    equal-cost paths, each edge switch's k/2 uplinks collapse to one
-    logical ToR uplink of (k/2) x NIC, and each pod's (k/2)^2 core links
-    collapse to one logical agg uplink of (k/2)^2 x NIC — a rearrangeably
-    non-blocking fabric, i.e. 1:1 oversubscription at every tier (the
-    multi-rooted counterpart of :func:`multi_rooted_tree`'s collapsed
-    core).
-    """
-    if k < 2 or k % 2:
-        raise TopologyError("fat-tree arity k must be an even number >= 2")
-    half = k // 2
-    rack = RackSpec(
-        servers=half,
-        slots_per_server=slots_per_server,
-        server_uplink=server_uplink,
-        tor_uplink=half * server_uplink,
-    )
-    pod = PodSpec(racks=(rack,) * half, agg_uplink=half * half * server_uplink)
-    return heterogeneous_tree((pod,) * k)
-
-
-def single_rack(
-    servers: int = 4, slots_per_server: int = 2, nic_mbps: float = 10.0
-) -> Topology:
-    """The tiny rack of paper Fig. 6 (used by tests and examples)."""
-    builder = TopologyBuilder()
-    tor = builder.switch("tor", LEVEL_TOR)
-    for index in range(servers):
-        server = builder.server(
-            f"srv-{index}", slots_per_server, nic_mbps, nic_mbps
-        )
-        TopologyBuilder.attach(tor, server)
-    return Topology(tor)
 
 
 def paper_datacenter(

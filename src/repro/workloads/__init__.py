@@ -9,10 +9,6 @@ __all__ = [
     "WorkloadRatio",
     "bing_pool",
     "datacenter_ratios",
-    "dump_pool",
-    "load_pool",
-    "pool_from_json",
-    "pool_to_json",
     "hpcloud_pool",
     "patterns",
     "pool_scale_factor",
@@ -25,9 +21,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.workloads.bing": ("bing_pool", "pool_statistics"),
     "repro.workloads.hpcloud": ("hpcloud_pool",),
     "repro.workloads.scaling": ("pool_scale_factor", "scale_pool"),
-    "repro.workloads.store": (
-        "dump_pool", "load_pool", "pool_from_json", "pool_to_json",
-    ),
     "repro.workloads.survey": (
         "DATACENTERS", "WORKLOADS", "DatacenterProvision", "WorkloadRatio",
         "datacenter_ratios",

@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.tag import Tag
-from repro.topology.builder import DatacenterSpec, single_rack, three_level_tree
+from repro.topology.builder import DatacenterSpec, three_level_tree
 from repro.topology.ledger import Ledger
+from tests.fabrics import single_rack
 
 
 @pytest.fixture

@@ -15,13 +15,13 @@ from repro.core.bandwidth import (
     achieved_wcs,
     hose_requirement,
     hose_saving_possible,
-    trunk_requirement,
     trunk_saving,
     trunk_saving_possible,
     uplink_requirement,
     wcs_cap,
 )
 from repro.core.tag import Tag, TagEdge
+from repro.workloads.patterns import three_tier
 
 
 class TestUplinkRequirement:
@@ -90,10 +90,11 @@ class TestUplinkRequirement:
             uplink_requirement(three_tier_tag, {"db": -1})
 
     def test_trunk_plus_hose_decomposition(self, three_tier_tag):
+        # B_trunk is what Eq. 1 reserves once the self-loop is gone.
         inside = {"web": 2, "logic": 1, "db": 3}
         total = uplink_requirement(three_tier_tag, inside)
         hose = hose_requirement(three_tier_tag, inside)
-        trunk = trunk_requirement(three_tier_tag, inside)
+        trunk = uplink_requirement(three_tier("t", (4, 4, 4), 500.0, 100.0, 0.0), inside)
         assert total.out == pytest.approx(trunk.out + hose.out)
         assert total.into == pytest.approx(trunk.into + hose.into)
 

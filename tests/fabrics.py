@@ -1,0 +1,57 @@
+"""Small fabrics that only the tests build.
+
+The library builds the paper's trees (:mod:`repro.topology.builder`);
+these two shapes exercise the placers and ledgers on fabrics the paper
+does not simulate: a k-ary fat-tree and the single rack of Fig. 6.
+"""
+
+from __future__ import annotations
+
+from repro.errors import TopologyError
+from repro.topology.builder import LEVEL_TOR, PodSpec, RackSpec, heterogeneous_tree
+from repro.topology.tree import Topology, TopologyBuilder
+
+
+def fat_tree(
+    k: int,
+    *,
+    slots_per_server: int = 4,
+    server_uplink: float = 1_000.0,
+) -> Topology:
+    """A k-ary fat-tree collapsed to its logical reservation tree.
+
+    The canonical fat-tree has k pods of k/2 edge and k/2 aggregation
+    switches, k/2 servers per edge switch, and (k/2)^2 cores, every link
+    at NIC speed.  With ECMP spreading reservations evenly over the
+    equal-cost paths, each edge switch's k/2 uplinks collapse to one
+    logical ToR uplink of (k/2) x NIC, and each pod's (k/2)^2 core links
+    collapse to one logical agg uplink of (k/2)^2 x NIC — a rearrangeably
+    non-blocking fabric, i.e. 1:1 oversubscription at every tier (the
+    multi-rooted counterpart of the collapsed core of
+    :func:`repro.topology.builder.multi_rooted_tree`).
+    """
+    if k < 2 or k % 2:
+        raise TopologyError("fat-tree arity k must be an even number >= 2")
+    half = k // 2
+    rack = RackSpec(
+        servers=half,
+        slots_per_server=slots_per_server,
+        server_uplink=server_uplink,
+        tor_uplink=half * server_uplink,
+    )
+    pod = PodSpec(racks=(rack,) * half, agg_uplink=half * half * server_uplink)
+    return heterogeneous_tree((pod,) * k)
+
+
+def single_rack(
+    servers: int = 4, slots_per_server: int = 2, nic_mbps: float = 10.0
+) -> Topology:
+    """The tiny rack of paper Fig. 6: one ToR over ``servers`` servers."""
+    builder = TopologyBuilder()
+    tor = builder.switch("tor", LEVEL_TOR)
+    for index in range(servers):
+        server = builder.server(
+            f"srv-{index}", slots_per_server, nic_mbps, nic_mbps
+        )
+        TopologyBuilder.attach(tor, server)
+    return Topology(tor)

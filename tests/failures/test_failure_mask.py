@@ -6,8 +6,8 @@ import pytest
 
 from repro.errors import TopologyError
 from repro.topology.builder import DatacenterSpec, three_level_tree
-from repro.topology.failures import pruned_topology
 from repro.topology.ledger import Journal, Ledger
+from tests.failures.pruned_topology import pruned_topology
 
 SPEC = DatacenterSpec(
     servers_per_rack=3, racks_per_pod=2, pods=2, slots_per_server=4

@@ -27,10 +27,10 @@ from repro.simulation.arrivals import Arrival
 from repro.simulation.runner import make_placer
 from repro.simulation.service import ServiceLoop
 from repro.topology.builder import DatacenterSpec, three_level_tree
-from repro.topology.failures import pruned_topology
 from repro.topology.ledger import Journal, Ledger
 from repro.workloads.scaling import scale_pool
 from repro.workloads.synthetic import synthetic_pool
+from tests.failures.pruned_topology import pruned_topology
 from tests.placement.scan_candidates import scan_unless_indexed
 
 SPEC = DatacenterSpec(

@@ -4,7 +4,7 @@ The mask's contract is that a failed node is *placement-equivalent to an
 absent node*: running the same admission/departure stream against the
 full topology with a mask installed must make bit-identical decisions —
 same accept/reject sequence, same per-server layouts — as running it
-against :func:`repro.topology.failures.pruned_topology`, for every
+against :func:`tests.failures.pruned_topology.pruned_topology`, for every
 placer, with the candidate index and with the full-scan reference
 (``tests/placement/scan_candidates.py``), on the symmetric and the
 heterogeneous fabric.  Layouts are compared by node *name* because the
@@ -32,10 +32,10 @@ from repro.topology.builder import (
     heterogeneous_from_spec,
     three_level_tree,
 )
-from repro.topology.failures import pruned_topology
 from repro.topology.ledger import Journal, Ledger
 from repro.workloads.scaling import scale_pool
 from repro.workloads.synthetic import synthetic_pool
+from tests.failures.pruned_topology import pruned_topology
 from tests.placement.scan_candidates import scan_unless_indexed
 
 SPEC = DatacenterSpec(

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.inference.ami import ami, entropy, mutual_information
-from repro.inference.louvain import louvain_communities, modularity
+from repro.inference.louvain import louvain_communities
+from tests.inference.modularity import modularity
 
 labellings = st.lists(st.integers(0, 4), min_size=2, max_size=40)
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import InferenceError
-from repro.inference.louvain import louvain_communities, modularity
+from repro.inference.louvain import louvain_communities
+from tests.inference.modularity import modularity
 
 
 def two_cliques(size: int = 5, bridge: float = 0.05):

@@ -9,11 +9,7 @@ from repro.core.tag import Tag
 from repro.errors import InferenceError
 from repro.inference.ami import ami
 from repro.inference.builder import build_tag_from_trace, infer_components, infer_tag
-from repro.inference.similarity import (
-    angular_similarity,
-    feature_vectors,
-    projection_graph,
-)
+from repro.inference.similarity import feature_vectors, projection_graph
 from repro.inference.traffic import synthesize_trace
 from repro.workloads.patterns import three_tier
 
@@ -36,7 +32,12 @@ def projection_graph_reference(
                 # columns [0, n), column block is [n, 2n)).
                 a[j] = a[n + j] = 0.0
                 b[i] = b[n + i] = 0.0
-            weight = angular_similarity(a, b)
+            norm = float(np.linalg.norm(a) * np.linalg.norm(b))
+            if norm == 0.0:
+                weight = 0.0
+            else:
+                cosine = float(np.clip(np.dot(a, b) / norm, -1.0, 1.0))
+                weight = 1.0 - float(np.arccos(cosine)) / np.pi
             if weight > threshold:
                 graph[(i, j)] = weight
     return graph
@@ -86,13 +87,6 @@ class TestSimilarity:
     def test_feature_vector_shape(self, trace):
         features = feature_vectors(trace.mean_matrix)
         assert features.shape == (15, 30)
-
-    def test_angular_similarity_bounds(self):
-        a = np.array([1.0, 0.0])
-        assert angular_similarity(a, a) == pytest.approx(1.0)
-        assert angular_similarity(a, np.array([0.0, 1.0])) == pytest.approx(0.5)
-        assert angular_similarity(a, -a) == pytest.approx(0.0)
-        assert angular_similarity(a, np.zeros(2)) == 0.0
 
     def test_same_tier_vms_most_similar(self, trace):
         graph = projection_graph(trace.mean_matrix)

@@ -43,11 +43,11 @@ from repro.temporal.admission import TemporalLedger
 from repro.temporal.profile import diurnal_profile
 from repro.topology.builder import (
     DatacenterSpec,
-    fat_tree,
     heterogeneous_from_spec,
     three_level_tree,
 )
 from repro.topology.ledger import Journal, Ledger
+from tests.fabrics import fat_tree
 from tests.placement.test_search_walk import _random_tag
 
 SPEC = DatacenterSpec(

@@ -21,10 +21,10 @@ import pytest
 from repro.placement.secondnet import SecondNetPlacer
 from repro.topology.builder import (
     DatacenterSpec,
-    fat_tree,
     heterogeneous_from_spec,
     three_level_tree,
 )
+from tests.fabrics import fat_tree
 from tests.placement.scan_candidates import scan_rack_order
 
 SPEC = DatacenterSpec(

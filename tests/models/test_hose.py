@@ -8,24 +8,9 @@ from repro.core.bandwidth import BandwidthDemand
 from repro.errors import ModelError
 from repro.models.hose import (
     HoseModel,
-    VirtualCluster,
     hose_from_tag,
     hose_uplink_requirement,
 )
-
-
-class TestVirtualCluster:
-    def test_valid(self):
-        vc = VirtualCluster(size=10, bandwidth=100.0)
-        assert vc.size == 10
-
-    def test_invalid_size(self):
-        with pytest.raises(ModelError):
-            VirtualCluster(size=0, bandwidth=100.0)
-
-    def test_invalid_bandwidth(self):
-        with pytest.raises(ModelError):
-            VirtualCluster(size=1, bandwidth=-1.0)
 
 
 class TestHoseFromTag:

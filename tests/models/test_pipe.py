@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ModelError
-from repro.models.pipe import Pipe, PipeSet, pipe_vm_demand, pipes_from_tag, vm_name
+from repro.models.pipe import Pipe, PipeSet, pipes_from_tag, vm_name
 
 
 class TestPipe:
@@ -66,15 +66,12 @@ class TestPipesFromTag:
         )
         assert pipe_trunk_total == pytest.approx(trunk_total)
 
-    def test_vm_demand(self):
+    def test_total_bandwidth(self):
         pipes = PipeSet(
             "p",
             vms=("a", "b", "c"),
             pipes=(Pipe("a", "b", 10.0), Pipe("a", "c", 5.0), Pipe("c", "a", 2.0)),
         )
-        demand = pipe_vm_demand(pipes)
-        assert demand["a"] == (15.0, 2.0)
-        assert demand["b"] == (0.0, 10.0)
         assert pipes.total_bandwidth == pytest.approx(17.0)
 
     def test_vm_name_format(self):

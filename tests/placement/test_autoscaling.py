@@ -13,8 +13,8 @@ from repro.core.tag import Tag
 from repro.errors import ReproError, TagError
 from repro.placement.base import Placement
 from repro.placement.cloudmirror import CloudMirrorPlacer
-from repro.topology.builder import single_rack
 from repro.topology.ledger import Ledger
+from tests.fabrics import single_rack
 
 
 @pytest.fixture

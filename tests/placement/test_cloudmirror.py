@@ -8,8 +8,12 @@ from repro.core.tag import Tag
 from repro.placement.base import Placement, Rejection
 from repro.placement.cloudmirror import CloudMirrorPlacer
 from repro.placement.ha import HaPolicy, allocation_wcs
-from repro.topology.builder import DatacenterSpec, single_rack, three_level_tree
+from repro.simulation.runner import make_placer
+from repro.temporal.admission import TemporalCluster
+from repro.temporal.profile import TemporalProfile, TemporalTag
+from repro.topology.builder import DatacenterSpec, three_level_tree
 from repro.topology.ledger import Ledger
+from tests.fabrics import single_rack
 
 
 def place_ok(placer, tag):
@@ -110,6 +114,46 @@ class TestBasicPlacement:
         assert not ledger.has_overcommit()
         for server in topology.servers:
             assert ledger.reserved_up(server) == pytest.approx(0.0)
+
+
+def _on_ledger(name, ha, tag):
+    ledger = Ledger(three_level_tree(DatacenterSpec(pods=1)))
+    return ledger, place_ok(make_placer(name, ledger, ha), tag)
+
+
+def _on_temporal_cluster(name, ha, tag):
+    cluster = TemporalCluster(DatacenterSpec(pods=1), windows=2)
+    cluster.placer = make_placer(name, cluster.ledger, ha)
+    admission = cluster.admit(TemporalTag(tag, TemporalProfile.flat(2, 1.0)))
+    assert admission is not None
+    return cluster.ledger, admission.allocation
+
+
+class TestTinyRate:
+    """A rate so small that free bandwidth over it overflows to inf is
+    still a valid rate: the greedy fill must not ``int()`` the quotient."""
+
+    @pytest.mark.parametrize(
+        "storage", [_on_ledger, _on_temporal_cluster], ids=["ledger", "temporal"]
+    )
+    @pytest.mark.parametrize(
+        "name, ha",
+        [
+            ("cm", None),
+            ("cm-coloc-only", None),
+            ("cm-balance-only", None),
+            ("cm", HaPolicy(required_wcs=0.5)),
+        ],
+        ids=["cm", "cm-coloc-only", "cm-balance-only", "cm-wcs"],
+    )
+    def test_subnormal_rate_places(self, storage, name, ha):
+        tag = Tag("tiny-rate")
+        tag.add_component("a", 40)
+        tag.add_component("b", 40)
+        tag.add_edge("a", "b", 1e-310, 1e-310)
+        ledger, allocation = storage(name, ha, tag)
+        assert allocation.placed_vms == 80
+        assert not ledger.has_overcommit()
 
 
 class TestColocationBehaviour:

@@ -9,8 +9,8 @@ from repro.models.voc import voc_uplink_requirement
 from repro.placement.base import Placement, Rejection
 from repro.placement.ha import HaPolicy, allocation_wcs
 from repro.placement.oktopus import OktopusPlacer
-from repro.topology.builder import single_rack
 from repro.topology.ledger import Ledger
+from tests.fabrics import single_rack
 
 
 class TestOktopusPlacement:

@@ -33,8 +33,9 @@ from repro.placement.state import (
 )
 from repro.temporal.admission import TemporalLedger
 from repro.temporal.profile import TemporalProfile, diurnal_profile
-from repro.topology.builder import single_rack, three_level_tree
+from repro.topology.builder import three_level_tree
 from repro.topology.ledger import Journal, Ledger
+from tests.fabrics import single_rack
 from tests.placement.test_search_layouts import (
     SPEC,
     _classic,

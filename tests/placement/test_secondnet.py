@@ -7,8 +7,8 @@ import pytest
 from repro.core.tag import Tag
 from repro.placement.base import Placement, Rejection
 from repro.placement.secondnet import SecondNetPlacer
-from repro.topology.builder import single_rack
 from repro.topology.ledger import Ledger
+from tests.fabrics import single_rack
 
 
 class TestSecondNet:

@@ -12,7 +12,7 @@ from repro.cli import main
 from repro.engine import Engine, registry
 from repro.errors import ResultsError
 from repro.obs import core
-from repro.results import ResultStore, export_rows, export_store, stream_export
+from repro.results import ResultStore, stream_export
 
 RUN_FLAGS = ["--pods", "1", "--arrivals", "30", "--loads", "0.4",
              "--seeds", "0,1", "--jobs", "1"]
@@ -29,10 +29,17 @@ def populated(tmp_path):
     return path
 
 
+def _export(store, fmt, **filters):
+    """What ``repro results export`` writes: ``(text, row_count)``."""
+    out = io.StringIO()
+    count = stream_export(lambda: store.iter_rows(**filters), fmt, out)
+    return out.getvalue(), count
+
+
 class TestExportStore:
     def test_csv_round_trips_grid_and_metrics(self, populated):
         with ResultStore(populated) as store:
-            text, count = export_store(store, "csv")
+            text, count = _export(store, "csv")
             expected_rows = store.rows()
         assert count == len(expected_rows) == 4
         parsed = list(csv.DictReader(io.StringIO(text)))
@@ -51,7 +58,7 @@ class TestExportStore:
 
     def test_jsonl_rows_are_self_describing(self, populated):
         with ResultStore(populated) as store:
-            text, count = export_store(store, "jsonl")
+            text, count = _export(store, "jsonl")
         lines = text.strip().split("\n")
         assert count == len(lines) == 4
         for line in lines:
@@ -62,24 +69,27 @@ class TestExportStore:
 
     def test_scenario_filter(self, populated):
         with ResultStore(populated) as store:
-            _, count = export_store(store, "csv", scenario="fig08")
-            _, none = export_store(store, "csv", scenario="other")
+            _, count = _export(store, "csv", scenario="fig08")
+            _, none = _export(store, "csv", scenario="other")
         assert count == 4 and none == 0
 
     def test_deterministic_output(self, populated):
         with ResultStore(populated) as store:
-            first, _ = export_store(store, "csv")
-            second, _ = export_store(store, "csv")
+            first, _ = _export(store, "csv")
+            second, _ = _export(store, "csv")
         assert first == second
 
     def test_unknown_format_rejected(self, populated):
         with ResultStore(populated) as store:
             with pytest.raises(ResultsError):
-                export_store(store, "parquet")
+                _export(store, "parquet")
 
     def test_empty_rows_export(self):
-        assert export_rows([], "jsonl") == ""
-        header = export_rows([], "csv").strip().split(",")
+        jsonl, csv_text = io.StringIO(), io.StringIO()
+        assert stream_export(lambda: iter([]), "jsonl", jsonl) == 0
+        assert jsonl.getvalue() == ""
+        assert stream_export(lambda: iter([]), "csv", csv_text) == 0
+        header = csv_text.getvalue().strip().split(",")
         assert "fingerprint" in header
 
 
@@ -102,7 +112,7 @@ class TestNewKindColumns:
 
     def test_enforce_metric_columns(self, planes_store):
         with ResultStore(planes_store) as store:
-            text, count = export_store(store, "csv", kind="enforce")
+            text, count = _export(store, "csv", kind="enforce")
         assert count == 4  # 2 variants x 2 sender counts
         parsed = list(csv.DictReader(io.StringIO(text)))
         for row in parsed:
@@ -112,7 +122,7 @@ class TestNewKindColumns:
 
     def test_temporal_metric_columns(self, planes_store):
         with ResultStore(planes_store) as store:
-            text, count = export_store(store, "csv", kind="temporal")
+            text, count = _export(store, "csv", kind="temporal")
         assert count == 2  # window + peak variants
         parsed = list(csv.DictReader(io.StringIO(text)))
         for row in parsed:
@@ -128,7 +138,7 @@ class TestNewKindColumns:
 
     def test_mixed_kinds_share_sorted_metric_union(self, planes_store):
         with ResultStore(planes_store) as store:
-            text, _ = export_store(store, "csv")
+            text, _ = _export(store, "csv")
         header = text.splitlines()[0].split(",")
         metric_columns = [c for c in header if c.startswith("metric_")]
         assert metric_columns == sorted(metric_columns)
@@ -169,12 +179,13 @@ class TestStreaming:
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_stream_matches_materialized_export(self, populated, fmt):
-        buffer = io.StringIO()
+        buffer, materialized = io.StringIO(), io.StringIO()
         with ResultStore(populated) as store:
             count = stream_export(store.iter_rows, fmt, buffer)
-            materialized = export_rows(store.rows(), fmt)
+            rows = store.rows()
+            stream_export(lambda: iter(rows), fmt, materialized)
         assert count == 4
-        assert buffer.getvalue() == materialized
+        assert buffer.getvalue() == materialized.getvalue()
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_row_buffer_peak_is_one(self, populated, fmt):

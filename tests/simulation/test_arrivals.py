@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import math
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from repro.simulation.arrivals import (
     arrival_rate_for_load,
     arrival_stream,
     poisson_arrivals,
-    trace_arrivals,
 )
 
 
@@ -138,78 +136,6 @@ class TestArrivalStream:
             arrival_stream(_pool(), 10, 0.5, 1000, mean_dwell=0.0)
         with pytest.raises(SimulationError):
             arrival_stream(_pool(), 10, 0.0, 1000)
-
-
-class TestTraceArrivals:
-    def test_passthrough(self):
-        events = [(0.0, 0, 1.0), (0.5, 2, 0.25), (0.5, 1, 3.0)]
-        arrivals = list(trace_arrivals(events, pool_size=3))
-        assert [(a.time, a.tenant_index, a.dwell) for a in arrivals] == events
-
-    def test_streams_without_materializing(self):
-        def generate():
-            for i in range(10):
-                yield (float(i), i % 3, 1.0)
-
-        stream = trace_arrivals(generate(), pool_size=3)
-        first = next(stream)
-        assert first.time == 0.0  # consumed lazily, one event at a time
-
-    def test_validation(self):
-        with pytest.raises(SimulationError, match="non-decreasing"):
-            list(trace_arrivals([(1.0, 0, 1.0), (0.5, 0, 1.0)]))
-        with pytest.raises(SimulationError, match="dwell"):
-            list(trace_arrivals([(0.0, 0, 0.0)]))
-        with pytest.raises(SimulationError, match="out of range"):
-            list(trace_arrivals([(0.0, 5, 1.0)], pool_size=3))
-        with pytest.raises(SimulationError, match="out of range"):
-            list(trace_arrivals([(0.0, -1, 1.0)]))
-
-    def test_nan_time_does_not_switch_the_order_check_off(self):
-        # nan < last and nan <= 0 are both false: this trace used to be
-        # yielded whole, the -5.0 never compared against anything.
-        events = [(0.0, 0, 1.0), (math.nan, 0, math.nan), (-5.0, 0, 1.0)]
-        with pytest.raises(SimulationError, match="row 1"):
-            list(trace_arrivals(events))
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            (math.nan, 0, 1.0),  # NaN time
-            (math.inf, 0, 1.0),  # infinite time
-            (1.0, 0, math.nan),  # NaN dwell
-            (1.0, 0, -1.0),  # negative dwell
-            (1.0, 0.5, 1.0),  # fractional index: int() would truncate it
-            (1.0, math.nan, 1.0),
-            (1.0, math.inf, 1.0),
-            (1.0, 0),  # too short
-            (1.0, 0, 1.0, 7),  # too long
-            ("soon", 0, 1.0),  # non-numeric
-            (1.0, "zero", 1.0),
-            (1.0, 0, None),
-            None,  # not a row at all
-            (0.5, 0, 1.0),  # well-formed, but earlier than row 1
-            (1.0, 3, 1.0),  # well-formed, but outside the pool
-        ],
-    )
-    def test_every_malformed_row_is_a_simulation_error_naming_it(self, bad):
-        events = [(0.0, 0, 1.0), (1.0, 2, math.inf), bad, (9.0, 0, 1.0)]
-        stream = trace_arrivals(events, pool_size=3)
-        assert [next(stream), next(stream)] == [
-            Arrival(0.0, 0, 1.0),
-            Arrival(1.0, 2, math.inf),  # an infinite dwell never departs
-        ]
-        with pytest.raises(SimulationError, match="trace row 2"):
-            next(stream)
-
-    def test_integral_indices_of_any_numeric_type_pass_as_ints(self):
-        events = [(np.float64(0.5), np.int64(1), np.float32(2.0)), (1, 2.0, 3)]
-        arrivals = list(trace_arrivals(events, pool_size=3))
-        assert arrivals == [(0.5, 1, 2.0), (1.0, 2, 3.0)]
-        for arrival in arrivals:
-            assert type(arrival.time) is float
-            assert type(arrival.tenant_index) is int
-            assert type(arrival.dwell) is float
 
 
 # SHA-256 of repr() of the first 10,000 records at seed 2014, computed on

@@ -1,37 +1,8 @@
-"""Tests for pool persistence and utilization metrics."""
+"""Tests for the slot and bandwidth utilization that RunMetrics samples."""
 
 from __future__ import annotations
 
 import pytest
-
-from repro.errors import SimulationError
-from repro.workloads.bing import bing_pool, pool_statistics
-from repro.workloads.store import dump_pool, load_pool, pool_from_json, pool_to_json
-
-
-class TestPoolStore:
-    def test_round_trip_preserves_statistics(self):
-        pool = bing_pool()[:20]
-        rebuilt = pool_from_json(pool_to_json(pool))
-        assert pool_statistics(rebuilt) == pool_statistics(pool)
-
-    def test_round_trip_preserves_structure(self, three_tier_tag):
-        rebuilt = pool_from_json(pool_to_json([three_tier_tag]))
-        (tag,) = rebuilt
-        assert tag.size == three_tier_tag.size
-        assert tag.edge("web", "logic").send == 500.0
-
-    def test_file_round_trip(self, tmp_path, storm_tag):
-        path = tmp_path / "pool.json"
-        dump_pool([storm_tag], path)
-        (tag,) = load_pool(path)
-        assert tag.num_tiers == 4
-
-    def test_bad_document_rejected(self):
-        with pytest.raises(SimulationError):
-            pool_from_json("{}")
-        with pytest.raises(SimulationError):
-            pool_from_json("not json")
 
 
 class TestUtilizationMetrics:

@@ -27,9 +27,10 @@ from repro.core.tag import Tag
 from repro.errors import LedgerError
 from repro.placement.base import Placement
 from repro.placement.cloudmirror import CloudMirrorPlacer
-from repro.topology.builder import DatacenterSpec, single_rack, three_level_tree
+from repro.topology.builder import DatacenterSpec, three_level_tree
 from repro.topology.ledger import Journal, Ledger
 from repro.topology.tree import Node, Topology
+from tests.fabrics import single_rack
 
 _EPSILON = 1e-6
 

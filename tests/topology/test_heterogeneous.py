@@ -14,7 +14,6 @@ from repro.topology.builder import (
     DatacenterSpec,
     PodSpec,
     RackSpec,
-    fat_tree,
     heterogeneous_from_spec,
     heterogeneous_tree,
     three_level_tree,
@@ -22,6 +21,7 @@ from repro.topology.builder import (
 from repro.topology.ledger import Journal, Ledger
 from repro.workloads.scaling import scale_pool
 from repro.workloads.synthetic import synthetic_pool
+from tests.fabrics import fat_tree
 from tests.placement.scan_candidates import scan_unless_indexed
 
 SPEC = DatacenterSpec(

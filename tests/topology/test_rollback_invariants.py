@@ -16,8 +16,8 @@ from repro.errors import ReproError
 from repro.placement.state import TenantAllocation
 from repro.temporal.admission import TemporalLedger
 from repro.temporal.profile import TemporalProfile
-from repro.topology.builder import single_rack
 from repro.topology.ledger import Ledger, ReservationLedger
+from tests.fabrics import single_rack
 
 
 def snapshot(ledger: ReservationLedger):

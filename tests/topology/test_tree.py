@@ -7,13 +7,9 @@ import math
 import pytest
 
 from repro.errors import TopologyError
-from repro.topology.builder import (
-    DatacenterSpec,
-    paper_datacenter,
-    single_rack,
-    three_level_tree,
-)
+from repro.topology.builder import DatacenterSpec, paper_datacenter, three_level_tree
 from repro.topology.tree import Node, Topology, TopologyBuilder
+from tests.fabrics import single_rack
 
 
 class TestNode:
