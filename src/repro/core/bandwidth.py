@@ -50,13 +50,6 @@ class BandwidthDemand:
     def __add__(self, other: "BandwidthDemand") -> "BandwidthDemand":
         return BandwidthDemand(self.out + other.out, self.into + other.into)
 
-    def scaled(self, factor: float) -> "BandwidthDemand":
-        return BandwidthDemand(self.out * factor, self.into * factor)
-
-    @property
-    def peak(self) -> float:
-        return max(self.out, self.into)
-
 
 def _outside_count(tag: Tag, name: str, inside: Mapping[str, int]) -> float:
     """VMs of ``name`` outside the subtree; ``inf`` for unsized externals."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, TypeVar
+from typing import Callable, Hashable, Iterator, Mapping, TypeVar
 
 from repro.errors import (
     DuplicateComponentError,
@@ -226,18 +226,9 @@ class Tag:
     def component(self, name: str) -> Component:
         return self._require(name)
 
-    def has_component(self, name: str) -> bool:
-        return name in self._components
-
     def internal_components(self) -> list[Component]:
         """Components whose VMs we must place (non-external)."""
         return [c for c in self._components.values() if not c.external]
-
-    def external_components(self) -> list[Component]:
-        return [c for c in self._components.values() if c.external]
-
-    def tier_names(self) -> list[str]:
-        return [c.name for c in self.internal_components()]
 
     def tier_sizes(self) -> dict[str, int]:
         """Internal tier -> size, in component order (a fresh dict)."""
@@ -332,57 +323,6 @@ class Tag:
         copy._components = dict(self._components)
         copy._edges = {key: e.scaled(factor) for key, e in self._edges.items()}
         return copy
-
-    def copy(self) -> "Tag":
-        return self.scaled(1.0)
-
-    # ------------------------------------------------------------------
-    # special cases
-    # ------------------------------------------------------------------
-    @classmethod
-    def hose(cls, name: str, size: int, bandwidth: float) -> "Tag":
-        """The hose model: a single component with a self-loop (§3)."""
-        tag = cls(name)
-        tag.add_component("all", size=size)
-        tag.add_self_loop("all", bandwidth)
-        return tag
-
-    @classmethod
-    def pipes(
-        cls, name: str, demands: Iterable[tuple[str, str, float]]
-    ) -> "Tag":
-        """The pipe model: one single-VM component per endpoint, no loops.
-
-        ``demands`` is an iterable of ``(src_vm, dst_vm, mbps)`` triples.
-        """
-        tag = cls(name)
-        for src, dst, mbps in demands:
-            if not tag.has_component(src):
-                tag.add_component(src, size=1)
-            if not tag.has_component(dst):
-                tag.add_component(dst, size=1)
-            existing = tag.edge(src, dst)
-            if existing is not None:
-                raise DuplicateEdgeError(f"pipe {src!r}->{dst!r} listed twice")
-            tag.add_edge(src, dst, send=mbps, recv=mbps)
-        return tag
-
-    def is_hose(self) -> bool:
-        """True when this TAG is exactly a (single) hose model."""
-        internals = self.internal_components()
-        return (
-            len(internals) == 1
-            and not self.external_components()
-            and len(self._edges) == 1
-            and self.self_loop(internals[0].name) is not None
-        )
-
-    def is_pipe(self) -> bool:
-        """True when this TAG is exactly a pipe model."""
-        internals = self.internal_components()
-        if not internals or any(c.size != 1 for c in internals):
-            return False
-        return all(not e.is_self_loop for e in self._edges.values())
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -3,7 +3,6 @@
 from repro._lazy import lazy_exports
 
 __all__ = [
-    "DynamicsConfig",
     "ElasticSwitchDynamics",
     "EnforcementProblem",
     "EnforcementResult",
@@ -24,7 +23,7 @@ __all__ = [
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.enforcement.dynamics": (
-        "DynamicsConfig", "ElasticSwitchDynamics", "PeriodSample",
+        "ElasticSwitchDynamics", "PeriodSample",
     ),
     "repro.enforcement.elasticswitch": (
         "EnforcementProblem", "EnforcementResult", "PairFlow",

@@ -31,7 +31,6 @@ percent of the static fixed point in a few dozen periods.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,25 +45,12 @@ from repro.enforcement.elasticswitch import (
 )
 from repro.errors import EnforcementError
 
-__all__ = ["DynamicsConfig", "PeriodSample", "ElasticSwitchDynamics"]
+__all__ = ["PeriodSample", "ElasticSwitchDynamics"]
 
-
-@dataclass(frozen=True)
-class DynamicsConfig:
-    """Control-loop constants (defaults follow ElasticSwitch's spirit)."""
-
-    increase_factor: float = 1.06
-    decrease_factor: float = 0.90
-    headroom: float = 0.1
-    convergence_tolerance: float = 15.0  # Mbps (probing keeps oscillating)
-
-    def __post_init__(self) -> None:
-        if self.increase_factor <= 1.0:
-            raise EnforcementError("increase_factor must be > 1")
-        if not 0.0 < self.decrease_factor < 1.0:
-            raise EnforcementError("decrease_factor must be in (0, 1)")
-        if not 0.0 <= self.headroom < 1.0:
-            raise EnforcementError("headroom must be in [0, 1)")
+# Control-loop constants, following ElasticSwitch's spirit.
+_INCREASE_FACTOR = 1.06
+_DECREASE_FACTOR = 0.90
+_HEADROOM = 0.1
 
 
 @dataclass(frozen=True)
@@ -80,9 +66,9 @@ class PeriodSample:
 class ElasticSwitchDynamics:
     """A running enforcement control loop over a fixed set of flows.
 
-    Flows can be added/removed between periods (``add_flow`` /
-    ``remove_flow``), modelling tenants' pairs becoming active, as in the
-    Fig. 13 experiment where C2 senders appear one by one.
+    Flows can be added between periods (``add_flow``), modelling
+    tenants' pairs becoming active, as in the Fig. 13 experiment where
+    C2 senders appear one by one.
     """
 
     def __init__(
@@ -91,14 +77,12 @@ class ElasticSwitchDynamics:
         capacities: dict[object, float],
         *,
         mode: str = "tag",
-        config: DynamicsConfig | None = None,
     ) -> None:
         if mode not in ("tag", "hose"):
             raise EnforcementError(f"mode must be 'tag' or 'hose', got {mode!r}")
         self.tag = tag
         self.capacities = dict(capacities)
         self.mode = mode
-        self.config = config or DynamicsConfig()
         self.flows: list[PairFlow] = []
         self._limits: list[float] = []
         self._period = 0
@@ -117,11 +101,6 @@ class ElasticSwitchDynamics:
         self._limits.append(0.0)  # bootstrapped to the guarantee next period
         self._problem = None
 
-    def remove_flow(self, index: int) -> None:
-        del self.flows[index]
-        del self._limits[index]
-        self._problem = None
-
     def _ensure_problem(self) -> EnforcementProblem:
         if self._problem is None:
             self._problem = build_enforcement_problem(
@@ -129,7 +108,7 @@ class ElasticSwitchDynamics:
                 self.flows,
                 self.capacities,
                 mode=self.mode,
-                headroom=self.config.headroom,
+                headroom=_HEADROOM,
             )
         return self._problem
 
@@ -149,41 +128,19 @@ class ElasticSwitchDynamics:
         # back off toward their *guarantee* — retreating to the protected
         # floor (never below it) is what makes guarantees hold under
         # congestion in ElasticSwitch.
-        config = self.config
         for i, flow in enumerate(self.flows):
             limit = self._limits[i]
             if not congested[i] and limit < flow.demand:
-                new_limit = limit * config.increase_factor
+                new_limit = limit * _INCREASE_FACTOR
             else:
-                new_limit = max(guarantees[i], limit * config.decrease_factor)
+                new_limit = max(guarantees[i], limit * _DECREASE_FACTOR)
             self._limits[i] = min(max(new_limit, guarantees[i]), flow.demand)
         self._period += 1
         return PeriodSample(
             self._period, tuple(guarantees), tuple(self._limits), tuple(rates)
         )
 
-    def run(self, periods: int) -> list[PeriodSample]:
-        return [self.step() for _ in range(periods)]
-
-    def run_until_stable(self, max_periods: int = 200) -> list[PeriodSample]:
-        """Iterate until rates stop moving (within the tolerance)."""
-        samples = [self.step()]
-        for _ in range(max_periods - 1):
-            sample = self.step()
-            previous = samples[-1]
-            samples.append(sample)
-            if len(sample.rates) == len(previous.rates) and all(
-                abs(a - b) <= self.config.convergence_tolerance
-                for a, b in zip(sample.rates, previous.rates)
-            ):
-                break
-        return samples
-
     # ------------------------------------------------------------------
-    def steady_state(self):
-        """The static fixed point (for convergence assertions)."""
-        return solve_enforcement(self._ensure_problem())
-
     def _partition_guarantees(self) -> list[float]:
         return list(solve_enforcement(self._ensure_problem()).guarantees)
 

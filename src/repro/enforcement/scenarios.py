@@ -34,7 +34,6 @@ def fig13_scenario(
     mode: str = "tag",
     guarantee: float = 450.0,
     bottleneck: float = 1000.0,
-    headroom: float = 0.1,
 ) -> Fig13Point:
     """The Fig. 13 experiment: does intra-C2 traffic crowd out X -> Z?
 
@@ -58,7 +57,7 @@ def fig13_scenario(
                 "C2", sender + 1, "C2", 0, links=(_BOTTLENECK,), demand=math.inf
             )
         )
-    result = enforce(tag, flows, capacities, mode=mode, headroom=headroom)
+    result = enforce(tag, flows, capacities, mode=mode)
     x_rate = result.rates[0]
     c2_rate = 0  # not sum(): compensated from Python 3.12, rates are pinned
     for rate in result.rates[1:]:

@@ -110,23 +110,6 @@ class Scenario:
             return self.topologies
         return (TopologyCase(f"{self.pods}p", DatacenterSpec(pods=self.pods)),)
 
-    def param(self, key: str, default: Any = None) -> Any:
-        for name, value in self.params:
-            if name == key:
-                return value
-        return default
-
-    @property
-    def trial_count(self) -> int:
-        return (
-            len(self.topology_cases())
-            * len(self.loads)
-            * len(self.bmaxes)
-            * len(self.xs)
-            * len(self.variants)
-            * len(self.seeds)
-        )
-
     # ------------------------------------------------------------------
     def override(self, **changes: Any) -> "Scenario":
         """A copy with grid overrides applied (CLI ``--seeds 0,1,2`` etc.).
@@ -283,6 +266,3 @@ class ScenarioResult:
 
     def by_variant(self, name: str) -> list[TrialResult]:
         return [r for r in self.results if r.trial.variant.name == name]
-
-    def fingerprints(self) -> list[str]:
-        return [result.fingerprint() for result in self.results]

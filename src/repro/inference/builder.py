@@ -26,6 +26,9 @@ from repro.inference.traffic import TrafficTrace
 
 __all__ = ["infer_components", "build_tag_from_trace", "infer_tag"]
 
+# Mbps: a peak at or below this is no traffic, so no guarantee.
+_MIN_GUARANTEE = 1e-9
+
 
 def infer_components(trace: TrafficTrace, *, seed: int = 0) -> list[int]:
     """Cluster VMs by communication similarity (projection graph + Louvain)."""
@@ -38,7 +41,6 @@ def build_tag_from_trace(
     labels: Sequence[int],
     *,
     name: str = "inferred",
-    min_guarantee: float = 1e-9,
 ) -> Tag:
     """Extract hose and trunk guarantees for a given clustering."""
     if len(labels) != trace.num_vms:
@@ -63,9 +65,9 @@ def build_tag_from_trace(
                 recv_peak = max(recv_peak, float(block.sum(axis=0).max(initial=0.0)))
             if u == v:
                 guarantee = max(send_peak, recv_peak)
-                if guarantee > min_guarantee and len(rows) > 1:
+                if guarantee > _MIN_GUARANTEE and len(rows) > 1:
                     tag.add_self_loop(f"cluster{u}", guarantee)
-            elif send_peak > min_guarantee or recv_peak > min_guarantee:
+            elif send_peak > _MIN_GUARANTEE or recv_peak > _MIN_GUARANTEE:
                 tag.add_edge(
                     f"cluster{u}",
                     f"cluster{v}",
@@ -75,7 +77,7 @@ def build_tag_from_trace(
     return tag
 
 
-def infer_tag(trace: TrafficTrace, *, seed: int = 0, name: str = "inferred") -> Tag:
+def infer_tag(trace: TrafficTrace, *, seed: int = 0) -> Tag:
     """End-to-end §3 pipeline: cluster, then extract guarantees."""
     labels = infer_components(trace, seed=seed)
-    return build_tag_from_trace(trace, labels, name=name)
+    return build_tag_from_trace(trace, labels)

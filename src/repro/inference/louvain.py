@@ -5,15 +5,16 @@ to the neighbouring community with the largest modularity gain until no
 move improves; (2) aggregation — collapse each community to a super-node
 and repeat on the smaller graph.  Weighted, undirected.
 
-Modularity (with resolution gamma):
+Modularity:
 
-    Q = (1/2m) * sum_ij [A_ij - gamma * k_i k_j / (2m)] * delta(c_i, c_j)
+    Q = (1/2m) * sum_ij [A_ij - k_i k_j / (2m)] * delta(c_i, c_j)
 
 The local-moving gain for moving node ``i`` into community ``C`` is
 
-    dQ = k_{i,in}/m - gamma * k_i * Sigma_C / (2 m^2)
+    dQ = k_{i,in}/m - k_i * Sigma_C / (2 m^2)
 
-up to constants identical across candidate communities.
+up to constants identical across candidate communities.  At most
+``_MAX_LEVELS`` rounds of moving and aggregation run.
 """
 
 from __future__ import annotations
@@ -28,14 +29,14 @@ __all__ = ["louvain_communities"]
 
 Graph = Mapping[tuple[int, int], float]
 
+_MAX_LEVELS = 10
+
 
 def louvain_communities(
     graph: Graph,
     num_nodes: int,
     *,
-    resolution: float = 1.0,
     seed: int = 0,
-    max_levels: int = 10,
 ) -> list[int]:
     """Cluster nodes 0..num_nodes-1; returns a dense community label list."""
     if num_nodes <= 0:
@@ -50,8 +51,8 @@ def louvain_communities(
     mapping = list(range(num_nodes))
     current_graph = dict(graph)
     current_n = num_nodes
-    for _ in range(max_levels):
-        labels, improved = _local_moving(current_graph, current_n, resolution, rng)
+    for _ in range(_MAX_LEVELS):
+        labels, improved = _local_moving(current_graph, current_n, rng)
         labels, num_communities = _renumber(labels)
         mapping = [labels[c] for c in mapping]
         if not improved or num_communities == current_n:
@@ -86,7 +87,7 @@ def _normalize(
 
 
 def _local_moving(
-    graph: Graph, num_nodes: int, resolution: float, rng: random.Random
+    graph: Graph, num_nodes: int, rng: random.Random
 ) -> tuple[list[int], bool]:
     adjacency, degrees, total = _normalize(graph, num_nodes)
     labels = list(range(num_nodes))
@@ -113,12 +114,12 @@ def _local_moving(
                 weight_to[labels[peer]] += w
             best_community = home
             best_gain = weight_to.get(home, 0.0) - (
-                resolution * k_i * community_degree[home] / two_m
+                k_i * community_degree[home] / two_m
             )
             for community, k_in in weight_to.items():
                 if community == home:
                     continue
-                gain = k_in - resolution * k_i * community_degree[community] / two_m
+                gain = k_in - k_i * community_degree[community] / two_m
                 if gain > best_gain + 1e-12:
                     best_gain = gain
                     best_community = community

@@ -32,11 +32,11 @@ def feature_vectors(matrix: np.ndarray) -> np.ndarray:
 
 
 def projection_graph(
-    matrix: np.ndarray, *, mask_mutual: bool = True, threshold: float = 0.0
+    matrix: np.ndarray, *, mask_mutual: bool = True
 ) -> dict[tuple[int, int], float]:
     """Build the weighted similarity graph over VMs.
 
-    Returns ``{(i, j): weight}`` for i < j with weight above ``threshold``.
+    Returns ``{(i, j): weight}`` for i < j with positive weight.
     ``mask_mutual`` applies the same-tier refinement described above.
 
     Vectorized: for the pair ``(i, j)`` the masked dot product equals the
@@ -81,7 +81,7 @@ def projection_graph(
     for i, row in enumerate(weights.tolist()):
         for j in range(i + 1, n):
             weight = row[j]
-            if weight > threshold:
+            if weight > 0.0:
                 graph[(i, j)] = weight
     return graph
 

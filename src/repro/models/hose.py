@@ -40,10 +40,6 @@ class HoseModel:
         if set(self.sizes) != set(self.guarantees):
             raise ModelError("hose sizes and guarantees must cover the same tiers")
 
-    @property
-    def size(self) -> int:
-        return sum(self.sizes.values())
-
 
 def hose_from_tag(tag: Tag) -> HoseModel:
     """Collapse a TAG into its hose-model representation (Fig. 2(b)).

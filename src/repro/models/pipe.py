@@ -60,16 +60,8 @@ class PipeSet:
             if pipe.src not in known or pipe.dst not in known:
                 raise ModelError(f"pipe {pipe} references an unknown VM")
 
-    @property
-    def size(self) -> int:
-        return len(self.vms)
-
     def iter_pipes(self) -> Iterator[Pipe]:
         return iter(self.pipes)
-
-    @property
-    def total_bandwidth(self) -> float:
-        return sum(p.bandwidth for p in self.pipes)
 
 
 def pipe_expansion(

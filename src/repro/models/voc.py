@@ -63,16 +63,6 @@ class VocModel:
 
     clusters: tuple[VocCluster, ...]
 
-    @property
-    def size(self) -> int:
-        return sum(c.size for c in self.clusters)
-
-    def cluster(self, name: str) -> VocCluster:
-        for cluster in self.clusters:
-            if cluster.name == name:
-                return cluster
-        raise ModelError(f"no cluster named {name!r}")
-
 
 def voc_from_tag(tag: Tag) -> VocModel:
     """Map each TAG component to a VOC cluster (the Fig. 3(b) construction).

@@ -19,7 +19,7 @@ question:
 ``rack order``
     One sorted list per rack (level-1 node) of its non-full servers as
     ``(-used_slots, enum_pos, server_id)``, where ``enum_pos`` is the
-    server's position in the reversed-preorder ``servers_under`` walk.
+    server's position in the rack's servers walked in reversed preorder.
     Iterating it reproduces SecondNet's per-VM candidate list — a stable
     ``sort(key=used_slots, reverse=True)`` over that walk — without
     rebuilding or re-sorting anything per VM.  Built only when a placer
@@ -46,7 +46,7 @@ lives with the tests (``tests/placement/scan_candidates.py``).
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.obs import core as _obs
 
@@ -216,8 +216,8 @@ class CandidateIndex:
         """The rack's non-full servers as sorted ``(-used, enum_pos, id)``.
 
         Iteration order equals the per-VM rebuild — a stable
-        ``sort(key=used_slots, reverse=True)`` over the reversed-preorder
-        ``servers_under`` walk.  The returned list is live: callers must
+        ``sort(key=used_slots, reverse=True)`` over the rack's servers in
+        reversed preorder.  The returned list is live: callers must
         not mutate slot state while iterating it (none do — SecondNet
         commits only after a server is chosen).
         """
@@ -294,46 +294,3 @@ class CandidateIndex:
                 len(entries) for entries in self._rack_entries.values()
             ),
         }
-
-    def pending_dirty(self) -> dict[int, frozenset[int]]:
-        """Currently-dirty node ids per level (empty once repaired)."""
-        return {
-            level: frozenset(marked)
-            for level, marked in enumerate(self._level_dirty)
-            if marked
-        }
-
-    def verify(self, levels: Iterable[int] | None = None) -> None:
-        """Assert every built level list matches a from-scratch rebuild."""
-        free_of = self.ledger.free_slots_id
-        pos = self._level_pos
-        for level, entries in enumerate(self._level_entries):
-            if entries is None or (levels is not None and level not in levels):
-                continue
-            expected = sorted(
-                (free_of(node_id), pos[node_id], node_id)
-                for node_id in self.flat.level_ids[level]
-            )
-            repaired = self._level_ready(level)
-            if repaired != expected:
-                raise AssertionError(
-                    f"candidate index level {level} diverged from rebuild"
-                )
-
-    def verify_racks(self) -> None:
-        """Assert every built rack list matches a from-scratch rebuild."""
-        used_of = self.ledger.used_slots_id
-        cap = self.ledger.slot_cap
-        enum_pos = self._enum_pos
-        span = self.flat.server_span
-        for rack_id in list(self._rack_entries):
-            lo, hi = span[rack_id]
-            expected = sorted(
-                (-used_of(server_id), enum_pos[server_id], server_id)
-                for server_id in self.flat.server_order[lo:hi]
-                if used_of(server_id) < cap[server_id]
-            )
-            if self.rack_candidates(rack_id) != expected:
-                raise AssertionError(
-                    f"candidate index rack {rack_id} diverged from rebuild"
-                )

@@ -61,10 +61,6 @@ class HaPolicy:
             return tier_size
         return wcs_cap(tier_size, self.required_wcs)
 
-    def applies_at(self, node: Node) -> bool:
-        """Whether the Eq. 7 cap constrains subtrees rooted at ``node``."""
-        return self.guarantees_wcs and node.level <= self.laa_level
-
 
 class DemandEstimator:
     """Running estimate of arriving tenants' per-VM bandwidth demand.

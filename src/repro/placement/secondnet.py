@@ -20,7 +20,7 @@ from collections import defaultdict
 
 from repro.core.constants import EPSILON as _EPSILON
 from repro.core.tag import Tag
-from repro.models.pipe import PipeSet, pipe_expansion, pipes_from_tag
+from repro.models.pipe import pipe_expansion
 from repro.obs import core as _obs
 from repro.placement.base import Placement, PlacementResult, Rejection
 from repro.topology.ledger import OP_BANDWIDTH, Journal, Ledger
@@ -32,14 +32,8 @@ __all__ = ["SecondNetPlacer", "PipeAllocation"]
 class PipeAllocation:
     """Reservation record of one placed pipe-model tenant."""
 
-    def __init__(
-        self, tag: Tag, pipes: PipeSet | None, ledger: Ledger
-    ) -> None:
+    def __init__(self, tag: Tag, ledger: Ledger) -> None:
         self.tag = tag
-        # Deferred: the placer works from the flattened edge expansion
-        # and never touches Pipe objects, so the quadratic ``PipeSet``
-        # is only materialized if a consumer actually asks for it.
-        self._pipes = pipes
         self.ledger = ledger
         self.journal = Journal()
         self.vm_server: dict[str, Node] = {}
@@ -50,12 +44,6 @@ class PipeAllocation:
         # written by SecondNetPlacer._commit.
         self._reserved: dict[int, list[float]] = {}
         self.finalized = False
-
-    @property
-    def pipes(self) -> PipeSet:
-        if self._pipes is None:
-            self._pipes = pipes_from_tag(self.tag)
-        return self._pipes
 
     def release(self) -> None:
         """Release all slots and pipe reservations (tenant departure)."""
@@ -145,7 +133,7 @@ class SecondNetPlacer:
         if tag.size > self.ledger.free_slots(self.topology.root):
             return Rejection(tag, "not enough free VM slots in the datacenter")
         neighbors, demand, order = tag.derived(_pipe_plan)
-        allocation = PipeAllocation(tag, None, self.ledger)
+        allocation = PipeAllocation(tag, self.ledger)
         # Per-server headroom for the *total* pipe demand of colocated
         # VMs: pipes toward not-yet-placed peers will need uplink
         # capacity later, so stacking demand-blind would dead-end (the

@@ -295,10 +295,6 @@ class TenantAllocation:
     def is_complete(self) -> bool:
         return self._placed == self._tag_size
 
-    def remaining(self, tier: str) -> int:
-        """VMs of ``tier`` still to place."""
-        return self._remaining[tier]
-
     def remaining_tiers(self) -> dict[str, int]:
         return {t: n for t, n in self._remaining.items() if n > 0}
 
@@ -311,13 +307,8 @@ class TenantAllocation:
         """Names of the tiers whose VMs this allocation places."""
         return self._internal_tiers
 
-    def count(self, node: Node, tier: str) -> int:
-        """VMs of ``tier`` currently placed in the subtree under ``node``."""
-        counts = self._counts.get(node.node_id)
-        return 0 if counts is None else counts.get(tier, 0)
-
     def count_id(self, node_id: int, tier: str) -> int:
-        """Id-indexed :meth:`count` for hot loops."""
+        """VMs of ``tier`` currently placed in the subtree under ``node_id``."""
         counts = self._counts.get(node_id)
         return 0 if counts is None else counts.get(tier, 0)
 
@@ -676,7 +667,6 @@ class TenantAllocation:
             required[0] - prev_out,
             required[1] - prev_into,
             self.journal,
-            enforce=False,
         )
         self._state_ops.append((_OP_RESERVED, node_id, prev_out, prev_into))
         self._reserved[node_id] = required

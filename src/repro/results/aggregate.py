@@ -101,9 +101,7 @@ def samples_from_results(results: Iterable[TrialResult]) -> list[MetricSample]:
     ]
 
 
-def samples_from_store(
-    store, *, scenario: str | None = None, kind: str | None = None
-) -> list[MetricSample]:
+def samples_from_store(store, *, scenario: str | None = None) -> list[MetricSample]:
     """Metric samples decoded from a :class:`ResultStore`."""
     return [
         MetricSample(
@@ -116,7 +114,7 @@ def samples_from_store(
             seed=row.seed,
             metrics=row.metrics(),
         )
-        for row in store.rows(scenario=scenario, kind=kind)
+        for row in store.rows(scenario=scenario)
     ]
 
 
@@ -124,8 +122,6 @@ def bootstrap_ci(
     values: Sequence[float],
     *,
     confidence: float = 0.95,
-    resamples: int = _RESAMPLES,
-    seed: int = _BOOTSTRAP_SEED,
 ) -> tuple[float, float]:
     """Percentile-bootstrap CI of the mean of ``values`` (deterministic).
 
@@ -136,8 +132,8 @@ def bootstrap_ci(
     if data.size < 2:
         mean = float(data.mean()) if data.size else 0.0
         return (mean, mean)
-    rng = np.random.default_rng(seed)
-    draws = rng.integers(0, data.size, size=(resamples, data.size))
+    rng = np.random.default_rng(_BOOTSTRAP_SEED)
+    draws = rng.integers(0, data.size, size=(_RESAMPLES, data.size))
     means = data[draws].mean(axis=1)
     tail = (1.0 - confidence) / 2.0 * 100.0
     low, high = np.percentile(means, [tail, 100.0 - tail])

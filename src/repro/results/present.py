@@ -74,7 +74,6 @@ def aggregate_chart(
     metric: str,
     *,
     axis: str | None = None,
-    title: str = "",
 ) -> str | None:
     """Mean-per-variant sweep chart with CI bands, or ``None`` when the
     grid has no varying numeric axis to sweep along."""
@@ -98,7 +97,7 @@ def aggregate_chart(
         return None
     return line_chart(
         series,
-        title=title or f"{metric} vs {axis} (mean, : = 95% CI)",
+        title=f"{metric} vs {axis} (mean, : = 95% CI)",
         x_label=axis,
         bands=bands,
     )

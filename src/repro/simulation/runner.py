@@ -104,10 +104,9 @@ def simulate_rejections(
     spec: DatacenterSpec,
     arrivals: int,
     seed: int = 0,
-    ha: HaPolicy | None = None,
-    laa_level: int = 0,
 ) -> RunMetrics:
-    """One §5.1 run: scale pool to B_max, stream arrivals, collect metrics.
+    """One §5.1 run without HA: scale pool to B_max, stream arrivals,
+    collect metrics.
 
     This is the standalone single-run primitive.  Sweeps should go
     through ``repro.engine``, whose ``build_context`` caches reuse the
@@ -117,11 +116,11 @@ def simulate_rejections(
     scaled = scale_pool(pool, bmax)
     topology = three_level_tree(spec)
     ledger = Ledger(topology)
-    placer = make_placer(placer_name, ledger, ha)
+    placer = make_placer(placer_name, ledger)
     events = poisson_arrivals(
         scaled, arrivals, load, topology.total_slots, seed=seed
     )
-    return run_rejections(ledger, placer, scaled, events, laa_level)
+    return run_rejections(ledger, placer, scaled, events)
 
 
 @dataclass(frozen=True)

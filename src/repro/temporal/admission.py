@@ -22,20 +22,17 @@ Unlike the pre-PR-5 facade (kept as ``ReferenceTemporalLedger`` in
 multiplex W :class:`~repro.topology.ledger.Ledger` objects.  All W
 planes live in one contiguous state block per direction over the shared
 :class:`~repro.topology.flat.FlatTopology` — each node's W-window column
-is one contiguous slice, and :meth:`TemporalLedger.plane_matrices`
-exposes the block as ``(W × num_nodes)`` numpy matrices for bulk
-readers — plus an incrementally-maintained per-node worst-case cache,
-so:
+is one contiguous slice — plus an incrementally-maintained per-node
+worst-case cache, so:
 
 * ``available_*``/``nominal_*``/``reserved_*`` are a single cache load
   (capacity minus the cross-plane maximum) instead of a generator
   expression ``min`` over W per-plane method calls — they are the
   :class:`~repro.topology.ledger.ReservationLedger` queries, which
   read nothing but that cache;
-* ``adjust_uplink_id`` is one fused scaled-delta + feasibility check
-  across the whole plane column, journalled as a single tuple undo
-  record (previous column + previous maxima) — no per-plane journals
-  and no partial-failure rollback loop;
+* ``adjust_uplink_id`` is one fused scaled delta across the whole
+  plane column, journalled as a single tuple undo record (previous
+  column + previous maxima) — no per-plane journals;
 * ``window_utilization`` reads level id slices off the flat topology
   instead of walking ``Node`` objects.
 
@@ -49,8 +46,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable
-
-import numpy as np
 
 from repro.core.constants import EPSILON
 from repro.core.tag import Tag
@@ -95,7 +90,7 @@ class TemporalLedger(ReservationLedger):
         # The reservation block: node ``i``'s W-window column is the
         # contiguous slice ``[i*W, (i+1)*W)``, so the fused adjust reads
         # and writes one slice; plane ``w`` is the stride-W view
-        # ``[w::W]`` (see plane_matrices).
+        # ``[w::W]``.
         size = self.flat.size * windows
         self._up = [0.0] * size
         self._down = [0.0] * size
@@ -107,14 +102,6 @@ class TemporalLedger(ReservationLedger):
         # path for back-to-back activations of one profile.
         self._ratio_cache: dict[TemporalProfile, tuple[float, ...]] = {}
         self._active_profile: TemporalProfile | None = None
-
-    def plane_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(W × num_nodes)`` numpy snapshots of both direction blocks."""
-        shape = (self.flat.size, self.windows)
-        return (
-            np.asarray(self._up).reshape(shape).T.copy(),
-            np.asarray(self._down).reshape(shape).T.copy(),
-        )
 
     # ------------------------------------------------------------------
     def set_ratios(self, profile: TemporalProfile) -> None:
@@ -165,17 +152,17 @@ class TemporalLedger(ReservationLedger):
         delta_up: float,
         delta_down: float,
         journal: Journal,
-        enforce: bool = True,
-    ) -> bool:
-        """One fused scaled-delta + feasibility check across all planes.
+    ) -> None:
+        """One fused scaled delta across all planes.
 
-        The uplink's W-window column is read, scaled by the active ratios,
-        checked and written back whole; one journal record — ``(OP_BANDWIDTH,
-        node_id, prev_up_column, prev_down_column, prev_max_up,
-        prev_max_down)`` — undoes it.  A refused adjust writes nothing.
+        The uplink's W-window column is read, scaled by the active ratios
+        and written back whole; the uplink joins the overcommit set when
+        its worst window ends over capacity.  One journal record —
+        ``(OP_BANDWIDTH, node_id, prev_up_column, prev_down_column,
+        prev_max_up, prev_max_down)`` — undoes it.
         """
         if node_id == self._root_id:
-            return True
+            return
         windows = self.windows
         base = node_id * windows
         ratios = self._ratios
@@ -195,8 +182,6 @@ class TemporalLedger(ReservationLedger):
             col_max_up > self._cap_up[node_id] + _EPSILON
             or col_max_down > self._cap_down[node_id] + _EPSILON
         )
-        if enforce and is_over:
-            return False
         self._up[base : base + windows] = new_up
         self._down[base : base + windows] = new_down
         journal.ops.append(
@@ -218,12 +203,11 @@ class TemporalLedger(ReservationLedger):
         c = _obs.counters
         if c is not None:
             c.bump("temporal.journal_ops")
-        return True
 
     def would_overcommit(
         self, node_id: int, deltas: Iterable[tuple[float, float]]
     ) -> bool | None:
-        """Would unenforced adjusts by ``deltas``, in order, end overcommitted?
+        """Would adjusts by ``deltas``, in order, end overcommitted?
 
         The W-plane twin of :meth:`Ledger.would_overcommit`: the column
         arithmetic of :meth:`adjust_uplink_id`, under the active ratios,

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from repro.core.tag import Tag
@@ -52,13 +50,6 @@ class TemporalProfile:
     def peak(self) -> float:
         return max(self.factors)
 
-    @property
-    def mean(self) -> float:
-        total = 0  # not sum(): compensated from Python 3.12, values are pinned
-        for factor in self.factors:
-            total += factor
-        return total / len(self.factors)
-
     @classmethod
     def flat(cls, windows: int, factor: float = 1.0) -> "TemporalProfile":
         return cls(tuple([factor] * windows))
@@ -69,18 +60,18 @@ def diurnal_profile(
     *,
     peak_window: int = 14,
     trough: float = 0.3,
-    sharpness: float = 2.0,
 ) -> TemporalProfile:
     """A smooth day/night cycle peaking at ``peak_window`` (factor 1.0).
 
-    ``trough`` is the off-peak floor; ``sharpness`` narrows the peak.
+    ``trough`` is the off-peak floor; the raised cosine is squared, which
+    narrows the peak.
     Shifting ``peak_window`` by half the cycle gives the anti-correlated
     profile of a nightly batch job.
     """
     if not 0 < trough <= 1.0:
         raise SimulationError("trough must be in (0, 1]")
     phases = 2.0 * np.pi * (np.arange(windows) - peak_window) / windows
-    shape = ((1.0 + np.cos(phases)) / 2.0) ** sharpness
+    shape = ((1.0 + np.cos(phases)) / 2.0) ** 2.0
     factors = trough + (1.0 - trough) * shape
     return TemporalProfile(tuple(float(f) for f in factors))
 
@@ -91,24 +82,3 @@ class TemporalTag:
 
     base: Tag
     profile: TemporalProfile
-
-    def at(self, window: int) -> Tag:
-        """The tenant's TAG during one time window."""
-        return self.base.scaled(self.profile.factors[window % self.profile.windows])
-
-    def peak_tag(self) -> Tag:
-        """What a time-unaware system must reserve around the clock."""
-        return self.base.scaled(self.profile.peak)
-
-    @property
-    def windows(self) -> int:
-        return self.profile.windows
-
-    def window_requirements(
-        self, counts, requirement
-    ) -> Sequence:
-        """Per-window uplink requirements for a fixed VM split."""
-        return [
-            requirement(self.at(window), counts)
-            for window in range(self.windows)
-        ]

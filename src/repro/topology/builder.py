@@ -68,10 +68,6 @@ class DatacenterSpec:
         return self.servers_per_rack * self.racks_per_pod * self.pods
 
     @property
-    def total_slots(self) -> int:
-        return self.num_servers * self.slots_per_server
-
-    @property
     def tor_uplink(self) -> float:
         if math.isinf(self.server_uplink):
             return math.inf
@@ -320,18 +316,12 @@ def heterogeneous_from_spec(
     return heterogeneous_tree(pods)
 
 
-def paper_datacenter(
-    *,
-    scale: float = 1.0,
-    slots_per_server: int = 25,
-    oversubscription: tuple[float, float] = (4.0, 8.0),
-    unlimited: bool = False,
-) -> Topology:
+def paper_datacenter(*, scale: float = 1.0) -> Topology:
     """The §5 simulation datacenter, optionally scaled down.
 
     ``scale=1.0`` gives the paper's 2048 servers; ``scale=0.125`` gives 256
-    servers with the same shape.  ``unlimited=True`` removes all capacity
-    constraints (the idealized topology of Table 1).
+    servers with the same shape: 25 slots per server, 10 Gbps NICs, 4:1
+    ToR and 8:1 aggregation oversubscription.
     """
     if scale <= 0:
         raise TopologyError("scale must be positive")
@@ -340,9 +330,9 @@ def paper_datacenter(
         servers_per_rack=32,
         racks_per_pod=8,
         pods=pods,
-        slots_per_server=slots_per_server,
+        slots_per_server=25,
         server_uplink=10_000.0,
-        tor_oversub=oversubscription[0],
-        agg_oversub=oversubscription[1],
+        tor_oversub=4.0,
+        agg_oversub=8.0,
     )
-    return three_level_tree(spec, unlimited=unlimited)
+    return three_level_tree(spec)

@@ -19,9 +19,9 @@ node exclusion — instead of a post-hoc topology rebuild:
   candidate orderings automatically;
 * ``masked_subtree`` tracks the *capacity* masked out under every node,
   giving CloudMirror's low-bandwidth threshold the alive subtree size;
-* every ``fail``/``restore`` appends one journal record (tag
-  ``OP_MASK``), so a ledger rollback restores failure state exactly —
-  interleaved with slot and bandwidth ops, in reverse order.
+* every ``fail`` appends one journal record, ``(OP_MASK, node_id)``,
+  so a ledger rollback restores failure state exactly — interleaved
+  with slot and bandwidth ops, in reverse order.
 
 The mask is *placement-equivalent to physically pruning the topology*:
 a down server contributes 0 free slots and 0 slot capacity, which is
@@ -39,10 +39,10 @@ Semantics:
 * failing a **link** (a node's uplink toward its parent) disconnects
   the node's subtree, which is placement-equivalent to failing the node
   itself — :meth:`FailureMask.fail_link` records the same mark, and the
-  distinction lives in the caller's metrics, not the mask;
-* restoring a node clears every failure mark in its subtree; a server
-  stays down while a mark *outside* the restored subtree (e.g. a failed
-  ancestor switch) still covers it.
+  distinction lives in the caller's metrics, not the mask.
+
+A mark is cleared only by rolling back the journal that recorded it; a
+server stays down while any mark still covers it.
 
 Bandwidth columns are left untouched: no reservation can involve a
 failed subtree (placement never lands there, and victims release their
@@ -56,10 +56,6 @@ from repro.errors import TopologyError
 from repro.topology.ledger import OP_MASK, Journal
 
 __all__ = ["FailureMask"]
-
-# Sub-kinds inside an (OP_MASK, kind, ...) journal record.
-_FAIL = 0
-_RESTORE = 1
 
 
 class FailureMask:
@@ -84,7 +80,7 @@ class FailureMask:
         self.masked_subtree = [0] * flat.size
         # Explicit failure marks, by node id (servers and switches).
         self.failed: set[int] = set()
-        # Bumped on every fail/restore/undo; memoized derived state
+        # Bumped on every fail and undo; memoized derived state
         # (e.g. CloudMirror's threshold cache) keys on it.
         self.version = 0
         # Swap the ledger's shared immutable capacity alias for a
@@ -96,10 +92,6 @@ class FailureMask:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def is_failed(self, node_id: int) -> bool:
-        """Is there an explicit failure mark on this node?"""
-        return node_id in self.failed
-
     def is_down(self, server_id: int) -> bool:
         """Is this server covered by any failure mark?"""
         return self.cover[server_id] > 0
@@ -108,9 +100,6 @@ class FailureMask:
         """All covered server ids, in preorder."""
         cover = self.cover
         return tuple(i for i in self.flat.server_order if cover[i])
-
-    def failed_nodes(self) -> frozenset[int]:
-        return frozenset(self.failed)
 
     # ------------------------------------------------------------------
     # mutations (journalled)
@@ -134,7 +123,7 @@ class FailureMask:
                 self._on_down(server_id)
         self.failed.add(node_id)
         self.version += 1
-        journal.ops.append((OP_MASK, _FAIL, node_id))
+        journal.ops.append((OP_MASK, node_id))
         return tuple(downed)
 
     def fail_link(self, node_id: int, journal: Journal) -> tuple[int, ...]:
@@ -147,38 +136,6 @@ class FailureMask:
         if node_id == self.flat.root_id:
             raise TopologyError("the root has no uplink to fail")
         return self.fail(node_id, journal)
-
-    def restore(self, node_id: int, journal: Journal) -> tuple[int, ...]:
-        """Clear every failure mark within the subtree of ``node_id``.
-
-        Returns the servers that came back up (a server covered by a
-        mark outside the restored subtree stays down).  No-op if the
-        subtree holds no marks.
-        """
-        ancestors = self.flat.ancestors
-        cleared = tuple(
-            mark
-            for mark in sorted(self.failed)
-            if mark == node_id or node_id in ancestors[mark]
-        )
-        if not cleared:
-            return ()
-        order = self.flat.server_order
-        span = self.flat.server_span
-        cover = self.cover
-        raised = []
-        for mark in cleared:
-            lo, hi = span[mark]
-            for position in range(lo, hi):
-                server_id = order[position]
-                cover[server_id] -= 1
-                if cover[server_id] == 0:
-                    raised.append(server_id)
-                    self._on_up(server_id)
-        self.failed.difference_update(cleared)
-        self.version += 1
-        journal.ops.append((OP_MASK, _RESTORE, node_id, cleared))
-        return tuple(raised)
 
     # ------------------------------------------------------------------
     # transitions + rollback
@@ -219,33 +176,20 @@ class FailureMask:
             index.touch_path(ancestors)
 
     def _undo(self, op: tuple) -> None:
-        """Reverse one ``(OP_MASK, ...)`` journal record.
+        """Reverse one ``(OP_MASK, node_id)`` journal record.
 
         Called by the ledger's rollback in reverse journal order, so the
         cover counts at undo time match the state right after the op
         applied and the inverse transitions are exact.
         """
-        kind = op[1]
+        node_id = op[1]
+        lo, hi = self.flat.server_span[node_id]
         order = self.flat.server_order
-        span = self.flat.server_span
         cover = self.cover
-        if kind == _FAIL:
-            node_id = op[2]
-            lo, hi = span[node_id]
-            for position in range(lo, hi):
-                server_id = order[position]
-                cover[server_id] -= 1
-                if cover[server_id] == 0:
-                    self._on_up(server_id)
-            self.failed.discard(node_id)
-        else:
-            cleared = op[3]
-            for mark in cleared:
-                lo, hi = span[mark]
-                for position in range(lo, hi):
-                    server_id = order[position]
-                    cover[server_id] += 1
-                    if cover[server_id] == 1:
-                        self._on_down(server_id)
-                self.failed.add(mark)
+        for position in range(lo, hi):
+            server_id = order[position]
+            cover[server_id] -= 1
+            if cover[server_id] == 0:
+                self._on_up(server_id)
+        self.failed.discard(node_id)
         self.version += 1

@@ -17,11 +17,10 @@ contiguous id-indexed lists:
     Uplink capacities, so the ledger never touches a ``Node`` on its
     capacity checks.
 ``ancestors[i]``
-    ``(i, parent, ..., root)`` — the exact sequence
-    ``Topology.ancestors(node, include_self=True)`` yields.
+    ``(i, parent, ..., root)`` — node ``i`` and every node above it.
 ``path_up[i]``
     ``ancestors[i]`` without the root — the uplinks that carry node
-    ``i``'s traffic toward the core (``Topology.path_to_root``).
+    ``i``'s traffic toward the core.
 ``server_span[i]`` over ``server_order``
     Every subtree's servers as one contiguous ``[lo, hi)`` slice of a
     preorder server list, replacing per-call tree walks.
@@ -39,8 +38,6 @@ index; sparse (but non-negative) ids simply leave unused slots.
 """
 
 from __future__ import annotations
-
-from typing import Iterator, Sequence
 
 from repro.errors import TopologyError
 from repro.topology.tree import Node, Topology
@@ -161,37 +158,3 @@ class FlatTopology:
             for level in range(self.num_levels)
         )
 
-    # ------------------------------------------------------------------
-    # structure queries (Node-level convenience over the arrays)
-    # ------------------------------------------------------------------
-    def servers_under_id(self, node_id: int) -> Sequence[int]:
-        """Server ids in the subtree under ``node_id``, in preorder."""
-        lo, hi = self.server_span[node_id]
-        return self.server_order[lo:hi]
-
-    def iter_servers_under(self, node_id: int) -> Iterator[Node]:
-        """Servers under ``node_id`` in the legacy tree-walk order.
-
-        The seed implementation yielded servers via an explicit stack,
-        i.e. in *reversed* preorder; SecondNet's candidate scan
-        tie-breaks on that order, so it is part of the behavior
-        contract.
-        """
-        lo, hi = self.server_span[node_id]
-        order = self.server_order
-        node_of = self.node_of
-        for index in range(hi - 1, lo - 1, -1):
-            yield node_of[order[index]]  # type: ignore[misc]
-
-    def lca_id(self, a: int, b: int) -> int:
-        """Lowest common ancestor of two node ids."""
-        parent = self.parent
-        depth = self.depth
-        while depth[a] > depth[b]:
-            a = parent[a]
-        while depth[b] > depth[a]:
-            b = parent[b]
-        while a != b:
-            a = parent[a]
-            b = parent[b]
-        return a

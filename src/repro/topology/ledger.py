@@ -8,8 +8,11 @@ subtree so placement algorithms can do O(1) feasibility pre-checks.
 All mutations go through a :class:`Journal` so that a placement attempt
 can be rolled back wholesale when it fails part-way (Algorithm 1's
 ``Dealloc``), and so a departing tenant can release exactly what it
-reserved.  Capacity violations are reported by returning ``False``;
-inconsistencies (releasing more than reserved) raise :class:`LedgerError`.
+reserved.  A slot reservation over capacity is refused
+(``reserve_slots`` returns ``False``); a bandwidth adjust always
+applies, and an uplink left over capacity joins the overcommit set that
+``has_overcommit`` reports.  Inconsistencies (releasing more than
+reserved) raise :class:`LedgerError`.
 
 State lives in flat id-indexed arrays mirroring
 :class:`repro.topology.flat.FlatTopology` (used slots, used up/down
@@ -56,8 +59,8 @@ _EPSILON = EPSILON
 # bandwidth record is its ledger's own — ``prev_up, prev_down`` here, the
 # previous columns and maxima in the temporal ledger — written by that
 # ledger's ``adjust_uplink_id`` and read back by its ``_restore_bandwidth``.
-# OP_MASK records failure-mask transitions — (OP_MASK, kind, ...) — and
-# goes to the attached :class:`repro.topology.failures.FailureMask`.
+# OP_MASK records one failure mark — (OP_MASK, node_id) — and goes to
+# the attached :class:`repro.topology.failures.FailureMask`.
 OP_SLOTS = 0
 OP_BANDWIDTH = 1
 OP_MASK = 2
@@ -146,10 +149,6 @@ class ReservationLedger:
             FailureMask(self)  # attaches itself (sets _failure_mask)
         return self._failure_mask
 
-    @property
-    def failure_mask(self):
-        return self._failure_mask
-
     def mask_version(self) -> int:
         """Failure-state generation counter (0 while no mask exists)."""
         mask = self._failure_mask
@@ -234,9 +233,6 @@ class ReservationLedger:
     def has_overcommit(self) -> bool:
         """Any uplink currently reserved beyond its capacity?"""
         return bool(self._over)
-
-    def overcommitted_nodes(self) -> frozenset[int]:
-        return frozenset(self._over)
 
     def _update_overcommit(self, node_id: int) -> None:
         """Refresh ``node_id``'s overcommit membership from its maxima."""
@@ -389,23 +385,17 @@ class Ledger(ReservationLedger):
         delta_up: float,
         delta_down: float,
         journal: Journal,
-        enforce: bool = True,
-    ) -> bool:
+    ) -> None:
         """Adjust reserved uplink bandwidth by a delta (the placement hot path).
 
-        With ``enforce=True`` the adjustment is refused (returning False)
-        when it would exceed capacity.  With ``enforce=False`` the
-        adjustment always applies and over-capacity links are tracked in
-        the overcommit set; placement algorithms use this to defer the
-        capacity check to subtree-completion boundaries (Algorithm 1
-        reserves per completed subtree, so transient mid-placement spikes
-        must not reject a tenant that finally fits).
-
-        A refused adjust writes nothing: no value, no journal record, no
-        overcommit-set change.
+        The adjustment always applies; an uplink it leaves over capacity
+        joins the overcommit set.  Placement checks that set at
+        subtree-completion boundaries (Algorithm 1 reserves per completed
+        subtree, so transient mid-placement spikes must not reject a
+        tenant that finally fits).
         """
         if node_id == self._root_id:
-            return True
+            return
         used_up = self._used_up
         used_down = self._used_down
         prev_up = used_up[node_id]
@@ -418,8 +408,6 @@ class Ledger(ReservationLedger):
             new_up > self._cap_up[node_id] + _EPSILON
             or new_down > self._cap_down[node_id] + _EPSILON
         )
-        if enforce and is_over:
-            return False
         used_up[node_id] = new_up if new_up > 0.0 else 0.0
         used_down[node_id] = new_down if new_down > 0.0 else 0.0
         if is_over:
@@ -430,12 +418,11 @@ class Ledger(ReservationLedger):
         c = _obs.counters
         if c is not None:
             c.bump("ledger.journal_ops")
-        return True
 
     def would_overcommit(
         self, node_id: int, deltas: Iterable[tuple[float, float]]
     ) -> bool | None:
-        """Would unenforced adjusts by ``deltas``, in order, end overcommitted?
+        """Would adjusts by ``deltas``, in order, end overcommitted?
 
         The arithmetic of :meth:`adjust_uplink_id`, stepped on local
         copies of the uplink's values — the over-set's answer, with

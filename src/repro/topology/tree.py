@@ -14,7 +14,7 @@ lives in :class:`repro.topology.ledger.Ledger`.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.errors import TopologyError
 
@@ -168,40 +168,11 @@ class Topology:
         except KeyError:
             raise TopologyError(f"no node with id {node_id}") from None
 
-    def slots_under(self, node: Node) -> int:
-        """Total VM slots (used or not) in the subtree under ``node``."""
-        return self.flat.subtree_slots[node.node_id]
-
     def level_nodes(self, level: int) -> Sequence[Node]:
         """All nodes at a given level (0 = servers, root at the top)."""
         if level not in self._levels:
             raise TopologyError(f"no nodes at level {level}")
         return tuple(self._levels[level])
-
-    def ancestors(self, node: Node, *, include_self: bool = False) -> Iterator[Node]:
-        """Walk from ``node`` toward the root (root included)."""
-        current: Node | None = node if include_self else node.parent
-        while current is not None:
-            yield current
-            current = current.parent
-
-    def servers_under(self, node: Node) -> Iterator[Node]:
-        """All servers in the subtree rooted at ``node``.
-
-        Yields in the historical explicit-stack order (reversed
-        preorder); SecondNet's candidate scan tie-breaks on it.
-        """
-        return self.flat.iter_servers_under(node.node_id)
-
-    def path_to_root(self, node: Node) -> list[Node]:
-        """Nodes whose uplinks form the path ``node -> root`` (root excluded).
-
-        The uplink of each returned node carries the tenant's traffic when
-        its VMs sit below ``node`` and peers sit elsewhere.
-        """
-        flat = self.flat
-        node_of = flat.node_of
-        return [node_of[i] for i in flat.path_up[node.node_id]]
 
     def describe(self) -> str:
         """A short human-readable summary used by examples and the CLI."""
@@ -231,21 +202,11 @@ class TopologyBuilder:
         self._next_id += 1
         return node_id
 
-    def switch(
-        self,
-        name: str,
-        level: int,
-        uplink_up: float = math.inf,
-        uplink_down: float = math.inf,
-    ) -> Node:
+    def switch(self, name: str, level: int) -> Node:
+        """A switch with unlimited uplinks: the root of a tree."""
         if level <= SERVER_LEVEL:
             raise TopologyError("switch level must be >= 1")
-        return Node(self._take_id(), name, level, 0, uplink_up, uplink_down)
-
-    def server(
-        self, name: str, slots: int, uplink_up: float, uplink_down: float
-    ) -> Node:
-        return Node(self._take_id(), name, SERVER_LEVEL, slots, uplink_up, uplink_down)
+        return Node(self._take_id(), name, level, 0, math.inf, math.inf)
 
     @staticmethod
     def attach(parent: Node, child: Node) -> None:

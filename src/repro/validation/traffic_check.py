@@ -141,14 +141,13 @@ def link_loads(
 
 
 def validate_allocation(
-    allocation, *, samples: int = 5, seed: int = 0, tolerance: float = EPSILON
+    allocation, *, samples: int = 5, seed: int = 0
 ) -> None:
     """Assert the allocation's reservations cover random admissible traffic.
 
-    Raises ``AssertionError`` naming the first overloaded uplink.
-    ``tolerance`` defaults to the repo-wide capacity epsilon (so the
-    validator and the ledger agree on what "fits"); callers may widen it
-    per use.
+    Raises ``AssertionError`` naming the first overloaded uplink.  The
+    tolerance is the repo-wide capacity epsilon, so the validator and
+    the ledger agree on what "fits".
     """
     index = VmIndex.from_allocation(allocation)
     if index.count == 0:
@@ -160,11 +159,11 @@ def validate_allocation(
         for node_id, (up, down) in link_loads(index, matrix).items():
             node = topology.node(node_id)
             reserved = allocation.reserved_on(node)
-            assert up <= reserved.out + tolerance, (
+            assert up <= reserved.out + EPSILON, (
                 f"uplink {node.name}: traffic {up:.3f} exceeds the "
                 f"reservation {reserved.out:.3f}"
             )
-            assert down <= reserved.into + tolerance, (
+            assert down <= reserved.into + EPSILON, (
                 f"downlink {node.name}: traffic {down:.3f} exceeds the "
                 f"reservation {reserved.into:.3f}"
             )

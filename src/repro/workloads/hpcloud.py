@@ -19,11 +19,11 @@ from repro.workloads import patterns
 __all__ = ["hpcloud_pool"]
 
 
-def hpcloud_pool(seed: int = 29, tenants: int = 60) -> list[Tag]:
-    """Small tenants, sparse pair-dominated traffic, Pareto demands."""
+def hpcloud_pool(seed: int = 29) -> list[Tag]:
+    """60 small tenants, sparse pair-dominated traffic, Pareto demands."""
     rng = np.random.default_rng(seed)
     pool: list[Tag] = []
-    for i in range(tenants):
+    for i in range(60):
         name = f"hpc-{i:03d}"
         size = int(np.clip(rng.lognormal(2.0, 0.8), 2, 60))
         # Pareto demands: a few dominant pairs, a long tail of light ones.

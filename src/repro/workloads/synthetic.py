@@ -18,10 +18,11 @@ from repro.workloads import patterns
 __all__ = ["synthetic_pool"]
 
 
-def synthetic_pool(seed: int = 7, tenants: int = 60) -> list[Tag]:
+def synthetic_pool(seed: int = 7) -> list[Tag]:
+    """60 tenants: three-tier web services, MapReduce jobs and Storm pipelines."""
     rng = np.random.default_rng(seed)
     pool: list[Tag] = []
-    for i in range(tenants):
+    for i in range(60):
         kind = rng.random()
         if kind < 0.5:
             scale = int(rng.integers(1, 20))

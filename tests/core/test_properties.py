@@ -20,6 +20,7 @@ from repro.core.bandwidth import hose_requirement, uplink_requirement
 from repro.core.tag import Tag
 from repro.models.hose import hose_from_tag, hose_uplink_requirement
 from repro.models.voc import voc_uplink_requirement
+from tests.tags import hose_tag
 
 MAX_TIERS = 4
 MAX_SIZE = 8
@@ -108,7 +109,7 @@ def test_everything_inside_needs_nothing(tag):
 @given(st.integers(2, 20), st.floats(1.0, 100.0), st.data())
 @settings(max_examples=100, deadline=None)
 def test_hose_crossing_symmetric_and_peaks_at_half(size, bandwidth, data):
-    tag = Tag.hose("h", size=size, bandwidth=bandwidth)
+    tag = hose_tag("h", size=size, bandwidth=bandwidth)
     counts = [
         hose_requirement(tag, {"all": k}).out for k in range(size + 1)
     ]

@@ -15,6 +15,7 @@ from repro.errors import (
     TagError,
     UnknownComponentError,
 )
+from tests.tags import hose_tag
 
 
 class TestComponent:
@@ -139,7 +140,7 @@ class TestTagQueries:
         assert tag.edge_aggregate(edge) == pytest.approx(200.0)
 
     def test_edge_aggregate_self_loop_counts_bytes_once(self):
-        tag = Tag.hose("h", size=4, bandwidth=100.0)
+        tag = hose_tag("h", size=4, bandwidth=100.0)
         loop = tag.self_loop("all")
         assert tag.edge_aggregate(loop) == pytest.approx(200.0)
 
@@ -171,32 +172,10 @@ class TestTagTransforms:
         with pytest.raises(InvalidGuaranteeError):
             three_tier_tag.scaled(-1.0)
 
-    def test_copy_is_independent(self, three_tier_tag):
-        copy = three_tier_tag.copy()
+    def test_scaled_copy_is_independent(self, three_tier_tag):
+        copy = three_tier_tag.scaled(1.0)
         copy.add_component("cache", 2)
-        assert not three_tier_tag.has_component("cache")
-
-
-class TestSpecialCases:
-    def test_hose_special_case(self):
-        tag = Tag.hose("h", size=5, bandwidth=100.0)
-        assert tag.is_hose()
-        assert not tag.is_pipe()
-        assert tag.size == 5
-
-    def test_pipe_special_case(self):
-        tag = Tag.pipes("p", [("a", "b", 10.0), ("b", "c", 5.0)])
-        assert tag.is_pipe()
-        assert not tag.is_hose()
-        assert tag.size == 3
-
-    def test_pipe_duplicate_rejected(self):
-        with pytest.raises(DuplicateEdgeError):
-            Tag.pipes("p", [("a", "b", 10.0), ("a", "b", 5.0)])
-
-    def test_three_tier_is_neither(self, three_tier_tag):
-        assert not three_tier_tag.is_hose()
-        assert not three_tier_tag.is_pipe()
+        assert "cache" not in three_tier_tag.components
 
 
 class TestDerivedQuantityCaches:
@@ -269,7 +248,7 @@ class TestDerivedQuantityCaches:
         doubled = tag.scaled(2.0)
         assert doubled.size == warm[0]
         assert doubled.mean_per_vm_demand() == 2.0 * warm[2]
-        clone = tag.copy()
+        clone = tag.scaled(1.0)
         clone.add_component("cache", 2)
         assert self._read(clone) == self._reference(clone)
         assert self._read(tag) == warm  # and the original is untouched
@@ -288,6 +267,6 @@ class TestDerivedQuantityCaches:
         first = TenantAllocation(three_tier_tag, ledger)
         server = ledger.topology.servers[0]
         assert first.place(server, "web", 2, ledger.topology.root)
-        assert first.remaining("web") == three_tier_tag.tier_sizes()["web"] - 2
+        assert first.remaining_tiers()["web"] == three_tier_tag.tier_sizes()["web"] - 2
         second = TenantAllocation(three_tier_tag, ledger)
         assert second.remaining_tiers() == three_tier_tag.tier_sizes()

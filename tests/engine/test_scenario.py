@@ -29,7 +29,7 @@ class TestExpansion:
     def test_trial_count_matches_grid(self):
         scenario = _scenario()
         trials = scenario.expand()
-        assert len(trials) == scenario.trial_count == 2 * 2 * 2 * 2
+        assert len(trials) == 2 * 2 * 2 * 2
 
     def test_grid_order_is_load_bmax_variant_seed(self):
         trials = _scenario().expand()
@@ -99,9 +99,9 @@ class TestOverride:
         assert scenario.seeds == (0, 1)
 
     def test_param_lookup(self):
-        scenario = _scenario(params=(("guarantee", 450.0),))
-        assert scenario.param("guarantee") == 450.0
-        assert scenario.param("missing", "x") == "x"
+        trial = _scenario(params=(("guarantee", 450.0),)).expand()[0]
+        assert trial.param("guarantee") == 450.0
+        assert trial.param("missing", "x") == "x"
 
 
 class TestVariant:

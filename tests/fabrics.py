@@ -1,4 +1,4 @@
-"""Small fabrics that only the tests build.
+"""Small fabrics that only the tests build, and two walks over a tree.
 
 The library builds the paper's trees (:mod:`repro.topology.builder`);
 these two shapes exercise the placers and ledgers on fabrics the paper
@@ -7,9 +7,11 @@ does not simulate: a k-ary fat-tree and the single rack of Fig. 6.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro.errors import TopologyError
 from repro.topology.builder import LEVEL_TOR, PodSpec, RackSpec, heterogeneous_tree
-from repro.topology.tree import Topology, TopologyBuilder
+from repro.topology.tree import SERVER_LEVEL, Node, Topology, TopologyBuilder
 
 
 def fat_tree(
@@ -47,11 +49,32 @@ def single_rack(
     servers: int = 4, slots_per_server: int = 2, nic_mbps: float = 10.0
 ) -> Topology:
     """The tiny rack of paper Fig. 6: one ToR over ``servers`` servers."""
-    builder = TopologyBuilder()
-    tor = builder.switch("tor", LEVEL_TOR)
+    tor = TopologyBuilder().switch("tor", LEVEL_TOR)
     for index in range(servers):
-        server = builder.server(
-            f"srv-{index}", slots_per_server, nic_mbps, nic_mbps
+        server = Node(
+            index + 1,
+            f"srv-{index}",
+            SERVER_LEVEL,
+            slots_per_server,
+            nic_mbps,
+            nic_mbps,
         )
         TopologyBuilder.attach(tor, server)
     return Topology(tor)
+
+
+def servers_under(topology: Topology, node: Node) -> Iterator[Node]:
+    """All servers in the subtree rooted at ``node``, in reversed preorder
+    (the order SecondNet's candidate scan tie-breaks on)."""
+    flat = topology.flat
+    lo, hi = flat.server_span[node.node_id]
+    return (flat.node_of[i] for i in reversed(flat.server_order[lo:hi]))
+
+
+def ancestors(node: Node) -> Iterator[Node]:
+    """Walk from ``node`` to the root, both included, by parent pointers
+    (the reference for ``FlatTopology.ancestors``)."""
+    current: Node | None = node
+    while current is not None:
+        yield current
+        current = current.parent

@@ -45,7 +45,7 @@ def test_server_failure_zeroes_capacity_and_free(ledger):
     downed = mask.fail(server, Journal())
     assert downed == (server,)
     assert ledger.slot_cap[server] == 0
-    assert mask.is_down(server) and mask.is_failed(server)
+    assert mask.is_down(server) and server in mask.failed
     assert ledger.free_slots_id(root) == free_before - 4
     assert ledger.alive_subtree_slots_id(rack) == 2 * 4
     assert ledger.alive_subtree_slots_id(root) == ledger.flat.subtree_slots[root] - 4
@@ -60,9 +60,9 @@ def test_switch_failure_downs_whole_span(ledger):
     downed = mask.fail(ids["tor-1-0"], Journal())
     assert len(downed) == 3
     assert set(mask.down_servers()) == set(downed)
-    assert mask.failed_nodes() == frozenset({ids["tor-1-0"]})
+    assert mask.failed == {ids["tor-1-0"]}
     # Servers under the dead ToR are covered but carry no explicit mark.
-    assert all(not mask.is_failed(s) for s in downed)
+    assert not mask.failed & set(downed)
 
 
 def test_fail_is_idempotent_and_versions(ledger):
@@ -83,45 +83,25 @@ def test_fail_link_root_raises(ledger):
         mask.fail_link(ledger.flat.root_id, Journal())
 
 
-def test_restore_respects_outside_marks(ledger):
+def test_undoing_a_mark_respects_outside_marks(ledger):
     mask = ledger.ensure_failure_mask()
+    flat = ledger.flat
     ids = _named(ledger.topology)
     agg, rack = ids["agg-0"], ids["tor-0-1"]
     journal = Journal()
     mask.fail(agg, journal)  # downs both racks of pod 0
+    savepoint = journal.savepoint()
     assert mask.fail(rack, journal) == ()  # already covered: nothing new
-    # Restoring the rack clears its mark, but the agg still covers it.
-    assert mask.restore(rack, journal) == ()
-    assert mask.failed_nodes() == frozenset({agg})
-    lo, hi = ledger.flat.server_span[rack]
-    assert all(mask.is_down(s) for s in ledger.flat.server_order[lo:hi])
-    # Restoring the agg clears everything under it.
-    raised = mask.restore(agg, journal)
-    assert len(raised) == 6
-    assert not mask.failed_nodes() and mask.down_servers() == ()
-
-
-def test_restore_subtree_clears_descendant_marks(ledger):
-    mask = ledger.ensure_failure_mask()
-    flat = ledger.flat
-    ids = _named(ledger.topology)
-    journal = Journal()
-    downed = set(mask.fail(ids["srv-1-1-0"], journal))
-    downed.update(mask.fail(ids["tor-1-0"], journal))
-    # Restoring the pod's agg clears both descendant marks at once.
-    raised = mask.restore(ids["agg-1"], journal)
-    assert set(raised) == downed
-    assert not mask.failed_nodes()
+    # Undoing the rack's mark clears it, but the agg still covers it.
+    ledger.rollback(journal, savepoint)
+    assert mask.failed == {agg}
+    lo, hi = flat.server_span[rack]
+    assert all(mask.is_down(s) for s in flat.server_order[lo:hi])
+    # Undoing the agg's mark brings everything under it back.
+    ledger.rollback(journal)
+    assert not mask.failed and mask.down_servers() == ()
     assert list(ledger.slot_cap) == list(flat.slots)
     assert mask.masked_subtree == [0] * flat.size
-
-
-def test_restore_noop_without_marks(ledger):
-    mask = ledger.ensure_failure_mask()
-    journal = Journal()
-    assert mask.restore(ledger.flat.root_id, journal) == ()
-    assert journal.ops == []
-    assert mask.version == 0
 
 
 def test_rollback_restores_mask_and_slot_state(ledger):
@@ -148,7 +128,6 @@ def test_rollback_restores_mask_and_slot_state(ledger):
     other = topology.flat.node_of[ids["srv-1-0-0"]]
     assert ledger.reserve_slots(other, 3, journal)
     mask.fail(ids["srv-1-1-2"], journal)
-    mask.restore(ids["tor-0-0"], journal)
     assert snapshot() != before
     ledger.rollback(journal)
     assert snapshot() == before
@@ -164,12 +143,13 @@ def test_release_on_down_server_keeps_aggregates_consistent(ledger):
     root = topology.flat.root_id
     assert ledger.reserve_slots(server, 3, Journal())
     mask = ledger.ensure_failure_mask()
-    mask.fail(ids["srv-0-0-1"], Journal())
+    journal = Journal()
+    mask.fail(ids["srv-0-0-1"], journal)
     free_down = ledger.free_slots_id(root)
     ledger.release_slots(server, 3)  # victim departs while server is down
     assert ledger.free_slots_id(root) == free_down  # down: contributes 0
     assert ledger.used_slots(server) == 0
-    mask.restore(ids["srv-0-0-1"], Journal())
+    ledger.rollback(journal)
     # Back up with used=0: the full capacity returns to the aggregates.
     assert ledger.free_slots_id(root) == free_down + 4
     assert ledger.slot_cap[server.node_id] == 4

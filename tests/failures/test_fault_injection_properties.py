@@ -5,12 +5,13 @@ and admission streams through three invariants:
 
 * **equivalence** — placement under a random failure mask is identical,
   by node name, to placement on the physically pruned topology;
-* **rollback** — any interleaving of fail / restore / reserve ops in one
+* **rollback** — any interleaving of fail / reserve ops in one
   journal rolls back to the exact pre-journal ledger + mask state, with
   the candidate index still verifying against a from-scratch rebuild;
-* **recovery** — after failures, victim departure, re-admission and full
-  restore, no allocation holds a slot on a down server and the ledger's
-  free-subtree aggregates match a from-scratch recount.
+* **recovery** — after failures, victim departure and re-admission, no
+  allocation holds a slot on a down server, and the ledger's
+  free-subtree aggregates match a from-scratch recount before and after
+  the failures are rolled back.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import random
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import TopologyError
 from repro.placement.base import Placement
 from repro.simulation.arrivals import Arrival
 from repro.simulation.runner import make_placer
@@ -31,6 +31,7 @@ from repro.topology.ledger import Journal, Ledger
 from repro.workloads.scaling import scale_pool
 from repro.workloads.synthetic import synthetic_pool
 from tests.failures.pruned_topology import pruned_topology
+from tests.placement.index_checks import verify, verify_racks
 from tests.placement.scan_candidates import scan_unless_indexed
 
 SPEC = DatacenterSpec(
@@ -112,7 +113,7 @@ def test_random_failures_match_pruned(failed, placer_name, use_index, seed):
 
 
 def _snapshot(ledger):
-    mask = ledger.failure_mask
+    mask = ledger._failure_mask
     return (
         list(ledger._used_slots),
         list(ledger._free_subtree),
@@ -129,7 +130,7 @@ def _snapshot(ledger):
 def op_sequences(draw):
     ops = []
     for _ in range(draw(st.integers(1, 20))):
-        kind = draw(st.sampled_from(["fail", "restore", "reserve"]))
+        kind = draw(st.sampled_from(["fail", "reserve"]))
         if kind == "reserve":
             ops.append(("reserve", draw(st.sampled_from(FLAT.server_order))))
         else:
@@ -156,21 +157,19 @@ def test_rollback_restores_mask_and_ledger(ops, use_index, preload):
     for op in ops:
         if op[0] == "fail":
             mask.fail(op[1], journal)
-        elif op[0] == "restore":
-            mask.restore(op[1], journal)
         else:
             ledger.reserve_slots(FLAT.node_of[op[1]], 1, journal)
     ledger.rollback(journal)
     assert _snapshot(ledger) == before
     assert journal.ops == []
     if use_index:
-        ledger._candidate_index.verify()
-        ledger._candidate_index.verify_racks()
+        verify(ledger._candidate_index)
+        verify_racks(ledger._candidate_index)
 
 
 def _recount_free(ledger):
     """From-scratch free-subtree recount: down servers contribute 0."""
-    mask = ledger.failure_mask
+    mask = ledger._failure_mask
     recount = [0] * FLAT.size
     for server_id in FLAT.server_order:
         if mask is not None and mask.is_down(server_id):
@@ -217,13 +216,12 @@ def test_recovery_leaves_no_dangling_allocations(failed, use_index, seed):
         for server, _ in allocation.iter_server_placements():
             assert not mask.is_down(server.node_id)
     # Invariant 2: the incremental aggregates match a full recount,
-    # before and after restoring every failure.
+    # before and after rolling every failure back.
     assert ledger._free_subtree == _recount_free(ledger)
-    for node_id in sorted(mask.failed_nodes()):
-        mask.restore(node_id, Journal())
+    ledger.rollback(journal)
     assert mask.down_servers() == ()
     assert list(ledger.slot_cap) == list(FLAT.slots)
     assert ledger._free_subtree == _recount_free(ledger)
     if use_index:
-        ledger._candidate_index.verify()
-        ledger._candidate_index.verify_racks()
+        verify(ledger._candidate_index)
+        verify_racks(ledger._candidate_index)

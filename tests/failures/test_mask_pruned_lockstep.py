@@ -37,6 +37,7 @@ from repro.workloads.scaling import scale_pool
 from repro.workloads.synthetic import synthetic_pool
 from tests.failures.pruned_topology import pruned_topology
 from tests.placement.scan_candidates import scan_unless_indexed
+from tests.topology.ledger_views import plane_matrices
 
 SPEC = DatacenterSpec(
     servers_per_rack=4,
@@ -68,13 +69,14 @@ def _ids_by_name(topology):
     return {node.name: node.node_id for node in topology.nodes}
 
 
-def _fail_by_name(ledger, names):
+def _fail_by_name(ledger, names) -> Journal:
+    """Fail the named nodes; rolling the returned journal back restores them."""
     mask = ledger.ensure_failure_mask()
     ids = _ids_by_name(ledger.topology)
     journal = Journal()
     for name in names:
         mask.fail(ids[name], journal)
-    return mask
+    return journal
 
 
 @pytest.fixture(scope="module", params=["symmetric", "hetero"])
@@ -99,12 +101,12 @@ def _run_stream(
 
     ``failed=None`` attaches no mask; ``failed=()`` attaches an empty one.
     Arrival ``i`` leaves just before arrival ``4 i + 4``: one departure
-    per four arrivals, oldest first.  ``restore_after=k`` restores every
-    failed node once ``k`` arrivals have been decided.
+    per four arrivals, oldest first.  ``restore_after=k`` rolls every
+    failure back once ``k`` arrivals have been decided.
     """
     ledger = Ledger(topology)
     if failed is not None:
-        mask = _fail_by_name(ledger, failed)
+        failures = _fail_by_name(ledger, failed)
     placer = make_placer(placer_name, ledger, ha)
     outcomes = []
     loop = ServiceLoop(
@@ -120,8 +122,7 @@ def _run_stream(
     with scan_unless_indexed(placer, use_index):
         loop.run(arrivals[:split])
         if restore_after is not None:
-            for node_id in sorted(mask.failed_nodes()):
-                mask.restore(node_id, Journal())
+            ledger.rollback(failures)
         loop.run(arrivals[split:])
     layouts = [
         sorted(
@@ -148,7 +149,7 @@ def test_mask_equals_pruned(fabric, placer_name, ha, use_index, failed):
     assert masked[0] == reference[0], f"{placer_name}: admissions diverged"
     assert masked[1] == reference[1], f"{placer_name}: layouts diverged"
     if not failed:
-        assert reference[2].failure_mask is None
+        assert reference[2]._failure_mask is None
         assert ledger_fingerprint(masked[2]) == ledger_fingerprint(reference[2])
     # The stream must exercise both sides of admission control, or the
     # equivalence proves less than it claims.
@@ -158,7 +159,7 @@ def test_mask_equals_pruned(fabric, placer_name, ha, use_index, failed):
         name
         for name, node_id in _ids_by_name(topology).items()
         if topology.flat.is_server[node_id]
-        and masked[2].failure_mask.is_down(node_id)
+        and masked[2]._failure_mask.is_down(node_id)
     }
     for layout in masked[1]:
         for server_name, _ in layout:
@@ -217,7 +218,7 @@ def _temporal_run(topology, failed=()):
             live.append(admission)
         if i % 5 == 4 and live:
             cluster.depart(live.pop(0))
-    up, down = cluster.ledger.plane_matrices()
+    up, down = plane_matrices(cluster.ledger)
     ids = _ids_by_name(topology)
     used = {
         node.name: cluster.ledger.used_slots(node)

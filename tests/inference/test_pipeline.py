@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.tag import Tag
 from repro.errors import InferenceError
 from repro.inference.ami import ami
 from repro.inference.builder import build_tag_from_trace, infer_components, infer_tag

@@ -3,9 +3,10 @@
 ``SecondNetPlacer._commit`` sums each path link's pipe bandwidths in
 pipe order, checks every touched node once and writes one journal
 record per node.  :func:`per_pipe_commit` below is the loop it
-replaced, kept as the oracle: one strict journalled adjust per (pipe,
-path link) — :meth:`Ledger.adjust_uplink_id`'s arithmetic — stopping at
-the first refusal.  Over random fabrics — masked (zero-capacity) links,
+replaced, kept as the oracle: one journalled adjust per (pipe, path
+link) — :meth:`Ledger.adjust_uplink_id`'s arithmetic — refused, and the
+loop stopped, at the first that :meth:`Ledger.would_overcommit` says
+would end over capacity.  Over random fabrics — masked (zero-capacity) links,
 nodes already over capacity in the direction a VM does not touch,
 overflows part-way through a VM's pipes — the commit must give the
 oracle's verdict and, on success, its used and reserved values bit for
@@ -65,7 +66,8 @@ def per_pipe_commit(
     parent, depth, used_up, used_down, cap_up, cap_down, over, ops,
     reserved, server_id, peers,
 ):
-    """One strict journalled ``adjust_uplink_id`` per (pipe, path link).
+    """One journalled ``adjust_uplink_id`` per (pipe, path link), each
+    refused when it would end over capacity.
 
     Zero-bandwidth pipes and colocated peers are skipped, as the placer
     has always skipped them.
@@ -82,10 +84,10 @@ def per_pipe_commit(
         for node_id, is_up in placer._path_link_ids(src_id, dst_id):
             delta_up = bandwidth if is_up else 0.0
             delta_down = 0.0 if is_up else bandwidth
-            if not placer.ledger.adjust_uplink_id(
-                node_id, delta_up, delta_down, journal, enforce=True
-            ):
+            ledger = placer.ledger
+            if ledger.would_overcommit(node_id, [(delta_up, delta_down)]):
                 return 1
+            ledger.adjust_uplink_id(node_id, delta_up, delta_down, journal)
             entry = reserved.get(node_id)
             if entry is None:
                 entry = reserved[node_id] = [0.0, 0.0]

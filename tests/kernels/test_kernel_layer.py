@@ -11,7 +11,7 @@ Each loop lives in the module that owns its state:
   :mod:`repro.placement.state`.
 
 The cases pin the conventions nothing else states: the overcommit set
-both ways, a refused or invalid adjust writing nothing, the path walk's
+both ways, an invalid adjust writing nothing, the path walk's
 order, the pipe expansion's order, ``inf * 0 == 0``; and two properties
 that keep twins in agreement — ``would_overcommit`` against the real
 adjust on both storages, the compiled VOC closure against
@@ -49,6 +49,7 @@ from repro.topology.builder import (
 from repro.topology.ledger import Journal, Ledger
 from tests.fabrics import fat_tree
 from tests.placement.test_search_walk import _random_tag
+from tests.topology.ledger_views import overcommitted_nodes
 
 SPEC = DatacenterSpec(
     servers_per_rack=3,
@@ -93,15 +94,15 @@ def _state(ledger) -> tuple:
 def _adjust_tracks_the_over_set_both_ways(storage):
     ledger = _ledger(storage)
     journal = Journal()
-    # Unenforced past capacity: applied, and the node joins the set.
-    assert ledger.adjust_uplink_id(SERVER, 260.0, 0.0, journal, enforce=False)
-    assert sorted(ledger.overcommitted_nodes()) == [SERVER]
-    # Already over: an enforced downward adjust applies and clears it.
-    assert ledger.adjust_uplink_id(SERVER, -50.0, 0.0, journal, enforce=True)
-    assert ledger.overcommitted_nodes() == frozenset()
+    # Past capacity: applied, and the node joins the set.
+    ledger.adjust_uplink_id(SERVER, 260.0, 0.0, journal)
+    assert sorted(overcommitted_nodes(ledger)) == [SERVER]
+    # Already over: a downward adjust applies and clears it.
+    ledger.adjust_uplink_id(SERVER, -50.0, 0.0, journal)
+    assert overcommitted_nodes(ledger) == frozenset()
     assert ledger.reserved_up(TOPOLOGY.node(SERVER)) == 210.0
-    assert ledger.adjust_uplink_id(SERVER, 60.0, 0.0, journal, enforce=False)
-    assert sorted(ledger.overcommitted_nodes()) == [SERVER]
+    ledger.adjust_uplink_id(SERVER, 60.0, 0.0, journal)
+    assert sorted(overcommitted_nodes(ledger)) == [SERVER]
     # One record per applied adjust; rollback undoes them all.
     assert [op[:2] for op in journal.ops] == [(1, SERVER)] * 3
     ledger.rollback(journal)
@@ -135,15 +136,25 @@ def test_temporal_adjust_negative_status_leaves_state_untouched():
     _negative_status_leaves_state_untouched("temporal")
 
 
-@pytest.mark.parametrize("storage", STORAGES)
-def test_a_refused_adjust_writes_nothing(storage):
-    ledger = _ledger(storage, ratios=True)
-    ledger.adjust_uplink_id(RACK, 10.0, 10.0, Journal())
-    before = _state(ledger)
+@pytest.mark.parametrize(
+    "make",
+    [Ledger, lambda topology: TemporalLedger(topology, 3)],
+    ids=["Ledger", "TemporalLedger"],
+)
+def test_an_over_capacity_adjust_applies_and_rolls_back(make):
+    """An adjust always applies: past capacity the uplink joins the
+    over-set, and a rollback restores every value and maximum exactly."""
+    ledger = make(TOPOLOGY)
     journal = Journal()
-    # Over capacity, enforced: refused, no value, record or set change.
-    assert not ledger.adjust_uplink_id(RACK, 1e6, 0.0, journal, enforce=True)
-    assert (_state(ledger), journal.ops) == (before, [])
+    ledger.adjust_uplink_id(RACK, 10.0, 10.0, journal)
+    before = _state(ledger)
+    savepoint = journal.savepoint()
+    ledger.adjust_uplink_id(RACK, 1e6, 0.0, journal)
+    assert ledger.reserved_up(TOPOLOGY.node(RACK)) == 10.0 + 1e6
+    assert overcommitted_nodes(ledger) == {RACK}
+    assert ledger.has_overcommit()
+    ledger.rollback(journal, savepoint)
+    assert _state(ledger) == before
 
 
 _DELTA = st.floats(-300.0, 300.0, allow_nan=False).map(lambda x: round(x, 2))
@@ -157,20 +168,20 @@ _DELTA = st.floats(-300.0, 300.0, allow_nan=False).map(lambda x: round(x, 2))
     deltas=st.lists(st.tuples(_DELTA, _DELTA), min_size=1, max_size=6),
 )
 def test_would_overcommit_is_the_real_adjust_rolled_back(storage, node, start, deltas):
-    """``would_overcommit`` == apply unenforced, read the set, roll back."""
+    """``would_overcommit`` == apply, read the set, roll back."""
     ledger = _ledger(storage, ratios=True)
-    ledger.adjust_uplink_id(node, *start, Journal(), enforce=False)
+    ledger.adjust_uplink_id(node, *start, Journal())
     before = _state(ledger)
     predicted = ledger.would_overcommit(node, deltas)
     assert _state(ledger) == before
     journal = Journal()
     try:
         for d_up, d_down in deltas:
-            ledger.adjust_uplink_id(node, d_up, d_down, journal, enforce=False)
+            ledger.adjust_uplink_id(node, d_up, d_down, journal)
     except LedgerError:
         applied = None
     else:
-        applied = node in ledger.overcommitted_nodes()
+        applied = node in overcommitted_nodes(ledger)
     ledger.rollback(journal)
     assert _state(ledger) == before
     assert predicted == applied

@@ -20,7 +20,7 @@ class TestHoseFromTag:
         assert model.guarantees["db"] == BandwidthDemand(150.0, 150.0)
         assert model.guarantees["logic"] == BandwidthDemand(600.0, 600.0)
         assert model.guarantees["web"] == BandwidthDemand(500.0, 500.0)
-        assert model.size == 12
+        assert sum(model.sizes.values()) == 12
 
     def test_mismatched_model_rejected(self):
         with pytest.raises(ModelError):

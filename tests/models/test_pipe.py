@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ModelError
 from repro.models.pipe import Pipe, PipeSet, pipes_from_tag, vm_name
+from tests.tags import hose_tag
 
 
 class TestPipe:
@@ -25,7 +26,7 @@ class TestPipe:
 class TestPipesFromTag:
     def test_trunk_divided_uniformly(self, storm_tag):
         pipes = pipes_from_tag(storm_tag)
-        assert pipes.size == 12
+        assert len(pipes.vms) == 12
         spout_to_bolt1 = [
             p
             for p in pipes.iter_pipes()
@@ -37,9 +38,7 @@ class TestPipesFromTag:
             assert pipe.bandwidth == pytest.approx(30.0 / 9)
 
     def test_self_loop_divided_over_peers(self):
-        from repro.core.tag import Tag
-
-        tag = Tag.hose("h", size=4, bandwidth=90.0)
+        tag = hose_tag("h", size=4, bandwidth=90.0)
         pipes = pipes_from_tag(tag)
         # 4 VMs, each sends 90/3 to each of 3 peers.
         assert len(pipes.pipes) == 12
@@ -47,9 +46,7 @@ class TestPipesFromTag:
             assert pipe.bandwidth == pytest.approx(30.0)
 
     def test_single_vm_hose_has_no_pipes(self):
-        from repro.core.tag import Tag
-
-        tag = Tag.hose("h", size=1, bandwidth=90.0)
+        tag = hose_tag("h", size=1, bandwidth=90.0)
         assert pipes_from_tag(tag).pipes == ()
 
     def test_total_bandwidth_preserved_for_trunks(self, three_tier_tag):
@@ -65,14 +62,6 @@ class TestPipesFromTag:
             if p.src.split(":")[0] != p.dst.split(":")[0]
         )
         assert pipe_trunk_total == pytest.approx(trunk_total)
-
-    def test_total_bandwidth(self):
-        pipes = PipeSet(
-            "p",
-            vms=("a", "b", "c"),
-            pipes=(Pipe("a", "b", 10.0), Pipe("a", "c", 5.0), Pipe("c", "a", 2.0)),
-        )
-        assert pipes.total_bandwidth == pytest.approx(17.0)
 
     def test_vm_name_format(self):
         assert vm_name("web", 3) == "web:3"

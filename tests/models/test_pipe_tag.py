@@ -15,14 +15,18 @@ from repro.workloads.patterns import three_tier
 class TestPipeTagConversion:
     def test_structure(self, storm_tag):
         pipe_tag = pipe_tag_from_tag(storm_tag)
-        assert pipe_tag.is_pipe()
+        components = pipe_tag.internal_components()
+        assert components and all(c.size == 1 for c in components)
+        assert not any(edge.is_self_loop for edge in pipe_tag.iter_edges())
         assert pipe_tag.size == storm_tag.size
         assert pipe_tag.num_tiers == storm_tag.size  # one VM per component
 
     def test_total_trunk_bandwidth_preserved(self, storm_tag):
         pipe_tag = pipe_tag_from_tag(storm_tag)
         pipes = pipes_from_tag(storm_tag)
-        assert pipe_tag.total_bandwidth == pytest.approx(pipes.total_bandwidth)
+        assert pipe_tag.total_bandwidth == pytest.approx(
+            sum(pipe.bandwidth for pipe in pipes.pipes)
+        )
 
     def test_pipe_requirements_never_exceed_tag(self):
         """With a fixed per-tier split, the rigid pipes can need at most

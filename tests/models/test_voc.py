@@ -6,7 +6,12 @@ import pytest
 
 from repro.core.bandwidth import uplink_requirement
 from repro.errors import ModelError
-from repro.models.voc import VocCluster, VocModel, voc_from_tag, voc_uplink_requirement
+from repro.models.voc import VocCluster, voc_from_tag, voc_uplink_requirement
+
+
+def _cluster(model, name):
+    (cluster,) = (c for c in model.clusters if c.name == name)
+    return cluster
 
 
 class TestVocCluster:
@@ -16,30 +21,23 @@ class TestVocCluster:
         with pytest.raises(ModelError):
             VocCluster("c", 1, -1.0, 1.0, 1.0)
 
-    def test_lookup(self):
-        model = VocModel(clusters=(VocCluster("c", 2, 1.0, 1.0, 1.0),))
-        assert model.cluster("c").size == 2
-        with pytest.raises(ModelError):
-            model.cluster("missing")
-        assert model.size == 2
-
 
 class TestVocFromTag:
     def test_storm_mapping(self, storm_tag):
         """Fig. 3(b): spout1's core hose is 2B (it feeds two bolts); no
         intra-cluster hose anywhere."""
         model = voc_from_tag(storm_tag)
-        spout = model.cluster("spout1")
+        spout = _cluster(model, "spout1")
         assert spout.hose_bw == 0.0
         assert spout.core_out == pytest.approx(20.0)
         assert spout.core_in == 0.0
-        bolt2 = model.cluster("bolt2")
+        bolt2 = _cluster(model, "bolt2")
         assert bolt2.core_in == pytest.approx(10.0)
         assert bolt2.core_out == pytest.approx(10.0)
 
     def test_three_tier_mapping(self, three_tier_tag):
         model = voc_from_tag(three_tier_tag)
-        db = model.cluster("db")
+        db = _cluster(model, "db")
         assert db.hose_bw == pytest.approx(50.0)
         assert db.core_out == pytest.approx(100.0)
 

@@ -16,6 +16,7 @@ the scan path, decision for decision.
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
+from tests.fabrics import servers_under
 
 __all__ = ["ScanCandidates", "full_scan", "scan_rack_order", "scan_unless_indexed"]
 
@@ -58,7 +59,7 @@ class ScanCandidates:
         entries = [
             (-ledger.used_slots(server), position, server.node_id)
             for position, server in enumerate(
-                topology.servers_under(topology.node(rack_id))
+                servers_under(topology, topology.node(rack_id))
             )
             if ledger.used_slots(server) < cap[server.node_id]
         ]

@@ -15,6 +15,7 @@ from repro.placement.base import Placement
 from repro.placement.cloudmirror import CloudMirrorPlacer
 from repro.topology.ledger import Ledger
 from tests.fabrics import single_rack
+from tests.tags import hose_tag
 
 
 @pytest.fixture
@@ -130,7 +131,7 @@ class TestScaleDown:
         entry in ``_counts``; a probe reject or a memo hit does not)."""
         from repro.placement.state import TenantAllocation
 
-        tag = Tag.hose("t", 6, 10.0)
+        tag = hose_tag("t", 6, 10.0)
         root = small_datacenter.root
         servers = sorted(small_datacenter.servers[:3], key=lambda s: s.node_id)
         layouts = []

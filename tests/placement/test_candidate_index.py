@@ -16,6 +16,8 @@ import pytest
 from repro.placement.candidates import CandidateIndex
 from repro.topology.builder import DatacenterSpec, three_level_tree
 from repro.topology.ledger import Journal, Ledger
+from tests.fabrics import ancestors
+from tests.placement.index_checks import pending_dirty, verify
 from tests.placement.scan_candidates import ScanCandidates
 
 
@@ -100,13 +102,13 @@ class TestDirtyBits:
         # Prime every level so the lists exist and dirty sets are empty.
         for level in range(topology.num_levels):
             index.best_fit(level, 1)
-        assert index.pending_dirty() == {}
+        assert pending_dirty(index) == {}
         server = topology.servers[5]
         journal = Journal()
         ledger.reserve_slots(server, 1, journal)
-        dirty = index.pending_dirty()
+        dirty = pending_dirty(index)
         expected = {}
-        for node in topology.ancestors(server, include_self=True):
+        for node in ancestors(server):
             expected.setdefault(node.level, set()).add(node.node_id)
         assert dirty == {
             level: frozenset(ids) for level, ids in expected.items()
@@ -119,7 +121,7 @@ class TestDirtyBits:
         journal = Journal()
         ledger.reserve_slots(topology.servers[0], 2, journal)
         index.best_fit(0, 1)
-        dirty = index.pending_dirty()
+        dirty = pending_dirty(index)
         assert 0 not in dirty
         assert set(dirty) == set(range(1, topology.num_levels))
 
@@ -141,7 +143,7 @@ class TestDirtyBits:
         for server in topology.servers[:6]:
             ledger.reserve_slots(server, 1, journal)
         ledger.rollback(journal, savepoint)
-        index.verify()
+        verify(index)
         for level in range(topology.num_levels):
             index.best_fit(level, 1)  # force repair
             assert index._level_entries[level] == baseline[level]
@@ -161,7 +163,7 @@ class TestDirtyBits:
                 random_churn(ledger, rng, 20, journal, held)
             for level in range(topology.num_levels):
                 index.best_fit(level, 1)
-        index.verify()
+        verify(index)
 
 
 class TestRackOrder:
@@ -173,22 +175,24 @@ class TestRackOrder:
         rng = random.Random(23)
         journal = Journal()
         racks = topology.level_nodes(1)
-        # Servers and racks that a fail/restore step may flip.
+        # Servers and racks that a fail/undo step may flip.
         domains = [node.node_id for node in topology.servers] + [
             rack.node_id for rack in racks
         ]
+        marks: dict[int, Journal] = {}
         masked_rounds = 0
         for _ in range(30):
             random_churn(ledger, rng, 10, journal)
-            # Interleaved failures and restores: a down server keeps its
-            # ``used`` but drops to zero capacity, so it must leave the
-            # candidate list and come back on restore.
+            # Interleaved failures and their undos: a down server keeps
+            # its ``used`` but drops to zero capacity, so it must leave
+            # the candidate list and come back when its mark is undone.
             for _ in range(2):
                 node_id = rng.choice(domains)
-                if node_id in mask.failed_nodes():
-                    mask.restore(node_id, Journal())
+                if node_id in marks:
+                    ledger.rollback(marks.pop(node_id))
                 else:
-                    mask.fail(node_id, Journal())
+                    marks[node_id] = Journal()
+                    mask.fail(node_id, marks[node_id])
             masked_rounds += bool(mask.down_servers())
             for rack in racks:
                 assert index.rack_candidates(rack.node_id) == scan.rack_candidates(

@@ -14,6 +14,7 @@ from repro.temporal.profile import TemporalProfile, TemporalTag
 from repro.topology.builder import DatacenterSpec, three_level_tree
 from repro.topology.ledger import Ledger
 from tests.fabrics import single_rack
+from tests.tags import hose_tag
 
 
 def place_ok(placer, tag):
@@ -67,7 +68,7 @@ class TestBasicPlacement:
     def test_hose_tenant_uses_colocation(self, small_ledger):
         """A hose tier that fits one rack should not leak onto ToR uplinks."""
         placer = CloudMirrorPlacer(small_ledger)
-        tag = Tag.hose("h", size=16, bandwidth=50.0)
+        tag = hose_tag("h", size=16, bandwidth=50.0)
         place_ok(placer, tag)
         assert small_ledger.reserved_at_level(1) == pytest.approx(0.0)
 
@@ -98,7 +99,9 @@ class TestBasicPlacement:
         allocation = place_ok(placer, tag)
         # 4 web VMs x 50 Mbps must be reserved on the whole root path.
         server = next(iter(allocation.iter_server_placements()))[0]
-        for node in small_ledger.topology.path_to_root(server):
+        flat = small_ledger.flat
+        for node_id in flat.path_up[server.node_id]:
+            node = flat.node_of[node_id]
             assert small_ledger.reserved_up(node) >= 200.0 - 1e-6
 
     def test_rejection_leaves_no_residue(self):

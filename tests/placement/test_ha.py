@@ -14,6 +14,7 @@ from repro.placement.ha import (
 )
 from repro.placement.state import TenantAllocation
 from repro.topology.ledger import Journal, Ledger
+from tests.tags import hose_tag
 
 
 class TestHaPolicy:
@@ -28,16 +29,6 @@ class TestHaPolicy:
         assert ha.tier_cap(10) == 5
         assert ha.tier_cap(1) == 1
         assert HaPolicy().tier_cap(10) == 10
-
-    def test_applies_at(self, small_datacenter):
-        ha = HaPolicy(required_wcs=0.5, laa_level=1)
-        server = small_datacenter.servers[0]
-        tor = small_datacenter.level_nodes(1)[0]
-        agg = small_datacenter.level_nodes(2)[0]
-        assert ha.applies_at(server)
-        assert ha.applies_at(tor)
-        assert not ha.applies_at(agg)
-        assert not HaPolicy().applies_at(server)
 
 
 class TestTierCapLeft:
@@ -63,7 +54,7 @@ class TestDemandEstimator:
     def test_running_mean(self):
         estimator = DemandEstimator()
         assert estimator.expected_per_vm_demand == 0.0
-        tag = Tag.hose("h", size=4, bandwidth=100.0)
+        tag = hose_tag("h", size=4, bandwidth=100.0)
         estimator.observe(tag)
         assert estimator.expected_per_vm_demand == pytest.approx(100.0)
         estimator.observe(tag.scaled(3.0))

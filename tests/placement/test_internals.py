@@ -15,6 +15,7 @@ from repro.placement.secondnet import SecondNetPlacer
 from repro.placement.state import TenantAllocation
 from repro.topology.builder import DatacenterSpec, three_level_tree
 from repro.topology.ledger import Ledger
+from tests.fabrics import servers_under
 
 
 @pytest.fixture
@@ -141,7 +142,7 @@ class TestSecondNetPaths:
     def test_path_links_same_rack(self, small_datacenter):
         placer = SecondNetPlacer(Ledger(small_datacenter))
         tor = small_datacenter.level_nodes(1)[0]
-        a, b = list(small_datacenter.servers_under(tor))[:2]
+        a, b = list(servers_under(small_datacenter, tor))[:2]
         links = placer._path_link_ids(a.node_id, b.node_id)
         # One hop up from a, one hop down to b (destination side first).
         assert links == [(b.node_id, False), (a.node_id, True)]
@@ -149,8 +150,8 @@ class TestSecondNetPaths:
     def test_path_links_cross_pod(self, small_datacenter):
         placer = SecondNetPlacer(Ledger(small_datacenter))
         pods = small_datacenter.level_nodes(2)
-        src = next(iter(small_datacenter.servers_under(pods[0])))
-        dst = next(iter(small_datacenter.servers_under(pods[1])))
+        src = next(iter(servers_under(small_datacenter, pods[0])))
+        dst = next(iter(servers_under(small_datacenter, pods[1])))
         links = placer._path_link_ids(src.node_id, dst.node_id)
         node = small_datacenter.node
         ups = [node(node_id).level for node_id, up in links if up]
@@ -164,7 +165,7 @@ class TestSecondNetPaths:
         flat = placer.ledger.flat
         racks = small_datacenter.level_nodes(1)
         tor_a, tor_far = racks[0], racks[-1]
-        server = next(iter(small_datacenter.servers_under(tor_a)))
+        server = next(iter(servers_under(small_datacenter, tor_a)))
         order = placer._rack_order([(server.node_id, 10.0, True)])
         # The peer's own rack (2 hops) first, the rest of its pod (4
         # hops) next, the other pod (6 hops) last, each in input order.
@@ -183,7 +184,7 @@ class TestSubtreeChoice:
         from repro.topology.ledger import Journal
 
         tor0 = small_datacenter.level_nodes(1)[0]
-        servers0 = list(small_datacenter.servers_under(tor0))
+        servers0 = list(servers_under(small_datacenter, tor0))
         for server in servers0[:8]:
             ledger.reserve_slots(server, 4, Journal())
         tag = Tag("t")

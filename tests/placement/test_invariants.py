@@ -98,7 +98,7 @@ def test_churn_invariants(placer_cls, seed):
     # Full teardown returns a pristine datacenter.
     for allocation in resident:
         allocation.release()
-    assert ledger.free_slots(topology.root) == SPEC.total_slots
+    assert ledger.free_slots(topology.root) == topology.total_slots
     for node in topology.nodes:
         if not node.is_root:
             assert ledger.reserved_up(node) == pytest.approx(0.0)

@@ -134,25 +134,33 @@ def _temporal(topology, ha=None, arrivals=ARRIVALS):
 
 
 def _fail_restore_hook(ledger):
-    """Fail a dense rack and a plain server early, restore them later."""
+    """Fail a dense rack and a plain server early, and bring each back
+    later by rolling back the journal that failed it."""
     mask = ledger.ensure_failure_mask()
     ids = {node.name: node.node_id for node in ledger.topology.nodes}
     schedule = {
         12: (mask.fail, "tor-0-1"),
         20: (mask.fail, "srv-1-0-2"),
-        40: (mask.restore, "tor-0-1"),
+        40: ("restore", "tor-0-1"),
         50: (mask.fail_link, "tor-1-3"),
-        65: (mask.restore, "srv-1-0-2"),
-        80: (mask.restore, "tor-1-3"),
+        65: ("restore", "srv-1-0-2"),
+        80: ("restore", "tor-1-3"),
     }
+    journals: dict[str, Journal] = {}
 
     def hook(sequence):
         step = schedule.get(sequence)
-        if step is not None:
-            # Live tenants on a failed domain keep their reservations
-            # (the mask only blocks *new* placements): the point here is
-            # the placer's search over a fabric whose capacity flips.
-            step[0](ids[step[1]], Journal())
+        if step is None:
+            return
+        # Live tenants on a failed domain keep their reservations (the
+        # mask only blocks *new* placements): the point here is the
+        # placer's search over a fabric whose capacity flips.
+        action, name = step
+        if action == "restore":
+            ledger.rollback(journals.pop(name))
+        else:
+            journals[name] = Journal()
+            action(ids[name], journals[name])
 
     return hook
 

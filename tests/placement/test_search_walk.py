@@ -36,6 +36,7 @@ from repro.temporal.profile import TemporalProfile, diurnal_profile
 from repro.topology.builder import three_level_tree
 from repro.topology.ledger import Journal, Ledger
 from tests.fabrics import single_rack
+from tests.placement.index_checks import pending_dirty
 from tests.placement.test_search_layouts import (
     SPEC,
     _classic,
@@ -43,6 +44,8 @@ from tests.placement.test_search_layouts import (
     _temporal,
     small_bing_pool,
 )
+from tests.tags import hose_tag
+from tests.topology.ledger_views import overcommitted_nodes
 
 
 # ----------------------------------------------------------------------
@@ -132,7 +135,7 @@ def test_overcommitted_ledger_on_entry_is_never_probed(rack):
     placer, allocation, tor, ids = rack
     ledger = placer.ledger
     far = ledger.topology.level_nodes(1)[-1]
-    ledger.adjust_uplink_id(far.node_id, 1e9, 0.0, Journal(), enforce=False)
+    ledger.adjust_uplink_id(far.node_id, 1e9, 0.0, Journal())
     assert ledger.has_overcommit()
     before = (list(ledger._used_slots), list(ledger._used_up), list(ledger._used_down))
     want = {"a": 3}
@@ -237,7 +240,7 @@ def _snapshot(ledger, allocation):
         [list(column) for column in bandwidth],
         set(ledger._over),
         [entries and list(entries) for entries in index._level_entries],
-        index.pending_dirty(),
+        pending_dirty(index),
         list(allocation.journal.ops),
         list(allocation._state_ops),
         {node_id: dict(held) for node_id, held in allocation._counts.items()},
@@ -295,7 +298,7 @@ def test_probe_agrees_with_the_real_try_and_touches_nothing(kind, seed):
             savepoint = allocation.savepoint()
             for tier, count in fill:
                 assert allocation.place(server, tier, count, root)
-            real = server.node_id in ledger.overcommitted_nodes()
+            real = server.node_id in overcommitted_nodes(ledger)
             assert verdict is real
             verdicts[real] += 1
             # Keep some placements so later probes see this tenant's own
@@ -448,9 +451,9 @@ def test_equal_versions_are_equal_states(kind, ha, monkeypatch):
     [
         # scale_up: the growth's first offer repeats, version for version,
         # one the hot tenant's rejection saw fail on the same server.
-        (4, Tag.hose("cool", 6, 10.0), Tag.hose("hot", 6, 100.0), True),
+        (4, hose_tag("cool", 6, 10.0), hose_tag("hot", 6, 100.0), True),
         # place: every new allocation starts at version 0, like the last.
-        (2, Tag.hose("cool", 3, 10.0), Tag.hose("hot", 4, 60.0), False),
+        (2, hose_tag("cool", 3, 10.0), hose_tag("hot", 4, 60.0), False),
     ],
     ids=["scale_up", "place"],
 )
@@ -591,7 +594,7 @@ def test_no_placed_tenant_keeps_an_eq1_memo(kind, monkeypatch):
 def test_rolled_back_resize_evaluates_under_the_restored_tag(monkeypatch):
     ledger = Ledger(single_rack(servers=4, slots_per_server=4, nic_mbps=100.0))
     placer = CloudMirrorPlacer(ledger)
-    allocation = placer.place(Tag.hose("warm", 6, 30.0)).allocation
+    allocation = placer.place(hose_tag("warm", 6, 30.0)).allocation
     restored = allocation.tag
     memos = []
     real = TenantAllocation.memoize

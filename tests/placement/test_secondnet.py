@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.tag import Tag
 from repro.placement.base import Placement, Rejection
 from repro.placement.secondnet import SecondNetPlacer
 from repro.topology.ledger import Ledger
 from tests.fabrics import single_rack
+from tests.tags import pipe_tag
 
 
 class TestSecondNet:
@@ -23,7 +23,7 @@ class TestSecondNet:
         """A single cross-server pipe reserves exactly its bandwidth on
         the up path of the source and down path of the destination."""
         placer = SecondNetPlacer(small_ledger)
-        tag = Tag.pipes("p", [("a", "b", 100.0)])
+        tag = pipe_tag("p", [("a", "b", 100.0)])
         result = placer.place(tag)
         assert isinstance(result, Placement)
         allocation = result.allocation
@@ -35,7 +35,7 @@ class TestSecondNet:
 
     def test_colocated_pipes_cost_nothing(self, small_ledger):
         placer = SecondNetPlacer(small_ledger)
-        tag = Tag.pipes("p", [("a", "b", 1.0), ("b", "a", 1.0)])
+        tag = pipe_tag("p", [("a", "b", 1.0), ("b", "a", 1.0)])
         result = placer.place(tag)
         assert isinstance(result, Placement)
         total = sum(small_ledger.reserved_at_level(lv) for lv in range(3))
@@ -47,7 +47,7 @@ class TestSecondNet:
         topology = single_rack(servers=2, slots_per_server=1, nic_mbps=10.0)
         ledger = Ledger(topology)
         placer = SecondNetPlacer(ledger)
-        tag = Tag.pipes("p", [("a", "b", 100.0)])
+        tag = pipe_tag("p", [("a", "b", 100.0)])
         result = placer.place(tag)
         assert isinstance(result, Rejection)
         assert ledger.free_slots(topology.root) == 2

@@ -11,11 +11,13 @@ from repro.models.voc import voc_uplink_requirement
 from repro.obs import core as obs
 from repro.placement.state import TenantAllocation
 from repro.topology.ledger import Ledger
+from tests import tags
+from tests.fabrics import servers_under
 
 
 @pytest.fixture
 def hose_tag() -> Tag:
-    return Tag.hose("h", size=4, bandwidth=100.0)
+    return tags.hose_tag("h", size=4, bandwidth=100.0)
 
 
 class TestPlacement:
@@ -24,12 +26,12 @@ class TestPlacement:
         topology = small_ledger.topology
         server = topology.servers[0]
         assert allocation.place(server, "all", 2, topology.root)
-        assert allocation.count(server, "all") == 2
+        assert allocation.count_id(server.node_id, "all") == 2
         tor = server.parent
-        assert allocation.count(tor, "all") == 2
-        assert allocation.count(topology.root, "all") == 2
+        assert allocation.count_id(tor.node_id, "all") == 2
+        assert allocation.count_id(topology.root.node_id, "all") == 2
         assert allocation.placed_vms == 2
-        assert allocation.remaining("all") == 2
+        assert allocation.remaining_tiers().get("all", 0) == 2
 
     def test_exact_hose_reservation_rises_then_falls(
         self, small_ledger, hose_tag
@@ -39,7 +41,7 @@ class TestPlacement:
         allocation = TenantAllocation(hose_tag, small_ledger)
         topology = small_ledger.topology
         tor = topology.level_nodes(1)[0]
-        servers = list(topology.servers_under(tor))
+        servers = list(servers_under(topology, tor))
         allocation.place(servers[0], "all", 2, topology.root)
         # Half inside the rack: ToR uplink must carry min(2,2)*100 = 200.
         assert allocation.reserved_on(tor).out == pytest.approx(200.0)
@@ -75,7 +77,7 @@ class TestPlacement:
         allocation = TenantAllocation(hose_tag, small_ledger)
         topology = small_ledger.topology
         tor = topology.level_nodes(1)[0]
-        server = next(iter(topology.servers_under(tor)))
+        server = next(iter(servers_under(topology, tor)))
         allocation.place(server, "all", 2, ceiling=tor)
         # Below the ceiling: server uplink reserved; at/above: nothing yet.
         assert small_ledger.reserved_up(server) == pytest.approx(200.0)
@@ -103,7 +105,7 @@ class TestFinalize:
         allocation = TenantAllocation(hose_tag, small_ledger)
         topology = small_ledger.topology
         tor = topology.level_nodes(1)[0]
-        servers = list(topology.servers_under(tor))
+        servers = list(servers_under(topology, tor))
         allocation.place(servers[0], "all", 2, ceiling=tor)
         allocation.place(servers[1], "all", 2, ceiling=tor)
         assert allocation.is_complete
@@ -123,7 +125,7 @@ class TestFinalize:
         allocation = TenantAllocation(hose_tag, small_ledger)
         topology = small_ledger.topology
         tor = topology.level_nodes(1)[0]
-        servers = list(topology.servers_under(tor))
+        servers = list(servers_under(topology, tor))
         allocation.place(servers[0], "all", 2, ceiling=tor)
         allocation.place(servers[1], "all", 2, ceiling=tor)
         before = (list(small_ledger._used_up), list(allocation.journal.ops))
@@ -142,7 +144,7 @@ class TestFinalize:
         allocation = TenantAllocation(hose_tag, small_ledger)
         topology = small_ledger.topology
         far = topology.level_nodes(1)[-1]
-        servers = [topology.servers[0], next(iter(topology.servers_under(far)))]
+        servers = [topology.servers[0], next(iter(servers_under(topology, far)))]
         for server in servers:
             allocation.place(server, "all", 2, ceiling=topology.root)
         ops = len(allocation.journal.ops)
@@ -154,7 +156,7 @@ class TestFinalize:
         crowded = TenantAllocation(hose_tag, small_ledger)
         for server in servers:
             crowded.place(server, "all", 2, ceiling=topology.root)
-        small_ledger.adjust_uplink_id(far.node_id, 1e9, 0.0, crowded.journal, enforce=False)
+        small_ledger.adjust_uplink_id(far.node_id, 1e9, 0.0, crowded.journal)
         assert not crowded.finalize(topology.root)
         assert not crowded.finalized
 
@@ -196,8 +198,8 @@ class TestRollbackAndRelease:
         allocation.place(server, "all", 3, topology.root)
         allocation.rollback(savepoint)
         assert allocation.placed_vms == 0
-        assert allocation.remaining("all") == 4
-        assert allocation.count(server, "all") == 0
+        assert allocation.remaining_tiers().get("all", 0) == 4
+        assert allocation.count_id(server.node_id, "all") == 0
         assert small_ledger.used_slots(server) == 0
         assert small_ledger.reserved_up(server) == pytest.approx(0.0)
 
@@ -205,7 +207,7 @@ class TestRollbackAndRelease:
         allocation = TenantAllocation(hose_tag, small_ledger)
         topology = small_ledger.topology
         tor = topology.level_nodes(1)[0]
-        servers = list(topology.servers_under(tor))
+        servers = list(servers_under(topology, tor))
         allocation.place(servers[0], "all", 2, tor)
         allocation.place(servers[1], "all", 2, tor)
         allocation.finalize(tor)

@@ -39,6 +39,8 @@ from repro.temporal.admission import TemporalLedger
 from repro.temporal.profile import diurnal_profile
 from repro.topology.builder import DatacenterSpec, three_level_tree
 from repro.topology.ledger import OP_SLOTS, Journal, Ledger
+from tests.tags import hose_tag
+from tests.topology.ledger_views import overcommitted_nodes, plane_matrices
 
 SPEC = DatacenterSpec(
     servers_per_rack=3,
@@ -70,8 +72,7 @@ class WriteAlways(TenantAllocation):
             node_id,
             required[0] - prev_out,
             required[1] - prev_into,
-            self.journal,
-            enforce=False,
+            self.journal
         )
         self._state_ops.append((_OP_RESERVED, node_id, prev_out, prev_into))
         self._reserved[node_id] = required
@@ -188,10 +189,10 @@ def _state(ledger, allocations):
     non_root = [n for n in TOPOLOGY.nodes if not n.is_root]
     planes = ()
     if isinstance(ledger, TemporalLedger):
-        planes = tuple(matrix.tobytes() for matrix in ledger.plane_matrices())
+        planes = tuple(matrix.tobytes() for matrix in plane_matrices(ledger))
     return (
         ledger_fingerprint(ledger),
-        ledger.overcommitted_nodes(),
+        overcommitted_nodes(ledger),
         planes,
         tuple(
             (ledger.available_up_id(n.node_id), ledger.available_down_id(n.node_id))
@@ -216,7 +217,7 @@ def _state(ledger, allocations):
 # one world: a ledger, a placer, the live tenants
 # ----------------------------------------------------------------------
 def _pool(external: bool) -> list[Tag]:
-    hose = Tag.hose("hose", 5, 60.0)
+    hose = hose_tag("hose", 5, 60.0)
     pair = Tag("pair")
     pair.add_component("a", 3)
     pair.add_component("b", 4)
@@ -238,7 +239,7 @@ def _pool(external: bool) -> list[Tag]:
     loops.add_component("b", 2)
     loops.add_self_loop("a", 30.0)
     loops.add_self_loop("b", 45.0)
-    tiny = Tag.hose("tiny", 2, 120.0)
+    tiny = hose_tag("tiny", 2, 120.0)
     if external:
         for tag, tier, send, recv in (
             (pair, "b", 15.0, 40.0),
@@ -341,14 +342,14 @@ class World:
         savepoints, placed = [], []
         for server, tier, count in fills:
             tier = tiers[tier % len(tiers)]
-            count = min(count, allocation.remaining(tier))
+            count = min(count, allocation.remaining_tiers().get(tier, 0))
             if count == 0:
                 continue
             server = SERVERS[server]
             verdict = allocation.probe(server.node_id, [(tier, count)])
             savepoints.append(allocation.savepoint())
             if allocation.place(server, tier, count, TOPOLOGY.root):
-                over = server.node_id in self.ledger.overcommitted_nodes()
+                over = server.node_id in overcommitted_nodes(self.ledger)
                 assert verdict is None or verdict is over, "probe != real try"
             placed.append((verdict, allocation.placed_vms))
         for savepoint in reversed(savepoints):
@@ -440,7 +441,7 @@ def test_a_single_server_tenant_journals_only_its_slots(kind):
     ledger = _ledger(kind)
     pristine = _snapshot(ledger)
     placer = cloudmirror.CloudMirrorPlacer(ledger)
-    result = placer.place(Tag.hose("fits", 4, 80.0))
+    result = placer.place(hose_tag("fits", 4, 80.0))
     assert isinstance(result, Placement)
     allocation = result.allocation
     assert len(list(allocation.iter_server_placements())) == 1
@@ -462,7 +463,7 @@ def test_a_split_tenant_journals_only_the_hops_that_carry_traffic(kind):
     ledger = _ledger(kind)
     pristine = _snapshot(ledger)
     placer = cloudmirror.CloudMirrorPlacer(ledger)
-    result = placer.place(Tag.hose("split", 8, 20.0))
+    result = placer.place(hose_tag("split", 8, 20.0))
     assert isinstance(result, Placement)
     allocation = result.allocation
     used = [server for server, _ in allocation.iter_server_placements()]
@@ -504,11 +505,11 @@ def test_a_probe_with_nothing_to_write_never_reaches_the_kernel(kind, monkeypatc
     # ... and the real try concludes the same, also without a write.
     for tier, count in fill:
         assert allocation.place(server, tier, count, TOPOLOGY.root)
-    assert server.node_id not in ledger.overcommitted_nodes()
+    assert server.node_id not in overcommitted_nodes(ledger)
     assert calls == []
     allocation.rollback(Savepoint(0, 0))
     # A fill that does change the requirement still replays the adjust.
     assert allocation.probe(server.node_id, [("a", 1)]) is False
     assert len(calls) == 1
-    ledger.adjust_uplink_id(server.node_id, 240.0, 0.0, Journal(), enforce=False)
+    ledger.adjust_uplink_id(server.node_id, 240.0, 0.0, Journal())
     assert allocation.probe(server.node_id, [("a", 1)]) is True

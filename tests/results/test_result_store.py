@@ -55,7 +55,7 @@ class TestCacheHitSkip:
         assert all(r.cached for r in second)
         assert not any(r.cached for r in first)
         # Bit-identical on every metric (the repo's identity notion).
-        assert first.fingerprints() == second.fingerprints()
+        assert [r.fingerprint() for r in first] == [r.fingerprint() for r in second]
 
     def test_partial_overlap_executes_only_new_points(self, store):
         Engine().run(TINY, store=store)

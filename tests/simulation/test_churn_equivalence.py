@@ -25,6 +25,7 @@ from repro.topology.ledger import Ledger
 from repro.workloads.scaling import scale_pool
 from repro.workloads.synthetic import synthetic_pool
 from tests.placement.scan_candidates import scan_unless_indexed
+from tests.topology.ledger_views import plane_matrices
 
 SPEC = DatacenterSpec(
     servers_per_rack=8,
@@ -153,7 +154,7 @@ def _temporal_run(use_index):
         list(cluster.ledger._used_slots),
         list(cluster.ledger._free_subtree),
     )
-    up, down = cluster.ledger.plane_matrices()
+    up, down = plane_matrices(cluster.ledger)
     return outcomes, state, up.tolist(), down.tolist()
 
 

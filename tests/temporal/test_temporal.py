@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from repro.core.bandwidth import uplink_requirement
 from repro.core.tag import Tag
 from repro.errors import SimulationError
 from repro.obs import core as obs
@@ -18,6 +17,8 @@ from repro.topology.builder import DatacenterSpec, three_level_tree
 from repro.topology.ledger import Ledger
 from repro.workloads import bing_pool
 from repro.workloads.scaling import scale_pool
+from tests.tags import hose_tag
+from tests.topology.ledger_views import plane_matrices
 
 
 def web_tenant(scale: float = 1.0) -> Tag:
@@ -51,7 +52,6 @@ class TestProfile:
         profile = TemporalProfile.flat(4, 0.5)
         assert profile.windows == 4
         assert profile.peak == 0.5
-        assert profile.mean == 0.5
 
     def test_diurnal_shape(self):
         profile = diurnal_profile(24, peak_window=14, trough=0.3)
@@ -67,25 +67,6 @@ class TestProfile:
         # Peaks do not coincide: summed demand stays well below 2x peak.
         combined = [d + n for d, n in zip(day.factors, night.factors)]
         assert max(combined) < 1.8
-
-
-class TestTemporalTag:
-    def test_window_scaling(self):
-        tenant = TemporalTag(web_tenant(), TemporalProfile((1.0, 0.25)))
-        assert tenant.at(0).edge("front", "back").send == 200.0
-        assert tenant.at(1).edge("front", "back").send == 50.0
-        assert tenant.at(2).edge("front", "back").send == 200.0  # cyclic
-
-    def test_peak_tag(self):
-        tenant = TemporalTag(web_tenant(), TemporalProfile((0.5, 0.9)))
-        assert tenant.peak_tag().edge("front", "back").send == pytest.approx(
-            180.0
-        )
-
-    def test_window_requirements(self):
-        tenant = TemporalTag(web_tenant(), TemporalProfile((1.0, 0.5)))
-        reqs = tenant.window_requirements({"front": 8}, uplink_requirement)
-        assert reqs[0].out == pytest.approx(2.0 * reqs[1].out)
 
 
 class TestTemporalCluster:
@@ -154,7 +135,7 @@ class TestTemporalCluster:
         tenant = TemporalTag(web_tenant(), TemporalProfile((1.0, 0.25)))
         admission = cluster.admit(tenant)
         assert admission is not None
-        up, _ = cluster.ledger.plane_matrices()
+        up, _ = plane_matrices(cluster.ledger)
         peak_total = sum(
             up[0][n.node_id] for n in cluster.topology.nodes if not n.is_root
         )
@@ -201,7 +182,7 @@ class TestTemporalCluster:
                 assert cluster.window_utilization(window, level) == pytest.approx(
                     0.0
                 )
-        assert cluster.ledger.free_slots(cluster.topology.root) == SPEC.total_slots
+        assert cluster.ledger.free_slots(cluster.topology.root) == cluster.topology.total_slots
 
     def test_an_admission_departs_once(self):
         cluster = TemporalCluster(SPEC, windows=2)
@@ -220,7 +201,7 @@ class TestTemporalCluster:
         # Every server fits its share (4 x 400 of 2000 Mbps), so VMs are
         # really placed before a rack's uplink (32 x 400 against 4000)
         # rejects the tenant, and the journal undoes them.
-        tenant = TemporalTag(Tag.hose("hot", 64, 400.0), TemporalProfile.flat(1))
+        tenant = TemporalTag(hose_tag("hot", 64, 400.0), TemporalProfile.flat(1))
         before = [
             cluster.window_utilization(0, level) for level in range(3)
         ]
@@ -231,4 +212,4 @@ class TestTemporalCluster:
         assert cluster.rejected == 1
         after = [cluster.window_utilization(0, level) for level in range(3)]
         assert before == after
-        assert cluster.ledger.free_slots(cluster.topology.root) == SPEC.total_slots
+        assert cluster.ledger.free_slots(cluster.topology.root) == cluster.topology.total_slots

@@ -2,12 +2,12 @@
 
 ``ReferenceTemporalLedger`` below reimplements the pre-PR-5 semantics —
 W independent dict-backed bandwidth planes multiplexed by a Python loop,
-per-plane undo logs, worst-case queries as a ``min`` over plane calls,
-and prefix rollback on mid-plane feasibility failure.  Two property
+per-plane undo logs, worst-case queries as a ``min`` over plane calls.
+Two property
 suites drive it in lockstep with the live
 :class:`repro.temporal.admission.TemporalLedger`:
 
-* a raw op fuzzer (slot ops, enforced and deferred scaled adjustments,
+* a raw op fuzzer (slot ops, scaled adjustments,
   ratio switches, savepoints, partial rollbacks, unjournalled releases)
   asserting the full observable state — every plane's reservations
   included — matches after *every* operation, and
@@ -32,6 +32,8 @@ from repro.temporal.admission import TemporalLedger
 from repro.temporal.profile import TemporalProfile, TemporalTag
 from repro.topology.builder import DatacenterSpec, three_level_tree
 from repro.topology.ledger import Journal
+from tests.fabrics import ancestors
+from tests.topology.ledger_views import plane_matrices
 
 _EPSILON = 1e-6
 
@@ -57,27 +59,20 @@ class _ReferencePlane:
         self.used_down = dict(self.used_up)
         self.over: set[int] = set()
 
-    def adjust(self, node_id, delta_up, delta_down, ops, enforce):
+    def adjust(self, node_id, delta_up, delta_down, ops):
         node = self.topology.node(node_id)
         if node.is_root:
-            return True
+            return
         prev_up = self.used_up[node_id]
         prev_down = self.used_down[node_id]
         new_up = prev_up + delta_up
         new_down = prev_down + delta_down
         if new_up < -_EPSILON or new_down < -_EPSILON:
             raise LedgerError("negative reservation")
-        over = (
-            new_up > node.uplink_up + _EPSILON
-            or new_down > node.uplink_down + _EPSILON
-        )
-        if enforce and over:
-            return False
         self.used_up[node_id] = max(0.0, new_up)
         self.used_down[node_id] = max(0.0, new_down)
         self._update_over(node_id)
         ops.append((node_id, prev_up, prev_down))
-        return True
 
     def release(self, node_id, up, down):
         node = self.topology.node(node_id)
@@ -125,7 +120,7 @@ class ReferenceTemporalLedger:
         self.used_slots = {s.node_id: 0 for s in topology.servers}
         self.free_subtree: dict[int, int] = {}
         for server in topology.servers:
-            for node in topology.ancestors(server, include_self=True):
+            for node in ancestors(server):
                 self.free_subtree[node.node_id] = (
                     self.free_subtree.get(node.node_id, 0) + server.slots
                 )
@@ -187,24 +182,18 @@ class ReferenceTemporalLedger:
             raise LedgerError("over-release")
         self._apply_slots(self.topology.node(server_id), -count)
 
-    def adjust_uplink_id(self, node_id, delta_up, delta_down, ops, enforce):
+    def adjust_uplink_id(self, node_id, delta_up, delta_down, ops):
+        if self.topology.node(node_id).is_root:
+            return  # nothing to reserve, and nothing journalled
         marks = self._mark()
         for window, ratio in enumerate(self.ratios):
-            ok = self.planes[window].adjust(
+            self.planes[window].adjust(
                 node_id,
                 delta_up * ratio,
                 delta_down * ratio,
                 self.plane_ops[window],
-                enforce,
             )
-            if not ok:
-                for done in range(window):
-                    self.planes[done].rollback(
-                        self.plane_ops[done], marks[done]
-                    )
-                return False
         ops.append(("bw", marks))
-        return True
 
     def release_uplink_id(self, node_id, up, down):
         for window, ratio in enumerate(self.ratios):
@@ -231,13 +220,13 @@ class ReferenceTemporalLedger:
 
     def _apply_slots(self, server, count):
         self.used_slots[server.node_id] += count
-        for node in self.topology.ancestors(server, include_self=True):
+        for node in ancestors(server):
             self.free_subtree[node.node_id] -= count
 
 
 def observable_state(ledger, reference, topology, windows):
     """Compare everything a placer (or a metric) can see, per plane."""
-    up, down = (matrix.tolist() for matrix in ledger.plane_matrices())
+    up, down = (matrix.tolist() for matrix in plane_matrices(ledger))
     live = (
         {s.node_id: ledger.used_slots_id(s.node_id) for s in topology.servers},
         {n.node_id: ledger.free_slots_id(n.node_id) for n in topology.nodes},
@@ -337,14 +326,9 @@ def test_raw_ops_match_reference(windows, seed):
                 node_id = rng.choice(nodes)
                 delta_up = rng.uniform(0.0, 6.0)
                 delta_down = rng.uniform(0.0, 6.0)
-                enforce = rng.random() < 0.5
-                got = ledger.adjust_uplink_id(
-                    node_id, delta_up, delta_down, journal, enforce
-                )
-                assert got == reference.adjust_uplink_id(
-                    node_id, delta_up, delta_down, ref_ops, enforce
-                )
-                if got and node_id != topology.root.node_id:
+                ledger.adjust_uplink_id(node_id, delta_up, delta_down, journal)
+                reference.adjust_uplink_id(node_id, delta_up, delta_down, ref_ops)
+                if node_id != topology.root.node_id:
                     attempt.append(("bw", node_id, delta_up, delta_down, ratios))
             elif action < 0.85:
                 savepoints.append(journal.savepoint())
@@ -417,15 +401,12 @@ class MirroredTemporalLedger(TemporalLedger):
         super().release_slots(server, count)
         self.reference.release_slots_id(server.node_id, count)
 
-    def adjust_uplink_id(self, node_id, delta_up, delta_down, journal, enforce=True):
-        got = super().adjust_uplink_id(
-            node_id, delta_up, delta_down, journal, enforce
-        )
-        assert got == self.reference.adjust_uplink_id(
-            node_id, delta_up, delta_down, self._ref_ops(journal), enforce
+    def adjust_uplink_id(self, node_id, delta_up, delta_down, journal):
+        super().adjust_uplink_id(node_id, delta_up, delta_down, journal)
+        self.reference.adjust_uplink_id(
+            node_id, delta_up, delta_down, self._ref_ops(journal)
         )
         self._check()
-        return got
 
     def release_uplink_id(self, node_id, up, down):
         super().release_uplink_id(node_id, up, down)
@@ -473,7 +454,8 @@ def test_admissions_match_reference(windows, seed):
         for kind, index in events:
             if kind == "arrive":
                 ledger.set_ratios(tenants[index].profile)
-                result = placer.place(tenants[index].peak_tag())
+                tenant = tenants[index]
+                result = placer.place(tenant.base.scaled(tenant.profile.peak))
                 accepted = isinstance(result, Placement)
                 outcomes.append(accepted)
                 if accepted:
@@ -492,7 +474,7 @@ def test_admissions_match_reference(windows, seed):
     )
     assert live == ref
     # The unmirrored run lands in the same terminal state.
-    up_a, down_a = mirrored.plane_matrices()
-    up_b, down_b = plain.plane_matrices()
+    up_a, down_a = plane_matrices(mirrored)
+    up_b, down_b = plane_matrices(plain)
     assert up_a.tolist() == up_b.tolist()
     assert down_a.tolist() == down_b.tolist()

@@ -89,7 +89,8 @@ def _dynamics(senders: str, periods: str) -> str:
     dynamics = ElasticSwitchDynamics(tag, capacities, mode="tag")
     for flow in flows:
         dynamics.add_flow(flow)
-    last = dynamics.run(int(periods))[-1]
+    for _ in range(int(periods)):
+        last = dynamics.step()
     return _digest(last.guarantees, last.limits, last.rates)
 
 

@@ -5,8 +5,8 @@ pre-refactor ledger — per-node dicts, dataclass journal ops, parent
 -pointer walks over ``Node`` objects.  Two property tests drive it in
 lockstep with the live :class:`repro.topology.ledger.Ledger`:
 
-* a raw op fuzzer (reserve/release slots, enforced and deferred uplink
-  adjustments, releases, savepoints and rollbacks) asserting the full
+* a raw op fuzzer (reserve/release slots, uplink adjustments,
+  releases, savepoints and rollbacks) asserting the full
   observable state matches after *every* operation, and
 * a randomized arrival/departure placement simulation through the real
   CloudMirror placer, with every ledger mutation mirrored onto the
@@ -30,7 +30,8 @@ from repro.placement.cloudmirror import CloudMirrorPlacer
 from repro.topology.builder import DatacenterSpec, three_level_tree
 from repro.topology.ledger import Journal, Ledger
 from repro.topology.tree import Node, Topology
-from tests.fabrics import single_rack
+from tests.fabrics import ancestors, servers_under, single_rack
+from tests.topology.ledger_views import overcommitted_nodes
 
 _EPSILON = 1e-6
 
@@ -68,7 +69,7 @@ class ReferenceLedger:
                 self._used_up[node.node_id] = 0.0
                 self._used_down[node.node_id] = 0.0
         for server in topology.servers:
-            for node in topology.ancestors(server, include_self=True):
+            for node in ancestors(server):
                 self._free_subtree[node.node_id] = (
                     self._free_subtree.get(node.node_id, 0) + server.slots
                 )
@@ -88,9 +89,6 @@ class ReferenceLedger:
     def has_overcommit(self) -> bool:
         return bool(self._over)
 
-    def overcommitted_nodes(self) -> frozenset[int]:
-        return frozenset(self._over)
-
     def reserve_slots(self, server: Node, count: int, ops: list) -> bool:
         if self._used_slots[server.node_id] + count > server.slots:
             return False
@@ -104,32 +102,20 @@ class ReferenceLedger:
         self._apply_slots(server, -count)
 
     def adjust_uplink(
-        self,
-        node: Node,
-        delta_up: float,
-        delta_down: float,
-        ops: list,
-        enforce: bool = True,
-    ) -> bool:
+        self, node: Node, delta_up: float, delta_down: float, ops: list
+    ) -> None:
         if node.is_root:
-            return True
+            return
         prev_up = self._used_up[node.node_id]
         prev_down = self._used_down[node.node_id]
         new_up = prev_up + delta_up
         new_down = prev_down + delta_down
         if new_up < -_EPSILON or new_down < -_EPSILON:
             raise LedgerError("negative reservation")
-        over = (
-            new_up > node.uplink_up + _EPSILON
-            or new_down > node.uplink_down + _EPSILON
-        )
-        if enforce and over:
-            return False
         self._used_up[node.node_id] = max(0.0, new_up)
         self._used_down[node.node_id] = max(0.0, new_down)
         self._update_overcommit(node.node_id)
         ops.append(_BandwidthOp(node.node_id, prev_up, prev_down))
-        return True
 
     def release_uplink(self, node: Node, up: float, down: float) -> None:
         if node.is_root:
@@ -166,7 +152,7 @@ class ReferenceLedger:
 
     def _apply_slots(self, server: Node, count: int) -> None:
         self._used_slots[server.node_id] += count
-        for node in self._topology.ancestors(server, include_self=True):
+        for node in ancestors(server):
             self._free_subtree[node.node_id] -= count
 
 
@@ -179,7 +165,7 @@ def observable_state(ledger, topology: Topology):
             n.node_id: (ledger.reserved_up(n), ledger.reserved_down(n))
             for n in topology.nodes
         },
-        ledger.overcommitted_nodes(),
+        overcommitted_nodes(ledger),
     )
 
 
@@ -225,16 +211,13 @@ class MirroredLedger(Ledger):
         self.reference.release_slots(server, count)
         self._check()
 
-    def adjust_uplink_id(self, node_id, delta_up, delta_down, journal, enforce=True):
-        got = super().adjust_uplink_id(
-            node_id, delta_up, delta_down, journal, enforce
-        )
+    def adjust_uplink_id(self, node_id, delta_up, delta_down, journal):
+        super().adjust_uplink_id(node_id, delta_up, delta_down, journal)
         node = self.topology.node(node_id)
-        assert got == self.reference.adjust_uplink(
-            node, delta_up, delta_down, self._ref_ops(journal), enforce
+        self.reference.adjust_uplink(
+            node, delta_up, delta_down, self._ref_ops(journal)
         )
         self._check()
-        return got
 
     def release_uplink_id(self, node_id, up, down):
         super().release_uplink_id(node_id, up, down)
@@ -282,7 +265,7 @@ def test_raw_ops_match_reference(topology_name, seed):
     """Fuzz the ledger surface; state must match the seed after every op.
 
     Mirrors the real lifecycle: each round is one journalled placement
-    attempt (reserves, deferred/enforced adjustments, savepoints and
+    attempt (reserves, uplink adjustments, savepoints and
     partial rollbacks) that either rolls back wholesale or commits; a
     committed round's reservations become departure candidates, released
     outside any journal exactly as ``TenantAllocation.release`` does.
@@ -321,14 +304,9 @@ def test_raw_ops_match_reference(topology_name, seed):
                 node = rng.choice(nodes)
                 delta_up = rng.uniform(0.0, 6.0)
                 delta_down = rng.uniform(0.0, 6.0)
-                enforce = rng.random() < 0.5
-                got = ledger.adjust_uplink_id(
-                    node.node_id, delta_up, delta_down, journal, enforce
-                )
-                assert got == reference.adjust_uplink(
-                    node, delta_up, delta_down, ref_ops, enforce
-                )
-                if got and not node.is_root:
+                ledger.adjust_uplink_id(node.node_id, delta_up, delta_down, journal)
+                reference.adjust_uplink(node, delta_up, delta_down, ref_ops)
+                if not node.is_root:
                     attempt_uplink.append((node, delta_up, delta_down))
             elif action < 0.85:
                 savepoints.append(journal.savepoint())
@@ -429,14 +407,13 @@ def test_flat_arrays_match_tree_structure():
         assert flat.level[i] == node.level
         assert flat.is_server[i] == node.is_server
         assert flat.parent[i] == (-1 if node.is_root else node.parent.node_id)
-        expected_ancestors = tuple(
-            n.node_id for n in topology.ancestors(node, include_self=True)
-        )
+        expected_ancestors = tuple(n.node_id for n in ancestors(node))
         assert flat.ancestors[i] == expected_ancestors
         assert flat.path_up[i] == tuple(
             n.node_id for n in expected_path_to_root(topology, node)
         )
-        span = sorted(flat.servers_under_id(i))
+        lo, hi = flat.server_span[i]
+        span = sorted(flat.server_order[lo:hi])
         walked = sorted(
             s.node_id for s in walk_servers(node)
         )
@@ -447,9 +424,7 @@ def test_flat_arrays_match_tree_structure():
 
 
 def expected_path_to_root(topology: Topology, node: Node) -> list[Node]:
-    return [
-        n for n in topology.ancestors(node, include_self=True) if not n.is_root
-    ]
+    return [n for n in ancestors(node) if not n.is_root]
 
 
 def walk_servers(node: Node):
@@ -466,7 +441,7 @@ def test_servers_under_preserves_legacy_order():
     """The span-backed iteration yields the seed's explicit-stack order."""
     topology = TOPOLOGIES["tree"]()
     for node in topology.nodes:
-        assert [s.node_id for s in topology.servers_under(node)] == [
+        assert [s.node_id for s in servers_under(topology, node)] == [
             s.node_id for s in walk_servers(node)
         ]
 
@@ -487,9 +462,8 @@ def test_infinite_capacity_topology_state_matches():
     reference = ReferenceLedger(topology)
     journal = Journal()
     server = topology.servers[0]
-    assert ledger.adjust_uplink_id(
-        server.node_id, 1e9, 1e9, journal
-    ) == reference.adjust_uplink(server, 1e9, 1e9, [])
+    ledger.adjust_uplink_id(server.node_id, 1e9, 1e9, journal)
+    reference.adjust_uplink(server, 1e9, 1e9, [])
     assert not ledger.has_overcommit()
     assert math.isinf(ledger.available_up_id(server.node_id))
     assert observable_state(ledger, topology) == observable_state(

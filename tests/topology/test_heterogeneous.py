@@ -22,6 +22,7 @@ from repro.topology.ledger import Journal, Ledger
 from repro.workloads.scaling import scale_pool
 from repro.workloads.synthetic import synthetic_pool
 from tests.fabrics import fat_tree
+from tests.placement.index_checks import verify, verify_racks
 from tests.placement.scan_candidates import scan_unless_indexed
 
 SPEC = DatacenterSpec(
@@ -213,8 +214,8 @@ def test_rack_repair_notices_capacity_flip():
     journal = Journal()
     mask.fail(victim, journal)
     assert victim not in [entry[2] for entry in index.rack_candidates(rack_id)]
-    index.verify_racks()
-    mask.restore(victim, journal)
+    verify_racks(index)
+    ledger.rollback(journal)
     assert victim in [entry[2] for entry in index.rack_candidates(rack_id)]
-    index.verify_racks()
-    index.verify()
+    verify_racks(index)
+    verify(index)

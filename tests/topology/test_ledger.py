@@ -6,6 +6,8 @@ import pytest
 
 from repro.errors import LedgerError
 from repro.topology.ledger import Journal, Ledger
+from tests.fabrics import servers_under
+from tests.topology.ledger_views import overcommitted_nodes
 
 
 @pytest.fixture
@@ -44,7 +46,7 @@ class TestSlots:
 
     def test_subtree_aggregates(self, ledger, small_datacenter):
         tor = small_datacenter.level_nodes(1)[0]
-        server = next(iter(small_datacenter.servers_under(tor)))
+        server = next(iter(servers_under(small_datacenter, tor)))
         ledger.reserve_slots(server, 2, Journal())
         assert ledger.free_slots(tor) == 62
 
@@ -53,32 +55,26 @@ class TestBandwidth:
     def test_adjust_and_release(self, ledger, small_datacenter):
         server = small_datacenter.servers[0]
         journal = Journal()
-        assert ledger.adjust_uplink_id(server.node_id, 600.0, 400.0, journal)
+        ledger.adjust_uplink_id(server.node_id, 600.0, 400.0, journal)
         assert ledger.available_up_id(server.node_id) == pytest.approx(400.0)
         assert ledger.available_down_id(server.node_id) == pytest.approx(600.0)
         ledger.release_uplink_id(server.node_id, 600.0, 400.0)
         assert ledger.available_up_id(server.node_id) == pytest.approx(1000.0)
 
-    def test_enforced_refusal(self, ledger, small_datacenter):
-        server = small_datacenter.servers[0]
-        journal = Journal()
-        assert not ledger.adjust_uplink_id(server.node_id, 1500.0, 0.0, journal)
-        assert ledger.available_up_id(server.node_id) == pytest.approx(1000.0)
-
     def test_deferred_overcommit_tracking(self, ledger, small_datacenter):
         server = small_datacenter.servers[0]
         journal = Journal()
-        assert ledger.adjust_uplink_id(server.node_id, 1500.0, 0.0, journal, enforce=False)
+        ledger.adjust_uplink_id(server.node_id, 1500.0, 0.0, journal)
         assert ledger.has_overcommit()
-        assert server.node_id in ledger.overcommitted_nodes()
+        assert server.node_id in overcommitted_nodes(ledger)
         # Coming back under capacity clears the flag.
-        assert ledger.adjust_uplink_id(server.node_id, -700.0, 0.0, journal, enforce=False)
+        ledger.adjust_uplink_id(server.node_id, -700.0, 0.0, journal)
         assert not ledger.has_overcommit()
 
     def test_rollback_restores_overcommit_state(self, ledger, small_datacenter):
         server = small_datacenter.servers[0]
         journal = Journal()
-        ledger.adjust_uplink_id(server.node_id, 1500.0, 0.0, journal, enforce=False)
+        ledger.adjust_uplink_id(server.node_id, 1500.0, 0.0, journal)
         ledger.rollback(journal)
         assert not ledger.has_overcommit()
         assert ledger.available_up_id(server.node_id) == pytest.approx(1000.0)
@@ -95,7 +91,10 @@ class TestBandwidth:
         import math
 
         assert math.isinf(ledger.available_up_id(small_datacenter.root.node_id))
-        assert ledger.adjust_uplink_id(small_datacenter.root.node_id, 1e12, 1e12, Journal())
+        journal = Journal()
+        ledger.adjust_uplink_id(small_datacenter.root.node_id, 1e12, 1e12, journal)
+        assert not ledger.has_overcommit()
+        assert journal.ops == []
 
     def test_reserved_at_level(self, ledger, small_datacenter):
         journal = Journal()

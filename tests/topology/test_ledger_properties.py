@@ -60,7 +60,7 @@ def test_rollback_restores_exact_state(ops):
             ledger.reserve_slots(TOPOLOGY.servers[op[1]], op[2], journal)
         else:
             ledger.adjust_uplink_id(
-                TOPOLOGY.servers[op[1]].node_id, op[2], op[3], journal, enforce=False
+                TOPOLOGY.servers[op[1]].node_id, op[2], op[3], journal
             )
     ledger.rollback(journal)
     assert _snapshot(ledger) == before
@@ -78,7 +78,7 @@ def test_partial_rollback_to_any_savepoint(ops, cut):
             ledger.reserve_slots(TOPOLOGY.servers[op[1]], op[2], journal)
         else:
             ledger.adjust_uplink_id(
-                TOPOLOGY.servers[op[1]].node_id, op[2], op[3], journal, enforce=False
+                TOPOLOGY.servers[op[1]].node_id, op[2], op[3], journal
             )
         snapshots.append(_snapshot(ledger))
         savepoints.append(journal.savepoint())

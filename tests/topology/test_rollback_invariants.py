@@ -18,6 +18,7 @@ from repro.temporal.admission import TemporalLedger
 from repro.temporal.profile import TemporalProfile
 from repro.topology.ledger import Ledger, ReservationLedger
 from tests.fabrics import single_rack
+from tests.topology.ledger_views import plane_matrices
 
 
 def snapshot(ledger: ReservationLedger):
@@ -25,7 +26,7 @@ def snapshot(ledger: ReservationLedger):
     topology = ledger.topology
     planes = ()
     if isinstance(ledger, TemporalLedger):
-        planes = tuple(matrix.tobytes() for matrix in ledger.plane_matrices())
+        planes = tuple(matrix.tobytes() for matrix in plane_matrices(ledger))
     return (
         planes,
         {s.node_id: ledger.used_slots(s) for s in topology.servers},
@@ -76,8 +77,8 @@ class TestRollbackRestoresExactly:
         allocation.rollback(savepoint)
         assert snapshot(ledger) == before
         assert allocation.placed_vms == 0
-        assert allocation.remaining("web") == 2
-        assert allocation.remaining("db") == 2
+        assert allocation.remaining_tiers().get("web", 0) == 2
+        assert allocation.remaining_tiers().get("db", 0) == 2
 
     def test_rollback_to_midpoint_restores_midpoint(self, ledger):
         allocation = TenantAllocation(two_tier_tag(), ledger)
@@ -92,7 +93,7 @@ class TestRollbackRestoresExactly:
         allocation.rollback(midpoint)
         assert snapshot(ledger) == midpoint_state
         assert allocation.placed_vms == 2
-        assert allocation.remaining("db") == 2
+        assert allocation.remaining_tiers().get("db", 0) == 2
 
     def test_failed_slot_reservation_has_no_effect(self, ledger):
         allocation = TenantAllocation(two_tier_tag(), ledger)
@@ -104,7 +105,7 @@ class TestRollbackRestoresExactly:
         # Server 0's two slots are taken: this must fail atomically.
         assert not allocation.place(servers[0], "db", 2, root)
         assert snapshot(ledger) == placed_state
-        assert allocation.remaining("db") == 2
+        assert allocation.remaining_tiers().get("db", 0) == 2
 
     def test_failed_finalize_then_rollback_restores_start(self, ledger):
         # 50 Mbps of cross-server demand through 10 Mbps NICs: the

@@ -9,7 +9,7 @@ import pytest
 from repro.errors import TopologyError
 from repro.topology.builder import DatacenterSpec, paper_datacenter, three_level_tree
 from repro.topology.tree import Node, Topology, TopologyBuilder
-from tests.fabrics import single_rack
+from tests.fabrics import servers_under, single_rack
 
 
 class TestNode:
@@ -41,7 +41,7 @@ class TestTopologyValidation:
     def test_level_gap_rejected(self):
         builder = TopologyBuilder()
         root = builder.switch("root", 3)
-        server = builder.server("srv", 1, 1.0, 1.0)
+        server = Node(9, "srv", 0, 1, 1.0, 1.0)
         TopologyBuilder.attach(root, server)
         with pytest.raises(TopologyError):
             Topology(root)
@@ -50,7 +50,7 @@ class TestTopologyValidation:
         builder = TopologyBuilder()
         a = builder.switch("a", 1)
         b = builder.switch("b", 1)
-        server = builder.server("srv", 1, 1.0, 1.0)
+        server = Node(9, "srv", 0, 1, 1.0, 1.0)
         TopologyBuilder.attach(a, server)
         with pytest.raises(TopologyError):
             TopologyBuilder.attach(b, server)
@@ -64,23 +64,22 @@ class TestTopologyQueries:
         assert len(small_datacenter.level_nodes(1)) == 8
         assert len(small_datacenter.level_nodes(2)) == 2
 
-    def test_ancestors_and_path(self, small_datacenter):
-        server = small_datacenter.servers[0]
-        path = small_datacenter.path_to_root(server)
-        assert [n.level for n in path] == [0, 1, 2]
-        ancestors = list(small_datacenter.ancestors(server))
-        assert ancestors[-1].is_root
+    def test_path_up_and_ancestors(self, small_datacenter):
+        flat = small_datacenter.flat
+        server_id = small_datacenter.servers[0].node_id
+        assert [flat.level[i] for i in flat.path_up[server_id]] == [0, 1, 2]
+        assert flat.ancestors[server_id][-1] == small_datacenter.root.node_id
 
     def test_servers_under(self, small_datacenter):
         tor = small_datacenter.level_nodes(1)[0]
-        servers = list(small_datacenter.servers_under(tor))
+        servers = list(servers_under(small_datacenter, tor))
         assert len(servers) == 16
         assert all(s.is_server for s in servers)
 
-    def test_slots_under(self, small_datacenter):
-        tor = small_datacenter.level_nodes(1)[0]
-        assert small_datacenter.slots_under(tor) == 64
-        assert small_datacenter.slots_under(small_datacenter.root) == 512
+    def test_subtree_slots(self, small_datacenter):
+        subtree_slots = small_datacenter.flat.subtree_slots
+        assert subtree_slots[small_datacenter.level_nodes(1)[0].node_id] == 64
+        assert subtree_slots[small_datacenter.root.node_id] == 512
 
     def test_node_lookup(self, small_datacenter):
         root = small_datacenter.root
@@ -96,7 +95,6 @@ class TestDatacenterSpec:
     def test_paper_numbers(self):
         spec = DatacenterSpec()
         assert spec.num_servers == 2048
-        assert spec.total_slots == 51200
         # 32 x 10G / 4 = 80G ToR uplink, 8 x 80G / 8 = 80G agg uplink.
         assert spec.tor_uplink == pytest.approx(80_000.0)
         assert spec.agg_uplink == pytest.approx(80_000.0)

@@ -19,6 +19,7 @@ from repro.validation.traffic_check import (
 )
 from repro.workloads.bing import bing_pool
 from repro.workloads.scaling import scale_pool
+from tests.tags import hose_tag
 
 
 def place(small_datacenter, tag, placer_cls=CloudMirrorPlacer):
@@ -73,7 +74,7 @@ class TestAdmissibleMatrix:
             )
 
     def test_no_self_traffic(self, small_datacenter):
-        tag = Tag.hose("h", size=8, bandwidth=100.0)
+        tag = hose_tag("h", size=8, bandwidth=100.0)
         allocation = place(small_datacenter, tag)
         index = VmIndex.from_allocation(allocation)
         matrix = sample_admissible_matrix(tag, index, np.random.default_rng(2))

@@ -24,7 +24,7 @@ class TestPatterns:
         assert tag.num_tiers == 4
         out, _ = tag.per_vm_demand("spout1")
         assert out == pytest.approx(20.0)  # feeds two bolts at B each
-        assert all(tag.self_loop(t) is None for t in tag.tier_names())
+        assert all(tag.self_loop(t) is None for t in tag.tier_sizes())
 
     def test_linear_chain_validation(self):
         with pytest.raises(TagError):
