@@ -65,8 +65,8 @@ def _churn_once(topology, arrivals, pool):
     elapsed = time.perf_counter() - started
     layouts = [
         sorted(
-            (server.node_id, tuple(sorted(counts.items())))
-            for server, counts in allocation.iter_server_placements()
+            (server_id, tuple(sorted(counts.items())))
+            for server_id, counts in allocation.iter_server_placements()
         )
         for allocation in loop.live()
     ]

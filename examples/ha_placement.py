@@ -40,8 +40,8 @@ def place(label: str, ha: HaPolicy | None) -> None:
         raise SystemExit(f"{label}: rejected ({result.reason})")
     wcs = allocation_wcs(result.allocation, laa_level=0)
     servers = sorted(
-        (server.name, dict(counts))
-        for server, counts in result.allocation.iter_server_placements()
+        (topology.node(server_id).name, dict(counts))
+        for server_id, counts in result.allocation.iter_server_placements()
     )
     print(f"{label}:")
     print(f"  servers used : {len(servers)}")

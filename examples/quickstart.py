@@ -36,20 +36,24 @@ def main() -> None:
     if not isinstance(result, Placement):
         raise SystemExit(f"rejected: {result.reason}")
 
+    # The allocation names nodes by id; the topology holds their names.
+    def name(node_id: int) -> str:
+        return topology.node(node_id).name
+
     print("placement:")
-    for server, counts in sorted(
-        result.allocation.iter_server_placements(), key=lambda x: x[0].name
+    for server_id, counts in sorted(
+        result.allocation.iter_server_placements(), key=lambda x: name(x[0])
     ):
         layout = ", ".join(f"{tier} x{n}" for tier, n in sorted(counts.items()))
-        print(f"  {server.name}: {layout}")
+        print(f"  {name(server_id)}: {layout}")
 
     print("\nreserved uplink bandwidth (up / down, Mbps):")
-    for node, counts in sorted(
-        result.allocation.iter_node_counts(), key=lambda x: x[0].name
+    for node_id, counts in sorted(
+        result.allocation.iter_node_counts(), key=lambda x: name(x[0])
     ):
-        demand = result.allocation.reserved_on(node)
+        demand = result.allocation.reserved_on(node_id)
         if demand.out or demand.into:
-            print(f"  {node.name:<14} {demand.out:8.0f} / {demand.into:8.0f}")
+            print(f"  {name(node_id):<14} {demand.out:8.0f} / {demand.into:8.0f}")
 
     # 4. Tenants can leave; everything is released.
     result.allocation.release()

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from repro.core.tag import Tag
-from repro.enforcement.elasticswitch import EnforcementResult, PairFlow, enforce
+from repro.enforcement.elasticswitch import PairFlow, enforce
 
 __all__ = ["Fig13Point", "fig13_scenario", "fig4_scenario"]
 

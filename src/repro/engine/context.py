@@ -77,18 +77,13 @@ def get_scaled_pool(name: str, bmax: float) -> tuple[Tag, ...]:
 @lru_cache(maxsize=32)
 def get_topology(spec: DatacenterSpec, unlimited: bool = False) -> Topology:
     """A built topology per spec.  Safe to share: topologies are immutable
-    (all reservation state lives in per-trial :class:`Ledger` instances).
-
-    The flat array view (precomputed ancestor/path tuples, server spans,
-    subtree slot totals) is materialized here, once per process, so every
-    trial's ledger and placers start from the shared arrays instead of
-    racing to build them on first use."""
+    (all reservation state lives in per-trial :class:`Ledger` instances),
+    and so are its flat arrays, built with it: every trial's ledger and
+    placers start from the same ones."""
     c = _obs.counters
     if c is not None:
         c.bump("context.topology_builds")
-    topology = three_level_tree(spec, unlimited=unlimited)
-    topology.flat  # noqa: B018 - force one-time materialization
-    return topology
+    return three_level_tree(spec, unlimited=unlimited)
 
 
 @lru_cache(maxsize=32)
@@ -101,9 +96,7 @@ def get_hetero_topology(spec: DatacenterSpec) -> Topology:
     c = _obs.counters
     if c is not None:
         c.bump("context.topology_builds")
-    topology = heterogeneous_from_spec(spec)
-    topology.flat  # noqa: B018 - force one-time materialization
-    return topology
+    return heterogeneous_from_spec(spec)
 
 
 @dataclass

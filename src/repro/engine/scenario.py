@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator
 
 from repro.errors import EngineError
 from repro.placement.ha import HaPolicy

@@ -10,8 +10,8 @@ question:
 
 ``level order``
     One sorted list per tree level of ``(free_slots, level_pos,
-    node_id)`` where ``level_pos`` is the node's position in
-    ``Topology.level_nodes`` order.  Iterating a slice of this list
+    node_id)`` where ``level_pos`` is the node's position in its
+    level's preorder (``FlatTopology.level_ids``).  Iterating a slice of this list
     reproduces exactly the best-fit winner the full scan would pick
     (minimal sufficient free slots, first in level order on ties) — see
     :meth:`best_fit`.
@@ -78,8 +78,8 @@ class CandidateIndex:
         self.flat = flat
         size = flat.size
         num_levels = flat.num_levels
-        # Node position within its level, in ``level_nodes`` order (the
-        # tie-break the full scan uses).
+        # Node position within its level, in preorder (the tie-break the
+        # full scan uses).
         self._level_pos = [0] * size
         for ids in flat.level_ids:
             for pos, node_id in enumerate(ids):

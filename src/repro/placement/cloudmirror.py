@@ -53,7 +53,6 @@ from repro.placement.ha import (
 )
 from repro.placement.state import TenantAllocation
 from repro.topology.ledger import Ledger
-from repro.topology.tree import Node
 
 __all__ = ["CloudMirrorPlacer"]
 
@@ -123,8 +122,8 @@ class CloudMirrorPlacer:
         ha: HaPolicy | None = None,
     ) -> None:
         self.ledger = ledger
-        self.topology = ledger.topology
         self._flat = ledger.flat
+        self._root_id = ledger.flat.root_id
         # Incrementally-maintained subtree candidate order.
         self._index = ledger.ensure_candidate_index()
         self.enable_colocate = enable_colocate
@@ -149,7 +148,7 @@ class CloudMirrorPlacer:
     # ------------------------------------------------------------------
     def place(self, tag: Tag) -> PlacementResult:
         self.estimator.observe(tag)
-        if tag.size > self.ledger.free_slots(self.topology.root):
+        if tag.size > self.ledger.free_slots_id(self._root_id):
             return Rejection(tag, "not enough free VM slots in the datacenter")
         start_level = self._start_level(tag)
         result = self._place_attempt(tag, start_level, self.ha.opportunistic)
@@ -172,21 +171,23 @@ class CloudMirrorPlacer:
         try:
             allocation = TenantAllocation(tag, self.ledger)
             self._candidate_plan(tag)
-            subtree = self._find_lowest_subtree(tag, start_level)
-            while subtree is not None:
+            subtree_id = self._find_lowest_subtree(tag, start_level)
+            while subtree_id is not None:
                 savepoint = allocation.savepoint()
                 want = allocation.remaining_tiers()
-                self._alloc(allocation, want, subtree, subtree)
+                self._alloc(allocation, want, subtree_id, subtree_id)
                 if (
                     allocation.is_complete
                     and not self.ledger.has_overcommit()
-                    and allocation.finalize(subtree)
+                    and allocation.finalize(subtree_id)
                 ):
                     return Placement(allocation)
                 allocation.rollback(savepoint)
-                if subtree.is_root:
+                if subtree_id == self._root_id:
                     break
-                subtree = self._find_lowest_subtree(tag, subtree.level + 1)
+                subtree_id = self._find_lowest_subtree(
+                    tag, self._flat.level[subtree_id] + 1
+                )
             return Rejection(tag, "no subtree could satisfy slots and bandwidth")
         finally:
             self._spreading = False
@@ -209,8 +210,7 @@ class CloudMirrorPlacer:
         allocation.begin_scale_up(tier, extra)
         self._candidate_plan(allocation.tag)
         want = {tier: extra}
-        root = self.topology.root
-        self._alloc(allocation, want, root, root)
+        self._alloc(allocation, want, self._root_id, self._root_id)
         if not want and allocation.finish_scale_up():
             return True
         allocation.rollback(savepoint)
@@ -231,15 +231,17 @@ class CloudMirrorPlacer:
         if not self.ha.opportunistic:
             return 0
         expected = self.estimator.expected_per_vm_demand
-        for level in range(self.topology.num_levels):
+        ledger = self.ledger
+        flat = self._flat
+        for level in range(flat.num_levels):
             ratios = []
-            for node in self.topology.level_nodes(level):
-                free = self.ledger.free_slots(node)
-                if free <= 0 or node.is_root:
+            for node_id in flat.level_ids[level]:
+                free = ledger.free_slots_id(node_id)
+                if free <= 0 or node_id == self._root_id:
                     continue
                 available = min(
-                    self.ledger.nominal_available_up_id(node.node_id),
-                    self.ledger.nominal_available_down_id(node.node_id),
+                    ledger.nominal_available_up_id(node_id),
+                    ledger.nominal_available_down_id(node_id),
                 )
                 ratios.append(max(0.0, available) / free)
             if not ratios:
@@ -248,10 +250,10 @@ class CloudMirrorPlacer:
             # typically available per free slot is scarcer than demand.
             if _mean(ratios) < expected:
                 return level
-        return self.topology.root.level
+        return flat.level[self._root_id]
 
-    def _find_lowest_subtree(self, tag: Tag, min_level: int) -> Node | None:
-        """Lowest-level subtree likely to fit ``tag``.
+    def _find_lowest_subtree(self, tag: Tag, min_level: int) -> int | None:
+        """Id of the lowest-level subtree likely to fit ``tag``.
 
         Validates aggregate free slots and, when the TAG talks to external
         components, the root-path bandwidth for that external demand.
@@ -269,10 +271,10 @@ class CloudMirrorPlacer:
 
         best_fit = self._index.best_fit
         size = tag.size
-        for level in range(min_level, self.topology.num_levels):
+        for level in range(min_level, self._flat.num_levels):
             node_id = best_fit(level, size, accept)
             if node_id is not None:
-                return self._flat.node_of[node_id]
+                return node_id
         return None
 
     def _candidate_plan(self, tag: Tag) -> _TagPlan:
@@ -297,52 +299,53 @@ class CloudMirrorPlacer:
         self,
         allocation: TenantAllocation,
         want: dict[str, int],
-        subtree: Node,
-        ceiling: Node,
+        subtree_id: int,
+        ceiling_id: int,
     ) -> bool:
-        """Place as much of ``want`` as possible under ``subtree``.
+        """Place as much of ``want`` as possible under ``subtree_id``.
 
         Mutates ``want`` down to the unplaced remainder; True iff empty.
         """
-        if subtree.is_server:
-            self._alloc_server(allocation, want, subtree, ceiling)
+        if self._flat.is_server[subtree_id]:
+            self._alloc_server(allocation, want, subtree_id, ceiling_id)
             return not want
-        if self.enable_colocate and self._bw_saving_worthwhile(subtree):
-            self._colocate(allocation, want, subtree, ceiling)
+        if self.enable_colocate and self._bw_saving_worthwhile(subtree_id):
+            self._colocate(allocation, want, subtree_id, ceiling_id)
         if want:
             if self.enable_balance:
-                self._balance(allocation, want, subtree, ceiling)
+                self._balance(allocation, want, subtree_id, ceiling_id)
             else:
                 # Fig. 10 "Coloc"-only ablation: place the remainder the
                 # way prior network-aware placers do — pack children in
                 # free-slot order with no resource balancing (Fig. 6(c)).
-                self._walk(allocation, want, subtree, ceiling, self._naive_option)
+                self._walk(
+                    allocation, want, subtree_id, ceiling_id, self._naive_option
+                )
         return not want
 
     def _alloc_server(
         self,
         allocation: TenantAllocation,
         want: dict[str, int],
-        server: Node,
-        ceiling: Node,
+        server_id: int,
+        ceiling_id: int,
     ) -> None:
         """Place VMs straight onto one server, respecting slots and Eq. 7."""
-        for tier, count in self._server_fill(allocation, want, server):
-            if allocation.place(server, tier, count, ceiling):
+        for tier, count in self._server_fill(allocation, want, server_id):
+            if allocation.place(server_id, tier, count, ceiling_id):
                 want[tier] -= count
                 if want[tier] == 0:
                     del want[tier]
 
     def _server_fill(
-        self, allocation: TenantAllocation, want: dict[str, int], server: Node
+        self, allocation: TenantAllocation, want: dict[str, int], server_id: int
     ) -> list[tuple[str, int]]:
-        """The ``(tier, count)`` sequence ``want`` puts on ``server``.
+        """The ``(tier, count)`` sequence ``want`` puts on ``server_id``.
 
         Highest per-VM demand first, each tier bounded by the free slots
         left and its Eq. 7 headroom.  Shared by the real placement and
         the side-effect-free probe, so both replay the same sequence.
         """
-        server_id = server.node_id
         free = self.ledger.slot_cap[server_id] - self.ledger.used_slots_id(
             server_id
         )
@@ -363,9 +366,8 @@ class CloudMirrorPlacer:
         if not self._wcs:
             # No WCS guarantee: the headroom is the tier size.
             return self._plan.size
-        node = self._flat.node_of[node_id]
         return {
-            tier: tier_cap_left(self.ha, allocation, node, tier) for tier in tiers
+            tier: tier_cap_left(self.ha, allocation, node_id, tier) for tier in tiers
         }
 
     # ------------------------------------------------------------------
@@ -375,8 +377,8 @@ class CloudMirrorPlacer:
         self,
         allocation: TenantAllocation,
         want: dict[str, int],
-        subtree: Node,
-        ceiling: Node,
+        subtree_id: int,
+        ceiling_id: int,
         option,
         *option_args,
         key_tiers: tuple[str, ...] | None = None,
@@ -384,7 +386,7 @@ class CloudMirrorPlacer:
         probe_first: bool = False,
         reuse: bool = False,
     ) -> None:
-        """Offer ``want`` to ``subtree``'s children until none takes more.
+        """Offer ``want`` to ``subtree_id``'s children until none takes more.
 
         Algorithm 1 tries the best child and, on overcommit, deallocates
         and tries the next.  A failed try rolls back exactly — ``want``,
@@ -410,10 +412,11 @@ class CloudMirrorPlacer:
         ``reuse`` (ignored under WCS) ``(value, request, slack)`` as
         :meth:`_greedy_fill` does, which later scans may reuse (``_scan``).
         """
-        node_of = self._flat.node_of
         excluded: set[int] = set()
         evaluate = partial(option, allocation, want, *option_args)
-        scan = partial(self._scan, allocation, subtree, excluded, evaluate, bandwidth)
+        scan = partial(
+            self._scan, allocation, subtree_id, excluded, evaluate, bandwidth
+        )
         probe = probe_first
         reuse = reuse and not self._wcs
         previous = shrink = None
@@ -430,7 +433,7 @@ class CloudMirrorPlacer:
                 c.bump("cloudmirror.scans")
             ranked = None
             while pick is not None and not self._try_child(
-                allocation, want, pick[2], node_of[pick[1]], ceiling, probe
+                allocation, want, pick[2], pick[1], ceiling_id, probe
             ):
                 probe = True
                 allocation.memoize()
@@ -455,7 +458,7 @@ class CloudMirrorPlacer:
     def _scan(
         self,
         allocation: TenantAllocation,
-        subtree: Node,
+        subtree_id: int,
         excluded: set[int],
         evaluate,
         bandwidth: bool,
@@ -465,7 +468,7 @@ class CloudMirrorPlacer:
         previous: dict | None = None,
         shrink: list | None = None,
     ):
-        """Best ``(value, child_id, request)`` over ``subtree``'s children.
+        """Best ``(value, child_id, request)`` over ``subtree_id``'s children.
 
         Children in identical reservation states — same free slots,
         same per-tier counts of ``key_tiers`` and, with ``bandwidth``,
@@ -500,7 +503,7 @@ class CloudMirrorPlacer:
         zero = (0,) * len(key_tiers)  # the state of a child holding none
         up = down = None
         best = None
-        for child_id in self._flat.children_ids[subtree.node_id]:
+        for child_id in self._flat.children_ids[subtree_id]:
             if child_id in excluded:
                 continue
             free = free_slots[child_id]
@@ -548,11 +551,11 @@ class CloudMirrorPlacer:
         allocation: TenantAllocation,
         want: dict[str, int],
         request: dict[str, int],
-        child: Node,
-        ceiling: Node,
+        child_id: int,
+        ceiling_id: int,
         probe: bool,
     ) -> int:
-        """Recurse into ``child`` with ``request``; roll back on overcommit.
+        """Recurse into ``child_id`` with ``request``; roll back on overcommit.
 
         Returns the number of VMs that stayed placed.  ``want`` is reduced
         by exactly that amount.  With ``probe``, a server whose own uplink
@@ -566,20 +569,19 @@ class CloudMirrorPlacer:
         versions are per allocation, and the ledger moves between searches.
         """
         c = _obs.counters
-        child_id = child.node_id
         failed = self._failed
         key = None
         if probe or failed:  # no failure yet this search: no key to pay for
-            key = (allocation.version, child_id, ceiling.node_id, *request.items())
+            key = (allocation.version, child_id, ceiling_id, *request.items())
             if key in failed:
                 if c is not None:
                     c.bump("cloudmirror.memo_hits")
                 return 0
         if (
             probe
-            and child.is_server
+            and self._flat.is_server[child_id]
             and allocation.probe(
-                child_id, self._server_fill(allocation, request, child)
+                child_id, self._server_fill(allocation, request, child_id)
             )
         ):
             if c is not None:
@@ -590,7 +592,7 @@ class CloudMirrorPlacer:
             c.bump("cloudmirror.tries")
         savepoint = allocation.savepoint()
         remainder = dict(request)
-        self._alloc(allocation, remainder, child, ceiling)
+        self._alloc(allocation, remainder, child_id, ceiling_id)
         placed = 0
         if self.ledger.has_overcommit():
             allocation.rollback(savepoint)
@@ -607,24 +609,24 @@ class CloudMirrorPlacer:
                 c.bump("cloudmirror.tries_failed")
             if key is None:
                 # Nothing stayed, so the version is again the one tried from.
-                key = (allocation.version, child_id, ceiling.node_id, *request.items())
+                key = (allocation.version, child_id, ceiling_id, *request.items())
             failed.add(key)
         return placed
 
     # ------------------------------------------------------------------
     # Colocate
     # ------------------------------------------------------------------
-    def _bw_saving_worthwhile(self, subtree: Node) -> bool:
+    def _bw_saving_worthwhile(self, subtree_id: int) -> bool:
         """Gate on Colocate: feasible under HA, and desirable under oppHA."""
         if self._wcs and self.ha.required_wcs >= 0.5:
             # With RWCS >= 50%, no tier may put a majority under a subtree
             # at or below the anti-affinity level, so no saving is possible
             # there (§4.4).
-            if subtree.level - 1 <= self.ha.laa_level:
+            if self._flat.level[subtree_id] - 1 <= self.ha.laa_level:
                 return False
         if self._spreading:
             return saving_desirable(
-                self.ledger, subtree, self.estimator.expected_per_vm_demand
+                self.ledger, subtree_id, self.estimator.expected_per_vm_demand
             )
         return True
 
@@ -632,8 +634,8 @@ class CloudMirrorPlacer:
         self,
         allocation: TenantAllocation,
         want: dict[str, int],
-        subtree: Node,
-        ceiling: Node,
+        subtree_id: int,
+        ceiling_id: int,
     ) -> None:
         """Place the (child, tier set) picks with the largest saving first.
 
@@ -644,14 +646,14 @@ class CloudMirrorPlacer:
         too ("blind" colocation).
         """
         threshold = (
-            self._low_bw_threshold(subtree) if self.enable_balance else -math.inf
+            self._low_bw_threshold(subtree_id) if self.enable_balance else -math.inf
         )
         # Every candidate quantity (hose/trunk counts, Eq. 7 headroom) is a
         # function of the child's counts over all tiers.
-        walk = partial(self._walk, allocation, want, subtree, ceiling)
+        walk = partial(self._walk, allocation, want, subtree_id, ceiling_id)
         walk(self._coloc_option, threshold, key_tiers=allocation.internal_tiers)
 
-    def _low_bw_threshold(self, subtree: Node) -> float:
+    def _low_bw_threshold(self, subtree_id: int) -> float:
         """Nominal per-slot bandwidth of the children (Fig. 6 heuristic).
 
         Depends on the topology and the current failure mask — a failed
@@ -661,13 +663,13 @@ class CloudMirrorPlacer:
         version 0, so the cache never invalidates without failures).
         """
         version = self.ledger.mask_version()
-        cached = self._threshold_cache.get(subtree.node_id)
+        cached = self._threshold_cache.get(subtree_id)
         if cached is not None and cached[0] == version:
             return cached[1]
         flat = self._flat
         alive_slots = self.ledger.alive_subtree_slots_id
         values = []
-        for child_id in flat.children_ids[subtree.node_id]:
+        for child_id in flat.children_ids[subtree_id]:
             slots = alive_slots(child_id)
             up = flat.nominal_up[child_id]
             down = flat.nominal_down[child_id]
@@ -675,7 +677,7 @@ class CloudMirrorPlacer:
             if slots > 0 and math.isfinite(nominal):
                 values.append(nominal / slots)
         threshold = _mean(values) if values else 0.0
-        self._threshold_cache[subtree.node_id] = (version, threshold)
+        self._threshold_cache[subtree_id] = (version, threshold)
         return threshold
 
     def _coloc_option(
@@ -793,17 +795,17 @@ class CloudMirrorPlacer:
         self,
         allocation: TenantAllocation,
         want: dict[str, int],
-        subtree: Node,
-        ceiling: Node,
+        subtree_id: int,
+        ceiling_id: int,
     ) -> None:
         """Drive each child's slot and bandwidth utilization toward 100%.
 
         In spread mode (§4.5 opportunistic HA, saving undesirable) one VM
         at a time goes to the emptiest child instead.
         """
-        walk = partial(self._walk, allocation, want, subtree, ceiling)
+        walk = partial(self._walk, allocation, want, subtree_id, ceiling_id)
         if self._spreading and not saving_desirable(
-            self.ledger, subtree, self.estimator.expected_per_vm_demand
+            self.ledger, subtree_id, self.estimator.expected_per_vm_demand
         ):
             walk(self._spread_option)
         else:

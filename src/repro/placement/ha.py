@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from repro.core.bandwidth import achieved_wcs, wcs_cap
 from repro.core.tag import Tag
 from repro.topology.ledger import Ledger
-from repro.topology.tree import Node
 
 __all__ = ["HaPolicy", "DemandEstimator", "allocation_wcs"]
 
@@ -89,32 +88,31 @@ class DemandEstimator:
 
 
 def saving_desirable(
-    ledger: Ledger, node: Node, expected_demand: float
+    ledger: Ledger, node_id: int, expected_demand: float
 ) -> bool:
-    """Is bandwidth saving by colocation under ``node`` worth pursuing?
+    """Is bandwidth saving by colocation under ``node_id`` worth pursuing?
 
     Desirable when the available bandwidth averaged over the unallocated
-    slots under ``node`` is *smaller* than the expected per-VM demand —
+    slots under ``node_id`` is *smaller* than the expected per-VM demand —
     i.e. bandwidth, not slots, is the scarce resource there (§4.5).
     Infinite capacities are never scarce; the root always reports
     desirable so the search terminates.
     """
-    if node.is_root:
+    if node_id == ledger.flat.root_id:
         return True
-    free = ledger.free_slots(node)
+    free = ledger.free_slots_id(node_id)
     if free <= 0:
         return True
-    node_id = node.node_id
     available = min(ledger.available_up_id(node_id), ledger.available_down_id(node_id))
     if math.isinf(available):
         return False
     return available / free < expected_demand
 
 
-def tier_cap_left(ha: HaPolicy, allocation, node: Node, tier: str) -> int:
-    """Remaining Eq. 7 headroom for ``tier`` under ``node``.
+def tier_cap_left(ha: HaPolicy, allocation, node_id: int, tier: str) -> int:
+    """Remaining Eq. 7 headroom for ``tier`` under ``node_id``.
 
-    Checks ``node`` and every ancestor at or below the anti-affinity level
+    Checks ``node_id`` and every ancestor at or below the anti-affinity level
     (the cap constrains *all* fault-domain subtrees).  Returns the tier
     size when the policy guarantees nothing.  Reads the allocation's
     cached tier size and walks precomputed ancestor ids — this runs once
@@ -127,10 +125,10 @@ def tier_cap_left(ha: HaPolicy, allocation, node: Node, tier: str) -> int:
         level = flat.level
         laa_level = ha.laa_level
         count_id = allocation.count_id
-        for node_id in flat.ancestors[node.node_id]:
-            if level[node_id] > laa_level:
+        for ancestor in flat.ancestors[node_id]:
+            if level[ancestor] > laa_level:
                 break
-            left = cap - count_id(node_id, tier)
+            left = cap - count_id(ancestor, tier)
             if left < headroom:
                 headroom = left
     return max(0, headroom)

@@ -28,7 +28,6 @@ from repro.placement.base import Placement, PlacementResult, Rejection
 from repro.placement.ha import HaPolicy, tier_cap_left
 from repro.placement.state import TenantAllocation
 from repro.topology.ledger import Ledger
-from repro.topology.tree import Node
 
 __all__ = ["OktopusPlacer"]
 
@@ -38,43 +37,49 @@ class OktopusPlacer:
 
     def __init__(self, ledger: Ledger, *, ha: HaPolicy | None = None) -> None:
         self.ledger = ledger
-        self.topology = ledger.topology
+        self._flat = ledger.flat
         self.ha = ha or HaPolicy()
         # Incrementally-maintained subtree candidate order.
         self._index = ledger.ensure_candidate_index()
 
     def place(self, tag: Tag) -> PlacementResult:
-        if tag.size > self.ledger.free_slots(self.topology.root):
+        root_id = self._flat.root_id
+        if tag.size > self.ledger.free_slots_id(root_id):
             return Rejection(tag, "not enough free VM slots in the datacenter")
         voc = voc_from_tag(tag)
         allocation = TenantAllocation(tag, self.ledger, voc_uplink_requirement)
-        subtree = self._find_lowest_subtree(tag)
-        while subtree is not None:
+        subtree_id = self._find_lowest_subtree(tag)
+        while subtree_id is not None:
             savepoint = allocation.savepoint()
-            if self._alloc_tenant(allocation, voc, subtree):
-                if not self.ledger.has_overcommit() and allocation.finalize(subtree):
+            if self._alloc_tenant(allocation, voc, subtree_id):
+                if not self.ledger.has_overcommit() and allocation.finalize(
+                    subtree_id
+                ):
                     return Placement(allocation)
             allocation.rollback(savepoint)
-            if subtree.is_root:
+            if subtree_id == root_id:
                 break
-            subtree = self._find_lowest_subtree(tag, subtree.level + 1)
+            subtree_id = self._find_lowest_subtree(
+                tag, self._flat.level[subtree_id] + 1
+            )
         return Rejection(tag, "no subtree could satisfy the VOC request")
 
     # ------------------------------------------------------------------
-    def _find_lowest_subtree(self, tag: Tag, min_level: int = 0) -> Node | None:
-        """Lowest-level best-fit subtree with enough aggregate free slots."""
+    def _find_lowest_subtree(self, tag: Tag, min_level: int = 0) -> int | None:
+        """Id of the lowest-level best-fit subtree with enough aggregate
+        free slots."""
         size = tag.size
         best_fit = self._index.best_fit
-        for level in range(min_level, self.topology.num_levels):
+        for level in range(min_level, self._flat.num_levels):
             node_id = best_fit(level, size)
             if node_id is not None:
-                return self.ledger.flat.node_of[node_id]
+                return node_id
         return None
 
     def _alloc_tenant(
-        self, allocation: TenantAllocation, voc: VocModel, subtree: Node
+        self, allocation: TenantAllocation, voc: VocModel, subtree_id: int
     ) -> bool:
-        """Place every cluster under ``subtree``, biggest demand first."""
+        """Place every cluster under ``subtree_id``, biggest demand first."""
         clusters = sorted(
             voc.clusters,
             key=lambda c: (c.size * self._cluster_bw(c), c.size),
@@ -82,7 +87,7 @@ class OktopusPlacer:
         )
         for cluster in clusters:
             placed = self._alloc_cluster(
-                allocation, cluster, cluster.size, subtree, subtree
+                allocation, cluster, cluster.size, subtree_id, subtree_id
             )
             if placed < cluster.size:
                 return False
@@ -104,8 +109,8 @@ class OktopusPlacer:
         allocation: TenantAllocation,
         cluster: VocCluster,
         want: int,
-        node: Node,
-        ceiling: Node,
+        node_id: int,
+        ceiling_id: int,
     ) -> int:
         """Greedy Oktopus allocation of ``want`` VMs of one cluster.
 
@@ -115,28 +120,20 @@ class OktopusPlacer:
         Returns the number of VMs placed.
         """
         ledger = self.ledger
-        flat = ledger.flat
-        if node.is_server:
-            node_id = node.node_id
+        if self._flat.is_server[node_id]:
             free = ledger.slot_cap[node_id] - ledger.used_slots_id(node_id)
-            cap = tier_cap_left(self.ha, allocation, node, cluster.name)
+            cap = tier_cap_left(self.ha, allocation, node_id, cluster.name)
             count = min(want, free, cap)
             if count <= 0:
                 return 0
-            if not allocation.place(node, cluster.name, count, ceiling):
+            if not allocation.place(node_id, cluster.name, count, ceiling_id):
                 return 0
             return count
         placed = 0
-        # Id-keyed sort (stable, so free-slot ties keep child order).
-        node_of = flat.node_of
-        children = [
-            node_of[child_id]
-            for child_id in sorted(
-                flat.children_ids[node.node_id],
-                key=ledger.free_slots_id,
-                reverse=True,
-            )
-        ]
+        # Stable sort, so free-slot ties keep child order.
+        children = sorted(
+            self._flat.children_ids[node_id], key=ledger.free_slots_id, reverse=True
+        )
         # The whole-remainder filter dedups children in identical
         # reservation states (same free slots, same cluster count, same
         # availability): the hose-feasibility answer is a function of
@@ -145,8 +142,7 @@ class OktopusPlacer:
         # cannot change the chosen target.
         whole = []
         seen: set = set()
-        for child in children:
-            child_id = child.node_id
+        for child_id in children:
             free = ledger.free_slots_id(child_id)
             if free < want:
                 continue
@@ -159,12 +155,11 @@ class OktopusPlacer:
             if key in seen:
                 continue
             seen.add(key)
-            if self._hose_feasible(allocation, cluster, child, want):
-                whole.append(child)
+            if self._hose_feasible(allocation, cluster, child_id, want):
+                whole.append(child_id)
         if whole:
-            free_slots_id = ledger.free_slots_id
-            target = min(whole, key=lambda c: free_slots_id(c.node_id))
-            children = [target] + [c for c in children if c is not target]
+            target = min(whole, key=ledger.free_slots_id)
+            children = [target] + [c for c in children if c != target]
         # Children are attempted in order with state mutating only when
         # VMs land.  ``_max_feasible`` is a function of the same class
         # key (Eq. 7 ancestors are shared among siblings), so between
@@ -172,10 +167,9 @@ class OktopusPlacer:
         # nothing feasible are skipped; any successful placement shrinks
         # the remaining want and invalidates the skip set.
         infeasible: set = set()
-        for child in children:
+        for child_id in children:
             if placed >= want:
                 break
-            child_id = child.node_id
             key = (
                 ledger.free_slots_id(child_id),
                 allocation.count_id(child_id, cluster.name),
@@ -184,12 +178,14 @@ class OktopusPlacer:
             )
             if key in infeasible:
                 continue
-            feasible = self._max_feasible(allocation, cluster, child, want - placed)
+            feasible = self._max_feasible(
+                allocation, cluster, child_id, want - placed
+            )
             if feasible <= 0:
                 infeasible.add(key)
                 continue
             got = self._alloc_cluster(
-                allocation, cluster, feasible, child, ceiling
+                allocation, cluster, feasible, child_id, ceiling_id
             )
             if got:
                 placed += got
@@ -200,13 +196,12 @@ class OktopusPlacer:
         self,
         allocation: TenantAllocation,
         cluster: VocCluster,
-        child: Node,
+        child_id: int,
         extra: int,
     ) -> bool:
         bandwidth = self._cluster_bw(cluster)
         if bandwidth == 0.0:
             return True
-        child_id = child.node_id
         here = allocation.count_id(child_id, cluster.name) + extra
         crossing = min(here, cluster.size - here) * bandwidth
         ledger = self.ledger
@@ -220,22 +215,21 @@ class OktopusPlacer:
         self,
         allocation: TenantAllocation,
         cluster: VocCluster,
-        child: Node,
+        child_id: int,
         want: int,
     ) -> int:
-        """Largest VM count placeable under ``child`` per the VC constraint.
+        """Largest VM count placeable under ``child_id`` per the VC constraint.
 
         The hose crossing ``min(m, N - m) * B`` first rises with ``m`` then
         falls; Oktopus accepts either the low ascending range or, when the
         remainder fits entirely, the descending range.
         """
-        child_id = child.node_id
         free = self.ledger.free_slots_id(child_id)
-        cap = tier_cap_left(self.ha, allocation, child, cluster.name)
+        cap = tier_cap_left(self.ha, allocation, child_id, cluster.name)
         count = min(want, free, cap)
         if count <= 0:
             return 0
-        if self._hose_feasible(allocation, cluster, child, count):
+        if self._hose_feasible(allocation, cluster, child_id, count):
             return count
         bandwidth = self._cluster_bw(cluster)
         here = allocation.count_id(child_id, cluster.name)

@@ -24,7 +24,6 @@ from repro.models.pipe import pipe_expansion
 from repro.obs import core as _obs
 from repro.placement.base import Placement, PlacementResult, Rejection
 from repro.topology.ledger import OP_BANDWIDTH, Journal, Ledger
-from repro.topology.tree import Node
 
 __all__ = ["SecondNetPlacer", "PipeAllocation"]
 
@@ -36,10 +35,8 @@ class PipeAllocation:
         self.tag = tag
         self.ledger = ledger
         self.journal = Journal()
-        self.vm_server: dict[str, Node] = {}
-        # Mirror of ``vm_server`` in node-id form, the shape the per-VM
-        # peer triples (and through them the path walks) consume.
-        self.vm_server_ids: dict[str, int] = {}
+        # VM name -> id of the server hosting it.
+        self.vm_server: dict[str, int] = {}
         # Aggregate [up, down] reserved per node uplink, for release();
         # written by SecondNetPlacer._commit.
         self._reserved: dict[int, list[float]] = {}
@@ -48,38 +45,38 @@ class PipeAllocation:
     def release(self) -> None:
         """Release all slots and pipe reservations (tenant departure)."""
         servers: dict[int, int] = defaultdict(int)
-        for server in self.vm_server.values():
-            servers[server.node_id] += 1
+        for server_id in self.vm_server.values():
+            servers[server_id] += 1
         for server_id, count in servers.items():
-            self.ledger.release_slots(self.ledger.topology.node(server_id), count)
+            self.ledger.release_slots(server_id, count)
         for node_id, (up, down) in self._reserved.items():
             if up or down:
                 self.ledger.release_uplink_id(node_id, up, down)
         self.vm_server.clear()
-        self.vm_server_ids.clear()
         self._reserved.clear()
 
     def iter_server_placements(self):
-        """Yield ``(server, {tier: count})`` matching TenantAllocation."""
+        """Yield ``(server_id, {tier: count})`` matching TenantAllocation."""
         per_server: dict[int, dict[str, int]] = defaultdict(dict)
-        for vm, server in self.vm_server.items():
+        for vm, server_id in self.vm_server.items():
             tier = vm.rsplit(":", 1)[0]
-            counts = per_server[server.node_id]
+            counts = per_server[server_id]
             counts[tier] = counts.get(tier, 0) + 1
-        for server_id, counts in per_server.items():
-            yield self.ledger.topology.node(server_id), counts
+        yield from per_server.items()
 
     def tier_spread(self, tier: str, level: int) -> dict[int, int]:
         """Per-fault-domain VM counts (WCS input), like TenantAllocation."""
+        flat = self.ledger.flat
+        parent = flat.parent
+        node_level = flat.level
         spread: dict[int, int] = defaultdict(int)
-        for vm, server in self.vm_server.items():
+        for vm, node_id in self.vm_server.items():
             if vm.rsplit(":", 1)[0] != tier:
                 continue
-            node = server
-            while node is not None and node.level < level:
-                node = node.parent
-            if node is not None and node.level == level:
-                spread[node.node_id] += 1
+            while node_id != -1 and node_level[node_id] < level:
+                node_id = parent[node_id]
+            if node_id != -1 and node_level[node_id] == level:
+                spread[node_id] += 1
         return dict(spread)
 
 
@@ -120,17 +117,16 @@ class SecondNetPlacer:
 
     def __init__(self, ledger: Ledger) -> None:
         self.ledger = ledger
-        self.topology = ledger.topology
         self._flat = ledger.flat
         # Maintained per-rack server candidate order.
         self._index = ledger.ensure_candidate_index()
         self._index.track_racks()
         # Rack ids in enumeration order, the base order of the per-VM
         # rack sweep (_rack_order filters and sorts these).
-        self._rack_ids = [node.node_id for node in self.topology.level_nodes(1)]
+        self._rack_ids = list(self._flat.level_ids[1])
 
     def place(self, tag: Tag) -> PlacementResult:
-        if tag.size > self.ledger.free_slots(self.topology.root):
+        if tag.size > self.ledger.free_slots_id(self._flat.root_id):
             return Rejection(tag, "not enough free VM slots in the datacenter")
         neighbors, demand, order = tag.derived(_pipe_plan)
         allocation = PipeAllocation(tag, self.ledger)
@@ -139,7 +135,7 @@ class SecondNetPlacer:
         # capacity later, so stacking demand-blind would dead-end (the
         # real SecondNet folds this into its bipartite matching).
         headroom: dict[int, list[float]] = {}
-        get_id = allocation.vm_server_ids.get
+        get_id = allocation.vm_server.get
         for vm in order:
             # Placed peers as (peer_server_id, bandwidth, outgoing)
             # triples — the id form every downstream consumer (rack
@@ -158,15 +154,16 @@ class SecondNetPlacer:
                     indices = hosted[server_id] = []
                 indices.append(len(placed))
                 placed.append((server_id, bandwidth, outgoing))
-            server = self._best_server(placed, hosted, demand[vm], headroom)
-            if server is None or not self._commit(
-                allocation, vm, server, placed
+            server_id = self._best_server(placed, hosted, demand[vm], headroom)
+            if server_id is None or not self._commit(
+                allocation, vm, server_id, placed
             ):
                 self.ledger.rollback(allocation.journal, 0)
                 return Rejection(tag, f"no feasible server for VM {vm!r}")
             out, into = demand[vm]
             entry = headroom.setdefault(
-                server.node_id, [server.nominal_up, server.nominal_down]
+                server_id,
+                [self._flat.nominal_up[server_id], self._flat.nominal_down[server_id]],
             )
             entry[0] -= out
             entry[1] -= into
@@ -180,8 +177,8 @@ class SecondNetPlacer:
         hosted: dict[int, list[int]],
         vm_demand: tuple[float, float],
         headroom: dict[int, list[float]],
-    ) -> Node | None:
-        """Pick a server minimizing the pipe bandwidth-hop footprint.
+    ) -> int | None:
+        """Id of a server minimizing the pipe bandwidth-hop footprint.
 
         Racks are scored first (cost of reaching all placed peers), then
         the fullest feasible server inside the best rack is chosen, which
@@ -196,14 +193,13 @@ class SecondNetPlacer:
         indices: such servers skip those pipes in the feasibility check,
         so they are never equivalent to servers that don't.
         """
-        node_of = self._flat.node_of
         index = self._index
         for rack_id in self._rack_order(placed_peers):
             entries = index.rack_candidates(rack_id)
             if not entries:
                 continue
             found = self._first_feasible(
-                (node_of[server_id] for _, _, server_id in entries),
+                (server_id for _, _, server_id in entries),
                 placed_peers,
                 vm_demand,
                 headroom,
@@ -261,8 +257,8 @@ class SecondNetPlacer:
         vm_demand: tuple[float, float],
         headroom: dict[int, list[float]],
         hosted: dict[int, list[int]],
-    ) -> Node | None:
-        """First feasible server of one rack's candidate order.
+    ) -> int | None:
+        """First feasible server id of one rack's candidate order.
 
         Within one rack, two servers with equal uplink availability and
         the same hosted-peer set share every pipe path except their own
@@ -270,11 +266,12 @@ class SecondNetPlacer:
         per class, fail the whole class.
         """
         ledger = self.ledger
+        nominal_up = self._flat.nominal_up
+        nominal_down = self._flat.nominal_down
         infeasible: set = set()
-        for server in candidates:
-            server_id = server.node_id
+        for server_id in candidates:
             left = headroom.get(
-                server_id, [server.nominal_up, server.nominal_down]
+                server_id, [nominal_up[server_id], nominal_down[server_id]]
             )
             if vm_demand[0] > left[0] or vm_demand[1] > left[1]:
                 continue
@@ -285,8 +282,8 @@ class SecondNetPlacer:
             )
             if key in infeasible:
                 continue
-            if self._feasible(server, placed_peers):
-                return server
+            if self._feasible(server_id, placed_peers):
+                return server_id
             infeasible.add(key)
         return None
 
@@ -330,11 +327,11 @@ class SecondNetPlacer:
         return self._path_link_ids(peer_id, server_id)
 
     def _feasible(
-        self, server: Node, placed_peers: list[tuple[int, float, bool]]
+        self, server_id: int, placed_peers: list[tuple[int, float, bool]]
     ) -> bool:
-        """Can ``server`` host a VM whose placed peers are ``placed_peers``?
+        """Can ``server_id`` host a VM whose placed peers are ``placed_peers``?
 
-        Peers hosted on ``server`` itself are skipped (their pipes never
+        Peers hosted on that server itself are skipped (their pipes never
         leave the server).  The per-link demand is accumulated first (two
         pipes can share a link), in pipe-then-link order, and then
         checked per link against unreserved capacity, so the container's
@@ -343,7 +340,6 @@ class SecondNetPlacer:
         ledger's raw used/capacity arrays index directly (the root's
         ``inf`` special case cannot arise).
         """
-        server_id = server.node_id
         needed: dict = {}
         paths: dict = {}
         for peer_id, bandwidth, outgoing in placed_peers:
@@ -375,11 +371,11 @@ class SecondNetPlacer:
         self,
         allocation: PipeAllocation,
         vm: str,
-        server: Node,
+        server_id: int,
         placed_peers: list[tuple[int, float, bool]],
     ) -> bool:
-        """Reserve the slot and every pipe from ``vm`` on ``server`` to its
-        placed peers.
+        """Reserve the slot and every pipe from ``vm`` on server
+        ``server_id`` to its placed peers.
 
         Zero-bandwidth pipes are skipped, and so are colocated peers.
         Each distinct (peer server, direction) path is walked once.  Each
@@ -395,9 +391,8 @@ class SecondNetPlacer:
         values before this VM, so a rollback restores the same state.
         """
         ledger = self.ledger
-        if not ledger.reserve_slots(server, 1, allocation.journal):
+        if not ledger.reserve_slots(server_id, 1, allocation.journal):
             return False
-        server_id = server.node_id
         used_up = ledger._used_up
         used_down = ledger._used_down
         reserved = allocation._reserved
@@ -444,6 +439,5 @@ class SecondNetPlacer:
         c = _obs.counters
         if c is not None and sums:
             c.bump("ledger.journal_ops", len(sums))
-        allocation.vm_server[vm] = server
-        allocation.vm_server_ids[vm] = server_id
+        allocation.vm_server[vm] = server_id
         return True

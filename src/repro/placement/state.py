@@ -17,9 +17,10 @@ An uplink whose requirement is unchanged is not touched: no ledger
 read-modify-write, no journal record, no state op (colocation's whole
 point is that most re-evaluations come back equal — usually zero).
 
-Hot-path layout (the flat-core refactor): root-path walks iterate the
-topology's precomputed ancestor id tuples instead of chasing
-``Node.parent``; per-node reservations are ``(out, into)`` float pairs;
+Hot-path layout: the node id is the only node handle — ``place``,
+``finalize``, ``reserved_on`` and the ``iter_*`` read-outs take or yield
+ids, and root-path walks iterate the topology's precomputed ancestor id
+tuples; per-node reservations are ``(out, into)`` float pairs;
 undo records are plain tuples; and the two shipped requirement functions
 (TAG Eq. 1 and the footnote-7 VOC form) are *compiled* per tag into
 closures over a flattened edge table, memoized on the tag, replicating
@@ -45,7 +46,6 @@ from repro.core.tag import Tag
 from repro.errors import ReproError, TagError
 from repro.obs import core as _obs
 from repro.topology.ledger import Journal, Ledger
-from repro.topology.tree import Node
 
 __all__ = ["TenantAllocation", "RequirementFn", "Savepoint"]
 
@@ -312,31 +312,23 @@ class TenantAllocation:
         counts = self._counts.get(node_id)
         return 0 if counts is None else counts.get(tier, 0)
 
-    def reserved_on(self, node: Node) -> BandwidthDemand:
-        """This tenant's current reservation on ``node``'s uplink."""
-        return BandwidthDemand(*self._reserved.get(node.node_id, _ZERO))
+    def reserved_on(self, node_id: int) -> BandwidthDemand:
+        """This tenant's current reservation on ``node_id``'s uplink."""
+        return BandwidthDemand(*self._reserved.get(node_id, _ZERO))
 
-    def iter_server_placements(self) -> Iterator[tuple[Node, Mapping[str, int]]]:
-        """Yield ``(server, {tier: count})`` for every server used."""
-        flat = self._flat
-        for node_id, counts in self._counts.items():
-            if flat.is_server[node_id]:
-                placed = {t: n for t, n in counts.items() if n > 0}
-                if placed:
-                    yield flat.node_of[node_id], placed  # type: ignore[misc]
+    def iter_server_placements(self) -> Iterator[tuple[int, Mapping[str, int]]]:
+        """Yield ``(server_id, {tier: count})`` for every server used."""
+        is_server = self._flat.is_server
+        for node_id, counts in self.iter_node_counts():
+            if is_server[node_id]:
+                yield node_id, counts
 
-    def iter_node_counts(self) -> Iterator[tuple[Node, Mapping[str, int]]]:
-        """Yield ``(node, {tier: count})`` for every touched node.
+    def iter_node_counts(self) -> Iterator[tuple[int, Mapping[str, int]]]:
+        """Yield ``(node_id, {tier: count})`` for every touched node.
 
         Used to re-account a finished placement under a *different*
         abstraction's requirement function (Table 1's CM+VOC column).
         """
-        flat = self._flat
-        for node_id, counts in self.iter_node_counts_id():
-            yield flat.node_of[node_id], counts  # type: ignore[misc]
-
-    def iter_node_counts_id(self) -> Iterator[tuple[int, Mapping[str, int]]]:
-        """Id-indexed :meth:`iter_node_counts` for flat-core consumers."""
         for node_id, counts in self._counts.items():
             live = {t: n for t, n in counts.items() if n > 0}
             if live:
@@ -402,11 +394,11 @@ class TenantAllocation:
     # ------------------------------------------------------------------
     # mutations
     # ------------------------------------------------------------------
-    def place(self, server: Node, tier: str, count: int, ceiling: Node) -> bool:
-        """Place ``count`` VMs of ``tier`` on ``server``.
+    def place(self, server_id: int, tier: str, count: int, ceiling_id: int) -> bool:
+        """Place ``count`` VMs of ``tier`` on server ``server_id``.
 
         Reserves slots and re-reserves the uplinks of every node strictly
-        below ``ceiling`` on the server's root-path.  Returns False (with
+        below ``ceiling_id`` on the server's root-path.  Returns False (with
         no effects) when the server lacks slots.  Bandwidth reservations
         are applied *without* capacity enforcement: the placer checks
         :meth:`repro.topology.ledger.Ledger.has_overcommit` at
@@ -422,11 +414,9 @@ class TenantAllocation:
                 f"placing {count} VMs of {tier!r} but only "
                 f"{self._remaining.get(tier, 0)} remain"
             )
-        if not self.ledger.reserve_slots(server, count, self.journal):
+        if not self.ledger.reserve_slots(server_id, count, self.journal):
             return False
-        server_id = server.node_id
         self._bump_counts(server_id, tier, count)
-        ceiling_id = ceiling.node_id
         for node_id in self._flat.ancestors[server_id]:
             if node_id == ceiling_id:
                 break
@@ -463,10 +453,11 @@ class TenantAllocation:
             prev_out, prev_into = out, into
         return ledger.would_overcommit(server_id, deltas) if deltas else False
 
-    def finalize(self, allocation_root: Node) -> bool:
-        """Reserve the path from ``allocation_root`` to the tree root.
+    def finalize(self, root_id: int) -> bool:
+        """Reserve the path from ``root_id`` (the allocation root) to the
+        tree root.
 
-        Call once the whole tenant is placed under ``allocation_root``
+        Call once the whole tenant is placed under ``root_id``
         (Algorithm 1 line 6).  Returns False (undoing only the root-path
         reservations) when any link on the path lacks capacity; the caller
         then rejects the tenant and rolls back the placement below.
@@ -477,11 +468,10 @@ class TenantAllocation:
         """
         if not self.is_complete:
             raise ReproError("finalize() requires a complete placement")
-        root_id = allocation_root.node_id
         counts = self._counts.get(root_id, {})
         if sum(counts.values()) != self._placed:
             raise ReproError(
-                f"cannot finalize at {allocation_root.name!r}: it holds "
+                f"cannot finalize at {self.ledger._name(root_id)!r}: it holds "
                 f"{sum(counts.values())} of the tenant's {self._placed} VMs"
             )
         savepoint = self.savepoint()
@@ -503,8 +493,8 @@ class TenantAllocation:
         for node_id, (out, into) in self._reserved.items():
             if out or into:
                 ledger.release_uplink_id(node_id, out, into)
-        for server, placed in list(self.iter_server_placements()):
-            ledger.release_slots(server, sum(placed.values()))
+        for server_id, placed in list(self.iter_server_placements()):
+            ledger.release_slots(server_id, sum(placed.values()))
         self._counts.clear()
         self._reserved.clear()
         self._state_ops.clear()
@@ -575,22 +565,22 @@ class TenantAllocation:
             )
         holders = sorted(
             (
-                (server, counts[tier])
-                for server, counts in self.iter_server_placements()
+                (server_id, counts[tier])
+                for server_id, counts in self.iter_server_placements()
                 if counts.get(tier, 0) > 0
             ),
-            key=lambda item: (item[1], item[0].node_id),
+            key=lambda item: (item[1], item[0]),
         )
         self.tag = _resize_tag(self.tag, tier, -remove)
         self._recompile()
         left = remove
-        for server, count in holders:
+        for server_id, count in holders:
             if left == 0:
                 break
             take = min(count, left)
             left -= take
-            self.ledger.release_slots(server, take)
-            for node_id in self._flat.ancestors[server.node_id]:
+            self.ledger.release_slots(server_id, take)
+            for node_id in self._flat.ancestors[server_id]:
                 counts = self._counts[node_id]
                 counts[tier] -= take
                 if counts[tier] == 0:

@@ -127,6 +127,25 @@ def _decodes(kind: str, fingerprint: str, text: str) -> bool:
     return True
 
 
+def _insert(
+    connection: sqlite3.Connection, fingerprint: str, kind: str, scenario: str,
+    variant: str, topology: str, load: float, bmax: float, seed: int, x: Any,
+    arrivals: int, elapsed: float, payload: Any,
+) -> None:
+    """``INSERT OR REPLACE`` one row, its payload encoded by its kind's
+    codec and ``created`` set to now."""
+    codec = codec_for(kind)
+    connection.execute(
+        f"INSERT OR REPLACE INTO results ({_COLUMNS}) "
+        "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+        (
+            fingerprint, kind, codec.version, scenario, variant, topology, load,
+            bmax, seed, json.dumps(x), arrivals, elapsed, time.time(),
+            codec.encode(payload),
+        ),
+    )
+
+
 class ResultStore:
     """Persistent, fingerprint-keyed trial results in one SQLite file."""
 
@@ -204,29 +223,13 @@ class ResultStore:
         execution; there the replace keeps the latest measurement.
         """
         trial = result.trial
-        codec = codec_for(trial.kind)
         fingerprint = trial_fingerprint(trial)
         connection = self._connect()
         with connection:
-            connection.execute(
-                f"INSERT OR REPLACE INTO results ({_COLUMNS}) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    fingerprint,
-                    trial.kind,
-                    codec.version,
-                    trial.scenario,
-                    trial.variant.name,
-                    trial.topology.label,
-                    trial.load,
-                    trial.bmax,
-                    trial.seed,
-                    json.dumps(trial.x),
-                    trial.arrivals,
-                    result.elapsed,
-                    time.time(),
-                    codec.encode(result.payload),
-                ),
+            _insert(
+                connection, fingerprint, trial.kind, trial.scenario,
+                trial.variant.name, trial.topology.label, trial.load, trial.bmax,
+                trial.seed, trial.x, trial.arrivals, result.elapsed, result.payload,
             )
         return fingerprint
 
@@ -252,31 +255,15 @@ class ResultStore:
         from a trial fingerprint.  Re-recording an existing fingerprint
         replaces the row, refreshes ``created`` and counts as not-new.
         """
-        codec = codec_for(kind)
+        codec_for(kind)  # an unknown kind fails before the store is opened
         connection = self._connect()
         with connection:
             existed = connection.execute(
                 "SELECT 1 FROM results WHERE fingerprint = ?", (fingerprint,)
             ).fetchone()
-            connection.execute(
-                f"INSERT OR REPLACE INTO results ({_COLUMNS}) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    fingerprint,
-                    kind,
-                    codec.version,
-                    scenario,
-                    variant,
-                    topology,
-                    load,
-                    bmax,
-                    seed,
-                    json.dumps(x),
-                    arrivals,
-                    elapsed,
-                    time.time(),
-                    codec.encode(payload),
-                ),
+            _insert(
+                connection, fingerprint, kind, scenario, variant, topology, load,
+                bmax, seed, x, arrivals, elapsed, payload,
             )
         return existed is None
 

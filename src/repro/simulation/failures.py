@@ -29,8 +29,8 @@ from repro.placement.base import Placement
 from repro.simulation.arrivals import poisson_arrivals
 from repro.simulation.runner import make_placer
 from repro.simulation.service import ServiceLoop
+from repro.topology import Topology
 from repro.topology.ledger import Journal, Ledger
-from repro.topology.tree import Topology
 
 __all__ = ["pick_failures", "run_failure_scenario"]
 
@@ -114,8 +114,8 @@ def run_failure_scenario(
         live, victims = [], []
         for allocation in placed:
             hit = any(
-                mask.is_down(server.node_id)
-                for server, _ in allocation.iter_server_placements()
+                mask.is_down(server_id)
+                for server_id, _ in allocation.iter_server_placements()
             )
             (victims if hit else live).append(allocation)
         victim_vms = sum(allocation.tag.size for allocation in victims)
@@ -134,9 +134,9 @@ def run_failure_scenario(
 
     # Recovery invariant: nothing may live on a covered server.
     for allocation in live:
-        for server, _ in allocation.iter_server_placements():
-            assert not mask.is_down(server.node_id), (
-                f"allocation survived on failed server {server.name!r}"
+        for server_id, _ in allocation.iter_server_placements():
+            assert not mask.is_down(server_id), (
+                f"allocation survived on failed server {server_id}"
             )
 
     survivors = len(placed) - len(victims)

@@ -177,15 +177,15 @@ def measure_reserved_bandwidth(
     cm_tag = _per_level(cm_ledger)
 
     # Same placement, accounted under the VOC abstraction (footnote 7).
-    # Walks the flat core's id twins — ``iter_node_counts_id`` plus the
-    # precomputed ``level[]`` array — instead of ``Node`` objects.
+    # Walks node ids — ``iter_node_counts`` plus the precomputed
+    # ``level[]`` array.
     cm_voc = {name: 0.0 for name in ReservedBandwidth.LEVELS}
     flat = topology.flat
     levels = flat.level
     root_id = flat.root_id
     num_levels = len(ReservedBandwidth.LEVELS)
     for allocation in allocations:
-        for node_id, counts in allocation.iter_node_counts_id():
+        for node_id, counts in allocation.iter_node_counts():
             level = levels[node_id]
             if node_id == root_id or level >= num_levels:
                 continue

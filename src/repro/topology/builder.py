@@ -92,48 +92,45 @@ def three_level_tree(spec: DatacenterSpec, *, unlimited: bool = False) -> Topolo
     idealized Table 1 topology) while the spec's real values remain as the
     *nominal* capacities that placement heuristics reason about.
     """
+
+    def capacity(value: float) -> tuple[float, float]:
+        return (math.inf if unlimited else value, value)
+
+    rack = (
+        capacity(spec.tor_uplink),
+        spec.servers_per_rack,
+        spec.slots_per_server,
+        capacity(spec.server_uplink),
+    )
+    pod = (capacity(spec.agg_uplink), (rack,) * spec.racks_per_pod)
+    return _three_levels((pod,) * spec.pods)
+
+
+def _three_levels(pods) -> Topology:
+    """The core -> agg -> ToR -> server tree, ids in depth-first preorder.
+
+    ``pods`` yields ``(agg_capacity, racks)`` and each rack is
+    ``(tor_capacity, servers, slots_per_server, server_capacity)``; a
+    capacity is an ``(enforced, nominal)`` pair, the same both ways.
+    """
     builder = TopologyBuilder()
-
-    def capacity(value: float) -> float:
-        return math.inf if unlimited else value
-
     core = builder.switch("core", LEVEL_CORE)
-    for pod in range(spec.pods):
-        agg = Node(
-            builder._take_id(),
-            f"agg-{pod}",
-            LEVEL_AGG,
-            0,
-            capacity(spec.agg_uplink),
-            capacity(spec.agg_uplink),
-            spec.agg_uplink,
-            spec.agg_uplink,
+
+    def add(parent: Node, name: str, level: int, slots: int, capacity) -> Node:
+        enforced, nominal = capacity
+        node = Node(
+            builder._take_id(), name, level, slots, enforced, enforced, nominal, nominal
         )
-        TopologyBuilder.attach(core, agg)
-        for rack in range(spec.racks_per_pod):
-            tor = Node(
-                builder._take_id(),
-                f"tor-{pod}-{rack}",
-                LEVEL_TOR,
-                0,
-                capacity(spec.tor_uplink),
-                capacity(spec.tor_uplink),
-                spec.tor_uplink,
-                spec.tor_uplink,
-            )
-            TopologyBuilder.attach(agg, tor)
-            for index in range(spec.servers_per_rack):
-                server = Node(
-                    builder._take_id(),
-                    f"srv-{pod}-{rack}-{index}",
-                    LEVEL_SERVER,
-                    spec.slots_per_server,
-                    capacity(spec.server_uplink),
-                    capacity(spec.server_uplink),
-                    spec.server_uplink,
-                    spec.server_uplink,
-                )
-                TopologyBuilder.attach(tor, server)
+        TopologyBuilder.attach(parent, node)
+        return node
+
+    for pod, (agg_capacity, racks) in enumerate(pods):
+        agg = add(core, f"agg-{pod}", LEVEL_AGG, 0, agg_capacity)
+        for rack, (tor_capacity, servers, slots, server_capacity) in enumerate(racks):
+            tor = add(agg, f"tor-{pod}-{rack}", LEVEL_TOR, 0, tor_capacity)
+            for index in range(servers):
+                name = f"srv-{pod}-{rack}-{index}"
+                add(tor, name, LEVEL_SERVER, slots, server_capacity)
     return Topology(core)
 
 
@@ -240,41 +237,21 @@ def heterogeneous_tree(pods: tuple[PodSpec, ...] | list[PodSpec]) -> Topology:
     """
     if not pods:
         raise TopologyError("need at least one pod")
-    builder = TopologyBuilder()
-    core = builder.switch("core", LEVEL_CORE)
-    for pod_index, pod in enumerate(pods):
-        agg_uplink = pod.effective_agg_uplink
-        agg = Node(
-            builder._take_id(),
-            f"agg-{pod_index}",
-            LEVEL_AGG,
-            0,
-            agg_uplink,
-            agg_uplink,
-        )
-        TopologyBuilder.attach(core, agg)
-        for rack_index, rack in enumerate(pod.racks):
-            tor_uplink = rack.effective_tor_uplink
-            tor = Node(
-                builder._take_id(),
-                f"tor-{pod_index}-{rack_index}",
-                LEVEL_TOR,
-                0,
-                tor_uplink,
-                tor_uplink,
-            )
-            TopologyBuilder.attach(agg, tor)
-            for index in range(rack.servers):
-                server = Node(
-                    builder._take_id(),
-                    f"srv-{pod_index}-{rack_index}-{index}",
-                    LEVEL_SERVER,
+    return _three_levels(
+        (
+            (pod.effective_agg_uplink,) * 2,
+            tuple(
+                (
+                    (rack.effective_tor_uplink,) * 2,
+                    rack.servers,
                     rack.slots_per_server,
-                    rack.server_uplink,
-                    rack.server_uplink,
+                    (rack.server_uplink,) * 2,
                 )
-                TopologyBuilder.attach(tor, server)
-    return Topology(core)
+                for rack in pod.racks
+            ),
+        )
+        for pod in pods
+    )
 
 
 def heterogeneous_from_spec(

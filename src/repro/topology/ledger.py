@@ -18,12 +18,12 @@ State lives in flat id-indexed arrays mirroring
 :class:`repro.topology.flat.FlatTopology` (used slots, used up/down
 bandwidth, free slots per subtree), so capacity checks and rollbacks are
 plain list indexing rather than dict lookups, and the slot aggregates
-update by looping a precomputed ancestor id tuple.  Bandwidth is queried
-and mutated by raw node id only (``*_id``), with ids drawn from the flat
-topology's path arrays; the ``Node``-taking forms that remain are the
-read-outs callers hold a ``Node`` for (``free_slots``, ``used_slots``,
-``reserved_up`` / ``reserved_down``) and ``reserve_slots`` /
-``release_slots``, which have no id twin.
+update by looping a precomputed ancestor id tuple.  Every mutation takes
+node ids (``reserve_slots`` / ``release_slots`` a server id, the
+bandwidth adjusts an uplink's id), drawn from the flat topology's path
+arrays, and so do the queries the placers ask (``*_id``).  Only four
+read-outs take a ``Node``, for callers that hold one: ``free_slots``,
+``used_slots``, ``reserved_up`` and ``reserved_down``.
 
 :class:`ReservationLedger` is the one base of both storages — everything
 that reads only the worst-case reservation per uplink is defined there
@@ -247,9 +247,8 @@ class ReservationLedger:
     # ------------------------------------------------------------------
     # mutations
     # ------------------------------------------------------------------
-    def reserve_slots(self, server: Node, count: int, journal: Journal) -> bool:
-        """Reserve ``count`` VM slots on ``server``; False if over capacity."""
-        server_id = server.node_id
+    def reserve_slots(self, server_id: int, count: int, journal: Journal) -> bool:
+        """Reserve ``count`` VM slots on a server; False if over capacity."""
         if count <= 0:
             raise LedgerError(f"slot reservation must be positive, got {count}")
         if self._used_slots[server_id] + count > self.slot_cap[server_id]:
@@ -258,14 +257,13 @@ class ReservationLedger:
         journal.ops.append((OP_SLOTS, server_id, count))
         return True
 
-    def release_slots(self, server: Node, count: int) -> None:
+    def release_slots(self, server_id: int, count: int) -> None:
         """Release previously reserved slots (tenant departure path)."""
-        server_id = server.node_id
         if count <= 0:
             raise LedgerError(f"slot release must be positive, got {count}")
         if self._used_slots[server_id] - count < 0:
             raise LedgerError(
-                f"releasing {count} slots on {server.name!r} but only "
+                f"releasing {count} slots on {self._name(server_id)!r} but only "
                 f"{self._used_slots[server_id]} reserved"
             )
         self._apply_slots(server_id, -count)
@@ -345,9 +343,9 @@ class Ledger(ReservationLedger):
             if math.isfinite(flat.cap_up[i]) and i != self._root_id
         )
         capacity = 0.0
-        for node in topology.servers:
-            if math.isfinite(node.uplink_up):
-                capacity += node.uplink_up
+        for i in flat.server_order:
+            if math.isfinite(flat.cap_up[i]):
+                capacity += flat.cap_up[i]
         self._finite_server_capacity = capacity
 
     # ------------------------------------------------------------------

@@ -7,8 +7,14 @@ the two directions (``up`` = toward the root, ``down`` = toward the
 leaves).  Capacities may be ``math.inf`` for the idealized unlimited
 topology used in Table 1.
 
-The tree is immutable after construction; all mutable reservation state
-lives in :class:`repro.topology.ledger.Ledger`.
+The tree is immutable after construction.  :class:`Topology` walks it
+once, into the id-indexed arrays of
+:class:`repro.topology.flat.FlatTopology`, and answers every query from
+them.  Past that point the node id is the handle: the placers, the
+allocations and the ledgers' mutations pass ids, and a :class:`Node` is
+the record the builders create and the read-outs that print names use.
+All mutable reservation state lives in
+:class:`repro.topology.ledger.Ledger`.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import math
 from typing import Sequence
 
 from repro.errors import TopologyError
+from repro.topology.flat import FlatTopology
 
 __all__ = ["Node", "Topology", "SERVER_LEVEL"]
 
@@ -89,97 +96,53 @@ class Topology:
     """An immutable rooted tree of :class:`Node` objects.
 
     Build one with :class:`TopologyBuilder` (see ``repro.topology.builder``
-    for ready-made datacenter shapes).
+    for ready-made datacenter shapes).  The constructor walks the tree
+    once, into :attr:`flat` (:class:`repro.topology.flat.FlatTopology`),
+    which validates it; every view below reads those arrays.
     """
 
+    __slots__ = ("root", "flat")
+
     def __init__(self, root: Node) -> None:
-        if not root.is_root:
-            raise TopologyError("topology root must have no parent")
-        self._root = root
-        self._by_id: dict[int, Node] = {}
-        self._servers: list[Node] = []
-        self._levels: dict[int, list[Node]] = {}
-        self._flat = None
-        self._total_slots: int | None = None
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node.node_id in self._by_id:
-                raise TopologyError(f"duplicate node id {node.node_id}")
-            self._by_id[node.node_id] = node
-            self._levels.setdefault(node.level, []).append(node)
-            if node.is_server:
-                if node.children:
-                    raise TopologyError(f"server {node.name!r} cannot have children")
-                self._servers.append(node)
-            else:
-                if not node.children:
-                    raise TopologyError(f"switch {node.name!r} has no children")
-                for child in reversed(node.children):
-                    if child.level != node.level - 1:
-                        raise TopologyError(
-                            f"child {child.name!r} of {node.name!r} must be one "
-                            f"level down"
-                        )
-                    stack.append(child)
-        self._nodes = [self._by_id[i] for i in sorted(self._by_id)]
-
-    @property
-    def flat(self) -> "FlatTopology":
-        """The id-indexed array view (built once, on first use).
-
-        Precomputed ancestors, root paths, server spans and subtree slot
-        totals; the ledger and the placers drive their inner loops off
-        these arrays instead of walking ``Node`` pointers.
-        """
-        if self._flat is None:
-            from repro.topology.flat import FlatTopology
-
-            self._flat = FlatTopology(self)
-        return self._flat
-
-    @property
-    def root(self) -> Node:
-        return self._root
+        self.root = root
+        self.flat = FlatTopology(root)
 
     @property
     def nodes(self) -> Sequence[Node]:
-        return tuple(self._nodes)
+        """Every node, by ascending id."""
+        return tuple(node for node in self.flat.node_of if node is not None)
 
     @property
     def servers(self) -> Sequence[Node]:
-        return tuple(self._servers)
+        """The servers in preorder."""
+        node_of = self.flat.node_of
+        return tuple(node_of[i] for i in self.flat.server_order)
 
     @property
     def num_levels(self) -> int:
-        return self._root.level + 1
+        return self.flat.num_levels
 
     @property
     def total_slots(self) -> int:
-        # Cached: the topology is immutable and the utilization sampler
-        # reads this after every admission.
-        if self._total_slots is None:
-            self._total_slots = sum(server.slots for server in self._servers)
-        return self._total_slots
+        flat = self.flat
+        return flat.subtree_slots[flat.root_id]
 
     def node(self, node_id: int) -> Node:
-        try:
-            return self._by_id[node_id]
-        except KeyError:
-            raise TopologyError(f"no node with id {node_id}") from None
-
-    def level_nodes(self, level: int) -> Sequence[Node]:
-        """All nodes at a given level (0 = servers, root at the top)."""
-        if level not in self._levels:
-            raise TopologyError(f"no nodes at level {level}")
-        return tuple(self._levels[level])
+        flat = self.flat
+        node = flat.node_of[node_id] if 0 <= node_id < flat.size else None
+        if node is None:
+            raise TopologyError(f"no node with id {node_id}")
+        return node
 
     def describe(self) -> str:
         """A short human-readable summary used by examples and the CLI."""
-        lines = [f"topology: {len(self._servers)} servers, {self.total_slots} slots"]
-        for level in sorted(self._levels, reverse=True):
-            nodes = self._levels[level]
-            sample = nodes[0]
+        flat = self.flat
+        lines = [
+            f"topology: {len(flat.server_order)} servers, {self.total_slots} slots"
+        ]
+        for level in reversed(range(flat.num_levels)):
+            ids = flat.level_ids[level]
+            sample = flat.node_of[ids[0]]
             capacity = (
                 "inf"
                 if math.isinf(sample.uplink_up)
@@ -187,7 +150,7 @@ class Topology:
             )
             kind = "server" if level == SERVER_LEVEL else "switch"
             uplink = "root" if sample.is_root else f"uplink {capacity}"
-            lines.append(f"  level {level}: {len(nodes)} {kind}(s), {uplink}")
+            lines.append(f"  level {level}: {len(ids)} {kind}(s), {uplink}")
         return "\n".join(lines)
 
 

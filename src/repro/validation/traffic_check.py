@@ -50,11 +50,11 @@ class VmIndex:
 
     @classmethod
     def from_allocation(cls, allocation) -> "VmIndex":
+        topology = allocation.ledger.topology
         tiers: list[str] = []
         servers: list[Node] = []
-        for server, counts in sorted(
-            allocation.iter_server_placements(), key=lambda x: x[0].node_id
-        ):
+        for server_id, counts in sorted(allocation.iter_server_placements()):
+            server = topology.node(server_id)
             for tier, count in sorted(counts.items()):
                 tiers.extend([tier] * count)
                 servers.extend([server] * count)
@@ -158,7 +158,7 @@ def validate_allocation(
         matrix = sample_admissible_matrix(allocation.tag, index, rng)
         for node_id, (up, down) in link_loads(index, matrix).items():
             node = topology.node(node_id)
-            reserved = allocation.reserved_on(node)
+            reserved = allocation.reserved_on(node_id)
             assert up <= reserved.out + EPSILON, (
                 f"uplink {node.name}: traffic {up:.3f} exceeds the "
                 f"reservation {reserved.out:.3f}"

@@ -266,7 +266,7 @@ class TestDerivedQuantityCaches:
         ledger = Ledger(three_level_tree(DatacenterSpec(pods=1)))
         first = TenantAllocation(three_tier_tag, ledger)
         server = ledger.topology.servers[0]
-        assert first.place(server, "web", 2, ledger.topology.root)
+        assert first.place(server.node_id, "web", 2, ledger.topology.root.node_id)
         assert first.remaining_tiers()["web"] == three_tier_tag.tier_sizes()["web"] - 2
         second = TenantAllocation(three_tier_tag, ledger)
         assert second.remaining_tiers() == three_tier_tag.tier_sizes()

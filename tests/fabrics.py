@@ -1,4 +1,4 @@
-"""Small fabrics that only the tests build, and two walks over a tree.
+"""Small fabrics that only the tests build, and three views of a tree.
 
 The library builds the paper's trees (:mod:`repro.topology.builder`);
 these two shapes exercise the placers and ledgers on fabrics the paper
@@ -69,6 +69,12 @@ def servers_under(topology: Topology, node: Node) -> Iterator[Node]:
     flat = topology.flat
     lo, hi = flat.server_span[node.node_id]
     return (flat.node_of[i] for i in reversed(flat.server_order[lo:hi]))
+
+
+def level_nodes(topology: Topology, level: int) -> tuple[Node, ...]:
+    """The nodes at ``level`` (0 = servers), in preorder."""
+    node_of = topology.flat.node_of
+    return tuple(node_of[i] for i in topology.flat.level_ids[level])
 
 
 def ancestors(node: Node) -> Iterator[Node]:

@@ -50,7 +50,7 @@ def test_server_failure_zeroes_capacity_and_free(ledger):
     assert ledger.alive_subtree_slots_id(rack) == 2 * 4
     assert ledger.alive_subtree_slots_id(root) == ledger.flat.subtree_slots[root] - 4
     assert not ledger.reserve_slots(
-        ledger.flat.node_of[server], 1, Journal()
+        server, 1, Journal()
     )
 
 
@@ -110,7 +110,7 @@ def test_rollback_restores_mask_and_slot_state(ledger):
     ids = _named(topology)
     committed = Journal()
     server = topology.flat.node_of[ids["srv-0-0-0"]]
-    assert ledger.reserve_slots(server, 2, committed)
+    assert ledger.reserve_slots(server.node_id, 2, committed)
 
     def snapshot():
         return (
@@ -126,7 +126,7 @@ def test_rollback_restores_mask_and_slot_state(ledger):
     journal = Journal()
     mask.fail(ids["tor-0-0"], journal)  # downs the reserved server too
     other = topology.flat.node_of[ids["srv-1-0-0"]]
-    assert ledger.reserve_slots(other, 3, journal)
+    assert ledger.reserve_slots(other.node_id, 3, journal)
     mask.fail(ids["srv-1-1-2"], journal)
     assert snapshot() != before
     ledger.rollback(journal)
@@ -141,12 +141,12 @@ def test_release_on_down_server_keeps_aggregates_consistent(ledger):
     ids = _named(topology)
     server = topology.flat.node_of[ids["srv-0-0-1"]]
     root = topology.flat.root_id
-    assert ledger.reserve_slots(server, 3, Journal())
+    assert ledger.reserve_slots(server.node_id, 3, Journal())
     mask = ledger.ensure_failure_mask()
     journal = Journal()
     mask.fail(ids["srv-0-0-1"], journal)
     free_down = ledger.free_slots_id(root)
-    ledger.release_slots(server, 3)  # victim departs while server is down
+    ledger.release_slots(server.node_id, 3)  # victim departs while server is down
     assert ledger.free_slots_id(root) == free_down  # down: contributes 0
     assert ledger.used_slots(server) == 0
     ledger.rollback(journal)

@@ -87,8 +87,11 @@ def _stream(topology, placer_name, use_index, order, failed=()):
         )
     layouts = [
         sorted(
-            (server.name, tuple(sorted(counts.items())))
-            for server, counts in allocation.iter_server_placements()
+            (
+                allocation.ledger.topology.node(server_id).name,
+                tuple(sorted(counts.items())),
+            )
+            for server_id, counts in allocation.iter_server_placements()
         )
         for allocation in loop.live()
     ]
@@ -151,14 +154,14 @@ def test_rollback_restores_mask_and_ledger(ops, use_index, preload):
             index.rack_candidates(rack_id)
     committed = Journal()
     for server_id in FLAT.server_order[:preload]:
-        ledger.reserve_slots(FLAT.node_of[server_id], 1, committed)
+        ledger.reserve_slots(server_id, 1, committed)
     before = _snapshot(ledger)
     journal = Journal()
     for op in ops:
         if op[0] == "fail":
             mask.fail(op[1], journal)
         else:
-            ledger.reserve_slots(FLAT.node_of[op[1]], 1, journal)
+            ledger.reserve_slots(op[1], 1, journal)
     ledger.rollback(journal)
     assert _snapshot(ledger) == before
     assert journal.ops == []
@@ -201,8 +204,8 @@ def test_recovery_leaves_no_dangling_allocations(failed, use_index, seed):
         live, victims = [], []
         for allocation in loop.live():
             hit = any(
-                mask.is_down(server.node_id)
-                for server, _ in allocation.iter_server_placements()
+                mask.is_down(server_id)
+                for server_id, _ in allocation.iter_server_placements()
             )
             (victims if hit else live).append(allocation)
         for allocation in victims:
@@ -213,8 +216,8 @@ def test_recovery_leaves_no_dangling_allocations(failed, use_index, seed):
                 live.append(result.allocation)
     # Invariant 1: nothing lives on a down server after recovery.
     for allocation in live:
-        for server, _ in allocation.iter_server_placements():
-            assert not mask.is_down(server.node_id)
+        for server_id, _ in allocation.iter_server_placements():
+            assert not mask.is_down(server_id)
     # Invariant 2: the incremental aggregates match a full recount,
     # before and after rolling every failure back.
     assert ledger._free_subtree == _recount_free(ledger)

@@ -126,8 +126,11 @@ def _run_stream(
         loop.run(arrivals[split:])
     layouts = [
         sorted(
-            (server.name, tuple(sorted(counts.items())))
-            for server, counts in allocation.iter_server_placements()
+            (
+                allocation.ledger.topology.node(server_id).name,
+                tuple(sorted(counts.items())),
+            )
+            for server_id, counts in allocation.iter_server_placements()
         )
         for allocation in loop.live()
     ]

@@ -39,7 +39,7 @@ def _arrays_ledger(used_up, used_down, cap_up, cap_down, over) -> Ledger:
     ledger._used_up, ledger._used_down = used_up, used_down
     ledger._cap_up, ledger._cap_down = cap_up, cap_down
     ledger._over = over
-    ledger.reserve_slots = lambda server, count, journal: True
+    ledger.reserve_slots = lambda server_id, count, journal: True
     return ledger
 
 
@@ -55,11 +55,8 @@ def _committer(parent, depth, used_up, used_down, cap_up, cap_down, over):
 
 def commit(placer, ops, reserved, server_id, peers) -> int:
     """``placer._commit`` of one VM; 0 when applied, 1 when refused."""
-    allocation = SimpleNamespace(
-        journal=Journal(ops), _reserved=reserved, vm_server={}, vm_server_ids={}
-    )
-    server = SimpleNamespace(node_id=server_id)
-    return 0 if placer._commit(allocation, "vm", server, peers) else 1
+    allocation = SimpleNamespace(journal=Journal(ops), _reserved=reserved, vm_server={})
+    return 0 if placer._commit(allocation, "vm", server_id, peers) else 1
 
 
 def per_pipe_commit(
@@ -223,7 +220,6 @@ def test_ledger_rollback_restores_the_pre_state():
     )
     flat = topology.flat
     servers = [node.node_id for node in topology.servers]
-    nodes = {node_id: SimpleNamespace(node_id=node_id) for node_id in servers}
     for _ in range(60):
         ledger = Ledger(topology)
         placer = SecondNetPlacer(ledger)
@@ -233,17 +229,14 @@ def test_ledger_rollback_restores_the_pre_state():
                 ledger._used_down[node] = round(rng.uniform(0.0, 300.0), 3)
                 ledger._update_overcommit(node)
         before = _state(ledger._used_up, ledger._used_down, ledger._over, {})
-        allocation = SimpleNamespace(
-            journal=Journal(), _reserved={}, vm_server={}, vm_server_ids={}
-        )
+        allocation = SimpleNamespace(journal=Journal(), _reserved={}, vm_server={})
         for vm in range(rng.randint(1, 6)):
             peers = [
                 (rng.choice(servers), round(rng.uniform(0.0, 80.0), 3),
                  rng.random() < 0.5)
                 for _ in range(rng.randint(0, 10))
             ]
-            server = nodes[rng.choice(servers)]
-            if not placer._commit(allocation, vm, server, peers):
+            if not placer._commit(allocation, vm, rng.choice(servers), peers):
                 break
         journal = allocation.journal
         ledger.rollback(journal)

@@ -47,7 +47,7 @@ from repro.topology.builder import (
     three_level_tree,
 )
 from repro.topology.ledger import Journal, Ledger
-from tests.fabrics import fat_tree
+from tests.fabrics import fat_tree, level_nodes
 from tests.placement.test_search_walk import _random_tag
 from tests.topology.ledger_views import overcommitted_nodes
 
@@ -63,7 +63,7 @@ SPEC = DatacenterSpec(
 TOPOLOGY = three_level_tree(SPEC)
 WINDOWS = 6
 SERVER = TOPOLOGY.servers[0].node_id
-RACK = TOPOLOGY.level_nodes(1)[0].node_id
+RACK = level_nodes(TOPOLOGY, 1)[0].node_id
 STORAGES = ["classic", "temporal"]
 
 
@@ -385,10 +385,10 @@ def _layout(allocation) -> list:
     """Where each VM (SecondNet) or each tier's VMs (the rest) landed."""
     vm_server = getattr(allocation, "vm_server", None)
     if vm_server is not None:
-        return sorted((vm, server.node_id) for vm, server in vm_server.items())
+        return sorted((vm, server_id) for vm, server_id in vm_server.items())
     return sorted(
-        (server.node_id, sorted(counts.items()))
-        for server, counts in allocation.iter_server_placements()
+        (server_id, sorted(counts.items()))
+        for server_id, counts in allocation.iter_server_placements()
     )
 
 

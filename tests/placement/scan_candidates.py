@@ -16,7 +16,7 @@ the scan path, decision for decision.
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from tests.fabrics import servers_under
+from tests.fabrics import level_nodes, servers_under
 
 __all__ = ["ScanCandidates", "full_scan", "scan_rack_order", "scan_unless_indexed"]
 
@@ -38,7 +38,7 @@ class ScanCandidates:
         free_slots_id = self.ledger.free_slots_id
         best = None
         best_free = 0
-        for node in self.ledger.topology.level_nodes(level):
+        for node in level_nodes(self.ledger.topology, level):
             free = free_slots_id(node.node_id)
             if free < size:
                 continue

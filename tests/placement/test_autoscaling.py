@@ -50,12 +50,12 @@ class TestScaleUp:
     def test_reservations_match_new_size(self, placed):
         placer, allocation = placed
         assert placer.scale_up(allocation, "web", 6)
-        for node, counts in allocation.iter_node_counts():
-            if node.is_root:
+        for node_id, counts in allocation.iter_node_counts():
+            if node_id == allocation.ledger.flat.root_id:
                 continue
             expected = allocation.requirement(allocation.tag, counts)
-            assert allocation.reserved_on(node).out == pytest.approx(expected.out)
-            assert allocation.reserved_on(node).into == pytest.approx(
+            assert allocation.reserved_on(node_id).out == pytest.approx(expected.out)
+            assert allocation.reserved_on(node_id).into == pytest.approx(
                 expected.into
             )
 
@@ -64,17 +64,17 @@ class TestScaleUp:
         ledger = allocation.ledger
         before_slots = ledger.free_slots(ledger.topology.root)
         before = {
-            node.node_id: allocation.reserved_on(node)
-            for node, _ in allocation.iter_node_counts()
+            node_id: allocation.reserved_on(node_id)
+            for node_id, _ in allocation.iter_node_counts()
         }
         # Far more VMs than the datacenter has slots.
         assert not placer.scale_up(allocation, "web", 10_000)
         assert allocation.tag.component("web").size == 10
         assert allocation.finalized
         assert ledger.free_slots(ledger.topology.root) == before_slots
-        for node, _ in allocation.iter_node_counts():
-            if node.node_id in before:
-                assert allocation.reserved_on(node) == before[node.node_id]
+        for node_id, _ in allocation.iter_node_counts():
+            if node_id in before:
+                assert allocation.reserved_on(node_id) == before[node_id]
 
     def test_bandwidth_constrained_scale_up_fails_cleanly(self):
         topology = single_rack(servers=4, slots_per_server=4, nic_mbps=100.0)
@@ -119,11 +119,11 @@ class TestScaleDown:
     def test_reservations_exact_after_shrink(self, placed):
         placer, allocation = placed
         placer.scale_down(allocation, "web", 5)
-        for node, counts in allocation.iter_node_counts():
-            if node.is_root:
+        for node_id, counts in allocation.iter_node_counts():
+            if node_id == allocation.ledger.flat.root_id:
                 continue
             expected = allocation.requirement(allocation.tag, counts)
-            assert allocation.reserved_on(node).out == pytest.approx(expected.out)
+            assert allocation.reserved_on(node_id).out == pytest.approx(expected.out)
 
     def test_equal_holders_leave_in_server_order(self, small_datacenter):
         """The tie-break is a function of the layout, not of the order the
@@ -138,11 +138,11 @@ class TestScaleDown:
         for order in (servers, servers[::-1]):
             allocation = TenantAllocation(tag, Ledger(small_datacenter))
             for server in order:
-                assert allocation.place(server, "all", 2, root)
-            assert allocation.finalize(root)
+                assert allocation.place(server.node_id, "all", 2, root.node_id)
+            assert allocation.finalize(root.node_id)
             allocation.scale_down("all", 3)
             layouts.append(
-                {s.node_id: dict(c) for s, c in allocation.iter_server_placements()}
+                {s: dict(c) for s, c in allocation.iter_server_placements()}
             )
         # Three holders of two: the lowest id empties, the next gives one.
         low, mid, high = (server.node_id for server in servers)

@@ -16,7 +16,7 @@ import pytest
 from repro.placement.candidates import CandidateIndex
 from repro.topology.builder import DatacenterSpec, three_level_tree
 from repro.topology.ledger import Journal, Ledger
-from tests.fabrics import ancestors
+from tests.fabrics import ancestors, level_nodes
 from tests.placement.index_checks import pending_dirty, verify
 from tests.placement.scan_candidates import ScanCandidates
 
@@ -49,12 +49,12 @@ def random_churn(ledger, rng, steps, journal, held=None, releases=True):
     for _ in range(steps):
         server = rng.choice(servers)
         if releases and held.get(server.node_id) and rng.random() < 0.4:
-            ledger.release_slots(server, 1)
+            ledger.release_slots(server.node_id, 1)
             held[server.node_id] -= 1
             if not held[server.node_id]:
                 del held[server.node_id]
         else:
-            if ledger.reserve_slots(server, 1, journal):
+            if ledger.reserve_slots(server.node_id, 1, journal):
                 held[server.node_id] = held.get(server.node_id, 0) + 1
     return held
 
@@ -91,7 +91,7 @@ class TestLevelLookups:
         topology, ledger, index = churn_setup
         journal = Journal()
         for server in topology.servers:
-            assert ledger.reserve_slots(server, server.slots, journal)
+            assert ledger.reserve_slots(server.node_id, server.slots, journal)
         for level in range(topology.num_levels):
             assert index.best_fit(level, 1) is None
 
@@ -105,7 +105,7 @@ class TestDirtyBits:
         assert pending_dirty(index) == {}
         server = topology.servers[5]
         journal = Journal()
-        ledger.reserve_slots(server, 1, journal)
+        ledger.reserve_slots(server.node_id, 1, journal)
         dirty = pending_dirty(index)
         expected = {}
         for node in ancestors(server):
@@ -119,7 +119,7 @@ class TestDirtyBits:
         for level in range(topology.num_levels):
             index.best_fit(level, 1)
         journal = Journal()
-        ledger.reserve_slots(topology.servers[0], 2, journal)
+        ledger.reserve_slots(topology.servers[0].node_id, 2, journal)
         index.best_fit(0, 1)
         dirty = pending_dirty(index)
         assert 0 not in dirty
@@ -141,7 +141,7 @@ class TestDirtyBits:
         # roll the journal back to the savepoint (the placer backtrack
         # path).  The repaired index must equal the pre-attempt state.
         for server in topology.servers[:6]:
-            ledger.reserve_slots(server, 1, journal)
+            ledger.reserve_slots(server.node_id, 1, journal)
         ledger.rollback(journal, savepoint)
         verify(index)
         for level in range(topology.num_levels):
@@ -174,7 +174,7 @@ class TestRackOrder:
         mask = ledger.ensure_failure_mask()
         rng = random.Random(23)
         journal = Journal()
-        racks = topology.level_nodes(1)
+        racks = level_nodes(topology, 1)
         # Servers and racks that a fail/undo step may flip.
         domains = [node.node_id for node in topology.servers] + [
             rack.node_id for rack in racks
@@ -206,10 +206,10 @@ class TestRackOrder:
         server = topology.servers[0]
         rack = server.parent
         journal = Journal()
-        ledger.reserve_slots(server, server.slots, journal)
+        ledger.reserve_slots(server.node_id, server.slots, journal)
         ids = [entry[2] for entry in index.rack_candidates(rack.node_id)]
         assert server.node_id not in ids
-        ledger.release_slots(server, 1)
+        ledger.release_slots(server.node_id, 1)
         ids = [entry[2] for entry in index.rack_candidates(rack.node_id)]
         assert ids[0] == server.node_id  # most-used sorts first
 

@@ -85,7 +85,7 @@ class TestBasicPlacement:
         # Either layout avoids the NICs only if a and b share every server;
         # with 2 slots per server a+b pairs *can* colocate per server.
         if isinstance(result, Placement):
-            for server, counts in result.allocation.iter_server_placements():
+            for server_id, counts in result.allocation.iter_server_placements():
                 assert counts.get("a", 0) == counts.get("b", 0)
         assert not ledger.has_overcommit()
 
@@ -98,10 +98,9 @@ class TestBasicPlacement:
         placer = CloudMirrorPlacer(small_ledger)
         allocation = place_ok(placer, tag)
         # 4 web VMs x 50 Mbps must be reserved on the whole root path.
-        server = next(iter(allocation.iter_server_placements()))[0]
-        flat = small_ledger.flat
-        for node_id in flat.path_up[server.node_id]:
-            node = flat.node_of[node_id]
+        server_id = next(iter(allocation.iter_server_placements()))[0]
+        for node_id in small_ledger.flat.path_up[server_id]:
+            node = small_ledger.topology.node(node_id)
             assert small_ledger.reserved_up(node) >= 200.0 - 1e-6
 
     def test_rejection_leaves_no_residue(self):
@@ -250,8 +249,11 @@ class TestDeterminism:
             placer = CloudMirrorPlacer(ledger)
             allocation = place_ok(placer, three_tier_tag)
             return sorted(
-                (server.name, tuple(sorted(counts.items())))
-                for server, counts in allocation.iter_server_placements()
+                (
+                    allocation.ledger.topology.node(server_id).name,
+                    tuple(sorted(counts.items())),
+                )
+                for server_id, counts in allocation.iter_server_placements()
             )
 
         assert run() == run()

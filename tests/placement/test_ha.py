@@ -13,7 +13,7 @@ from repro.placement.ha import (
     tier_cap_left,
 )
 from repro.placement.state import TenantAllocation
-from repro.topology.ledger import Journal, Ledger
+from repro.topology.ledger import Journal
 from tests.tags import hose_tag
 
 
@@ -38,9 +38,9 @@ class TestTierCapLeft:
         allocation = TenantAllocation(tag, small_ledger)
         ha = HaPolicy(required_wcs=0.5, laa_level=0)
         server = small_ledger.topology.servers[0]
-        assert tier_cap_left(ha, allocation, server, "app") == 4
-        allocation.place(server, "app", 3, small_ledger.topology.root)
-        assert tier_cap_left(ha, allocation, server, "app") == 1
+        assert tier_cap_left(ha, allocation, server.node_id, "app") == 4
+        allocation.place(server.node_id, "app", 3, small_ledger.flat.root_id)
+        assert tier_cap_left(ha, allocation, server.node_id, "app") == 1
 
     def test_no_policy_means_tier_size(self, small_ledger):
         tag = Tag("t")
@@ -65,18 +65,18 @@ class TestSavingDesirable:
     def test_scarce_bandwidth_is_desirable(self, small_ledger):
         server = small_ledger.topology.servers[0]
         # 1000 Mbps / 4 slots = 250 per slot.
-        assert saving_desirable(small_ledger, server, expected_demand=300.0)
-        assert not saving_desirable(small_ledger, server, expected_demand=200.0)
+        assert saving_desirable(small_ledger, server.node_id, expected_demand=300.0)
+        assert not saving_desirable(small_ledger, server.node_id, expected_demand=200.0)
 
     def test_full_subtree_is_trivially_desirable(self, small_ledger):
         server = small_ledger.topology.servers[0]
         journal = Journal()
-        small_ledger.reserve_slots(server, 4, journal)
-        assert saving_desirable(small_ledger, server, expected_demand=0.1)
+        small_ledger.reserve_slots(server.node_id, 4, journal)
+        assert saving_desirable(small_ledger, server.node_id, expected_demand=0.1)
 
     def test_root_always_desirable(self, small_ledger):
         assert saving_desirable(
-            small_ledger, small_ledger.topology.root, expected_demand=0.0
+            small_ledger, small_ledger.flat.root_id, expected_demand=0.0
         )
 
 
@@ -86,6 +86,6 @@ class TestAllocationWcs:
         tag.add_component("app", 4)
         allocation = TenantAllocation(tag, small_ledger)
         servers = small_ledger.topology.servers
-        allocation.place(servers[0], "app", 2, small_ledger.topology.root)
-        allocation.place(servers[1], "app", 2, small_ledger.topology.root)
+        allocation.place(servers[0].node_id, "app", 2, small_ledger.flat.root_id)
+        allocation.place(servers[1].node_id, "app", 2, small_ledger.flat.root_id)
         assert allocation_wcs(allocation, laa_level=0)["app"] == pytest.approx(0.5)

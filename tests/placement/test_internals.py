@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from functools import partial
 
 import pytest
@@ -15,7 +14,7 @@ from repro.placement.secondnet import SecondNetPlacer
 from repro.placement.state import TenantAllocation
 from repro.topology.builder import DatacenterSpec, three_level_tree
 from repro.topology.ledger import Ledger
-from tests.fabrics import servers_under
+from tests.fabrics import level_nodes, servers_under
 
 
 @pytest.fixture
@@ -27,9 +26,9 @@ def setup(small_datacenter):
 class TestLowBandwidthThreshold:
     def test_nominal_per_slot(self, setup):
         topology, ledger, placer = setup
-        tor = topology.level_nodes(1)[0]
+        tor = level_nodes(topology, 1)[0]
         # Children are servers: 1000 Mbps / 4 slots = 250 per slot.
-        assert placer._low_bw_threshold(tor) == pytest.approx(250.0)
+        assert placer._low_bw_threshold(tor.node_id) == pytest.approx(250.0)
 
     def test_unlimited_topology_uses_nominals(self):
         spec = DatacenterSpec(
@@ -38,20 +37,19 @@ class TestLowBandwidthThreshold:
         topology = three_level_tree(spec, unlimited=True)
         ledger = Ledger(topology)
         placer = CloudMirrorPlacer(ledger)
-        tor = topology.level_nodes(1)[0]
+        tor = level_nodes(topology, 1)[0]
         # 10G nominal / 4 slots despite infinite enforced capacity.
-        assert placer._low_bw_threshold(tor) == pytest.approx(2500.0)
+        assert placer._low_bw_threshold(tor.node_id) == pytest.approx(2500.0)
 
 
-def best_coloc(placer, allocation, want, subtree):
+def best_coloc(placer, allocation, want, subtree_id):
     """The colocation scan's pick: ``(saving, child_id, request)`` or None."""
     placer._candidate_plan(allocation.tag)
     option = partial(
-        placer._coloc_option, allocation, want, placer._low_bw_threshold(subtree)
+        placer._coloc_option, allocation, want, placer._low_bw_threshold(subtree_id)
     )
-    return placer._scan(
-        allocation, subtree, set(), option, False, allocation.internal_tiers, {}, None
-    )
+    tiers = allocation.internal_tiers
+    return placer._scan(allocation, subtree_id, set(), option, False, tiers, {}, None)
 
 
 class TestFindTiersToColoc:
@@ -68,9 +66,9 @@ class TestFindTiersToColoc:
         # Trunk colocation needs room for both endpoints: evaluate at the
         # agg level, whose ToR children hold 64 slots (a 4-slot server
         # cannot yield Eq. 4 saving for two 4-VM tiers).
-        agg = topology.level_nodes(2)[0]
+        agg = level_nodes(topology, 2)[0]
         want = allocation.remaining_tiers()
-        saving, child_id, request = best_coloc(placer, allocation, want, agg)
+        saving, child_id, request = best_coloc(placer, allocation, want, agg.node_id)
         assert set(request) == {"hot-a", "hot-b"}
         # Equally good children: the earliest one wins.
         assert child_id == topology.flat.children_ids[agg.node_id][0]
@@ -81,9 +79,9 @@ class TestFindTiersToColoc:
         tag.add_component("light", 4)
         tag.add_self_loop("light", 10.0)  # far below the 250 threshold
         allocation = TenantAllocation(tag, ledger)
-        tor = topology.level_nodes(1)[0]
+        tor = level_nodes(topology, 1)[0]
         want = allocation.remaining_tiers()
-        assert best_coloc(placer, allocation, want, tor) is None
+        assert best_coloc(placer, allocation, want, tor.node_id) is None
 
     def test_hose_candidate_when_heavy(self, setup):
         topology, ledger, placer = setup
@@ -91,9 +89,9 @@ class TestFindTiersToColoc:
         tag.add_component("heavy", 4)
         tag.add_self_loop("heavy", 400.0)
         allocation = TenantAllocation(tag, ledger)
-        agg = topology.level_nodes(2)[0]
+        agg = level_nodes(topology, 2)[0]
         want = allocation.remaining_tiers()
-        saving, _, request = best_coloc(placer, allocation, want, agg)
+        saving, _, request = best_coloc(placer, allocation, want, agg.node_id)
         assert request == {"heavy": 4}
         assert saving > 0
 
@@ -116,7 +114,7 @@ class TestOktopusVcMath:
         cluster = VocCluster("c", 4, 100.0, 0.0, 0.0)
         server = topology.servers[0]
         # All 4 under one server: crossing min(4,0)*100 = 0 <= NIC.
-        assert placer._max_feasible(allocation, cluster, server, 4) == 4
+        assert placer._max_feasible(allocation, cluster, server.node_id, 4) == 4
 
     def test_max_feasible_ascending_branch(self, oktopus):
         topology, ledger, placer = oktopus
@@ -126,7 +124,7 @@ class TestOktopusVcMath:
         cluster = VocCluster("c", 20, 400.0, 0.0, 0.0)
         server = topology.servers[0]  # 4 slots, 1000 Mbps
         # Can't host a majority (4 < 10): crossing = m*400 <= 1000 -> m <= 2.
-        assert placer._max_feasible(allocation, cluster, server, 4) == 2
+        assert placer._max_feasible(allocation, cluster, server.node_id, 4) == 2
 
     def test_zero_bandwidth_cluster_unconstrained(self, oktopus):
         topology, ledger, placer = oktopus
@@ -135,13 +133,13 @@ class TestOktopusVcMath:
         allocation = TenantAllocation(tag, ledger)
         cluster = VocCluster("c", 8, 0.0, 0.0, 0.0)
         server = topology.servers[0]
-        assert placer._max_feasible(allocation, cluster, server, 4) == 4
+        assert placer._max_feasible(allocation, cluster, server.node_id, 4) == 4
 
 
 class TestSecondNetPaths:
     def test_path_links_same_rack(self, small_datacenter):
         placer = SecondNetPlacer(Ledger(small_datacenter))
-        tor = small_datacenter.level_nodes(1)[0]
+        tor = level_nodes(small_datacenter, 1)[0]
         a, b = list(servers_under(small_datacenter, tor))[:2]
         links = placer._path_link_ids(a.node_id, b.node_id)
         # One hop up from a, one hop down to b (destination side first).
@@ -149,7 +147,7 @@ class TestSecondNetPaths:
 
     def test_path_links_cross_pod(self, small_datacenter):
         placer = SecondNetPlacer(Ledger(small_datacenter))
-        pods = small_datacenter.level_nodes(2)
+        pods = level_nodes(small_datacenter, 2)
         src = next(iter(servers_under(small_datacenter, pods[0])))
         dst = next(iter(servers_under(small_datacenter, pods[1])))
         links = placer._path_link_ids(src.node_id, dst.node_id)
@@ -163,7 +161,7 @@ class TestSecondNetPaths:
     def test_hops_heuristic_ordering(self, small_datacenter):
         placer = SecondNetPlacer(Ledger(small_datacenter))
         flat = placer.ledger.flat
-        racks = small_datacenter.level_nodes(1)
+        racks = level_nodes(small_datacenter, 1)
         tor_a, tor_far = racks[0], racks[-1]
         server = next(iter(servers_under(small_datacenter, tor_a)))
         order = placer._rack_order([(server.node_id, 10.0, True)])
@@ -183,14 +181,14 @@ class TestSubtreeChoice:
         # Occupy half of rack 0 so it becomes the tighter fit.
         from repro.topology.ledger import Journal
 
-        tor0 = small_datacenter.level_nodes(1)[0]
+        tor0 = level_nodes(small_datacenter, 1)[0]
         servers0 = list(servers_under(small_datacenter, tor0))
         for server in servers0[:8]:
-            ledger.reserve_slots(server, 4, Journal())
+            ledger.reserve_slots(server.node_id, 4, Journal())
         tag = Tag("t")
         tag.add_component("a", 16)
         chosen = placer._find_lowest_subtree(tag, 1)
-        assert chosen is tor0  # 32 free slots beats the untouched racks
+        assert chosen == tor0.node_id  # 32 free slots beats the untouched racks
 
 
 class TestExternalDemandPath:
@@ -204,5 +202,5 @@ class TestExternalDemandPath:
         tag.add_edge("web", "internet", send=3000.0, recv=3000.0)
         demand = placer._candidate_plan(tag).external
         assert demand.out == pytest.approx(6000.0)
-        tor = small_datacenter.level_nodes(1)[0]
+        tor = level_nodes(small_datacenter, 1)[0]
         assert not placer._root_path_available_id(tor.node_id, demand)

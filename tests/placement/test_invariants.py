@@ -15,7 +15,6 @@ import random
 
 import pytest
 
-from repro.core.bandwidth import uplink_requirement
 from repro.core.tag import Tag
 from repro.placement.base import Placement
 from repro.placement.cloudmirror import CloudMirrorPlacer
@@ -80,19 +79,19 @@ def test_churn_invariants(placer_cls, seed):
     # Reservation exactness per tenant, per node (CM uses Eq. 1; Oktopus
     # the VOC requirement — checked through allocation.requirement).
     for allocation in resident:
-        for node, counts in allocation.iter_node_counts():
-            if node.is_root:
+        for node_id, counts in allocation.iter_node_counts():
+            if node_id == allocation.ledger.flat.root_id:
                 continue
             expected = allocation.requirement(allocation.tag, counts)
-            reserved = allocation.reserved_on(node)
+            reserved = allocation.reserved_on(node_id)
             assert reserved.out == pytest.approx(expected.out)
             assert reserved.into == pytest.approx(expected.into)
     # Ledger totals equal the per-tenant sums.
     for node in topology.nodes:
         if node.is_root:
             continue
-        total_up = sum(a.reserved_on(node).out for a in resident)
-        total_down = sum(a.reserved_on(node).into for a in resident)
+        total_up = sum(a.reserved_on(node.node_id).out for a in resident)
+        total_down = sum(a.reserved_on(node.node_id).into for a in resident)
         assert ledger.reserved_up(node) == pytest.approx(total_up)
         assert ledger.reserved_down(node) == pytest.approx(total_down)
     # Full teardown returns a pristine datacenter.
@@ -117,7 +116,7 @@ def test_churn_with_ha_guarantee():
         if isinstance(result, Placement):
             for component in tenant.internal_components():
                 cap = max(1, int(component.size * 0.5))
-                for server, counts in result.allocation.iter_server_placements():
+                for server_id, counts in result.allocation.iter_server_placements():
                     assert counts.get(component.name, 0) <= cap
                     cap_checks += 1
     assert cap_checks > 0

@@ -20,7 +20,7 @@ import pytest
 
 from repro.core.serialize import tag_from_dict, tag_to_dict
 from repro.core.tag import Tag
-from repro.placement.base import Placement, Rejection
+from repro.placement.base import Placement
 from repro.simulation.runner import make_placer
 from repro.temporal.admission import TemporalCluster
 from repro.temporal.profile import TemporalProfile, TemporalTag
@@ -102,8 +102,8 @@ class _World:
         else:
             decision, allocation = outcome.reason, None
         layout = allocation and sorted(
-            (server.node_id, sorted(counts.items()))
-            for server, counts in allocation.iter_server_placements()
+            (server_id, sorted(counts.items()))
+            for server_id, counts in allocation.iter_server_placements()
         )
         return decision, layout, self.links()
 

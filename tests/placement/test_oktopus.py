@@ -44,11 +44,11 @@ class TestOktopusPlacement:
         result = placer.place(tag)
         assert isinstance(result, Placement)
         allocation = result.allocation
-        for node, counts in allocation.iter_node_counts():
-            if node.is_root:
+        for node_id, counts in allocation.iter_node_counts():
+            if node_id == allocation.ledger.flat.root_id:
                 continue
             expected = voc_uplink_requirement(tag, counts)
-            assert allocation.reserved_on(node).out == pytest.approx(expected.out)
+            assert allocation.reserved_on(node_id).out == pytest.approx(expected.out)
 
     def test_reserves_more_than_cloudmirror(self, small_datacenter, storm_tag):
         """On the same tenant the VOC abstraction reserves at least as

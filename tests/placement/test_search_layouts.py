@@ -74,8 +74,8 @@ def _layout(allocation) -> str:
     return ";".join(
         f"{server_id}:" + ",".join(f"{tier}={n}" for tier, n in sorted(counts))
         for server_id, counts in sorted(
-            (server.node_id, tuple(counts.items()))
-            for server, counts in allocation.iter_server_placements()
+            (server_id, tuple(counts.items()))
+            for server_id, counts in allocation.iter_server_placements()
         )
     )
 

@@ -35,7 +35,7 @@ from repro.temporal.admission import TemporalLedger
 from repro.temporal.profile import TemporalProfile, diurnal_profile
 from repro.topology.builder import three_level_tree
 from repro.topology.ledger import Journal, Ledger
-from tests.fabrics import single_rack
+from tests.fabrics import level_nodes, single_rack
 from tests.placement.index_checks import pending_dirty
 from tests.placement.test_search_layouts import (
     SPEC,
@@ -62,12 +62,12 @@ def rack():
     tag.add_self_loop("a", 10.0)
     allocation = TenantAllocation(tag, ledger)
     placer._candidate_plan(tag)
-    tor = topology.level_nodes(1)[0]
+    tor = level_nodes(topology, 1)[0]
     servers = list(tor.children)
     for server, taken in zip(servers, (0, 1, 0, 1, 2, 4, 4, 4)):
         if taken:
-            ledger.reserve_slots(server, taken, Journal())
-    return placer, allocation, tor, [server.node_id for server in servers]
+            ledger.reserve_slots(server.node_id, taken, Journal())
+    return placer, allocation, tor.node_id, [server.node_id for server in servers]
 
 
 def _values_by_free(values, evaluated):
@@ -82,8 +82,8 @@ def test_failed_tries_walk_down_one_ranking(rack, monkeypatch):
     placer, allocation, tor, ids = rack
     evaluated, tried = [], []
 
-    def try_child(allocation, want, request, child, ceiling, probe=False):
-        tried.append((child.node_id, probe))
+    def try_child(allocation, want, request, child_id, ceiling_id, probe=False):
+        tried.append((child_id, probe))
         return 0
 
     monkeypatch.setattr(placer, "_try_child", try_child)
@@ -108,11 +108,11 @@ def test_exclusion_outlives_the_scan_that_caused_it(rack, monkeypatch):
     ledger = placer.ledger
     evaluated, tried = [], []
 
-    def try_child(allocation, want, request, child, ceiling, probe=False):
-        tried.append(child.node_id)
-        if child.node_id == ids[4]:
+    def try_child(allocation, want, request, child_id, ceiling_id, probe=False):
+        tried.append(child_id)
+        if child_id == ids[4]:
             return 0
-        ledger.reserve_slots(child, 1, Journal())  # the ledger changes
+        ledger.reserve_slots(child_id, 1, Journal())  # the ledger changes
         want["a"] -= 1
         if not want["a"]:
             del want["a"]
@@ -134,7 +134,7 @@ def test_exclusion_outlives_the_scan_that_caused_it(rack, monkeypatch):
 def test_overcommitted_ledger_on_entry_is_never_probed(rack):
     placer, allocation, tor, ids = rack
     ledger = placer.ledger
-    far = ledger.topology.level_nodes(1)[-1]
+    far = level_nodes(ledger.topology, 1)[-1]
     ledger.adjust_uplink_id(far.node_id, 1e9, 0.0, Journal())
     assert ledger.has_overcommit()
     before = (list(ledger._used_slots), list(ledger._used_up), list(ledger._used_down))
@@ -186,24 +186,24 @@ def test_only_the_relaxed_pass_probes_its_first_offer(monkeypatch):
     real_walk = CloudMirrorPlacer._walk
     real_try = CloudMirrorPlacer._try_child
 
-    def walk(placer, allocation, want, subtree, ceiling, option, *args, **kwargs):
+    def walk(placer, allocation, want, subtree_id, ceiling_id, option, *args, **kw):
         name = option.__name__
         if name == "_greedy_fill":
-            name = "bandwidth" if kwargs.get("bandwidth") else "relaxed"
+            name = "bandwidth" if kw.get("bandwidth") else "relaxed"
         walks.append([name, True])
         try:
             return real_walk(
-                placer, allocation, want, subtree, ceiling, option, *args, **kwargs
+                placer, allocation, want, subtree_id, ceiling_id, option, *args, **kw
             )
         finally:
             walks.pop()
 
-    def try_child(placer, allocation, want, request, child, ceiling, probe):
+    def try_child(placer, allocation, want, request, child_id, ceiling_id, probe):
         frame = walks[-1]
         if frame[1]:
             frame[1] = False
             firsts.setdefault(frame[0], set()).add(probe)
-        return real_try(placer, allocation, want, request, child, ceiling, probe)
+        return real_try(placer, allocation, want, request, child_id, ceiling_id, probe)
 
     monkeypatch.setattr(CloudMirrorPlacer, "_walk", walk)
     monkeypatch.setattr(CloudMirrorPlacer, "_try_child", try_child)
@@ -269,7 +269,7 @@ def test_probe_agrees_with_the_real_try_and_touches_nothing(kind, seed):
         activate()
         placer.place(rng.choice(pool))
     servers = topology.servers
-    root = topology.root
+    root_id = topology.flat.root_id
     verdicts = {True: 0, False: 0}
     for attempt in range(12):
         activate()  # the tenant under test keeps these ratios throughout
@@ -289,7 +289,7 @@ def test_probe_agrees_with_the_real_try_and_touches_nothing(kind, seed):
                 for tier, left in remaining.items()
                 if rng.random() < 0.7
             }
-            fill = placer._server_fill(allocation, request, server)
+            fill = placer._server_fill(allocation, request, server.node_id)
             before = _snapshot(ledger, allocation)
             with obs.enabled_scope() as counters:
                 verdict = allocation.probe(server.node_id, fill)
@@ -297,7 +297,7 @@ def test_probe_agrees_with_the_real_try_and_touches_nothing(kind, seed):
             assert _snapshot(ledger, allocation) == before
             savepoint = allocation.savepoint()
             for tier, count in fill:
-                assert allocation.place(server, tier, count, root)
+                assert allocation.place(server.node_id, tier, count, root_id)
             real = server.node_id in overcommitted_nodes(ledger)
             assert verdict is real
             verdicts[real] += 1
@@ -334,19 +334,19 @@ def _settled(snapshot):
     )
 
 
-def _offer_key(allocation, request, child, ceiling):
-    return (allocation.version, child.node_id, ceiling.node_id, *request.items())
+def _offer_key(allocation, request, child_id, ceiling_id):
+    return (allocation.version, child_id, ceiling_id, *request.items())
 
 
 def _intercept(monkeypatch, hook):
-    """Call ``hook(real, key, placer, allocation, want, request, child,
-    ceiling)`` ahead of every ``_try_child``, nested ones included."""
+    """Call ``hook(real, key, placer, allocation, want, request, child_id,
+    ceiling_id)`` ahead of every ``_try_child``, nested ones included."""
     real = CloudMirrorPlacer._try_child
 
-    def try_child(placer, allocation, want, request, child, ceiling, probe):
-        key = _offer_key(allocation, request, child, ceiling)
-        hook(real, key, placer, allocation, want, request, child, ceiling)
-        return real(placer, allocation, want, request, child, ceiling, probe)
+    def try_child(placer, allocation, want, request, child_id, ceiling_id, probe):
+        key = _offer_key(allocation, request, child_id, ceiling_id)
+        hook(real, key, placer, allocation, want, request, child_id, ceiling_id)
+        return real(placer, allocation, want, request, child_id, ceiling_id, probe)
 
     monkeypatch.setattr(CloudMirrorPlacer, "_try_child", try_child)
 
@@ -375,7 +375,7 @@ KINDS = pytest.mark.parametrize("kind", ["classic", "temporal"])
 def test_memo_hit_is_the_real_try_it_skips(kind, ha, monkeypatch):
     hits = []
 
-    def hook(real, key, placer, allocation, want, request, child, ceiling):
+    def hook(real, key, placer, allocation, want, request, child_id, ceiling_id):
         memo = placer._failed
         if key not in memo:
             return
@@ -386,7 +386,10 @@ def test_memo_hit_is_the_real_try_it_skips(kind, ha, monkeypatch):
         wanted = dict(want)
         placer._failed = set()
         try:
-            assert real(placer, allocation, want, request, child, ceiling, False) == 0
+            assert (
+                real(placer, allocation, want, request, child_id, ceiling_id, False)
+                == 0
+            )
         finally:
             placer._failed = memo
         assert list(want.items()) == list(wanted.items())
@@ -559,7 +562,7 @@ def test_eq1_memo_hit_is_a_fresh_evaluation(seed):
 def test_eq1_memo_starts_at_the_first_failed_offer(kind, ha, monkeypatch):
     offers = {True: 0, False: 0}
 
-    def hook(real, key, placer, allocation, want, request, child, ceiling):
+    def hook(real, key, placer, allocation, want, request, child_id, ceiling_id):
         engaged = allocation._memo is not None
         # Until this search has a failed offer no count vector is keyed.
         assert engaged == bool(placer._failed)

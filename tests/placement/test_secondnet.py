@@ -27,8 +27,9 @@ class TestSecondNet:
         result = placer.place(tag)
         assert isinstance(result, Placement)
         allocation = result.allocation
-        server_a = allocation.vm_server["a:0"]
-        server_b = allocation.vm_server["b:0"]
+        topology = small_ledger.topology
+        server_a = topology.node(allocation.vm_server["a:0"])
+        server_b = topology.node(allocation.vm_server["b:0"])
         if server_a is not server_b:
             assert small_ledger.reserved_up(server_a) == pytest.approx(100.0)
             assert small_ledger.reserved_down(server_b) == pytest.approx(100.0)

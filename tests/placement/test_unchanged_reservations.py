@@ -77,11 +77,11 @@ class WriteAlways(TenantAllocation):
         self._state_ops.append((_OP_RESERVED, node_id, prev_out, prev_into))
         self._reserved[node_id] = required
 
-    def finalize(self, allocation_root):
+    def finalize(self, root_id):
         if not self.is_complete:
             raise ReproError("finalize() requires a complete placement")
         savepoint = self.savepoint()
-        for node_id in self._flat.path_up[allocation_root.node_id]:
+        for node_id in self._flat.path_up[root_id]:
             self._update_reservation(node_id)
         if self.ledger.has_overcommit():
             self.rollback(savepoint)
@@ -205,8 +205,8 @@ def _state(ledger, allocations):
                 a.finalized,
                 a.placed_vms,
                 a.remaining_tiers(),
-                {i: c for i, c in a.iter_node_counts_id()},
-                tuple(a.reserved_on(n) for n in non_root),
+                {i: c for i, c in a.iter_node_counts()},
+                tuple(a.reserved_on(n.node_id) for n in non_root),
             )
             for a in allocations
         ),
@@ -287,8 +287,11 @@ class World:
             return None
         self.live.append((result.allocation, profile))
         return sorted(
-            (server.name, sorted(counts.items()))
-            for server, counts in result.allocation.iter_server_placements()
+            (
+                result.allocation.ledger.topology.node(server_id).name,
+                sorted(counts.items()),
+            )
+            for server_id, counts in result.allocation.iter_server_placements()
         )
 
     def _depart(self, which):
@@ -348,7 +351,7 @@ class World:
             server = SERVERS[server]
             verdict = allocation.probe(server.node_id, [(tier, count)])
             savepoints.append(allocation.savepoint())
-            if allocation.place(server, tier, count, TOPOLOGY.root):
+            if allocation.place(server.node_id, tier, count, TOPOLOGY.root.node_id):
                 over = server.node_id in overcommitted_nodes(self.ledger)
                 assert verdict is None or verdict is over, "probe != real try"
             placed.append((verdict, allocation.placed_vms))
@@ -466,16 +469,17 @@ def test_a_split_tenant_journals_only_the_hops_that_carry_traffic(kind):
     result = placer.place(hose_tag("split", 8, 20.0))
     assert isinstance(result, Placement)
     allocation = result.allocation
-    used = [server for server, _ in allocation.iter_server_placements()]
-    assert len(used) == 2 and used[0].parent is used[1].parent
-    server_ids = sorted(server.node_id for server in used)
+    used = [server_id for server_id, _ in allocation.iter_server_placements()]
+    parent = ledger.flat.parent
+    assert len(used) == 2 and parent[used[0]] == parent[used[1]]
+    server_ids = sorted(used)
     written = [op[1] for op in allocation.journal.ops if op[0] != OP_SLOTS]
     assert sorted(written) == server_ids  # one record each, none for rack or pod
     assert sorted(allocation._reserved) == server_ids
     assert sorted(
         op[1] for op in allocation._state_ops if op[0] == _OP_RESERVED
     ) == server_ids
-    rack = used[0].parent
+    rack = ledger.topology.node(parent[used[0]])
     for node in (rack, rack.parent):
         assert ledger.reserved_up(node) == ledger.reserved_down(node) == 0.0
     allocation.release()
@@ -504,7 +508,7 @@ def test_a_probe_with_nothing_to_write_never_reaches_the_kernel(kind, monkeypatc
     assert calls == []
     # ... and the real try concludes the same, also without a write.
     for tier, count in fill:
-        assert allocation.place(server, tier, count, TOPOLOGY.root)
+        assert allocation.place(server.node_id, tier, count, TOPOLOGY.root.node_id)
     assert server.node_id not in overcommitted_nodes(ledger)
     assert calls == []
     allocation.rollback(Savepoint(0, 0))

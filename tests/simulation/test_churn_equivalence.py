@@ -61,8 +61,8 @@ def churn_run(topology, pool, events, placer_name, *, ha=None, use_index):
         loop.run(events)
     layouts = [
         sorted(
-            (server.node_id, tuple(sorted(counts.items())))
-            for server, counts in allocation.iter_server_placements()
+            (server_id, tuple(sorted(counts.items())))
+            for server_id, counts in allocation.iter_server_placements()
         )
         for allocation in loop.live()
     ]

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 
-import pytest
-
 from repro.core.tag import Tag
 from repro.placement.cloudmirror import CloudMirrorPlacer
 from repro.placement.secondnet import SecondNetPlacer

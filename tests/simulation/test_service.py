@@ -195,8 +195,8 @@ class TestDifferentialParity:
                 loop.run(part)
             live = [
                 sorted(
-                    (server.node_id, sorted(counts.items()))
-                    for server, counts in allocation.iter_server_placements()
+                    (server_id, sorted(counts.items()))
+                    for server_id, counts in allocation.iter_server_placements()
                 )
                 for allocation in loop.live()
             ]

@@ -85,8 +85,8 @@ class TestTemporalCluster:
 
         def layout(allocation):
             return sorted(
-                (server.node_id, sorted(counts.items()))
-                for server, counts in allocation.iter_server_placements()
+                (server_id, sorted(counts.items()))
+                for server_id, counts in allocation.iter_server_placements()
             )
 
         for _ in range(2000):

@@ -295,7 +295,6 @@ def test_raw_ops_match_reference(windows, seed):
     reference = ReferenceTemporalLedger(topology, windows)
     nodes = [n.node_id for n in topology.nodes]
     servers = [s.node_id for s in topology.servers]
-    node_of = topology.flat.node_of
     committed: list[tuple] = []
 
     def check():
@@ -316,7 +315,7 @@ def test_raw_ops_match_reference(windows, seed):
             if action < 0.3:
                 server_id = rng.choice(servers)
                 count = rng.randint(1, 3)
-                got = ledger.reserve_slots(node_of[server_id], count, journal)
+                got = ledger.reserve_slots(server_id, count, journal)
                 assert got == reference.reserve_slots_id(
                     server_id, count, ref_ops
                 )
@@ -352,7 +351,7 @@ def test_raw_ops_match_reference(windows, seed):
         while committed and rng.random() < 0.3:
             op = committed.pop(rng.randrange(len(committed)))
             if op[0] == "slots":
-                ledger.release_slots(node_of[op[1]], op[2])
+                ledger.release_slots(op[1], op[2])
                 reference.release_slots_id(op[1], op[2])
             else:
                 _, node_id, delta_up, delta_down, op_ratios = op
@@ -390,16 +389,16 @@ class MirroredTemporalLedger(TemporalLedger):
         super().set_ratios(profile)
         self.reference.set_ratios(profile)
 
-    def reserve_slots(self, server, count, journal):
-        got = super().reserve_slots(server, count, journal)
+    def reserve_slots(self, server_id, count, journal):
+        got = super().reserve_slots(server_id, count, journal)
         assert got == self.reference.reserve_slots_id(
-            server.node_id, count, self._ref_ops(journal)
+            server_id, count, self._ref_ops(journal)
         )
         return got
 
-    def release_slots(self, server, count):
-        super().release_slots(server, count)
-        self.reference.release_slots_id(server.node_id, count)
+    def release_slots(self, server_id, count):
+        super().release_slots(server_id, count)
+        self.reference.release_slots_id(server_id, count)
 
     def adjust_uplink_id(self, node_id, delta_up, delta_down, journal):
         super().adjust_uplink_id(node_id, delta_up, delta_down, journal)

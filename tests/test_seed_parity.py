@@ -65,8 +65,8 @@ def _place(algorithm: str, vms: str) -> object:
     if not isinstance(result, Placement):
         return "rejected"
     return sorted(
-        [server.node_id, sorted(map(list, counts.items()))]
-        for server, counts in result.allocation.iter_server_placements()
+        [server_id, sorted(map(list, counts.items()))]
+        for server_id, counts in result.allocation.iter_server_placements()
     )
 
 

@@ -198,17 +198,17 @@ class MirroredLedger(Ledger):
             self.reference, self.topology
         )
 
-    def reserve_slots(self, server, count, journal):
-        got = super().reserve_slots(server, count, journal)
+    def reserve_slots(self, server_id, count, journal):
+        got = super().reserve_slots(server_id, count, journal)
         assert got == self.reference.reserve_slots(
-            server, count, self._ref_ops(journal)
+            self.topology.node(server_id), count, self._ref_ops(journal)
         )
         self._check()
         return got
 
-    def release_slots(self, server, count):
-        super().release_slots(server, count)
-        self.reference.release_slots(server, count)
+    def release_slots(self, server_id, count):
+        super().release_slots(server_id, count)
+        self.reference.release_slots(self.topology.node(server_id), count)
         self._check()
 
     def adjust_uplink_id(self, node_id, delta_up, delta_down, journal):
@@ -296,7 +296,7 @@ def test_raw_ops_match_reference(topology_name, seed):
             if action < 0.35:
                 server = rng.choice(servers)
                 count = rng.randint(1, 3)
-                got = ledger.reserve_slots(server, count, journal)
+                got = ledger.reserve_slots(server.node_id, count, journal)
                 assert got == reference.reserve_slots(server, count, ref_ops)
                 if got:
                     attempt_slots.append((server, count))
@@ -336,7 +336,7 @@ def test_raw_ops_match_reference(topology_name, seed):
             server, count = committed_slots.pop(
                 rng.randrange(len(committed_slots))
             )
-            ledger.release_slots(server, count)
+            ledger.release_slots(server.node_id, count)
             reference.release_slots(server, count)
             check()
         while committed_uplink and rng.random() < 0.3:

@@ -170,8 +170,11 @@ def _run(topology, placer_name, use_index):
         loop.run(Arrival(float(i), i % len(pool), 3.0 * i + 3.5) for i in range(36))
     layouts = [
         sorted(
-            (server.name, tuple(sorted(counts.items())))
-            for server, counts in allocation.iter_server_placements()
+            (
+                allocation.ledger.topology.node(server_id).name,
+                tuple(sorted(counts.items())),
+            )
+            for server_id, counts in allocation.iter_server_placements()
         )
         for allocation in loop.live()
     ]

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import LedgerError
 from repro.topology.ledger import Journal, Ledger
-from tests.fabrics import servers_under
+from tests.fabrics import level_nodes, servers_under
 from tests.topology.ledger_views import overcommitted_nodes
 
 
@@ -19,35 +19,35 @@ class TestSlots:
     def test_reserve_and_release(self, ledger, small_datacenter):
         server = small_datacenter.servers[0]
         journal = Journal()
-        assert ledger.reserve_slots(server, 3, journal)
+        assert ledger.reserve_slots(server.node_id, 3, journal)
         assert ledger.used_slots(server) == 3
         assert ledger.free_slots(server) == 1
         assert ledger.free_slots(small_datacenter.root) == 512 - 3
-        ledger.release_slots(server, 3)
+        ledger.release_slots(server.node_id, 3)
         assert ledger.free_slots(small_datacenter.root) == 512
 
     def test_over_reservation_refused(self, ledger, small_datacenter):
         server = small_datacenter.servers[0]
         journal = Journal()
-        assert not ledger.reserve_slots(server, 5, journal)
+        assert not ledger.reserve_slots(server.node_id, 5, journal)
         assert ledger.used_slots(server) == 0
         assert journal.ops == []
 
     def test_release_more_than_reserved_raises(self, ledger, small_datacenter):
         with pytest.raises(LedgerError):
-            ledger.release_slots(small_datacenter.servers[0], 1)
+            ledger.release_slots(small_datacenter.servers[0].node_id, 1)
 
     def test_nonpositive_counts_raise(self, ledger, small_datacenter):
         server = small_datacenter.servers[0]
         with pytest.raises(LedgerError):
-            ledger.reserve_slots(server, 0, Journal())
+            ledger.reserve_slots(server.node_id, 0, Journal())
         with pytest.raises(LedgerError):
-            ledger.release_slots(server, -1)
+            ledger.release_slots(server.node_id, -1)
 
     def test_subtree_aggregates(self, ledger, small_datacenter):
-        tor = small_datacenter.level_nodes(1)[0]
+        tor = level_nodes(small_datacenter, 1)[0]
         server = next(iter(servers_under(small_datacenter, tor)))
-        ledger.reserve_slots(server, 2, Journal())
+        ledger.reserve_slots(server.node_id, 2, Journal())
         assert ledger.free_slots(tor) == 62
 
 
@@ -108,9 +108,9 @@ class TestRollback:
     def test_partial_rollback_to_savepoint(self, ledger, small_datacenter):
         server_a, server_b = small_datacenter.servers[:2]
         journal = Journal()
-        ledger.reserve_slots(server_a, 2, journal)
+        ledger.reserve_slots(server_a.node_id, 2, journal)
         savepoint = journal.savepoint()
-        ledger.reserve_slots(server_b, 3, journal)
+        ledger.reserve_slots(server_b.node_id, 3, journal)
         ledger.adjust_uplink_id(server_b.node_id, 100.0, 100.0, journal)
         ledger.rollback(journal, savepoint)
         assert ledger.used_slots(server_a) == 2
@@ -120,7 +120,7 @@ class TestRollback:
     def test_full_rollback_restores_everything(self, ledger, small_datacenter):
         journal = Journal()
         for server in small_datacenter.servers[:8]:
-            ledger.reserve_slots(server, 1, journal)
+            ledger.reserve_slots(server.node_id, 1, journal)
             ledger.adjust_uplink_id(server.node_id, 10.0, 20.0, journal)
         ledger.rollback(journal)
         assert ledger.free_slots(small_datacenter.root) == 512

@@ -52,12 +52,12 @@ def test_rollback_restores_exact_state(ops):
     ledger = Ledger(TOPOLOGY)
     journal = Journal()
     # Pre-seed some committed state that must survive the rollback.
-    ledger.reserve_slots(TOPOLOGY.servers[0], 2, Journal())
+    ledger.reserve_slots(TOPOLOGY.servers[0].node_id, 2, Journal())
     ledger.adjust_uplink_id(TOPOLOGY.servers[0].node_id, 100.0, 50.0, Journal())
     before = _snapshot(ledger)
     for op in ops:
         if op[0] == "slots":
-            ledger.reserve_slots(TOPOLOGY.servers[op[1]], op[2], journal)
+            ledger.reserve_slots(TOPOLOGY.servers[op[1]].node_id, op[2], journal)
         else:
             ledger.adjust_uplink_id(
                 TOPOLOGY.servers[op[1]].node_id, op[2], op[3], journal
@@ -75,7 +75,7 @@ def test_partial_rollback_to_any_savepoint(ops, cut):
     savepoints = [journal.savepoint()]
     for op in ops:
         if op[0] == "slots":
-            ledger.reserve_slots(TOPOLOGY.servers[op[1]], op[2], journal)
+            ledger.reserve_slots(TOPOLOGY.servers[op[1]].node_id, op[2], journal)
         else:
             ledger.adjust_uplink_id(
                 TOPOLOGY.servers[op[1]].node_id, op[2], op[3], journal

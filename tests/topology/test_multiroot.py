@@ -10,6 +10,7 @@ from repro.placement.base import Placement
 from repro.placement.cloudmirror import CloudMirrorPlacer
 from repro.topology.builder import DatacenterSpec, multi_rooted_tree, three_level_tree
 from repro.topology.ledger import Ledger
+from tests.fabrics import level_nodes
 
 SPEC = DatacenterSpec(
     servers_per_rack=8,
@@ -26,8 +27,8 @@ class TestMultiRootedTree:
     def test_aggregate_core_capacity(self):
         single = three_level_tree(SPEC)
         quad = multi_rooted_tree(SPEC, cores=4)
-        single_agg = single.level_nodes(2)[0]
-        quad_agg = quad.level_nodes(2)[0]
+        single_agg = level_nodes(single, 2)[0]
+        quad_agg = level_nodes(quad, 2)[0]
         assert quad_agg.uplink_up == pytest.approx(4 * single_agg.uplink_up)
 
     def test_same_shape_below_core(self):
@@ -39,8 +40,8 @@ class TestMultiRootedTree:
     def test_one_core_is_identity(self):
         single = three_level_tree(SPEC)
         one = multi_rooted_tree(SPEC, cores=1)
-        assert one.level_nodes(2)[0].uplink_up == pytest.approx(
-            single.level_nodes(2)[0].uplink_up
+        assert level_nodes(one, 2)[0].uplink_up == pytest.approx(
+            level_nodes(single, 2)[0].uplink_up
         )
 
     def test_validation(self):
@@ -49,8 +50,8 @@ class TestMultiRootedTree:
 
     def test_oversub_floor_at_one(self):
         quad = multi_rooted_tree(SPEC, cores=16)  # 4/16 < 1 -> floor at 1
-        agg = quad.level_nodes(2)[0]
-        tor = quad.level_nodes(1)[0]
+        agg = level_nodes(quad, 2)[0]
+        tor = level_nodes(quad, 1)[0]
         assert agg.uplink_up == pytest.approx(SPEC.racks_per_pod * tor.uplink_up)
 
     def test_placement_admits_more_cross_pod_traffic(self):

@@ -69,9 +69,9 @@ class TestRollbackRestoresExactly:
         before = snapshot(ledger)
 
         savepoint = allocation.savepoint()
-        assert allocation.place(servers[0], "web", 2, root)
-        assert allocation.place(servers[1], "db", 1, root)
-        assert allocation.place(servers[2], "db", 1, root)
+        assert allocation.place(servers[0].node_id, "web", 2, root.node_id)
+        assert allocation.place(servers[1].node_id, "db", 1, root.node_id)
+        assert allocation.place(servers[2].node_id, "db", 1, root.node_id)
         assert snapshot(ledger) != before  # something actually changed
 
         allocation.rollback(savepoint)
@@ -85,11 +85,11 @@ class TestRollbackRestoresExactly:
         servers = ledger.topology.servers
         root = ledger.topology.root
 
-        assert allocation.place(servers[0], "web", 2, root)
+        assert allocation.place(servers[0].node_id, "web", 2, root.node_id)
         midpoint_state = snapshot(ledger)
         midpoint = allocation.savepoint()
 
-        assert allocation.place(servers[1], "db", 2, root)
+        assert allocation.place(servers[1].node_id, "db", 2, root.node_id)
         allocation.rollback(midpoint)
         assert snapshot(ledger) == midpoint_state
         assert allocation.placed_vms == 2
@@ -100,10 +100,10 @@ class TestRollbackRestoresExactly:
         servers = ledger.topology.servers
         root = ledger.topology.root
 
-        assert allocation.place(servers[0], "web", 2, root)
+        assert allocation.place(servers[0].node_id, "web", 2, root.node_id)
         placed_state = snapshot(ledger)
         # Server 0's two slots are taken: this must fail atomically.
-        assert not allocation.place(servers[0], "db", 2, root)
+        assert not allocation.place(servers[0].node_id, "db", 2, root.node_id)
         assert snapshot(ledger) == placed_state
         assert allocation.remaining_tiers().get("db", 0) == 2
 
@@ -117,10 +117,10 @@ class TestRollbackRestoresExactly:
         before = snapshot(ledger)
 
         savepoint = allocation.savepoint()
-        assert allocation.place(servers[0], "web", 2, root)
-        assert allocation.place(servers[1], "db", 2, root)
+        assert allocation.place(servers[0].node_id, "web", 2, root.node_id)
+        assert allocation.place(servers[1].node_id, "db", 2, root.node_id)
         assert allocation.is_complete
-        assert not allocation.finalize(root)
+        assert not allocation.finalize(root.node_id)
         assert not allocation.finalized
 
         allocation.rollback(savepoint)
@@ -133,9 +133,9 @@ class TestRollbackRestoresExactly:
         root = ledger.topology.root
         before = snapshot(ledger)
 
-        assert allocation.place(servers[0], "web", 2, root)
-        assert allocation.place(servers[1], "db", 2, root)
-        assert allocation.finalize(root)
+        assert allocation.place(servers[0].node_id, "web", 2, root.node_id)
+        assert allocation.place(servers[1].node_id, "db", 2, root.node_id)
+        assert allocation.finalize(root.node_id)
         allocation.release()
         assert snapshot(ledger) == before
 
@@ -146,15 +146,15 @@ class TestRollbackRestoresExactly:
         servers = ledger.topology.servers
         root = ledger.topology.root
 
-        assert committed.place(servers[0], "web", 2, root)
-        assert committed.place(servers[1], "db", 2, root)
-        assert committed.finalize(root)
+        assert committed.place(servers[0].node_id, "web", 2, root.node_id)
+        assert committed.place(servers[1].node_id, "db", 2, root.node_id)
+        assert committed.finalize(root.node_id)
         committed_state = snapshot(ledger)
 
         doomed = TenantAllocation(two_tier_tag(bandwidth=3.0), ledger)
         savepoint = doomed.savepoint()
-        assert doomed.place(servers[2], "web", 2, root)
-        assert doomed.place(servers[3], "db", 2, root)
+        assert doomed.place(servers[2].node_id, "web", 2, root.node_id)
+        assert doomed.place(servers[3].node_id, "db", 2, root.node_id)
         doomed.rollback(savepoint)
         assert snapshot(ledger) == committed_state
 
@@ -164,15 +164,15 @@ class TestGuards:
         allocation = TenantAllocation(two_tier_tag(bandwidth=1.0), ledger)
         servers = ledger.topology.servers
         root = ledger.topology.root
-        assert allocation.place(servers[0], "web", 2, root)
-        assert allocation.place(servers[1], "db", 2, root)
-        assert allocation.finalize(root)
+        assert allocation.place(servers[0].node_id, "web", 2, root.node_id)
+        assert allocation.place(servers[1].node_id, "db", 2, root.node_id)
+        assert allocation.finalize(root.node_id)
         with pytest.raises(ReproError):
-            allocation.place(servers[2], "web", 1, root)
+            allocation.place(servers[2].node_id, "web", 1, root.node_id)
 
     def test_overplacing_a_tier_raises(self, ledger):
         allocation = TenantAllocation(two_tier_tag(), ledger)
         servers = ledger.topology.servers
         root = ledger.topology.root
         with pytest.raises(ReproError, match="only"):
-            allocation.place(servers[0], "web", 5, root)
+            allocation.place(servers[0].node_id, "web", 5, root.node_id)

@@ -9,7 +9,7 @@ import pytest
 from repro.errors import TopologyError
 from repro.topology.builder import DatacenterSpec, paper_datacenter, three_level_tree
 from repro.topology.tree import Node, Topology, TopologyBuilder
-from tests.fabrics import servers_under, single_rack
+from tests.fabrics import level_nodes, servers_under, single_rack
 
 
 class TestNode:
@@ -61,8 +61,8 @@ class TestTopologyQueries:
         assert len(small_datacenter.servers) == 128
         assert small_datacenter.total_slots == 512
         assert small_datacenter.num_levels == 4
-        assert len(small_datacenter.level_nodes(1)) == 8
-        assert len(small_datacenter.level_nodes(2)) == 2
+        assert len(level_nodes(small_datacenter, 1)) == 8
+        assert len(level_nodes(small_datacenter, 2)) == 2
 
     def test_path_up_and_ancestors(self, small_datacenter):
         flat = small_datacenter.flat
@@ -71,14 +71,14 @@ class TestTopologyQueries:
         assert flat.ancestors[server_id][-1] == small_datacenter.root.node_id
 
     def test_servers_under(self, small_datacenter):
-        tor = small_datacenter.level_nodes(1)[0]
+        tor = level_nodes(small_datacenter, 1)[0]
         servers = list(servers_under(small_datacenter, tor))
         assert len(servers) == 16
         assert all(s.is_server for s in servers)
 
     def test_subtree_slots(self, small_datacenter):
         subtree_slots = small_datacenter.flat.subtree_slots
-        assert subtree_slots[small_datacenter.level_nodes(1)[0].node_id] == 64
+        assert subtree_slots[level_nodes(small_datacenter, 1)[0].node_id] == 64
         assert subtree_slots[small_datacenter.root.node_id] == 512
 
     def test_node_lookup(self, small_datacenter):
@@ -111,7 +111,7 @@ class TestDatacenterSpec:
         server = topo.servers[0]
         assert math.isinf(server.uplink_up)
         assert server.nominal_up == pytest.approx(10_000.0)
-        tor = topo.level_nodes(1)[0]
+        tor = level_nodes(topo, 1)[0]
         assert math.isinf(tor.uplink_up)
         assert tor.nominal_up == pytest.approx(80_000.0)
 
