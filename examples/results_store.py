@@ -1,9 +1,9 @@
-"""The results store end to end: cache, resume, shard/merge, CIs.
+"""The results store end to end: cache, resume, CIs.
 
-Runs a small fig08 grid against a persistent store twice (the second
-pass is pure cache hits), then simulates the two-machine shard workflow
-and renders seed-replicated mean ± bootstrap-CI statistics from the
-merged store.
+Runs one seed of a small fig08 grid against a persistent store, as an
+interrupted sweep would have left it, then the whole grid (only the
+missing trials execute) and the whole grid again (pure cache hits), and
+renders seed-replicated mean ± bootstrap-CI statistics from the store.
 
 Run with:  PYTHONPATH=src python examples/results_store.py
 """
@@ -34,35 +34,23 @@ def main() -> None:
 
         # -- persistent + resumable -----------------------------------
         store = ResultStore(tmp_path / "runs.sqlite")
+        partial = engine.run(scenario.override(seeds=(0,)), store=store)
         first = engine.run(scenario, store=store)
         print(
-            f"first run : {first.executed} executed, "
+            f"resumed run: {first.executed} executed, "
             f"{first.cache_hits} cached ({first.elapsed:.2f}s)"
         )
+        assert first.cache_hits == len(partial), "seed 0 must come from the store"
         second = engine.run(scenario, store=store)
         print(
-            f"second run: {second.executed} executed, "
+            f"second run : {second.executed} executed, "
             f"{second.cache_hits} cached ({second.elapsed:.2f}s)"
         )
         assert second.executed == 0, "second pass must be pure cache hits"
 
-        # -- shard across "machines", then merge ----------------------
-        shard_a = ResultStore(tmp_path / "a.sqlite")
-        shard_b = ResultStore(tmp_path / "b.sqlite")
-        engine.run(scenario, store=shard_a, shard=(0, 2))  # machine A
-        engine.run(scenario, store=shard_b, shard=(1, 2))  # machine B
-        merged = ResultStore(tmp_path / "merged.sqlite")
-        added = merged.merge_from([shard_a, shard_b])
-        print(f"\nmerged {added} rows from 2 shard stores")
-
-        full = [(r.fingerprint, r.payload_json) for r in store.rows()]
-        combined = [(r.fingerprint, r.payload_json) for r in merged.rows()]
-        assert full == combined, "shard merge must be bit-identical"
-        print("shard merge is bit-identical to the full-matrix store")
-
         # -- seed-replicated statistics -------------------------------
         aggregates = aggregate(
-            samples_from_store(merged, scenario=scenario.name),
+            samples_from_store(store, scenario=scenario.name),
             metric="bw_rejection_rate",
         )
         print()

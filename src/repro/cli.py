@@ -6,15 +6,12 @@
     repro run fig08 --jobs 4         # run one scenario in parallel
     repro run fig07 --seeds 0,1,2    # grid overrides
     repro run fig08 --store runs.sqlite      # persistent + resumable
-    repro run fig08 --store a.sqlite --shard 0/2   # this machine's half
     repro run fig08 --progress json  # machine-readable heartbeats
     repro run fig08 --telemetry --store runs.sqlite  # persist obs data
     repro results list runs.sqlite   # inspect / aggregate stored runs
     repro trace export --store runs.sqlite -o trace.json  # Chrome trace
     repro run table1 --workload hpcloud --store runs.sqlite  # own flags
-    repro profile fig08 --trials 2 --pods 1  # cProfile + obs counters
     repro version                    # package + environment diagnostics
-    repro -v run fig08               # INFO logging (-vv DEBUG, -q errors)
     repro fig08 --pods 1             # spells "repro run fig08 --pods 1"
 
 ``run`` is the one way to launch an experiment.  It looks the scenario
@@ -28,29 +25,28 @@ executes the trial matrix over N worker processes (``--jobs 0`` = one
 per CPU; default: ``os.cpu_count()`` capped at 8, serial for
 wall-clock kinds).  ``--store PATH`` makes the run persistent:
 already-computed trials are served from the store and fresh ones are
-recorded as they finish, so an interrupted run resumes.
-``--shard i/n`` runs one deterministic stride of the matrix; combine
-per-shard stores with ``repro results merge``.  ``repro <name> ...`` is
-nothing but a spelling of ``repro run <name> ...``; there is no
-``--seed`` flag (argparse reads it as the prefix of ``--seeds`` it is).
+recorded as they finish, so an interrupted run resumes.  ``repro
+<name> ...`` is nothing but a spelling of ``repro run <name> ...``;
+there is no ``--seed`` flag (argparse reads it as the prefix of
+``--seeds`` it is).
 
-After the presenter's tables, a whole-grid run prints the scenario's
+After the presenter's tables, a run prints the scenario's
 claims — the paper's statements about that figure, registered as
 :class:`~repro.engine.registry.Claim` rows — one line each: ``OKAY``,
 ``DEVIATES`` or ``n/a``, the measured value, its bounds and the paper's
 number.  The verdict is information about the grid the user picked; it
-never changes the exit status.  ``--shard`` runs print no claims.
+never changes the exit status.
 
 Tables go to stdout, diagnostics (``error: ...``) to stderr; exit code 2
-is a usage error (unknown scenario or flag), 1 a failed run.
+is a usage error (unknown scenario or flag, or a flag that would have
+no effect), 1 a failed run.
 
-Observability: leading ``-v``/``-q`` flags (before the subcommand)
-configure stdlib logging for the ``repro.*`` hierarchy.  ``run`` takes
-``--progress {live,json,off}`` (default: live on a TTY, off otherwise)
-and ``--telemetry`` (enable span/counter instrumentation; persisted as
-``telemetry`` rows when ``--store`` is given).  ``repro trace export``
-turns stored telemetry into Chrome-trace JSON; ``repro profile``
-cProfiles a scenario's trials in-process.  See :mod:`repro.obs`.
+Observability: ``run`` takes ``--progress {live,json,off}`` (default:
+live on a TTY, off otherwise) and ``--telemetry`` (span/counter
+instrumentation, persisted as ``telemetry`` rows; it needs
+``--store``).  ``repro trace export`` turns stored telemetry into
+Chrome-trace JSON.  See :mod:`repro.obs`.  To profile a run, run this
+module under the stdlib's ``python -m cProfile`` with ``--jobs 1``.
 """
 
 from __future__ import annotations
@@ -118,7 +114,7 @@ _AXIS_FLAGS = (
 def parse_scenario_args(
     parser: argparse.ArgumentParser, argv: list[str]
 ) -> tuple[registry.RegisteredScenario, argparse.Namespace]:
-    """Parse ``<scenario> [flags]`` for ``repro run`` and ``repro profile``.
+    """Parse ``<scenario> [flags]`` for ``repro run``.
 
     ``parser`` arrives with the subcommand's own flags; the scenario is
     looked up first — it is the first argument — so the parser can offer
@@ -217,11 +213,6 @@ def _run(argv: list[str]) -> int:
         help="results store path: skip cached trials, record fresh ones",
     )
     parser.add_argument(
-        "--shard",
-        help="run one stride i/n of the trial matrix (e.g. 0/2); "
-        "requires --store",
-    )
-    parser.add_argument(
         "--progress",
         choices=("live", "json", "off"),
         default=None,
@@ -231,29 +222,25 @@ def _run(argv: list[str]) -> int:
     parser.add_argument(
         "--telemetry",
         action="store_true",
-        help="enable span/counter instrumentation; per-trial telemetry "
-        "rows are persisted when --store is given",
+        help="enable span/counter instrumentation and persist per-trial "
+        "telemetry rows; requires --store",
     )
     try:
         entry, args = parse_scenario_args(parser, argv)
     except EngineError as error:
         return fail(error, 2)
-    if args.shard is not None and args.store is None:
+    if args.telemetry and args.store is None:
         return fail(
-            "--shard needs --store (a shard's results must be persisted "
-            "to be merged)",
-            2,
+            "--telemetry needs --store (the traces are kept as store rows)", 2
         )
-    store = shard = None
+    store = None
     try:
         scenario = build_scenario(entry, args)
         jobs = args.jobs if args.jobs is not None else default_jobs(scenario.kind)
         if args.store is not None:
-            from repro.results import ResultStore, parse_shard
+            from repro.results import ResultStore
 
             store = ResultStore(args.store)
-            if args.shard is not None:
-                shard = parse_shard(args.shard)
         progress = None
         mode = args.progress
         if mode is None:
@@ -268,24 +255,13 @@ def _run(argv: list[str]) -> int:
             from repro.obs import core as obs
 
             obs.enable()  # env-backed, so spawn workers inherit it
-            if store is None:
-                import logging
-
-                logging.getLogger("repro.cli").info(
-                    "--telemetry without --store: traces are collected "
-                    "but not persisted"
-                )
-        result = Engine(n_jobs=jobs).run(
-            scenario, store=store, shard=shard, progress=progress
-        )
+        result = Engine(n_jobs=jobs).run(scenario, store=store, progress=progress)
         entry.present(result)
-        if shard is None:
-            # A shard holds part of the grid: the claims need all of it.
-            from repro.results.present import claim_table
+        from repro.results.present import claim_table
 
-            claims = claim_table(entry.claims, result)
-            if claims is not None:
-                claims.show()
+        claims = claim_table(entry.claims, result)
+        if claims is not None:
+            claims.show()
     except ReproError as error:
         return fail(error, 1)
     finally:
@@ -300,33 +276,8 @@ def _run(argv: list[str]) -> int:
     return 0
 
 
-def _strip_verbosity(argv: list[str]) -> tuple[list[str], int]:
-    """Consume leading ``-v``/``-q`` flags (before the subcommand).
-
-    Only the leading position is global — ``repro run fig08 -v`` is left
-    for the subcommand parser to reject.
-    """
-    verbosity = 0
-    while argv:
-        flag = argv[0]
-        if flag in ("-v", "--verbose"):
-            verbosity += 1
-        elif flag in ("-q", "--quiet"):
-            verbosity -= 1
-        elif flag.startswith("-v") and set(flag[1:]) == {"v"}:
-            verbosity += len(flag) - 1  # -vv, -vvv
-        else:
-            break
-        argv = argv[1:]
-    return argv, verbosity
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    argv, verbosity = _strip_verbosity(argv)
-    from repro.obs import setup_logging
-
-    setup_logging(verbosity)
     try:
         if not argv or argv[0] in ("-h", "--help", "list"):
             return _list_scenarios()
@@ -342,10 +293,6 @@ def main(argv: list[str] | None = None) -> int:
             from repro.obs.trace import trace_main
 
             return trace_main(argv[1:])
-        if argv[0] == "profile":
-            from repro.obs.profile import profile_main
-
-            return profile_main(argv[1:])
         return _run(argv)  # repro <name> ... == repro run <name> ...
     except BrokenPipeError:
         # Piped into head/less that exited: not an error.  Detach stdout

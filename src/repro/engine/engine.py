@@ -13,9 +13,7 @@ finished and how many were lost.
 ``run(..., store=...)`` makes a run persistent and resumable: trials
 whose fingerprint is already in the store are served from it without
 executing, and every miss is recorded the moment it completes, so an
-interrupted sweep picks up where it left off.  ``run(..., shard=(i,
-n))`` executes only the i-th deterministic stride of the matrix — each
-shard writes its own store and ``repro results merge`` recombines them.
+interrupted sweep picks up where it left off.
 """
 
 from __future__ import annotations
@@ -69,25 +67,17 @@ class Engine:
             n_jobs = multiprocessing.cpu_count()
         self.n_jobs = n_jobs
 
-    def expand(self, scenario: Scenario) -> list[Trial]:
-        """The scenario's flat, ordered trial matrix (no execution)."""
-        return scenario.expand()
-
     def run(
         self,
         scenario: Scenario,
         *,
         store: Any | None = None,
-        shard: Any | None = None,
         progress: Any | None = None,
     ) -> ScenarioResult:
         """Execute every trial of ``scenario``; results in grid order.
 
         ``store`` is a :class:`~repro.results.store.ResultStore`: hits
-        skip execution, misses are recorded as they complete.  ``shard`` is a
-        :class:`~repro.results.sharding.ShardSpec` (or a plain ``(index,
-        count)`` tuple) restricting the run to that deterministic stride
-        of the matrix.
+        skip execution, misses are recorded as they complete.
 
         ``progress`` is a :class:`~repro.obs.progress.ProgressReporter`
         (or anything with its ``begin``/``update``/``close`` protocol):
@@ -105,15 +95,7 @@ class Engine:
         always run serially — concurrent workers would contend for CPU
         and corrupt the timings that are their payload.
         """
-        trials = self.expand(scenario)
-        if shard is not None:
-            if isinstance(shard, tuple):
-                # Lazy import: repro.results depends on repro.engine, so
-                # the reverse edge must not exist at module-import time.
-                from repro.results.sharding import ShardSpec
-
-                shard = ShardSpec(*shard)
-            trials = shard.select(trials)
+        trials = scenario.expand()
 
         started = time.perf_counter()
         by_index: dict[int, TrialResult] = {}
@@ -178,8 +160,8 @@ class Engine:
         def record(result: TrialResult) -> None:
             store.record(result)
             if result.telemetry is not None:
-                # Lazy import: same direction rule as the shard import
-                # above — repro.results depends on repro.engine.
+                # Lazy import: repro.results depends on repro.engine, so
+                # the reverse edge must not exist at module-import time.
                 from repro.results.telemetry import record_telemetry
 
                 record_telemetry(store, result)

@@ -8,7 +8,7 @@ canonical name or alias.  Presenters render a finished
 itself never prints.  A scenario's own flags (``--workload``,
 ``--max-senders``, ...) are :class:`ScenarioOption` rows on its entry:
 ``repro run <name>`` adds them to its one parser, so they combine with
-``--store``/``--shard``/``--seeds`` like any grid axis.  The paper's
+``--store``/``--seeds`` like any grid axis.  The paper's
 statements about the figure are :class:`Claim` rows on the same entry;
 ``repro run`` checks them after the presenter.
 """

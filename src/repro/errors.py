@@ -71,5 +71,5 @@ class EngineError(ReproError):
 
 
 class ResultsError(ReproError):
-    """Raised for results-store misuse: missing codecs, malformed shard
-    specs, or stores that cannot be opened or merged."""
+    """Raised for results-store misuse: missing codecs, undecodable
+    rows, or stores that cannot be opened."""

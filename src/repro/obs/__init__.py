@@ -49,7 +49,6 @@ __all__ = [
     "enable",
     "enabled",
     "enabled_scope",
-    "setup_logging",
     "span",
     "timed",
 ]
@@ -59,7 +58,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "Counters", "count", "counter_snapshot", "disable", "enable", "enabled",
         "enabled_scope", "span", "timed",
     ),
-    "repro.obs.logconfig": ("setup_logging",),
     "repro.obs.progress": ("ProgressReporter",),
     "repro.obs.trace": ("TraceRecorder",),
 })

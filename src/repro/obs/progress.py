@@ -8,8 +8,7 @@ renderings share the bookkeeping:
 * ``mode="live"`` — a single carriage-return status line on stderr for
   humans watching a terminal.
 * ``mode="json"`` — one JSON object per line ("heartbeat" lines) on the
-  chosen stream, the machine-readable feed the future campaign
-  orchestrator consumes to monitor per-shard health.
+  chosen stream, for a script or CI log that watches the run.
 
 The latency estimate is an exponential moving average (alpha 0.2) of
 per-trial wall-clock; ETA divides the remaining trial count by the

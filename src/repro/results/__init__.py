@@ -1,4 +1,4 @@
-"""Persistent results: fingerprinted trial cache, shards, aggregation.
+"""Persistent results: fingerprinted trial cache and aggregation.
 
 ``repro.results`` makes engine runs persistent, resumable, and
 statistically aggregatable:
@@ -11,8 +11,6 @@ statistically aggregatable:
   :class:`~repro.results.store.ResultStore`; ``Engine.run(...,
   store=...)`` skips cache hits and records misses as they complete, so
   interrupted runs resume for free.
-* :mod:`~repro.results.sharding` — deterministic ``i/n`` partitioning of
-  a trial matrix across machines, recombined with ``repro results merge``.
 * :mod:`~repro.results.aggregate` — seed-replicated mean ± bootstrap
   confidence intervals, fed into the table/chart presenters by
   :mod:`~repro.results.present`.
@@ -36,7 +34,6 @@ __all__ = [
     "EXPORT_FORMATS",
     "MetricSample",
     "ResultStore",
-    "ShardSpec",
     "StoredRow",
     "TELEMETRY_KIND",
     "aggregate",
@@ -48,7 +45,6 @@ __all__ = [
     "codec_names",
     "codec_version",
     "exports_from_store",
-    "parse_shard",
     "record_telemetry",
     "register_codec",
     "samples_from_results",
@@ -74,7 +70,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "aggregate_chart", "aggregate_table", "seed_replicated_summary",
         "store_summary_table",
     ),
-    "repro.results.sharding": ("ShardSpec", "parse_shard"),
     "repro.results.store": ("ResultStore", "StoredRow"),
     "repro.results.telemetry": (
         "TELEMETRY_KIND", "exports_from_store", "record_telemetry",

@@ -6,9 +6,9 @@ collects each codec-declared scalar metric across the seed replicas, and
 summarizes it as a mean with a percentile-bootstrap confidence interval.
 
 Everything is deterministic: replicas are ordered by seed before
-resampling and the bootstrap RNG seed is fixed, so aggregating a merged
-pair of shard stores is bit-identical to aggregating the store a single
-full-matrix run would have produced.
+resampling and the bootstrap RNG seed is fixed, so aggregating a store
+is bit-identical to aggregating the in-memory results of the run that
+filled it, serial or parallel.
 """
 
 from __future__ import annotations
@@ -144,13 +144,13 @@ def aggregate(
     samples: Iterable[MetricSample],
     *,
     metric: str | None = None,
-    confidence: float = 0.95,
 ) -> list[Aggregate]:
     """Group samples by grid point and summarize metrics across seeds.
 
     ``metric`` restricts the output to one named series; by default every
-    metric the kind's codec declares is aggregated.  Output order is
-    deterministic: sorted by grid point, then metric name.
+    metric the kind's codec declares is aggregated.  Intervals are 95%
+    bootstrap CIs.  Output order is deterministic: sorted by grid point,
+    then metric name.
     """
     groups: dict[tuple, list[MetricSample]] = {}
     for sample in samples:
@@ -165,7 +165,7 @@ def aggregate(
         first = replicas[0]
         for name in names:
             values = [s.metrics[name] for s in replicas if name in s.metrics]
-            low, high = bootstrap_ci(values, confidence=confidence)
+            low, high = bootstrap_ci(values)
             out.append(
                 Aggregate(
                     scenario=first.scenario,

@@ -7,17 +7,14 @@
     repro results show  runs.sqlite fig08 --metric bw_rejection_rate
     repro results export runs.sqlite --format csv -o trials.csv
     repro results export runs.sqlite --format jsonl --scenario fig08
-    repro results merge merged.sqlite a.sqlite b.sqlite
     repro results gc    runs.sqlite                 # drop undecodable rows
 
-``merge`` combines per-shard stores (see ``repro run --shard i/n``) by
-copying rows verbatim; aggregating the merged store is bit-identical to
-aggregating a single full-matrix run.  ``export`` writes one row per
-stored trial (grid-point columns plus flattened payload metrics) for
-pandas/R analysis.  ``gc`` reclaims rows no current codec can decode:
-a stale codec version, a retired kind, or a corrupt payload.  Any
-other verb that meets such a row prints ``error: ...`` to stderr and
-exits 1.
+``show`` reports 95% bootstrap confidence intervals.  ``export`` writes
+one row per stored trial (grid-point columns plus flattened payload
+metrics) for pandas/R analysis.  ``gc`` deletes rows no current codec
+can decode — a stale codec version, a retired kind, or a corrupt
+payload — then vacuums the file.  Any other verb that meets such a row
+prints ``error: ...`` to stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -58,17 +55,22 @@ def _show(args: argparse.Namespace) -> int:
         if not samples:
             print(f"no stored results for scenario {args.scenario!r}")
             return 1
-        aggregates = aggregate(
-            samples, metric=args.metric, confidence=args.confidence
-        )
+        aggregates = aggregate(samples, metric=args.metric)
         if not aggregates:
-            print(f"no metric {args.metric!r} in scenario {args.scenario!r}")
+            if args.metric is not None:
+                print(f"no metric {args.metric!r} in scenario {args.scenario!r}")
+            else:
+                kinds = ", ".join(
+                    repr(kind)
+                    for scenario, kind, _, _ in store.summary()
+                    if scenario == args.scenario
+                )
+                print(f"scenario {args.scenario!r} (kind {kinds}) stores no metrics")
             return 1
         seeds = max(agg.n for agg in aggregates)
         aggregate_table(
             aggregates,
-            f"{args.scenario} — stored results across {seeds} seed(s) "
-            f"({args.confidence:.0%} CI)",
+            f"{args.scenario} — stored results across {seeds} seed(s) (95% CI)",
         ).show()
         if args.metric is not None:
             chart = aggregate_chart(aggregates, args.metric)
@@ -105,26 +107,13 @@ def _export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _merge(args: argparse.Namespace) -> int:
-    sources = [_open_existing(path) for path in args.sources]
-    with ResultStore(args.dest) as dest:
-        added = dest.merge_from(sources)
-        total = len(dest)
-    for source in sources:
-        source.close()
-    print(f"merged {added} new rows from {len(sources)} store(s); "
-          f"{total} rows in {args.dest}")
-    return 0
-
-
 def _gc(args: argparse.Namespace) -> int:
     with _open_existing(args.store) as store:
         removed = store.gc()
         remaining = len(store)
-        freed = store.vacuum() if args.vacuum else None
+        freed = store.vacuum()
     print(f"removed {removed} stale rows; {remaining} remain")
-    if freed is not None:
-        print(f"vacuum reclaimed {freed} bytes")
+    print(f"vacuum reclaimed {freed} bytes")
     return 0
 
 
@@ -139,16 +128,12 @@ def _build_parser() -> argparse.ArgumentParser:
     list_cmd.set_defaults(handler=_list)
 
     show_cmd = commands.add_parser(
-        "show", help="mean ± bootstrap CI across stored seeds"
+        "show", help="mean ± 95% bootstrap CI across stored seeds"
     )
     show_cmd.add_argument("store", help="path to a results store")
     show_cmd.add_argument("scenario", help="scenario name, e.g. fig08")
     show_cmd.add_argument(
         "--metric", help="restrict to one metric (also renders its chart)"
-    )
-    show_cmd.add_argument(
-        "--confidence", type=float, default=0.95,
-        help="CI confidence level (default 0.95)",
     )
     show_cmd.set_defaults(handler=_show)
 
@@ -170,22 +155,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     export_cmd.set_defaults(handler=_export)
 
-    merge_cmd = commands.add_parser(
-        "merge", help="combine per-shard stores into one"
-    )
-    merge_cmd.add_argument("dest", help="destination store (created if absent)")
-    merge_cmd.add_argument("sources", nargs="+", help="source stores")
-    merge_cmd.set_defaults(handler=_merge)
-
     gc_cmd = commands.add_parser(
-        "gc", help="drop rows no current codec can decode"
+        "gc", help="drop rows no current codec can decode, then vacuum"
     )
     gc_cmd.add_argument("store", help="path to a results store")
-    gc_cmd.add_argument(
-        "--vacuum",
-        action="store_true",
-        help="also rebuild the file so freed pages return to the filesystem",
-    )
     gc_cmd.set_defaults(handler=_gc)
 
     return parser

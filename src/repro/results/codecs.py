@@ -7,7 +7,7 @@ columns) and, when its runner returns a dataclass, that ``payload_type``
 :meth:`Codec.encode` lowers any payload (a dataclass to a dict of its
 fields, tuples to lists, recursively), zeroes each top-level wall-clock
 field of ``_TIMING_FIELDS`` so that equal fingerprints mean equal payload
-bytes across serial, parallel and sharded runs — except in
+bytes across serial and parallel runs — except in
 ``SERIAL_ONLY_KINDS`` (``runtime``), whose reading *is* the payload —
 and writes canonical JSON.  :meth:`Codec.decode` is ``json.loads`` plus
 a rebuild of ``payload_type`` from its resolved field types; any other
@@ -88,7 +88,7 @@ class Codec:
     payload_type: type | str | None = None
 
     def encode(self, payload: Any) -> str:
-        """Canonical JSON text for the store (sorted keys: merge-stable)."""
+        """Canonical JSON text for the store (sorted keys: byte-stable)."""
         data = _fields(payload) if dataclasses.is_dataclass(payload) else payload
         if isinstance(data, dict) and self.kind not in SERIAL_ONLY_KINDS:
             data = dict(data)  # zero a copy: the caller's payload stays as is

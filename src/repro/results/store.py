@@ -3,9 +3,9 @@
 One store is one SQLite file.  The ``results`` table is both the index
 (scenario / variant / grid-point columns for querying) and the payload
 backend (the codec's canonical JSON text).  Writes are single-row
-transactions with a busy timeout, so concurrent writers — two shards
-pointed at one file, or an engine run racing a ``repro results merge``
-— serialize safely; a crash mid-run loses at most the in-flight row.
+transactions with a busy timeout, so concurrent writers — two runs
+pointed at one file, or an engine run racing a ``repro results gc`` —
+serialize safely; a crash mid-run loses at most the in-flight row.
 
 The engine talks to the store through two methods only:
 :meth:`ResultStore.cached_result` (lookup before executing a trial) and
@@ -26,7 +26,7 @@ import sqlite3
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 from repro.engine.scenario import Trial, TrialResult
 from repro.errors import ResultsError
@@ -216,7 +216,7 @@ class ResultStore:
         """Persist one executed trial; returns its fingerprint.
 
         ``INSERT OR REPLACE`` in a single transaction: recording the
-        same fingerprint twice (a merge race, a re-run after ``gc``) is
+        same fingerprint twice (two runs racing, a re-run after ``gc``) is
         idempotent because equal fingerprints imply equal payload bytes
         for deterministic kinds.  Measurement kinds (``runtime``, whose
         payload *is* a wall-clock reading) re-measure on every
@@ -332,38 +332,6 @@ class ResultStore:
         ]
 
     # -- maintenance -----------------------------------------------------
-    def merge_from(self, sources: Iterable["ResultStore"]) -> int:
-        """Copy rows from ``sources`` into this store; returns rows added.
-
-        Rows are copied as raw text (payload JSON untouched), so a merge
-        of disjoint shard stores is byte-identical to the store a single
-        full-matrix run would have written.  On fingerprint collisions
-        the existing row wins (``INSERT OR IGNORE``); for deterministic
-        kinds equal fingerprints imply equal payload bytes, so order
-        doesn't matter.  Measurement kinds (``runtime``) keep whichever
-        store's reading merged first — two hosts measuring the same
-        trial legitimately record different seconds.
-        """
-        connection = self._connect()
-        added = 0
-        for source in sources:
-            rows = source._connect().execute(
-                f"SELECT {_COLUMNS} FROM results"
-            ).fetchall()
-            with connection:
-                before = self._count(connection)
-                connection.executemany(
-                    f"INSERT OR IGNORE INTO results ({_COLUMNS}) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                    rows,
-                )
-                added += self._count(connection) - before
-        return added
-
-    @staticmethod
-    def _count(connection: sqlite3.Connection) -> int:
-        return connection.execute("SELECT COUNT(*) FROM results").fetchone()[0]
-
     def gc(self) -> int:
         """Delete rows no current codec can decode; returns rows removed.
 

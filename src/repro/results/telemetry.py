@@ -8,8 +8,7 @@ it through :func:`record_telemetry` as a row of kind ``"telemetry"``.
 Telemetry is *about* a trial, not part of it: its row fingerprint is
 derived from (namespaced over) the trial's fingerprint, so it can never
 collide with — or cache-hit as — the trial row itself, and the trial's
-own identity is untouched whether or not tracing ran.  Rows are copied
-verbatim by ``repro results merge`` like any other kind, and the codec's
+own identity is untouched whether or not tracing ran.  The codec's
 metrics extractor exposes ``phase_*_seconds`` / ``counter_*`` series so
 ``repro results show`` aggregates wall-clock breakdowns across seeds the
 same way it aggregates rejection rates.

@@ -75,15 +75,6 @@ def test_a_claim_without_its_comparison_is_not_applicable(capsys):
     assert verdicts == ["n/a"] * len(registry.get("fig10").claims)
 
 
-def test_a_shard_prints_no_claims(capsys, tmp_path):
-    out = _run(
-        capsys, "fig08", "--pods", "1", "--arrivals", "40", "--loads", "0.5",
-        "--store", str(tmp_path / "s.sqlite"), "--shard", "0/2",
-    )
-    assert "Fig. 8" in out
-    assert not VERDICT.search(out) and "claims" not in out
-
-
 def test_a_whole_grid_run_prints_the_claims_after_the_tables(capsys):
     out = _run(capsys, "fig04")
     assert out.index("web->logic") < out.index("fig04 — the paper's claims")

@@ -1,101 +1,78 @@
-"""The obs-facing CLI surface: profile, trace export, -v/-q stripping."""
+"""The obs-facing CLI surface: stored telemetry, trace export, profiling."""
 
 from __future__ import annotations
 
 import json
+import os
 import pstats
+import re
+import subprocess
+import sys
+from pathlib import Path
 
-from repro.cli import _strip_verbosity, main
+import pytest
+
+from repro.cli import main
 from repro.engine import Engine, registry
 from repro.obs import core
-from repro.obs.profile import profile_main
 from repro.obs.trace import trace_main
-from repro.results import ResultStore
+from repro.results import TELEMETRY_KIND, ResultStore
+
+ROOT = Path(__file__).resolve().parents[2]
+TINY_FIG08 = ["fig08", "--pods", "1", "--arrivals", "30", "--loads", "0.5",
+              "--seeds", "0", "--jobs", "1"]
 
 
-class TestProfileCommand:
-    def test_profiles_runtime_trials(self, capsys):
-        assert profile_main(["runtime", "--trials", "2", "--top", "5"]) == 0
-        captured = capsys.readouterr()
-        assert "profiling 2 'runtime' trial(s)" in captured.err
-        assert "function calls" in captured.out
-        assert "obs counters:" in captured.out
-        assert "ledger.slot_mutations" in captured.out
-        # The scope must not leak enablement into the test process.
-        assert "obs-test-leak" not in core.counter_snapshot()
+@pytest.fixture
+def obs_state():
+    """Tests run with obs off: undo what ``--telemetry`` turns on in-process."""
+    yield
+    core.disable()
 
-    def test_dumps_loadable_pstats(self, tmp_path, capsys):
-        out = tmp_path / "runtime.pstats"
-        assert profile_main(
-            ["runtime", "--trials", "1", "-o", str(out)]
-        ) == 0
+
+@pytest.mark.usefixtures("obs_state")
+class TestRunTelemetry:
+    def test_one_telemetry_row_per_executed_trial(self, tmp_path, capsys):
+        path = str(tmp_path / "runs.sqlite")
+        argv = ["run", *TINY_FIG08, "--telemetry", "--store", path]
+        assert main(argv) == 0
+        assert main(argv) == 0  # all cached: nothing executes, nothing traced
+        assert "2 cached" in capsys.readouterr().out
+        with ResultStore(path) as store:
+            trial_rows = store.rows(kind="rejection")
+            telemetry_rows = store.rows(kind=TELEMETRY_KIND)
+        assert len(trial_rows) == len(telemetry_rows) == 2
+        assert all(row.payload()["phases"] for row in telemetry_rows)
+
+    def test_results_show_reports_the_stored_counters(self, tmp_path, capsys):
+        path = str(tmp_path / "runs.sqlite")
+        assert main(["run", *TINY_FIG08, "--telemetry", "--store", path]) == 0
         capsys.readouterr()
-        stats = pstats.Stats(str(out))
-        assert stats.total_calls > 0
+        assert main(["results", "show", path, "fig08"]) == 0
+        out = capsys.readouterr().out
+        assert "counter_ledger.slot_mutations" in out
+        assert "bw_rejection_rate" in out
 
-    def test_sort_key_is_applied(self, capsys):
-        assert profile_main(
-            ["runtime", "--trials", "1", "--sort", "tottime", "--top", "3"]
-        ) == 0
-        assert "internal time" in capsys.readouterr().out
 
-    def test_store_persists_trials_and_telemetry(self, tmp_path, capsys):
-        path = str(tmp_path / "profiled.sqlite")
-        assert profile_main(
-            ["runtime", "--trials", "2", "--store", path]
-        ) == 0
-        assert "recorded 2 trial(s)" in capsys.readouterr().err
-        with ResultStore(path) as store:
-            trial_rows = store.rows(kind="runtime")
-            telemetry_rows = store.rows(kind="telemetry")
-        # One trial row and one telemetry row per profiled trial — the
-        # same shape 'repro run --store --telemetry' would leave behind.
-        assert len(trial_rows) == 2
-        assert len(telemetry_rows) == 2
-        assert all(row.payload() is not None for row in telemetry_rows)
-
-    def test_store_combines_with_output(self, tmp_path, capsys):
-        path = str(tmp_path / "profiled.sqlite")
-        out = tmp_path / "runtime.pstats"
-        assert profile_main(
-            ["runtime", "--trials", "1", "--store", path, "-o", str(out)]
-        ) == 0
-        err = capsys.readouterr().err
-        assert "recorded 1 trial(s)" in err
-        assert "wrote raw profile" in err
-        assert pstats.Stats(str(out)).total_calls > 0
-        with ResultStore(path) as store:
-            assert store.count(kind="runtime") == 1
-
-    def test_takes_run_s_overrides_and_scenario_options(self, capsys):
-        # Same parser rows and the same build_scenario as 'repro run'.
-        assert profile_main(
-            ["fig13", "--max-senders", "1", "--placers", "tag", "--trials", "0"]
-        ) == 0
-        assert "profiling 2 'enforce' trial(s)" in capsys.readouterr().err
-        assert profile_main(["fig13", "--loads", "0.5"]) == 2
-        assert "no effect" in capsys.readouterr().err
-        assert profile_main(["fig08", "--pods", "1", "--seeds", ""]) == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_store_is_closed_after_recording(self, tmp_path, monkeypatch):
-        closed = []
-        close = ResultStore.close
-        monkeypatch.setattr(
-            ResultStore, "close", lambda self: (closed.append(self), close(self))
-        )
-        path = str(tmp_path / "p.sqlite")
-        assert profile_main(["runtime", "--trials", "1", "--store", path]) == 0
-        assert len(closed) == 1
-
-    def test_unknown_scenario_fails_cleanly(self, capsys):
-        assert profile_main(["nope"]) == 2
-        captured = capsys.readouterr()
-        assert "nope" in captured.err and captured.out == ""
-
-    def test_routed_from_the_main_entry_point(self, capsys):
-        assert main(["profile", "runtime", "--trials", "1"]) == 0
-        assert "obs counters:" in capsys.readouterr().out
+def test_the_readme_profiling_recipe_writes_a_loadable_profile(tmp_path):
+    # The README's recipe as written there; only its -o file moves to tmp_path.
+    readme = (ROOT / "README.md").read_text().replace("\\\n", " ")
+    recipe = re.search(r"python -m cProfile -o \S+ -m repro\.cli ([^#\n]+)", readme)
+    assert recipe is not None, "the README lost its cProfile recipe"
+    out = tmp_path / "run.pstats"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-o", str(out), "-m", "repro.cli",
+         *recipe.group(1).split()],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "fig08 — the paper's claims" in done.stdout
+    functions = {name for _, _, name in pstats.Stats(str(out)).stats}
+    assert "execute_trial" in functions
 
 
 class TestTraceExport:
@@ -139,19 +116,3 @@ class TestTraceExport:
             pass
         assert trace_main(["export", "--store", path]) == 1
         assert "no stored telemetry" in capsys.readouterr().out
-
-
-class TestVerbosityStripping:
-    def test_leading_flags_are_consumed(self):
-        assert _strip_verbosity(["-v", "run", "fig08"]) == (["run", "fig08"], 1)
-        assert _strip_verbosity(["-vv", "list"]) == (["list"], 2)
-        assert _strip_verbosity(["-q", "-v", "-v", "list"]) == (["list"], 1)
-        assert _strip_verbosity(["--quiet", "list"]) == (["list"], -1)
-
-    def test_non_leading_flags_are_left_alone(self):
-        argv, verbosity = _strip_verbosity(["run", "fig08", "-v"])
-        assert argv == ["run", "fig08", "-v"] and verbosity == 0
-
-    def test_verbose_list_still_lists(self, capsys):
-        assert main(["-v", "list"]) == 0
-        assert "registered scenarios" in capsys.readouterr().out

@@ -1,13 +1,11 @@
-"""ResultStore: cache hit/skip, resume, shards, merge, gc, persistence.
+"""ResultStore: cache hit/skip, resume, gc, persistence.
 
 The acceptance properties of the results subsystem live here:
 
 * running the same scenario twice against a store executes zero trials
   the second time;
 * an interrupted run resumes without recomputing completed trials;
-* a serial store and an ``n_jobs > 1`` store are byte-identical;
-* merging disjoint shard stores reproduces the full-matrix store (and
-  therefore its aggregates) bit-identically.
+* a serial store and an ``n_jobs > 1`` store are byte-identical.
 """
 
 from __future__ import annotations
@@ -17,9 +15,8 @@ import pytest
 from repro.engine import Engine, Scenario, Variant, register_runner
 from repro.engine.runners import RUNNERS
 from repro.errors import ResultsError
-from repro.results import ResultStore, ShardSpec, parse_shard, register_codec
+from repro.results import ResultStore, register_codec
 from repro.results.codecs import _CODECS
-from repro.results.aggregate import aggregate, samples_from_store
 
 TINY = Scenario(
     name="tiny",
@@ -138,59 +135,6 @@ class TestSerialParallelIdentity:
         result = Engine(n_jobs=2).run(TINY, store=store)
         # All trials cached: nothing left to parallelize.
         assert result.cache_hits == 4 and result.n_jobs == 1
-
-
-class TestSharding:
-    def test_shards_partition_the_matrix(self):
-        trials = TINY.expand()
-        selected = [ShardSpec(i, 3).select(trials) for i in range(3)]
-        indices = sorted(t.index for shard in selected for t in shard)
-        assert indices == [t.index for t in trials]
-
-    def test_parse_shard(self):
-        assert parse_shard("0/4") == ShardSpec(0, 4)
-        assert parse_shard(" 2/3 ") == ShardSpec(2, 3)
-        for bad in ("", "3", "a/b", "-1/2", "2/2", "1/0"):
-            with pytest.raises(ResultsError):
-                parse_shard(bad)
-
-    def test_engine_rejects_invalid_shard(self):
-        # A tuple shard is normalized through ShardSpec: one validator.
-        with pytest.raises(ResultsError, match="shard index"):
-            Engine().run(TINY, shard=(2, 2))
-
-    def test_engine_accepts_shard_spec_directly(self, store):
-        result = Engine().run(TINY, store=store, shard=ShardSpec(0, 2))
-        assert len(result) == 2
-
-    def test_merged_shards_reproduce_full_store_bit_identically(self, tmp_path):
-        full = ResultStore(tmp_path / "full.sqlite")
-        Engine().run(TINY, store=full)
-
-        shard_a = ResultStore(tmp_path / "a.sqlite")
-        shard_b = ResultStore(tmp_path / "b.sqlite")
-        ran_a = Engine().run(TINY, store=shard_a, shard=(0, 2))
-        ran_b = Engine().run(TINY, store=shard_b, shard=(1, 2))
-        assert len(ran_a) + len(ran_b) == 4
-        assert len(shard_a) == len(ran_a) and len(shard_b) == len(ran_b)
-
-        merged = ResultStore(tmp_path / "merged.sqlite")
-        added = merged.merge_from([shard_a, shard_b])
-        assert added == 4
-        assert signature(merged) == signature(full)
-
-        # ... and therefore the seed-replicated aggregates are too.
-        full_aggs = aggregate(samples_from_store(full))
-        merged_aggs = aggregate(samples_from_store(merged))
-        assert full_aggs == merged_aggs
-
-    def test_merge_is_idempotent(self, tmp_path):
-        first = ResultStore(tmp_path / "one.sqlite")
-        Engine().run(TINY, store=first)
-        again = ResultStore(tmp_path / "two.sqlite")
-        again.merge_from([first])
-        assert again.merge_from([first]) == 0
-        assert signature(again) == signature(first)
 
 
 class TestGc:

@@ -1,7 +1,8 @@
-"""The ``repro run --store/--shard`` flags and ``repro results`` verbs."""
+"""The ``repro run --store`` flag and the ``repro results`` verbs."""
 
 from __future__ import annotations
 
+import re
 import sqlite3
 
 import pytest
@@ -46,31 +47,6 @@ class TestRunWithStore:
         assert "metric_survival_rate" in header
         assert "recover_seconds" not in header
 
-    def test_shard_requires_store(self, capsys):
-        assert main(["run", "fig08", *RUN_FLAGS, "--shard", "0/2"]) == 2
-        assert "--shard needs --store" in capsys.readouterr().err
-
-    def test_malformed_shard_reports_cleanly(self, capsys, store_path):
-        assert (
-            main(["run", "fig08", *RUN_FLAGS, "--store", store_path,
-                  "--shard", "nope"])
-            == 1
-        )
-        err = capsys.readouterr().err
-        assert "error:" in err and "Traceback" not in err
-
-    def test_sharded_runs_cover_the_matrix(self, capsys, store_path):
-        assert main(["run", "fig08", *RUN_FLAGS, "--store", store_path,
-                     "--shard", "0/2"]) == 0
-        assert "2 trials" in capsys.readouterr().out
-        assert main(["run", "fig08", *RUN_FLAGS, "--store", store_path,
-                     "--shard", "1/2"]) == 0
-        assert "2 trials" in capsys.readouterr().out
-        # Full matrix now cached from the two shard passes.
-        assert main(["run", "fig08", *RUN_FLAGS, "--store", store_path]) == 0
-        assert "4 cached" in capsys.readouterr().out
-
-
 class TestResultsVerbs:
     @pytest.fixture
     def populated(self, store_path, capsys):
@@ -95,18 +71,19 @@ class TestResultsVerbs:
         assert "vm_rejection_rate" in out
         assert "bw_rejection_rate" not in out
 
+    def test_show_names_a_metric_the_scenario_lacks(self, capsys, populated):
+        assert main(["results", "show", populated, "fig08", "--metric", "nope"]) == 1
+        assert capsys.readouterr().out == "no metric 'nope' in scenario 'fig08'\n"
+
     def test_show_unknown_scenario_fails(self, capsys, populated):
         assert main(["results", "show", populated, "nope"]) == 1
         assert "no stored results" in capsys.readouterr().out
 
-    def test_merge_and_gc(self, capsys, tmp_path, populated):
-        dest = str(tmp_path / "merged.sqlite")
-        assert main(["results", "merge", dest, populated]) == 0
-        assert "merged 4 new rows" in capsys.readouterr().out
-        assert main(["results", "gc", dest]) == 0
-        assert "removed 0 stale rows; 4 remain" in capsys.readouterr().out
-        assert main(["results", "gc", dest, "--vacuum"]) == 0
-        assert "vacuum reclaimed" in capsys.readouterr().out
+    def test_gc_always_vacuums(self, capsys, populated):
+        assert main(["results", "gc", populated]) == 0
+        out = capsys.readouterr().out
+        assert "removed 0 stale rows; 4 remain" in out
+        assert re.search(r"^vacuum reclaimed \d+ bytes$", out, re.M)
 
     def test_row_of_a_retired_kind_points_at_gc(self, capsys, tmp_path, populated):
         # What a store fed by the removed bench-trajectory command still holds.

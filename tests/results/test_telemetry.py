@@ -1,8 +1,7 @@
-"""The ``telemetry`` result kind: persistence, round-trip, merge, spawn."""
+"""The ``telemetry`` result kind: persistence, round-trip, gc, spawn."""
 
 from __future__ import annotations
 
-from repro.cli import main
 from repro.engine import Engine, registry
 from repro.engine.runners import execute_trial
 from repro.obs import core
@@ -84,21 +83,6 @@ class TestTelemetryStore:
         with ResultStore(path) as store:
             rerun = Engine(n_jobs=1).run(scenario, store=store)
         assert rerun.cache_hits == len(scenario.expand())
-
-    def test_rows_survive_merge(self, tmp_path):
-        a, b = str(tmp_path / "a.sqlite"), str(tmp_path / "b.sqlite")
-        merged = str(tmp_path / "merged.sqlite")
-        with core.enabled_scope():
-            with ResultStore(a) as store:
-                Engine(n_jobs=1).run(_scenario(seeds=(0,)), store=store)
-            with ResultStore(b) as store:
-                Engine(n_jobs=1).run(_scenario(seeds=(1,)), store=store)
-        assert main(["results", "merge", merged, a, b]) == 0
-        with ResultStore(merged) as store:
-            rows = store.rows(kind=TELEMETRY_KIND)
-            assert len(rows) == 4  # 2 variants x 2 seeds
-            for row in rows:
-                assert row.payload()["phases"]  # decoded, not raw text
 
     def test_rows_survive_gc(self, tmp_path):
         path = str(tmp_path / "runs.sqlite")

@@ -10,12 +10,16 @@ mean something for it.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
+import json
 import re
 
 import pytest
 
 from repro.cli import _AXIS_FLAGS, build_scenario, main, parse_scenario_args
-from repro.engine import kind_axes, registry
+from repro.engine import Engine, kind_axes, registry
+from repro.results import ResultStore
 from repro.results.fingerprint import trial_fingerprint
 
 NAMES = registry.names()
@@ -186,5 +190,74 @@ class TestHelp:
         consumed = kind_axes(entry.scenario.kind)
         expected = {flag for flag, axis, _, _ in _AXIS_FLAGS if axis in consumed}
         expected |= {option.flag for option in entry.options}
-        expected |= {"--jobs", "--store", "--shard", "--progress", "--telemetry"}
+        expected |= {"--jobs", "--store", "--progress", "--telemetry"}
         assert listed == expected
+
+
+@pytest.fixture(scope="module")
+def stores(tmp_path_factory):
+    """One store per scenario (equal grid points of two scenarios would
+    share a row), each filled by a tiny run: name -> (path, trials)."""
+    filled = {}
+    for name in NAMES:
+        path = str(tmp_path_factory.mktemp(name) / "s.sqlite")
+        scenario = scenario_for([name, *tiny_args(name)])
+        with ResultStore(path) as store:
+            result = Engine(n_jobs=1).run(scenario, store=store)
+        filled[name] = (path, len(result))
+    return filled
+
+
+class TestStoredResults:
+    @pytest.mark.parametrize("name", NAMES)
+    def test_show_reads_every_scenario(self, name, stores, capsys):
+        shown = main(["results", "show", stores[name][0], name])
+        out = capsys.readouterr().out
+        if name == "fig01":  # a survey: its codec extracts no metrics
+            assert shown == 1
+            assert out == "scenario 'fig01' (kind 'survey') stores no metrics\n"
+        else:
+            assert shown == 0 and "mean [95% CI]" in out
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_export_reads_every_scenario(self, name, stores, capsys):
+        path, trials = stores[name]
+        assert main(["results", "export", path, "--format", "jsonl"]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert main(["results", "export", path, "--format", "csv"]) == 0
+        table = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        for exported in (rows, table):
+            assert len(exported) == trials
+            assert {row["scenario"] for row in exported} == {name}
+
+
+# Spellings of removed features: verbosity flags, `repro profile`,
+# sharding and merging, and the two `repro results` options that became
+# constants.  Each is a usage error before anything runs or is stored.
+TINY_RUN = [*tiny_args("fig08"), "--jobs", "1"]
+RETIRED = [
+    ["-v", "list"],
+    ["-vv", "list"],
+    ["-q", "list"],
+    ["--verbose", "list"],
+    ["--quiet", "list"],
+    ["profile", "fig08"],
+    ["run", "fig08", *TINY_RUN, "--shard", "0/2", "--store", "s.sqlite"],
+    ["results", "merge", "d.sqlite", "a.sqlite"],
+    ["results", "show", "s.sqlite", "fig08", "--confidence", "0.9"],
+    ["results", "gc", "s.sqlite", "--vacuum"],
+    ["run", "fig08", *TINY_RUN, "--telemetry"],
+]
+
+
+@pytest.mark.parametrize("argv", RETIRED, ids=" ".join)
+def test_a_retired_spelling_is_refused(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(argv)
+    except SystemExit as exit_:  # argparse's own usage errors
+        code = exit_.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []

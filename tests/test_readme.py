@@ -138,12 +138,12 @@ def test_the_readme_names_only_what_exists():
 
 
 def test_main_dispatches_the_documented_subcommands():
-    assert _subcommands() == {"list", "version", "run", "results", "trace", "profile"}
+    assert _subcommands() == {"list", "version", "run", "results", "trace"}
 
 
 _GOOD = """\
 ```bash
-repro -v run fig8 --pods 1 --store s.sqlite
+repro run fig8 --pods 1 --store s.sqlite
 PYTHONPATH=src python -m pytest --runslow tests/test_readme.py
 ```
 `repro results list`, `REPRO_OBS`, `bench/run.py --trace 1`,
