@@ -29,7 +29,13 @@ __all__ = ["SecondNetPlacer", "PipeAllocation"]
 
 
 class PipeAllocation:
-    """Reservation record of one placed pipe-model tenant."""
+    """Reservation record of one placed pipe-model tenant.
+
+    ``journal`` is the undo log of the placement search only: a failed
+    VM rolls it back whole, and :meth:`SecondNetPlacer.place` empties it
+    when the tenant commits.  ``release`` reads ``vm_server`` and the
+    per-uplink totals, never the log.
+    """
 
     def __init__(self, tag: Tag, ledger: Ledger) -> None:
         self.tag = tag
@@ -168,6 +174,7 @@ class SecondNetPlacer:
             entry[0] -= out
             entry[1] -= into
         allocation.finalized = True
+        allocation.journal.ops.clear()  # committed: nothing is left to undo
         return Placement(allocation)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------

@@ -27,6 +27,14 @@ closures over a flattened edge table, memoized on the tag, replicating
 the originals' arithmetic term-for-term so results are bit-identical.
 They are the only two: any other ``requirement`` is refused.
 
+The undo log (the ledger :class:`Journal` plus the allocation's own
+state ops) lasts one search.  Algorithm 1 reads it only to ``Dealloc``
+a try that overcommits, so a commit — :meth:`TenantAllocation.finalize`
+or :meth:`TenantAllocation.finish_scale_up` returning True — drops it:
+a placed tenant keeps its counts and reservations, which are all that
+``release``, ``scale_up``, ``scale_down`` and the read-outs need, and
+no undo record.
+
 A failing search re-evaluates the same few count vectors over and over
 (every try of a child, and every probe of it, retraces the same bumps),
 so once the placer reports a failed offer (:meth:`memoize`) Eq. 1
@@ -84,7 +92,11 @@ _OP_RESIZE = 2
 
 @dataclass(frozen=True)
 class Savepoint:
-    """A rollback point spanning the ledger journal and the local state."""
+    """A rollback point spanning the ledger journal and the local state.
+
+    A savepoint does not survive a commit: the commit drops the undo log
+    it points into, and rolling back to it afterwards raises.
+    """
 
     ledger_ops: int
     state_ops: int
@@ -227,10 +239,11 @@ class TenantAllocation:
         Oktopus placer passes so that each abstraction pays for its own
         aggregation.  Any other function raises :class:`ValueError`.
 
-    The Eq. 1 memo (see the module docstring) lives for one search: it
-    starts at :meth:`memoize` and is dropped by :meth:`finalize`,
-    :meth:`finish_scale_up`, a rollback across a resize and every
-    recompile, so a placed tenant holds none.
+    The undo log and the Eq. 1 memo (see the module docstring) live for
+    one search.  The log grows with every mutation and is dropped, with
+    the memo, when :meth:`finalize` or :meth:`finish_scale_up` commits;
+    the memo starts at :meth:`memoize` and is also dropped by a rollback
+    across a resize and every recompile.  A placed tenant holds neither.
     """
 
     def __init__(
@@ -364,9 +377,16 @@ class TenantAllocation:
         )
 
     def rollback(self, savepoint: Savepoint) -> None:
-        """Undo everything placed since ``savepoint`` (Algorithm 1 Dealloc)."""
-        self.ledger.rollback(self.journal, savepoint.ledger_ops)
+        """Undo everything placed since ``savepoint`` (Algorithm 1 Dealloc).
+
+        Raises, changing nothing, when ``savepoint`` lies beyond the undo
+        log: it was taken before a commit (the ledger's rollback checks
+        its own half).
+        """
         ops = self._state_ops
+        if savepoint.state_ops > len(ops):
+            raise ReproError("stale savepoint: the undo log was dropped at a commit")
+        self.ledger.rollback(self.journal, savepoint.ledger_ops)
         is_server = self._flat.is_server
         while len(ops) > savepoint.state_ops:
             op = ops.pop()
@@ -461,6 +481,8 @@ class TenantAllocation:
         (Algorithm 1 line 6).  Returns False (undoing only the root-path
         reservations) when any link on the path lacks capacity; the caller
         then rejects the tenant and rolls back the placement below.
+        Returns True when the tenant commits, which drops the undo log:
+        no savepoint taken before survives it.
 
         The requirement is evaluated once: every node from the allocation
         root up holds the whole tenant and has seen the same sequence of
@@ -483,8 +505,7 @@ class TenantAllocation:
         if self.ledger.has_overcommit():
             self.rollback(savepoint)
             return False
-        self.finalized = True
-        self._memo = None
+        self._commit()
         return True
 
     def release(self) -> None:
@@ -497,8 +518,6 @@ class TenantAllocation:
             ledger.release_slots(server_id, sum(placed.values()))
         self._counts.clear()
         self._reserved.clear()
-        self._state_ops.clear()
-        self.journal.ops.clear()
         self._placed = 0
         self.version = self._last_version = self._last_version + 1
 
@@ -534,15 +553,23 @@ class TenantAllocation:
 
         All reservations were maintained exactly during placement (the
         scale-up places with the tree root as ceiling), so this only
-        checks completeness and capacity.
+        checks completeness and capacity.  On False the log is kept for
+        the caller's rollback; True commits and drops it, as
+        :meth:`finalize` does.
         """
         if not self.is_complete:
             raise ReproError("finish_scale_up() requires a complete placement")
         if self.ledger.has_overcommit():
             return False
+        self._commit()
+        return True
+
+    def _commit(self) -> None:
+        """Seal the placement and drop this search's undo log and memo."""
         self.finalized = True
         self._memo = None
-        return True
+        self.journal.ops.clear()
+        self._state_ops.clear()
 
     def scale_down(self, tier: str, remove: int) -> None:
         """Remove ``remove`` VMs of ``tier`` from a finalized tenant.

@@ -5,14 +5,15 @@ slots and per-node used uplink bandwidth (both directions).  It also
 maintains, incrementally, the aggregate number of free slots under every
 subtree so placement algorithms can do O(1) feasibility pre-checks.
 
-All mutations go through a :class:`Journal` so that a placement attempt
-can be rolled back wholesale when it fails part-way (Algorithm 1's
-``Dealloc``), and so a departing tenant can release exactly what it
-reserved.  A slot reservation over capacity is refused
-(``reserve_slots`` returns ``False``); a bandwidth adjust always
-applies, and an uplink left over capacity joins the overcommit set that
-``has_overcommit`` reports.  Inconsistencies (releasing more than
-reserved) raise :class:`LedgerError`.
+Placement mutations go through a :class:`Journal` so that a placement
+attempt can be rolled back wholesale when it fails part-way (Algorithm
+1's ``Dealloc``); the journal lasts that one attempt, and a departing
+tenant releases, unjournalled, what its own books say it holds.  A slot
+reservation over capacity is refused (``reserve_slots`` returns
+``False``); a bandwidth adjust always applies, and an uplink left over
+capacity joins the overcommit set that ``has_overcommit`` reports.
+Inconsistencies (releasing more than reserved) raise
+:class:`LedgerError`.
 
 State lives in flat id-indexed arrays mirroring
 :class:`repro.topology.flat.FlatTopology` (used slots, used up/down
@@ -71,7 +72,9 @@ class Journal:
     """An undo log of ledger mutations for one placement attempt.
 
     Ops are opaque to callers; only the ledger that wrote them reads
-    them back, in its rollback.
+    them back, in its rollback.  A placer empties the log when the
+    attempt commits: a placed tenant is released from its own books,
+    never by replaying undo records.
     """
 
     ops: list[object] = field(default_factory=list)
@@ -306,8 +309,16 @@ class ReservationLedger:
     # rollback
     # ------------------------------------------------------------------
     def rollback(self, journal: Journal, savepoint: int = 0) -> None:
-        """Undo journalled operations back to ``savepoint`` (in reverse)."""
+        """Undo journalled operations back to ``savepoint`` (in reverse).
+
+        A savepoint beyond the journal's end was taken before a commit
+        dropped the log: :class:`LedgerError`, nothing undone.
+        """
         ops = journal.ops
+        if savepoint > len(ops):
+            raise LedgerError(
+                f"savepoint {savepoint} lies beyond the journal's {len(ops)} ops"
+            )
         c = _obs.counters
         if c is not None and len(ops) > savepoint:
             c.bump("ledger.rollback_ops", len(ops) - savepoint)

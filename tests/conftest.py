@@ -2,12 +2,46 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core.tag import Tag
+from repro.obs import core as obs
 from repro.topology.builder import DatacenterSpec, three_level_tree
 from repro.topology.ledger import Ledger
 from tests.fabrics import single_rack
+
+
+@pytest.fixture(autouse=True)
+def _obs_state_is_left_as_found(request):
+    """Fail a test that leaves obs switched on, then switch it back.
+
+    ``repro.obs.core.counters`` and ``recorder`` are process globals and
+    ``REPRO_OBS`` is inherited by every later subprocess, so a test that
+    enables obs and does not restore it changes what the tests after it
+    measure.  The failure names the test; the next one starts clean.
+    """
+    counters, recorder = obs.counters, obs.recorder
+    flag = os.environ.get(obs.ENV_FLAG)
+    yield
+    leaked = [
+        name
+        for name, before, after in (
+            ("repro.obs.core.counters", counters, obs.counters),
+            ("repro.obs.core.recorder", recorder, obs.recorder),
+        )
+        if before is None and after is not None
+    ]
+    if flag is None and obs.ENV_FLAG in os.environ:
+        leaked.append(f"os.environ[{obs.ENV_FLAG!r}]")
+    obs.counters, obs.recorder = counters, recorder
+    if flag is None:
+        os.environ.pop(obs.ENV_FLAG, None)
+    else:
+        os.environ[obs.ENV_FLAG] = flag
+    if leaked:
+        pytest.fail(f"{request.node.nodeid} left obs state set: {', '.join(leaked)}")
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ from repro.obs import core as obs
 from repro.placement.state import TenantAllocation
 from tests import tags
 from tests.fabrics import level_nodes, servers_under
+from tests.placement.undo_logs import committed_logs
 
 
 @pytest.fixture
@@ -147,10 +148,12 @@ class TestFinalize:
         for server in servers:
             allocation.place(server.node_id, "all", 2, ceiling_id=topology.root.node_id)
         ops = len(allocation.journal.ops)
-        with obs.enabled_scope() as counters:
+        with obs.enabled_scope() as counters, committed_logs() as logs:
             assert allocation.finalize(topology.root.node_id)
             assert "placement.reservation_updates" not in counters
-        assert len(allocation.journal.ops) == ops
+        # The log as the commit dropped it: finalize added nothing to it.
+        [(journal, _)] = logs[allocation]
+        assert len(journal) == ops
 
         crowded = TenantAllocation(hose_tag, small_ledger)
         for server in servers:
@@ -201,6 +204,27 @@ class TestRollbackAndRelease:
         assert allocation.count_id(server.node_id, "all") == 0
         assert small_ledger.used_slots(server) == 0
         assert small_ledger.reserved_up(server) == pytest.approx(0.0)
+
+    def test_a_savepoint_taken_before_a_commit_raises_and_undoes_nothing(
+        self, small_ledger, hose_tag
+    ):
+        allocation = TenantAllocation(hose_tag, small_ledger)
+        topology = small_ledger.topology
+        tor = level_nodes(topology, 1)[0]
+        servers = list(servers_under(topology, tor))
+        allocation.place(servers[0].node_id, "all", 2, tor.node_id)
+        savepoint = allocation.savepoint()
+        allocation.place(servers[1].node_id, "all", 2, tor.node_id)
+        assert allocation.finalize(tor.node_id)
+        assert allocation.journal.ops == [] and allocation._state_ops == []
+        version = allocation.version
+        before = (list(small_ledger._used_slots), list(small_ledger._used_up))
+        with pytest.raises(ReproError, match="stale savepoint"):
+            allocation.rollback(savepoint)
+        assert allocation.version == version
+        assert allocation.finalized and allocation.placed_vms == 4
+        assert allocation.count_id(servers[1].node_id, "all") == 2
+        assert (list(small_ledger._used_slots), list(small_ledger._used_up)) == before
 
     def test_release_returns_everything(self, small_ledger, hose_tag):
         allocation = TenantAllocation(hose_tag, small_ledger)

@@ -39,8 +39,13 @@ from repro.temporal.admission import TemporalLedger
 from repro.temporal.profile import diurnal_profile
 from repro.topology.builder import DatacenterSpec, three_level_tree
 from repro.topology.ledger import OP_SLOTS, Journal, Ledger
+from tests.placement.undo_logs import committed_logs
 from tests.tags import hose_tag
-from tests.topology.ledger_views import overcommitted_nodes, plane_matrices
+from tests.topology.ledger_views import (
+    ledger_snapshot,
+    overcommitted_nodes,
+    plane_matrices,
+)
 
 SPEC = DatacenterSpec(
     servers_per_rack=3,
@@ -86,7 +91,7 @@ class WriteAlways(TenantAllocation):
         if self.ledger.has_overcommit():
             self.rollback(savepoint)
             return False
-        self.finalized = True
+        self._commit()
         return True
 
     def probe(self, server_id, fill):
@@ -115,9 +120,10 @@ class WriteAlways(TenantAllocation):
             self._reserved[node_id] = (out, into)
 
 
-def _audited(base, log):
+def _audited(base, log, commits):
     """``base`` logging the state at every savepoint and after every rollback,
-    and checking that a rollback lands on the state its savepoint saw."""
+    and checking that a rollback lands on the state its savepoint saw; every
+    commit appends the lengths of the undo log it drops to ``commits``."""
 
     class Audited(base):
         def __init__(self, *args):
@@ -136,6 +142,10 @@ def _audited(base, log):
             assert self._seen.get(savepoint, state) == state, "rollback missed its savepoint"
             log.append(("rollback", state))
 
+        def _commit(self):
+            commits.append((len(self.journal.ops), len(self._state_ops)))
+            super()._commit()
+
     return Audited
 
 
@@ -153,27 +163,12 @@ def _allocating(cls):
             module.TenantAllocation = original
 
 
-def _bandwidth(ledger):
-    if isinstance(ledger, TemporalLedger):
-        return (ledger._up, ledger._down, ledger._max_up, ledger._max_down)
-    return (ledger._used_up, ledger._used_down)
-
-
-def _snapshot(ledger):
-    return (
-        list(ledger._used_slots),
-        list(ledger._free_subtree),
-        [list(column) for column in _bandwidth(ledger)],
-        set(ledger._over),
-    )
-
-
 def _raw_state(allocation):
     """Copies of the ledger's arrays and the allocation's books (the audit
     runs at every savepoint and rollback, so no hashing and no numpy);
     a reservation of zero and no reservation are the same thing."""
     return (
-        *_snapshot(allocation.ledger),
+        *ledger_snapshot(allocation.ledger),
         {i: dict(c) for i, c in allocation._counts.items() if c},
         {i: r for i, r in allocation._reserved.items() if r != _ZERO},
         dict(allocation._remaining),
@@ -255,7 +250,8 @@ def _pool(external: bool) -> list[Tag]:
 class World:
     def __init__(self, base, placer_kind, ledger_kind, external):
         self.log: list = []
-        self.cls = _audited(base, self.log)
+        self.commits: list[tuple[int, int]] = []
+        self.cls = _audited(base, self.log, self.commits)
         self.temporal = ledger_kind == "temporal"
         self.ledger = (
             TemporalLedger(TOPOLOGY, WINDOWS) if self.temporal else Ledger(TOPOLOGY)
@@ -411,10 +407,14 @@ def test_skipping_unchanged_writes_changes_nothing_else(placer, ledger, external
         assert _state(real.ledger, [a for a, _ in real.live]) == _state(
             oracle.ledger, [a for a, _ in oracle.live]
         ), op
-    # The rule only ever shortens a journal.
-    for (mine, _), (theirs, _) in zip(real.live, oracle.live):
-        assert len(mine.journal.ops) <= len(theirs.journal.ops)
-        assert len(mine._state_ops) <= len(theirs._state_ops)
+    # The rule only ever shortens a journal: compared commit by commit,
+    # on the undo log each commit dropped.
+    assert len(real.commits) == len(oracle.commits)
+    for (mine_ops, mine_state), (their_ops, their_state) in zip(
+        real.commits, oracle.commits
+    ):
+        assert mine_ops <= their_ops
+        assert mine_state <= their_state
 
 
 # ----------------------------------------------------------------------
@@ -442,48 +442,55 @@ def _sequences(record):
 @pytest.mark.parametrize("kind", ["classic", "temporal"])
 def test_a_single_server_tenant_journals_only_its_slots(kind):
     ledger = _ledger(kind)
-    pristine = _snapshot(ledger)
+    pristine = ledger_snapshot(ledger)
     placer = cloudmirror.CloudMirrorPlacer(ledger)
-    result = placer.place(hose_tag("fits", 4, 80.0))
+    with committed_logs() as logs:
+        result = placer.place(hose_tag("fits", 4, 80.0))
     assert isinstance(result, Placement)
     allocation = result.allocation
     assert len(list(allocation.iter_server_placements())) == 1
-    ops = allocation.journal.ops
+    # The undo log as the commit dropped it.
+    [(ops, state_ops)] = logs[allocation]
     assert ops and all(op[0] == OP_SLOTS for op in ops)
     assert allocation._reserved == {}
-    assert not any(op[0] == _OP_RESERVED for op in allocation._state_ops)
-    # A live admission keeps no per-window column alive: nothing it
-    # retains, at any depth, is a W-length sequence.
-    for record in [*ops, *allocation._state_ops]:
+    assert not any(op[0] == _OP_RESERVED for op in state_ops)
+    # The admission journalled no per-window column: nothing in its
+    # log, at any depth, is a W-length sequence.
+    for record in [*ops, *state_ops]:
         assert all(len(seq) != DAY for seq in _sequences(record))
-    assert _snapshot(ledger)[2] == pristine[2]
+    # And the live admission retains none of it.
+    assert allocation.journal.ops == [] and allocation._state_ops == []
+    assert ledger_snapshot(ledger)[2] == pristine[2]
     allocation.release()
-    assert _snapshot(ledger) == pristine
+    assert ledger_snapshot(ledger) == pristine
 
 
 @pytest.mark.parametrize("kind", ["classic", "temporal"])
 def test_a_split_tenant_journals_only_the_hops_that_carry_traffic(kind):
     ledger = _ledger(kind)
-    pristine = _snapshot(ledger)
+    pristine = ledger_snapshot(ledger)
     placer = cloudmirror.CloudMirrorPlacer(ledger)
-    result = placer.place(hose_tag("split", 8, 20.0))
+    with committed_logs() as logs:
+        result = placer.place(hose_tag("split", 8, 20.0))
     assert isinstance(result, Placement)
     allocation = result.allocation
     used = [server_id for server_id, _ in allocation.iter_server_placements()]
     parent = ledger.flat.parent
     assert len(used) == 2 and parent[used[0]] == parent[used[1]]
     server_ids = sorted(used)
-    written = [op[1] for op in allocation.journal.ops if op[0] != OP_SLOTS]
+    # The undo log as the commit dropped it.
+    [(ops, state_ops)] = logs[allocation]
+    written = [op[1] for op in ops if op[0] != OP_SLOTS]
     assert sorted(written) == server_ids  # one record each, none for rack or pod
     assert sorted(allocation._reserved) == server_ids
     assert sorted(
-        op[1] for op in allocation._state_ops if op[0] == _OP_RESERVED
+        op[1] for op in state_ops if op[0] == _OP_RESERVED
     ) == server_ids
     rack = ledger.topology.node(parent[used[0]])
     for node in (rack, rack.parent):
         assert ledger.reserved_up(node) == ledger.reserved_down(node) == 0.0
     allocation.release()
-    assert _snapshot(ledger) == pristine
+    assert ledger_snapshot(ledger) == pristine
 
 
 @pytest.mark.parametrize("kind", ["classic", "temporal"])

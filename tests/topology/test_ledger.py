@@ -126,3 +126,20 @@ class TestRollback:
         assert ledger.free_slots(small_datacenter.root) == 512
         assert ledger.reserved_at_level(0) == 0.0
         assert journal.ops == []
+
+    def test_a_savepoint_beyond_the_journal_raises_and_undoes_nothing(
+        self, ledger, small_datacenter
+    ):
+        server_a, server_b = small_datacenter.servers[:2]
+        journal = Journal()
+        ledger.reserve_slots(server_a.node_id, 2, journal)
+        ledger.adjust_uplink_id(server_a.node_id, 100.0, 50.0, journal)
+        savepoint = journal.savepoint()
+        journal.ops.clear()  # the attempt commits: its log is dropped
+        ledger.reserve_slots(server_b.node_id, 1, journal)  # the next attempt
+        with pytest.raises(LedgerError, match="beyond"):
+            ledger.rollback(journal, savepoint)
+        assert len(journal.ops) == 1
+        assert ledger.used_slots(server_a) == 2
+        assert ledger.used_slots(server_b) == 1
+        assert ledger.available_up_id(server_a.node_id) == pytest.approx(900.0)
